@@ -32,6 +32,13 @@ through the normal removal cascade.
 Every worker-bound command is journaled per shard, so a crashed worker
 (:meth:`ShardedExecutor.crash_shard`) is rebuilt deterministically from
 its log alone; preserved merge cursors make delivery exactly-once.
+
+The arrival path (:meth:`ShardedExecutor.process_batch`) is the steady
+state, so it is written to leave nothing behind but the work itself: the
+journal and the merged sink are columnar (no per-entry object), a live
+key's bucket is hashed once per liveness span, and the whole arrival —
+window push, eviction delivery, just-in-time completion, feed, journal —
+is one loop body (docs/SHARDING.md, "The arrival path").
 """
 
 from __future__ import annotations
@@ -50,16 +57,13 @@ from repro.shard.rebalance import (
     ShardMove,
     plan_key_routes,
 )
-from repro.shard.worker import ShardWorker, make_strategy, unbounded_schema
+from repro.shard.worker import CommandLog, ShardWorker, make_strategy, unbounded_schema
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
 from repro.streams.window import SlidingWindow, TimeSlidingWindow
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.migration.base import SpecLike
-
-#: One journaled worker command: (kind, payload, external time).
-LogEntry = Tuple[str, Any, float]
 
 GlobalWindow = Union[SlidingWindow, TimeSlidingWindow]
 
@@ -183,8 +187,7 @@ class RebalanceScheduler:
         batch = self.plan.batch(index)
         dst_of = {bucket: dst for bucket, _, dst in batch}
         live_by_bucket: Dict[int, List[Any]] = {}
-        for key in ex._live_by_key:
-            bucket = ex.partitioner.bucket_of(key)
+        for key, bucket in ex._live_bucket.items():
             if bucket in dst_of:
                 live_by_bucket.setdefault(bucket, []).append(key)
         routes = plan_key_routes(list(batch), live_by_bucket)
@@ -201,7 +204,7 @@ class RebalanceScheduler:
             "keys": len(routes),
         }
         for shard in sorted({s for _, s, _ in batch} | set(dst_of.values())):
-            ex._logs[shard].append(("batch", dict(marker), t))
+            ex._logs[shard].append("batch", dict(marker), t)
         tracer = ex.metrics.tracer
         if tracer.enabled:
             tracer.rebalance_batch_start(
@@ -315,14 +318,20 @@ class ShardedExecutor:
                 else TimeSlidingWindow(d.window)
             )
         self._live_by_key: Dict[Any, List[StreamTuple]] = {}
+        #: Routing memo: the bucket of every key in ``_live_by_key`` — set
+        #: when the key becomes live, dropped with its last live tuple, so
+        #: an arrival or eviction of a live key hashes nothing.  Buckets,
+        #: not shards: every ``partitioner.apply`` is seen immediately.
+        self._live_bucket: Dict[Any, int] = {}
         self._session: Optional[RebalanceSession] = None
         self._scheduler: Optional[RebalanceScheduler] = None
         self._current_spec: Optional["SpecLike"] = None
         self.moves: List[ShardMove] = []
         self.rebalances = 0
         self._arrivals = 0
-        self._arrival_T: Dict[Tuple[str, int], float] = {}
-        self._logs: List[List[LogEntry]] = [[] for _ in range(num_shards)]
+        #: External time of every arrival, stream -> seq -> T.
+        self._arrival_T: Dict[str, Dict[int, float]] = {d.name: {} for d in schema.streams}
+        self._logs: List[CommandLog] = [CommandLog() for _ in range(num_shards)]
         self._crashed: Set[int] = set()
         self._retired: Set[int] = set()
         self._merger = ShardMerger()
@@ -384,7 +393,10 @@ class ShardedExecutor:
         session = self._session
         if session is not None and session.is_pending(key):
             return session.route_of(key)[0]
-        return self.partitioner.shard_of(key)
+        bucket = self._live_bucket.get(key)
+        if bucket is None:
+            return self.partitioner.shard_of(key)
+        return self.partitioner.assignment[bucket]
 
     @property
     def session(self) -> Optional[RebalanceSession]:
@@ -420,32 +432,108 @@ class ShardedExecutor:
 
     def process(self, tup: StreamTuple) -> None:
         """One arrival: global-window push, evictions, JIT completion, feed."""
-        self._check_live()
-        t = self._now()
-        self._arrivals += 1
-        self._arrival_T[(tup.stream, tup.seq)] = t
-        tracer = self.metrics.tracer
-        if tracer.enabled:
-            tracer.arrival(tup)
-        for old in self._windows[tup.stream].push_all(tup):
-            self._deliver_eviction(old, t)
-        scheduler = self._scheduler
-        if scheduler is not None:
-            scheduler.on_arrival(t)
-        key = tup.key
-        session = self._session
-        if session is not None and session.is_pending(key):
-            self._complete_key(session, key, t)
-        owner = self.partitioner.shard_of(key)
-        self._live_by_key.setdefault(key, []).append(tup)
-        worker = self._worker(owner)
-        worker.catch_up(t)
-        worker.feed(tup)
-        self._logs[owner].append(("feed", tup, t))
+        self.process_batch((tup,))
 
     def process_batch(self, tuples: Iterable[StreamTuple]) -> None:
+        """A run of arrivals, each taken through the whole arrival path.
+
+        This loop is the only arrival-path body (:meth:`process` feeds it
+        a run of one).  Per arrival, in order: reject an unknown stream
+        before anything is touched; stamp external time; push into the
+        stream's global window and deliver each eviction to the worker
+        holding that key's state (retiring a pending key whose last live
+        tuple just expired); let an active fluid plan open its next batch;
+        complete the arriving key just in time if it is pending; feed the
+        owning worker; journal.  What never changes during a run is read
+        once; the session, the scheduler and the assignment table can
+        change under any arrival and are read on each.
+        """
+        windows = self._windows
+        arrival_t = self._arrival_T
+        live_by_key = self._live_by_key
+        live_bucket = self._live_bucket
+        workers = self.workers
+        logs = self._logs
+        crashed = self._crashed
+        partitioner = self.partitioner
+        inter_arrival = self.inter_arrival
+        clock = self.metrics.clock
+        tracer = self.metrics.tracer
+        traced = tracer.enabled
+        arrivals = self._arrivals
         for tup in tuples:
-            self.process(tup)
+            if crashed:
+                self._check_live()
+            stream = tup.stream
+            window = windows.get(stream)
+            if window is None:
+                raise ValueError(
+                    f"tuple from unknown stream {stream!r} "
+                    f"(schema has {', '.join(windows)})"
+                )
+            # External time T(i) = i * inter_arrival; the coordinator's
+            # clock is caught up to it (see _now).
+            t = arrivals * inter_arrival
+            if clock is not None and clock.now < t:
+                clock.now = t
+            self._arrivals = arrivals = arrivals + 1
+            arrival_t[stream][tup.seq] = t
+            if traced:
+                tracer.arrival(tup)
+
+            for old in window.push_all(tup):
+                key = old.key
+                # A pending key's state is still at its pre-rebalance owner.
+                pending = self._session
+                if pending is not None and pending.is_pending(key):
+                    owner = pending.route_of(key)[0]
+                else:
+                    pending = None
+                    owner = partitioner.assignment[live_bucket[key]]
+                worker = workers[owner] or self._worker(owner)
+                worker.catch_up(t)
+                worker.evict(old)
+                logs[owner].append("evict", old, t)
+                live = live_by_key[key]
+                if live[0] is old:  # almost always: expiry is oldest-first
+                    del live[0]
+                else:
+                    live.remove(old)
+                if not live:
+                    del live_by_key[key]
+                    del live_bucket[key]
+                    if pending is not None:
+                        self._retire_key(pending, key, t)
+
+            scheduler = self._scheduler
+            if scheduler is not None:
+                scheduler.on_arrival(t)
+            key = tup.key
+            session = self._session
+            if session is not None and session.is_pending(key):
+                self._complete_key(session, key, t)
+            live = live_by_key.get(key)
+            if live is None:
+                live_by_key[key] = [tup]
+                bucket = live_bucket[key] = partitioner.bucket_of(key)
+            else:
+                live.append(tup)
+                bucket = live_bucket[key]
+            owner = partitioner.assignment[bucket]
+            worker = workers[owner] or self._worker(owner)
+            worker.catch_up(t)
+            worker.feed(tup)
+            logs[owner].append("feed", tup, t)
+
+    def _retire_key(self, session: RebalanceSession, key: Any, t: float) -> None:
+        """A pending key's last live tuple expired: nothing is left to move."""
+        src, dst = session.route_of(key)
+        self.moves.append(ShardMove(key, src, dst, 0, t, retired=True))
+        tracer = self.metrics.tracer
+        if tracer.enabled:
+            tracer.shard_move(key, src, dst, tuples=0, retired=True)
+        if session.retire(key):
+            self._end_session(session, t)
 
     def transition(self, new_spec: "SpecLike") -> None:
         """Broadcast a plan transition to every worker."""
@@ -459,14 +547,27 @@ class ShardedExecutor:
                 continue
             worker.catch_up(t)
             worker.transition(new_spec)
-            self._logs[shard].append(("transition", new_spec, t))
+            self._logs[shard].append("transition", new_spec, t)
         self._current_spec = new_spec
         if tracer.enabled:
             tracer.transition_end(self.name, self._arrivals)
 
     def run(self, events: Iterable[ShardEvent]) -> "ShardedExecutor":
-        """Drive arrivals, transitions and rebalances in sequence."""
+        """Drive arrivals, transitions and rebalances in sequence.
+
+        Consecutive arrivals go to :meth:`process_batch` as one run,
+        flushed before every control event (as ``run_events`` does for a
+        single engine), so a run never spans a transition or a rebalance
+        trigger.
+        """
+        batch: List[StreamTuple] = []
         for event in events:
+            if isinstance(event, StreamTuple):
+                batch.append(event)
+                continue
+            if batch:
+                self.process_batch(batch)
+                batch = []
             if isinstance(event, TransitionEvent):
                 self.transition(event.new_spec)
             elif isinstance(event, RebalanceEvent):
@@ -479,39 +580,10 @@ class ShardedExecutor:
             elif isinstance(event, ResizeEvent):
                 self.resize(event.n_shards, event.mode, batch_keys=event.batch_keys)
             else:
-                self.process(event)
+                raise TypeError(f"not a shard event: {event!r}")
+        if batch:
+            self.process_batch(batch)
         return self
-
-    # -- evictions ---------------------------------------------------------------------
-
-    def _deliver_eviction(self, old: StreamTuple, t: float) -> None:
-        key = old.key
-        owner = self.state_owner(key)
-        worker = self._worker(owner)
-        worker.catch_up(t)
-        worker.evict(old)
-        self._logs[owner].append(("evict", old, t))
-        live = self._live_by_key.get(key)
-        if live is not None:
-            try:
-                live.remove(old)
-            except ValueError:
-                pass
-            if not live:
-                del self._live_by_key[key]
-        session = self._session
-        if (
-            session is not None
-            and session.is_pending(key)
-            and key not in self._live_by_key
-        ):
-            src, dst = session.route_of(key)
-            self.moves.append(ShardMove(key, src, dst, 0, t, retired=True))
-            tracer = self.metrics.tracer
-            if tracer.enabled:
-                tracer.shard_move(key, src, dst, tuples=0, retired=True)
-            if session.retire(key):
-                self._end_session(session, t)
 
     # -- rebalancing -------------------------------------------------------------------
 
@@ -544,8 +616,8 @@ class ShardedExecutor:
                 self._complete_key(previous, key, t)
         moved = self.partitioner.moves_to(assignment)
         live_by_bucket: Dict[int, List[Any]] = {}
-        for key in self._live_by_key:
-            live_by_bucket.setdefault(self.partitioner.bucket_of(key), []).append(key)
+        for key, bucket in self._live_bucket.items():
+            live_by_bucket.setdefault(bucket, []).append(key)
         routes = plan_key_routes(moved, live_by_bucket)
         tracer = self.metrics.tracer
         if tracer.enabled:
@@ -592,8 +664,7 @@ class ShardedExecutor:
                 self._complete_key(previous, key, t)
         moved = self.partitioner.moves_to(assignment)
         live_per_bucket: Dict[int, int] = {}
-        for key in self._live_by_key:
-            bucket = self.partitioner.bucket_of(key)
+        for bucket in self._live_bucket.values():
             live_per_bucket[bucket] = live_per_bucket.get(bucket, 0) + 1
         plan = FluidRebalancePlan.build(
             moved, live_per_bucket, assignment, mode, batch_keys, t
@@ -686,16 +757,16 @@ class ShardedExecutor:
             # must restart too (the old incarnation's outputs were
             # already collected before retirement).
             self.workers[shard] = worker
-            self._logs[shard] = []
+            self._logs[shard] = CommandLog()
             self._merger.reset_cursor(shard)
             self._retired.discard(shard)
         else:
             self.workers.append(worker)
-            self._logs.append([])
+            self._logs.append(CommandLog())
         if self._current_spec is not None:
             worker.catch_up(t)
             worker.transition(self._current_spec)
-            self._logs[shard].append(("transition", self._current_spec, t))
+            self._logs[shard].append("transition", self._current_spec, t)
         if self.telemetry is not None:
             on_added = getattr(self.telemetry, "on_worker_added", None)
             if on_added is not None:
@@ -732,11 +803,11 @@ class ShardedExecutor:
         try:
             dst_worker.catch_up(t)
             muted = dst_worker.replay(live)
-            self._logs[dst].append(("replay", tuple(live), t))
+            self._logs[dst].append("replay", tuple(live), t)
             src_worker.catch_up(t)
             for tup in live:
                 src_worker.evict(tup)
-                self._logs[src].append(("evict", tup, t))
+                self._logs[src].append("evict", tup, t)
         finally:
             if prev is not None:
                 tracer.set_phase(prev)
@@ -757,11 +828,10 @@ class ShardedExecutor:
             return
         tracer = self.metrics.tracer
         if tracer.enabled:
-            settled = sum(1 for m in self.moves if not m.retired)
             tracer.rebalance_end(
                 session.mode,
                 keys=len(session.routes),
-                settled=settled,
+                settled=len(session.routes) - session.retired,
                 started_at=session.started_at,
             )
 
@@ -771,14 +841,14 @@ class ShardedExecutor:
         fresh = self._merger.collect(w for w in self.workers if w is not None)
         tracer = self.metrics.tracer
         if fresh and tracer.enabled:
-            for rec in sorted(fresh, key=lambda r: r.sort_key):
+            for rec in sorted(self._merger.records(-fresh), key=lambda r: r.sort_key):
                 tracer.output(rec.tup, rec.time)
 
     @property
     def outputs(self) -> List[Any]:
         """Merged results, ordered by (emission time, shard, index)."""
         self._collect()
-        return [rec.tup for rec in self._merger.merged()]
+        return self._merger.outputs()
 
     def output_lineages(self) -> List[Tuple[Tuple[str, int], ...]]:
         self._collect()
@@ -786,7 +856,7 @@ class ShardedExecutor:
 
     def merged_records(self) -> List[MergedOutput]:
         self._collect()
-        return list(self._merger.merged())
+        return self._merger.merged()
 
     def output_latencies(self) -> List[float]:
         """Per-output latency: emission time minus the completing arrival's
@@ -794,10 +864,7 @@ class ShardedExecutor:
         latencies: List[float] = []
         arrival_t = self._arrival_T
         for rec in self.merged_records():
-            born = max(
-                (arrival_t[ref] for ref in rec.lineage if ref in arrival_t),
-                default=rec.time,
-            )
+            born = max(arrival_t[stream][seq] for stream, seq in rec.lineage)
             latencies.append(max(0.0, rec.time - born))
         return latencies
 

@@ -8,11 +8,20 @@ Collection is cursor-based per shard: a record is delivered exactly once,
 and a crashed-and-rebuilt worker (whose deterministic replay regenerates
 the same log) resumes at the preserved cursor — the exactly-once
 guarantee the shard fault tests certify.
+
+Storage is columnar (docs/SHARDING.md): four aligned, append-only columns
+in collection order — emission times, shard ids, per-shard indexes, output
+tuples — plus a cached permutation that puts them in merge order.  A
+collected output therefore costs no object of its own; a
+:class:`MergedOutput` exists only while a caller that asked for records
+(:meth:`ShardMerger.merged`, the tracer path) is looking at it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Tuple
+from array import array
+from itertools import repeat
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 Lineage = Tuple[Tuple[str, int], ...]
 
@@ -43,46 +52,70 @@ class MergedOutput:
 class ShardMerger:
     """Cursor-based collector over any number of worker output logs."""
 
-    __slots__ = ("_cursors", "_records", "_dirty")
+    __slots__ = ("_cursors", "_times", "_shards", "_indexes", "_tups", "_order")
 
     def __init__(self) -> None:
         self._cursors: Dict[int, int] = {}
-        self._records: List[MergedOutput] = []
-        self._dirty = False
+        self._times = array("d")
+        self._shards = array("q")
+        self._indexes = array("q")
+        self._tups: List[Any] = []
+        #: Column positions in merge order; ``None`` after a collect added rows.
+        self._order: Optional[List[int]] = None
 
-    def collect(self, workers: Iterable[Any]) -> List[MergedOutput]:
-        """Pull every not-yet-collected output; returns the new records.
+    def collect(self, workers: Iterable[Any]) -> int:
+        """Pull every not-yet-collected output; returns how many were new.
 
         ``workers`` need ``shard_id``, ``outputs`` and ``output_times``
-        (aligned lists).  Muted replay outputs never reach the merger:
-        the worker truncates them synchronously, before the coordinator
-        collects again.
+        (aligned lists).  The new rows are the tail of the columns
+        (``records(-new)``).  Muted replay outputs never reach the
+        merger: the worker truncates them synchronously, before the
+        coordinator collects again.
         """
-        fresh: List[MergedOutput] = []
+        fresh = 0
         for worker in workers:
             shard = worker.shard_id
             outs = worker.outputs
-            times = worker.output_times
             cursor = self._cursors.get(shard, 0)
             n = len(outs)
-            while cursor < n:
-                fresh.append(MergedOutput(times[cursor], shard, cursor, outs[cursor]))
-                cursor += 1
-            self._cursors[shard] = cursor
+            if cursor < n:
+                self._times.extend(worker.output_times[cursor:n])
+                self._shards.extend(repeat(shard, n - cursor))
+                self._indexes.extend(range(cursor, n))
+                self._tups.extend(outs[cursor:n])
+                fresh += n - cursor
+            self._cursors[shard] = n
         if fresh:
-            self._records.extend(fresh)
-            self._dirty = True
+            self._order = None
         return fresh
 
-    def merged(self) -> List[MergedOutput]:
-        """All collected records in the canonical merge order."""
-        if self._dirty:
-            self._records.sort(key=lambda r: r.sort_key)
-            self._dirty = False
-        return self._records
+    def _merge_order(self) -> List[int]:
+        order = self._order
+        if order is None:
+            keys = list(zip(self._times, self._shards, self._indexes))
+            order = self._order = sorted(range(len(keys)), key=keys.__getitem__)
+        return order
+
+    def outputs(self) -> List[Any]:
+        """All collected output tuples in the canonical merge order."""
+        tups = self._tups
+        return [tups[i] for i in self._merge_order()]
 
     def output_lineages(self) -> List[Lineage]:
-        return [rec.lineage for rec in self.merged()]
+        tups = self._tups
+        return [tups[i].lineage for i in self._merge_order()]
+
+    def records(self, start: int = 0) -> List[MergedOutput]:
+        """Rows ``[start:]`` materialised as records, in *collection* order."""
+        rows = zip(
+            self._times[start:], self._shards[start:], self._indexes[start:], self._tups[start:]
+        )
+        return [MergedOutput(*row) for row in rows]
+
+    def merged(self) -> List[MergedOutput]:
+        """All collected records, materialised, in the canonical merge order."""
+        records = self.records()
+        return [records[i] for i in self._merge_order()]
 
     def cursor_of(self, shard: int) -> int:
         """Collected prefix length of one shard's log (for recovery tests)."""

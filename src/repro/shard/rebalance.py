@@ -69,7 +69,7 @@ class ShardMove:
 class RebalanceSession:
     """The live-key ledger of one rebalance, from trigger to completion."""
 
-    __slots__ = ("mode", "routes", "status", "started_at")
+    __slots__ = ("mode", "routes", "status", "started_at", "retired")
 
     def __init__(self, mode: str, routes: Dict[Any, KeyRoute], started_at: float):
         if mode not in ("lazy", "eager"):
@@ -77,6 +77,8 @@ class RebalanceSession:
         self.mode = mode
         self.routes = dict(routes)
         self.started_at = started_at
+        #: Routed keys that expired before they moved (the rest settle).
+        self.retired = 0
         self.status = StateStatus(complete=True)
         if routes:
             self.status.mark_incomplete(routes)
@@ -113,6 +115,8 @@ class RebalanceSession:
         """The key's last live tuple expired before its first
         post-rebalance arrival — nothing remains to move.  Same return
         convention as :meth:`settle`."""
+        if self.is_pending(key):
+            self.retired += 1
         done = self.status.retire_value(key)
         if done:
             self.status.mark_complete()

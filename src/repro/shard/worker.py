@@ -18,11 +18,15 @@ from outside (docs/SHARDING.md):
   every output that replay produces is a duplicate of something the
   source worker already emitted (the coordinated windows guarantee it),
   so :meth:`ShardWorker.replay` truncates them from the output log.
+
+:class:`CommandLog` is the journal of everything the coordinator told one
+worker to do; replaying it into a fresh worker rebuilds the crashed one.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from array import array
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.cost import CostModel
 from repro.obs.tracer import PHASE_REBALANCING
@@ -100,20 +104,64 @@ def make_strategy(
     )
 
 
-class ShardWorker:
-    """One shard's engine plus the coordinator-facing adapters."""
+class CommandLog:
+    """One shard's journal of worker-bound commands, as aligned columns.
 
-    __slots__ = ("shard_id", "strategy")
+    Entry ``i`` is ``(kinds[i], payloads[i], times[i])``: the command
+    (``feed`` / ``evict`` / ``replay`` / ``transition``, or a fluid plan's
+    ``batch`` marker), its argument, and the external time it was
+    delivered at.  The journal grows by two entries per arrival in steady
+    state and lives as long as the shard, so an entry is three column
+    slots — a shared kind string, a reference to a tuple that exists
+    anyway, an unboxed double — and never an object of its own: nothing
+    here adds to what a full garbage collection has to walk
+    (docs/PERFORMANCE.md).  Iterating yields ``(kind, payload, time)``.
+    """
+
+    __slots__ = ("kinds", "payloads", "times")
+
+    def __init__(self) -> None:
+        self.kinds: List[str] = []
+        self.payloads: List[Any] = []
+        self.times = array("d")
+
+    def append(self, kind: str, payload: Any, t: float) -> None:
+        self.kinds.append(kind)
+        self.payloads.append(payload)
+        self.times.append(t)
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __iter__(self) -> Iterator[Tuple[str, Any, float]]:
+        return zip(self.kinds, self.payloads, self.times)
+
+
+class ShardWorker:
+    """One shard's engine plus the coordinator-facing adapters.
+
+    The strategy's *shape* — where its per-stream windows live — is
+    resolved once, here: CACQ keeps per-stream SteMs (``stems``),
+    Parallel Track one plan per live track (``tracks``), everything else
+    one current plan (``plan``).  :meth:`evict` and :meth:`live_tuples`
+    dispatch on it.
+    """
+
+    __slots__ = ("shard_id", "strategy", "metrics", "_shape")
 
     def __init__(self, shard_id: int, strategy: "StrategyExecutor"):
         self.shard_id = shard_id
         self.strategy = strategy
+        #: The strategy's own metrics (it never rebinds them).
+        self.metrics: Any = strategy.metrics  # type: ignore[attr-defined]
+        if hasattr(strategy, "stems"):
+            self._shape = "stems"
+        elif hasattr(strategy, "tracks"):
+            self._shape = "tracks"
+        else:
+            self._shape = "plan"
 
     # -- uniform strategy access -------------------------------------------------------
-
-    @property
-    def metrics(self) -> Any:
-        return self.strategy.metrics  # type: ignore[attr-defined]
 
     @property
     def outputs(self) -> List[Any]:
@@ -148,24 +196,20 @@ class ShardWorker:
     def evict(self, tup: StreamTuple) -> bool:
         """Deliver a global-window eviction for an owned tuple.
 
-        Dispatches on the strategy's shape: CACQ keeps per-stream SteMs,
-        Parallel Track keeps one plan per live track, everything else one
-        current plan.  Returns ``True`` if any structure held the tuple
-        (a Parallel Track plan born after the tuple arrived legitimately
-        does not).
+        Returns ``True`` if any structure held the tuple (a Parallel
+        Track plan born after the tuple arrived legitimately does not).
         """
-        strategy = self.strategy
-        stems = getattr(strategy, "stems", None)
-        if stems is not None:
-            return bool(stems[tup.stream].evict(tup))
-        tracks = getattr(strategy, "tracks", None)
-        if tracks is not None:
-            hit = False
-            for track in tracks:
-                if track.plan.scans[tup.stream].evict(tup):
-                    hit = True
-            return hit
-        return bool(strategy.plan.scans[tup.stream].evict(tup))  # type: ignore[attr-defined]
+        strategy: Any = self.strategy
+        shape = self._shape
+        if shape == "plan":
+            return bool(strategy.plan.scans[tup.stream].evict(tup))
+        if shape == "stems":
+            return bool(strategy.stems[tup.stream].evict(tup))
+        hit = False
+        for track in strategy.tracks:
+            if track.plan.scans[tup.stream].evict(tup):
+                hit = True
+        return hit
 
     def transition(self, new_spec: "SpecLike") -> None:
         """Apply a plan transition (broadcast by the coordinator)."""
@@ -174,27 +218,26 @@ class ShardWorker:
     def live_tuples(self) -> Dict[str, List[StreamTuple]]:
         """Per-stream window contents this worker currently holds.
 
-        Same shape dispatch as :meth:`evict`.  Parallel Track splits the
-        live set across tracks (a new track starts empty and fills with
-        post-transition arrivals only), so its answer is the
-        deduplicated union over every live track.
+        Parallel Track splits the live set across tracks (a new track
+        starts empty and fills with post-transition arrivals only), so
+        its answer is the deduplicated union over every live track.
         """
-        strategy = self.strategy
-        stems = getattr(strategy, "stems", None)
-        if stems is not None:
-            return {name: stem.window.snapshot() for name, stem in stems.items()}
-        tracks = getattr(strategy, "tracks", None)
-        if tracks is not None:
-            merged: Dict[str, List[StreamTuple]] = {}
-            for track in tracks:
-                for name, scan in track.plan.scans.items():
-                    seen = merged.setdefault(name, [])
-                    for tup in scan.window:
-                        if tup not in seen:
-                            seen.append(tup)
-            return merged
-        plan = strategy.plan  # type: ignore[attr-defined]
-        return {name: scan.window.snapshot() for name, scan in plan.scans.items()}
+        strategy: Any = self.strategy
+        shape = self._shape
+        if shape == "plan":
+            return {
+                name: scan.window.snapshot() for name, scan in strategy.plan.scans.items()
+            }
+        if shape == "stems":
+            return {name: stem.window.snapshot() for name, stem in strategy.stems.items()}
+        merged: Dict[str, List[StreamTuple]] = {}
+        for track in strategy.tracks:
+            for name, scan in track.plan.scans.items():
+                seen = merged.setdefault(name, [])
+                for tup in scan.window:
+                    if tup not in seen:
+                        seen.append(tup)
+        return merged
 
     def live_tuple_count(self) -> int:
         """How many live tuples this worker's windows hold, across streams.

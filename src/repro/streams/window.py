@@ -78,10 +78,17 @@ class SlidingWindow:
         Sharded execution (docs/SHARDING.md) drives evictions from the
         coordinator's *global* window rather than the per-worker count:
         the evicted tuple is not necessarily this window's oldest (worker
-        windows are capacity-unbounded), so removal is by identity.
+        windows are capacity-unbounded), so removal is by value.  It
+        almost always *is* the oldest, and the very object that was
+        pushed, so the head is checked by identity before the equality
+        scan (which runs ``StreamTuple.__eq__`` per element).
         """
+        tuples = self._tuples
+        if tuples and tuples[0] is tup:
+            tuples.popleft()
+            return True
         try:
-            self._tuples.remove(tup)
+            tuples.remove(tup)
         except ValueError:
             return False
         return True
@@ -140,11 +147,15 @@ class TimeSlidingWindow:
     def discard(self, tup: StreamTuple) -> bool:
         """Remove ``tup`` from anywhere in the window; ``False`` if absent.
 
-        Same coordinator-driven-eviction contract as
-        :meth:`SlidingWindow.discard`.
+        Same coordinator-driven-eviction contract, and the same
+        head-by-identity shortcut, as :meth:`SlidingWindow.discard`.
         """
+        tuples = self._tuples
+        if tuples and tuples[0] is tup:
+            tuples.popleft()
+            return True
         try:
-            self._tuples.remove(tup)
+            tuples.remove(tup)
         except ValueError:
             return False
         return True

@@ -113,11 +113,12 @@ def test_merger_delivers_each_output_exactly_once():
 
     merger = ShardMerger()
     w = FakeWorker(0, ["x"], [1.0])
-    assert len(merger.collect([w])) == 1
-    assert merger.collect([w]) == []
+    assert merger.collect([w]) == 1
+    assert merger.collect([w]) == 0
     w.outputs.append("y")
     w.output_times.append(2.0)
-    assert len(merger.collect([w])) == 1
+    assert merger.collect([w]) == 1
+    assert merger.outputs() == ["x", "y"]
     assert [rec.tup for rec in merger.merged()] == ["x", "y"]
     assert merger.cursor_of(0) == 2
 
