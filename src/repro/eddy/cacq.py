@@ -20,7 +20,7 @@ from repro.engine.cost import CostModel, VirtualClock
 from repro.engine.metrics import Counter, Metrics
 from repro.eddy.routing import FixedOrderRouting, RoutingPolicy
 from repro.eddy.stem import SteM
-from repro.migration.base import SpecLike, as_spec
+from repro.migration.base import SpecLike, as_spec, unknown_stream
 from repro.plans.spec import leaves
 from repro.streams.schema import Schema
 from repro.streams.tuples import CompositeTuple, StreamTuple
@@ -75,6 +75,8 @@ class CACQExecutor:
         return route
 
     def process(self, tup: StreamTuple) -> None:
+        if tup.stream not in self.stems:
+            raise unknown_stream(tup.stream, self.stems)
         metrics = self.metrics
         tracer = metrics.tracer
         if tracer.enabled:

@@ -144,10 +144,8 @@ POLICIES: Tuple[PhasePolicy, ...] = (
 )
 
 #: Functions that conceptually execute inside a phase without opening the
-#: tracer span themselves.  The only sanctioned case is the perf fast
-#: path (repro/perf/naive.py), whose method replacements are exercised
-#: with tracing disabled yet perform the same protocol step as the traced
-#: original; entries are (module_path, class-or-None, function) -> phases.
+#: tracer span themselves (none today); entries are
+#: (module_path, class-or-None, function) -> phases.
 PHASE_GRANTS: Dict[Tuple[str, Optional[str], str], FrozenSet[str]] = {}
 
 

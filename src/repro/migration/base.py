@@ -61,6 +61,14 @@ def hybrid_join_factory(
     return factory
 
 
+def unknown_stream(stream: str, known: Iterable[str]) -> ValueError:
+    """The error every arrival path raises, before touching any state, for
+    a tuple of a stream its plan does not cover."""
+    return ValueError(
+        f"tuple from unknown stream {stream!r} (plan has {', '.join(known)})"
+    )
+
+
 def as_spec(spec_or_order: SpecLike) -> PlanSpec:
     """Accept a nested spec, a flat left-deep stream order, or plan text.
 
@@ -140,6 +148,8 @@ class MigrationStrategy:
     # -- interface -----------------------------------------------------------------
 
     def process(self, tup: StreamTuple) -> None:
+        if tup.stream not in self.plan.scans:
+            raise unknown_stream(tup.stream, self.plan.scans)
         self._last_seq = max(self._last_seq, tup.seq)
         tracer = self.metrics.tracer
         if tracer.enabled:
@@ -236,8 +246,11 @@ class StaticPlanExecutor(MigrationStrategy):
         """
         tracer = self.metrics.tracer
         traced = tracer.enabled
+        scans = self.plan.scans
         feed = self.plan.feed
         for tup in tuples:
+            if tup.stream not in scans:
+                raise unknown_stream(tup.stream, scans)
             if tup.seq > self._last_seq:
                 self._last_seq = tup.seq
             if traced:

@@ -20,7 +20,13 @@ from repro.core.controller import JISCController
 from repro.core.transition import perform_jisc_transition
 from repro.engine.cost import CostModel
 from repro.engine.metrics import Metrics
-from repro.migration.base import MigrationStrategy, SpecLike, TopFactory, as_spec
+from repro.migration.base import (
+    MigrationStrategy,
+    SpecLike,
+    TopFactory,
+    as_spec,
+    unknown_stream,
+)
 from repro.plans.build import OpFactory
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
@@ -56,8 +62,15 @@ class JISCStrategy(MigrationStrategy):
         self.controller.attach(self.plan)
 
     def process(self, tup: StreamTuple) -> None:
+        if tup.stream not in self.plan.scans:
+            raise unknown_stream(tup.stream, self.plan.scans)
         self.controller.on_arrival(tup)
-        super().process(tup)
+        if tup.seq > self._last_seq:
+            self._last_seq = tup.seq
+        tracer = self.metrics.tracer
+        if tracer.enabled:
+            tracer.arrival(tup)
+        self.plan.feed(tup)
         self.controller.after_arrival(tup)
 
     def process_batch(self, tuples: Sequence[StreamTuple]) -> None:
@@ -70,8 +83,11 @@ class JISCStrategy(MigrationStrategy):
         after_arrival = self.controller.after_arrival
         tracer = self.metrics.tracer
         traced = tracer.enabled
+        scans = self.plan.scans
         feed = self.plan.feed
         for tup in tuples:
+            if tup.stream not in scans:
+                raise unknown_stream(tup.stream, scans)
             on_arrival(tup)
             if tup.seq > self._last_seq:
                 self._last_seq = tup.seq

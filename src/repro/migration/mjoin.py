@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.cost import CostModel, VirtualClock
 from repro.engine.metrics import Counter, Metrics
-from repro.migration.base import SpecLike, as_spec
+from repro.migration.base import SpecLike, as_spec, unknown_stream
 from repro.plans.spec import leaves
 from repro.streams.schema import Schema
 from repro.streams.tuples import CompositeTuple, Lineage, StreamTuple
@@ -60,6 +60,8 @@ class MJoinExecutor:
     # -- strategy interface -----------------------------------------------------
 
     def process(self, tup: StreamTuple) -> None:
+        if tup.stream not in self.windows:
+            raise unknown_stream(tup.stream, self.windows)
         tracer = self.metrics.tracer
         if tracer.enabled:
             tracer.arrival(tup)

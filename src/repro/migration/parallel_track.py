@@ -22,7 +22,7 @@ from typing import Any, List, Optional, Set, Tuple
 
 from repro.engine.cost import CostModel
 from repro.engine.metrics import Counter, Metrics
-from repro.migration.base import MigrationStrategy, SpecLike, as_spec
+from repro.migration.base import MigrationStrategy, SpecLike, as_spec, unknown_stream
 from repro.obs.tracer import PHASE_MIGRATING
 from repro.plans.build import PhysicalPlan, build_plan
 from repro.streams.schema import Schema
@@ -70,10 +70,10 @@ class ParallelTrackStrategy(MigrationStrategy):
         self.tracks: List[_Track] = [_Track(self.plan, birth_seq=-1)]
         self._outputs: List[Any] = []
         self._output_times: List[float] = []
-        # Dedup memo over interned lineage ids (process-local ints): the
-        # hottest migration-phase lookup hashes a machine int, not a
-        # nested lineage tuple.
-        self._seen: Set[int] = set()
+        # Dedup memo over output idents: every track's root covers the same
+        # membership, so the flat seq tuple identifies a result across
+        # tracks and the hottest migration-phase lookup hashes ints only.
+        self._seen: Set[Tuple[int, ...]] = set()
         self._since_check = 0
 
     # -- strategy interface -----------------------------------------------------
@@ -91,6 +91,9 @@ class ParallelTrackStrategy(MigrationStrategy):
         return [tup.lineage for tup in self._outputs]
 
     def process(self, tup: StreamTuple) -> None:
+        scans = self.tracks[0].plan.scans
+        if tup.stream not in scans:
+            raise unknown_stream(tup.stream, scans)
         self._last_seq = max(self._last_seq, tup.seq)
         tracer = self.metrics.tracer
         # The migration phase of Parallel Track is not the transition call
@@ -159,10 +162,10 @@ class ParallelTrackStrategy(MigrationStrategy):
                 out = outs[cursor]
                 when = times[cursor]
                 cursor += 1
-                lid = out.lineage_id
-                if lid in seen:
+                ident = out.ident
+                if ident in seen:
                     continue
-                seen.add(lid)
+                seen.add(ident)
                 outputs.append(out)
                 output_times.append(when)
             track.cursor = n

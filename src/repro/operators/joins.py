@@ -129,10 +129,10 @@ class JoinOperator(BinaryOperator):
         right_matches = self.matches_in(self.right.state, key)
         self.metrics.count(Counter.COMPLETION_PROBE)
         for l in left_matches:
-            if exclude_part is not None and exclude_part in l.lineage:
+            if exclude_part is not None and l.has_part(exclude_part):
                 continue
             for r in right_matches:
-                if exclude_part is not None and exclude_part in r.lineage:
+                if exclude_part is not None and r.has_part(exclude_part):
                     continue
                 result = CompositeTuple.of(l, r)
                 if self.state.add(result):

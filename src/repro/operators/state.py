@@ -1,4 +1,4 @@
-"""Operator state: hash tables over join results with lineage indexing.
+"""Operator state: hash tables over join results with a positional expiry index.
 
 A :class:`HashState` is the materialized output relation of one operator,
 indexed two ways:
@@ -7,12 +7,13 @@ indexed two ways:
 * by constituent base tuple — the window-expiry removal path (a removed
   window tuple must be traced through the whole pipeline, Section 2.1).
 
-Entries are identified by lineage, so the same logical result is never
-stored twice (insertion is idempotent).  Internally every index keys on
-the *interned* lineage id (:mod:`repro.perf.intern`) — a process-local
-small int — instead of the nested lineage tuple, which removes the
-dominant hashing cost from probes, inserts and removals
-(docs/PERFORMANCE.md).  Lids never leave the process: checkpoints
+A state holds the results of **one membership** (one fixed set of streams),
+so within it an entry is identified by its ``ident`` alone — a base tuple's
+``seq``, a composite's flat tuple of constituent seqs in stream-sorted
+order (:mod:`repro.streams.tuples`).  The same logical result is never
+stored twice (insertion is idempotent), and every index hashes plain ints
+or flat int tuples: nothing on the arrival path builds, hashes or retains a
+lineage (docs/PERFORMANCE.md).  Idents never leave the state: checkpoints
 serialize the lineage tuples themselves.
 
 :class:`StateStatus` carries the JISC bookkeeping of Section 4.3: whether
@@ -25,12 +26,29 @@ slides can retire pending values, and because tests can then assert exactly
 
 from __future__ import annotations
 
-from typing import Any, Collection, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Any,
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
-from repro.streams.tuples import AnyTuple
+from repro.streams.tuples import AnyTuple, CompositeTuple
 
-Lineage = Tuple[Tuple[str, int], ...]
 Entry = AnyTuple
+
+#: An entry's identity within one state: ``seq`` or a flat tuple of seqs.
+Ident = Union[int, Tuple[int, ...]]
+
+#: One stream position of the part index: ``seq -> {ident -> entry}``
+#: (composite entries only, so every ident in it is a tuple).
+PartIndex = Dict[int, Dict[Tuple[int, ...], Entry]]
 
 #: Shared empty probe result (a miss allocates nothing).
 _NO_ENTRIES: Tuple[Entry, ...] = ()
@@ -95,22 +113,32 @@ class HashState:
     operators count, so that the same structure can back cost-free oracle
     computations in tests.
 
-    Index internals (all keyed on interned lineage ids):
+    Index internals:
 
-    * ``by_key``   — key value -> {lid -> entry} (probe path);
-    * ``by_part``  — (stream, seq) -> set of lids containing that part
-      (window-expiry removal path);
-    * ``by_lineage`` — lid -> entry, in global insertion order.
+    * ``by_key``   — key value -> {ident -> entry} (probe path);
+    * ``by_ident`` — ident -> entry, in state insertion order (duplicate
+      check, :meth:`entries`, ``len``);
+    * ``layout``   — the membership's stream names in ``ident`` order,
+      fixed by the first entry (``()`` until then);
+    * ``part_index`` — for composite entries, one dict per ``layout``
+      position: seq -> {ident -> entry} of the entries whose part at that
+      position is that base tuple (window-expiry removal path, in state
+      insertion order).  A state of base tuples needs none: ``by_ident``
+      already is seq -> entry, and ``part_index`` stays ``()``.
+
+    A state is a standalone relation — entries carry no links to the
+    entries derived from them in other states — because JISC adopts states
+    across plan shapes by pointer move (docs/PERFORMANCE.md).
     """
 
-    __slots__ = ("by_key", "by_part", "by_lineage", "status", "_size")
+    __slots__ = ("by_key", "by_ident", "layout", "part_index", "status")
 
     def __init__(self, complete: bool = True):
-        self.by_key: Dict[Any, Dict[int, Entry]] = {}
-        self.by_part: Dict[Tuple[str, int], Set[int]] = {}
-        self.by_lineage: Dict[int, Entry] = {}
+        self.by_key: Dict[Any, Dict[Ident, Entry]] = {}
+        self.by_ident: Dict[Ident, Entry] = {}
+        self.layout: Tuple[str, ...] = ()
+        self.part_index: Tuple[PartIndex, ...] = ()
         self.status = StateStatus(complete)
-        self._size = 0
 
     # -- core relation operations -------------------------------------------------
 
@@ -120,27 +148,45 @@ class HashState:
         A duplicate insert mutates nothing — in particular it does not
         perturb the key bucket, which is what makes iterating
         :meth:`get_view` across an (idempotent) completion re-run safe.
+        Raises ``ValueError`` (before mutating anything) for an entry whose
+        number of parts differs from the layout the first entry fixed.
         """
-        lid = entry.lineage_id
-        by_lineage = self.by_lineage
-        if lid in by_lineage:
+        ident = entry.ident
+        by_ident = self.by_ident
+        if ident in by_ident:
             return False
+        part_index = self.part_index
+        if isinstance(ident, tuple):
+            if len(ident) != len(part_index):
+                part_index = self._fix_layout(entry)
+            for index, seq in zip(part_index, ident):
+                owners = index.get(seq)
+                if owners is None:
+                    index[seq] = {ident: entry}
+                else:
+                    owners[ident] = entry
+        elif part_index or not self.layout:
+            self._fix_layout(entry)
         by_key = self.by_key
         bucket = by_key.get(entry.key)
         if bucket is None:
             bucket = by_key[entry.key] = {}
-        bucket[lid] = entry
-        by_lineage[lid] = entry
-        by_part = self.by_part
-        for part in entry.lineage:
-            # Hits dominate (parts recur across composites); the indexed
-            # access skips a bound-method call per part.
-            try:
-                by_part[part].add(lid)
-            except KeyError:
-                by_part[part] = {lid}
-        self._size += 1
+        bucket[ident] = entry
+        by_ident[ident] = entry
         return True
+
+    def _fix_layout(self, entry: Entry) -> Tuple[PartIndex, ...]:
+        """The first entry decides which streams this state is about."""
+        if self.layout:
+            raise ValueError(
+                f"{entry!r} does not fit a state of {'+'.join(self.layout)} entries"
+            )
+        if isinstance(entry, CompositeTuple):
+            self.layout = tuple(p.stream for p in entry.parts)
+            self.part_index = tuple({} for _ in self.layout)
+        else:
+            self.layout = (entry.stream,)
+        return self.part_index
 
     def get(self, key: Any) -> List[Entry]:
         """All entries with join-attribute value ``key``, as a fresh list.
@@ -171,26 +217,29 @@ class HashState:
         return bool(self.by_key.get(key))
 
     def remove_entry(self, entry: Entry) -> bool:
-        """Remove one specific entry; returns ``False`` if absent."""
-        lid = entry.lineage_id
-        by_lineage = self.by_lineage
-        if lid not in by_lineage:
+        """Remove one specific entry; returns ``False`` if absent.
+
+        An entry of other streams than this state's is absent even when its
+        seqs coincide with a stored entry's: the stored entry is compared
+        by value unless it is the very object given.
+        """
+        ident = entry.ident
+        by_ident = self.by_ident
+        stored = by_ident.get(ident)
+        if stored is None or (stored is not entry and stored != entry):
             return False
-        bucket = self.by_key.get(entry.key)
-        if bucket is None or lid not in bucket:
-            return False
-        del bucket[lid]
+        del by_ident[ident]
+        by_key = self.by_key
+        bucket = by_key[stored.key]
+        del bucket[ident]
         if not bucket:
-            del self.by_key[entry.key]
-        del by_lineage[lid]
-        by_part = self.by_part
-        for part in entry.lineage:
-            owners = by_part.get(part)
-            if owners is not None:
-                owners.discard(lid)
+            del by_key[stored.key]
+        if isinstance(ident, tuple):
+            for index, seq in zip(self.part_index, ident):
+                owners = index[seq]
+                del owners[ident]
                 if not owners:
-                    del by_part[part]
-        self._size -= 1
+                    del index[seq]
         return True
 
     def remove_with_part(self, part: Tuple[str, int]) -> List[Entry]:
@@ -198,23 +247,45 @@ class HashState:
 
         This is the window-expiry path: when base tuple ``part`` slides out
         of its stream's window, every join result built from it must leave
-        every state.
+        every state.  A part of a stream outside this state's membership
+        matches nothing.
 
-        Removal order is deterministic: lids are sorted, and lid order is
-        interning order, which is itself determined by execution order —
-        so fault-injection replays stay byte-identical across processes
-        (iterating the raw set would depend on ``PYTHONHASHSEED``).
+        Entries leave in the order they were inserted into this state —
+        every container walked here is an insertion-ordered dict keyed on
+        ints, so the order is the same in every process whatever
+        ``PYTHONHASHSEED`` is (fault-injection replays stay byte-identical).
         """
-        lineages = self.by_part.get(part)
-        if not lineages:
+        stream, seq = part
+        try:
+            position = self.layout.index(stream)
+        except ValueError:
             return []
-        removed: List[Entry] = []
-        by_lineage = self.by_lineage
-        for lid in sorted(lineages):
-            entry = by_lineage.get(lid)
-            if entry is not None and self.remove_entry(entry):
-                removed.append(entry)
-        return removed
+        part_index = self.part_index
+        if not part_index:
+            entry = self.by_ident.get(seq)
+            if entry is None:
+                return []
+            self.remove_entry(entry)
+            return [entry]
+        expired = part_index[position].pop(seq, None)
+        if expired is None:
+            return []
+        by_ident = self.by_ident
+        by_key = self.by_key
+        for ident, entry in expired.items():
+            del by_ident[ident]
+            bucket = by_key[entry.key]
+            del bucket[ident]
+            if not bucket:
+                del by_key[entry.key]
+            for index, other in zip(part_index, ident):
+                owners = index.get(other)
+                # None at ``position``: that whole dict was popped above.
+                if owners is not None:
+                    del owners[ident]
+                    if not owners:
+                        del index[other]
+        return list(expired.values())
 
     # -- introspection -------------------------------------------------------------
 
@@ -226,21 +297,23 @@ class HashState:
         return len(self.by_key)
 
     def entries(self) -> Iterator[Entry]:
-        """Iterate over all entries (no defined order; currently global
-        insertion order — O(1) per entry, no per-bucket indirection)."""
-        return iter(self.by_lineage.values())
+        """Iterate over all entries in state insertion order (O(1) per
+        entry, no per-bucket indirection)."""
+        return iter(self.by_ident.values())
 
     def __len__(self) -> int:
-        return self._size
+        return len(self.by_ident)
 
     def __contains__(self, entry: Entry) -> bool:
-        return entry.lineage_id in self.by_lineage
+        stored = self.by_ident.get(entry.ident)
+        return stored is not None and (stored is entry or stored == entry)
 
     def clear(self) -> None:
+        """Drop every entry and the layout (the next entry fixes a new one)."""
         self.by_key.clear()
-        self.by_part.clear()
-        self.by_lineage.clear()
-        self._size = 0
+        self.by_ident.clear()
+        self.layout = ()
+        self.part_index = ()
 
     def copy_from(self, other: "HashState") -> int:
         """Bulk-copy all entries of ``other`` into this state.
@@ -249,7 +322,7 @@ class HashState:
         """
         n = 0
         add = self.add
-        for entry in other.by_lineage.values():
+        for entry in other.by_ident.values():
             if add(entry):
                 n += 1
         return n

@@ -3,21 +3,20 @@
 The package carries the pieces of the engine's performance story that are
 not operator semantics:
 
-* :mod:`repro.perf.intern` — the process-local lineage intern table that
-  lets the hot indices hash small integers instead of nested tuples;
-* :mod:`repro.perf.naive` — the pre-acceleration reference implementations
-  and the ``naive_mode()`` context manager that swaps them in, so the
-  speedup of the acceleration layer stays measurable on any machine;
+* :mod:`repro.perf.intern` — the process-local lineage intern table.
+  Cold: operator state identifies entries by flat seq tuples
+  (:mod:`repro.operators.state`) and nothing on the arrival path interns;
+  it stays importable because ``benchmarks/wallclock`` reads it;
 * :mod:`repro.perf.wallclock` — wall-clock timing helpers (the sanctioned
   JISC001 exception: the perf harness exists to measure physical time);
 * :mod:`repro.perf.profile` — ``python -m repro.perf.profile``, cProfile
   over the benchmark scenarios;
 * :mod:`repro.perf.regress` — ``python -m repro.perf.regress``, the CI
   gate comparing fresh op-counts against the committed ``BENCH_*.json``
-  baselines and fresh wall-clock against naive mode.
+  baselines and the telemetry hub's overhead against its budget.
 
-Only the intern table is imported eagerly: the engine's data model depends
-on it, while the harness modules are CLI/dev tools.
+Only the intern table is imported eagerly (the data model's
+``lineage_id`` uses it); the harness modules are CLI/dev tools.
 """
 
 from repro.perf.intern import INTERNER, LineageInterner, intern_lineage

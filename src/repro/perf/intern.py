@@ -1,14 +1,18 @@
 """Process-local lineage interning.
 
 Lineage tuples — sorted ``(stream, seq)`` pairs — are the engine's
-canonical tuple identity: state indexing, Parallel-Track duplicate
-elimination, oracle comparison and checkpointing all key on them.  Hashing
-and comparing a nested tuple of strings and ints on every probe, insert
-and dedup lookup is one of the hottest constant factors in the whole
-engine.  The interner assigns each distinct lineage a dense integer id
-(a *lid*) exactly once, so the hot indices
-(:class:`~repro.operators.state.HashState` and the Parallel Track dedup
-memo) hash machine ints instead.
+self-describing tuple identity: outputs, oracle comparison, traces and
+checkpoints all carry them.  The interner assigns each distinct lineage a
+dense integer id (a *lid*) exactly once, for callers that want one small
+int per lineage across states and plans.
+
+**Nothing on the arrival path interns.**  Operator state and the Parallel
+Track dedup memo identify entries by their flat seq tuple ``ident``
+(:mod:`repro.operators.state`), which needs no table at all.  The module
+and the tuples' ``lineage_id`` properties stay because
+``benchmarks/wallclock`` resolves ``LineageInterner.id_of`` as a span point
+and reads ``len(INTERNER)``; removing them is a benchmark change
+(ROADMAP item 4).
 
 Scope and guarantees:
 
@@ -16,16 +20,12 @@ Scope and guarantees:
   checkpoints and traces carry the lineage tuples themselves — and they
   are not stable across processes.  Within one process they are assigned
   in first-interning order, so a deterministic execution yields
-  deterministic ids (which is what keeps fault-injection replays
-  byte-identical, see :meth:`~repro.operators.state.HashState.remove_with_part`).
+  deterministic ids.
 * The mapping is a bijection: equal lineages share one id and distinct
   lineages never collide, so ``lid_a == lid_b`` iff ``lineage_a ==
-  lineage_b``.  Tuple ``__eq__``/``__hash__`` fast paths rely on this.
-* The table only grows.  There is deliberately no ``clear()``: live
-  tuples cache their lid, and invalidating the table under them would
-  break the bijection.  The table holds one small tuple per *distinct*
-  lineage ever materialized, which is bounded by the same quantity that
-  bounds the engine's own state and output logs.
+  lineage_b``.
+* The table only grows; there is no ``clear()``.  It holds one small
+  tuple per *distinct* lineage ever interned.
 
 This module must stay import-light (no engine imports): it sits below
 :mod:`repro.streams.tuples` in the dependency order.

@@ -30,12 +30,22 @@ this workload — per-chunk times are skewed and chunk-local effects
 (allocator, GC credit) land asymmetrically, so the chunk-ratio median
 reads 10-20% "overhead" even when the totals (and direct in-hook timing)
 agree the true cost is under 2%.  Only total-time ratios are meaningful
-at this granularity; the gate takes the median of ``trials`` total
-ratios.
+at this granularity.
+
+Verdict
+-------
+One total ratio still moves by tens of percent between trials on a shared
+box (−13 %…+29 % seen against the 5 % limit), and the faster the engine
+gets the larger the same hub cost reads as a ratio.  The gate therefore
+runs :data:`TRIALS` paired trials, reports the median **and the
+interquartile interval** of their total ratios next to the hub's absolute
+cost in µs per arrival, and fails only when the *whole* interval lies
+above the limit: a verdict that one noisy trial can flip is not a verdict.
 """
 
 from __future__ import annotations
 
+import statistics
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.perf.wallclock import measure
@@ -48,6 +58,9 @@ CHUNK = 250
 
 #: Default wall-clock overhead budget (ratio - 1) for the attached hub.
 MAX_OVERHEAD = 0.05
+
+#: Paired trials per workload; quartiles of fewer are not worth the name.
+TRIALS = 9
 
 #: Gate workload shapes.  Mirrors of the perf-regression scenarios
 #: (fig9 normal operation, fig7 best-case migration) — same generators,
@@ -182,17 +195,29 @@ def identity_payload() -> Dict[str, Any]:
     return {"max_overhead": MAX_OVERHEAD, "workloads": workloads}
 
 
-def measure_overhead(name: str, trials: int = 3) -> Dict[str, Any]:
-    """Identity verdicts plus the median total-ratio overhead of ``name``."""
-    runs = [run_workload(name) for _ in range(max(1, trials))]
+def measure_overhead(name: str) -> Dict[str, Any]:
+    """Identity verdicts plus the spread of the total-ratio overhead of ``name``.
+
+    ``overhead`` is the median of the trials' total ratios, ``overhead_q1``
+    / ``overhead_q3`` the interquartile interval around it, and
+    ``hub_us_per_arrival`` the median absolute cost (telemetry seconds
+    minus plain seconds, per arrival) — the number that stays put when the
+    engine underneath gets faster.
+    """
+    runs = [run_workload(name) for _ in range(TRIALS)]
     overheads = sorted(r["overhead"] for r in runs)
-    median = overheads[len(overheads) // 2]
-    first = runs[0]
+    q1, median, q3 = statistics.quantiles(overheads, n=4)
+    hub_us = statistics.median(
+        (r["tele_seconds"] - r["plain_seconds"]) / r["arrivals"] * 1e6 for r in runs
+    )
     return {
         "name": name,
         "ops_identical": all(r["ops_identical"] for r in runs),
         "outputs_identical": all(r["outputs_identical"] for r in runs),
-        "series": first["series"],
+        "series": runs[0]["series"],
         "overheads": [round(o, 4) for o in overheads],
         "overhead": round(median, 4),
+        "overhead_q1": round(q1, 4),
+        "overhead_q3": round(q3, 4),
+        "hub_us_per_arrival": round(hub_us, 3),
     }

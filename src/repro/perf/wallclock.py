@@ -5,7 +5,7 @@ wall clocks there, and op counts are the comparable metric across PRs).
 The perf harness is the one sanctioned exception: its whole point is to
 measure *real* seconds, so the readings below carry explicit per-line
 suppressions.  Nothing here is imported by the engine — only by
-``repro.perf.profile`` / ``repro.perf.regress`` and the benchmark suite.
+``repro.perf.telemetry_gate`` (the overhead check of ``repro.perf.regress``).
 """
 
 from __future__ import annotations
@@ -21,19 +21,3 @@ def measure(fn: Callable[[], Any]) -> Tuple[float, Any]:
     t1 = time.perf_counter()  # jisclint: disable=JISC001 -- perf harness measures real time by design
     return t1 - t0, result
 
-
-def best_of(fn: Callable[[], Any], repeats: int = 3) -> float:
-    """Minimum wall-clock seconds of ``repeats`` runs of ``fn``.
-
-    The minimum (not the mean) is the standard noise-resistant estimator
-    for CPU-bound micro-measurement: scheduling jitter and cache-cold
-    effects only ever add time.
-    """
-    if repeats <= 0:
-        raise ValueError("repeats must be positive")
-    best = float("inf")
-    for _ in range(repeats):
-        seconds, _ = measure(fn)
-        if seconds < best:
-            best = seconds
-    return best

@@ -18,13 +18,15 @@ only such queries admit arbitrary join reorderings, which is what plan
 migration exercises.  Both tuple kinds therefore expose a single ``key``
 holding the join attribute value.
 
-Hot-path notes (docs/PERFORMANCE.md): both kinds expose ``lineage_id``, the
-process-local interned form of their lineage (:mod:`repro.perf.intern`);
-state indexing and duplicate elimination hash that small int instead of the
-nested tuple.  Composites cache their lineage, lid, and min/max constituent
-sequence at first use — all are immutable once the tuple exists.
-``min_seq``/``max_seq`` are defined on both kinds so age checks need no
-``isinstance`` dispatch.
+Hot-path notes (docs/PERFORMANCE.md): both kinds expose ``ident``, their
+identity *within one operator state* — a base tuple's ``seq``, a composite's
+flat tuple of constituent seqs in stream-sorted order.  A state holds one
+membership, so the stream names are implied by the state and the ints alone
+identify an entry; state indexing and duplicate elimination hash those ints.
+``lineage`` (the self-describing form, with stream names) is built lazily
+for outputs, checkpoints, the oracle and traces — nothing on the arrival
+path reads it.  ``min_seq``/``max_seq`` are defined on both kinds so age
+checks need no ``isinstance`` dispatch.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repro.perf.intern import INTERNER
 
 _intern = INTERNER.id_of
 _by_stream = attrgetter("stream")
+_seq_of = attrgetter("seq")
 
 
 class StreamTuple:
@@ -55,7 +58,7 @@ class StreamTuple:
         Optional extra attributes; opaque to the engine.
     """
 
-    __slots__ = ("stream", "seq", "key", "payload", "_lineage", "_lid")
+    __slots__ = ("stream", "seq", "key", "payload", "_lineage")
 
     def __init__(self, stream: str, seq: int, key: Any, payload: Any = None):
         self.stream = stream
@@ -63,7 +66,10 @@ class StreamTuple:
         self.key = key
         self.payload = payload
         self._lineage: Optional[Tuple[Tuple[str, int], ...]] = None
-        self._lid: Optional[int] = None
+
+    #: Identity within one state (all of whose entries share one stream):
+    #: the arrival sequence number.  A C-level getter, not a new slot.
+    ident = property(_seq_of)
 
     @property
     def lineage(self) -> Tuple[Tuple[str, int], ...]:
@@ -76,10 +82,11 @@ class StreamTuple:
     @property
     def lineage_id(self) -> int:
         """Interned lineage (process-local, see :mod:`repro.perf.intern`)."""
-        lid = self._lid
-        if lid is None:
-            lid = self._lid = _intern(self.lineage)
-        return lid
+        return _intern(self.lineage)
+
+    def has_part(self, part: Tuple[str, int]) -> bool:
+        """Is ``part`` (a ``(stream, seq)`` pair) this very tuple?"""
+        return self.seq == part[1] and self.stream == part[0]
 
     def min_seq(self) -> int:
         """Oldest constituent arrival sequence (itself, for a base tuple)."""
@@ -114,19 +121,28 @@ class CompositeTuple:
     one composite are distinct, so stream order is total).  :meth:`of`
     guarantees it by merging the already-sorted part runs of its inputs;
     direct constructor callers (checkpoint restore) sort before
-    constructing.  ``lineage`` relies on the invariant instead of sorting
-    defensively — it is rebuilt on the hottest paths in the engine.
+    constructing.  ``ident`` and ``lineage`` rely on the invariant instead
+    of sorting defensively.
+
+    ``ident`` is the flat tuple of the parts' seqs, in ``parts`` order: the
+    composite's identity within one operator state (whose membership fixes
+    which stream each position stands for).  :meth:`of` assembles it from
+    its inputs' idents with the same slices it cuts ``parts`` with; the
+    bare constructor derives it from ``parts``.
     """
 
-    __slots__ = ("key", "parts", "_lineage", "_lid", "_min_seq", "_max_seq")
+    __slots__ = ("key", "parts", "ident", "_lineage")
 
-    def __init__(self, key: Any, parts: Tuple[StreamTuple, ...]):
+    def __init__(
+        self,
+        key: Any,
+        parts: Tuple[StreamTuple, ...],
+        ident: Optional[Tuple[int, ...]] = None,
+    ):
         self.key = key
         self.parts = parts
+        self.ident = tuple(map(_seq_of, parts)) if ident is None else ident
         self._lineage: Optional[Tuple[Tuple[str, int], ...]] = None
-        self._lid: Optional[int] = None
-        self._min_seq: Optional[int] = None
-        self._max_seq: Optional[int] = None
 
     @classmethod
     def of(cls, *tuples: "StreamTuple | CompositeTuple") -> "CompositeTuple":
@@ -138,26 +154,32 @@ class CompositeTuple:
         :class:`~repro.operators.base.BinaryOperator`), and each input's
         parts are already sorted by stream.  The dominant case — a join
         probe pairing a one-part input with a sorted run — inserts by
-        tuple slicing (C-level copies after a short scan for the position);
-        everything else concatenates and re-sorts, which for the short
-        part lists of real plans beats a Python-level merge loop.
+        tuple slicing (C-level copies after a short scan for the position),
+        cutting ``ident`` at the same position; everything else
+        concatenates and re-sorts, which for the short part lists of real
+        plans beats a Python-level merge loop.
         """
         key = tuples[0].key
         if len(tuples) == 2:
             a, b = tuples
-            pa = a.parts if isinstance(a, CompositeTuple) else (a,)
-            pb = b.parts if isinstance(b, CompositeTuple) else (b,)
+            if isinstance(a, CompositeTuple):
+                pa, ia = a.parts, a.ident
+            else:
+                pa, ia = (a,), (a.seq,)
+            if isinstance(b, CompositeTuple):
+                pb, ib = b.parts, b.ident
+            else:
+                pb, ib = (b,), (b.seq,)
             if len(pa) == 1:
-                pa, pb = pb, pa
+                pa, pb, ia, ib = pb, pa, ib, ia
             if len(pb) == 1:
-                t = pb[0]
-                ts = t.stream
+                ts = pb[0].stream
                 i = 0
                 for p in pa:
                     if ts < p.stream:
                         break
                     i += 1
-                return cls(key, pa[:i] + (t,) + pa[i:])
+                return cls(key, pa[:i] + pb + pa[i:], ia[:i] + ib + ia[i:])
             return cls(key, tuple(sorted(pa + pb, key=_by_stream)))
         parts: List[StreamTuple] = []
         for t in tuples:
@@ -182,10 +204,7 @@ class CompositeTuple:
     @property
     def lineage_id(self) -> int:
         """Interned lineage (process-local, see :mod:`repro.perf.intern`)."""
-        lid = self._lid
-        if lid is None:
-            lid = self._lid = _intern(self.lineage)
-        return lid
+        return _intern(self.lineage)
 
     @property
     def streams(self) -> frozenset:
@@ -202,33 +221,37 @@ class CompositeTuple:
                 return p
         raise KeyError(stream)
 
+    def has_part(self, part: Tuple[str, int]) -> bool:
+        """Is the base tuple ``part`` (``(stream, seq)``) a constituent?
+
+        Almost always answered by the int scan of ``ident``; only a seq
+        that does occur pays for the lineage.
+        """
+        return part[1] in self.ident and part in self.lineage
+
     def max_seq(self) -> int:
         """Largest constituent arrival sequence (the composite's birth time)."""
-        out = self._max_seq
-        if out is None:
-            out = self._max_seq = max(p.seq for p in self.parts)
-        return out
+        return max(self.ident)
 
     def min_seq(self) -> int:
         """Smallest constituent arrival sequence (the oldest part's age)."""
-        out = self._min_seq
-        if out is None:
-            out = self._min_seq = min(p.seq for p in self.parts)
-        return out
+        return min(self.ident)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         names = ",".join(f"{p.stream}#{p.seq}" for p in self.parts)
         return f"CompositeTuple(key={self.key!r}, [{names}])"
 
     def __eq__(self, other: object) -> bool:
-        # Interning is bijective, so comparing lids is comparing lineages.
+        # Equal parts have equal seqs, so ``ident`` rejects most unequal
+        # pairs on ints alone; ``parts`` then compares the stream names.
         return (
             isinstance(other, CompositeTuple)
-            and self.lineage_id == other.lineage_id
+            and self.ident == other.ident
+            and self.parts == other.parts
         )
 
     def __hash__(self) -> int:
-        return hash(self.lineage_id)
+        return hash(self.ident)
 
 
 #: Any tuple flowing through a plan: a base tuple or a join result.

@@ -7,7 +7,8 @@ plan — complete, closed, and duplicate-free.  Hypothesis drives random
 stream contents, window sizes, plan shapes, and transition schedules.
 
 Smaller properties cover the data structures: window FIFO discipline,
-HashState index consistency, and the triangular-distribution sampler.
+HashState against a plain list model, and the triangular-distribution
+sampler.
 """
 
 from collections import Counter as MultiSet
@@ -23,7 +24,6 @@ from repro.migration.jisc import JISCStrategy
 from repro.migration.moving_state import MovingStateStrategy
 from repro.migration.parallel_track import ParallelTrackStrategy
 from repro.operators.state import HashState
-from repro.perf.intern import INTERNER
 from repro.shard import RebalanceEvent, ShardedExecutor
 from repro.streams.schema import Schema
 from repro.streams.tuples import CompositeTuple, StreamTuple
@@ -214,45 +214,79 @@ def test_window_keeps_last_k(keys, size):
     assert list(w) == tuples[-size:]
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    hst.lists(
-        hst.tuples(
-            hst.sampled_from(["add", "remove"]),
-            hst.integers(min_value=0, max_value=12),
-        ),
-        max_size=80,
-    )
-)
-def test_hash_state_indices_stay_consistent(ops):
-    """by_key, by_part and by_lineage must agree after any operation mix.
+MODEL_STREAMS = ("A", "B", "C", "D")
+MODEL_SEQS = hst.integers(min_value=0, max_value=3)
 
-    A tuple's (stream, seq) identity determines its key in the engine (seqs
-    are globally unique), so the key is derived from the seq here.  The
-    indices key on interned lineage ids (ints); the shadow keys on lineage
-    tuples and is translated through the interner for comparison.
+
+@hst.composite
+def state_ops(draw):
+    """A membership of 1-4 streams and an operation mix over its entries.
+
+    Seqs come from a range small enough that duplicates, shared parts and
+    removals of absent entries all occur.
     """
+    arity = draw(hst.integers(min_value=1, max_value=4))
+    seqs = hst.tuples(*[MODEL_SEQS] * arity)
+    op = hst.one_of(
+        hst.tuples(hst.just("add"), seqs),
+        hst.tuples(hst.just("remove_entry"), seqs),
+        hst.tuples(
+            hst.just("remove_with_part"),
+            hst.tuples(hst.integers(min_value=0, max_value=arity - 1), MODEL_SEQS),
+        ),
+    )
+    return arity, draw(hst.lists(op, max_size=60))
+
+
+def model_entry(seqs):
+    """A fresh entry (never the stored object) with the given part seqs."""
+    parts = [StreamTuple(s, seq, sum(seqs) % 3) for s, seq in zip(MODEL_STREAMS, seqs)]
+    return parts[0] if len(parts) == 1 else CompositeTuple.of(*parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(state_ops())
+def test_hash_state_matches_list_model(case):
+    """``HashState`` is a deduplicating list, whatever the membership.
+
+    The model is a plain list of seq tuples in insertion order; after every
+    operation the state must agree with it on the return value, on
+    ``entries()`` order, on every key bucket's order, on membership and on
+    length.  Expiring every part afterwards must leave every internal
+    container empty.
+    """
+    arity, ops = case
     state = HashState()
-    shadow = {}
-    for action, seq in ops:
-        tup = StreamTuple("R", seq, seq % 4)
+    model = []
+    for action, arg in ops:
         if action == "add":
-            state.add(tup)
-            shadow[tup.lineage] = tup
+            assert state.add(model_entry(arg)) == (arg not in model)
+            if arg not in model:
+                model.append(arg)
+        elif action == "remove_entry":
+            assert state.remove_entry(model_entry(arg)) == (arg in model)
+            if arg in model:
+                model.remove(arg)
         else:
-            state.remove_entry(tup)
-            shadow.pop(tup.lineage, None)
-    assert len(state) == len(shadow)
-    assert set(state.by_lineage) == {INTERNER.id_of(lin) for lin in shadow}
-    for key_value, bucket in state.by_key.items():
-        for lid, entry in bucket.items():
-            assert entry.key == key_value
-            assert INTERNER.lineage_of(lid) in shadow
-    # every part index points at live lineages
-    for part, lids in state.by_part.items():
-        for lid in lids:
-            assert lid in state.by_lineage
-            assert part in INTERNER.lineage_of(lid)
+            position, seq = arg
+            expected = [seqs for seqs in model if seqs[position] == seq]
+            removed = state.remove_with_part((MODEL_STREAMS[position], seq))
+            assert [model_entry(seqs) for seqs in expected] == removed
+            model = [seqs for seqs in model if seqs[position] != seq]
+        assert len(state) == len(model)
+        assert list(state.entries()) == [model_entry(seqs) for seqs in model]
+        for key in range(3):
+            assert state.get(key) == [
+                model_entry(seqs) for seqs in model if sum(seqs) % 3 == key
+            ]
+            assert state.contains_key(key) == bool(state.get(key))
+        assert all(model_entry(seqs) in state for seqs in model)
+    for position in range(arity):
+        for seq in range(4):
+            state.remove_with_part((MODEL_STREAMS[position], seq))
+    assert len(state) == 0
+    assert state.by_key == {} and state.by_ident == {}
+    assert all(index == {} for index in state.part_index)
 
 
 @settings(max_examples=100, deadline=None)
