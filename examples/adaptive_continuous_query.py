@@ -3,9 +3,10 @@
 
 A payment-fraud correlation: card swipes, geolocation pings, device
 logins and risk scores joined on account id, over time-based sliding
-windows.  The optimizer watches per-stream match rates harvested from the
-joins' probes and re-orders the plan (via JISC) when the observed
-selectivities contradict it — no manual transition calls.
+windows.  The facade runs the repo's one adaptive loop (an
+``AdaptiveEngine``, reachable as ``query.engine``): the telemetry hub polls
+the joins' probe tallies and the plan is re-ordered (via JISC) when the
+observed selectivities contradict it — no manual transition calls.
 
 Run:  python examples/adaptive_continuous_query.py
 """
@@ -51,8 +52,11 @@ def main() -> None:
 
     print(f"\n{alerts} full correlations emitted")
     print("observed selectivities:",
-          {s: round(query.optimizer.selectivity(s) or 0.0, 3) for s in STREAMS})
-    print("plan transitions:", [(seq, order) for seq, order in query.transition_log])
+          {s: round(query.selectivity_of(s) or 0.0, 3) for s in STREAMS})
+    print("plan transitions:", query.transition_log)
+    for decision in query.engine.migrations:
+        print(f"  at arrival {decision.at}: cost {decision.current_cost:.3f} -> "
+              f"{decision.best_cost:.3f} ({decision.improvement:.0%} better)")
     print("final join order:", query.order)
 
 

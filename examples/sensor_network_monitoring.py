@@ -9,8 +9,10 @@ This example correlates four sensor feeds of a building — badge readers,
 motion detectors, HVAC controllers and door actuators — on a shared zone
 id.  The workload *drifts*: at first the motion stream rarely matches
 (most selective, so it belongs at the bottom of the plan); later the badge
-stream becomes the selective one.  A :class:`SelectivityOptimizer` watches
-the observed match rates and requests plan transitions; JISC carries them
+stream becomes the selective one.  An :class:`AdaptiveEngine` closes the
+loop: its telemetry hub polls the joins' probe tallies, a hysteresis
+trigger (two confirming evaluations, a cooldown against flapping) turns
+the measured selectivities into plan transitions, and JISC carries them
 out without halting the output.
 
 Run:  python examples/sensor_network_monitoring.py
@@ -18,7 +20,8 @@ Run:  python examples/sensor_network_monitoring.py
 
 import random
 
-from repro import JISCStrategy, Schema, SelectivityOptimizer, StaticPlanExecutor
+from repro import JISCStrategy, Schema, StaticPlanExecutor
+from repro.optimizer import AdaptiveEngine, HysteresisTrigger
 from repro.streams.tuples import StreamTuple
 
 STREAMS = ("badge", "motion", "hvac", "door")
@@ -49,31 +52,25 @@ def main() -> None:
     initial = ("hvac", "motion", "door", "badge")
     jisc = JISCStrategy(schema, initial)
     reference = StaticPlanExecutor(schema, initial)
-    optimizer = SelectivityOptimizer(tolerance=0.15, min_probes=400)
+    # Estimator windows must be much shorter than a workload phase (6000
+    # arrivals here), or the loop averages the two phases away.
+    engine = AdaptiveEngine(
+        jisc,
+        policy=HysteresisTrigger(min_improvement=0.15, confirm=2, cooldown=1000),
+        evaluate_every=250,
+        min_samples=200,
+        hub_options={"selectivity_window": 1000},
+    )
 
-    tuples = drifting_workload(12_000, seed=42)
-    current = initial
-    transitions = []
-
-    probes_before = {}
-    for i, tup in enumerate(tuples):
-        jisc.process(tup)
+    for tup in drifting_workload(12_000, seed=42):
+        engine.process(tup)
         reference.process(tup)
-        # Feed the optimizer: per-stream probe/match statistics from the
-        # scan states (how often a probe against this stream's window hits).
-        if i % 500 == 499:
-            for name in STREAMS:
-                scan_state = jisc.plan.scans[name].state
-                # estimated hit rate: fraction of the key domain present
-                probes = 1000
-                matches = int(probes * min(1.0, scan_state.distinct_count() / ZONES))
-                optimizer.observe(name, probes, matches)
-            proposal = optimizer.propose(current)
-            if proposal is not None:
-                transitions.append((i + 1, current, proposal))
-                print(f"[tuple {i + 1:6d}] optimizer: {current} -> {proposal}")
-                jisc.transition(proposal)
-                current = proposal
+
+    transitions = engine.migrations
+    for decision in transitions:
+        print(f"[tuple {decision.at:6d}] optimizer: {decision.order} -> "
+              f"{decision.best_order} (cost {decision.current_cost:.2f} -> "
+              f"{decision.best_cost:.2f})")
 
     same = sorted(jisc.output_lineages()) == sorted(reference.output_lineages())
     print(f"\ntransitions performed: {len(transitions)}")

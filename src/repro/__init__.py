@@ -62,7 +62,6 @@ from repro.plans import (
     best_case_transition,
     worst_case_transition,
     pairwise_exchange,
-    SelectivityOptimizer,
 )
 from repro.migration import (
     StaticPlanExecutor,
@@ -105,7 +104,6 @@ __all__ = [
     "best_case_transition",
     "worst_case_transition",
     "pairwise_exchange",
-    "SelectivityOptimizer",
     "StaticPlanExecutor",
     "JISCStrategy",
     "MovingStateStrategy",

@@ -143,5 +143,8 @@ class CACQExecutor:
         if tracer.enabled:
             tracer.transition_end(self.name, -1, cost=0.0)
 
+    def live_plans(self) -> List[Any]:
+        return []  # no physical plans: the SteMs carry the state
+
     def output_lineages(self) -> List[Tuple]:
         return [tup.lineage for tup in self.outputs]

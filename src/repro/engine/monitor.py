@@ -16,19 +16,16 @@ outputs, live plans — are registered once at construction and updated on
 every :meth:`QueryMonitor.sample`, so exposition and the dashboard see
 exactly what the monitor's own analysis methods see.
 
-Works with any pipelined strategy (anything exposing ``plan``); the
-Parallel Track strategy is sampled across all live tracks.
+Works with any pipelined strategy: every plan in its ``live_plans()`` is
+sampled (Parallel Track: all live tracks).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, Optional
 
 from repro.telemetry.registry import MetricsRegistry, Windowed
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.plans.build import PhysicalPlan
 
 
 @dataclass(frozen=True)
@@ -124,7 +121,7 @@ class QueryMonitor:
 
     def sample(self) -> Snapshot:
         """Take a snapshot of the strategy's current state."""
-        plans = self._plans()
+        plans = self.strategy.live_plans()
         state_sizes: Dict[str, int] = {}
         window_fill: Dict[str, int] = {}
         for plan in plans:
@@ -159,11 +156,6 @@ class QueryMonitor:
         self._outputs_gauge.set(snap.outputs)
         self._plans_gauge.set(snap.live_plans)
         return snap
-
-    def _plans(self) -> List["PhysicalPlan"]:
-        if hasattr(self.strategy, "tracks"):
-            return [t.plan for t in self.strategy.tracks]
-        return [self.strategy.plan]
 
     # -- analysis -------------------------------------------------------------------
 

@@ -1,23 +1,21 @@
 """ContinuousQuery: the adaptive end-to-end facade.
 
-Ties together everything a user needs for a long-running continuous join
-query: a migration strategy (JISC by default), per-stream runtime
-statistics harvested from the join operators' probes, and a selectivity
-optimizer that requests plan transitions when the observed match rates
-contradict the current join order — the optimize-at-runtime loop of
-Sections 1 and 5.2 (the *trigger* policy the paper treats as orthogonal,
-provided here so the system is usable end to end).
+Everything a user needs for a long-running continuous join query behind
+``push``: a migration strategy (JISC by default) driven by the repo's one
+adaptive loop, :class:`~repro.optimizer.adaptive.AdaptiveEngine` — the
+telemetry hub polls the join operators' native probe tallies, a
+:class:`~repro.optimizer.cost.PlanCostMaintainer` turns them into plan
+costs, and a trigger policy requests a transition when the observed match
+rates contradict the current join order (the optimize-at-runtime loop of
+Sections 1 and 5.2; the *trigger* is what the paper treats as orthogonal).
 
-The probe statistics live in the telemetry layer, not in private
-counters: each stream gets a
-:class:`~repro.telemetry.estimators.SelectivityDriftDetector` (windowed
-selectivity, EWMA baseline, Page–Hinkley drift flag) and labeled series
-in a :class:`~repro.telemetry.registry.MetricsRegistry` — pass
-``registry=`` to share one with a
-:class:`~repro.telemetry.hub.TelemetryTracer` and the query's live
-selectivities show up in the same exposition/dashboard as everything
-else.  Probe taps *chain*: wiring a query never clobbers an observer the
-telemetry hub (or anyone else) installed first, and vice versa.
+The facade has one tuning value, ``reoptimize_every``; the estimator
+extents are derived from it, because an estimator window must be much
+shorter than a workload phase for the loop to see the phase at all: the
+hub's selectivity window is one evaluation period and a stream needs a
+quarter of a period of probe evidence before it counts.  Whoever wants
+another policy, cadence or hub builds an ``AdaptiveEngine`` directly
+(docs/ADAPTIVITY.md); the one the facade built is ``query.engine``.
 
 Example::
 
@@ -31,82 +29,23 @@ Example::
 
 from __future__ import annotations
 
-import weakref
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.engine.cost import CostModel
 from repro.engine.metrics import Metrics
 from repro.migration.jisc import JISCStrategy
 from repro.migration.moving_state import MovingStateStrategy
 from repro.migration.parallel_track import ParallelTrackStrategy
-from repro.operators.base import Operator
-from repro.operators.joins import JoinOperator
-from repro.operators.scan import StreamScan
-from repro.plans.optimizer import SelectivityOptimizer
+from repro.optimizer.adaptive import AdaptiveEngine
+from repro.optimizer.triggers import NeverTrigger, ThresholdTrigger
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
-from repro.telemetry.estimators import SelectivityDriftDetector
-from repro.telemetry.registry import Counter, Gauge, MetricsRegistry
 
 STRATEGIES = {
     "jisc": JISCStrategy,
     "moving_state": MovingStateStrategy,
     "parallel_track": ParallelTrackStrategy,
 }
-
-
-class _StreamStats:
-    """Per-stream probe statistics backed by telemetry instruments.
-
-    ``base_probes``/``base_matches`` mark the optimizer's consumption
-    cursor: :meth:`ContinuousQuery._consult_optimizer` feeds only the
-    delta accumulated since the last consultation, matching the classic
-    reset-on-consult semantics without ever resetting the live series.
-    """
-
-    __slots__ = (
-        "detector",
-        "probes_total",
-        "matches_total",
-        "selectivity_gauge",
-        "drift_gauge",
-        "base_probes",
-        "base_matches",
-    )
-
-    def __init__(
-        self,
-        detector: SelectivityDriftDetector,
-        probes_total: Counter,
-        matches_total: Counter,
-        selectivity_gauge: Gauge,
-        drift_gauge: Gauge,
-    ):
-        self.detector = detector
-        self.probes_total = probes_total
-        self.matches_total = matches_total
-        self.selectivity_gauge = selectivity_gauge
-        self.drift_gauge = drift_gauge
-        self.base_probes = 0
-        self.base_matches = 0
-
-    def observe(self, matched: bool) -> None:
-        self.detector.observe(matched)
-        self.probes_total.inc()
-        if matched:
-            self.matches_total.inc()
-
-    def since_consult(self) -> Tuple[int, int]:
-        detector = self.detector
-        return (
-            detector.total - self.base_probes,
-            detector.total_hits - self.base_matches,
-        )
-
-    def mark_consulted(self) -> None:
-        detector = self.detector
-        self.base_probes = detector.total
-        self.base_matches = detector.total_hits
 
 
 class ContinuousQuery:
@@ -122,17 +61,12 @@ class ContinuousQuery:
         ``"jisc"`` (default), ``"moving_state"`` or ``"parallel_track"``.
     join:
         ``"hash"`` or ``"nl"``.
-    optimizer:
-        A :class:`SelectivityOptimizer`; a default one is created if
-        omitted.  Pass ``None`` explicitly via ``adaptive=False`` to
-        disable re-optimization entirely.
     reoptimize_every:
-        How many arrivals between optimizer consultations.
-    registry:
-        Telemetry registry to publish probe statistics into (a private
-        one is created if omitted).
-    selectivity_window:
-        Sliding window of the per-stream selectivity estimators.
+        How many arrivals between trigger evaluations (and the extent of
+        the selectivity estimators, see the module docstring).
+    adaptive:
+        ``False`` keeps the initial order forever (the loop still
+        observes, it never fires).
     """
 
     def __init__(
@@ -141,12 +75,9 @@ class ContinuousQuery:
         initial_order: Sequence[str],
         strategy: str = "jisc",
         join: str = "hash",
-        optimizer: Optional[SelectivityOptimizer] = None,
         reoptimize_every: int = 1_000,
         adaptive: bool = True,
         cost_model: Optional[CostModel] = None,
-        registry: Optional[MetricsRegistry] = None,
-        selectivity_window: int = 5000,
     ):
         if strategy not in STRATEGIES:
             raise ValueError(
@@ -155,37 +86,18 @@ class ContinuousQuery:
         if reoptimize_every <= 0:
             raise ValueError("reoptimize_every must be positive")
         self.schema = schema
-        self.order: Tuple[str, ...] = tuple(initial_order)
         self.strategy = STRATEGIES[strategy](
-            schema, self.order, join=join, cost_model=cost_model
+            schema, tuple(initial_order), join=join, cost_model=cost_model
         )
-        self.adaptive = adaptive
-        self.optimizer = optimizer or SelectivityOptimizer(
-            tolerance=0.1, min_probes=max(100, reoptimize_every // 4)
+        self.engine = AdaptiveEngine(
+            self.strategy,
+            policy=ThresholdTrigger(0.1) if adaptive else NeverTrigger(),
+            evaluate_every=reoptimize_every,
+            min_samples=reoptimize_every // 4,
+            hub_options={"selectivity_window": reoptimize_every},
         )
-        self.reoptimize_every = reoptimize_every
-        self.transition_log: List[Tuple[int, Tuple[str, ...]]] = []
         self._next_seq = 0
-        self._tuples_pushed = 0
         self._emitted_cursor = 0
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.selectivity_window = selectivity_window
-        self._stats: Dict[str, _StreamStats] = {
-            name: self._register_stream_stats(name) for name in schema.names
-        }
-        self._transitions_total = self.registry.counter("query_transitions_total")
-        self._wired: "weakref.WeakSet[JoinOperator]" = weakref.WeakSet()
-        self._wire_observers()
-
-    def _register_stream_stats(self, name: str) -> _StreamStats:
-        reg = self.registry
-        return _StreamStats(
-            SelectivityDriftDetector(window=self.selectivity_window),
-            reg.counter("query_probes_total", stream=name),
-            reg.counter("query_matches_total", stream=name),
-            reg.gauge("query_selectivity", stream=name),
-            reg.gauge("query_drift_flag", stream=name),
-        )
 
     # -- ingestion ------------------------------------------------------------------
 
@@ -194,16 +106,17 @@ class ContinuousQuery:
         return self.push_tuple(StreamTuple(stream, self._next_seq, key, payload))
 
     def push_tuple(self, tup: StreamTuple) -> List:
-        """Feed a pre-built tuple (its seq must be monotonically fresh)."""
+        """Feed a pre-built tuple (its seq must be monotonically fresh).
+
+        A tuple the strategy rejects (unknown stream) raises before the
+        seq counter or the evaluation cadence has moved.
+        """
         if tup.seq < self._next_seq:
             raise ValueError(
                 f"tuple seq {tup.seq} is in the past (next is {self._next_seq})"
             )
+        self.engine.process(tup)
         self._next_seq = tup.seq + 1
-        self._tuples_pushed += 1
-        self.strategy.process(tup)
-        if self.adaptive and self._tuples_pushed % self.reoptimize_every == 0:
-            self._consult_optimizer()
         outputs = self.strategy.outputs
         fresh = outputs[self._emitted_cursor :]
         self._emitted_cursor = len(outputs)
@@ -220,85 +133,25 @@ class ContinuousQuery:
     def metrics(self) -> Metrics:
         return self.strategy.metrics
 
+    @property
+    def order(self) -> Tuple[str, ...]:
+        """The left-deep join order running now."""
+        return self.engine.order
+
+    @property
+    def transition_log(self) -> List[Tuple[int, Tuple[str, ...]]]:
+        """``(arrivals seen, new order)`` of every transition the loop fired."""
+        return [(d.at, d.best_order) for d in self.engine.migrations]
+
     def selectivity_of(self, stream: str) -> Optional[float]:
-        """Match rate of probes against ``stream`` since the last
-        optimizer consultation (``None`` before the first probe)."""
-        probes, matches = self._stats[stream].since_consult()
-        if probes == 0:
-            return None
-        return matches / probes
-
-    def windowed_selectivity_of(self, stream: str) -> Optional[float]:
-        """Live selectivity over the estimator's sliding window."""
-        return self._stats[stream].detector.estimate()
-
-    def drifted(self, stream: str) -> bool:
-        """Has the Page–Hinkley test flagged a selectivity shift?"""
-        return self._stats[stream].detector.drifted
-
-    def sync_telemetry(self) -> MetricsRegistry:
-        """Refresh the selectivity/drift gauges from the live detectors."""
-        for stats in self._stats.values():
-            estimate = stats.detector.estimate()
-            if estimate is not None:
-                stats.selectivity_gauge.set(estimate)
-            stats.drift_gauge.set(1 if stats.detector.drifted else 0)
-        return self.registry
-
-    # -- the adaptive loop ---------------------------------------------------------
+        """Match rate of the recent probes against ``stream``'s window
+        (over the last ``reoptimize_every`` of them; ``None`` before the
+        first)."""
+        hub = self.engine.telemetry
+        hub.poll()
+        return hub.selectivity_of(stream)
 
     def reoptimize_now(self) -> Optional[Tuple[str, ...]]:
-        """Force an optimizer consultation; returns the new order if any."""
-        return self._consult_optimizer()
-
-    def _consult_optimizer(self) -> Optional[Tuple[str, ...]]:
-        for name, stats in self._stats.items():
-            probes, matches = stats.since_consult()
-            if probes:
-                self.optimizer.observe(name, probes, matches)
-                stats.mark_consulted()
-        proposal = self.optimizer.propose(self.order)
-        if proposal is None:
-            return None
-        self.strategy.transition(proposal)
-        self.order = proposal
-        self.transition_log.append((self._next_seq, proposal))
-        self._transitions_total.inc()
-        self._wire_observers()
-        return proposal
-
-    def _wire_observers(self) -> None:
-        """Attach probe-statistics taps to the current plan's joins.
-
-        Idempotent and non-clobbering: each join is tapped once (tracked
-        via a WeakSet, so operators discarded with their plan drop out),
-        and an observer someone else installed — e.g. a
-        :class:`~repro.telemetry.hub.TelemetryTracer` — keeps firing
-        after ours.
-        """
-        if hasattr(self.strategy, "tracks"):  # parallel track: all live plans
-            plans = [t.plan for t in self.strategy.tracks]
-        else:
-            plans = [self.strategy.plan]
-        for p in plans:
-            for op in p.internal:
-                if isinstance(op, JoinOperator) and op not in self._wired:
-                    self._wired.add(op)
-                    op.probe_observer = self._chain_tap(op.probe_observer)
-
-    def _chain_tap(
-        self, prev: Optional[Callable[[Operator, bool], None]]
-    ) -> Callable[[Operator, bool], None]:
-        observe = self._observe_probe
-
-        def tap(probed: Operator, matched: bool) -> None:
-            observe(probed, matched)
-            if prev is not None:
-                prev(probed, matched)
-
-        return tap
-
-    def _observe_probe(self, probed: Operator, matched: bool) -> None:
-        # Only scan probes carry a clean per-stream signal.
-        if isinstance(probed, StreamScan):
-            self._stats[probed.stream].observe(matched)
+        """Force a trigger evaluation; returns the new order if it fired."""
+        decision = self.engine.evaluate()
+        return decision.best_order if decision.fired else None

@@ -866,8 +866,9 @@ class HandleTypestateRule(Rule):
                     for t in sub.targets
                 ):
                     return True
-            elif isinstance(sub, ast.Return):
-                if isinstance(sub.value, ast.Name) and sub.value.id == name:
+            elif isinstance(sub, ast.Return) and sub.value is not None:
+                # returned bare or inside a tuple: the caller owns it either way
+                if any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(sub.value)):
                     return True
             elif isinstance(sub, ast.Call):
                 for arg in list(sub.args) + [kw.value for kw in sub.keywords]:

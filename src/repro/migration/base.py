@@ -196,6 +196,12 @@ class MigrationStrategy:
         """Strategy-specific migration policy (override in subclasses)."""
         raise NotImplementedError
 
+    def live_plans(self) -> List[PhysicalPlan]:
+        """Every physical plan arrivals are currently fed through, oldest
+        first — the one answer telemetry, the monitor and the optimizer
+        share (``[]`` on the plan-less eddy / MJoin executors)."""
+        return [self.plan]
+
     @property
     def outputs(self) -> List[Any]:
         return self.plan.sink.outputs

@@ -112,5 +112,8 @@ class MJoinExecutor:
         if tracer.enabled:
             tracer.transition_end(self.name, -1, cost=0.0)
 
+    def live_plans(self) -> List[Any]:
+        return []  # one n-ary operator, no physical plan
+
     def output_lineages(self) -> List[Lineage]:
         return [tup.lineage for tup in self.outputs]

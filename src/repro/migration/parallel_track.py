@@ -78,6 +78,9 @@ class ParallelTrackStrategy(MigrationStrategy):
 
     # -- strategy interface -----------------------------------------------------
 
+    def live_plans(self) -> List[PhysicalPlan]:
+        return [track.plan for track in self.tracks]
+
     @property
     def outputs(self) -> List[Any]:
         return self._outputs

@@ -109,20 +109,19 @@ def timeline(trace: Trace) -> List[Dict[str, Any]]:
 def rebalance_timeline(trace: Trace) -> List[Dict[str, Any]]:
     """One row per shard rebalance found in ``trace``.
 
-    Keys: ``mode``, ``start`` (virtual time of the trigger), ``end``
-    (virtual time of session completion — for a lazy rebalance this is
-    when the *last* pending key settled or retired, possibly much later),
-    ``buckets`` / ``keys`` (scope announced at the trigger), ``settled``
-    / ``retired`` (how each routed key was resolved) and ``tuples``
-    (total live tuples replayed across shards).  An unfinished lazy
-    session has ``end is None``.
-
-    A *fluid* rebalance (one plan, many batched sessions) appears as one
-    row carrying three extra keys: ``batch_keys`` (the granularity),
-    ``batches`` (batches completed so far) with ``batches_planned`` from
-    the trigger announcement, and ``batch_durations`` (per-batch open ->
-    settle spans, in order) — the timeline behind the latency-vs-duration
-    tradeoff table in docs/SHARDING.md.
+    Every rebalance is one plan of batched sessions (the all-at-once
+    call is the one-batch plan).  Keys: ``mode``, ``start`` (virtual time
+    of the trigger), ``end`` (virtual time the last batch drained — for a
+    lazy plan this is when the *last* pending key settled or retired,
+    possibly much later; ``None`` while unfinished), ``buckets`` (scope
+    announced at the trigger), ``keys`` (routed, summed over the batches
+    opened so far), ``settled`` / ``retired`` (how each routed key was
+    resolved), ``tuples`` (total live tuples replayed across shards),
+    ``batch_keys`` (the granularity), ``batches`` (batches completed so
+    far) with ``batches_planned`` from the trigger announcement, and
+    ``batch_durations`` (per-batch open -> settle spans, in order) — the
+    timeline behind the latency-vs-duration tradeoff table in
+    docs/SHARDING.md.
     """
     events = trace.events
     # Positional windows, not time windows: a forced drain of a previous
@@ -138,16 +137,15 @@ def rebalance_timeline(trace: Trace) -> List[Dict[str, Any]]:
             "start": start.ts,
             "end": None,
             "buckets": start.data.get("buckets", 0),
-            "keys": start.data.get("keys", 0),
+            "keys": 0,
             "settled": 0,
             "retired": 0,
             "tuples": 0,
+            "batch_keys": start.data.get("batch_keys", 0),
+            "batches_planned": start.data.get("batches", 0),
+            "batches": 0,
+            "batch_durations": [],
         }
-        if start.data.get("fluid"):
-            row["batch_keys"] = start.data.get("batch_keys", 0)
-            row["batches_planned"] = start.data.get("batches", 0)
-            row["batches"] = 0
-            row["batch_durations"] = []
         for ev in events[at:window_end]:
             if ev.kind == EVENT_SHARD_MOVE:
                 if ev.data.get("retired"):
@@ -156,8 +154,8 @@ def rebalance_timeline(trace: Trace) -> List[Dict[str, Any]]:
                     row["settled"] += 1
                 row["tuples"] += ev.data.get("tuples", 0)
             elif ev.kind == EVENT_REBALANCE_BATCH_START:
-                row["keys"] = row.get("keys", 0) + ev.data.get("keys", 0)
-            elif ev.kind == EVENT_REBALANCE_BATCH_END and "batches" in row:
+                row["keys"] += ev.data.get("keys", 0)
+            elif ev.kind == EVENT_REBALANCE_BATCH_END:
                 row["batches"] += 1
                 row["batch_durations"].append(ev.data.get("duration", 0.0))
             elif ev.kind == EVENT_REBALANCE_END and row["end"] is None:
@@ -276,15 +274,12 @@ def render_report(trace: Trace, title: str = "") -> str:
                 f"      {row['settled']} settled / {row['retired']} retired, "
                 f"{row['tuples']} live tuple(s) replayed"
             )
-            if "batches" in row:
-                grain = row["batch_keys"] if row["batch_keys"] else "all"
-                durations = row["batch_durations"]
-                longest = max(durations) if durations else 0.0
-                lines.append(
-                    f"      fluid plan: batch_keys={grain}, "
-                    f"{row['batches']}/{row['batches_planned']} batch(es) "
-                    f"drained, longest batch {longest:.1f}"
-                )
+            grain = row["batch_keys"] if row["batch_keys"] else "all"
+            lines.append(
+                f"      plan: batch_keys={grain}, "
+                f"{row['batches']}/{row['batches_planned']} batch(es) "
+                f"drained, longest batch {max(row['batch_durations'], default=0.0):.1f}"
+            )
     triggers = trace.of_kind(EVENT_TRIGGER)
     if triggers:
         fired = [ev for ev in triggers if ev.data.get("action") == "fired"]

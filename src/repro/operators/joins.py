@@ -36,11 +36,6 @@ class JoinOperator(BinaryOperator):
     def __init__(self, left: Operator, right: Operator, metrics: Metrics):
         super().__init__(left, right, metrics)
         self.completion_hook: Optional[CompletionHook] = None
-        # Optional runtime-statistics tap: called with (probed_child,
-        # matched) after every probe.  The ContinuousQuery facade uses it to
-        # feed the selectivity optimizer (the "runtime feedback" of
-        # Section 5.2).
-        self.probe_observer: Optional[Callable[[Operator, bool], None]] = None
 
     def matches_in(self, state: HashState, key: Any) -> Collection[Entry]:
         """All entries of ``state`` joining a tuple with join value ``key``.
@@ -70,8 +65,6 @@ class JoinOperator(BinaryOperator):
         opposite.probes += 1
         if matches:
             opposite.hits += 1
-        if self.probe_observer is not None:
-            self.probe_observer(opposite, bool(matches))
         if matches:
             of = CompositeTuple.of
             add = self.state.add

@@ -3,15 +3,13 @@
 Layered so the cost model is import-cycle-free:
 
 * :mod:`repro.optimizer.cost` — the shared left-deep cost model and the
-  incremental :class:`PlanCostMaintainer` (imports nothing from repro;
-  :class:`repro.plans.SelectivityOptimizer` is rebased on it);
+  incremental :class:`PlanCostMaintainer` (imports nothing from repro);
 * :mod:`repro.optimizer.triggers` — pluggable :class:`TriggerPolicy`
   implementations (never / threshold / hysteresis / cost-aware);
 * :mod:`repro.optimizer.adaptive` — :class:`AdaptiveEngine`, the
   end-to-end adaptive mode over engines and sharded executors (loaded
-  lazily: it imports the engine and shard layers, which themselves import
-  ``repro.plans`` — eager loading here would cycle through
-  ``plans.optimizer``'s use of the cost model);
+  lazily: it imports the engine and shard layers, and ``repro.engine``
+  imports it back for the ``ContinuousQuery`` facade);
 * :mod:`repro.optimizer.soak` — crash-recovery soak driver for the
   adaptive loop (lazy for the same reason).
 """
@@ -25,7 +23,6 @@ from repro.optimizer.cost import (
     anchored_best_order,
     live_state_size,
     order_cost,
-    worst_adjacent_inversion,
 )
 from repro.optimizer.triggers import (
     POLICIES,
@@ -49,7 +46,6 @@ __all__ = [
     "anchored_best_order",
     "live_state_size",
     "order_cost",
-    "worst_adjacent_inversion",
     "POLICIES",
     "CostAwareTrigger",
     "HysteresisTrigger",

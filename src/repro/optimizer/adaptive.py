@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.engine.executor import Event, TransitionEvent
+from repro.engine.executor import TransitionEvent
 from repro.migration.base import SpecLike, as_spec
 from repro.optimizer.cost import (
     MIN_SAMPLES,
@@ -41,8 +41,8 @@ from repro.optimizer.triggers import (
     TriggerPolicy,
 )
 from repro.plans.spec import left_deep_order
-from repro.shard.executor import RebalanceEvent, ResizeEvent
 from repro.shard.partition import weighted_assignment
+from repro.streams.tuples import StreamTuple
 from repro.telemetry.hub import ShardTelemetry, TelemetryTracer
 
 #: Default trigger-evaluation cadence, in arrivals.  Aligned with the
@@ -57,15 +57,12 @@ def current_order(target: Any) -> Tuple[str, ...]:
     routing = getattr(target, "routing", None)
     if routing is not None:
         return tuple(routing)
-    tracks = getattr(target, "tracks", None)
-    if tracks:
-        return left_deep_order(tracks[-1].plan.spec)
-    plan = getattr(target, "plan", None)
-    if plan is not None:
-        return left_deep_order(plan.spec)
     initial = getattr(target, "initial_spec", None)
     if initial is not None:
         return left_deep_order(as_spec(initial))
+    plans = target.live_plans()
+    if plans:
+        return left_deep_order(plans[-1].spec)
     raise TypeError(f"cannot derive a probe order from {type(target).__name__}")
 
 
@@ -185,24 +182,26 @@ class AdaptiveEngine:
             self._until_eval = self.evaluate_every
             self.evaluate()
 
-    def run(self, events: Iterable[Event]) -> "AdaptiveEngine":
-        """Drive arrivals (and any forced transitions / rebalances)."""
+    def run(self, events: Iterable[Any]) -> "AdaptiveEngine":
+        """Drive arrivals (and any forced transitions / rebalances).
+
+        Arrivals and transitions pass through the loop's own bookkeeping;
+        any other event is the sharded target's business (its ``run``
+        dispatches rebalances and resizes, and rejects what it does not
+        know).
+        """
         for event in events:
-            if isinstance(event, TransitionEvent):
-                self.transition(event.new_spec)
-            elif isinstance(event, RebalanceEvent):
-                if event.batch_keys is None:
-                    self.target.rebalance(event.assignment, event.mode)
-                else:
-                    self.target.fluid_rebalance(
-                        event.assignment, event.mode, batch_keys=event.batch_keys
-                    )
-            elif isinstance(event, ResizeEvent):
-                self.target.resize(
-                    event.n_shards, event.mode, batch_keys=event.batch_keys
-                )
-            else:
+            if isinstance(event, StreamTuple):
                 self.process(event)
+            elif isinstance(event, TransitionEvent):
+                self.transition(event.new_spec)
+            elif self.sharded:
+                self.target.run((event,))
+            else:
+                raise TypeError(
+                    f"{type(self.target).__name__} is not sharded and cannot "
+                    f"take {event!r}"
+                )
         return self
 
     def transition(self, new_spec: "SpecLike") -> None:

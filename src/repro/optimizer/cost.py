@@ -1,7 +1,6 @@
 """Incremental left-deep plan cost maintenance from live telemetry.
 
-The cost model is the one :class:`repro.plans.SelectivityOptimizer` has
-always ranked plans by, stated explicitly: for a left-deep probe order
+The cost model, stated explicitly: for a left-deep probe order
 ``(s0, s1, ..., sn)`` the expected per-arrival probe work is
 
     cost(order) = sum_{k=1..n}  prod_{j=1..k-1} sigma(s_j)
@@ -21,9 +20,8 @@ estimators already did the windowing incrementally per block — which is
 the "O(1) per block" maintenance the adaptive trigger loop runs on.
 
 This module deliberately imports nothing from the rest of ``repro``:
-it operates on flat stream-name tuples and plain floats, so the plans
-optimizer, the adaptive engine, and the tests all share it without
-import-cycle risk.
+it operates on flat stream-name tuples and plain floats, so the adaptive
+engine and the tests share it without import-cycle risk.
 """
 
 from __future__ import annotations
@@ -64,24 +62,6 @@ def anchored_best_order(
     """
     rest = sorted(order[1:], key=lambda name: (selectivities[name], name))
     return (order[0], *rest)
-
-
-def worst_adjacent_inversion(
-    order: Sequence[str], selectivities: Mapping[str, float]
-) -> float:
-    """Largest adjacent selectivity drop among the probed streams.
-
-    Zero when the probe suffix is already sorted ascending; the magnitude
-    is the tolerance knob :class:`repro.plans.SelectivityOptimizer`
-    compares against before proposing a reorder.
-    """
-    worst = 0.0
-    probed = order[1:]
-    for a, b in zip(probed, probed[1:]):
-        gap = selectivities[a] - selectivities[b]
-        if gap > worst:
-            worst = gap
-    return worst
 
 
 @dataclass(frozen=True)
@@ -228,9 +208,9 @@ def live_state_size(target: Any) -> int:
     """Total stored tuples across a strategy's (or executor's) live state.
 
     The migration-cost-aware trigger charges a JISC completion cost
-    proportional to this.  Duck-typed over the three shapes in the repo:
-    sharded executors (sum over workers), eddy executors (SteM windows),
-    and plan-based strategies (operator hash states across live plans).
+    proportional to this: sharded executors sum over their workers, eddy
+    executors over their SteM windows, everything else over the operator
+    states of its ``live_plans()``.
     """
     workers = getattr(target, "workers", None)
     if workers is not None:
@@ -244,13 +224,8 @@ def live_state_size(target: Any) -> int:
         return sum(len(stem) for stem in stems.values())
     total = 0
     seen: set = set()
-    tracks = getattr(target, "tracks", None)
-    plans = [t.plan for t in tracks] if tracks is not None else []
-    plan = getattr(target, "plan", None)
-    if plan is not None:
-        plans.append(plan)
-    for p in plans:
-        for op in p.operators():
+    for plan in target.live_plans():
+        for op in plan.operators():
             if id(op) in seen:
                 continue
             seen.add(id(op))

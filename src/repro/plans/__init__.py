@@ -27,7 +27,6 @@ from repro.plans.transitions import (
     incomplete_count,
     random_exchange,
 )
-from repro.plans.optimizer import SelectivityOptimizer
 from repro.plans.printer import parse_plan, format_plan, render_tree
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "worst_case_transition",
     "incomplete_count",
     "random_exchange",
-    "SelectivityOptimizer",
     "parse_plan",
     "format_plan",
     "render_tree",

@@ -16,11 +16,13 @@ coordinator owns three things the workers must not (docs/SHARDING.md):
   completing arrival's ``T``) models a real input queue.  This is the
   quantity the lazy-vs-eager rebalance benchmark compares.
 
-* **Rebalancing.**  ``rebalance`` flips the bucket assignment and either
-  moves every affected key immediately (*eager*, the Megaphone-like
-  baseline) or marks them pending and completes each key just in time on
-  its first post-rebalance arrival (*lazy*, the JISC discipline); a
-  pending key whose live tuples all expire is retired, mirroring
+* **Rebalancing.**  Every rebalance is a fluid plan run by one
+  :class:`RebalanceScheduler` (``rebalance`` is the one-batch plan): a
+  batch flips its buckets' assignment and either moves every affected
+  key immediately (*eager*, the Megaphone-like baseline) or marks them
+  pending and completes each key just in time on its first
+  post-rebalance arrival (*lazy*, the JISC discipline); a pending key
+  whose live tuples all expire is retired, mirroring
   :meth:`repro.core.controller.JISCController._on_expiry`.
 
 Cross-shard state movement is strategy-agnostic: the key's live tuples
@@ -43,6 +45,7 @@ is one loop body (docs/SHARDING.md, "The arrival path").
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.engine.cost import CostModel, VirtualClock
@@ -55,6 +58,8 @@ from repro.shard.rebalance import (
     FluidRebalancePlan,
     RebalanceSession,
     ShardMove,
+    check_batch_keys,
+    check_mode,
     plan_key_routes,
 )
 from repro.shard.worker import CommandLog, ShardWorker, make_strategy, unbounded_schema
@@ -71,10 +76,8 @@ GlobalWindow = Union[SlidingWindow, TimeSlidingWindow]
 class RebalanceEvent:
     """A scheduled shard rebalance, interleavable with arrivals.
 
-    ``batch_keys`` selects the migration shape: ``None`` (default) runs
-    the classic single-session :meth:`ShardedExecutor.rebalance`; an int
-    runs a fluid plan at that granularity (``0`` = all-at-once through
-    the scheduler, ``1`` = per-key, ``n`` = batch-of-n).
+    ``batch_keys`` is the plan's granularity: ``0`` (default) =
+    all-at-once, ``1`` = per-key, ``n`` = batch-of-n.
     """
 
     __slots__ = ("assignment", "mode", "batch_keys")
@@ -83,8 +86,9 @@ class RebalanceEvent:
         self,
         assignment: Mapping[int, int],
         mode: Optional[str] = None,
-        batch_keys: Optional[int] = None,
+        batch_keys: int = 0,
     ):
+        check_batch_keys(batch_keys)
         self.assignment = dict(assignment)
         self.mode = mode
         self.batch_keys = batch_keys
@@ -121,13 +125,16 @@ ShardEvent = Union[StreamTuple, TransitionEvent, RebalanceEvent, ResizeEvent]
 class RebalanceScheduler:
     """Drives one :class:`FluidRebalancePlan` batch-by-batch.
 
-    The scheduler owns the plan's progress: it opens at most one batch
-    per arrival (so an eager batch's replay burst is paced by the batch
-    size — Megaphone's latency bound), and a batch must fully settle or
-    retire before the next one opens, so at most one batch is ever in
-    ``PHASE_REBALANCING``.  Lazy batches drain just-in-time through the
-    executor's normal arrival/expiry paths; :meth:`drain` force-settles
-    everything for callers that need the plan finished *now*.
+    The scheduler owns the plan's progress and the open batch's
+    :class:`RebalanceSession` (the executor holds no session of its own):
+    it opens at most one batch per arrival (so an eager batch's replay
+    burst is paced by the batch size — Megaphone's latency bound), and a
+    batch must fully settle or retire before the next one opens, so at
+    most one batch is ever in ``PHASE_REBALANCING``.  Lazy batches drain
+    just-in-time through the executor's normal arrival/expiry paths;
+    :meth:`drain` force-settles everything for callers that need the
+    plan finished *now*.  The executor drops the scheduler when the last
+    batch completes, so a scheduler it still holds is an unfinished plan.
     """
 
     __slots__ = (
@@ -136,6 +143,7 @@ class RebalanceScheduler:
         "next_index",
         "session",
         "routed",
+        "retired",
         "_opened_at",
         "_resize_to",
     )
@@ -151,37 +159,26 @@ class RebalanceScheduler:
         self.next_index = 0
         self.session: Optional[RebalanceSession] = None
         self.routed = 0
+        #: Routed keys that expired before they moved, over drained batches.
+        self.retired = 0
         self._opened_at = plan.started_at
         self._resize_to = resize_to
 
     # -- queries -----------------------------------------------------------------------
 
-    @property
-    def active(self) -> bool:
-        return self.session is not None or self.next_index < self.plan.total_batches
-
-    def batches_remaining(self) -> int:
-        """Batches not yet fully settled (the telemetry gauge)."""
-        remaining = self.plan.total_batches - self.next_index
-        if self.session is not None:
-            remaining += 1
-        return remaining
-
-    def owns(self, session: RebalanceSession) -> bool:
-        return session is self.session
+    def unopened_batches(self) -> int:
+        """Batches whose buckets have not been flipped yet."""
+        return self.plan.total_batches - self.next_index - (self.session is not None)
 
     # -- progress ----------------------------------------------------------------------
 
-    def on_arrival(self, t: float) -> None:
-        """Called once per arrival: open the next batch if the previous
-        one has settled.  Never opens more than one batch per arrival."""
-        if self.session is None:
-            self.open_next(t)
-
-    def open_next(self, t: float) -> None:
-        """Flip the next batch's buckets and start its session."""
+    def open_next(self, t: float) -> Optional[RebalanceSession]:
+        """Flip the next batch's buckets and start its session, unless a
+        batch is still open or none is left.  Called once per arrival, so
+        at most one batch opens per arrival.  Returns the session it
+        opened (possibly drained already), else ``None``."""
         if self.session is not None or self.next_index >= self.plan.total_batches:
-            return
+            return None
         ex = self.executor
         index = self.next_index
         batch = self.plan.batch(index)
@@ -191,10 +188,7 @@ class RebalanceScheduler:
             if bucket in dst_of:
                 live_by_bucket.setdefault(bucket, []).append(key)
         routes = plan_key_routes(list(batch), live_by_bucket)
-        table = ex.partitioner.snapshot()
-        for bucket, dst in dst_of.items():
-            table[bucket] = dst
-        ex.partitioner.apply(table)
+        ex.partitioner.apply({**ex.partitioner.assignment, **dst_of})
         self.routed += len(routes)
         self._opened_at = t
         marker = {
@@ -216,17 +210,18 @@ class RebalanceScheduler:
             )
         session = RebalanceSession(self.plan.mode, routes, started_at=t)
         self.session = session
-        ex._session = session
         if not routes:
-            ex._end_session(session, t)
+            self.on_batch_complete(session, t)
         elif self.plan.mode == "eager":
             for key in ex._ordered(routes):
-                ex._complete_key(session, key, t)
+                ex._complete_key(self, key, t)
+        return session
 
     def on_batch_complete(self, session: RebalanceSession, t: float) -> None:
         """The open batch drained (settled and/or retired every key)."""
         ex = self.executor
         index = self.next_index
+        self.retired += session.retired
         tracer = ex.metrics.tracer
         if tracer.enabled:
             tracer.rebalance_batch_end(
@@ -243,27 +238,22 @@ class RebalanceScheduler:
 
     def drain(self, t: float) -> None:
         """Force-complete the whole plan (every remaining batch, eagerly)."""
-        guard = 0
-        while self.active:
-            session = self.session
-            if session is None:
-                self.open_next(t)
-            else:
-                for key in self.executor._ordered(session.pending):
-                    self.executor._complete_key(session, key, t)
-            guard += 1
-            if guard > 2 * self.plan.total_batches + 2:  # pragma: no cover
-                raise RuntimeError("fluid plan failed to drain")
+        ex = self.executor
+        session = self.session or self.open_next(t)
+        while session is not None:
+            for key in ex._ordered(session.pending):
+                ex._complete_key(self, key, t)
+            session = self.open_next(t)
 
     def _finish(self, t: float) -> None:
         ex = self.executor
-        if ex._scheduler is self:
-            ex._scheduler = None
+        ex._scheduler = None
         tracer = ex.metrics.tracer
         if tracer.enabled:
             tracer.rebalance_end(
                 self.plan.mode,
                 keys=self.routed,
+                settled=self.routed - self.retired,
                 batches=self.plan.total_batches,
                 batch_keys=self.plan.batch_keys,
                 started_at=self.plan.started_at,
@@ -323,7 +313,6 @@ class ShardedExecutor:
         #: an arrival or eviction of a live key hashes nothing.  Buckets,
         #: not shards: every ``partitioner.apply`` is seen immediately.
         self._live_bucket: Dict[Any, int] = {}
-        self._session: Optional[RebalanceSession] = None
         self._scheduler: Optional[RebalanceScheduler] = None
         self._current_spec: Optional["SpecLike"] = None
         self.moves: List[ShardMove] = []
@@ -390,7 +379,7 @@ class ShardedExecutor:
         pre-rebalance owner even though the routing table already points
         at the destination.
         """
-        session = self._session
+        session = self.session
         if session is not None and session.is_pending(key):
             return session.route_of(key)[0]
         bucket = self._live_bucket.get(key)
@@ -400,20 +389,19 @@ class ShardedExecutor:
 
     @property
     def session(self) -> Optional[RebalanceSession]:
-        return self._session
+        """The active plan's open batch, or ``None``."""
+        scheduler = self._scheduler
+        return scheduler.session if scheduler is not None else None
 
     @property
     def scheduler(self) -> Optional[RebalanceScheduler]:
-        """The active fluid plan's driver, or ``None`` outside a plan."""
+        """The active plan's driver, or ``None`` outside a plan."""
         return self._scheduler
 
     @property
     def rebalance_in_progress(self) -> bool:
-        """True while a fluid plan or a classic session is still pending."""
-        if self._scheduler is not None and self._scheduler.active:
-            return True
-        session = self._session
-        return session is not None and not session.complete
+        """True while a plan still has a batch to open or to drain."""
+        return self._scheduler is not None
 
     @property
     def retired_shards(self) -> Set[int]:
@@ -421,7 +409,7 @@ class ShardedExecutor:
         return set(self._retired)
 
     def pending_keys(self) -> Set[Any]:
-        session = self._session
+        session = self.session
         return set(session.pending) if session is not None else set()
 
     def live_tuples(self) -> Dict[str, List[StreamTuple]]:
@@ -445,8 +433,8 @@ class ShardedExecutor:
         tuple just expired); let an active fluid plan open its next batch;
         complete the arriving key just in time if it is pending; feed the
         owning worker; journal.  What never changes during a run is read
-        once; the session, the scheduler and the assignment table can
-        change under any arrival and are read on each.
+        once; the scheduler (with its open session) and the assignment
+        table can change under any arrival and are read on each.
         """
         windows = self._windows
         arrival_t = self._arrival_T
@@ -483,12 +471,14 @@ class ShardedExecutor:
 
             for old in window.push_all(tup):
                 key = old.key
-                # A pending key's state is still at its pre-rebalance owner.
-                pending = self._session
+                # A pending key's state is still at its pre-rebalance owner;
+                # ``mover`` is the scheduler holding it pending, else None.
+                mover = self._scheduler
+                pending = mover.session if mover is not None else None
                 if pending is not None and pending.is_pending(key):
                     owner = pending.route_of(key)[0]
                 else:
-                    pending = None
+                    mover = None
                     owner = partitioner.assignment[live_bucket[key]]
                 worker = workers[owner] or self._worker(owner)
                 worker.catch_up(t)
@@ -502,16 +492,16 @@ class ShardedExecutor:
                 if not live:
                     del live_by_key[key]
                     del live_bucket[key]
-                    if pending is not None:
-                        self._retire_key(pending, key, t)
+                    if mover is not None:
+                        self._retire_key(mover, key, t)
 
+            key = tup.key
             scheduler = self._scheduler
             if scheduler is not None:
-                scheduler.on_arrival(t)
-            key = tup.key
-            session = self._session
-            if session is not None and session.is_pending(key):
-                self._complete_key(session, key, t)
+                scheduler.open_next(t)
+                session = scheduler.session
+                if session is not None and session.is_pending(key):
+                    self._complete_key(scheduler, key, t)
             live = live_by_key.get(key)
             if live is None:
                 live_by_key[key] = [tup]
@@ -525,15 +515,18 @@ class ShardedExecutor:
             worker.feed(tup)
             logs[owner].append("feed", tup, t)
 
-    def _retire_key(self, session: RebalanceSession, key: Any, t: float) -> None:
+    def _retire_key(self, scheduler: RebalanceScheduler, key: Any, t: float) -> None:
         """A pending key's last live tuple expired: nothing is left to move."""
+        session = scheduler.session
+        if session is None or not session.is_pending(key):
+            return
         src, dst = session.route_of(key)
         self.moves.append(ShardMove(key, src, dst, 0, t, retired=True))
         tracer = self.metrics.tracer
         if tracer.enabled:
             tracer.shard_move(key, src, dst, tuples=0, retired=True)
         if session.retire(key):
-            self._end_session(session, t)
+            scheduler.on_batch_complete(session, t)
 
     def transition(self, new_spec: "SpecLike") -> None:
         """Broadcast a plan transition to every worker."""
@@ -571,12 +564,9 @@ class ShardedExecutor:
             if isinstance(event, TransitionEvent):
                 self.transition(event.new_spec)
             elif isinstance(event, RebalanceEvent):
-                if event.batch_keys is None:
-                    self.rebalance(event.assignment, event.mode)
-                else:
-                    self.fluid_rebalance(
-                        event.assignment, event.mode, batch_keys=event.batch_keys
-                    )
+                self.fluid_rebalance(
+                    event.assignment, event.mode, batch_keys=event.batch_keys
+                )
             elif isinstance(event, ResizeEvent):
                 self.resize(event.n_shards, event.mode, batch_keys=event.batch_keys)
             else:
@@ -587,58 +577,102 @@ class ShardedExecutor:
 
     # -- rebalancing -------------------------------------------------------------------
 
-    def _reject_overlapping_plan(self, what: str) -> None:
+    def _admit_plan(self, mode: Optional[str], batch_keys: int) -> Tuple[str, int]:
+        """Check a new plan's options and the overlap rule; change nothing.
+
+        One plan at a time, decided on the plan that is in the way: one
+        down to its open batch has flipped every bucket it will flip, so
+        :meth:`_open_plan` force-drains it; one with unopened batches
+        would be cut short, so the call is rejected.  Returns the
+        resolved mode and the shard count after that drain (a scale-in
+        retires shards as it finishes) to check the new target against.
+        """
+        self._check_live()
+        if mode is None:
+            mode = self.rebalance_mode
+        check_mode(mode)
+        check_batch_keys(batch_keys)
+        pool = self.num_shards
         scheduler = self._scheduler
-        if scheduler is not None and scheduler.active:
-            raise RuntimeError(
-                f"cannot {what}: a fluid rebalance plan is still active "
-                f"(batch {scheduler.next_index + 1}/{scheduler.plan.total_batches}); "
-                f"one active plan at a time — let it drain or call "
-                f"scheduler.drain() first"
-            )
+        if scheduler is not None:
+            if scheduler.unopened_batches():
+                raise RuntimeError(
+                    f"a rebalance plan is still active (batch "
+                    f"{scheduler.next_index + 1}/{scheduler.plan.total_batches}); "
+                    f"one active plan at a time — let it drain or call "
+                    f"drain_rebalance() first"
+                )
+            if scheduler._resize_to is not None:
+                pool = scheduler._resize_to
+        return mode, pool
+
+    def _open_plan(
+        self,
+        assignment: Mapping[int, int],
+        mode: str,
+        batch_keys: int,
+        n_shards: Optional[int] = None,
+    ) -> Tuple[FluidRebalancePlan, RebalanceSession]:
+        """Start an admitted plan toward ``assignment``; open its first batch.
+
+        Mutation begins here: the plan in the way is force-drained, and
+        the new plan is built only from what is read after that.
+        ``n_shards`` makes it a resize: a larger pool is spawned before
+        the plan starts; a smaller one is retired by the scheduler when
+        the last batch drains.  Returns the plan and its first batch's
+        session (an empty one when no bucket changes owner).
+        """
+        t = self._now()
+        if self._scheduler is not None:
+            self._scheduler.drain(t)
+        resize_to: Optional[int] = None
+        if n_shards is not None:
+            if n_shards > self.num_shards:
+                for shard in range(self.num_shards, n_shards):
+                    self._spawn_worker(shard, t)
+                self.partitioner.grow(n_shards)
+            else:
+                resize_to = n_shards
+        moved = self.partitioner.moves_to(assignment)
+        plan = FluidRebalancePlan.build(
+            moved, Counter(self._live_bucket.values()), assignment, mode, batch_keys, t
+        )
+        tracer = self.metrics.tracer
+        if tracer.enabled:
+            data: Dict[str, Any] = {
+                "buckets": len(moved),
+                "batches": plan.total_batches,
+                "batch_keys": batch_keys,
+            }
+            if resize_to is not None:
+                data["resize_to"] = resize_to
+            tracer.rebalance_start(mode, **data)
+        self.rebalances += 1
+        scheduler = RebalanceScheduler(self, plan, resize_to=resize_to)
+        self._scheduler = scheduler
+        session = scheduler.open_next(t)
+        if session is None:  # no bucket changes owner: the target is the current table
+            session = RebalanceSession(mode, {}, started_at=t)
+            scheduler._finish(t)
+        return plan, session
 
     def rebalance(
         self, assignment: Mapping[int, int], mode: Optional[str] = None
     ) -> RebalanceSession:
-        """Adopt a new bucket assignment; move key state per ``mode``."""
-        self._check_live()
-        self._reject_overlapping_plan("rebalance")
-        if mode is None:
-            mode = self.rebalance_mode
-        t = self._now()
-        # Drain any still-pending single session first: routes must not
-        # stack.  (Overlap with a *fluid plan* is rejected above instead —
-        # the scheduler owns multi-batch interleaving; this force-drain
-        # stays reachable for plain back-to-back single-session callers.)
-        previous = self._session
-        if previous is not None:
-            for key in self._ordered(previous.pending):
-                self._complete_key(previous, key, t)
-        moved = self.partitioner.moves_to(assignment)
-        live_by_bucket: Dict[int, List[Any]] = {}
-        for key, bucket in self._live_bucket.items():
-            live_by_bucket.setdefault(bucket, []).append(key)
-        routes = plan_key_routes(moved, live_by_bucket)
-        tracer = self.metrics.tracer
-        if tracer.enabled:
-            tracer.rebalance_start(mode, buckets=len(moved), keys=len(routes))
-        self.partitioner.apply(assignment)
-        self.rebalances += 1
-        session = RebalanceSession(mode, routes, started_at=t)
-        self._session = session
-        if not routes:
-            self._end_session(session, t)
-        elif mode == "eager":
-            for key in self._ordered(routes):
-                self._complete_key(session, key, t)
-        return session
+        """Adopt a new assignment all at once: the one-batch fluid plan.
+
+        Returns that batch's session (already complete when ``mode`` is
+        eager or no live key had to move).
+        """
+        mode, pool = self._admit_plan(mode, 0)
+        self.partitioner.validated(assignment, pool)
+        return self._open_plan(assignment, mode, 0)[1]
 
     def fluid_rebalance(
         self,
         assignment: Mapping[int, int],
         mode: Optional[str] = None,
         batch_keys: int = 1,
-        _resize_to: Optional[int] = None,
     ) -> FluidRebalancePlan:
         """Adopt a new assignment through a granularity-bounded fluid plan.
 
@@ -650,46 +684,12 @@ class ShardedExecutor:
         plan bounds how many keys are simultaneously pending.  The first
         batch opens immediately; each later batch opens on the first
         arrival after its predecessor settles.  Exactly one plan may be
-        active at a time.
+        active at a time (:meth:`_admit_plan`); a bad mode, assignment or
+        ``batch_keys`` raises ``ValueError`` before anything is touched.
         """
-        self._check_live()
-        self._reject_overlapping_plan("start a fluid rebalance")
-        if mode is None:
-            mode = self.rebalance_mode
-        t = self._now()
-        # A still-pending *single* session force-drains, same as rebalance().
-        previous = self._session
-        if previous is not None:
-            for key in self._ordered(previous.pending):
-                self._complete_key(previous, key, t)
-        moved = self.partitioner.moves_to(assignment)
-        live_per_bucket: Dict[int, int] = {}
-        for bucket in self._live_bucket.values():
-            live_per_bucket[bucket] = live_per_bucket.get(bucket, 0) + 1
-        plan = FluidRebalancePlan.build(
-            moved, live_per_bucket, assignment, mode, batch_keys, t
-        )
-        tracer = self.metrics.tracer
-        if tracer.enabled:
-            data: Dict[str, Any] = {
-                "buckets": len(moved),
-                "batches": plan.total_batches,
-                "batch_keys": plan.batch_keys,
-                "fluid": True,
-            }
-            if _resize_to is not None:
-                data["resize_to"] = _resize_to
-            tracer.rebalance_start(mode, **data)
-        self.rebalances += 1
-        scheduler = RebalanceScheduler(self, plan, resize_to=_resize_to)
-        self._scheduler = scheduler
-        if plan.total_batches == 0:
-            # Nothing moves; adopt the target directly and finish the plan.
-            self.partitioner.apply(assignment)
-            scheduler._finish(t)
-        else:
-            scheduler.open_next(t)
-        return plan
+        mode, pool = self._admit_plan(mode, batch_keys)
+        self.partitioner.validated(assignment, pool)
+        return self._open_plan(assignment, mode, batch_keys)[0]
 
     def resize(
         self,
@@ -707,28 +707,16 @@ class ShardedExecutor:
         granularity, lazy/eager completion, per-batch journaling, and
         crash recovery all apply mid-resize.
         """
-        self._check_live()
-        self._reject_overlapping_plan("resize")
         if n_shards <= 0:
             raise ValueError(f"n_shards must be positive, got {n_shards}")
-        old = self.num_shards
-        if n_shards == old:
+        mode, pool = self._admit_plan(mode, batch_keys)
+        if n_shards == pool:
             raise ValueError(f"already at {n_shards} shard(s)")
         target = balanced_assignment(self.partitioner.num_buckets, n_shards)
-        if n_shards > old:
-            t = self._now()
-            for shard in range(old, n_shards):
-                self._spawn_worker(shard, t)
-            self.partitioner.grow(n_shards)
-            return self.fluid_rebalance(target, mode, batch_keys=batch_keys)
-        # Scale-in: keep the retiring workers live while their buckets
-        # drain; the scheduler retires them when the plan completes.
-        return self.fluid_rebalance(
-            target, mode, batch_keys=batch_keys, _resize_to=n_shards
-        )
+        return self._open_plan(target, mode, batch_keys, n_shards)[0]
 
     def drain_rebalance(self) -> None:
-        """Force-complete any in-flight fluid plan or classic session.
+        """Force-complete the in-flight plan, if any.
 
         A lazy plan normally drains through arrivals (just-in-time
         settles plus expiries); call this to finish it at the current
@@ -740,11 +728,6 @@ class ShardedExecutor:
         scheduler = self._scheduler
         if scheduler is not None:
             scheduler.drain(t)
-            return
-        session = self._session
-        if session is not None and not session.complete:
-            for key in self._ordered(session.pending):
-                self._complete_key(session, key, t)
 
     def _spawn_worker(self, shard: int, t: float) -> None:
         """Create (or re-create) the worker for a scale-out shard."""
@@ -768,9 +751,7 @@ class ShardedExecutor:
             worker.transition(self._current_spec)
             self._logs[shard].append("transition", self._current_spec, t)
         if self.telemetry is not None:
-            on_added = getattr(self.telemetry, "on_worker_added", None)
-            if on_added is not None:
-                on_added(shard, worker)
+            self.telemetry.on_worker_added(shard, worker)
 
     def _retire_shards(self, n_shards: int, t: float) -> None:
         """Drop the drained workers above ``n_shards`` after a scale-in."""
@@ -785,14 +766,13 @@ class ShardedExecutor:
             if tracer.enabled:
                 tracer.note("shard_retired", shard=shard, at=t)
             if self.telemetry is not None:
-                on_retired = getattr(self.telemetry, "on_worker_retired", None)
-                if on_retired is not None:
-                    on_retired(shard)
+                self.telemetry.on_worker_retired(shard)
         self.partitioner.shrink(n_shards)
 
-    def _complete_key(self, session: RebalanceSession, key: Any, t: float) -> None:
+    def _complete_key(self, scheduler: RebalanceScheduler, key: Any, t: float) -> None:
         """Move one pending key's state src -> dst by muted replay."""
-        if not session.is_pending(key):
+        session = scheduler.session
+        if session is None or not session.is_pending(key):
             return
         src, dst = session.route_of(key)
         live = list(self._live_by_key.get(key, ()))
@@ -815,25 +795,7 @@ class ShardedExecutor:
         if tracer.enabled:
             tracer.shard_move(key, src, dst, tuples=len(live), muted=muted)
         if session.settle(key):
-            self._end_session(session, t)
-
-    def _end_session(self, session: RebalanceSession, t: float) -> None:
-        if self._session is session:
-            self._session = None
-        scheduler = self._scheduler
-        if scheduler is not None and scheduler.owns(session):
-            # A fluid batch drained: the scheduler emits the batch event
-            # (and the plan-level rebalance_end once the last batch goes).
             scheduler.on_batch_complete(session, t)
-            return
-        tracer = self.metrics.tracer
-        if tracer.enabled:
-            tracer.rebalance_end(
-                session.mode,
-                keys=len(session.routes),
-                settled=len(session.routes) - session.retired,
-                started_at=session.started_at,
-            )
 
     # -- merged output -----------------------------------------------------------------
 

@@ -17,7 +17,7 @@ diffs two assignments into the bucket moves a coordinator must perform.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 #: One bucket move: (bucket, source shard, destination shard).
 BucketMove = Tuple[int, int, int]
@@ -75,18 +75,25 @@ class HashPartitioner:
                 b: b % num_shards for b in range(num_buckets)
             }
         else:
-            self.assignment = self._validated(assignment)
+            self.assignment = self.validated(assignment)
 
-    def _validated(self, assignment: Mapping[int, int]) -> Dict[int, int]:
+    def validated(
+        self, assignment: Mapping[int, int], num_shards: Optional[int] = None
+    ) -> Dict[int, int]:
+        """A checked copy of ``assignment``; changes nothing.  ``num_shards``
+        checks against a pool other than the current one (the one a
+        scale-in still in flight will leave behind)."""
+        if num_shards is None:
+            num_shards = self.num_shards
         if set(assignment) != set(range(self.num_buckets)):
             raise ValueError(
                 f"assignment must cover buckets 0..{self.num_buckets - 1} exactly"
             )
         for bucket, shard in assignment.items():
-            if not 0 <= shard < self.num_shards:
+            if not 0 <= shard < num_shards:
                 raise ValueError(
                     f"bucket {bucket} assigned to shard {shard}, outside "
-                    f"0..{self.num_shards - 1}"
+                    f"0..{num_shards - 1}"
                 )
         return dict(assignment)
 
@@ -108,7 +115,7 @@ class HashPartitioner:
         apply the new assignment — the coordinator applies it once the
         moves are scheduled (:meth:`apply`).
         """
-        validated = self._validated(new_assignment)
+        validated = self.validated(new_assignment)
         return [
             (bucket, src, validated[bucket])
             for bucket, src in sorted(self.assignment.items())
@@ -117,7 +124,7 @@ class HashPartitioner:
 
     def apply(self, new_assignment: Mapping[int, int]) -> None:
         """Adopt ``new_assignment`` as the current routing table."""
-        self.assignment = self._validated(new_assignment)
+        self.assignment = self.validated(new_assignment)
 
     def snapshot(self) -> Dict[int, int]:
         """Copy of the current bucket -> shard table."""

@@ -26,7 +26,7 @@ coordinator's view of shard state.  This module is the sanctioned caller
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, List, Mapping, Set, Tuple
 
 from repro.operators.state import StateStatus
 
@@ -35,6 +35,18 @@ KeyRoute = Tuple[int, int]
 
 #: One bucket move inside a plan: (bucket, source shard, destination shard).
 BucketMove = Tuple[int, int, int]
+
+
+def check_mode(mode: str) -> None:
+    if mode not in ("lazy", "eager"):
+        raise ValueError(f"rebalance mode must be 'lazy' or 'eager', got {mode!r}")
+
+
+def check_batch_keys(batch_keys: int) -> None:
+    if batch_keys < 0:
+        raise ValueError(
+            f"batch_keys must be non-negative (0 = all-at-once), got {batch_keys}"
+        )
 
 
 class ShardMove:
@@ -72,8 +84,7 @@ class RebalanceSession:
     __slots__ = ("mode", "routes", "status", "started_at", "retired")
 
     def __init__(self, mode: str, routes: Dict[Any, KeyRoute], started_at: float):
-        if mode not in ("lazy", "eager"):
-            raise ValueError(f"rebalance mode must be 'lazy' or 'eager', got {mode!r}")
+        check_mode(mode)
         self.mode = mode
         self.routes = dict(routes)
         self.started_at = started_at
@@ -135,8 +146,8 @@ class FluidRebalancePlan:
 
     * ``1`` — per-key moves (finest; longest reconfiguration),
     * ``n`` — batch-of-n key groups,
-    * ``0`` / ``None`` — all-at-once (one batch; the classic session
-      expressed through the scheduler).
+    * ``0`` — all-at-once (one batch; what
+      :meth:`~repro.shard.executor.ShardedExecutor.rebalance` runs).
 
     Buckets are atomic — a bucket's keys always travel together, so a
     batch is a run of consecutive moved buckets whose *live* key count
@@ -153,15 +164,15 @@ class FluidRebalancePlan:
         self,
         target: Mapping[int, int],
         mode: str,
-        batch_keys: Optional[int],
+        batch_keys: int,
         batches: List[List[BucketMove]],
         started_at: float,
     ):
-        if mode not in ("lazy", "eager"):
-            raise ValueError(f"rebalance mode must be 'lazy' or 'eager', got {mode!r}")
+        check_mode(mode)
+        check_batch_keys(batch_keys)
         self.target = dict(target)
         self.mode = mode
-        self.batch_keys = int(batch_keys) if batch_keys else 0
+        self.batch_keys = batch_keys
         self.batches: Tuple[Tuple[BucketMove, ...], ...] = tuple(
             tuple(batch) for batch in batches
         )
@@ -174,7 +185,7 @@ class FluidRebalancePlan:
         live_keys_per_bucket: Mapping[int, int],
         target: Mapping[int, int],
         mode: str,
-        batch_keys: Optional[int],
+        batch_keys: int,
         started_at: float,
     ) -> "FluidRebalancePlan":
         """Group a bucket-move diff (in bucket order) into batches.
@@ -184,24 +195,20 @@ class FluidRebalancePlan:
         at each batch's open time, so these counts only shape the
         decomposition, never correctness.
         """
-        limit = int(batch_keys) if batch_keys else 0
         batches: List[List[BucketMove]] = []
-        if limit <= 0:
-            if moved:
-                batches.append(list(moved))
-        else:
-            current: List[BucketMove] = []
-            current_keys = 0
-            for move in moved:
-                n = int(live_keys_per_bucket.get(move[0], 0))
-                if current and current_keys > 0 and current_keys + n > limit:
-                    batches.append(current)
-                    current = []
-                    current_keys = 0
-                current.append(move)
-                current_keys += n
-            if current:
+        current: List[BucketMove] = []
+        current_keys = 0
+        for move in moved:
+            n = int(live_keys_per_bucket.get(move[0], 0))
+            # batch_keys 0 never splits: all-at-once is the unbounded batch.
+            if batch_keys and current_keys > 0 and current_keys + n > batch_keys:
                 batches.append(current)
+                current = []
+                current_keys = 0
+            current.append(move)
+            current_keys += n
+        if current:
+            batches.append(current)
         return cls(target, mode, batch_keys, batches, started_at)
 
     # -- queries -----------------------------------------------------------------------

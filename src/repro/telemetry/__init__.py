@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING
 
 from repro.telemetry.estimators import (
     ArrivalRateEstimator,
-    DecayedRatio,
     Ewma,
     PageHinkley,
     SampledRate,
@@ -46,8 +45,8 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.telemetry.sketch import SpaceSavingSketch
 
 # The hub (and the sketch it uses) reach into the shard and engine
-# layers, which import repro.plans — whose optimizer imports the leaf
-# estimators above.  Loading them lazily keeps that chain acyclic while
+# layers, and the engine's monitor imports the leaf registry above.
+# Loading them lazily keeps that chain acyclic while
 # `from repro.telemetry import TelemetryTracer` keeps working.
 _LAZY = {
     "ShardTelemetry": ("repro.telemetry.hub", "ShardTelemetry"),
@@ -71,7 +70,6 @@ def __getattr__(name: str):  # PEP 562
 __all__ = [
     "ArrivalRateEstimator",
     "Counter",
-    "DecayedRatio",
     "Ewma",
     "Gauge",
     "Histogram",

@@ -142,43 +142,6 @@ class SampledRate:
         return (c1 - c0) / span
 
 
-class DecayedRatio:
-    """Exponentially decayed hit ratio over batched (probes, hits) updates.
-
-    ``push(n, h)`` first decays both accumulated totals by ``decay`` and
-    then adds the batch, so with ``decay < 1`` old evidence fades and the
-    ratio tracks *drifting* selectivities; ``decay == 1`` degenerates to
-    the lifetime ratio.  This is the estimator behind
-    :class:`repro.plans.optimizer.SelectivityOptimizer` (rebasing it here
-    keeps the optimizer loop on one set of telemetry estimators).
-    """
-
-    __slots__ = ("decay", "probes", "hits")
-
-    def __init__(self, decay: float = 1.0):
-        if not 0 < decay <= 1.0:
-            raise ValueError("decay must be in (0, 1]")
-        self.decay = decay
-        self.probes = 0.0
-        self.hits = 0.0
-
-    def push(self, probes: float, hits: float) -> None:
-        """Fold in one batch of ``probes`` outcomes of which ``hits`` hit."""
-        if probes < 0 or hits < 0:
-            raise ValueError("probes and hits must be non-negative")
-        if self.decay < 1.0:
-            self.probes *= self.decay
-            self.hits *= self.decay
-        self.probes += probes
-        self.hits += hits
-
-    def ratio(self) -> Optional[float]:
-        """Decayed hit ratio, or ``None`` before the first probe."""
-        if self.probes <= 0:
-            return None
-        return self.hits / self.probes
-
-
 class Ewma:
     """Exponentially weighted moving average with bias-corrected start."""
 

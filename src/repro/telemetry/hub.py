@@ -81,15 +81,6 @@ def _operator_label(op: "Operator") -> str:
     return "".join(sorted(op.membership))
 
 
-def _live_plans(strategy: Any) -> List[Any]:
-    """All live physical plans of a strategy (tracks, single plan, or none)."""
-    tracks = getattr(strategy, "tracks", None)
-    if tracks is not None:
-        return [t.plan for t in tracks]
-    plan = getattr(strategy, "plan", None)
-    return [plan] if plan is not None else []
-
-
 class TelemetryTracer(Tracer):
     """Live metrics hub for one engine (or one shard's worker).
 
@@ -262,7 +253,7 @@ class TelemetryTracer(Tracer):
         self._poll_probes()
         sources: List[List[Any]] = []
         seen: set = set()
-        for plan in _live_plans(strategy):
+        for plan in strategy.live_plans():
             for op in plan.operators():
                 if id(op) in seen:
                     continue
@@ -520,7 +511,6 @@ class TelemetryTracer(Tracer):
     def rebalance_start(self, mode: str, **data: Any) -> None:
         self._register_shard_series()
         self._rebalances_total.inc()
-        self._rebalance_pending.set(int(data.get("keys", 0)))
         if self._inner is not None:
             self._inner.rebalance_start(mode, **data)
 

@@ -1,6 +1,9 @@
 """Tests for the ContinuousQuery adaptive facade."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -41,6 +44,21 @@ def test_push_tuple_rejects_stale_seq(schema):
         q.push_tuple(StreamTuple("S", 0, 1))
 
 
+def test_unknown_stream_raises_before_anything_moves(schema):
+    q = ContinuousQuery(schema, ("R", "S", "T"), reoptimize_every=4)
+    q.push("R", 1)
+    with pytest.raises(ValueError, match="unknown stream 'X'"):
+        q.push("X", 1)
+    assert q._next_seq == 1  # the next tuple does not skip a seq ...
+    assert q.engine.arrivals == 1  # ... and the cadence did not tick
+    q.push("S", 1)
+    (result,) = q.push("T", 1)
+    assert sorted(seq for _, seq in result.lineage) == [0, 1, 2]
+    assert not q.engine.decisions
+    q.push("T", 2)  # fourth accepted arrival: the first evaluation
+    assert len(q.engine.decisions) == 1
+
+
 def test_unknown_strategy_rejected(schema):
     with pytest.raises(ValueError):
         ContinuousQuery(schema, ("R", "S", "T"), strategy="eddy")
@@ -58,7 +76,7 @@ def test_probe_statistics_collected(schema):
     assert q.selectivity_of("S") == pytest.approx(0.0)  # R's arrival missed S
 
 
-def test_adaptive_reordering_fires_on_skew(schema):
+def _skewed_run(schema):
     # Stream T rarely matches: the optimizer should move it down the plan.
     rng = random.Random(0)
     q = ContinuousQuery(
@@ -68,9 +86,70 @@ def test_adaptive_reordering_fires_on_skew(schema):
         stream = ("R", "S", "T")[i % 3]
         key = rng.randrange(1000) if stream == "T" else rng.randrange(20)
         q.push(stream, key)
+    return q
+
+
+def test_adaptive_reordering_fires_on_skew(schema):
+    q = _skewed_run(schema)
     assert q.transition_log, "optimizer never proposed a transition"
     # T ends up right after the anchor (most selective at the bottom).
     assert q.order[1] == "T"
+
+
+def test_every_transition_is_a_trigger_event_with_cost_evidence(schema):
+    """The facade has no loop of its own: each entry of its transition log
+    is a fired decision of the engine, published to the hub as a
+    ``trigger`` event carrying the costs it was decided on."""
+    q = _skewed_run(schema)
+    engine = q.engine
+    assert q.transition_log == [(d.at, d.best_order) for d in engine.migrations]
+    assert q.transition_log and q.order == q.transition_log[-1][1]
+    for decision in engine.migrations:
+        assert decision.at % 300 == 0
+        assert decision.current_cost > decision.best_cost > 0
+        assert decision.improvement > 0.1
+    registry = engine.telemetry.registry
+    (fires,) = registry.with_name("optimizer_trigger_fires_total")
+    (evaluations,) = registry.with_name("optimizer_trigger_evaluations_total")
+    assert fires.value == len(q.transition_log)
+    assert evaluations.value == len(engine.decisions) == 3_000 // 300
+    last = engine.decisions[-1]
+    (current,) = registry.with_name("optimizer_cost_current")
+    (best,) = registry.with_name("optimizer_cost_best")
+    assert (current.value, best.value) == (last.current_cost, last.best_cost)
+
+
+_SEED_SCRIPT = """
+import random
+from repro import ContinuousQuery, Schema
+
+rng = random.Random(0)
+q = ContinuousQuery(Schema.uniform(["R", "S", "T"], 50), ("R", "S", "T"), reoptimize_every=300)
+for i in range(3000):
+    stream = ("R", "S", "T")[i % 3]
+    q.push(stream, rng.randrange(1000) if stream == "T" else rng.randrange(20))
+assert q.transition_log
+for decision in q.engine.decisions:
+    print(decision.to_jsonl())
+"""
+
+
+def test_decision_stream_identical_across_hash_seeds():
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _SEED_SCRIPT],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={"PYTHONHASHSEED": seed, "PYTHONPATH": src},
+        ).stdout
+        for seed in ("0", "1", "4242")
+    ]
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0].count('"action": "fired"') >= 1
 
 
 def test_adaptive_run_output_matches_static(schema):

@@ -21,9 +21,11 @@ Three properties pin down the fluid-plan contract
   crash-free run.
 
 Plus deterministic rows: crash-during-batch across all six strategies
-and both resize directions, plan-overlap rejection (one active plan at a
-time) with the classic force-drain path kept reachable, resizes under a
-mid-stream plan transition, and the telemetry/obs surface of a plan.
+and both resize directions, the one-plan-at-a-time rule (a plan with
+unopened batches rejects the next call, a plan down to its open batch is
+force-drained by it — whichever call started either), ``rebalance()`` as
+the one-batch plan, resizes under a mid-stream plan transition, and the
+telemetry/obs surface of a plan.
 """
 
 import random
@@ -263,6 +265,135 @@ def test_classic_force_drain_path_stays_reachable():
     ex.process_batch(tuples[50:])
     got = MultiSet(tuple(sorted(l)) for l in ex.output_lineages())
     assert got == oracle_multiset(0)
+
+
+def test_overlap_rule_reads_the_plan_not_the_call_that_started_it():
+    """A fluid plan down to its open batch is in the same position as a
+    pending ``rebalance()``: the next call force-drains it."""
+    tuples = _tuples(0)
+    # an all-at-once plan started through the fluid call
+    ex = ShardedExecutor(SCHEMA, NAMES, num_shards=2, strategy="jisc")
+    ex.process_batch(tuples[:50])
+    ex.fluid_rebalance(skewed_assignment(64, 0), "lazy", batch_keys=0)
+    first = ex.session
+    assert not first.complete
+    ex.rebalance(balanced_assignment(64, 2), "lazy")
+    assert first.complete
+    # a per-key plan, caught at the arrival that opens its last batch
+    ex = _mid_plan_executor()
+    last = None
+    for i, tup in enumerate(tuples[60:], 61):
+        ex.process(tup)
+        scheduler = ex.scheduler
+        if scheduler is not None and not scheduler.unopened_batches():
+            last = ex.session
+            break
+        with pytest.raises(RuntimeError, match="one active plan at a time"):
+            ex.resize(4)
+    assert last is not None and not last.complete
+    ex.resize(4, "eager")
+    assert last.complete and ex.num_shards == 4
+    ex.process_batch(tuples[i:])
+    ex.drain_rebalance()
+    got = MultiSet(tuple(sorted(l)) for l in ex.output_lineages())
+    assert got == oracle_multiset(0)
+
+
+def _pending_scale_in():
+    """A 4-shard run with a lazy all-at-once scale-in to 2 still open."""
+    ex = ShardedExecutor(SCHEMA, NAMES, num_shards=4, strategy="jisc")
+    ex.process_batch(_tuples(0)[:60])
+    ex.resize(2, "lazy", batch_keys=0)
+    assert ex.session is not None and not ex.session.complete
+    assert ex.num_shards == 4  # the retiring workers are still live
+    return ex
+
+
+def test_force_drained_scale_in_is_the_pool_the_next_plan_starts_from():
+    """Draining a scale-in retires its shards, so the call that drains it
+    is checked against — and built from — the pool that drain leaves."""
+    tuples = _tuples(0)
+    # scale-out over it: every slot above the drained pool is (re)spawned
+    ex = _pending_scale_in()
+    ex.resize(6, "lazy", batch_keys=0)
+    assert ex.num_shards == 6 and ex.retired_shards == set()
+    assert all(worker is not None for worker in ex.workers)
+    ex.process_batch(tuples[60:])
+    ex.drain_rebalance()
+    got = MultiSet(tuple(sorted(l)) for l in ex.output_lineages())
+    assert got == oracle_multiset(0)
+    # a target over the retiring shards, or the pool the drain will leave,
+    # is refused before the drain: nothing moved, the scale-in still open
+    for bad in (
+        lambda ex: ex.fluid_rebalance(balanced_assignment(64, 4)),
+        lambda ex: ex.rebalance(balanced_assignment(64, 4)),
+        lambda ex: ex.resize(2),
+    ):
+        ex = _pending_scale_in()
+        session, rebalances, moves = ex.session, ex.rebalances, len(ex.moves)
+        journals = [list(log) for log in ex._logs]
+        with pytest.raises(ValueError):
+            bad(ex)
+        assert ex.session is session and not session.complete
+        assert (ex.rebalances, len(ex.moves)) == (rebalances, moves)
+        assert ex.num_shards == 4 and ex.retired_shards == set()
+        assert [list(log) for log in ex._logs] == journals
+        ex.process_batch(tuples[60:])
+        ex.drain_rebalance()
+        assert ex.num_shards == 2
+        got = MultiSet(tuple(sorted(l)) for l in ex.output_lineages())
+        assert got == oracle_multiset(0)
+    # a target inside the drained pool is admitted and drains the scale-in
+    ex = _pending_scale_in()
+    ex.fluid_rebalance(skewed_assignment(64, 1), "eager", batch_keys=2)
+    assert ex.num_shards == 2 and ex.retired_shards == {2, 3}
+    ex.process_batch(tuples[60:])
+    ex.drain_rebalance()
+    got = MultiSet(tuple(sorted(l)) for l in ex.output_lineages())
+    assert got == oracle_multiset(0)
+
+
+@pytest.mark.parametrize("mode", ["lazy", "eager"])
+def test_rebalance_is_the_one_batch_fluid_plan(mode):
+    """``rebalance(a, m)`` and ``fluid_rebalance(a, m, batch_keys=0)`` leave
+    identical journals, moves, merged outputs and trace events."""
+    from repro.engine.cost import VirtualClock
+    from repro.engine.metrics import Metrics
+    from repro.obs.tracer import RecordingTracer
+
+    tuples = _tuples(1)
+    target = balanced_assignment(64, 2)
+    runs = []
+    for start in (
+        lambda ex: ex.rebalance(target, mode),
+        lambda ex: ex.fluid_rebalance(target, mode, batch_keys=0),
+    ):
+        clock = VirtualClock(None)
+        tracer = RecordingTracer(clock=clock)
+        ex = ShardedExecutor(
+            SCHEMA, NAMES, num_shards=2, strategy="jisc", inter_arrival=1.0,
+            assignment=skewed_assignment(64, 0),
+            metrics=Metrics(clock=clock, tracer=tracer),
+        )
+        ex.process_batch(tuples[:75])
+        start(ex)
+        assert ex.rebalance_in_progress == (mode == "lazy")
+        ex.process_batch(tuples[75:])
+        ex.drain_rebalance()
+        runs.append(
+            {
+                "journals": [list(log) for log in ex._logs],
+                "moves": [
+                    (m.key, m.src, m.dst, m.tuples_replayed, m.at, m.retired)
+                    for m in ex.moves
+                ],
+                "merged": [(r.sort_key, r.lineage) for r in ex.merged_records()],
+                "events": [ev.to_json() for ev in tracer.events],
+            }
+        )
+    assert runs[0] == runs[1]
+    assert any(kind == "batch" for log in runs[0]["journals"] for kind, _, _ in log)
+    assert runs[0]["moves"] and runs[0]["merged"]
 
 
 def test_fluid_plan_force_drains_pending_classic_session():

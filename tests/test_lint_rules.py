@@ -1163,6 +1163,17 @@ class TestHandleTypestate:
         )
         assert not ids(findings, "JISC010")
 
+    def test_session_returned_in_a_tuple_ok(self):
+        findings = run(
+            """
+            class Exec:
+                def _open_plan(self, spec):
+                    session = RebalanceSession(spec)
+                    return self.plan, session
+            """
+        )
+        assert not ids(findings, "JISC010")
+
     def test_dropped_session_flagged(self):
         findings = run(
             """

@@ -1,124 +1,144 @@
-"""Unit tests for the selectivity-feedback optimizer."""
+"""The re-optimization policy in hand-checkable numbers, on the one loop.
+
+Each claim is stated on the part of ``repro.optimizer`` that decides it:
+the cost model ranks orders, the maintainer gates on evidence, the
+trigger policies damp, the hub's estimators window.  The property suites
+(tests/test_trigger_policies.py, tests/test_telemetry_estimators.py) hold
+the same claims over random inputs; these are the worked examples.
+"""
 
 import pytest
 
-from repro.plans.optimizer import SelectivityOptimizer
+from repro.optimizer import HysteresisTrigger, PlanCostMaintainer, ThresholdTrigger
+from repro.telemetry.estimators import SelectivityDriftDetector
+
+ORDER = ("R", "S", "T")
+
+
+class FixedHub:
+    """Per-stream ``(probes, hits)`` evidence, as a hub would report it."""
+
+    def __init__(self, evidence):
+        self.evidence = evidence
+
+    def poll(self):
+        pass
+
+    def arrival_rates(self):
+        return {}
+
+    def selectivity_sample(self, name):
+        probes, hits = self.evidence.get(name, (0, 0))
+        return (probes, hits / probes) if probes else None
+
+
+def snapshot(evidence, order=ORDER, min_samples=10):
+    hub = FixedHub({"R": (100, 50), **evidence})
+    return PlanCostMaintainer(order, [hub], min_samples=min_samples).refresh(at=0)
 
 
 def test_no_proposal_without_evidence():
-    opt = SelectivityOptimizer(min_probes=100)
-    opt.observe("S", 10, 5)
-    assert opt.propose(("R", "S", "T")) is None
+    snap = snapshot({"S": (10, 5)}, min_samples=100)  # nothing on T at all
+    assert not snap.ready and snap.best_order == ORDER
+    decision = ThresholdTrigger(0.0).decide(snap, at=0)
+    assert not decision.fired and decision.reason == "warming_up"
 
 
 def test_selectivity_requires_min_probes():
-    opt = SelectivityOptimizer(min_probes=100)
-    opt.observe("S", 99, 10)
-    assert opt.selectivity("S") is None
-    opt.observe("S", 1, 0)
-    assert opt.selectivity("S") == pytest.approx(0.1)
+    assert not snapshot({"S": (99, 10), "T": (100, 50)}, min_samples=100).ready
+    snap = snapshot({"S": (100, 10), "T": (100, 50)}, min_samples=100)
+    assert snap.ready and snap.selectivities["S"] == pytest.approx(0.1)
 
 
 def test_proposes_sort_by_ascending_selectivity():
-    opt = SelectivityOptimizer(min_probes=10, tolerance=0.05)
-    opt.observe("S", 100, 90)  # very unselective
-    opt.observe("T", 100, 10)  # selective
-    proposed = opt.propose(("R", "S", "T"))
-    assert proposed == ("R", "T", "S")
+    snap = snapshot({"S": (100, 90), "T": (100, 10)})  # S unselective, T selective
+    assert snap.best_order == ("R", "T", "S")
+    decision = ThresholdTrigger(0.05).decide(snap, at=0)
+    assert decision.fired and decision.best_order == ("R", "T", "S")
 
 
 def test_keeps_anchor_stream():
-    opt = SelectivityOptimizer(min_probes=10, tolerance=0.0)
-    opt.observe("S", 100, 80)
-    opt.observe("T", 100, 20)
-    proposed = opt.propose(("R", "S", "T"))
-    assert proposed[0] == "R"
+    # the anchor is never a probe target, whatever its own match rate is
+    for anchor_hits in (1, 99):
+        snap = snapshot({"R": (100, anchor_hits), "S": (100, 80), "T": (100, 20)})
+        assert snap.best_order == ("R", "T", "S")
 
 
 def test_tolerance_suppresses_marginal_reorderings():
-    opt = SelectivityOptimizer(min_probes=10, tolerance=0.5)
-    opt.observe("S", 100, 30)
-    opt.observe("T", 100, 20)  # only 0.1 inversion: below tolerance
-    assert opt.propose(("R", "S", "T")) is None
+    snap = snapshot({"S": (100, 30), "T": (100, 20)})  # cost 1.3 -> 1.2: 7.7 % better
+    assert snap.improvement == pytest.approx(0.1 / 1.3)
+    assert ThresholdTrigger(0.5).decide(snap, at=0).reason == "below_threshold"
+    assert ThresholdTrigger(0.05).decide(snap, at=0).fired
 
 
 def test_already_sorted_returns_none():
-    opt = SelectivityOptimizer(min_probes=10)
-    opt.observe("S", 100, 10)
-    opt.observe("T", 100, 90)
-    assert opt.propose(("R", "S", "T")) is None
+    snap = snapshot({"S": (100, 10), "T": (100, 90)})
+    assert snap.best_order == ORDER and snap.improvement == 0.0
+    assert not ThresholdTrigger(0.0).decide(snap, at=0).fired
 
 
 def test_observe_accumulates():
-    opt = SelectivityOptimizer(min_probes=10)
-    opt.observe("S", 5, 5)
-    opt.observe("S", 5, 0)
-    assert opt.selectivity("S") == pytest.approx(0.5)
+    det = SelectivityDriftDetector(window=100)
+    det.push_block(5, 5)
+    det.push_block(5, 0)
+    assert (det.count, det.estimate()) == (10, pytest.approx(0.5))
 
 
 def test_rejects_negative_observations():
-    opt = SelectivityOptimizer()
+    det = SelectivityDriftDetector()
     with pytest.raises(ValueError):
-        opt.observe("S", -1, 0)
+        det.push_block(-1, 0)
     with pytest.raises(ValueError):
-        opt.observe("S", 1, -1)
+        det.push_block(1, -1)
 
 
 def test_rejects_negative_tolerance():
     with pytest.raises(ValueError):
-        SelectivityOptimizer(tolerance=-0.1)
+        ThresholdTrigger(min_improvement=-0.1)
+    with pytest.raises(ValueError):
+        HysteresisTrigger(min_improvement=-0.1)
 
 
 def test_decay_tracks_drift():
-    # With decay, old evidence fades: a stream that was unselective for a
+    # Old evidence leaves the window: a stream that was unselective for a
     # long time but recently became selective flips quickly.
-    decayed = SelectivityOptimizer(min_probes=10, decay=0.5)
-    sticky = SelectivityOptimizer(min_probes=10, decay=1.0)
-    for opt in (decayed, sticky):
-        for _ in range(20):
-            opt.observe("S", 100, 90)  # long unselective history
-        for _ in range(3):
-            opt.observe("S", 100, 0)  # recent: highly selective
-    assert decayed.selectivity("S") < 0.2
-    assert sticky.selectivity("S") > 0.5
+    det = SelectivityDriftDetector(window=300, block=100)
+    for _ in range(20):
+        det.push_block(100, 90)  # long unselective history
+    for _ in range(3):
+        det.push_block(100, 0)  # recent: highly selective
+    assert det.estimate() < 0.2
+    assert det.lifetime() > 0.5
 
 
 def test_decay_validation():
-    import pytest as _pytest
+    with pytest.raises(ValueError):
+        SelectivityDriftDetector(window=0)
+    with pytest.raises(ValueError):
+        SelectivityDriftDetector(window=10, block=11)
+    with pytest.raises(ValueError):
+        HysteresisTrigger(cooldown=-1)
+    with pytest.raises(ValueError):
+        HysteresisTrigger(confirm=0)
 
-    with _pytest.raises(ValueError):
-        SelectivityOptimizer(decay=0.0)
-    with _pytest.raises(ValueError):
-        SelectivityOptimizer(decay=1.5)
-    with _pytest.raises(ValueError):
-        SelectivityOptimizer(cooldown=-1)
+
+def _fires_under_flapping(cooldown, rounds=40):
+    """S and T trade places every evaluation; the order follows each fire."""
+    policy = HysteresisTrigger(min_improvement=0.0, confirm=1, cooldown=cooldown)
+    order, fires = ORDER, 0
+    for at in range(rounds):
+        s, t = (90, 10) if at % 2 else (10, 90)
+        decision = policy.decide(snapshot({"S": (100, s), "T": (100, t)}, order), at=at)
+        if decision.fired:
+            fires += 1
+            order = decision.best_order
+    return fires
 
 
 def test_cooldown_suppresses_thrashing():
-    # Section 5.1.2: fluctuating selectivities must not cause a proposal
-    # storm.  With a cooldown, only one proposal per window is accepted.
-    opt = SelectivityOptimizer(min_probes=5, tolerance=0.0, cooldown=10)
-    order = ("R", "S", "T")
-    proposals = 0
-    flip = False
-    for round_ in range(40):
-        # selectivities flip every round: S and T keep trading places
-        s_sel, t_sel = (90, 10) if flip else (10, 90)
-        flip = not flip
-        opt.observe("S", 100, s_sel)
-        opt.observe("T", 100, t_sel)
-        proposal = opt.propose(order)
-        if proposal is not None:
-            proposals += 1
-            order = proposal
-    assert proposals <= 8  # without cooldown this would be ~40
+    # Section 5.1.2: fluctuating selectivities must not cause a migration storm.
+    assert _fires_under_flapping(cooldown=10) <= 4
 
 
 def test_cooldown_zero_behaves_as_before():
-    opt = SelectivityOptimizer(min_probes=10, tolerance=0.0, cooldown=0)
-    opt.observe("S", 100, 90)
-    opt.observe("T", 100, 10)
-    assert opt.propose(("R", "S", "T")) == ("R", "T", "S")
-    opt.observe("S", 100, 0)
-    opt.observe("T", 100, 100)
-    assert opt.propose(("R", "T", "S")) is not None
+    assert _fires_under_flapping(cooldown=0) == 39  # every evaluation after the first

@@ -11,6 +11,7 @@ import pytest
 
 from repro.engine.executor import TransitionEvent
 from repro.migration.jisc import JISCStrategy
+from repro.migration.mjoin import MJoinExecutor
 from repro.optimizer import (
     AdaptiveEngine,
     CostSnapshot,
@@ -122,6 +123,11 @@ class TestLiveStateSize:
             cacq.process(tup)
         assert live_state_size(cacq) == sum(len(s) for s in cacq.stems.values())
 
+    def test_plan_less_executors_have_no_live_plans(self):
+        assert make_strategy("cacq", SCHEMA, NAMES).live_plans() == []
+        mjoin = MJoinExecutor(SCHEMA, NAMES)
+        assert mjoin.live_plans() == [] and live_state_size(mjoin) == 0
+
     def test_sharded_sums_workers(self):
         ex = ShardedExecutor(SCHEMA, NAMES, num_shards=2, strategy="jisc")
         events = list(drift_events(60))
@@ -137,8 +143,9 @@ class TestCurrentOrder:
         assert current_order(make_strategy("stairs", SCHEMA, NAMES)) == NAMES
         ex = ShardedExecutor(SCHEMA, NAMES, num_shards=2, strategy="jisc")
         assert current_order(ex) == NAMES
+        # MJoin has no plan, routing or initial spec: callers pass order=.
         with pytest.raises(TypeError):
-            current_order(object())
+            current_order(MJoinExecutor(SCHEMA, NAMES))
 
 
 class TestAdaptiveEngineMechanics:
@@ -169,6 +176,25 @@ class TestAdaptiveEngineMechanics:
         assert engine.order == ("A", "C", "B")
         assert engine.maintainer.order == ("A", "C", "B")
         assert engine.fire_count == 0  # forced, not adaptive
+
+    def test_run_leaves_shard_events_to_the_sharded_target(self):
+        from repro.shard import RebalanceEvent, ResizeEvent, skewed_assignment
+
+        events = list(drift_events(90))
+        events.insert(60, ResizeEvent(3, "eager"))
+        events.insert(30, RebalanceEvent(skewed_assignment(64, 1), "eager", batch_keys=2))
+        ex = ShardedExecutor(SCHEMA, NAMES, num_shards=2, strategy="jisc")
+        engine = AdaptiveEngine(ex, policy=NeverTrigger(), hub_options=HUB_OPTIONS)
+        engine.run(events)
+        assert (engine.arrivals, ex.rebalances, ex.num_shards) == (90, 2, 3)
+        with pytest.raises(TypeError, match="not a shard event"):
+            engine.run(["nonsense"])
+        single = AdaptiveEngine(
+            JISCStrategy(SCHEMA, NAMES), policy=NeverTrigger(), hub_options=HUB_OPTIONS
+        )
+        with pytest.raises(TypeError, match="JISCStrategy is not sharded.*RebalanceEvent"):
+            single.run(events)
+        assert single.arrivals == 30  # everything before the event went through
 
     def test_trigger_state_round_trip(self):
         engine = AdaptiveEngine(

@@ -85,6 +85,24 @@ def test_old_plan_discarded_after_windows_turn_over(schema):
     assert st.live_track_count() == 1
 
 
+def test_live_plans_are_the_tracks_and_nothing_else(schema):
+    """One answer to "which plans are live" for telemetry, the monitor and
+    the optimizer: a discarded plan stops counting as live state."""
+    from repro.optimizer.cost import live_state_size
+
+    st = ParallelTrackStrategy(schema, ORDER, purge_check_interval=1)
+    feed(st, round_robin(9, key_fn=lambda i: 0))  # joining keys: states fill
+    old = st.plan
+    assert st.live_plans() == [old]
+    st.transition(SWAPPED)
+    assert st.live_plans() == [t.plan for t in st.tracks] and len(st.live_plans()) == 2
+    feed(st, round_robin(30, key_fn=lambda i: 100 + i, start=100))
+    (survivor,) = st.live_plans()
+    assert survivor is not old
+    assert sum(len(op.state) for op in old.operators()) > 0  # held, but dead
+    assert live_state_size(st) == sum(len(op.state) for op in survivor.operators())
+
+
 def test_purge_checks_are_counted(schema):
     st = ParallelTrackStrategy(schema, ORDER, purge_check_interval=1)
     feed(st, round_robin(6))

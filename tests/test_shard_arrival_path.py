@@ -101,15 +101,39 @@ def traced_executor(schema, **options):
     return ex, tracer
 
 
-def test_rebalance_end_counts_settled_keys_per_session():
+#: The all-at-once call, and the fluid call at two granularities.
+PLAN_CALLS = {
+    "rebalance": lambda ex, target: ex.rebalance(target, "eager"),
+    "fluid-all": lambda ex, target: ex.fluid_rebalance(target, "eager", batch_keys=0),
+    "fluid-per-key": lambda ex, target: ex.fluid_rebalance(target, "eager", batch_keys=1),
+}
+
+
+def check_rebalance_end_counts_settled_keys(call):
     schema = Schema.uniform(NAMES, 8)
     ex, tracer = traced_executor(schema, assignment=skewed_assignment(64, 0))
     for seq, key in enumerate((1, 2, 3)):
         ex.process(StreamTuple("A", seq, key))
-    ex.rebalance(skewed_assignment(64, 1), "eager")
-    ex.rebalance(skewed_assignment(64, 0), "eager")
+    PLAN_CALLS[call](ex, skewed_assignment(64, 1))
+    ex.drain_rebalance()
+    PLAN_CALLS[call](ex, skewed_assignment(64, 0))
+    ex.drain_rebalance()
     ends = tracer.as_trace().of_kind(EVENT_REBALANCE_END)
     assert [(ev.data["keys"], ev.data["settled"]) for ev in ends] == [(3, 3), (3, 3)]
+    # one event shape, whichever call started the plan
+    batches = 3 if call == "fluid-per-key" else 1
+    assert [(ev.data["batches"], ev.data["batch_keys"]) for ev in ends] == [
+        (batches, batches // 3)
+    ] * 2
+
+
+def test_rebalance_end_counts_settled_keys_per_session():
+    check_rebalance_end_counts_settled_keys("rebalance")
+
+
+@pytest.mark.parametrize("call", ["fluid-all", "fluid-per-key"])
+def test_fluid_rebalance_end_counts_settled_keys_the_same_way(call):
+    check_rebalance_end_counts_settled_keys(call)
 
 
 def test_rebalance_end_excludes_retired_keys_from_settled():
@@ -122,6 +146,64 @@ def test_rebalance_end_excludes_retired_keys_from_settled():
     (end,) = tracer.as_trace().of_kind(EVENT_REBALANCE_END)
     assert (end.data["keys"], end.data["settled"]) == (2, 1)
     assert [m.retired for m in ex.moves] == [True, False]
+
+
+# -- a bad rebalance call fails before touching state ---------------------------------
+
+BAD_PLAN_CALLS = {
+    "rebalance-mode": lambda ex: ex.rebalance(skewed_assignment(64, 0), "bogus"),
+    "fluid-mode": lambda ex: ex.fluid_rebalance(skewed_assignment(64, 0), "bogus"),
+    "resize-mode": lambda ex: ex.resize(4, "bogus"),
+    "fluid-batch-keys": lambda ex: ex.fluid_rebalance(skewed_assignment(64, 0), batch_keys=-3),
+    "resize-batch-keys": lambda ex: ex.resize(4, batch_keys=-1),
+    "rebalance-assignment": lambda ex: ex.rebalance({0: 9}),
+}
+
+
+@pytest.mark.parametrize("call", sorted(BAD_PLAN_CALLS))
+def test_bad_rebalance_call_fails_before_touching_state(call):
+    """Mode, granularity and assignment are checked before the first
+    mutation — including the force-drain of the lazy plan that is still
+    pending here — and the run stays oracle-equal afterwards."""
+    from repro.testing.naive import NaiveJoinOracle
+
+    schema, tuples = workload()
+    oracle = NaiveJoinOracle(schema, NAMES)
+    for tup in tuples:
+        oracle.process(tup)
+    ex, tracer = traced_executor(schema)
+    ex.process_batch(tuples[:100])
+    pending = ex.rebalance(skewed_assignment(64, 1), "lazy")
+    assert not pending.complete
+
+    def plan_state():
+        return (
+            ex.partitioner.snapshot(),
+            ex.num_shards,
+            len(ex.workers),
+            ex.rebalances,
+            ex.session,
+            ex.pending_keys(),
+            journal(ex),
+            len(ex.moves),
+            len(tracer.events),
+        )
+
+    before = plan_state()
+    with pytest.raises(ValueError):
+        BAD_PLAN_CALLS[call](ex)
+    assert plan_state() == before
+    assert ex.session is pending
+    ex.process_batch(tuples[100:])
+    ex.drain_rebalance()
+    got = MultiSet(tuple(sorted(lineage)) for lineage in ex.output_lineages())
+    assert got == MultiSet(oracle.output_lineages())
+
+
+def test_rebalance_event_rejects_a_negative_granularity():
+    with pytest.raises(ValueError, match="batch_keys"):
+        RebalanceEvent(skewed_assignment(64, 0), batch_keys=-1)
+    assert RebalanceEvent(skewed_assignment(64, 0)).batch_keys == 0  # all-at-once
 
 
 # -- nothing long-lived per arrival --------------------------------------------------

@@ -328,42 +328,3 @@ class TestEstimatorEdgeCases:
         # Four full-window blocks later the oversized one is gone.
         assert det.count == 64
         assert det.estimate() == pytest.approx(1.0)
-
-
-class TestDecayedRatio:
-    def test_empty_ratio_is_none(self):
-        from repro.telemetry import DecayedRatio
-
-        assert DecayedRatio().ratio() is None
-
-    def test_decay_one_is_lifetime_ratio(self):
-        from repro.telemetry import DecayedRatio
-
-        est = DecayedRatio(decay=1.0)
-        est.push(10, 5)
-        est.push(10, 1)
-        assert est.ratio() == pytest.approx(6 / 20)
-
-    def test_decay_tracks_drift_faster_than_lifetime(self):
-        from repro.telemetry import DecayedRatio
-
-        fast = DecayedRatio(decay=0.5)
-        life = DecayedRatio(decay=1.0)
-        for _ in range(20):
-            fast.push(10, 9)
-            life.push(10, 9)
-        for _ in range(5):
-            fast.push(10, 1)
-            life.push(10, 1)
-        assert fast.ratio() < 0.2  # decayed: dominated by the new regime
-        assert life.ratio() > 0.5  # lifetime: still anchored to the old
-
-    def test_validation(self):
-        from repro.telemetry import DecayedRatio
-
-        with pytest.raises(ValueError):
-            DecayedRatio(decay=0.0)
-        with pytest.raises(ValueError):
-            DecayedRatio(decay=1.5)
-        with pytest.raises(ValueError):
-            DecayedRatio().push(-1, 0)
