@@ -19,7 +19,7 @@ plan:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.completion import complete_value_left_deep, complete_value_recursive
 from repro.core.freshness import FreshnessRegistry
@@ -54,7 +54,10 @@ class JISCController:
         self.metrics = metrics
         self.freshness = FreshnessRegistry()
         self.info: Dict[Operator, JISCStateInfo] = {}
-        self.incomplete_ops: Set[BinaryOperator] = set()
+        # Sorted by membership and replaced, never mutated, on every change:
+        # the expiry hook walks it in a run-independent order (a set's
+        # varies with the hash seed) and may complete operators as it goes.
+        self.incomplete_ops: List[BinaryOperator] = []
         self.plan: Optional[PhysicalPlan] = None
         self.current_fresh = True
         self.current_part: Optional[Tuple[str, int]] = None
@@ -80,20 +83,37 @@ class JISCController:
     # -- plan wiring -----------------------------------------------------------
 
     def attach(self, plan: PhysicalPlan) -> None:
-        """Install hooks on ``plan``'s operators and adopt it as current."""
+        """Install hooks on ``plan``'s operators and adopt it as current.
+
+        Idempotent; call again after changing statuses from outside (a
+        checkpoint restore) so that :attr:`incomplete_ops` is re-derived.
+        """
         self.plan = plan
         self._use_left_deep = plan.is_left_deep() and not self.force_recursive
         for op in plan.internal:
             if hasattr(op, "completion_hook"):
                 op.completion_hook = self._completion_hook
+        self.incomplete_ops = sorted(
+            (op for op in plan.internal if not op.state.status.complete),
+            key=lambda op: sorted(op.membership),
+        )
+        self._wire_expiry(plan)
+
+    def _wire_expiry(self, plan: PhysicalPlan) -> None:
+        """Install the window-slide hooks while some state is incomplete.
+
+        Section 4.4's removal optimization: an expiring tuple is attempted
+        iff its value arrived on its stream since the last transition, and
+        may then stop at the first state without a match; a fresh one keeps
+        clearing through incomplete states (Section 4.2).  Both hooks only
+        ever act on incomplete states, so they come off with the last
+        completion: between migrations an eviction pays for neither.
+        """
+        busy = bool(self.incomplete_ops)
+        fresh_fn = self.freshness.check if busy and self.expiry_optimization else None
         for scan in plan.scans.values():
-            scan.fresh_fn = (
-                self._expired_tuple_is_fresh if self.expiry_optimization else None
-            )
-            scan.expire_hook = self._on_expiry
-        self.incomplete_ops = {
-            op for op in plan.internal if not op.state.status.complete
-        }
+            scan.fresh_fn = fresh_fn
+            scan.expire_hook = self._on_expiry if busy else None
 
     # -- arrival path ----------------------------------------------------------
 
@@ -190,7 +210,9 @@ class JISCController:
 
     def _mark_complete(self, op: BinaryOperator) -> None:
         op.state.status.mark_complete()
-        self.incomplete_ops.discard(op)
+        self.incomplete_ops = [o for o in self.incomplete_ops if o is not op]
+        if not self.incomplete_ops and self.plan is not None:
+            self._wire_expiry(self.plan)
         self.info.pop(op, None)
         self._notify_parent(op)
 
@@ -282,12 +304,6 @@ class JISCController:
 
     # -- window expiry ------------------------------------------------------------
 
-    def _expired_tuple_is_fresh(self, tup: StreamTuple) -> bool:
-        """Section 4.4's removal optimization: attempted expiring tuples may
-        stop at the first state without a match; fresh ones keep clearing
-        through incomplete states (Section 4.2)."""
-        return self.freshness.is_fresh_value(tup.stream, tup.key)
-
     def _on_expiry(self, tup: StreamTuple) -> None:
         """Retire pending values whose pre-transition support expired.
 
@@ -299,9 +315,7 @@ class JISCController:
         would keep the state incomplete forever).
         """
         key = tup.key
-        # Sorted by membership so retire/complete decisions happen in a
-        # run-independent order (set iteration order varies with hash seed).
-        for op in sorted(self.incomplete_ops, key=lambda o: sorted(o.membership)):
+        for op in self.incomplete_ops:
             status = op.state.status
             if status.pending is None or key not in status.pending:
                 continue

@@ -20,6 +20,10 @@ from typing import Any, Dict
 from repro.streams.tuples import StreamTuple
 
 
+#: What a stream nothing arrived on yet has seen (a miss allocates nothing).
+_NEVER_SEEN: Dict[Any, int] = {}
+
+
 class FreshnessRegistry:
     """Per-stream last-arrival tracking against the latest transition."""
 
@@ -47,12 +51,15 @@ class FreshnessRegistry:
         tests/test_expiry_optimization_soundness.py for why this ordering
         is load-bearing).
         """
-        prev = self._last_seen.get(tup.stream, {}).get(tup.key)
+        prev = self._last_seen.get(tup.stream, _NEVER_SEEN).get(tup.key)
         return prev is None or prev < self.last_transition_seq
 
     def record(self, tup: StreamTuple) -> None:
         """Register ``tup``'s arrival (after its processing cascade ended)."""
-        self._last_seen.setdefault(tup.stream, {})[tup.key] = tup.seq
+        seen = self._last_seen.get(tup.stream)
+        if seen is None:
+            seen = self._last_seen[tup.stream] = {}
+        seen[tup.key] = tup.seq
 
     def observe(self, tup: StreamTuple) -> bool:
         """Check-and-record in one step (for callers without a cascade)."""
@@ -68,7 +75,7 @@ class FreshnessRegistry:
         stream after the last transition, in which case removal may stop at
         complete-looking states.
         """
-        prev = self._last_seen.get(stream, {}).get(key)
+        prev = self._last_seen.get(stream, _NEVER_SEEN).get(key)
         return prev is None or prev < self.last_transition_seq
 
     def forget_stream(self, stream: str) -> None:

@@ -82,7 +82,6 @@ def perform_jisc_transition(
         info = controller.info.pop(op, None)
         if info is not None:
             old_info[op.identity] = info
-    controller.incomplete_ops.clear()
 
     # Internal nodes are listed children-first (post-order), so counters can
     # be initialized bottom-up.
@@ -118,9 +117,7 @@ def perform_jisc_transition(
             op.state.status.complete = False
             controller.init_pending(op)
 
-    controller.incomplete_ops = {
-        op for op in new_plan.internal if not op.state.status.complete
-    }
+    controller.attach(new_plan)
     controller.freshness.note_transition(transition_seq)
     tracer = metrics.tracer
     if tracer.enabled:
@@ -131,7 +128,4 @@ def perform_jisc_transition(
             new_states=len(new_plan.internal) - len(adopted),
             incomplete=len(controller.incomplete_ops),
         )
-    controller.attach(new_plan)
-    # Re-derive incomplete set after attach (attach recomputes it from the
-    # plan, which is identical, but keeps one source of truth).
     return new_plan

@@ -315,9 +315,7 @@ def restore_strategy(data: Dict[str, Any]) -> MigrationStrategy:
                     frozenset(row["reference_child"])
                 )
             controller.info[op] = info
-        controller.incomplete_ops = {
-            op for op in plan.internal if not op.state.status.complete
-        }
+        controller.attach(plan)
 
     # Pending queue backlog (format v2; buffered strategies only).
     scheduler = getattr(strategy, "scheduler", None)

@@ -53,6 +53,11 @@ class Counter:
     )
 
 
+#: The ops of the scan / hash-join pipeline, in ``count_pipeline``'s argument order.
+PIPELINE_OPS = (Counter.HASH_INSERT, Counter.TUPLE_EMIT, Counter.HASH_PROBE, Counter.STATE_REMOVE)
+_INSERT, _EMIT, _PROBE, _REMOVE = PIPELINE_OPS
+
+
 class Metrics:
     """Mutable bag of operation counters with an optional virtual clock.
 
@@ -115,6 +120,43 @@ class Metrics:
                 clock.now += clock.default * n
         if self.tracer.wants_counts:
             self.tracer.on_count(op, n)
+
+    def count_pipeline(
+        self, now: float, inserts: int, emits: int, probes: int, removes: int
+    ) -> int:
+        """Record the pipeline ops a fused kernel tallied (``operators.fused``).
+
+        ``now`` is the kernel's copy of the clock, advanced by each op's cost
+        *in execution order*: the sink stamps outputs mid-cascade and float
+        addition does not reassociate, so the copy replaces ``clock.now``
+        instead of being re-derived from the tallies.  Nothing may have read
+        or advanced the clock since the kernel loaded its copy.  Returns 0,
+        what every tally restarts from.
+        """
+        counts = self.counts
+        if inserts:
+            try:
+                counts[_INSERT] += inserts
+            except KeyError:
+                counts[_INSERT] = inserts
+        if emits:
+            try:
+                counts[_EMIT] += emits
+            except KeyError:
+                counts[_EMIT] = emits
+        if probes:
+            try:
+                counts[_PROBE] += probes
+            except KeyError:
+                counts[_PROBE] = probes
+        if removes:
+            try:
+                counts[_REMOVE] += removes
+            except KeyError:
+                counts[_REMOVE] = removes
+        if self.clock is not None:
+            self.clock.now = now
+        return 0
 
     def get(self, op: str) -> int:
         return self.counts.get(op, 0)

@@ -1,0 +1,245 @@
+"""Fused per-leaf kernels: the dispatch of one leaf's root path, compiled.
+
+:func:`compile_leaf` derives two closures from the operators on a leaf's
+root path: ``arrive`` (window push, expiry cascade, scan insert, one fused
+level per join) and ``expire`` (the removal cascade alone).  What is fused
+is the dispatch, nothing else — the operator classes stay the definition: a
+level calls the same ``HashState`` methods, bumps the same probe tallies and
+calls the same hooks at the same points as ``JoinOperator.process`` /
+``Operator.remove``.  The fused prefix ends at the first ancestor that is
+not exactly a :class:`SymmetricHashJoin` fed synchronously; results and
+removals reach it through the last fused operator's ``emit`` /
+``emit_removal``.  Accounting, and what a kernel may close over:
+docs/PERFORMANCE.md, "Fused arrival path".
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left
+from typing import TYPE_CHECKING, Any, Callable, List, NamedTuple, Optional, Tuple
+
+from repro.engine.cost import VirtualClock
+from repro.engine.metrics import PIPELINE_OPS
+from repro.operators.base import Operator
+from repro.operators.joins import JoinOperator, SymmetricHashJoin
+from repro.streams.tuples import CompositeTuple, StreamTuple
+from repro.streams.window import SlidingWindow
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.operators.scan import StreamScan
+
+#: One fused join level; which of its tuples is a base tuple and which a
+#: composite is pinned by :func:`_assembly`, not by types.
+Level = Callable[[Any], None]
+Streams = Optional[Tuple[str, ...]]
+
+
+class Kernel(NamedTuple):
+    """One leaf's compiled ``StreamScan.insert`` and ``StreamScan._expire``."""
+
+    arrive: Callable[[StreamTuple], None]
+    expire: Callable[[StreamTuple], None]
+
+
+# How a level assembles ``CompositeTuple.of(tup, match)``.
+_OF, _PAIR, _TUP_INTO_MATCH, _MATCH_INTO_TUP = range(4)
+
+
+def _entry_streams(op: Operator) -> Streams:
+    """Sorted streams of ``op``'s entries; ``None`` unless everything below
+    is a join or a scan (a set-difference passes on outer tuples only,
+    whatever its membership says)."""
+    if op.kind == "scan" or (
+        isinstance(op, JoinOperator) and _entry_streams(op.left) and _entry_streams(op.right)
+    ):
+        return tuple(sorted(op.membership))
+    return None
+
+
+def _assembly(tup_streams: Streams, match_streams: Streams) -> Tuple[int, int]:
+    """``(how, position)``: where the one-part side goes into the other's
+    sorted parts, found once instead of by ``of``'s scan on every call."""
+    if not tup_streams or not match_streams:
+        return _OF, 0
+    if len(tup_streams) == 1:
+        how = _PAIR if len(match_streams) == 1 else _TUP_INTO_MATCH
+        return how, bisect_left(match_streams, tup_streams[0])
+    if len(match_streams) == 1:
+        return _MATCH_INTO_TUP, bisect_left(tup_streams, match_streams[0])
+    return _OF, 0
+
+
+def compile_leaf(scan: "StreamScan") -> Kernel:
+    """Compile ``scan``'s root path as wired right now; kept as ``scan.fused``."""
+    metrics = scan.metrics
+    clock = metrics.clock if metrics.clock is not None else VirtualClock()
+    c_insert, c_emit, c_probe, c_remove = (
+        clock.costs.get(op, clock.default) for op in PIPELINE_OPS
+    )
+    # Tallies and a copy of the clock, advanced as ``Metrics.count`` would and
+    # handed over before every hook call, every hand-off and on exit.
+    # ``flush`` returns 0: hand over and reset in one statement.
+    flush = metrics.count_pipeline
+    inserts = emits = probes = removes = 0
+    now = 0.0
+    of = CompositeTuple.of
+
+    def fuse(
+        join: SymmetricHashJoin, opposite: Operator, how: int, i: int, up: Optional[Level]
+    ) -> Level:
+        """``join.process`` of the other child's tuples, and each result's ``emit``."""
+        get_view = opposite.state.get_view
+        opposite_status = opposite.state.status
+        own_status = join.state.status
+        add = join.state.add
+        hand_off = join.emit
+
+        def level(tup: Any) -> None:
+            nonlocal inserts, emits, probes, removes, now
+            if not opposite_status.complete and join.completion_hook is not None:
+                inserts = emits = probes = removes = flush(now, inserts, emits, probes, removes)
+                join.completion_hook(tup, join, opposite)
+                now = clock.now
+            probes += 1
+            now += c_probe
+            key = tup.key
+            matches = get_view(key)
+            opposite.probes += 1
+            if matches:
+                opposite.hits += 1
+                for match in matches:
+                    if how == _MATCH_INTO_TUP:
+                        parts, ident = tup.parts, tup.ident
+                        result = CompositeTuple(
+                            key,
+                            parts[:i] + (match,) + parts[i:],
+                            ident[:i] + (match.seq,) + ident[i:],
+                        )
+                    elif how == _PAIR:
+                        a, b = (match, tup) if i else (tup, match)
+                        result = CompositeTuple(key, (a, b), (a.seq, b.seq))
+                    elif how == _TUP_INTO_MATCH:
+                        parts, ident = match.parts, match.ident
+                        result = CompositeTuple(
+                            key,
+                            parts[:i] + (tup,) + parts[i:],
+                            ident[:i] + (tup.seq,) + ident[i:],
+                        )
+                    else:
+                        result = of(tup, match)
+                    if not add(result):
+                        continue
+                    inserts += 1
+                    now += c_insert
+                    if up is None:
+                        inserts = emits = probes = removes = flush(
+                            now, inserts, emits, probes, removes
+                        )
+                        hand_off(result)
+                        now = clock.now
+                    else:
+                        emits += 1
+                        now += c_emit
+                        up(result)
+            if not own_status.complete and join.completion_hook is not None:
+                inserts = emits = probes = removes = flush(now, inserts, emits, probes, removes)
+                join.completion_hook(tup, join, join)
+                now = clock.now
+
+        return level
+
+    # The fused prefix: every ancestor that is exactly a symmetric hash join
+    # counting on the same metrics and fed synchronously by its child.
+    specs: List[Tuple[SymmetricHashJoin, Operator, int, int]] = []
+    last: Operator = scan
+    streams: Streams = (scan.stream,)  # of what ``last`` emits
+    while (
+        type(last.parent) is SymmetricHashJoin
+        and last.scheduler is None
+        and last.parent.metrics is metrics
+    ):
+        join = last.parent
+        opposite = join.opposite(last)
+        matched = _entry_streams(opposite)
+        specs.append((join, opposite, *_assembly(streams, matched)))
+        streams = tuple(sorted(streams + matched)) if streams and matched else None
+        last = join
+    first: Optional[Level] = None
+    for spec in reversed(specs):
+        first = fuse(*spec, first)
+    removal_path = tuple((j.state.remove_with_part, j.state.status) for j, *_ in specs)
+
+    stream = scan.stream
+    window = scan.window
+    push = window.push if isinstance(window, SlidingWindow) else None
+    push_all = window.push_all
+    add = scan.state.add
+    remove_entry = scan.state.remove_entry
+    hand_off = scan.emit
+    hand_off_removal = last.emit_removal
+
+    def expire(evicted: StreamTuple) -> None:
+        """``StreamScan._expire``, then ``Operator.remove`` up the prefix."""
+        nonlocal inserts, emits, probes, removes, now
+        now = clock.now
+        try:
+            remove_entry(evicted)
+            removes += 1
+            now += c_remove
+            fresh = True
+            if scan.fresh_fn is not None:
+                inserts = emits = probes = removes = flush(now, inserts, emits, probes, removes)
+                fresh = scan.fresh_fn(evicted)
+                now = clock.now
+            part = (evicted.stream, evicted.seq)
+            for remove_with_part, status in removal_path:
+                probes += 1
+                now += c_probe
+                n = len(remove_with_part(part))
+                if n:
+                    removes += n
+                    now += c_remove * n
+                elif status.complete or not fresh:
+                    break
+            else:
+                inserts = emits = probes = removes = flush(now, inserts, emits, probes, removes)
+                hand_off_removal(part, fresh)
+                now = clock.now
+            if scan.expire_hook is not None:
+                inserts = emits = probes = removes = flush(now, inserts, emits, probes, removes)
+                scan.expire_hook(evicted)
+        finally:
+            # With nothing tallied ``now`` may be stale (a hook or hand-off
+            # advanced the clock, then raised before the reload): not written.
+            if inserts or emits or probes or removes:
+                inserts = emits = probes = removes = flush(now, inserts, emits, probes, removes)
+
+    def arrive(tup: StreamTuple) -> None:
+        nonlocal inserts, emits, probes, removes, now
+        if tup.stream != stream:
+            return scan.insert(tup)  # raises, before touching the window
+        if push is None:
+            for evicted in push_all(tup):
+                expire(evicted)
+        else:
+            evicted = push(tup)
+            if evicted is not None:
+                expire(evicted)
+        now = clock.now
+        try:
+            add(tup)
+            inserts += 1
+            now += c_insert
+            if first is None:
+                inserts = emits = probes = removes = flush(now, inserts, emits, probes, removes)
+                hand_off(tup)
+            else:
+                emits += 1
+                now += c_emit
+                first(tup)
+        finally:
+            if inserts or emits or probes or removes:  # as in ``expire``
+                inserts = emits = probes = removes = flush(now, inserts, emits, probes, removes)
+
+    scan.fused = Kernel(arrive, expire)
+    return scan.fused

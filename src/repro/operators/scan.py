@@ -17,6 +17,7 @@ from repro.streams.tuples import AnyTuple
 
 from repro.engine.metrics import Counter, Metrics
 from repro.operators.base import Operator
+from repro.operators.fused import Kernel
 from repro.streams.tuples import StreamTuple
 from repro.streams.window import SlidingWindow, TimeSlidingWindow
 
@@ -48,6 +49,12 @@ class StreamScan(Operator):
         # Called with the evicted tuple after the removal cascade finished;
         # the JISC controller uses it to retire pending completion values.
         self.expire_hook: Optional[Callable[[StreamTuple], None]] = None
+        # This leaf's root path as ``PhysicalPlan.feed`` had ``operators.fused``
+        # compile it after the first arrival (``build_plan`` resets it with the
+        # parent).  Its doors, ``feed`` and :meth:`evict`, run it unless the
+        # pipeline is queued or the tracer wants every op counted on its own —
+        # read per call, so attaching such a tracer mid-run just works.
+        self.fused: Optional[Kernel] = None
 
     @property
     def membership(self) -> frozenset:
@@ -83,7 +90,11 @@ class StreamScan(Operator):
         """
         if not self.window.discard(tup):
             return False
-        self._expire(tup)
+        kernel = self.fused
+        if kernel is None or self.scheduler is not None or self.metrics.tracer.wants_counts:
+            self._expire(tup)
+        else:
+            kernel.expire(tup)
         return True
 
     def _expire(self, evicted: StreamTuple) -> None:

@@ -17,6 +17,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.metrics import Metrics
 from repro.operators.base import BinaryOperator, Operator
+from repro.operators.fused import compile_leaf
 from repro.operators.joins import SymmetricHashJoin
 from repro.operators.scan import StreamScan
 from repro.operators.sink import OutputSink
@@ -52,8 +53,19 @@ class PhysicalPlan:
         }
 
     def feed(self, tup: StreamTuple) -> None:
-        """Route an arriving base tuple to its stream's scan."""
-        self.scans[tup.stream].insert(tup)
+        """Route an arriving base tuple to its stream's scan.
+
+        A leaf's first arrival under a wiring runs the operators themselves
+        and compiles the leaf's fused kernel for the arrivals after it.
+        """
+        scan = self.scans[tup.stream]
+        if scan.scheduler is not None or scan.metrics.tracer.wants_counts:
+            scan.insert(tup)
+        elif scan.fused is None:
+            scan.insert(tup)
+            compile_leaf(scan)
+        else:
+            scan.fused.arrive(tup)
 
     def operators(self) -> List[Operator]:
         """All operators: scans then internal nodes (children first)."""
@@ -106,6 +118,7 @@ def build_plan(
                 scans[node] = scan
             else:
                 scan.parent = None
+                scan.fused = None
             return scan
         left = instantiate(node[0])
         right = instantiate(node[1])

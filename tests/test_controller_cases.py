@@ -135,3 +135,26 @@ def test_current_part_tracks_arrival(schema):
     tup = StreamTuple("A", 0, 1)
     st.process(tup)
     assert st.controller.current_part == ("A", 0)
+
+
+def test_expiry_hooks_are_installed_only_while_a_state_is_incomplete():
+    """The window-slide hooks only ever act on incomplete states: they are
+    on from a transition that leaves one until the last completion, and an
+    eviction between migrations pays for neither."""
+    schema = Schema.uniform(["A", "B", "C", "D"], window=1)
+    st = JISCStrategy(schema, ("A", "B", "C", "D"))
+
+    def hooks():
+        return {(s.fresh_fn is not None, s.expire_hook is not None) for s in st.plan.scans.values()}
+
+    assert hooks() == {(False, False)}
+    feed(st, make_tuples([("A", 1), ("C", 1), ("B", 7), ("D", 7)]))
+    st.transition(("A", "C", "B", "D"))
+    assert st.incomplete_state_count() > 0 and hooks() == {(True, True)}
+    # window 1: the next C evicts the only pre-transition support of value
+    # 1, which retires it and completes AC, the last incomplete state
+    feed(st, [StreamTuple("C", 10, 5), StreamTuple("A", 11, 6), StreamTuple("B", 12, 6)])
+    assert st.incomplete_state_count() == 0 and hooks() == {(False, False)}
+    # an overlapped transition puts them back
+    st.transition(("D", "B", "A", "C"))
+    assert st.incomplete_state_count() > 0 and hooks() == {(True, True)}

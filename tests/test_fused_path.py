@@ -1,0 +1,634 @@
+"""The fused arrival path against the generic one, with no knob to pick a side.
+
+An untraced engine feeds and evicts through the kernels of
+``repro.operators.fused``; an engine with a ``RecordingTracer`` attached
+needs every counted op reported on its own and so runs the operator
+classes' ``insert`` / ``process`` / ``remove``.  The same events through
+both must leave the same outputs in the same order, ``output_times`` bit
+for bit, ``Metrics.counts``, ``clock.now``, probe tallies and state
+contents — for every plan-based strategy, every plan shape and forced
+transitions in mid-stream.  Join plans are also checked against
+``NaiveJoinOracle``, which shares no code with either path.
+"""
+
+import random
+from collections import Counter as MultiSet
+
+import hypothesis.strategies as hst
+import pytest
+from hypothesis import given, settings
+
+from repro.engine.cost import CostModel, VirtualClock
+from repro.engine.executor import TransitionEvent, interleave_transitions, run_events
+from repro.engine.metrics import Counter, Metrics
+from repro.engine.queued import BufferedJISCStrategy, QueueScheduler
+from repro.migration.base import StaticPlanExecutor, hybrid_join_factory
+from repro.migration.jisc import JISCStrategy
+from repro.migration.moving_state import MovingStateStrategy
+from repro.migration.parallel_track import ParallelTrackStrategy
+from repro.obs.tracer import RecordingTracer
+from repro.operators.fused import compile_leaf
+from repro.operators.joins import JoinOperator, SymmetricHashJoin
+from repro.operators.scan import StreamScan
+from repro.operators.setdiff import SetDifference
+from repro.operators.sink import OutputSink
+from repro.operators.unary import GroupByCount, Select
+from repro.plans.build import build_plan
+from repro.plans.spec import left_deep
+from repro.shard import RebalanceEvent, ShardedExecutor, skewed_assignment
+from repro.streams.schema import Schema
+from repro.streams.tuples import StreamTuple
+from repro.testing.naive import join_oracle_lineages
+
+NAMES = ("A", "B", "C", "D")
+BUSHY = (("A", "B"), ("C", "D"))
+
+
+def arrivals(n, names=NAMES, n_keys=4, seed=3):
+    rng = random.Random(seed)
+    return [StreamTuple(rng.choice(names), seq, rng.randrange(n_keys)) for seq in range(n)]
+
+
+def monotone_setdiff(left, right, metrics):
+    return SetDifference(left, right, metrics, reappear_on_inner_expiry=False)
+
+
+def setdiff_under_root(left, right, metrics):
+    """``((A - B) JOIN C) JOIN D``: a set-difference below two hash joins."""
+    if left.membership | right.membership == {"A", "B"}:
+        return SetDifference(left, right, metrics)
+    return SymmetricHashJoin(left, right, metrics)
+
+
+def tops():
+    return [
+        lambda child, metrics: Select(child, lambda tup: tup.key != 1, metrics),
+        lambda child, metrics: GroupByCount(child, metrics),
+    ]
+
+
+def fused_leaves(strategy):
+    return [
+        scan
+        for plan in strategy.live_plans()
+        for scan in plan.scans.values()
+        if scan.fused is not None
+    ]
+
+
+def observe(strategy):
+    """Everything the two paths must agree on."""
+    metrics = strategy.metrics
+    plans = []
+    for plan in strategy.live_plans():
+        ops = {}
+        for op in plan.operators():
+            status = op.state.status
+            ops["".join(sorted(op.membership)) + ":" + op.kind] = (
+                op.probes,
+                op.hits,
+                [entry.lineage for entry in op.state.entries()],
+                status.complete,
+                None if status.pending is None else sorted(status.pending),
+            )
+        windows = {name: [t.seq for t in scan.window] for name, scan in plan.scans.items()}
+        plans.append((ops, windows, list(plan.sink.retractions)))
+    return {
+        "outputs": strategy.output_lineages(),
+        "output_times": list(strategy.output_times),
+        "counts": dict(metrics.counts),
+        "now": metrics.clock.now if metrics.clock is not None else None,
+        "plans": plans,
+        "tops": [
+            (top.counts if isinstance(top, GroupByCount) else None, len(top.state))
+            for top in getattr(strategy, "tops", ())
+        ],
+    }
+
+
+def drive(strategy, events, per_tuple):
+    if not per_tuple:
+        run_events(strategy, events)
+        return
+    for event in events:
+        if isinstance(event, TransitionEvent):
+            strategy.transition(event.new_spec)
+        else:
+            strategy.process(event)
+
+
+def run_both(make, events, per_tuple=False):
+    """``(fused strategy, traced strategy)`` after the same ``events``."""
+    fused = make()
+    traced = make()
+    tracer = RecordingTracer()
+    tracer.attach(traced)
+    drive(fused, events, per_tuple)
+    drive(traced, events, per_tuple)
+    if isinstance(events[-1], StreamTuple):  # a new plan has no kernel before its first feed
+        assert fused_leaves(fused), "the untraced engine never compiled a kernel"
+    assert not fused_leaves(traced), "a RecordingTracer run took the fused path"
+    assert tracer.counts_total() == traced.metrics.counts
+    return fused, traced
+
+
+def assert_agree(fused, traced):
+    want = observe(traced)
+    got = observe(fused)
+    for what in want:
+        assert got[what] == want[what], what
+
+
+# -- the matrix ------------------------------------------------------------------
+
+#: name -> (schema, initial spec, strategy keyword options, transition targets)
+SHAPES = {
+    "left_deep": (Schema.uniform(NAMES, 6), NAMES, {}, [("D", "C", "B", "A"), ("B", "D", "A", "C")]),
+    "bushy": (Schema.uniform(NAMES, 6), BUSHY, {}, [(("A", "C"), ("B", "D")), NAMES]),
+    "hybrid_nl": (
+        Schema.uniform(NAMES, 6),
+        NAMES,
+        {"op_factory": hybrid_join_factory({"C"})},
+        [("C", "A", "B", "D"), ("A", "B", "D", "C")],
+    ),
+    "unary_tops": (
+        Schema.uniform(NAMES, 6),
+        NAMES,
+        {"top_factories": tops()},
+        [("C", "D", "A", "B"), ("B", "A", "D", "C")],
+    ),
+    "time_windows": (
+        Schema.uniform(NAMES, 9, window_kind="time"),
+        NAMES,
+        {},
+        [("D", "B", "A", "C"), ("C", "A", "D", "B")],
+    ),
+    "setdiff_chain": (
+        Schema.uniform(NAMES, 6),
+        NAMES,
+        {"op_factory": monotone_setdiff},
+        [("A", "D", "B", "C"), ("A", "C", "D", "B")],
+    ),
+    "setdiff_under_root": (
+        Schema.uniform(NAMES, 6),
+        NAMES,
+        {"op_factory": setdiff_under_root},
+        [],
+    ),
+}
+
+STRATEGIES = {
+    "static": StaticPlanExecutor,
+    "jisc": JISCStrategy,
+    "moving_state": MovingStateStrategy,
+    "parallel_track": ParallelTrackStrategy,
+}
+
+
+def applicable(strategy, shape):
+    if strategy == "parallel_track":
+        # its constructor takes neither an operator factory nor tops
+        return not SHAPES[shape][2]
+    if strategy == "moving_state":
+        # the eager rebuild is defined for joins only
+        return not shape.startswith("setdiff")
+    return True
+
+
+CASES = [
+    (strategy, shape)
+    for strategy in sorted(STRATEGIES)
+    for shape in sorted(SHAPES)
+    if applicable(strategy, shape)
+]
+
+
+def schedule(shape, tuples):
+    """Forced transitions mid-stream; the second and third overlap (the
+    states the second left incomplete are still incomplete at the third)."""
+    _, initial, _, targets = SHAPES[shape]
+    if not targets:
+        return list(tuples)
+    n = len(tuples)
+    return interleave_transitions(
+        tuples,
+        [(n // 4, targets[0]), (n // 2, targets[1]), (n // 2 + 2, initial), (n // 2 + 2, targets[0])],
+    )
+
+
+@pytest.mark.parametrize("per_tuple", [False, True], ids=["batch", "per_tuple"])
+@pytest.mark.parametrize("strategy,shape", CASES)
+def test_fused_and_traced_paths_agree(strategy, shape, per_tuple):
+    schema, initial, options, _ = SHAPES[shape]
+    tuples = arrivals(160)
+    events = schedule(shape, tuples)
+    fused, traced = run_both(
+        lambda: STRATEGIES[strategy](schema, initial, **options), events, per_tuple
+    )
+    assert_agree(fused, traced)
+    if shape in ("left_deep", "bushy", "hybrid_nl"):
+        assert MultiSet(fused.output_lineages()) == MultiSet(
+            join_oracle_lineages(schema, NAMES, tuples)
+        )
+
+
+def test_static_executor_is_fused_for_hash_joins_only():
+    """The fused prefix ends at the first ancestor that is not exactly a
+    symmetric hash join; the leaf below it still has a kernel."""
+    strategy = StaticPlanExecutor(
+        Schema.uniform(NAMES, 6), NAMES, op_factory=hybrid_join_factory({"C"})
+    )
+    run_events(strategy, arrivals(40))
+    assert len(fused_leaves(strategy)) == 4
+    assert strategy.metrics.get(Counter.NL_COMPARE) > 0
+
+
+@hst.composite
+def random_run(draw):
+    names = NAMES[: draw(hst.integers(min_value=2, max_value=4))]
+
+    def spec():
+        perm = list(draw(hst.permutations(list(names))))
+
+        def build(parts):
+            if len(parts) == 1:
+                return parts[0]
+            cut = draw(hst.integers(min_value=1, max_value=len(parts) - 1))
+            return (build(parts[:cut]), build(parts[cut:]))
+
+        return build(perm)
+
+    n = draw(hst.integers(min_value=10, max_value=90))
+    tuples = [
+        StreamTuple(draw(hst.sampled_from(names)), seq, draw(hst.integers(0, 4)))
+        for seq in range(n)
+    ]
+    transitions = sorted(
+        ((draw(hst.integers(0, n)), spec()) for _ in range(draw(hst.integers(0, 4)))),
+        key=lambda pair: pair[0],
+    )
+    window = draw(hst.integers(min_value=1, max_value=7))
+    strategy = draw(hst.sampled_from(sorted(STRATEGIES)))
+    return names, spec(), window, tuples, transitions, strategy
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_run())
+def test_random_plans_and_schedules_agree(run):
+    names, initial, window, tuples, transitions, strategy = run
+    schema = Schema.uniform(names, window)
+    events = interleave_transitions(tuples, transitions)
+    fused, traced = run_both(lambda: STRATEGIES[strategy](schema, initial), events)
+    assert_agree(fused, traced)
+    assert MultiSet(fused.output_lineages()) == MultiSet(
+        join_oracle_lineages(schema, names, tuples)
+    )
+
+
+# -- the sharded path --------------------------------------------------------------
+
+
+def test_sharded_executor_fused_and_traced_agree():
+    """Workers feed and evict through the same two doors; a fluid rebalance
+    replays moved keys (truncating the sink lists) in between."""
+    names = ("A", "B", "C")
+    schema = Schema.uniform(names, 8)
+    tuples = arrivals(300, names, n_keys=9, seed=11)
+    events = (
+        tuples[:120]
+        + [RebalanceEvent(skewed_assignment(64, 1), "lazy", batch_keys=2)]
+        + tuples[120:200]
+        + [TransitionEvent(("C", "A", "B"))]
+        + tuples[200:]
+    )
+
+    def make(traced):
+        executor = ShardedExecutor(schema, names, num_shards=3, inter_arrival=1.0)
+        if traced:
+            for worker in executor.workers:
+                RecordingTracer().attach(worker.metrics)
+        executor.run(events)
+        executor.drain_rebalance()
+        return executor
+
+    fused, traced = make(False), make(True)
+    assert fused.output_lineages() == traced.output_lineages()
+    assert any(m.tuples_replayed for m in fused.moves)
+    # every key ends up on shard 1: only its new plan is fed after the transition
+    assert fused_leaves(fused.workers[1].strategy)
+    for ours, theirs in zip(fused.workers, traced.workers):
+        assert not fused_leaves(theirs.strategy)
+        assert_agree(ours.strategy, theirs.strategy)
+    assert MultiSet(fused.output_lineages()) == MultiSet(
+        join_oracle_lineages(schema, names, tuples)
+    )
+
+
+def test_coordinator_driven_evict_uses_the_compiled_expiry():
+    schema = Schema.uniform(NAMES, 1 << 40)
+    tuples = arrivals(60)
+
+    def make(traced):
+        strategy = JISCStrategy(schema, NAMES)
+        if traced:
+            RecordingTracer().attach(strategy)
+        for i, tup in enumerate(tuples):
+            strategy.process(tup)
+            if i >= 12:
+                old = tuples[i - 12]
+                assert strategy.plan.scans[old.stream].evict(old) is True
+        assert strategy.plan.scans["A"].evict(tuples[0]) is False
+        return strategy
+
+    assert_agree(make(False), make(True))
+
+
+# -- attaching a tracer mid-run ------------------------------------------------------
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_tracer_attached_mid_run_keeps_phase_counts_exact(strategy):
+    """docs/OBSERVABILITY.md's zero-perturbation guarantee: whatever the
+    fused arrivals counted before the tracer came is credited on attach, and
+    from then on the generic path reports every op."""
+    schema = Schema.uniform(NAMES, 6)
+    tuples = arrivals(160)
+    events = interleave_transitions(
+        tuples, [(40, ("D", "C", "B", "A")), (110, ("B", "D", "A", "C"))]
+    )
+    reference = STRATEGIES[strategy](schema, NAMES)
+    RecordingTracer().attach(reference)
+    run_events(reference, events)
+
+    late = STRATEGIES[strategy](schema, NAMES)
+    run_events(late, events[:70])
+    assert fused_leaves(late)
+    tracer = RecordingTracer()
+    tracer.attach(late)
+    run_events(late, events[70:])
+    assert tracer.counts_total() == late.metrics.counts
+    assert_agree(late, reference)
+
+
+# -- which leaves get a kernel ---------------------------------------------------------
+
+
+def test_buffered_strategy_never_compiles_a_kernel():
+    schema = Schema.uniform(NAMES, 6)
+    strategy = BufferedJISCStrategy(schema, NAMES)
+    events = interleave_transitions(arrivals(80), [(30, ("D", "C", "B", "A"))])
+    run_events(strategy, events)
+    strategy.plan.scans["A"].evict(next(iter(strategy.plan.scans["A"].window)))
+    assert not fused_leaves(strategy)
+    assert strategy.metrics.get(Counter.QUEUE_OP) > 0
+    reference = run_events(StaticPlanExecutor(schema, NAMES), events)
+    assert MultiSet(strategy.output_lineages()) == MultiSet(reference.output_lineages())
+
+
+def test_install_scheduler_after_first_feed_goes_back_to_the_queues():
+    """A buffered strategy is wired in its constructor; one that is re-wired
+    by hand after it ran untraced must not keep feeding past its queues
+    (both doors read ``scan.scheduler`` per call)."""
+    schema = Schema.uniform(NAMES, 6)
+    tuples = arrivals(80)
+    strategy = BufferedJISCStrategy(schema, NAMES)
+    for op in strategy.plan.operators():
+        op.scheduler = None
+    for tup in tuples[:40]:
+        strategy.process(tup)
+    assert len(fused_leaves(strategy)) == len(NAMES)
+    assert strategy.metrics.get(Counter.QUEUE_OP) == 0
+    strategy.install_scheduler(QueueScheduler(strategy.metrics))
+    for tup in tuples[40:]:
+        strategy.process(tup)
+    strategy.plan.scans["A"].evict(next(iter(strategy.plan.scans["A"].window)))
+    # every hop of the second half went through a queue: none ran a kernel
+    buffered = BufferedJISCStrategy(schema, NAMES)
+    for tup in tuples[40:]:
+        buffered.process(tup)
+    assert strategy.metrics.get(Counter.QUEUE_OP) >= buffered.metrics.get(Counter.QUEUE_OP) > 0
+    reference = run_events(StaticPlanExecutor(schema, NAMES), tuples)
+    assert MultiSet(strategy.output_lineages()) == MultiSet(reference.output_lineages())
+
+
+def test_install_tops_after_first_feed_reaches_the_new_tops():
+    """The kernels leave the prefix through ``emit`` / ``emit_removal``, which
+    read ``parent`` per call: tops installed over a fed plan see what follows."""
+
+    def run(traced):
+        strategy = JISCStrategy(Schema.uniform(NAMES, 6), NAMES)
+        if traced:
+            RecordingTracer().attach(strategy)
+        tuples = arrivals(80)
+        run_events(strategy, tuples[:40])
+        strategy.tops = [GroupByCount(strategy.plan.root, strategy.metrics)]
+        strategy._install_tops()
+        run_events(strategy, tuples[40:])
+        return strategy
+
+    fused, traced = run(False), run(True)
+    assert len(fused_leaves(fused)) == len(NAMES) and not fused_leaves(traced)
+    assert sum(fused.tops[0].counts.values()) > 0
+    assert_agree(fused, traced)
+
+
+def test_a_leafs_first_arrival_runs_the_operators_and_the_rest_the_kernel(monkeypatch):
+    """``PhysicalPlan.feed``: the kernel is compiled after the leaf's first
+    arrival under a wiring, which ``StreamScan.insert`` handles itself."""
+    seen = []
+    generic = JoinOperator.process
+
+    def spy(self, tup, child):
+        seen.append(tup)
+        generic(self, tup, child)
+
+    monkeypatch.setattr(JoinOperator, "process", spy)
+    strategy = StaticPlanExecutor(Schema.uniform(NAMES, 6), NAMES)
+    tuples = arrivals(80)
+    run_events(strategy, tuples)
+    firsts = {name: next(t for t in tuples if t.stream == name) for name in NAMES}
+    assert [t for t in seen if isinstance(t, StreamTuple)] == sorted(
+        firsts.values(), key=lambda t: t.seq
+    )
+    assert len(fused_leaves(strategy)) == len(NAMES) and len(strategy.outputs) > 0
+
+
+def test_transition_compiles_new_kernels_around_adopted_states():
+    schema = Schema.uniform(NAMES, 6)
+    strategy = JISCStrategy(schema, NAMES)
+    run_events(strategy, arrivals(40))
+    before = {scan.stream: scan.fused for scan in fused_leaves(strategy)}
+    strategy.transition(("D", "C", "B", "A"))
+    assert not fused_leaves(strategy)
+    strategy.process(StreamTuple("A", 1000, 1))
+    (scan,) = fused_leaves(strategy)
+    assert scan.stream == "A" and scan.fused is not before["A"]
+
+
+# -- fail-loud edges ---------------------------------------------------------------------
+
+
+def test_wrong_stream_raises_before_touching_the_window(metrics):
+    plan = build_plan(("A", "B"), Schema.uniform(("A", "B"), 2), metrics)
+    plan.feed(StreamTuple("A", 0, 1))
+    scan = plan.scans["A"]
+    stranger = StreamTuple("B", 1, 1)
+    with pytest.raises(ValueError) as generic:
+        scan.insert(stranger)
+    with pytest.raises(ValueError) as fused:
+        scan.fused.arrive(stranger)
+    assert str(fused.value) == str(generic.value)
+    assert [t.seq for t in scan.window] == [0]
+    assert metrics.counts == {Counter.HASH_INSERT: 1, Counter.TUPLE_EMIT: 1, Counter.HASH_PROBE: 1}
+
+
+class Boom(Exception):
+    pass
+
+
+def run_until_hook_raises(traced):
+    """A completion hook that raises in the middle of an arrival's cascade,
+    once every leaf of the new plan had its first arrival (the one that runs
+    the operators themselves even untraced)."""
+    schema = Schema.uniform(NAMES, 6)
+    strategy = JISCStrategy(schema, NAMES)
+    if traced:
+        RecordingTracer().attach(strategy)
+    run_events(strategy, arrivals(60, n_keys=12))
+    strategy.transition(("D", "C", "B", "A"))
+    calls = []
+    raise_at = [None]
+
+    def hook(tup, join, opposite):
+        calls.append("".join(sorted(opposite.membership)))
+        if len(calls) == raise_at[0]:
+            raise Boom()
+        strategy.controller._completion_hook(tup, join, opposite)
+
+    for op in strategy.plan.internal:
+        op.completion_hook = hook
+    tuples = arrivals(40, n_keys=12, seed=9)
+    warm = next(n for n in range(40) if {t.stream for t in tuples[:n]} == set(NAMES))
+    run_events(strategy, tuples[:warm])
+    raise_at[0] = len(calls) + 5
+    with pytest.raises(Boom):
+        run_events(strategy, tuples[warm:])
+    return strategy, calls
+
+
+def test_hook_raising_mid_cascade_leaves_the_generic_paths_accounting():
+    fused, fused_calls = run_until_hook_raises(traced=False)
+    traced, traced_calls = run_until_hook_raises(traced=True)
+    assert fused_calls == traced_calls and len(fused_calls) > 5
+    assert len(fused_leaves(fused)) == len(NAMES) and not fused_leaves(traced)
+    assert_agree(fused, traced)
+
+
+def test_expire_hook_raising_after_advancing_the_clock_is_not_overwritten():
+    """The kernel's clock copy is stale once a hook it called counted
+    something and raised; leaving through the eviction door must not write
+    it back over what the hook left."""
+
+    def run(traced):
+        strategy = StaticPlanExecutor(Schema.uniform(NAMES, 1 << 40), NAMES)
+        if traced:
+            RecordingTracer().attach(strategy)
+        tuples = arrivals(40)
+        run_events(strategy, tuples)
+
+        def hook(evicted):
+            strategy.metrics.count(Counter.PURGE_CHECK)
+            raise Boom()
+
+        victim = tuples[5]
+        scan = strategy.plan.scans[victim.stream]
+        scan.expire_hook = hook
+        with pytest.raises(Boom):
+            scan.evict(victim)
+        return strategy
+
+    fused, traced = run(False), run(True)
+    assert fused_leaves(fused) and not fused_leaves(traced)
+    assert fused.metrics.get(Counter.PURGE_CHECK) == 1
+    assert_agree(fused, traced)
+
+
+def test_arity_error_from_state_add_leaves_the_generic_paths_accounting():
+    def run(traced):
+        metrics = Metrics(clock=VirtualClock())
+        if traced:
+            RecordingTracer().attach(metrics)
+        plan = build_plan(left_deep(NAMES), Schema.uniform(NAMES, 6), metrics)
+        for tup in arrivals(50):
+            plan.feed(tup)
+        # an entry of another membership: the next result does not fit
+        plan.state_of("ABC").clear()
+        plan.state_of("ABC").add(StreamTuple("A", 999, 0))
+        with pytest.raises(ValueError, match="does not fit"):
+            for tup in arrivals(50, seed=4):
+                plan.feed(StreamTuple(tup.stream, 100 + tup.seq, tup.key))
+        return metrics, plan
+
+    (fused, fused_plan), (traced, traced_plan) = run(False), run(True)
+    assert any(scan.fused for scan in fused_plan.scans.values())
+    assert fused.counts == traced.counts
+    assert fused.clock.now == traced.clock.now
+    assert fused_plan.sink.output_times == traced_plan.sink.output_times
+
+
+def test_metrics_without_a_clock_tally_only():
+    def run(traced):
+        metrics = Metrics(clock=None)
+        if traced:
+            RecordingTracer().attach(metrics)
+        plan = build_plan(left_deep(NAMES), Schema.uniform(NAMES, 6), metrics)
+        for tup in arrivals(120):
+            plan.feed(tup)
+        return metrics, plan
+
+    (fused, fused_plan), (traced, traced_plan) = run(False), run(True)
+    assert all(scan.fused for scan in fused_plan.scans.values())
+    assert fused.clock is None and fused.counts == traced.counts
+    assert fused_plan.sink.output_times == traced_plan.sink.output_times
+    assert fused_plan.sink.output_lineages() == traced_plan.sink.output_lineages()
+
+
+def test_op_missing_from_the_cost_table_costs_the_default():
+    class Sparse(CostModel):
+        """A model whose table lacks the pipeline's ops: they cost ``default``."""
+
+        def table(self):
+            return {Counter.OUTPUT: 0.5, Counter.HASH_PROBE: 1.0}
+
+    def run(traced):
+        metrics = Metrics(clock=VirtualClock(Sparse(default=0.7)))
+        if traced:
+            RecordingTracer().attach(metrics)
+        plan = build_plan(left_deep(NAMES), Schema.uniform(NAMES, 6), metrics)
+        for tup in arrivals(120):
+            plan.feed(tup)
+        return metrics, plan
+
+    (fused, fused_plan), (traced, traced_plan) = run(False), run(True)
+    assert fused.counts == traced.counts
+    assert fused.clock.now == traced.clock.now
+    assert fused_plan.sink.output_times == traced_plan.sink.output_times
+    inserts = fused.get(Counter.HASH_INSERT)
+    assert inserts and fused.clock.now > 0.7 * inserts
+
+
+def test_hand_built_operators_on_other_metrics_are_not_fused():
+    """A join counting on a different ``Metrics`` ends the fused prefix."""
+    ours, theirs = Metrics(clock=VirtualClock()), Metrics(clock=VirtualClock())
+    a, b = StreamScan("A", 4, ours), StreamScan("B", 4, ours)
+    join = SymmetricHashJoin(a, b, theirs)
+    OutputSink(theirs).attach(join)
+    for scan, tup in ((a, StreamTuple("A", 0, 1)), (b, StreamTuple("B", 1, 1))):
+        compile_leaf(scan).arrive(tup)
+    assert ours.counts == {Counter.HASH_INSERT: 2, Counter.TUPLE_EMIT: 2}
+    assert theirs.counts == {
+        Counter.HASH_PROBE: 2,
+        Counter.HASH_INSERT: 1,
+        Counter.TUPLE_EMIT: 1,
+        Counter.OUTPUT: 1,
+    }
