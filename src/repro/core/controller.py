@@ -42,7 +42,11 @@ class JISCStateInfo:
 
 
 class JISCController:
-    """Coordinates state completion across one query's physical plan."""
+    """Coordinates state completion across one query's physical plan.
+
+    ``current_fresh`` / ``current_part`` are defined only during an arrival that
+    found a state incomplete (the engine calls the arrival hooks only then).
+    """
 
     def __init__(
         self,

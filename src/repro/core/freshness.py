@@ -8,9 +8,9 @@ with the same value got there first), so they skip the completion check —
 this is what bounds completion work to at most once per value.
 
 The registry stores, per stream, the arrival sequence of the last tuple
-seen for each join-attribute value — exactly the "hash table of that
-stream" lookup the paper describes (O(1) CPU time) — plus the sequence
-number of the most recent plan transition.
+recorded for each join-attribute value since the most recent plan
+transition — exactly the "hash table of that stream" lookup the paper
+describes (O(1) CPU time) — plus that transition's sequence number.
 """
 
 from __future__ import annotations
@@ -36,9 +36,12 @@ class FreshnessRegistry:
         """Record that a plan transition took effect just before ``seq``.
 
         Tuples with arrival sequence >= ``seq`` count as received after the
-        transition.
+        transition; older records read as absent from here on (:meth:`check`)
+        and are dropped instead of kept, one per value ever seen.
         """
         self.last_transition_seq = seq
+        for stream, seen in self._last_seen.items():
+            self._last_seen[stream] = {key: at for key, at in seen.items() if at >= seq}
 
     def check(self, tup: StreamTuple) -> bool:
         """Is ``tup`` fresh? (No registry update.)
@@ -66,18 +69,3 @@ class FreshnessRegistry:
         fresh = self.check(tup)
         self.record(tup)
         return fresh
-
-    def is_fresh_value(self, stream: str, key: Any) -> bool:
-        """Would a hypothetical tuple (``stream``, ``key``) be fresh now?
-
-        Used by the window-slide optimization of Section 4.4: an *expiring*
-        tuple is attempted iff some tuple with its value arrived on its
-        stream after the last transition, in which case removal may stop at
-        complete-looking states.
-        """
-        prev = self._last_seen.get(stream, _NEVER_SEEN).get(key)
-        return prev is None or prev < self.last_transition_seq
-
-    def forget_stream(self, stream: str) -> None:
-        """Drop tracking for one stream (used when a query retires it)."""
-        self._last_seen.pop(stream, None)

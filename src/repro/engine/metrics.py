@@ -53,9 +53,10 @@ class Counter:
     )
 
 
-#: The ops of the scan / hash-join pipeline, in ``count_pipeline``'s argument order.
-PIPELINE_OPS = (Counter.HASH_INSERT, Counter.TUPLE_EMIT, Counter.HASH_PROBE, Counter.STATE_REMOVE)
-_INSERT, _EMIT, _PROBE, _REMOVE = PIPELINE_OPS
+_INSERT, _EMIT, _PROBE = Counter.HASH_INSERT, Counter.TUPLE_EMIT, Counter.HASH_PROBE
+_REMOVE, _OUTPUT = Counter.STATE_REMOVE, Counter.OUTPUT
+#: The ops of the scan / hash-join / sink pipeline, in ``count_pipeline``'s argument order.
+PIPELINE_OPS = (_INSERT, _EMIT, _PROBE, _REMOVE, _OUTPUT)
 
 
 class Metrics:
@@ -122,7 +123,7 @@ class Metrics:
             self.tracer.on_count(op, n)
 
     def count_pipeline(
-        self, now: float, inserts: int, emits: int, probes: int, removes: int
+        self, now: float, inserts: int, emits: int, probes: int, removes: int, outputs: int
     ) -> int:
         """Record the pipeline ops a fused kernel tallied (``operators.fused``).
 
@@ -154,6 +155,11 @@ class Metrics:
                 counts[_REMOVE] += removes
             except KeyError:
                 counts[_REMOVE] = removes
+        if outputs:
+            try:
+                counts[_OUTPUT] += outputs
+            except KeyError:
+                counts[_OUTPUT] = outputs
         if self.clock is not None:
             self.clock.now = now
         return 0

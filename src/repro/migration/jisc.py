@@ -64,14 +64,19 @@ class JISCStrategy(MigrationStrategy):
     def process(self, tup: StreamTuple) -> None:
         if tup.stream not in self.plan.scans:
             raise unknown_stream(tup.stream, self.plan.scans)
-        self.controller.on_arrival(tup)
+        # Classified and recorded only while a state is incomplete: nothing reads
+        # the verdict otherwise, and no record outlives a transition (PERFORMANCE.md).
+        migrating = self.controller.incomplete_ops
+        if migrating:
+            self.controller.on_arrival(tup)
         if tup.seq > self._last_seq:
             self._last_seq = tup.seq
         tracer = self.metrics.tracer
         if tracer.enabled:
             tracer.arrival(tup)
         self.plan.feed(tup)
-        self.controller.after_arrival(tup)
+        if migrating:
+            self.controller.after_arrival(tup)
 
     def process_batch(self, tuples: Sequence[StreamTuple]) -> None:
         """Hoisted per-arrival scaffolding; same op order as :meth:`process`.
@@ -79,8 +84,8 @@ class JISCStrategy(MigrationStrategy):
         A batch never spans a transition, so the plan (and its ``feed``)
         is stable for the whole run.
         """
-        on_arrival = self.controller.on_arrival
-        after_arrival = self.controller.after_arrival
+        controller = self.controller
+        on_arrival, after_arrival = controller.on_arrival, controller.after_arrival
         tracer = self.metrics.tracer
         traced = tracer.enabled
         scans = self.plan.scans
@@ -88,13 +93,16 @@ class JISCStrategy(MigrationStrategy):
         for tup in tuples:
             if tup.stream not in scans:
                 raise unknown_stream(tup.stream, scans)
-            on_arrival(tup)
+            migrating = controller.incomplete_ops  # replaced, never mutated
+            if migrating:
+                on_arrival(tup)
             if tup.seq > self._last_seq:
                 self._last_seq = tup.seq
             if traced:
                 tracer.arrival(tup)
             feed(tup)
-            after_arrival(tup)
+            if migrating:
+                after_arrival(tup)
 
     def _do_transition(self, new_spec: SpecLike) -> None:
         self.plan = perform_jisc_transition(

@@ -22,6 +22,7 @@ from repro.engine.cost import VirtualClock
 from repro.engine.metrics import PIPELINE_OPS
 from repro.operators.base import Operator
 from repro.operators.joins import JoinOperator, SymmetricHashJoin
+from repro.operators.sink import OutputSink
 from repro.streams.tuples import CompositeTuple, StreamTuple
 from repro.streams.window import SlidingWindow
 
@@ -73,14 +74,14 @@ def compile_leaf(scan: "StreamScan") -> Kernel:
     """Compile ``scan``'s root path as wired right now; kept as ``scan.fused``."""
     metrics = scan.metrics
     clock = metrics.clock if metrics.clock is not None else VirtualClock()
-    c_insert, c_emit, c_probe, c_remove = (
+    c_insert, c_emit, c_probe, c_remove, c_output = (
         clock.costs.get(op, clock.default) for op in PIPELINE_OPS
     )
     # Tallies and a copy of the clock, advanced as ``Metrics.count`` would and
     # handed over before every hook call, every hand-off and on exit.
     # ``flush`` returns 0: hand over and reset in one statement.
     flush = metrics.count_pipeline
-    inserts = emits = probes = removes = 0
+    adds = emits = probes = drops = outs = 0
     now = 0.0
     of = CompositeTuple.of
 
@@ -95,9 +96,9 @@ def compile_leaf(scan: "StreamScan") -> Kernel:
         hand_off = join.emit
 
         def level(tup: Any) -> None:
-            nonlocal inserts, emits, probes, removes, now
+            nonlocal adds, emits, probes, drops, outs, now
             if not opposite_status.complete and join.completion_hook is not None:
-                inserts = emits = probes = removes = flush(now, inserts, emits, probes, removes)
+                adds = emits = probes = drops = outs = flush(now, adds, emits, probes, drops, outs)
                 join.completion_hook(tup, join, opposite)
                 now = clock.now
             probes += 1
@@ -129,20 +130,35 @@ def compile_leaf(scan: "StreamScan") -> Kernel:
                         result = of(tup, match)
                     if not add(result):
                         continue
-                    inserts += 1
+                    adds += 1
                     now += c_insert
-                    if up is None:
-                        inserts = emits = probes = removes = flush(
-                            now, inserts, emits, probes, removes
-                        )
-                        hand_off(result)
-                        now = clock.now
-                    else:
+                    if up is not None:
                         emits += 1
                         now += c_emit
                         up(result)
+                    elif sink is not None and join.parent is sink:
+                        # ``emit`` then ``OutputSink.process``, in their order.
+                        emits += 1
+                        now += c_emit
+                        outs += 1
+                        now += c_output
+                        outputs.append(result)
+                        when = now if timed else float(len(outputs))
+                        output_times.append(when)
+                        if metrics.tracer.enabled:
+                            adds = emits = probes = drops = outs = flush(
+                                now, adds, emits, probes, drops, outs
+                            )
+                            metrics.tracer.output(result, when)
+                            now = clock.now
+                    else:
+                        adds = emits = probes = drops = outs = flush(
+                            now, adds, emits, probes, drops, outs
+                        )
+                        hand_off(result)
+                        now = clock.now
             if not own_status.complete and join.completion_hook is not None:
-                inserts = emits = probes = removes = flush(now, inserts, emits, probes, removes)
+                adds = emits = probes = drops = outs = flush(now, adds, emits, probes, drops, outs)
                 join.completion_hook(tup, join, join)
                 now = clock.now
 
@@ -164,6 +180,13 @@ def compile_leaf(scan: "StreamScan") -> Kernel:
         specs.append((join, opposite, *_assembly(streams, matched)))
         streams = tuple(sorted(streams + matched)) if streams and matched else None
         last = join
+    # A plain sink right above the prefix is written by the last level itself;
+    # its lists are only ever mutated in place (see ``OutputSink``).
+    top = last.parent
+    sink = top if type(top) is OutputSink and top.metrics is metrics else None
+    if sink is not None:
+        outputs, output_times, retractions = sink.outputs, sink.output_times, sink.retractions
+    timed = metrics.clock is not None
     first: Optional[Level] = None
     for spec in reversed(specs):
         first = fuse(*spec, first)
@@ -178,17 +201,19 @@ def compile_leaf(scan: "StreamScan") -> Kernel:
     hand_off = scan.emit
     hand_off_removal = last.emit_removal
 
-    def expire(evicted: StreamTuple) -> None:
-        """``StreamScan._expire``, then ``Operator.remove`` up the prefix."""
-        nonlocal inserts, emits, probes, removes, now
-        now = clock.now
+    def expire(evicted: StreamTuple, door: bool = True) -> None:
+        """``StreamScan._expire`` and ``Operator.remove`` up the prefix; called by
+        ``arrive`` (``door=False``) it shares that call's clock copy and hand-over."""
+        nonlocal adds, emits, probes, drops, outs, now
+        if door:
+            now = clock.now
         try:
             remove_entry(evicted)
-            removes += 1
+            drops += 1
             now += c_remove
             fresh = True
             if scan.fresh_fn is not None:
-                inserts = emits = probes = removes = flush(now, inserts, emits, probes, removes)
+                adds = emits = probes = drops = outs = flush(now, adds, emits, probes, drops, outs)
                 fresh = scan.fresh_fn(evicted)
                 now = clock.now
             part = (evicted.stream, evicted.seq)
@@ -197,49 +222,56 @@ def compile_leaf(scan: "StreamScan") -> Kernel:
                 now += c_probe
                 n = len(remove_with_part(part))
                 if n:
-                    removes += n
+                    drops += n
                     now += c_remove * n
                 elif status.complete or not fresh:
                     break
             else:
-                inserts = emits = probes = removes = flush(now, inserts, emits, probes, removes)
-                hand_off_removal(part, fresh)
-                now = clock.now
+                if sink is not None and last.parent is sink:
+                    retractions.append(part)  # ``OutputSink.remove`` counts nothing
+                else:
+                    adds = emits = probes = drops = outs = flush(
+                        now, adds, emits, probes, drops, outs
+                    )
+                    hand_off_removal(part, fresh)
+                    now = clock.now
             if scan.expire_hook is not None:
-                inserts = emits = probes = removes = flush(now, inserts, emits, probes, removes)
+                adds = emits = probes = drops = outs = flush(now, adds, emits, probes, drops, outs)
                 scan.expire_hook(evicted)
+                now = clock.now
         finally:
             # With nothing tallied ``now`` may be stale (a hook or hand-off
             # advanced the clock, then raised before the reload): not written.
-            if inserts or emits or probes or removes:
-                inserts = emits = probes = removes = flush(now, inserts, emits, probes, removes)
+            if door and (adds or emits or probes or drops or outs):
+                adds = emits = probes = drops = outs = flush(now, adds, emits, probes, drops, outs)
 
     def arrive(tup: StreamTuple) -> None:
-        nonlocal inserts, emits, probes, removes, now
+        """``StreamScan.insert``; the evictions it causes share its hand-over."""
+        nonlocal adds, emits, probes, drops, outs, now
         if tup.stream != stream:
             return scan.insert(tup)  # raises, before touching the window
-        if push is None:
-            for evicted in push_all(tup):
-                expire(evicted)
-        else:
-            evicted = push(tup)
-            if evicted is not None:
-                expire(evicted)
         now = clock.now
         try:
+            if push is None:
+                for evicted in push_all(tup):
+                    expire(evicted, False)
+            else:
+                evicted = push(tup)
+                if evicted is not None:
+                    expire(evicted, False)
             add(tup)
-            inserts += 1
+            adds += 1
             now += c_insert
             if first is None:
-                inserts = emits = probes = removes = flush(now, inserts, emits, probes, removes)
+                adds = emits = probes = drops = outs = flush(now, adds, emits, probes, drops, outs)
                 hand_off(tup)
             else:
                 emits += 1
                 now += c_emit
                 first(tup)
         finally:
-            if inserts or emits or probes or removes:  # as in ``expire``
-                inserts = emits = probes = removes = flush(now, inserts, emits, probes, removes)
+            if adds or emits or probes or drops or outs:  # as in ``expire``
+                adds = emits = probes = drops = outs = flush(now, adds, emits, probes, drops, outs)
 
     scan.fused = Kernel(arrive, expire)
     return scan.fused

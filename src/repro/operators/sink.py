@@ -22,7 +22,9 @@ Part = Tuple[str, int]
 
 
 class OutputSink(Operator):
-    """Terminal collector of query results."""
+    """Terminal collector of query results.  ``outputs`` / ``output_times`` /
+    ``retractions`` are mutated in place only, never rebound (replay truncates
+    with ``del``): fused kernels close over them."""
 
     kind = "sink"
 

@@ -9,7 +9,10 @@ the numbers the regression gate tracks:
 
 * ``fig9``  — normal operation, 20 joins, no transitions (throughput);
 * ``fig7``  — best-case migration stages across plan sizes (migration);
-* ``fig10`` — transition-to-first-output latency, hash and NL joins.
+* ``fig10`` — transition-to-first-output latency, hash and NL joins;
+* ``steady`` — ``benchmarks/wallclock``'s ``steady_join`` shape under JISC
+  alone, generated before profiling starts: the ``calls / arrival`` printed
+  under the table is the number ROADMAP tracks.
 
 ``--scale`` shrinks the tuple volume for quick iteration; the default
 (1.0) matches the committed benchmark shapes.
@@ -22,15 +25,18 @@ import cProfile
 import pstats
 from typing import Any, Callable, Dict
 
+from repro.engine.executor import run_events
 from repro.experiments.common import (
     measure_latency,
     measure_migration_stage,
     measure_normal_operation,
 )
+from repro.migration.jisc import JISCStrategy
+from repro.workloads.scenarios import chain_scenario
 
 
-def run_fig9(scale: float) -> Any:
-    return measure_normal_operation(
+def run_fig9(scale: float) -> Callable[[], Any]:
+    return lambda: measure_normal_operation(
         n_joins=20,
         window=80,
         n_tuples=max(500, int(20_000 * scale)),
@@ -40,26 +46,40 @@ def run_fig9(scale: float) -> Any:
     )
 
 
-def run_fig7(scale: float) -> Any:
+def run_fig7(scale: float) -> Callable[[], Any]:
     sizes = (4, 8, 12) if scale >= 1.0 else (4,)
-    return [
+    return lambda: [
         measure_migration_stage(n, window=max(20, int(80 * scale)), case="best", seed=7)
         for n in sizes
     ]
 
 
-def run_fig10(scale: float) -> Any:
+def run_fig10(scale: float) -> Callable[[], Any]:
     window = max(20, int(80 * scale))
-    return [
+    return lambda: [
         measure_latency(window=window, n_joins=5, join=join, case="worst", seed=5)
         for join in ("hash", "nl")
     ]
 
 
-SCENARIOS: Dict[str, Callable[[float], Any]] = {
+def run_steady(scale: float) -> Callable[[], int]:
+    scenario = chain_scenario(4, max(500, int(25_500 * scale)), 80, key_domain=80, seed=1)
+    engine = JISCStrategy(scenario.schema, scenario.order)
+
+    def run() -> int:
+        run_events(engine, scenario.tuples)
+        return len(scenario.tuples)
+
+    return run
+
+
+#: ``scenario(scale)`` sets up and returns what is profiled; a run that returns
+#: an int fed that many arrivals to one engine.
+SCENARIOS: Dict[str, Callable[[float], Callable[[], Any]]] = {
     "fig9": run_fig9,
     "fig7": run_fig7,
     "fig10": run_fig10,
+    "steady": run_steady,
 }
 
 
@@ -96,16 +116,15 @@ def main(argv: Any = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    fn = SCENARIOS[args.scenario]
     profiler = cProfile.Profile()
-    profiler.enable()
-    fn(args.scale)
-    profiler.disable()
+    fed = profiler.runcall(SCENARIOS[args.scenario](args.scale))
 
     stats = pstats.Stats(profiler)
     stats.sort_stats(args.sort)
     print(f"== {args.scenario} (scale={args.scale}) — top {args.top} by {args.sort} ==")
     stats.print_stats(args.top)
+    if isinstance(fed, int):
+        print(f"calls / arrival: {stats.total_calls / fed:.1f} ({stats.total_calls} / {fed})")
     return 0
 
 

@@ -5,6 +5,7 @@ import pytest
 from tests.helpers import assert_same_output, make_tuples
 from repro.migration.base import StaticPlanExecutor
 from repro.migration.jisc import JISCStrategy
+from repro.operators.joins import JoinOperator
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
 
@@ -130,11 +131,31 @@ def test_retirement_via_either_complete_child():
     assert st.plan.state_of("AC").status.complete
 
 
-def test_current_part_tracks_arrival(schema):
-    st = JISCStrategy(schema, ("A", "B", "C", "D"))
-    tup = StreamTuple("A", 0, 1)
-    st.process(tup)
-    assert st.controller.current_part == ("A", 0)
+def test_current_part_tracks_arrival(schema, monkeypatch):
+    """``current_part`` is defined during an arrival that finds a state
+    incomplete: it is that arrival's part, and completion leaves the results
+    containing it to the live cascade (``build_state_for_key`` excludes it)."""
+    order = ("A", "B", "C", "D")
+    old = make_tuples([(name, 1) for name in order])
+    st = JISCStrategy(schema, order)
+    feed(st, old)
+    st.transition(("A", "C", "B", "D"))
+    assert st.incomplete_state_count() > 0
+    seen = []
+    build = JoinOperator.build_state_for_key
+
+    def spy(self, key, exclude_part=None):
+        seen.append((st.controller.current_part, exclude_part))
+        build(self, key, exclude_part=exclude_part)
+
+    monkeypatch.setattr(JoinOperator, "build_state_for_key", spy)
+    arrival = StreamTuple("A", 10, 1)
+    st.process(arrival)
+    assert seen and set(seen) == {(("A", 10), ("A", 10))}
+    # each result containing the arrival came out of the cascade exactly once
+    ref = StaticPlanExecutor(schema, order)
+    feed(ref, old + [arrival])
+    assert_same_output(ref, st)
 
 
 def test_expiry_hooks_are_installed_only_while_a_state_is_incomplete():

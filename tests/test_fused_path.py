@@ -11,13 +11,16 @@ transitions in mid-stream.  Join plans are also checked against
 ``NaiveJoinOracle``, which shares no code with either path.
 """
 
+import os
 import random
+import sys
 from collections import Counter as MultiSet
 
 import hypothesis.strategies as hst
 import pytest
 from hypothesis import given, settings
 
+from repro.engine.checkpoint import checkpoint_strategy, restore_strategy
 from repro.engine.cost import CostModel, VirtualClock
 from repro.engine.executor import TransitionEvent, interleave_transitions, run_events
 from repro.engine.metrics import Counter, Metrics
@@ -26,19 +29,22 @@ from repro.migration.base import StaticPlanExecutor, hybrid_join_factory
 from repro.migration.jisc import JISCStrategy
 from repro.migration.moving_state import MovingStateStrategy
 from repro.migration.parallel_track import ParallelTrackStrategy
-from repro.obs.tracer import RecordingTracer
+from repro.obs.tracer import NULL_TRACER, RecordingTracer, Tracer
 from repro.operators.fused import compile_leaf
 from repro.operators.joins import JoinOperator, SymmetricHashJoin
 from repro.operators.scan import StreamScan
 from repro.operators.setdiff import SetDifference
 from repro.operators.sink import OutputSink
 from repro.operators.unary import GroupByCount, Select
+from repro.optimizer import AdaptiveEngine, HysteresisTrigger
 from repro.plans.build import build_plan
 from repro.plans.spec import left_deep
 from repro.shard import RebalanceEvent, ShardedExecutor, skewed_assignment
+from repro.shard.worker import ShardWorker
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
 from repro.testing.naive import join_oracle_lineages
+from repro.workloads.drift import SelectivityDriftWorkload
 
 NAMES = ("A", "B", "C", "D")
 BUSHY = (("A", "B"), ("C", "D"))
@@ -632,3 +638,430 @@ def test_hand_built_operators_on_other_metrics_are_not_fused():
         Counter.TUPLE_EMIT: 1,
         Counter.OUTPUT: 1,
     }
+
+
+# -- the sink hop ------------------------------------------------------------------------
+#
+# A plain ``OutputSink`` right above the fused prefix is written by the last
+# level itself (``emit`` + ``OutputSink.process`` in their order, one OUTPUT
+# tally) and retractions are appended by the cascade.  Same rule as above: no
+# knob — an untraced engine is the fused side, a tracer that ``wants_counts``
+# the generic one.
+
+
+def plan_view(metrics, plan):
+    sink = plan.sink
+    return {
+        "outputs": [tup.lineage for tup in sink.outputs],
+        "output_times": list(sink.output_times),
+        "retractions": list(sink.retractions),
+        "counts": dict(metrics.counts),
+        "now": metrics.clock.now if metrics.clock is not None else None,
+    }
+
+
+class NoOutputCost(CostModel):
+    """A table without ``output`` (and without ``tuple_emit``): both cost ``default``."""
+
+    def table(self):
+        return {Counter.HASH_PROBE: 1.0, Counter.HASH_INSERT: 0.3, Counter.STATE_REMOVE: 0.3}
+
+
+SINK_METRICS = {
+    "default_costs": lambda: Metrics(clock=VirtualClock()),
+    "no_clock": lambda: Metrics(clock=None),
+    "output_not_in_cost_table": lambda: Metrics(clock=VirtualClock(NoOutputCost(default=0.7))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SINK_METRICS))
+def test_sink_inside_the_kernel_agrees_with_emit_and_sink_process(kind, monkeypatch):
+    sink_calls = []
+    generic = OutputSink.process
+
+    def spy(self, tup, child):
+        sink_calls.append(tup)
+        generic(self, tup, child)
+
+    monkeypatch.setattr(OutputSink, "process", spy)
+
+    def run(traced):
+        metrics = SINK_METRICS[kind]()
+        if traced:
+            RecordingTracer().attach(metrics)
+        plan = build_plan(left_deep(NAMES), Schema.uniform(NAMES, 6), metrics)
+        del sink_calls[:]
+        for tup in arrivals(200):
+            plan.feed(tup)
+        return plan_view(metrics, plan), len(sink_calls)
+
+    (fused, fused_calls), (traced, traced_calls) = run(False), run(True)
+    assert fused == traced
+    assert len(fused["outputs"]) > 20 and len(fused["retractions"]) > 20
+    assert fused["counts"][Counter.OUTPUT] == len(fused["outputs"])
+    # the generic path calls the sink once per output, the kernels only on
+    # each leaf's first arrival
+    assert traced_calls == len(traced["outputs"]) and fused_calls <= len(NAMES)
+    if kind == "no_clock":
+        assert fused["output_times"] == [float(i + 1) for i in range(len(fused["outputs"]))]
+    if kind == "output_not_in_cost_table":
+        # 0.7 (emit) + 0.7 (output) after the insert that made the result
+        assert fused["now"] > 1.4 * len(fused["outputs"])
+
+
+class OutputSpy(Tracer):
+    """``enabled``, like the telemetry hub; ``wants_counts`` (the hub's, when it
+    has an inner recording tracer) picks the generic path.  ``output`` notes
+    what it can see of ``Metrics`` at the moment it is called, then counts an
+    op of its own: whatever runs outside the kernel may advance the clock."""
+
+    enabled = True
+
+    def __init__(self, metrics, wants_counts, raise_at=None):
+        self.metrics = metrics
+        self.wants_counts = wants_counts
+        self.raise_at = raise_at
+        self.seen = []
+        metrics.tracer = self
+
+    def output(self, tup, when):
+        metrics = self.metrics
+        self.seen.append((tup.lineage, when, dict(metrics.counts), metrics.clock.now))
+        metrics.count(Counter.DEDUP_CHECK)
+        if len(self.seen) == self.raise_at:
+            raise Boom()
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_enabled_tracer_sees_everything_handed_over_at_each_output(strategy):
+    schema = Schema.uniform(NAMES, 6)
+    events = schedule("left_deep", arrivals(200))
+
+    def run(wants_counts):
+        engine = STRATEGIES[strategy](schema, NAMES)
+        spy = OutputSpy(engine.metrics, wants_counts)
+        run_events(engine, events)
+        return engine, spy
+
+    (fused, fused_spy), (generic, generic_spy) = run(False), run(True)
+    assert fused_leaves(fused) and not fused_leaves(generic)
+    assert fused_spy.seen == generic_spy.seen and len(fused_spy.seen) > 20
+    sink_times = sorted(t for plan in fused.live_plans() for t in plan.sink.output_times)
+    if strategy != "parallel_track":  # a discarded track takes its sink along
+        assert [when for _, when, _, _ in fused_spy.seen] == sink_times
+    for i, (_, when, counts, now) in enumerate(fused_spy.seen):
+        # the output is counted and the clock stands where the sink stamped it
+        assert when == now and counts[Counter.OUTPUT] == i + 1
+    assert fused.metrics.get(Counter.DEDUP_CHECK) >= len(fused_spy.seen)
+    assert_agree(fused, generic)
+
+
+def test_enabled_tracer_attached_and_detached_under_live_kernels():
+    """``metrics.tracer.enabled`` is read per output, not at compile time."""
+    engine = StaticPlanExecutor(Schema.uniform(NAMES, 6), NAMES)
+    tuples = arrivals(240)
+    run_events(engine, tuples[:80])
+    kernels = [scan.fused for scan in fused_leaves(engine)]
+    assert len(kernels) == len(NAMES)
+    start = len(engine.outputs)
+    spy = OutputSpy(engine.metrics, wants_counts=False)
+    run_events(engine, tuples[80:160])
+    stop = len(engine.outputs)
+    engine.metrics.tracer = NULL_TRACER
+    run_events(engine, tuples[160:])
+    assert [scan.fused for scan in fused_leaves(engine)] == kernels
+    assert start < stop < len(engine.outputs)
+    assert [lineage for lineage, *_ in spy.seen] == engine.output_lineages()[start:stop]
+    assert [when for _, when, *_ in spy.seen] == engine.output_times[start:stop]
+    reference = StaticPlanExecutor(Schema.uniform(NAMES, 6), NAMES)
+    RecordingTracer().attach(reference)
+    run_events(reference, tuples)
+    assert engine.output_lineages() == reference.output_lineages()
+    assert engine.metrics.counts == {
+        **reference.metrics.counts,
+        Counter.DEDUP_CHECK: len(spy.seen),
+    }
+    assert engine.metrics.clock.now == pytest.approx(
+        reference.metrics.clock.now + 0.5 * len(spy.seen)
+    )
+
+
+def test_expire_hook_that_counts_is_not_overwritten_by_the_arrival_that_evicted():
+    """The eviction an arrival causes shares the arrival's clock copy: it is
+    reloaded after a hook that returns, too (the eviction door just leaves)."""
+
+    def run(traced):
+        strategy = StaticPlanExecutor(Schema.uniform(NAMES, 6), NAMES)
+        if traced:
+            RecordingTracer().attach(strategy)
+        tuples = arrivals(160)
+        run_events(strategy, tuples[:40])
+        for scan in strategy.plan.scans.values():
+            scan.expire_hook = lambda evicted: strategy.metrics.count(Counter.PURGE_CHECK)
+        run_events(strategy, tuples[40:])
+        return strategy
+
+    fused, traced = run(False), run(True)
+    assert fused_leaves(fused) and fused.metrics.get(Counter.PURGE_CHECK) > 100
+    assert_agree(fused, traced)
+
+
+def test_tracer_output_raising_mid_cascade_leaves_the_generic_paths_accounting():
+    schema = Schema.uniform(NAMES, 6)
+
+    def run(wants_counts):
+        engine = JISCStrategy(schema, NAMES)
+        spy = OutputSpy(engine.metrics, wants_counts, raise_at=25)
+        with pytest.raises(Boom):
+            run_events(engine, arrivals(200))
+        return engine
+
+    fused, generic = run(False), run(True)
+    assert len(fused_leaves(fused)) == len(NAMES) and not fused_leaves(generic)
+    assert len(fused.outputs) == 25
+    assert_agree(fused, generic)
+
+
+def test_hub_series_are_the_same_on_the_fused_and_the_generic_path():
+    """The telemetry hub is ``enabled`` without ``wants_counts`` (fused) unless
+    it feeds an inner recording tracer (generic): same series either way."""
+    schema = Schema.uniform(NAMES, 12)
+    tuples = SelectivityDriftWorkload(
+        NAMES, [(140, "B"), (280, "C")], base_domain=6, scatter=24, seed=201
+    ).materialize()
+
+    def run(inner):
+        engine = AdaptiveEngine(
+            JISCStrategy(schema, NAMES),
+            policy=HysteresisTrigger(min_improvement=0.08, confirm=2, cooldown=64),
+            evaluate_every=16,
+            min_samples=32,
+            hub_options={"selectivity_window": 96, "drift_block": 16, "drift_min_samples": 32},
+            inner=inner,
+        )
+        engine.run(tuples)
+        return engine
+
+    fused, generic = run(None), run(RecordingTracer())
+    assert fused_leaves(fused.target) and not fused_leaves(generic.target)
+    assert fused.fire_count == generic.fire_count >= 1
+    assert fused.telemetry.take_snapshot() == generic.telemetry.take_snapshot()
+    assert_agree(fused.target, generic.target)
+
+
+def test_install_tops_after_first_feed_stops_the_kernel_writing_the_sink():
+    """``_install_tops`` re-parents the root under live kernels: from then on
+    results and retractions reach the sink through the tops or not at all."""
+
+    def run(traced):
+        strategy = JISCStrategy(Schema.uniform(NAMES, 6), NAMES)
+        if traced:
+            RecordingTracer().attach(strategy)
+        tuples = arrivals(200)
+        run_events(strategy, tuples[:80])
+        kernels = [scan.fused for scan in strategy.plan.scans.values()]
+        strategy.tops = [factory(strategy.plan.root, strategy.metrics) for factory in tops()]
+        strategy._install_tops()
+        mark = len(strategy.outputs), len(strategy.plan.sink.retractions)
+        run_events(strategy, tuples[80:])
+        assert [scan.fused for scan in strategy.plan.scans.values()] == kernels
+        return strategy, mark
+
+    (fused, mark), (traced, _) = run(False), run(True)
+    assert len(fused_leaves(fused)) == len(NAMES) and not fused_leaves(traced)
+    late = fused.outputs[mark[0]:]
+    assert late and all(tup.key != 1 for tup in late)  # the Select dropped key 1
+    assert len(fused.plan.sink.retractions) > mark[1]
+    assert_agree(fused, traced)
+
+
+def test_parallel_track_with_two_live_tracks_writes_each_tracks_own_sink():
+    schema = Schema.uniform(NAMES, 6)
+    tuples = arrivals(120)
+
+    def run(traced):
+        strategy = ParallelTrackStrategy(schema, NAMES, purge_check_interval=4)
+        if traced:
+            RecordingTracer().attach(strategy)
+        run_events(strategy, tuples[:60])
+        strategy.transition(("D", "C", "B", "A"))
+        both_live = kernels = 0
+        for tup in tuples[60:]:
+            strategy.process(tup)
+            if strategy.live_track_count() == 2:
+                both_live += 1
+                kernels = max(kernels, len(fused_leaves(strategy)))
+            for track in strategy.tracks:  # the dedup cursor follows each sink
+                assert track.cursor == len(track.plan.sink.outputs)
+        assert both_live > len(NAMES) and strategy.live_track_count() == 1
+        # kernels of both tracks were live at once, each over its own sink
+        assert kernels == (0 if traced else 2 * len(NAMES))
+        return strategy
+
+    fused, traced = run(False), run(True)
+    lineages = fused.output_lineages()
+    assert len(lineages) == len(set(lineages))
+    assert_agree(fused, traced)
+    assert MultiSet(lineages) == MultiSet(join_oracle_lineages(schema, NAMES, tuples))
+
+
+def test_replay_truncates_the_sink_lists_under_a_compiled_kernel():
+    """``ShardWorker.replay`` mutes its outputs with ``del outs[mark:]``: the
+    kernels hold those very lists, so what follows lands at the right index."""
+    schema = Schema.uniform(NAMES, 1 << 40)
+    tuples = arrivals(200, n_keys=6)
+
+    def run(traced):
+        worker = ShardWorker(0, JISCStrategy(schema, NAMES))
+        if traced:
+            RecordingTracer().attach(worker.metrics)
+        sink = worker.strategy.plan.sink
+        lists = sink.outputs, sink.output_times, sink.retractions
+        for tup in tuples[:80]:
+            worker.feed(tup)
+        if not traced:
+            assert len(fused_leaves(worker.strategy)) == len(NAMES)
+        before = len(worker.outputs)
+        muted = worker.replay(tuples[80:120])
+        assert muted > 0 and len(worker.outputs) == len(worker.output_times) == before
+        for i, tup in enumerate(tuples[120:]):
+            worker.feed(tup)
+            assert worker.evict(tuples[i]) is True
+        current = sink.outputs, sink.output_times, sink.retractions
+        assert all(ours is theirs for ours, theirs in zip(current, lists))
+        assert len(sink.retractions) > 0 and len(worker.outputs) > before
+        return worker.strategy
+
+    assert_agree(run(False), run(True))
+
+
+@pytest.mark.parametrize("strategy", ["jisc", "moving_state", "static"])
+def test_sink_lists_keep_their_identity(strategy):
+    """``OutputSink`` documents it and the kernels rely on it: the three lists
+    are mutated in place, never rebound — not by a transition (the sink moves
+    to the new plan), not by a checkpoint restore followed by more arrivals."""
+    schema = Schema.uniform(NAMES, 6)
+    events = schedule("left_deep", arrivals(160))
+
+    def lists_of(engine):
+        sink = engine.plan.sink
+        return sink.outputs, sink.output_times, sink.retractions
+
+    engine = STRATEGIES[strategy](schema, NAMES)
+    held = lists_of(engine)
+    for event in events[:100]:
+        if isinstance(event, TransitionEvent):
+            engine.transition(event.new_spec)
+        else:
+            engine.process(event)
+        assert all(a is b for a, b in zip(lists_of(engine), held))
+    assert engine.outputs is held[0] and engine.output_times is held[1]
+
+    restored = restore_strategy(checkpoint_strategy(engine))
+    held = lists_of(restored)
+    run_events(restored, events[100:])
+    run_events(engine, events[100:])
+    assert all(a is b for a, b in zip(lists_of(restored), held))
+    assert fused_leaves(restored) and len(held[0]) > 0
+    assert [t.lineage for t in held[0]] == engine.output_lineages()[-len(held[0]):]
+
+
+# -- Figure 9 a as a count ---------------------------------------------------------------
+#
+# Between transitions JISC is the static pipeline: the same Python-level calls
+# per arrival, none of them into ``repro/core``.  ``sys.setprofile`` ``call``
+# events are counts, not timings — they repeat exactly.
+
+REPRO = os.sep + "repro" + os.sep
+CORE = REPRO + "core" + os.sep
+
+
+def python_calls(run, under=REPRO):
+    """How many Python-level calls ``run()`` makes into code whose file path
+    contains ``under`` (the engine's: a ``gc.callbacks`` entry of the test
+    tooling runs whenever a collection happens to start)."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and under in frame.f_code.co_filename:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+FIVE = ("A", "B", "C", "D", "E")
+
+
+@pytest.mark.parametrize("per_tuple", [False, True], ids=["batch", "per_tuple"])
+def test_between_transitions_jisc_makes_the_static_pipelines_calls(per_tuple):
+    schema = Schema.uniform(FIVE, 20)
+    tuples = arrivals(2000, FIVE, n_keys=20, seed=5)
+    totals = {}
+    for cls in (StaticPlanExecutor, JISCStrategy):
+        engine = cls(schema, FIVE)
+        totals[cls.name] = python_calls(lambda: drive(engine, tuples, per_tuple))
+        assert len(fused_leaves(engine)) == len(FIVE) and len(engine.outputs) > 100
+    assert totals["jisc"] == totals["static"] > 2000
+
+
+@pytest.mark.parametrize("cls", [StaticPlanExecutor, JISCStrategy], ids=["static", "jisc"])
+def test_one_hand_over_per_arrival_between_transitions(cls):
+    """Once every leaf has its kernel, ``Metrics`` is entered exactly once per
+    arrival — ``count_pipeline`` on the way out — whatever the arrival evicted
+    and however many outputs it made."""
+    engine = cls(Schema.uniform(FIVE, 20), FIVE)
+    tuples = arrivals(2000, FIVE, n_keys=20, seed=5)
+    run_events(engine, tuples[:200])
+    assert len(fused_leaves(engine)) == len(FIVE)
+    before = len(engine.outputs), len(engine.plan.sink.retractions)
+    into_metrics = os.path.join("engine", "metrics.py")
+    assert python_calls(lambda: run_events(engine, tuples[200:]), under=into_metrics) == 1800
+    assert len(engine.outputs) > before[0] + 100
+    assert len(engine.plan.sink.retractions) > before[1] + 100
+
+
+def test_the_controller_is_called_only_while_a_state_is_incomplete():
+    schema = Schema.uniform(FIVE, 20)
+    tuples = arrivals(1200, FIVE, n_keys=20, seed=5)
+    engine = JISCStrategy(schema, FIVE)
+    assert python_calls(lambda: run_events(engine, tuples[:600]), under=CORE) == 0
+    engine.transition(("A", "E", "C", "D", "B"))  # worst case: every state but the root
+    assert engine.incomplete_state_count() == 3
+    migrating = settled = 0
+    for tup in tuples[600:]:
+        incomplete = engine.incomplete_state_count() > 0
+        calls = python_calls(lambda: engine.process(tup), under=CORE)
+        if incomplete:
+            migrating += 1
+            assert calls > 0, tup
+        else:
+            settled += 1
+            assert calls == 0, tup
+        assert settled == 0 or not incomplete  # once complete, complete until a transition
+    assert migrating > 20 and settled > 200
+    reference = run_events(StaticPlanExecutor(schema, FIVE), tuples)
+    assert MultiSet(engine.output_lineages()) == MultiSet(reference.output_lineages())
+
+
+def test_a_batch_stops_calling_the_controller_when_the_last_state_completes():
+    """``process_batch`` reads ``incomplete_ops`` per arrival, as ``process``
+    does: one batch across the completion calls the controller as often as
+    the same arrivals fed one by one."""
+    schema = Schema.uniform(FIVE, 20)
+    tuples = arrivals(1200, FIVE, n_keys=20, seed=5)
+
+    def core_calls_after_the_transition(per_tuple):
+        engine = JISCStrategy(schema, FIVE)
+        run_events(engine, tuples[:600])
+        engine.transition(("A", "E", "C", "D", "B"))
+        calls = python_calls(lambda: drive(engine, tuples[600:], per_tuple), under=CORE)
+        assert engine.incomplete_state_count() == 0
+        return calls
+
+    assert core_calls_after_the_transition(False) == core_calls_after_the_transition(True) > 0

@@ -225,3 +225,18 @@ def test_telemetry_verdict_fails_only_when_the_whole_interval_clears_the_limit()
     assert telemetry_verdict(trial(0.01, 0.15), 0.05)  # straddles the limit: unresolved
     assert not telemetry_verdict(trial(0.06, 0.09), 0.05)
     assert not telemetry_verdict(trial(-0.02, 0.03, identical=False), 0.05)
+
+
+def test_profile_prints_calls_per_arrival_for_the_steady_scenario(capsys):
+    """The number ROADMAP tracks, printed instead of worked out by hand: the
+    workload is generated before profiling starts, so it counts the engine."""
+    import re
+
+    from repro.perf import profile
+
+    assert profile.main(["steady", "--scale", "0.04", "-n", "1"]) == 0
+    found = re.search(r"^calls / arrival: (\d+\.\d) \((\d+) / 1020\)$", capsys.readouterr().out, re.M)
+    assert found and 40 < float(found.group(1)) < 100
+    assert int(found.group(2)) < 100 * 1020
+    assert profile.main(["fig10", "--scale", "0.25", "-n", "1"]) == 0
+    assert "calls / arrival" not in capsys.readouterr().out  # two engines, unequal runs
