@@ -5,8 +5,10 @@ The production-flavoured workflow around a long-running JISC query:
 
 1. simulate bursty sources with Poisson arrival processes (one stream's
    rate jumps 10x mid-run — the paper's "changes in arrival rates");
-2. watch the query with a :class:`QueryMonitor` (state sizes, output
-   stalls, incomplete states) and render the plan with live annotations;
+2. watch the query with a telemetry hub — periodic registry snapshots
+   carry state sizes, incomplete states and output counts, and the
+   snapshot folds answer "did output stall?", "which state is biggest?" —
+   and render the plan with live annotations;
 3. checkpoint the strategy mid-migration, "crash", restore from the JSON
    blob, and verify the continuation agrees with the uninterrupted run.
 
@@ -17,9 +19,9 @@ import json
 
 from repro import JISCStrategy, Schema
 from repro.engine.checkpoint import checkpoint_strategy, restore_strategy
-from repro.engine.monitor import QueryMonitor
 from repro.plans.printer import render_tree
 from repro.streams.arrivals import PoissonArrivals
+from repro.telemetry import TelemetryTracer
 
 STREAMS = ("orders", "payments", "shipments", "alerts")
 
@@ -43,14 +45,12 @@ def main() -> None:
 
     schema = Schema.uniform(STREAMS, window=250)
     query = JISCStrategy(schema, STREAMS)
-    monitor = QueryMonitor(query)
+    hub = TelemetryTracer(strategy=query.name, snapshot_every=500)
+    hub.attach(query)
 
-    # phase 1: run, sample, migrate
-    for i, tup in enumerate(tuples[:6_000]):
+    # phase 1: run (a snapshot every 500 arrivals), migrate
+    for tup in tuples[:6_000]:
         query.process(tup)
-        monitor.note_tuple()
-        if i % 500 == 499:
-            monitor.sample()
 
     print("\nplan before migration:")
     print(render_tree(query.plan.spec, query.plan))
@@ -60,8 +60,7 @@ def main() -> None:
 
     for tup in tuples[6_000:6_200]:
         query.process(tup)
-        monitor.note_tuple()
-    monitor.sample()
+    hub.take_snapshot()
 
     # phase 2: checkpoint mid-migration, crash, restore
     blob = json.dumps(checkpoint_strategy(query))
@@ -78,7 +77,7 @@ def main() -> None:
     print(f"continuation outputs: original={len(original_tail)} "
           f"restored={len(restored_tail)} identical={original_tail == restored_tail}")
 
-    print("\nmonitor summary:", monitor.summary())
+    print("\nsnapshot summary:", hub.snapshots.summary())
     if original_tail != restored_tail:
         raise SystemExit("restored continuation diverged — this is a bug")
 

@@ -175,9 +175,7 @@ class JISCController:
                 complete_value_recursive(self, opposite, tup.key)
         finally:
             tracer.completion(
-                "".join(sorted(opposite.membership)),
-                tup.key,
-                cost=(clock.now if clock is not None else 0.0) - start,
+                opposite.label, tup.key, cost=(clock.now if clock is not None else 0.0) - start
             )
             tracer.set_phase(prev)
 

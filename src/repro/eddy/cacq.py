@@ -14,7 +14,7 @@ zero-migration-cost / expensive-normal-operation baseline).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.cost import CostModel, VirtualClock
 from repro.engine.metrics import Counter, Metrics
@@ -122,7 +122,7 @@ class CACQExecutor:
             if tracer.enabled:
                 tracer.output(result, when)
 
-    def process_batch(self, tuples: "List[StreamTuple]") -> None:
+    def process_batch(self, tuples: Sequence[StreamTuple]) -> None:
         """Process a run of arrivals back-to-back (executor batching)."""
         process = self.process
         for tup in tuples:
@@ -145,6 +145,18 @@ class CACQExecutor:
 
     def live_plans(self) -> List[Any]:
         return []  # no physical plans: the SteMs carry the state
+
+    def probe_sources(self) -> List[Tuple[str, SteM]]:
+        return [(name, self.stems[name]) for name in sorted(self.stems)]
+
+    def state_sizes(self) -> Dict[str, int]:
+        return {name: len(stem) for name, stem in self.stems.items()}
+
+    def evict(self, tup: StreamTuple) -> bool:
+        return self.stems[tup.stream].evict(tup)
+
+    def live_tuples(self) -> Dict[str, List[StreamTuple]]:
+        return {name: stem.window.snapshot() for name, stem in self.stems.items()}
 
     def output_lineages(self) -> List[Tuple]:
         return [tup.lineage for tup in self.outputs]

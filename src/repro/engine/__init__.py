@@ -13,7 +13,6 @@ from repro.engine.metrics import Metrics, Counter
 from repro.engine.cost import CostModel, VirtualClock
 from repro.engine.executor import StrategyExecutor, run_events, TransitionEvent
 from repro.engine.query import ContinuousQuery
-from repro.engine.monitor import QueryMonitor, Snapshot
 from repro.engine.checkpoint import checkpoint_strategy, restore_strategy
 
 __all__ = [
@@ -25,8 +24,6 @@ __all__ = [
     "run_events",
     "TransitionEvent",
     "ContinuousQuery",
-    "QueryMonitor",
-    "Snapshot",
     "checkpoint_strategy",
     "restore_strategy",
 ]

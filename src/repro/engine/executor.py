@@ -5,18 +5,35 @@ interleaved with :class:`TransitionEvent`\\ s (forced plan transitions, as
 in every experiment of Section 6).  ``run_events`` drives any migration
 strategy through such a sequence.
 
-``StrategyExecutor`` is the minimal interface every strategy implements;
-strategies live in :mod:`repro.migration` and :mod:`repro.eddy`.
+``StrategyExecutor`` is the interface every strategy implements — what the
+drivers here, the telemetry hub, the optimizer and the shard worker use of
+an engine, so that none of them probes it for its shape; strategies live in
+:mod:`repro.migration` and :mod:`repro.eddy`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Protocol, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.obs.tracer import Tracer
 
 from repro.plans.spec import PlanSpec
-from repro.streams.tuples import StreamTuple
+from repro.streams.tuples import Lineage, StreamTuple
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.engine.metrics import Metrics
+    from repro.plans.build import PhysicalPlan
 
 
 class TransitionEvent:
@@ -34,13 +51,25 @@ class TransitionEvent:
 Event = Union[StreamTuple, TransitionEvent]
 
 
+class ProbeSource(Protocol):
+    """A plan operator or a SteM: what is probed keeps two native tallies."""
+
+    probes: int
+    hits: int
+
+
 class StrategyExecutor(Protocol):
     """What every migration strategy / execution framework exposes."""
 
     name: str
+    metrics: "Metrics"
 
     def process(self, tup: StreamTuple) -> None:
         """Process one arriving tuple through the current plan(s)."""
+        ...
+
+    def process_batch(self, tuples: Sequence[StreamTuple]) -> None:
+        """``process`` for a run of arrivals, back to back."""
         ...
 
     def transition(self, new_spec: PlanSpec) -> None:
@@ -50,6 +79,40 @@ class StrategyExecutor(Protocol):
     @property
     def outputs(self) -> List[Any]:
         """Append-only log of emitted results."""
+        ...
+
+    def live_plans(self) -> List["PhysicalPlan"]:
+        """Every physical plan arrivals are currently fed through, oldest
+        first (``[]`` on the plan-less eddy / MJoin executors)."""
+        ...
+
+    def probe_sources(self) -> Sequence[Tuple[str, ProbeSource]]:
+        """``(label, source)``: the live plans' operators, an eddy's SteMs."""
+        ...
+
+    def state_sizes(self) -> Dict[str, int]:
+        """Entries held by label: join states by sorted membership, scans /
+        SteMs / MJoin tables by stream name."""
+        ...
+
+
+class ShardableExecutor(StrategyExecutor, Protocol):
+    """What a :class:`~repro.shard.worker.ShardWorker` needs on top: the
+    coordinator owns the global windows and the merge order."""
+
+    @property
+    def output_times(self) -> List[float]:
+        """Virtual emission time of each output, aligned with ``outputs``."""
+        ...
+
+    def output_lineages(self) -> List[Lineage]: ...
+
+    def evict(self, tup: StreamTuple) -> bool:
+        """Expire ``tup`` from whatever holds it; ``False`` if nothing did."""
+        ...
+
+    def live_tuples(self) -> Dict[str, List[StreamTuple]]:
+        """Per-stream window contents, in arrival order."""
         ...
 
 
@@ -65,34 +128,24 @@ def run_events(
     span, phase-attributed counter and output latency of the run is then
     captured (see :mod:`repro.obs`).
 
-    Consecutive arrivals are handed to the strategy's ``process_batch``
-    (when it has one) as one run, flushed before every transition — so a
-    batch never spans a transition and strategies may hoist per-plan
-    lookups out of their batch loops.  Strategies without ``process_batch``
-    are driven per tuple, exactly as before.
+    Consecutive arrivals are handed to the strategy's ``process_batch`` as
+    one run, flushed before every transition — so a batch never spans a
+    transition and strategies may hoist per-plan lookups out of their batch
+    loops.
     """
     if tracer is not None:
         tracer.attach(strategy)
-    process_batch = getattr(strategy, "process_batch", None)
     batch: List[StreamTuple] = []
     for event in events:
         if isinstance(event, TransitionEvent):
             if batch:
-                if process_batch is not None:
-                    process_batch(batch)
-                else:
-                    for tup in batch:
-                        strategy.process(tup)
+                strategy.process_batch(batch)
                 batch = []
             strategy.transition(event.new_spec)
         else:
             batch.append(event)
     if batch:
-        if process_batch is not None:
-            process_batch(batch)
-        else:
-            for tup in batch:
-                strategy.process(tup)
+        strategy.process_batch(batch)
     return strategy
 
 

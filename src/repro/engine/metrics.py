@@ -65,10 +65,12 @@ class Metrics:
     ``clock`` (a :class:`~repro.engine.cost.VirtualClock`) is advanced on
     every counted operation; pass ``None`` to count without timing.
 
-    ``tracer`` (see :mod:`repro.obs.tracer`) attributes every counted
-    operation to the current execution phase; the default is the shared
-    no-op :data:`~repro.obs.tracer.NULL_TRACER`, which records nothing and
-    never perturbs the counters themselves.
+    ``tracer`` (see :mod:`repro.obs.tracer`) is where instrumentation sites
+    find the attached observer; the default is the shared no-op
+    :data:`~repro.obs.tracer.NULL_TRACER`.  Counting never calls it: a tracer
+    attributes operations to phases by reading ``counts`` at phase
+    boundaries, so ``Metrics`` stays the only writer of ``counts`` and
+    ``clock.now`` and runs the same code observed or not.
     """
 
     __slots__ = ("counts", "clock", "tracer")
@@ -81,6 +83,7 @@ class Metrics:
         self.counts: Dict[str, int] = {}
         self.clock = clock
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer.attach(self)  # a tracer given here follows this Metrics from its first count
 
     def count(self, op: str) -> None:
         """Record one occurrence of ``op``.
@@ -101,8 +104,6 @@ class Metrics:
                 clock.now += clock.costs[op]
             except KeyError:
                 clock.now += clock.default
-        if self.tracer.wants_counts:
-            self.tracer.on_count(op, 1)
 
     def count_n(self, op: str, n: int) -> None:
         """Record ``n`` occurrences of ``op`` at once."""
@@ -119,8 +120,6 @@ class Metrics:
                 clock.now += clock.costs[op] * n
             except KeyError:
                 clock.now += clock.default * n
-        if self.tracer.wants_counts:
-            self.tracer.on_count(op, n)
 
     def count_pipeline(
         self, now: float, inserts: int, emits: int, probes: int, removes: int, outputs: int

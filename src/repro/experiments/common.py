@@ -81,16 +81,6 @@ def _tracer_summaries(
     return phases, latency
 
 
-def _run_tuples(strategy: Any, tuples: Sequence[StreamTuple]) -> None:
-    process_batch = getattr(strategy, "process_batch", None)
-    if process_batch is not None:
-        process_batch(tuples)
-        return
-    process = strategy.process
-    for tup in tuples:
-        process(tup)
-
-
 def default_key_domain(window: int, n_joins: int) -> int:
     """A key domain that keeps n-way result multiplicities bounded.
 
@@ -137,7 +127,7 @@ def measure_migration_stage(
     # Pass 1: Parallel Track defines the length of the migration stage.
     pt = factories.get("parallel_track", DEFAULT_FACTORIES["parallel_track"])(scenario)
     pt_tracer = _observe(pt)
-    _run_tuples(pt, scenario.tuples[:warmup])
+    pt.process_batch(scenario.tuples[:warmup])
     start_vt = pt.now()
     start_ops = pt.metrics.snapshot()
     pt.transition(new_order)
@@ -173,11 +163,11 @@ def measure_migration_stage(
             continue
         strategy = factory(scenario)
         tracer = _observe(strategy)
-        _run_tuples(strategy, scenario.tuples[:warmup])
+        strategy.process_batch(scenario.tuples[:warmup])
         start_vt = strategy.metrics.clock.now
         start_ops = strategy.metrics.snapshot()
         strategy.transition(new_order)
-        _run_tuples(strategy, stage_tuples)
+        strategy.process_batch(stage_tuples)
         phases, latency = _tracer_summaries(tracer)
         results.append(
             StageResult(
@@ -221,7 +211,7 @@ def measure_normal_operation(
         done = 0
         for i in range(checkpoints):
             chunk = scenario.tuples[done : done + step]
-            _run_tuples(strategy, chunk)
+            strategy.process_batch(chunk)
             done += len(chunk)
             series[name].append(
                 StageResult(
@@ -255,7 +245,7 @@ def measure_latency(
     latencies: Dict[str, float] = {}
     for name, cls in (("jisc", JISCStrategy), ("moving_state", MovingStateStrategy)):
         strategy = cls(scenario.schema, scenario.order, join=join)
-        _run_tuples(strategy, scenario.tuples[:warmup])
+        strategy.process_batch(scenario.tuples[:warmup])
         trigger = strategy.now()
         strategy.transition(new_order)
         sink = strategy.plan.sink

@@ -183,6 +183,7 @@ class TracerPurityRule(Rule):
 
     HOOKS = {
         "on_count",
+        "event",
         "arrival",
         "output",
         "transition_start",
@@ -197,7 +198,10 @@ class TracerPurityRule(Rule):
         "recovery",
         "rebalance_start",
         "rebalance_end",
+        "rebalance_batch_start",
+        "rebalance_batch_end",
         "shard_move",
+        "trigger",
     }
     EXEMPT = {"set_phase", "attach"}
     #: Receiver names that identify a tracer object.
@@ -544,13 +548,13 @@ class TelemetryRegistrationRule(Rule):
     rule_id = "JISC007"
     name = "telemetry-registration"
     description = (
-        "registry instrument factories (counter/gauge/histogram/windowed) "
+        "registry instrument factories (counter/gauge/histogram) "
         "may only be called from init-like functions (__init__, attach, "
         "*register*/*wire*/*init*) or module scope, never on hot paths"
     )
 
     #: The MetricsRegistry get-or-create factory methods.
-    FACTORIES = {"counter", "gauge", "histogram", "windowed"}
+    FACTORIES = {"counter", "gauge", "histogram"}
     #: Receiver names that identify a registry object.
     RECEIVERS = {"registry", "_registry", "reg"}
     #: Exact function names that count as init-time.

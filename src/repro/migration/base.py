@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.cost import CostModel, VirtualClock
 from repro.engine.metrics import Metrics
@@ -198,9 +198,30 @@ class MigrationStrategy:
 
     def live_plans(self) -> List[PhysicalPlan]:
         """Every physical plan arrivals are currently fed through, oldest
-        first — the one answer telemetry, the monitor and the optimizer
-        share (``[]`` on the plan-less eddy / MJoin executors)."""
+        first — the one answer telemetry and the optimizer share (``[]`` on
+        the plan-less eddy / MJoin executors)."""
         return [self.plan]
+
+    def probe_sources(self) -> List[Tuple[str, Operator]]:
+        """Every operator of the live plans (which share none), with its label."""
+        return [(op.label, op) for plan in self.live_plans() for op in plan.operators()]
+
+    def state_sizes(self) -> Dict[str, int]:
+        """Entries per operator label, summed over the live plans (a scan's
+        entries are its window's contents)."""
+        sizes: Dict[str, int] = {}
+        for label, op in self.probe_sources():
+            sizes[label] = sizes.get(label, 0) + len(op.state)
+        return sizes
+
+    def evict(self, tup: StreamTuple) -> bool:
+        """Coordinator-driven eviction (sharded execution): expire ``tup``
+        from its scan; ``False`` when the window does not hold it."""
+        return self.plan.scans[tup.stream].evict(tup)
+
+    def live_tuples(self) -> Dict[str, List[StreamTuple]]:
+        """Per-stream window contents, in arrival order."""
+        return {name: scan.window.snapshot() for name, scan in self.plan.scans.items()}
 
     @property
     def outputs(self) -> List[Any]:

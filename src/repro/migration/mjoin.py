@@ -15,7 +15,7 @@ order with X removed, exactly how an optimizer would order MJoin probes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.cost import CostModel, VirtualClock
 from repro.engine.metrics import Counter, Metrics
@@ -96,6 +96,11 @@ class MJoinExecutor:
             if tracer.enabled:
                 tracer.output(result, when)
 
+    def process_batch(self, tuples: Sequence[StreamTuple]) -> None:
+        process = self.process
+        for tup in tuples:
+            process(tup)
+
     def probe_order(self, stream: str) -> Tuple[str, ...]:
         """The other streams, in the current plan's bottom-up order."""
         return tuple(name for name in self.order if name != stream)
@@ -114,6 +119,12 @@ class MJoinExecutor:
 
     def live_plans(self) -> List[Any]:
         return []  # one n-ary operator, no physical plan
+
+    def probe_sources(self) -> List[Tuple[str, Any]]:
+        return []  # the tables keep no probe tallies
+
+    def state_sizes(self) -> Dict[str, int]:
+        return {name: len(table) for name, table in self.tables.items()}
 
     def output_lineages(self) -> List[Lineage]:
         return [tup.lineage for tup in self.outputs]

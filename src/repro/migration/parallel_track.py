@@ -18,7 +18,7 @@ with two tracks), plus the dedup checks, plus the purge polling.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.engine.cost import CostModel
 from repro.engine.metrics import Counter, Metrics
@@ -80,6 +80,27 @@ class ParallelTrackStrategy(MigrationStrategy):
 
     def live_plans(self) -> List[PhysicalPlan]:
         return [track.plan for track in self.tracks]
+
+    def evict(self, tup: StreamTuple) -> bool:
+        """Every track holds its own window; a plan born after ``tup``
+        arrived legitimately does not hold it."""
+        hit = False
+        for track in self.tracks:
+            if track.plan.scans[tup.stream].evict(tup):
+                hit = True
+        return hit
+
+    def live_tuples(self) -> Dict[str, List[StreamTuple]]:
+        """The live set is split across tracks (a new track starts empty and
+        fills with post-transition arrivals only): the deduplicated union."""
+        merged: Dict[str, List[StreamTuple]] = {}
+        for track in self.tracks:
+            for name, scan in track.plan.scans.items():
+                seen = merged.setdefault(name, [])
+                for tup in scan.window:
+                    if tup not in seen:
+                        seen.append(tup)
+        return merged
 
     @property
     def outputs(self) -> List[Any]:

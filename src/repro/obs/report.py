@@ -359,6 +359,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except json.JSONDecodeError as exc:
             print(f"error: {path} is not a JSONL trace: {exc}", file=sys.stderr)
             return 1
+        except ValueError as exc:  # a truncated trace (``parse_jsonl``)
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return 1
         print(render_report(trace, title=path))
         print()
     return 0

@@ -6,9 +6,9 @@ work a strategy performed; they cannot say *when* or *why* — whether a
 rebuild, or to JISC completing one pending value.  The tracer closes that
 gap:
 
-* Every :class:`~repro.engine.metrics.Metrics` carries a tracer.  The
-  default :data:`NULL_TRACER` is a shared no-op whose methods do nothing,
-  so untraced runs count exactly the same operations as before.
+* Every :class:`~repro.engine.metrics.Metrics` carries a tracer (the
+  shared no-op :data:`NULL_TRACER` by default); see :class:`Tracer` for
+  the seam every observer goes through.
 
 * A :class:`RecordingTracer` keeps structured :class:`TraceEvent`\\ s —
   transition start/end, per-value completions, promote/demote, checkpoint,
@@ -34,6 +34,7 @@ from repro.obs.histogram import LatencyHistogram
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.engine.cost import VirtualClock
+    from repro.engine.metrics import Metrics
     from repro.streams.tuples import AnyTuple, StreamTuple
 
 FORMAT_VERSION = 1
@@ -119,21 +120,36 @@ class Trace:
 
 
 class Tracer:
-    """No-op tracer: the zero-overhead default.
+    """The observation seam: attach, phase scoping, per-phase attribution, ``event``.
 
-    Subclass and set ``enabled = True`` to record.  Instrumentation sites
-    guard on ``tracer.enabled`` before doing any work beyond the counters
-    they already maintain, so the engine's operation counts are identical
-    with and without tracing.
+    The base class records nothing (``enabled`` is false; the shared
+    :data:`NULL_TRACER` is every ``Metrics``' default) but owns what its two
+    subclasses share.  Instrumentation sites guard on ``tracer.enabled``
+    before telling a tracer anything, and nothing reads a tracer to decide
+    *how* to run: an observed engine executes what an unobserved one does.
+
+    **Attribution** is by boundary deltas.  ``Metrics.counts`` is monotone,
+    so what a phase counted is the difference between two reads of it;
+    :meth:`_settle` credits that difference to the current phase at
+    :meth:`attach`, at every :meth:`set_phase` that changes the phase and
+    whenever :attr:`phase_counts` is read — never per operation.  Exact,
+    because the fused kernels hand their tallies to ``Metrics`` before every
+    hook, hand-off and ``output`` call (docs/OBSERVABILITY.md).  A tracer
+    follows one ``Metrics`` at a time: attaching to a second settles the first.
+
+    **Events** take one path: each typed hook names its leading fields and
+    calls :meth:`event`; subclasses override ``event`` (plus ``arrival`` /
+    ``output``), not the hooks.  State lives in class-level defaults until
+    written, so a subclass need not call ``super().__init__()``.
     """
 
     enabled = False
-    #: Does this tracer want the per-operation ``on_count`` callback?
-    #: ``Metrics.count`` guards on this separately from ``enabled`` so a
-    #: tracer that derives op counts some cheaper way (the telemetry hub
-    #: reads count deltas at phase boundaries) pays no per-op call.
-    wants_counts = False
     phase = PHASE_STEADY
+    _metrics: Optional["Metrics"] = None
+    _clock: Optional["VirtualClock"] = None
+    #: ``Metrics.counts`` as of the last settle (set by ``attach``).
+    _base: Dict[str, int]
+    _phase_counts: Optional[Dict[str, Dict[str, int]]] = None
 
     # -- wiring -----------------------------------------------------------------------
 
@@ -141,23 +157,62 @@ class Tracer:
         """Attach to a strategy (anything with ``.metrics``) or a Metrics.
 
         Counters accumulated *before* attaching are credited to the current
-        phase, preserving the sum-to-``Metrics.counts`` invariant.
-        Returns ``target`` for chaining.
+        phase, once, preserving the sum-to-``Metrics.counts`` invariant; the
+        virtual clock is adopted.  Returns ``target`` for chaining.
         """
+        if not self.enabled:
+            return target
+        metrics = getattr(target, "metrics", target)
+        self._settle()  # the Metrics followed until now, if any
+        self._metrics = metrics
+        self._clock = metrics.clock
+        self._base = {}
+        self._settle()  # the new one's backlog
+        metrics.tracer = self
         return target
 
-    # -- phase scoping ---------------------------------------------------------------
+    # -- phase scoping and attribution ------------------------------------------------
 
     def set_phase(self, phase: str) -> str:
         """Switch the attribution phase; returns the previous phase."""
-        return PHASE_STEADY
+        prev = self.phase
+        if phase != prev and self.enabled:
+            self._settle()
+            self.phase = phase
+        return prev
 
-    # -- counter hook ----------------------------------------------------------------
+    def _settle(self) -> None:
+        """Credit what ``Metrics`` counted since the last boundary to the
+        current phase."""
+        metrics = self._metrics
+        if metrics is None:
+            return
+        base = self._base
+        for op, n in metrics.counts.items():
+            delta = n - base.get(op, 0)
+            if delta:
+                base[op] = n
+                self.on_count(op, delta)
 
     def on_count(self, op: str, n: int) -> None:
-        pass
+        """Credit ``n`` of ``op`` to the current phase: the one writer of the
+        per-phase counts, called per op that moved between two boundaries
+        (never per operation).  A phase that counts nothing never appears."""
+        if self._phase_counts is None:
+            self._phase_counts = {}
+        by = self._phase_counts.setdefault(self.phase, {})
+        by[op] = by.get(op, 0) + n
 
-    # -- span / event hooks ------------------------------------------------------------
+    @property
+    def phase_counts(self) -> Dict[str, Dict[str, int]]:
+        """Phase -> op -> count, settled; sums to ``Metrics.counts``."""
+        self._settle()
+        return self._phase_counts or {}
+
+    # -- the event path -----------------------------------------------------------------
+
+    def event(self, kind: str, data: Dict[str, Any]) -> None:
+        """Every typed hook below ends here; ``data`` is the event's payload."""
 
     def arrival(self, tup: "StreamTuple") -> None:
         pass
@@ -166,51 +221,51 @@ class Tracer:
         pass
 
     def transition_start(self, strategy: str, seq: int, **data: Any) -> None:
-        pass
+        self.event(EVENT_TRANSITION_START, {"strategy": strategy, "seq": seq, **data})
 
     def transition_end(self, strategy: str, seq: int, **data: Any) -> None:
-        pass
+        self.event(EVENT_TRANSITION_END, {"strategy": strategy, "seq": seq, **data})
 
     def migration_end(self, strategy: str, **data: Any) -> None:
-        pass
+        self.event(EVENT_MIGRATION_END, {"strategy": strategy, **data})
 
     def completion(self, op_label: str, key: Any, **data: Any) -> None:
-        pass
+        self.event(EVENT_COMPLETION, {"op": op_label, "key": key, **data})
 
     def promote(self, n: int, **data: Any) -> None:
-        pass
+        self.event(EVENT_PROMOTE, {"n": n, **data})
 
     def demote(self, n: int, **data: Any) -> None:
-        pass
+        self.event(EVENT_DEMOTE, {"n": n, **data})
 
     def checkpoint(self, strategy: str, **data: Any) -> None:
-        pass
+        self.event(EVENT_CHECKPOINT, {"strategy": strategy, **data})
 
     def note(self, what: str, **data: Any) -> None:
-        pass
+        self.event(EVENT_NOTE, {"what": what, **data})
 
     def fault(self, kind: str, **data: Any) -> None:
-        pass
+        self.event(EVENT_FAULT, {"fault": kind, **data})
 
     def recovery(self, what: str, **data: Any) -> None:
-        pass
+        self.event(EVENT_RECOVERY, {"what": what, **data})
 
     def rebalance_start(self, mode: str, **data: Any) -> None:
-        pass
+        self.event(EVENT_REBALANCE_START, {"mode": mode, **data})
 
     def rebalance_end(self, mode: str, **data: Any) -> None:
-        pass
+        self.event(EVENT_REBALANCE_END, {"mode": mode, **data})
 
     def rebalance_batch_start(self, index: int, total: int, **data: Any) -> None:
         """One batch of a fluid rebalance plan opened (assignment flipped)."""
-        pass
+        self.event(EVENT_REBALANCE_BATCH_START, {"index": index, "total": total, **data})
 
     def rebalance_batch_end(self, index: int, total: int, **data: Any) -> None:
         """The open batch's last key settled or retired."""
-        pass
+        self.event(EVENT_REBALANCE_BATCH_END, {"index": index, "total": total, **data})
 
     def shard_move(self, key: Any, src: int, dst: int, **data: Any) -> None:
-        pass
+        self.event(EVENT_SHARD_MOVE, {"key": key, "src": src, "dst": dst, **data})
 
     def trigger(self, action: str, **data: Any) -> None:
         """One re-optimization trigger decision (evaluated/fired/suppressed).
@@ -218,7 +273,7 @@ class Tracer:
         ``data`` carries the decision's cost evidence — current vs best
         plan cost, improvement, migration cost — so a trace explains *why*
         a migration happened (or was held back)."""
-        pass
+        self.event(EVENT_TRIGGER, {"action": action, **data})
 
 
 #: Shared no-op tracer; the default of every Metrics instance.
@@ -241,7 +296,6 @@ class RecordingTracer(Tracer):
     """
 
     enabled = True
-    wants_counts = True
 
     def __init__(self, capacity: int = 100_000, clock: Optional["VirtualClock"] = None):
         if capacity <= 0:
@@ -249,58 +303,17 @@ class RecordingTracer(Tracer):
         self.capacity = capacity
         self.events: "deque[TraceEvent]" = deque(maxlen=capacity)
         self.dropped = 0
-        self.phase = PHASE_STEADY
-        self.phase_counts: Dict[str, Dict[str, int]] = {}
         self.latency: Dict[str, LatencyHistogram] = {}
-        self._clock: Optional["VirtualClock"] = clock
+        self._clock = clock
         self._arrival_vt: Dict[Tuple[str, int], float] = {}
-        # Cached bucket of the current phase for on_count (see below); not a
-        # source of truth — phase_counts is.
-        self._cur_phase: Optional[str] = None
-        self._cur_counts: Dict[str, int] = {}
-
-    # -- wiring -----------------------------------------------------------------------
-
-    def attach(self, target: Any) -> Any:
-        metrics = getattr(target, "metrics", target)
-        if metrics.counts:
-            by = self.phase_counts.setdefault(self.phase, {})
-            for op, n in metrics.counts.items():
-                by[op] = by.get(op, 0) + n
-        self._clock = metrics.clock
-        metrics.tracer = self
-        return target
 
     def _now(self) -> float:
         return self._clock.now if self._clock is not None else 0.0
 
-    def _record(self, kind: str, data: Dict[str, Any]) -> None:
+    def event(self, kind: str, data: Dict[str, Any]) -> None:
         if len(self.events) == self.capacity:
             self.dropped += 1
         self.events.append(TraceEvent(self._now(), kind, self.phase, data))
-
-    # -- phase scoping ---------------------------------------------------------------
-
-    def set_phase(self, phase: str) -> str:
-        prev = self.phase
-        self.phase = phase
-        return prev
-
-    # -- counter hook ----------------------------------------------------------------
-
-    def on_count(self, op: str, n: int) -> None:
-        # Called once per counted operation — the bucket for the current
-        # phase is cached and only re-resolved when the phase actually
-        # changes.  The cache is filled lazily on the first *count* in a
-        # phase, so phases that never count anything never appear in
-        # ``phase_counts`` (the export payload depends on that).
-        by = self._cur_counts
-        if self._cur_phase != self.phase:
-            self._cur_phase = self.phase
-            by = self._cur_counts = self.phase_counts.setdefault(self.phase, {})
-        by[op] = by.get(op, 0) + n
-
-    # -- span / event hooks ------------------------------------------------------------
 
     def arrival(self, tup: "StreamTuple") -> None:
         self._arrival_vt[(tup.stream, tup.seq)] = self._now()
@@ -319,55 +332,7 @@ class RecordingTracer(Tracer):
         if hist is None:
             hist = self.latency[self.phase] = LatencyHistogram()
         hist.add(latency)
-        self._record(EVENT_OUTPUT, {"tuple_id": list(tup.lineage), "latency": latency})
-
-    def transition_start(self, strategy: str, seq: int, **data: Any) -> None:
-        self._record(EVENT_TRANSITION_START, {"strategy": strategy, "seq": seq, **data})
-
-    def transition_end(self, strategy: str, seq: int, **data: Any) -> None:
-        self._record(EVENT_TRANSITION_END, {"strategy": strategy, "seq": seq, **data})
-
-    def migration_end(self, strategy: str, **data: Any) -> None:
-        self._record(EVENT_MIGRATION_END, {"strategy": strategy, **data})
-
-    def completion(self, op_label: str, key: Any, **data: Any) -> None:
-        self._record(EVENT_COMPLETION, {"op": op_label, "key": key, **data})
-
-    def promote(self, n: int, **data: Any) -> None:
-        self._record(EVENT_PROMOTE, {"n": n, **data})
-
-    def demote(self, n: int, **data: Any) -> None:
-        self._record(EVENT_DEMOTE, {"n": n, **data})
-
-    def checkpoint(self, strategy: str, **data: Any) -> None:
-        self._record(EVENT_CHECKPOINT, {"strategy": strategy, **data})
-
-    def note(self, what: str, **data: Any) -> None:
-        self._record(EVENT_NOTE, {"what": what, **data})
-
-    def fault(self, kind: str, **data: Any) -> None:
-        self._record(EVENT_FAULT, {"fault": kind, **data})
-
-    def recovery(self, what: str, **data: Any) -> None:
-        self._record(EVENT_RECOVERY, {"what": what, **data})
-
-    def rebalance_start(self, mode: str, **data: Any) -> None:
-        self._record(EVENT_REBALANCE_START, {"mode": mode, **data})
-
-    def rebalance_end(self, mode: str, **data: Any) -> None:
-        self._record(EVENT_REBALANCE_END, {"mode": mode, **data})
-
-    def rebalance_batch_start(self, index: int, total: int, **data: Any) -> None:
-        self._record(EVENT_REBALANCE_BATCH_START, {"index": index, "total": total, **data})
-
-    def rebalance_batch_end(self, index: int, total: int, **data: Any) -> None:
-        self._record(EVENT_REBALANCE_BATCH_END, {"index": index, "total": total, **data})
-
-    def shard_move(self, key: Any, src: int, dst: int, **data: Any) -> None:
-        self._record(EVENT_SHARD_MOVE, {"key": key, "src": src, "dst": dst, **data})
-
-    def trigger(self, action: str, **data: Any) -> None:
-        self._record(EVENT_TRIGGER, {"action": action, **data})
+        self.event(EVENT_OUTPUT, {"tuple_id": list(tup.lineage), "latency": latency})
 
     # -- aggregates --------------------------------------------------------------------
 
@@ -416,18 +381,34 @@ class RecordingTracer(Tracer):
 
 
 def parse_jsonl(lines: Iterable[str]) -> Trace:
-    """Build a :class:`Trace` from JSONL lines (header optional)."""
+    """Build a :class:`Trace` from JSONL lines (header optional).
+
+    A header says how many events follow it: fewer parsed — the last lines
+    missing, or one cut short — raises ``ValueError`` instead of returning
+    a silently short trace.  Header-less input is taken as it comes.
+    """
     header: Dict[str, Any] = {}
     events: List[TraceEvent] = []
     for line in lines:
         line = line.strip()
         if not line:
             continue
-        obj = json.loads(line)
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            if not header:
+                raise
+            break  # a cut line ends the trace; the count below reports it
         if obj.get("kind") == "header":
             header = obj
         else:
             events.append(TraceEvent.from_json(obj))
+    expected = header.get("events")
+    if expected is not None and expected != len(events):
+        raise ValueError(
+            f"truncated trace: the header announces {expected} events, "
+            f"{len(events)} could be read"
+        )
     return Trace(header, events)
 
 

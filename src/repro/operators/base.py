@@ -46,6 +46,7 @@ class Operator:
         # every probe (repro.telemetry.hub).
         self.probes = 0
         self.hits = 0
+        self._label: Optional[str] = None
 
     # -- plan structure ------------------------------------------------------------
 
@@ -62,6 +63,15 @@ class Operator:
     @property
     def identity(self) -> Tuple[str, frozenset]:
         return (self.kind, self.membership)
+
+    @property
+    def label(self) -> str:
+        """The membership, sorted ("S0S1S2"; a scan's is its stream): what
+        traces, telemetry series and ``state_sizes()`` call this operator.
+        Worked out once — the streams below an operator never change."""
+        if self._label is None:
+            self._label = "".join(sorted(self.membership))
+        return self._label
 
     def children(self) -> Tuple["Operator", ...]:
         return ()
@@ -116,8 +126,7 @@ class Operator:
             self.parent.remove(part, self, fresh)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        names = "".join(sorted(self.membership))
-        return f"{type(self).__name__}({names})"
+        return f"{type(self).__name__}({self.label})"
 
 
 class UnaryOperator(Operator):

@@ -19,7 +19,7 @@ from bisect import bisect_left
 from typing import TYPE_CHECKING, Any, Callable, List, NamedTuple, Optional, Tuple
 
 from repro.engine.cost import VirtualClock
-from repro.engine.metrics import PIPELINE_OPS
+from repro.engine.metrics import PIPELINE_OPS, Metrics
 from repro.operators.base import Operator
 from repro.operators.joins import JoinOperator, SymmetricHashJoin
 from repro.operators.sink import OutputSink
@@ -165,12 +165,17 @@ def compile_leaf(scan: "StreamScan") -> Kernel:
         return level
 
     # The fused prefix: every ancestor that is exactly a symmetric hash join
-    # counting on the same metrics and fed synchronously by its child.
+    # counting on the same metrics and fed synchronously by its child.  Empty
+    # under a ``Metrics`` subclass: the levels tally on behalf of
+    # ``Metrics.count``, and an overridden ``count`` (``EddyMetrics`` charges an
+    # eddy visit per emit, moving the clock in between) is not theirs to
+    # reproduce — the leaf hands over through ``scan.emit``, which counts there.
     specs: List[Tuple[SymmetricHashJoin, Operator, int, int]] = []
     last: Operator = scan
     streams: Streams = (scan.stream,)  # of what ``last`` emits
     while (
-        type(last.parent) is SymmetricHashJoin
+        type(metrics) is Metrics
+        and type(last.parent) is SymmetricHashJoin
         and last.scheduler is None
         and last.parent.metrics is metrics
     ):

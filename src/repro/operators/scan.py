@@ -52,8 +52,7 @@ class StreamScan(Operator):
         # This leaf's root path as ``PhysicalPlan.feed`` had ``operators.fused``
         # compile it after the first arrival (``build_plan`` resets it with the
         # parent).  Its doors, ``feed`` and :meth:`evict`, run it unless the
-        # pipeline is queued or the tracer wants every op counted on its own —
-        # read per call, so attaching such a tracer mid-run just works.
+        # pipeline is queued (read per call) — whatever observer is attached.
         self.fused: Optional[Kernel] = None
 
     @property
@@ -91,7 +90,7 @@ class StreamScan(Operator):
         if not self.window.discard(tup):
             return False
         kernel = self.fused
-        if kernel is None or self.scheduler is not None or self.metrics.tracer.wants_counts:
+        if kernel is None or self.scheduler is not None:
             self._expire(tup)
         else:
             kernel.expire(tup)

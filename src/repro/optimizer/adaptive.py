@@ -41,6 +41,7 @@ from repro.optimizer.triggers import (
     TriggerPolicy,
 )
 from repro.plans.spec import left_deep_order
+from repro.shard.executor import ShardedExecutor
 from repro.shard.partition import weighted_assignment
 from repro.streams.tuples import StreamTuple
 from repro.telemetry.hub import ShardTelemetry, TelemetryTracer
@@ -74,8 +75,7 @@ class AdaptiveEngine:
     target:
         Anything with ``process(tuple)`` and ``transition(spec)`` — a
         migration strategy, a :class:`~repro.eddy.cacq.CACQExecutor`, or
-        a :class:`~repro.shard.executor.ShardedExecutor` (detected by its
-        ``workers``/``num_shards`` shape).
+        a :class:`~repro.shard.executor.ShardedExecutor`.
     policy:
         The :class:`TriggerPolicy`; hysteresis with defaults if omitted.
     evaluate_every:
@@ -116,24 +116,16 @@ class AdaptiveEngine:
         self.target = target
         self.policy: TriggerPolicy = policy if policy is not None else HysteresisTrigger()
         self.evaluate_every = evaluate_every
-        self.sharded = hasattr(target, "num_shards") and hasattr(target, "workers")
+        self.sharded = isinstance(target, ShardedExecutor)
         options = dict(hub_options or {})
         if telemetry is not None:
             self.telemetry = telemetry
         elif self.sharded:
-            existing = getattr(target, "telemetry", None)
-            self.telemetry = (
-                existing
-                if existing is not None
-                else ShardTelemetry(target, registry=registry, inner=inner, **options)
+            self.telemetry = target.telemetry or ShardTelemetry(
+                target, registry=registry, inner=inner, **options
             )
         else:
-            hub = TelemetryTracer(
-                registry=registry,
-                strategy=getattr(target, "name", "engine"),
-                inner=inner,
-                **options,
-            )
+            hub = TelemetryTracer(registry=registry, strategy=target.name, inner=inner, **options)
             hub.attach(target)
             self.telemetry = hub
         self.order: Tuple[str, ...] = (
@@ -327,10 +319,8 @@ class AdaptiveEngine:
 
     @property
     def outputs(self) -> List[Any]:
-        outputs = getattr(self.target, "outputs", None)
-        if outputs is not None:
-            return outputs
-        raise AttributeError("target exposes lineages only; use output_lineages()")
+        outputs: List[Any] = self.target.outputs
+        return outputs
 
     def output_lineages(self) -> List[Tuple]:
         return self.target.output_lineages()

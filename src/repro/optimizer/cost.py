@@ -205,29 +205,7 @@ class PlanCostMaintainer:
 
 
 def live_state_size(target: Any) -> int:
-    """Total stored tuples across a strategy's (or executor's) live state.
-
-    The migration-cost-aware trigger charges a JISC completion cost
-    proportional to this: sharded executors sum over their workers, eddy
-    executors over their SteM windows, everything else over the operator
-    states of its ``live_plans()``.
-    """
-    workers = getattr(target, "workers", None)
-    if workers is not None:
-        return sum(
-            live_state_size(worker.strategy)
-            for worker in workers
-            if worker is not None
-        )
-    stems = getattr(target, "stems", None)
-    if stems is not None:
-        return sum(len(stem) for stem in stems.values())
-    total = 0
-    seen: set = set()
-    for plan in target.live_plans():
-        for op in plan.operators():
-            if id(op) in seen:
-                continue
-            seen.add(id(op))
-            total += len(op.state)
-    return total
+    """Total entries an engine holds — the sum of its own ``state_sizes()``;
+    the migration-cost-aware trigger charges a completion cost proportional
+    to it."""
+    return sum(target.state_sizes().values())

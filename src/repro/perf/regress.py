@@ -3,7 +3,7 @@
 Two checks, both against in-repo ground truth:
 
 1. **Op-count fidelity** — re-runs the committed benchmark figures
-   (fig7 migration, fig9 normal operation, fig10 latency) and compares
+   (fig7 migration, fig9 normal operation, fig10 latency, …) and compares
    every op counter and virtual-time number against the checked-in
    ``BENCH_<name>.json`` baselines.  Counters must match exactly;
    virtual-time floats get a small tolerance for summation-order noise
@@ -98,16 +98,9 @@ def _payload_fig10() -> Any:
     ]
 
 
-def _payload_shard_scaleout() -> Any:
-    from benchmarks.bench_shard_scaleout import run
-
-    return run()
-
-
-def _payload_fluid_rebalance() -> Any:
-    from benchmarks.bench_fluid_rebalance import run
-
-    return run()
+def _run_of(bench: str) -> Callable[[], Any]:
+    """Builder for a benchmark module whose ``run()`` result is its payload."""
+    return lambda: importlib.import_module(f"benchmarks.{bench}").run()
 
 
 def _payload_telemetry() -> Any:
@@ -128,10 +121,11 @@ FIGURES: Dict[str, Callable[[], Any]] = {
     "fig9_normal_operation": _payload_fig9,
     "fig7_migration_best": _payload_fig7,
     "fig10_latency": _payload_fig10,
-    "shard_scaleout": _payload_shard_scaleout,
-    "fluid_rebalance": _payload_fluid_rebalance,
+    "shard_scaleout": _run_of("bench_shard_scaleout"),
+    "fluid_rebalance": _run_of("bench_fluid_rebalance"),
     "telemetry_overhead": _payload_telemetry,
     "adaptive_drift": _payload_adaptive_drift,
+    "ablation_stairs": _run_of("bench_ablation_stairs"),
 }
 
 

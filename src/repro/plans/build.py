@@ -59,7 +59,7 @@ class PhysicalPlan:
         and compiles the leaf's fused kernel for the arrivals after it.
         """
         scan = self.scans[tup.stream]
-        if scan.scheduler is not None or scan.metrics.tracer.wants_counts:
+        if scan.scheduler is not None:
             scan.insert(tup)
         elif scan.fused is None:
             scan.insert(tup)

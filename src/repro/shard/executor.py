@@ -416,6 +416,15 @@ class ShardedExecutor:
         """Snapshot of the coordinator's global windows, per stream."""
         return {name: win.snapshot() for name, win in self._windows.items()}
 
+    def state_sizes(self) -> Dict[str, int]:
+        """Entries held by label, summed over the live workers."""
+        sizes: Dict[str, int] = {}
+        for worker in self.workers:
+            if worker is not None:
+                for label, n in worker.strategy.state_sizes().items():
+                    sizes[label] = sizes.get(label, 0) + n
+        return sizes
+
     # -- event processing --------------------------------------------------------------
 
     def process(self, tup: StreamTuple) -> None:

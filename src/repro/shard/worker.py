@@ -34,7 +34,7 @@ from repro.streams.schema import Schema, StreamDescriptor
 from repro.streams.tuples import StreamTuple
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.engine.executor import StrategyExecutor
+    from repro.engine.executor import ShardableExecutor
     from repro.migration.base import SpecLike
 
 #: Window extent that no realistic workload ever fills or ages out:
@@ -69,7 +69,7 @@ def make_strategy(
     initial_spec: "SpecLike",
     cost_model: Optional[CostModel] = None,
     join: str = "hash",
-) -> "StrategyExecutor":
+) -> "ShardableExecutor":
     """Construct a fresh single-engine strategy by name."""
     if name == "static":
         from repro.migration.base import StaticPlanExecutor
@@ -140,26 +140,18 @@ class CommandLog:
 class ShardWorker:
     """One shard's engine plus the coordinator-facing adapters.
 
-    The strategy's *shape* — where its per-stream windows live — is
-    resolved once, here: CACQ keeps per-stream SteMs (``stems``),
-    Parallel Track one plan per live track (``tracks``), everything else
-    one current plan (``plan``).  :meth:`evict` and :meth:`live_tuples`
-    dispatch on it.
+    Where the per-stream windows live — one plan, one plan per live track,
+    per-stream SteMs — is the strategy's own business: :meth:`evict` and
+    :meth:`live_tuples` ask it (:class:`~repro.engine.executor.ShardableExecutor`).
     """
 
-    __slots__ = ("shard_id", "strategy", "metrics", "_shape")
+    __slots__ = ("shard_id", "strategy", "metrics")
 
-    def __init__(self, shard_id: int, strategy: "StrategyExecutor"):
+    def __init__(self, shard_id: int, strategy: "ShardableExecutor"):
         self.shard_id = shard_id
         self.strategy = strategy
         #: The strategy's own metrics (it never rebinds them).
-        self.metrics: Any = strategy.metrics  # type: ignore[attr-defined]
-        if hasattr(strategy, "stems"):
-            self._shape = "stems"
-        elif hasattr(strategy, "tracks"):
-            self._shape = "tracks"
-        else:
-            self._shape = "plan"
+        self.metrics = strategy.metrics
 
     # -- uniform strategy access -------------------------------------------------------
 
@@ -169,10 +161,10 @@ class ShardWorker:
 
     @property
     def output_times(self) -> List[float]:
-        return self.strategy.output_times  # type: ignore[attr-defined]
+        return self.strategy.output_times
 
     def output_lineages(self) -> List[Tuple[Tuple[str, int], ...]]:
-        return self.strategy.output_lineages()  # type: ignore[attr-defined]
+        return self.strategy.output_lineages()
 
     def catch_up(self, t: float) -> None:
         """Advance the worker's virtual clock to external time ``t``.
@@ -199,53 +191,15 @@ class ShardWorker:
         Returns ``True`` if any structure held the tuple (a Parallel
         Track plan born after the tuple arrived legitimately does not).
         """
-        strategy: Any = self.strategy
-        shape = self._shape
-        if shape == "plan":
-            return bool(strategy.plan.scans[tup.stream].evict(tup))
-        if shape == "stems":
-            return bool(strategy.stems[tup.stream].evict(tup))
-        hit = False
-        for track in strategy.tracks:
-            if track.plan.scans[tup.stream].evict(tup):
-                hit = True
-        return hit
+        return self.strategy.evict(tup)
 
     def transition(self, new_spec: "SpecLike") -> None:
         """Apply a plan transition (broadcast by the coordinator)."""
         self.strategy.transition(new_spec)  # type: ignore[arg-type]
 
     def live_tuples(self) -> Dict[str, List[StreamTuple]]:
-        """Per-stream window contents this worker currently holds.
-
-        Parallel Track splits the live set across tracks (a new track
-        starts empty and fills with post-transition arrivals only), so
-        its answer is the deduplicated union over every live track.
-        """
-        strategy: Any = self.strategy
-        shape = self._shape
-        if shape == "plan":
-            return {
-                name: scan.window.snapshot() for name, scan in strategy.plan.scans.items()
-            }
-        if shape == "stems":
-            return {name: stem.window.snapshot() for name, stem in strategy.stems.items()}
-        merged: Dict[str, List[StreamTuple]] = {}
-        for track in strategy.tracks:
-            for name, scan in track.plan.scans.items():
-                seen = merged.setdefault(name, [])
-                for tup in scan.window:
-                    if tup not in seen:
-                        seen.append(tup)
-        return merged
-
-    def live_tuple_count(self) -> int:
-        """How many live tuples this worker's windows hold, across streams.
-
-        A shard drained by a scale-in plan must answer zero before it may
-        retire — the faults invariants check exactly that mid-resize.
-        """
-        return sum(len(tuples) for tuples in self.live_tuples().values())
+        """Per-stream window contents this worker currently holds."""
+        return self.strategy.live_tuples()
 
     def replay(self, tuples: Sequence[StreamTuple]) -> int:
         """Re-feed moved-in tuples with their outputs muted.

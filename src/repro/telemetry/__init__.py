@@ -15,7 +15,6 @@ See docs/TELEMETRY.md.
 from typing import TYPE_CHECKING
 
 from repro.telemetry.estimators import (
-    ArrivalRateEstimator,
     Ewma,
     PageHinkley,
     SampledRate,
@@ -35,7 +34,6 @@ from repro.telemetry.registry import (
     Histogram,
     Instrument,
     MetricsRegistry,
-    Windowed,
     canonical_labels,
     series_name,
 )
@@ -45,9 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.telemetry.sketch import SpaceSavingSketch
 
 # The hub (and the sketch it uses) reach into the shard and engine
-# layers, and the engine's monitor imports the leaf registry above.
-# Loading them lazily keeps that chain acyclic while
-# `from repro.telemetry import TelemetryTracer` keeps working.
+# layers.  Loading them lazily keeps this package importable from there
+# while `from repro.telemetry import TelemetryTracer` keeps working.
 _LAZY = {
     "ShardTelemetry": ("repro.telemetry.hub", "ShardTelemetry"),
     "TelemetryTracer": ("repro.telemetry.hub", "TelemetryTracer"),
@@ -68,7 +65,6 @@ def __getattr__(name: str):  # PEP 562
 
 
 __all__ = [
-    "ArrivalRateEstimator",
     "Counter",
     "Ewma",
     "Gauge",
@@ -82,7 +78,6 @@ __all__ = [
     "SnapshotLog",
     "SpaceSavingSketch",
     "TelemetryTracer",
-    "Windowed",
     "WindowedRatio",
     "canonical_labels",
     "diff_snapshots",

@@ -9,8 +9,8 @@ per observation, bounded-memory, and wall-clock-free.
 
 * :class:`WindowedRatio` — exact hit ratio over the last *W* Bernoulli
   observations (per-operator selectivity over the last N probes).
-* :class:`ArrivalRateEstimator` — arrivals per unit virtual time over a
-  sliding sample window.
+* :class:`SampledRate` — a rate from periodic samples of a cumulative
+  count (arrivals or outputs per unit virtual time).
 * :class:`Ewma` — exponentially weighted moving average.
 * :class:`PageHinkley` — two-sided Page–Hinkley mean-shift test; combined
   with an EWMA baseline in :class:`SelectivityDriftDetector`, which is
@@ -73,42 +73,14 @@ class WindowedRatio:
         return self.total_hits / self.total
 
 
-class ArrivalRateEstimator:
-    """Arrivals per unit of virtual time over the last ``window`` arrivals."""
-
-    __slots__ = ("window", "_times", "total")
-
-    def __init__(self, window: int = 1024):
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = window
-        self._times: Deque[float] = deque(maxlen=window)
-        self.total = 0
-
-    def observe(self, t: float) -> None:
-        self._times.append(t)
-        self.total += 1
-
-    def rate(self) -> float:
-        """Arrivals per time unit over the retained span (0 when flat)."""
-        times = self._times
-        if len(times) < 2:
-            return 0.0
-        span = times[-1] - times[0]
-        if span <= 0:
-            return 0.0
-        return (len(times) - 1) / span
-
-
 class SampledRate:
     """Rate from periodic ``(time, cumulative count)`` samples.
 
     The caller keeps a plain cumulative counter on its hot path and
     samples it here at a coarse cadence (the telemetry hub does so every
     :data:`~repro.telemetry.hub.PROBE_POLL_EVERY` arrivals); the rate is
-    the count delta over the time span of the retained samples.  Same
-    estimate as :class:`ArrivalRateEstimator` over the same span, at zero
-    per-event cost.
+    the count delta over the time span of the retained samples — nothing
+    is recorded per event.
     """
 
     __slots__ = ("window", "_samples")

@@ -18,7 +18,10 @@ never disagree with each other:
 
 * :func:`diff_snapshots` — the snapshot-diff report the dashboard's
   ``--diff`` mode prints: added/removed series and changed values
-  between two snapshots, sorted, one line each.
+  between two snapshots, sorted, one line each.  Next to it, the folds
+  over a snapshot history — :func:`peak_entries` ("is state growing?"),
+  :func:`largest_state`, :func:`output_stall` ("did the migration stall
+  output?"), :func:`throughput` — that read the hub's size and output series.
 
 Everything here is deterministic: sorted series order, sorted JSON keys,
 virtual timestamps only (JISC001 bans wall clocks in ``src/repro``).
@@ -27,29 +30,22 @@ virtual timestamps only (JISC001 bans wall clocks in ``src/repro``).
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
+import re
+from collections import deque
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
-from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    Instrument,
-    MetricsRegistry,
-    Windowed,
-    series_name,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - types only
-    pass
+from repro.telemetry.registry import Counter, Gauge, Histogram, Instrument, MetricsRegistry
 
 SNAPSHOT_KIND = "telemetry_snapshot"
+
+#: Most snapshots a :class:`SnapshotLog` retains.
+SNAPSHOT_CAPACITY = 10_000
 
 #: Prometheus metric types by instrument kind.
 _PROM_TYPE = {
     "counter": "counter",
     "gauge": "gauge",
     "histogram": "summary",
-    "windowed": "gauge",
 }
 
 
@@ -100,16 +96,6 @@ def _render_instrument(full: str, ins: Instrument) -> List[str]:
             q_labels = _label_body(tuple(labels) + (("quantile", q),))
             lines.append(f"{full}{q_labels} {_fmt(summary[field])}")
         return lines
-    if isinstance(ins, Windowed):
-        lines = [
-            f"{full}_count{base} {_fmt(len(ins))}",
-            f"{full}_dropped{base} {_fmt(ins.dropped)}",
-        ]
-        numeric = ins.numeric()
-        if numeric and len(numeric) == len(ins):
-            lines.append(f"{full}_mean{base} {_fmt(ins.mean())}")
-            lines.append(f"{full}_last{base} {_fmt(numeric[-1])}")
-        return lines
     return []  # pragma: no cover - all kinds handled above
 
 
@@ -159,15 +145,89 @@ def diff_snapshots(a: Dict[str, Any], b: Dict[str, Any]) -> List[str]:
     return lines
 
 
-class SnapshotLog:
-    """An append-only sequence of registry snapshots, JSONL-serializable."""
+# -- folds over a snapshot history -----------------------------------------------------
 
-    __slots__ = ("snapshots",)
+_OPERATOR_LABEL = re.compile(r'^engine_state_entries\{.*\boperator="([^"]*)"')
+
+
+def _total(snapshot: Dict[str, Any], name: str) -> Any:
+    """Sum of the snapshot's series called ``name``, whatever their labels
+    (hubs that share the registry — shards — add up)."""
+    series: Dict[str, Any] = snapshot.get("series", {})
+    return sum(v for k, v in series.items() if k.partition("{")[0] == name)
+
+
+def state_entries(snapshot: Dict[str, Any]) -> Dict[str, int]:
+    """Operator label -> entries held (``engine_state_entries``)."""
+    out: Dict[str, int] = {}
+    for series, n in snapshot.get("series", {}).items():
+        match = _OPERATOR_LABEL.match(series)
+        if match is not None:
+            out[match.group(1)] = out.get(match.group(1), 0) + n
+    return out
+
+
+def _outputs(snapshot: Dict[str, Any]) -> int:
+    return int(_total(snapshot, "engine_outputs_total"))
+
+
+def peak_entries(snapshots: Iterable[Dict[str, Any]]) -> int:
+    """Largest total state footprint (join states plus windows) seen."""
+    return max((sum(state_entries(snap).values()) for snap in snapshots), default=0)
+
+
+def largest_state(snapshot: Optional[Dict[str, Any]]) -> Optional[str]:
+    """Label of the biggest holder in ``snapshot`` — a join state or a
+    window — or ``None`` when it publishes no sizes."""
+    sizes = state_entries(snapshot) if snapshot is not None else {}
+    return max(sorted(sizes), key=sizes.__getitem__) if sizes else None
+
+
+def throughput(snapshots: Iterable[Dict[str, Any]]) -> float:
+    """Outputs per unit of virtual time from the first to the last snapshot."""
+    snaps = list(snapshots)
+    if len(snaps) < 2:
+        return 0.0
+    span = snaps[-1]["at"] - snaps[0]["at"]
+    if span <= 0:
+        return 0.0
+    return (_outputs(snaps[-1]) - _outputs(snaps[0])) / span
+
+
+def output_stall(snapshots: Iterable[Dict[str, Any]]) -> float:
+    """Longest virtual-time gap between consecutive snapshots without new
+    output.
+
+    A large stall around a transition is the Moving State signature;
+    JISC keeps this near the inter-output spacing (Section 5.1.1).
+    """
+    worst = 0.0
+    prev_at, prev_outputs = 0.0, -1
+    for snap in snapshots:
+        outputs = _outputs(snap)
+        if outputs == prev_outputs:
+            worst = max(worst, snap["at"] - prev_at)
+        prev_at, prev_outputs = snap["at"], outputs
+    return worst
+
+
+class SnapshotLog:
+    """A bounded sequence of registry snapshots, JSONL-serializable.
+
+    Keeps the newest :data:`SNAPSHOT_CAPACITY`; ``dropped`` counts the ones
+    the ring evicted (the trace ring's contract), so :meth:`summary` says
+    when its folds no longer start at the beginning of the run.
+    """
+
+    __slots__ = ("snapshots", "dropped")
 
     def __init__(self) -> None:
-        self.snapshots: List[Dict[str, Any]] = []
+        self.snapshots: Deque[Dict[str, Any]] = deque(maxlen=SNAPSHOT_CAPACITY)
+        self.dropped = 0
 
     def append(self, snapshot: Dict[str, Any]) -> None:
+        if len(self.snapshots) == self.snapshots.maxlen:
+            self.dropped += 1
         self.snapshots.append(snapshot)
 
     def take(self, registry: MetricsRegistry, at: float = 0.0) -> Dict[str, Any]:
@@ -196,10 +256,19 @@ class SnapshotLog:
         with open(path, "w") as fh:
             fh.write(self.to_jsonl())
 
-    def diffs(self) -> List[List[str]]:
-        """Pairwise diffs between consecutive snapshots."""
-        snaps = self.snapshots
-        return [diff_snapshots(snaps[i - 1], snaps[i]) for i in range(1, len(snaps))]
+    def summary(self) -> Dict[str, Any]:
+        """The folds above over the retained history, in one dict."""
+        latest = self.last()
+        return {
+            "samples": len(self.snapshots),
+            "dropped": self.dropped,
+            "window_truncated": self.dropped > 0,
+            "peak_entries": peak_entries(self.snapshots),
+            "largest_state": largest_state(latest),
+            "throughput": throughput(self.snapshots),
+            "output_stall": output_stall(self.snapshots),
+            "incomplete_states": _total(latest or {}, "engine_incomplete_states"),
+        }
 
 
 def load_snapshots(path: str) -> List[Dict[str, Any]]:

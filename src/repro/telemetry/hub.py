@@ -4,11 +4,14 @@
 hooks feed *live* streaming estimators and a labeled
 :class:`~repro.telemetry.registry.MetricsRegistry` instead of (or in
 addition to) a post-hoc event ring.  Because every instrumentation site
-in the engine already publishes through the tracer — ``Metrics.count``,
-arrivals, outputs, phase scoping, transitions, rebalances, faults — the
-whole engine becomes continuously self-measuring by attaching one object,
-with **zero op-count perturbation** (the same guarantee the obs tracer
-carries, certified by the telemetry gate in :mod:`repro.perf.regress`).
+in the engine already publishes through the tracer — arrivals, outputs,
+phase scoping, transitions, rebalances, faults — and per-phase op counts
+are the base class's boundary deltas over ``Metrics.counts``, the whole
+engine becomes continuously self-measuring by attaching one object, with
+**zero op-count perturbation** and on the same code path as an unobserved
+run (certified by the telemetry gate in :mod:`repro.perf.regress`).  What
+the hub adds to the seam: ``event`` (a kind -> handler table, then one
+forward to ``inner``), ``arrival`` / ``output`` / ``poll``, and ``sync``.
 
 Division of labour with :mod:`repro.obs`:
 
@@ -30,16 +33,32 @@ re-registers every series the rebuilt worker owns.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.tracer import PHASE_STEADY, Tracer
+from repro.obs.tracer import (
+    EVENT_CHECKPOINT,
+    EVENT_COMPLETION,
+    EVENT_FAULT,
+    EVENT_REBALANCE_BATCH_END,
+    EVENT_REBALANCE_BATCH_START,
+    EVENT_REBALANCE_END,
+    EVENT_REBALANCE_START,
+    EVENT_RECOVERY,
+    EVENT_SHARD_MOVE,
+    EVENT_TRANSITION_END,
+    EVENT_TRANSITION_START,
+    EVENT_TRIGGER,
+    TRIGGER_FIRED,
+    TRIGGER_SUPPRESSED,
+    Tracer,
+)
 from repro.telemetry.estimators import SampledRate, SelectivityDriftDetector
 from repro.telemetry.expo import SnapshotLog, registry_snapshot
 from repro.telemetry.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.sketch import SpaceSavingSketch
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.operators.base import Operator
+    from repro.engine.executor import StrategyExecutor
     from repro.shard.executor import ShardedExecutor
     from repro.shard.worker import ShardWorker
     from repro.streams.tuples import AnyTuple, StreamTuple
@@ -74,11 +93,6 @@ DRIFT_BLOCK = 64
 #: still sampling rates and selectivities every 64 tuples — far finer
 #: than the 5k-probe selectivity window or 1k-arrival rate window need.
 PROBE_POLL_EVERY = 64
-
-
-def _operator_label(op: "Operator") -> str:
-    """Stable label of an operator: its membership, sorted ("S0S1S2")."""
-    return "".join(sorted(op.membership))
 
 
 class TelemetryTracer(Tracer):
@@ -126,15 +140,10 @@ class TelemetryTracer(Tracer):
         snapshot_every: int = 0,
     ):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.phase = PHASE_STEADY
         self._labels: Dict[str, str] = {"strategy": strategy}
         if shard is not None:
             self._labels["shard"] = str(shard)
         self._inner = inner
-        # Per-op callbacks are only needed to keep an inner recording
-        # tracer fed; the hub itself derives per-phase op counts from
-        # Metrics.counts deltas at phase boundaries (zero per-op cost).
-        self.wants_counts = inner is not None and inner.wants_counts
         self.selectivity_window = selectivity_window
         self.rate_window = rate_window
         self.drift_delta = drift_delta
@@ -144,15 +153,7 @@ class TelemetryTracer(Tracer):
         self.snapshot_every = snapshot_every
         self.snapshots = SnapshotLog()
 
-        self._clock: Optional[Any] = None
-        self._strategy: Optional[Any] = None
-        self._metrics: Optional[Any] = None
-        # Per-phase op counts, built from Metrics.counts deltas flushed at
-        # phase boundaries and at sync() — equivalent to accumulating in
-        # on_count (counts are monotone and only change between
-        # boundaries) without any per-op work.
-        self._ops: Dict[str, Dict[str, int]] = {}
-        self._base: Dict[str, int] = {}
+        self._strategy: Optional["StrategyExecutor"] = None
         self._op_counters: Dict[Tuple[str, str], Counter] = {}
         self._arrivals = 0
         # Hot-path accumulators: plain per-stream int counts and a key
@@ -173,7 +174,6 @@ class TelemetryTracer(Tracer):
         # Polled probe sources: [operator, label, entry-or-None, base
         # probes, base hits] per live-plan operator (see PROBE_POLL_EVERY).
         self._probe_sources: List[List[Any]] = []
-        self._poll_every = PROBE_POLL_EVERY
         self._poll_left = PROBE_POLL_EVERY
 
         labels = self._labels
@@ -200,6 +200,10 @@ class TelemetryTracer(Tracer):
         self._moved_tuples_total: Counter
         self._batches_remaining: Gauge
         self._batch_latency: Histogram
+        # So are the state-size series, at the first sync over a strategy.
+        self._state_entries: Dict[str, Gauge] = {}
+        self._live_plans: Gauge
+        self._incomplete_states: Gauge
         # Optimizer-trigger series follow the same lazy pattern: only hubs
         # driven by an adaptive engine ever see a trigger decision.
         self._trigger_series_ready = False
@@ -212,64 +216,34 @@ class TelemetryTracer(Tracer):
     # -- wiring -----------------------------------------------------------------------
 
     def attach(self, target: Any) -> Any:
-        """Attach to a strategy (anything with ``.metrics``) or a Metrics.
-
-        Mirrors :meth:`RecordingTracer.attach`: counters accumulated
-        before attaching are credited to the current phase, the virtual
-        clock is adopted, and — when the target exposes plans — the
-        per-operator probe tallies are collected for polling.  Returns
-        ``target``.
-        """
-        metrics = getattr(target, "metrics", target)
+        """Attach to a strategy or a Metrics (:meth:`Tracer.attach`); the
+        inner tracer follows the same ``Metrics``, and a strategy's probe
+        sources are collected for polling.  Returns ``target``."""
         if self._inner is not None:
-            self._inner.attach(metrics)
-        # Settle the old attachment's outstanding delta before switching.
-        self._flush_ops(self.phase)
-        if metrics.counts:
-            by = self._ops.setdefault(self.phase, {})
-            for op, n in metrics.counts.items():
-                by[op] = by.get(op, 0) + n
-        self._metrics = metrics
-        self._base = dict(metrics.counts)
-        self._clock = metrics.clock
-        metrics.tracer = self
-        if target is not metrics:
+            self._inner.attach(target)
+        super().attach(target)  # last: ``metrics.tracer`` is the hub
+        if target is not self._metrics:
             self._strategy = target
             self._collect_probe_sources()
         return target
 
     def _collect_probe_sources(self) -> None:
-        """(Re)build the list of live-plan operators whose tallies we poll.
+        """(Re)build the list of probe sources whose tallies we poll.
 
-        Settles outstanding deltas of the outgoing operator set first, so
-        no probe is lost across a plan transition.  Selectivity series are
-        registered lazily at the first polled probe, keyed by membership
-        label — an operator rebuilt by a transition or a recovery
-        continues the *same* series.
+        Settles outstanding deltas of the outgoing set first, so no probe
+        is lost across a plan transition.  Selectivity series are
+        registered lazily at the first polled probe, keyed by label — an
+        operator rebuilt by a transition or a recovery continues the
+        *same* series.
         """
         strategy = self._strategy
         if strategy is None:
             return
         self._poll_probes()
-        sources: List[List[Any]] = []
-        seen: set = set()
-        for plan in strategy.live_plans():
-            for op in plan.operators():
-                if id(op) in seen:
-                    continue
-                seen.add(id(op))
-                sources.append([op, _operator_label(op), None, op.probes, op.hits])
-        # Eddy strategies (CACQ) have no physical plans — their SteMs
-        # carry the same native probes/hits tallies, labeled per stream.
-        stems = getattr(strategy, "stems", None)
-        if stems:
-            for stream in sorted(stems):
-                stem = stems[stream]
-                if id(stem) in seen:
-                    continue
-                seen.add(id(stem))
-                sources.append([stem, stem.stream, None, stem.probes, stem.hits])
-        self._probe_sources = sources
+        self._probe_sources = [
+            [source, label, None, source.probes, source.hits]
+            for label, source in strategy.probe_sources()
+        ]
 
     def _poll_probes(self) -> None:
         """Fold probe-tally deltas of every source into its detector."""
@@ -324,39 +298,18 @@ class TelemetryTracer(Tracer):
         clock = self._clock
         return clock.now if clock is not None else float(self._arrivals)
 
-    # -- phase scoping ---------------------------------------------------------------
+    # -- phase scoping (attribution itself is the base class's) ------------------------
 
     def set_phase(self, phase: str) -> str:
         prev = self.phase
         if phase != prev:
-            self._flush_ops(prev)
+            self._settle()
             self.phase = phase
         if self._inner is not None:
             self._inner.set_phase(phase)
         return prev
 
-    def _flush_ops(self, phase: str) -> None:
-        """Attribute ops counted since the last boundary to ``phase``."""
-        metrics = self._metrics
-        if metrics is None:
-            return
-        base = self._base
-        by: Optional[Dict[str, int]] = self._ops.get(phase)
-        for op, n in metrics.counts.items():
-            delta = n - base.get(op, 0)
-            if delta:
-                if by is None:
-                    by = self._ops.setdefault(phase, {})
-                by[op] = by.get(op, 0) + delta
-                base[op] = n
-
     # -- hot-path hooks ----------------------------------------------------------------
-
-    def on_count(self, op: str, n: int) -> None:
-        # Only reached when an inner tracer wants per-op callbacks (see
-        # wants_counts); the hub's own accounting is boundary-delta based.
-        if self._inner is not None:
-            self._inner.on_count(op, n)
 
     def arrival(self, tup: "StreamTuple") -> None:
         # Per-arrival hot path: bump a per-stream int, buffer the key,
@@ -376,7 +329,7 @@ class TelemetryTracer(Tracer):
         self._key_buf.append(tup.key)
         left = self._poll_left = self._poll_left - 1
         if not left:
-            self._poll_left = self._poll_every
+            self._poll_left = PROBE_POLL_EVERY
             self._poll()
         if self._inner is not None:
             self._inner.arrival(tup)
@@ -411,58 +364,26 @@ class TelemetryTracer(Tracer):
         self._output_rate.sample(now, self._outputs)
         self._poll_probes()
 
-    # -- event hooks -------------------------------------------------------------------
+    # -- the event path ----------------------------------------------------------------
 
-    def transition_start(self, strategy: str, seq: int, **data: Any) -> None:
+    def event(self, kind: str, data: Dict[str, Any]) -> None:
+        """Act on the kinds in :attr:`_HANDLERS`, then forward to ``inner``."""
+        handler = self._HANDLERS.get(kind)
+        if handler is not None:
+            handler(self, data)
+        if self._inner is not None:
+            self._inner.event(kind, data)
+
+    def _on_transition_start(self, data: Dict[str, Any]) -> None:
         # A new plan (or parallel track) is live from here on: re-collect
         # the polled operator set (settling the outgoing set's deltas).
         self._collect_probe_sources()
-        if self._inner is not None:
-            self._inner.transition_start(strategy, seq, **data)
 
-    def transition_end(self, strategy: str, seq: int, **data: Any) -> None:
+    def _on_transition_end(self, data: Dict[str, Any]) -> None:
         self._transitions_total.inc()
         # Old plans retire here: settle their deltas and poll only the
         # surviving operators from now on.
         self._collect_probe_sources()
-        if self._inner is not None:
-            self._inner.transition_end(strategy, seq, **data)
-
-    def migration_end(self, strategy: str, **data: Any) -> None:
-        if self._inner is not None:
-            self._inner.migration_end(strategy, **data)
-
-    def completion(self, op_label: str, key: Any, **data: Any) -> None:
-        self._completions_total.inc()
-        if self._inner is not None:
-            self._inner.completion(op_label, key, **data)
-
-    def promote(self, n: int, **data: Any) -> None:
-        if self._inner is not None:
-            self._inner.promote(n, **data)
-
-    def demote(self, n: int, **data: Any) -> None:
-        if self._inner is not None:
-            self._inner.demote(n, **data)
-
-    def checkpoint(self, strategy: str, **data: Any) -> None:
-        self._checkpoints_total.inc()
-        if self._inner is not None:
-            self._inner.checkpoint(strategy, **data)
-
-    def note(self, what: str, **data: Any) -> None:
-        if self._inner is not None:
-            self._inner.note(what, **data)
-
-    def fault(self, kind: str, **data: Any) -> None:
-        self._faults_total.inc()
-        if self._inner is not None:
-            self._inner.fault(kind, **data)
-
-    def recovery(self, what: str, **data: Any) -> None:
-        self._recoveries_total.inc()
-        if self._inner is not None:
-            self._inner.recovery(what, **data)
 
     def _register_trigger_series(self) -> None:
         """Resolve the optimizer-trigger instruments (first decision)."""
@@ -477,12 +398,13 @@ class TelemetryTracer(Tracer):
         self._trigger_cost_best = reg.gauge("optimizer_cost_best", **labels)
         self._trigger_series_ready = True
 
-    def trigger(self, action: str, **data: Any) -> None:
+    def _on_trigger(self, data: Dict[str, Any]) -> None:
         self._register_trigger_series()
         self._trigger_evaluations.inc()
-        if action == "fired":
+        action = data["action"]
+        if action == TRIGGER_FIRED:
             self._trigger_fires.inc()
-        elif action == "suppressed":
+        elif action == TRIGGER_SUPPRESSED:
             self._trigger_suppressions.inc()
         cost = data.get("current_cost")
         if cost is not None:
@@ -490,8 +412,6 @@ class TelemetryTracer(Tracer):
         cost = data.get("best_cost")
         if cost is not None:
             self._trigger_cost_best.set(cost)
-        if self._inner is not None:
-            self._inner.trigger(action, **data)
 
     def _register_shard_series(self) -> None:
         """Resolve the shard-rebalance instruments (first shard event)."""
@@ -508,38 +428,30 @@ class TelemetryTracer(Tracer):
         self._batch_latency = reg.histogram("shard_batch_move_latency", **labels)
         self._shard_series_ready = True
 
-    def rebalance_start(self, mode: str, **data: Any) -> None:
+    def _on_rebalance_start(self, data: Dict[str, Any]) -> None:
         self._register_shard_series()
         self._rebalances_total.inc()
-        if self._inner is not None:
-            self._inner.rebalance_start(mode, **data)
 
-    def rebalance_end(self, mode: str, **data: Any) -> None:
+    def _on_rebalance_end(self, data: Dict[str, Any]) -> None:
         self._register_shard_series()
         self._rebalance_pending.set(0)
         self._batches_remaining.set(0)
-        if self._inner is not None:
-            self._inner.rebalance_end(mode, **data)
 
-    def rebalance_batch_start(self, index: int, total: int, **data: Any) -> None:
+    def _on_rebalance_batch_start(self, data: Dict[str, Any]) -> None:
         self._register_shard_series()
-        self._batches_remaining.set(total - index)
+        self._batches_remaining.set(data["total"] - data["index"])
         keys = int(data.get("keys", 0))
         if keys:
             self._rebalance_pending.set(keys)
-        if self._inner is not None:
-            self._inner.rebalance_batch_start(index, total, **data)
 
-    def rebalance_batch_end(self, index: int, total: int, **data: Any) -> None:
+    def _on_rebalance_batch_end(self, data: Dict[str, Any]) -> None:
         self._register_shard_series()
-        self._batches_remaining.set(total - index - 1)
+        self._batches_remaining.set(data["total"] - data["index"] - 1)
         duration = data.get("duration")
         if duration is not None:
             self._batch_latency.observe(float(duration))
-        if self._inner is not None:
-            self._inner.rebalance_batch_end(index, total, **data)
 
-    def shard_move(self, key: Any, src: int, dst: int, **data: Any) -> None:
+    def _on_shard_move(self, data: Dict[str, Any]) -> None:
         self._register_shard_series()
         if data.get("retired"):
             self._keys_retired_total.inc()
@@ -549,8 +461,22 @@ class TelemetryTracer(Tracer):
         pending = self._rebalance_pending
         if isinstance(pending.value, (int, float)) and pending.value > 0:
             pending.add(-1)
-        if self._inner is not None:
-            self._inner.shard_move(key, src, dst, **data)
+
+    #: The event kinds the hub acts on itself; every kind is forwarded.
+    _HANDLERS: Dict[str, Callable[["TelemetryTracer", Dict[str, Any]], None]] = {
+        EVENT_TRANSITION_START: _on_transition_start,
+        EVENT_TRANSITION_END: _on_transition_end,
+        EVENT_COMPLETION: lambda self, data: self._completions_total.inc(),
+        EVENT_CHECKPOINT: lambda self, data: self._checkpoints_total.inc(),
+        EVENT_FAULT: lambda self, data: self._faults_total.inc(),
+        EVENT_RECOVERY: lambda self, data: self._recoveries_total.inc(),
+        EVENT_TRIGGER: _on_trigger,
+        EVENT_REBALANCE_START: _on_rebalance_start,
+        EVENT_REBALANCE_END: _on_rebalance_end,
+        EVENT_REBALANCE_BATCH_START: _on_rebalance_batch_start,
+        EVENT_REBALANCE_BATCH_END: _on_rebalance_batch_end,
+        EVENT_SHARD_MOVE: _on_shard_move,
+    }
 
     # -- materialization ---------------------------------------------------------------
 
@@ -561,10 +487,9 @@ class TelemetryTracer(Tracer):
         exposition readers may sync as often as they like.
         """
         self._poll()
-        self._flush_ops(self.phase)
         op_counters = self._op_counters
         op_counter = self._register_op_counter
-        for phase, by in self._ops.items():
+        for phase, by in self.phase_counts.items():
             for op, n in by.items():
                 counter = op_counters.get((op, phase))
                 if counter is None:
@@ -588,6 +513,8 @@ class TelemetryTracer(Tracer):
                 smoothed.set(ewma)
             flag.set(1 if detector.drifted else 0)
         self._hot_keys.set(self.topk.to_json())
+        if self._strategy is not None:
+            self._sync_state(self._strategy)
         return self.registry
 
     def _register_op_counter(self, op: str, phase: str) -> Counter:
@@ -596,6 +523,33 @@ class TelemetryTracer(Tracer):
         )
         self._op_counters[(op, phase)] = counter
         return counter
+
+    def _sync_state(self, strategy: "StrategyExecutor") -> None:
+        """State-size gauges, read off the engine here — at sync cadence,
+        never on the arrival path.  A label that left the live plans reads 0."""
+        sizes = strategy.state_sizes()
+        self._register_state_series(sizes)
+        for label, gauge in self._state_entries.items():
+            gauge.set(sizes.get(label, 0))
+        plans = strategy.live_plans()
+        self._live_plans.set(len(plans))
+        self._incomplete_states.set(
+            sum(not op.state.status.complete for plan in plans for op in plan.internal)
+        )
+
+    def _register_state_series(self, labels: Iterable[str]) -> None:
+        """Resolve the state-size instruments: the plan-level gauges at the
+        first sync over a strategy, one gauge per operator label as it appears."""
+        reg = self.registry
+        gauges = self._state_entries
+        if not gauges:
+            self._live_plans = reg.gauge("engine_live_plans", **self._labels)
+            self._incomplete_states = reg.gauge("engine_incomplete_states", **self._labels)
+        for label in labels:
+            if label not in gauges:
+                gauges[label] = reg.gauge(
+                    "engine_state_entries", operator=label, **self._labels
+                )
 
     # -- snapshots ---------------------------------------------------------------------
 
@@ -650,10 +604,6 @@ class TelemetryTracer(Tracer):
 
     def drift_events(self) -> int:
         return sum(e[0].drift_count for e in self._sel.values())
-
-    def clear_drift(self) -> None:
-        for entry in self._sel.values():
-            entry[0].clear()
 
     def selectivities(self) -> Dict[str, Optional[float]]:
         return {label: e[0].estimate() for label, e in sorted(self._sel.items())}

@@ -8,14 +8,12 @@ text exposition, the JSONL snapshot writer, and the terminal dashboard
 so anything the engine publishes is exported with no second bookkeeping
 path that could disagree (docs/TELEMETRY.md).
 
-Four instrument kinds, all deterministic and wall-clock-free:
+Three instrument kinds, all deterministic and wall-clock-free:
 
 * :class:`Counter` — monotone count (operations, arrivals, drift events).
 * :class:`Gauge` — last-written value (phase, pending keys, estimates).
 * :class:`Histogram` — bounded geometric buckets (latencies), backed by
   :class:`repro.obs.histogram.LatencyHistogram`.
-* :class:`Windowed` — bounded ring of ``(x, value)`` samples with an
-  eviction count, for sliding-window series (rates, monitor snapshots).
 
 Labels are plain ``str -> str`` pairs; the conventional keys are
 ``operator``, ``strategy``, ``shard`` and ``phase``.  ``(name, labels)``
@@ -26,8 +24,7 @@ registering the same pair as a different kind is an error.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Mapping, Optional, Tuple, Type, TypeVar
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Type, TypeVar
 
 from repro.obs.histogram import LatencyHistogram
 
@@ -143,76 +140,6 @@ class Histogram(Instrument):
         return self.summary()
 
 
-class Windowed(Instrument):
-    """Bounded ring of ``(x, value)`` samples with eviction accounting.
-
-    ``x`` is the sample's position on whatever axis the publisher uses
-    (arrival index, virtual time); ``value`` is usually a float but may be
-    any object (the query monitor stores whole snapshots).  When the ring
-    is full the oldest sample is evicted and ``dropped`` counts it — the
-    same contract as the obs trace ring, so truncation is never silent.
-    """
-
-    kind = "windowed"
-
-    __slots__ = ("capacity", "samples", "dropped")
-
-    def __init__(self, name: str, labels: LabelSet, capacity: int = 1024):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        super().__init__(name, labels)
-        self.capacity = capacity
-        self.samples: Deque[Tuple[float, Any]] = deque(maxlen=capacity)
-        self.dropped = 0
-
-    def push(self, x: float, value: Any) -> None:
-        if len(self.samples) == self.capacity:
-            self.dropped += 1
-        self.samples.append((x, value))
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def values(self) -> List[Any]:
-        return [v for _, v in self.samples]
-
-    def last(self) -> Optional[Any]:
-        return self.samples[-1][1] if self.samples else None
-
-    def span(self) -> float:
-        """Distance between the first and last retained sample's ``x``."""
-        if len(self.samples) < 2:
-            return 0.0
-        return float(self.samples[-1][0]) - float(self.samples[0][0])
-
-    def numeric(self) -> List[float]:
-        return [float(v) for _, v in self.samples if isinstance(v, (int, float))]
-
-    def mean(self) -> float:
-        values = self.numeric()
-        return sum(values) / len(values) if values else 0.0
-
-    def rate(self) -> float:
-        """Samples per unit of ``x`` over the retained span (e.g. arrivals
-        per virtual time when ``x`` is the virtual clock)."""
-        span = self.span()
-        if span <= 0:
-            return 0.0
-        return (len(self.samples) - 1) / span
-
-    def value_json(self) -> Any:
-        values = self.numeric()
-        out: Dict[str, Any] = {
-            "count": len(self.samples),
-            "dropped": self.dropped,
-            "capacity": self.capacity,
-        }
-        if values and len(values) == len(self.samples):
-            out["mean"] = self.mean()
-            out["last"] = values[-1]
-        return out
-
-
 InstrumentT = TypeVar("InstrumentT", bound=Instrument)
 
 
@@ -265,9 +192,6 @@ class MetricsRegistry:
         return self._get_or_create(
             Histogram, name, labels, least=least, growth=growth, n_buckets=n_buckets
         )
-
-    def windowed(self, name: str, capacity: int = 1024, **labels: Any) -> Windowed:
-        return self._get_or_create(Windowed, name, labels, capacity=capacity)
 
     # -- reading -----------------------------------------------------------------------
 

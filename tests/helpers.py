@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 from collections import Counter as MultiSet
-from typing import Iterable, List, Sequence
+from contextlib import contextmanager
+from typing import Iterable, Iterator, List, Sequence
+
+import pytest
 
 from repro.engine.cost import VirtualClock
 from repro.engine.executor import run_events
@@ -11,6 +14,17 @@ from repro.engine.metrics import Metrics
 from repro.migration.base import StaticPlanExecutor
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
+
+
+@contextmanager
+def reference_path() -> Iterator[None]:
+    """Inside, no leaf compiles a kernel: ``PhysicalPlan.feed`` and
+    ``StreamScan.evict`` find ``scan.fused is None`` and run the operators.
+    The one way to the generic side — a test fixture, not a product switch
+    (no observer, option or flag selects it)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.plans.build.compile_leaf", lambda scan: None)
+        yield
 
 
 def make_tuples(spec: Sequence[tuple]) -> List[StreamTuple]:

@@ -1,14 +1,17 @@
 """The fused arrival path against the generic one, with no knob to pick a side.
 
-An untraced engine feeds and evicts through the kernels of
-``repro.operators.fused``; an engine with a ``RecordingTracer`` attached
-needs every counted op reported on its own and so runs the operator
-classes' ``insert`` / ``process`` / ``remove``.  The same events through
-both must leave the same outputs in the same order, ``output_times`` bit
-for bit, ``Metrics.counts``, ``clock.now``, probe tallies and state
-contents — for every plan-based strategy, every plan shape and forced
-transitions in mid-stream.  Join plans are also checked against
-``NaiveJoinOracle``, which shares no code with either path.
+Every engine — observed or not — feeds and evicts through the kernels of
+``repro.operators.fused``; the operator classes' ``insert`` / ``process`` /
+``remove`` are the definition the kernels were derived from and stay the
+reference.  The product has no switch that selects them:
+``tests.helpers.reference_path`` keeps kernels from compiling for the
+duration of a ``with`` block, in tests and nowhere else.  The same events through both must leave the same
+outputs in the same order, ``output_times`` bit for bit, ``Metrics.counts``,
+``clock.now``, probe tallies and state contents — for every plan-building
+strategy, every plan shape and forced transitions in mid-stream — and a run
+with a ``RecordingTracer`` attached must be the fused run, value for value.
+Join plans are also checked against ``NaiveJoinOracle``, which shares no code
+with either path.
 """
 
 import os
@@ -24,6 +27,7 @@ from repro.engine.checkpoint import checkpoint_strategy, restore_strategy
 from repro.engine.cost import CostModel, VirtualClock
 from repro.engine.executor import TransitionEvent, interleave_transitions, run_events
 from repro.engine.metrics import Counter, Metrics
+from repro.eddy.stairs import JISCStairsExecutor, STAIRSExecutor
 from repro.engine.queued import BufferedJISCStrategy, QueueScheduler
 from repro.migration.base import StaticPlanExecutor, hybrid_join_factory
 from repro.migration.jisc import JISCStrategy
@@ -45,6 +49,8 @@ from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
 from repro.testing.naive import join_oracle_lineages
 from repro.workloads.drift import SelectivityDriftWorkload
+from repro.workloads.scenarios import chain_scenario, swap_for_case
+from tests.helpers import reference_path
 
 NAMES = ("A", "B", "C", "D")
 BUSHY = (("A", "B"), ("C", "D"))
@@ -123,23 +129,45 @@ def drive(strategy, events, per_tuple):
             strategy.process(event)
 
 
+def on_both_paths(run):
+    """``(run(False), run(True))``, the second on the reference path; ``run``
+    is told which side it is on so it can assert it."""
+    fused = run(False)
+    with reference_path():
+        reference = run(True)
+    return fused, reference
+
+
 def run_both(make, events, per_tuple=False):
-    """``(fused strategy, traced strategy)`` after the same ``events``."""
-    fused = make()
+    """``(fused strategy, reference strategy)`` after the same ``events``."""
+
+    def run(reference):
+        strategy = make()
+        drive(strategy, events, per_tuple)
+        return strategy
+
+    fused, reference = on_both_paths(run)
+    if isinstance(events[-1], StreamTuple):  # a new plan has no kernel before its first feed
+        assert fused_leaves(fused), "the engine never compiled a kernel"
+    assert not fused_leaves(reference), "the reference side compiled a kernel"
+    return fused, reference
+
+
+def run_traced(make, events, per_tuple=False):
+    """A ``RecordingTracer``-attached strategy after ``events``: fused like
+    any other, its per-phase counts summing to ``Metrics.counts``."""
     traced = make()
     tracer = RecordingTracer()
     tracer.attach(traced)
-    drive(fused, events, per_tuple)
     drive(traced, events, per_tuple)
-    if isinstance(events[-1], StreamTuple):  # a new plan has no kernel before its first feed
-        assert fused_leaves(fused), "the untraced engine never compiled a kernel"
-    assert not fused_leaves(traced), "a RecordingTracer run took the fused path"
+    if isinstance(events[-1], StreamTuple):
+        assert fused_leaves(traced), "an observer kept the engine off the fused path"
     assert tracer.counts_total() == traced.metrics.counts
-    return fused, traced
+    return traced
 
 
-def assert_agree(fused, traced):
-    want = observe(traced)
+def assert_agree(fused, reference):
+    want = observe(reference)
     got = observe(fused)
     for what in want:
         assert got[what] == want[what], what
@@ -183,17 +211,21 @@ SHAPES = {
     ),
 }
 
+#: Every engine of the conformance matrix that builds plans.  The two eddy
+#: flavours count on ``EddyMetrics``: their kernels fuse no join level.
 STRATEGIES = {
     "static": StaticPlanExecutor,
     "jisc": JISCStrategy,
     "moving_state": MovingStateStrategy,
     "parallel_track": ParallelTrackStrategy,
+    "stairs": STAIRSExecutor,
+    "jisc_stairs": JISCStairsExecutor,
 }
 
 
 def applicable(strategy, shape):
-    if strategy == "parallel_track":
-        # its constructor takes neither an operator factory nor tops
+    if strategy in ("parallel_track", "stairs", "jisc_stairs"):
+        # their constructors take neither an operator factory nor tops
         return not SHAPES[shape][2]
     if strategy == "moving_state":
         # the eager rebuild is defined for joins only
@@ -228,10 +260,13 @@ def test_fused_and_traced_paths_agree(strategy, shape, per_tuple):
     schema, initial, options, _ = SHAPES[shape]
     tuples = arrivals(160)
     events = schedule(shape, tuples)
-    fused, traced = run_both(
-        lambda: STRATEGIES[strategy](schema, initial, **options), events, per_tuple
-    )
-    assert_agree(fused, traced)
+
+    def make():
+        return STRATEGIES[strategy](schema, initial, **options)
+
+    fused, reference = run_both(make, events, per_tuple)
+    assert_agree(fused, reference)
+    assert_agree(run_traced(make, events, per_tuple), fused)
     if shape in ("left_deep", "bushy", "hybrid_nl"):
         assert MultiSet(fused.output_lineages()) == MultiSet(
             join_oracle_lineages(schema, NAMES, tuples)
@@ -284,8 +319,8 @@ def test_random_plans_and_schedules_agree(run):
     names, initial, window, tuples, transitions, strategy = run
     schema = Schema.uniform(names, window)
     events = interleave_transitions(tuples, transitions)
-    fused, traced = run_both(lambda: STRATEGIES[strategy](schema, initial), events)
-    assert_agree(fused, traced)
+    fused, reference = run_both(lambda: STRATEGIES[strategy](schema, initial), events)
+    assert_agree(fused, reference)
     assert MultiSet(fused.output_lineages()) == MultiSet(
         join_oracle_lineages(schema, names, tuples)
     )
@@ -308,7 +343,7 @@ def test_sharded_executor_fused_and_traced_agree():
         + tuples[200:]
     )
 
-    def make(traced):
+    def make(reference, traced=False):
         executor = ShardedExecutor(schema, names, num_shards=3, inter_arrival=1.0)
         if traced:
             for worker in executor.workers:
@@ -317,14 +352,16 @@ def test_sharded_executor_fused_and_traced_agree():
         executor.drain_rebalance()
         return executor
 
-    fused, traced = make(False), make(True)
-    assert fused.output_lineages() == traced.output_lineages()
+    fused, reference = on_both_paths(make)
+    traced = make(False, traced=True)
+    assert fused.output_lineages() == reference.output_lineages() == traced.output_lineages()
     assert any(m.tuples_replayed for m in fused.moves)
     # every key ends up on shard 1: only its new plan is fed after the transition
-    assert fused_leaves(fused.workers[1].strategy)
-    for ours, theirs in zip(fused.workers, traced.workers):
+    assert fused_leaves(fused.workers[1].strategy) and fused_leaves(traced.workers[1].strategy)
+    for ours, theirs, observed in zip(fused.workers, reference.workers, traced.workers):
         assert not fused_leaves(theirs.strategy)
         assert_agree(ours.strategy, theirs.strategy)
+        assert_agree(observed.strategy, ours.strategy)
     assert MultiSet(fused.output_lineages()) == MultiSet(
         join_oracle_lineages(schema, names, tuples)
     )
@@ -334,19 +371,18 @@ def test_coordinator_driven_evict_uses_the_compiled_expiry():
     schema = Schema.uniform(NAMES, 1 << 40)
     tuples = arrivals(60)
 
-    def make(traced):
+    def make(reference):
         strategy = JISCStrategy(schema, NAMES)
-        if traced:
-            RecordingTracer().attach(strategy)
         for i, tup in enumerate(tuples):
             strategy.process(tup)
             if i >= 12:
                 old = tuples[i - 12]
                 assert strategy.plan.scans[old.stream].evict(old) is True
         assert strategy.plan.scans["A"].evict(tuples[0]) is False
+        assert bool(fused_leaves(strategy)) is not reference
         return strategy
 
-    assert_agree(make(False), make(True))
+    assert_agree(*on_both_paths(make))
 
 
 # -- attaching a tracer mid-run ------------------------------------------------------
@@ -354,24 +390,27 @@ def test_coordinator_driven_evict_uses_the_compiled_expiry():
 
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
 def test_tracer_attached_mid_run_keeps_phase_counts_exact(strategy):
-    """docs/OBSERVABILITY.md's zero-perturbation guarantee: whatever the
-    fused arrivals counted before the tracer came is credited on attach, and
-    from then on the generic path reports every op."""
+    """docs/OBSERVABILITY.md's zero-perturbation guarantee: whatever was
+    counted before the tracer came is credited on attach, once, and from then
+    on boundary deltas keep the per-phase sums exact — on the same kernels."""
     schema = Schema.uniform(NAMES, 6)
     tuples = arrivals(160)
     events = interleave_transitions(
         tuples, [(40, ("D", "C", "B", "A")), (110, ("B", "D", "A", "C"))]
     )
-    reference = STRATEGIES[strategy](schema, NAMES)
-    RecordingTracer().attach(reference)
-    run_events(reference, events)
+    with reference_path():
+        reference = run_events(STRATEGIES[strategy](schema, NAMES), events)
 
     late = STRATEGIES[strategy](schema, NAMES)
     run_events(late, events[:70])
-    assert fused_leaves(late)
+    kernels = {scan: scan.fused for scan in fused_leaves(late)}
+    assert kernels
     tracer = RecordingTracer()
     tracer.attach(late)
-    run_events(late, events[70:])
+    assert tracer.phase_counts == {"steady": late.metrics.counts}
+    run_events(late, events[70:80])  # no transition in here
+    assert all(scan.fused is kernel for scan, kernel in kernels.items())
+    run_events(late, events[80:])
     assert tracer.counts_total() == late.metrics.counts
     assert_agree(late, reference)
 
@@ -393,7 +432,7 @@ def test_buffered_strategy_never_compiles_a_kernel():
 
 def test_install_scheduler_after_first_feed_goes_back_to_the_queues():
     """A buffered strategy is wired in its constructor; one that is re-wired
-    by hand after it ran untraced must not keep feeding past its queues
+    by hand after it ran unqueued must not keep feeding past its queues
     (both doors read ``scan.scheduler`` per call)."""
     schema = Schema.uniform(NAMES, 6)
     tuples = arrivals(80)
@@ -421,10 +460,8 @@ def test_install_tops_after_first_feed_reaches_the_new_tops():
     """The kernels leave the prefix through ``emit`` / ``emit_removal``, which
     read ``parent`` per call: tops installed over a fed plan see what follows."""
 
-    def run(traced):
+    def run(reference):
         strategy = JISCStrategy(Schema.uniform(NAMES, 6), NAMES)
-        if traced:
-            RecordingTracer().attach(strategy)
         tuples = arrivals(80)
         run_events(strategy, tuples[:40])
         strategy.tops = [GroupByCount(strategy.plan.root, strategy.metrics)]
@@ -432,10 +469,10 @@ def test_install_tops_after_first_feed_reaches_the_new_tops():
         run_events(strategy, tuples[40:])
         return strategy
 
-    fused, traced = run(False), run(True)
-    assert len(fused_leaves(fused)) == len(NAMES) and not fused_leaves(traced)
+    fused, reference = on_both_paths(run)
+    assert len(fused_leaves(fused)) == len(NAMES) and not fused_leaves(reference)
     assert sum(fused.tops[0].counts.values()) > 0
-    assert_agree(fused, traced)
+    assert_agree(fused, reference)
 
 
 def test_a_leafs_first_arrival_runs_the_operators_and_the_rest_the_kernel(monkeypatch):
@@ -492,14 +529,12 @@ class Boom(Exception):
     pass
 
 
-def run_until_hook_raises(traced):
+def run_until_hook_raises(reference):
     """A completion hook that raises in the middle of an arrival's cascade,
     once every leaf of the new plan had its first arrival (the one that runs
-    the operators themselves even untraced)."""
+    the operators themselves on either side)."""
     schema = Schema.uniform(NAMES, 6)
     strategy = JISCStrategy(schema, NAMES)
-    if traced:
-        RecordingTracer().attach(strategy)
     run_events(strategy, arrivals(60, n_keys=12))
     strategy.transition(("D", "C", "B", "A"))
     calls = []
@@ -523,11 +558,10 @@ def run_until_hook_raises(traced):
 
 
 def test_hook_raising_mid_cascade_leaves_the_generic_paths_accounting():
-    fused, fused_calls = run_until_hook_raises(traced=False)
-    traced, traced_calls = run_until_hook_raises(traced=True)
-    assert fused_calls == traced_calls and len(fused_calls) > 5
-    assert len(fused_leaves(fused)) == len(NAMES) and not fused_leaves(traced)
-    assert_agree(fused, traced)
+    (fused, fused_calls), (reference, reference_calls) = on_both_paths(run_until_hook_raises)
+    assert fused_calls == reference_calls and len(fused_calls) > 5
+    assert len(fused_leaves(fused)) == len(NAMES) and not fused_leaves(reference)
+    assert_agree(fused, reference)
 
 
 def test_expire_hook_raising_after_advancing_the_clock_is_not_overwritten():
@@ -535,10 +569,8 @@ def test_expire_hook_raising_after_advancing_the_clock_is_not_overwritten():
     something and raised; leaving through the eviction door must not write
     it back over what the hook left."""
 
-    def run(traced):
+    def run(reference):
         strategy = StaticPlanExecutor(Schema.uniform(NAMES, 1 << 40), NAMES)
-        if traced:
-            RecordingTracer().attach(strategy)
         tuples = arrivals(40)
         run_events(strategy, tuples)
 
@@ -553,17 +585,15 @@ def test_expire_hook_raising_after_advancing_the_clock_is_not_overwritten():
             scan.evict(victim)
         return strategy
 
-    fused, traced = run(False), run(True)
-    assert fused_leaves(fused) and not fused_leaves(traced)
+    fused, reference = on_both_paths(run)
+    assert fused_leaves(fused) and not fused_leaves(reference)
     assert fused.metrics.get(Counter.PURGE_CHECK) == 1
-    assert_agree(fused, traced)
+    assert_agree(fused, reference)
 
 
 def test_arity_error_from_state_add_leaves_the_generic_paths_accounting():
-    def run(traced):
+    def run(reference):
         metrics = Metrics(clock=VirtualClock())
-        if traced:
-            RecordingTracer().attach(metrics)
         plan = build_plan(left_deep(NAMES), Schema.uniform(NAMES, 6), metrics)
         for tup in arrivals(50):
             plan.feed(tup)
@@ -575,28 +605,28 @@ def test_arity_error_from_state_add_leaves_the_generic_paths_accounting():
                 plan.feed(StreamTuple(tup.stream, 100 + tup.seq, tup.key))
         return metrics, plan
 
-    (fused, fused_plan), (traced, traced_plan) = run(False), run(True)
+    (fused, fused_plan), (reference, reference_plan) = on_both_paths(run)
     assert any(scan.fused for scan in fused_plan.scans.values())
-    assert fused.counts == traced.counts
-    assert fused.clock.now == traced.clock.now
-    assert fused_plan.sink.output_times == traced_plan.sink.output_times
+    assert not any(scan.fused for scan in reference_plan.scans.values())
+    assert fused.counts == reference.counts
+    assert fused.clock.now == reference.clock.now
+    assert fused_plan.sink.output_times == reference_plan.sink.output_times
 
 
 def test_metrics_without_a_clock_tally_only():
-    def run(traced):
+    def run(reference):
         metrics = Metrics(clock=None)
-        if traced:
-            RecordingTracer().attach(metrics)
         plan = build_plan(left_deep(NAMES), Schema.uniform(NAMES, 6), metrics)
         for tup in arrivals(120):
             plan.feed(tup)
         return metrics, plan
 
-    (fused, fused_plan), (traced, traced_plan) = run(False), run(True)
+    (fused, fused_plan), (reference, reference_plan) = on_both_paths(run)
     assert all(scan.fused for scan in fused_plan.scans.values())
-    assert fused.clock is None and fused.counts == traced.counts
-    assert fused_plan.sink.output_times == traced_plan.sink.output_times
-    assert fused_plan.sink.output_lineages() == traced_plan.sink.output_lineages()
+    assert not any(scan.fused for scan in reference_plan.scans.values())
+    assert fused.clock is None and fused.counts == reference.counts
+    assert fused_plan.sink.output_times == reference_plan.sink.output_times
+    assert fused_plan.sink.output_lineages() == reference_plan.sink.output_lineages()
 
 
 def test_op_missing_from_the_cost_table_costs_the_default():
@@ -606,19 +636,19 @@ def test_op_missing_from_the_cost_table_costs_the_default():
         def table(self):
             return {Counter.OUTPUT: 0.5, Counter.HASH_PROBE: 1.0}
 
-    def run(traced):
+    def run(reference):
         metrics = Metrics(clock=VirtualClock(Sparse(default=0.7)))
-        if traced:
-            RecordingTracer().attach(metrics)
         plan = build_plan(left_deep(NAMES), Schema.uniform(NAMES, 6), metrics)
         for tup in arrivals(120):
             plan.feed(tup)
         return metrics, plan
 
-    (fused, fused_plan), (traced, traced_plan) = run(False), run(True)
-    assert fused.counts == traced.counts
-    assert fused.clock.now == traced.clock.now
-    assert fused_plan.sink.output_times == traced_plan.sink.output_times
+    (fused, fused_plan), (reference, reference_plan) = on_both_paths(run)
+    assert all(scan.fused for scan in fused_plan.scans.values())
+    assert not any(scan.fused for scan in reference_plan.scans.values())
+    assert fused.counts == reference.counts
+    assert fused.clock.now == reference.clock.now
+    assert fused_plan.sink.output_times == reference_plan.sink.output_times
     inserts = fused.get(Counter.HASH_INSERT)
     assert inserts and fused.clock.now > 0.7 * inserts
 
@@ -645,8 +675,7 @@ def test_hand_built_operators_on_other_metrics_are_not_fused():
 # A plain ``OutputSink`` right above the fused prefix is written by the last
 # level itself (``emit`` + ``OutputSink.process`` in their order, one OUTPUT
 # tally) and retractions are appended by the cascade.  Same rule as above: no
-# knob — an untraced engine is the fused side, a tracer that ``wants_counts``
-# the generic one.
+# knob — every engine is the fused side, ``reference_path`` the generic one.
 
 
 def plan_view(metrics, plan):
@@ -685,23 +714,21 @@ def test_sink_inside_the_kernel_agrees_with_emit_and_sink_process(kind, monkeypa
 
     monkeypatch.setattr(OutputSink, "process", spy)
 
-    def run(traced):
+    def run(reference):
         metrics = SINK_METRICS[kind]()
-        if traced:
-            RecordingTracer().attach(metrics)
         plan = build_plan(left_deep(NAMES), Schema.uniform(NAMES, 6), metrics)
         del sink_calls[:]
         for tup in arrivals(200):
             plan.feed(tup)
         return plan_view(metrics, plan), len(sink_calls)
 
-    (fused, fused_calls), (traced, traced_calls) = run(False), run(True)
-    assert fused == traced
+    (fused, fused_calls), (reference, reference_calls) = on_both_paths(run)
+    assert fused == reference
     assert len(fused["outputs"]) > 20 and len(fused["retractions"]) > 20
     assert fused["counts"][Counter.OUTPUT] == len(fused["outputs"])
     # the generic path calls the sink once per output, the kernels only on
     # each leaf's first arrival
-    assert traced_calls == len(traced["outputs"]) and fused_calls <= len(NAMES)
+    assert reference_calls == len(reference["outputs"]) and fused_calls <= len(NAMES)
     if kind == "no_clock":
         assert fused["output_times"] == [float(i + 1) for i in range(len(fused["outputs"]))]
     if kind == "output_not_in_cost_table":
@@ -710,16 +737,16 @@ def test_sink_inside_the_kernel_agrees_with_emit_and_sink_process(kind, monkeypa
 
 
 class OutputSpy(Tracer):
-    """``enabled``, like the telemetry hub; ``wants_counts`` (the hub's, when it
-    has an inner recording tracer) picks the generic path.  ``output`` notes
-    what it can see of ``Metrics`` at the moment it is called, then counts an
-    op of its own: whatever runs outside the kernel may advance the clock."""
+    """``enabled``, like the recorder and the telemetry hub (and, like many a
+    subclass, with an ``__init__`` that never calls the base's).  ``output``
+    notes what it can see of ``Metrics`` at the moment it is called, then
+    counts an op of its own: whatever runs outside the kernel may advance the
+    clock."""
 
     enabled = True
 
-    def __init__(self, metrics, wants_counts, raise_at=None):
+    def __init__(self, metrics, raise_at=None):
         self.metrics = metrics
-        self.wants_counts = wants_counts
         self.raise_at = raise_at
         self.seen = []
         metrics.tracer = self
@@ -737,13 +764,13 @@ def test_enabled_tracer_sees_everything_handed_over_at_each_output(strategy):
     schema = Schema.uniform(NAMES, 6)
     events = schedule("left_deep", arrivals(200))
 
-    def run(wants_counts):
+    def run(reference):
         engine = STRATEGIES[strategy](schema, NAMES)
-        spy = OutputSpy(engine.metrics, wants_counts)
+        spy = OutputSpy(engine.metrics)
         run_events(engine, events)
         return engine, spy
 
-    (fused, fused_spy), (generic, generic_spy) = run(False), run(True)
+    (fused, fused_spy), (generic, generic_spy) = on_both_paths(run)
     assert fused_leaves(fused) and not fused_leaves(generic)
     assert fused_spy.seen == generic_spy.seen and len(fused_spy.seen) > 20
     sink_times = sorted(t for plan in fused.live_plans() for t in plan.sink.output_times)
@@ -764,7 +791,7 @@ def test_enabled_tracer_attached_and_detached_under_live_kernels():
     kernels = [scan.fused for scan in fused_leaves(engine)]
     assert len(kernels) == len(NAMES)
     start = len(engine.outputs)
-    spy = OutputSpy(engine.metrics, wants_counts=False)
+    spy = OutputSpy(engine.metrics)
     run_events(engine, tuples[80:160])
     stop = len(engine.outputs)
     engine.metrics.tracer = NULL_TRACER
@@ -773,9 +800,8 @@ def test_enabled_tracer_attached_and_detached_under_live_kernels():
     assert start < stop < len(engine.outputs)
     assert [lineage for lineage, *_ in spy.seen] == engine.output_lineages()[start:stop]
     assert [when for _, when, *_ in spy.seen] == engine.output_times[start:stop]
-    reference = StaticPlanExecutor(Schema.uniform(NAMES, 6), NAMES)
-    RecordingTracer().attach(reference)
-    run_events(reference, tuples)
+    with reference_path():
+        reference = run_events(StaticPlanExecutor(Schema.uniform(NAMES, 6), NAMES), tuples)
     assert engine.output_lineages() == reference.output_lineages()
     assert engine.metrics.counts == {
         **reference.metrics.counts,
@@ -790,10 +816,8 @@ def test_expire_hook_that_counts_is_not_overwritten_by_the_arrival_that_evicted(
     """The eviction an arrival causes shares the arrival's clock copy: it is
     reloaded after a hook that returns, too (the eviction door just leaves)."""
 
-    def run(traced):
+    def run(reference):
         strategy = StaticPlanExecutor(Schema.uniform(NAMES, 6), NAMES)
-        if traced:
-            RecordingTracer().attach(strategy)
         tuples = arrivals(160)
         run_events(strategy, tuples[:40])
         for scan in strategy.plan.scans.values():
@@ -801,36 +825,37 @@ def test_expire_hook_that_counts_is_not_overwritten_by_the_arrival_that_evicted(
         run_events(strategy, tuples[40:])
         return strategy
 
-    fused, traced = run(False), run(True)
-    assert fused_leaves(fused) and fused.metrics.get(Counter.PURGE_CHECK) > 100
-    assert_agree(fused, traced)
+    fused, reference = on_both_paths(run)
+    assert fused_leaves(fused) and not fused_leaves(reference)
+    assert fused.metrics.get(Counter.PURGE_CHECK) > 100
+    assert_agree(fused, reference)
 
 
 def test_tracer_output_raising_mid_cascade_leaves_the_generic_paths_accounting():
     schema = Schema.uniform(NAMES, 6)
 
-    def run(wants_counts):
+    def run(reference):
         engine = JISCStrategy(schema, NAMES)
-        spy = OutputSpy(engine.metrics, wants_counts, raise_at=25)
+        OutputSpy(engine.metrics, raise_at=25)
         with pytest.raises(Boom):
             run_events(engine, arrivals(200))
         return engine
 
-    fused, generic = run(False), run(True)
+    fused, generic = on_both_paths(run)
     assert len(fused_leaves(fused)) == len(NAMES) and not fused_leaves(generic)
     assert len(fused.outputs) == 25
     assert_agree(fused, generic)
 
 
 def test_hub_series_are_the_same_on_the_fused_and_the_generic_path():
-    """The telemetry hub is ``enabled`` without ``wants_counts`` (fused) unless
-    it feeds an inner recording tracer (generic): same series either way."""
+    """A hub-driven adaptive engine is fused — with an inner recording tracer
+    too — and publishes the very series it does on the reference path."""
     schema = Schema.uniform(NAMES, 12)
     tuples = SelectivityDriftWorkload(
         NAMES, [(140, "B"), (280, "C")], base_domain=6, scatter=24, seed=201
     ).materialize()
 
-    def run(inner):
+    def run(reference, inner=None):
         engine = AdaptiveEngine(
             JISCStrategy(schema, NAMES),
             policy=HysteresisTrigger(min_improvement=0.08, confirm=2, cooldown=64),
@@ -842,21 +867,23 @@ def test_hub_series_are_the_same_on_the_fused_and_the_generic_path():
         engine.run(tuples)
         return engine
 
-    fused, generic = run(None), run(RecordingTracer())
-    assert fused_leaves(fused.target) and not fused_leaves(generic.target)
-    assert fused.fire_count == generic.fire_count >= 1
-    assert fused.telemetry.take_snapshot() == generic.telemetry.take_snapshot()
+    fused, generic = on_both_paths(run)
+    recorded = run(False, inner=RecordingTracer())
+    assert fused_leaves(fused.target) and fused_leaves(recorded.target)
+    assert not fused_leaves(generic.target)
+    assert fused.fire_count == generic.fire_count == recorded.fire_count >= 1
+    snapshot = fused.telemetry.take_snapshot()
+    assert snapshot == generic.telemetry.take_snapshot() == recorded.telemetry.take_snapshot()
     assert_agree(fused.target, generic.target)
+    assert_agree(recorded.target, fused.target)
 
 
 def test_install_tops_after_first_feed_stops_the_kernel_writing_the_sink():
     """``_install_tops`` re-parents the root under live kernels: from then on
     results and retractions reach the sink through the tops or not at all."""
 
-    def run(traced):
+    def run(reference):
         strategy = JISCStrategy(Schema.uniform(NAMES, 6), NAMES)
-        if traced:
-            RecordingTracer().attach(strategy)
         tuples = arrivals(200)
         run_events(strategy, tuples[:80])
         kernels = [scan.fused for scan in strategy.plan.scans.values()]
@@ -867,22 +894,20 @@ def test_install_tops_after_first_feed_stops_the_kernel_writing_the_sink():
         assert [scan.fused for scan in strategy.plan.scans.values()] == kernels
         return strategy, mark
 
-    (fused, mark), (traced, _) = run(False), run(True)
-    assert len(fused_leaves(fused)) == len(NAMES) and not fused_leaves(traced)
+    (fused, mark), (reference, _) = on_both_paths(run)
+    assert len(fused_leaves(fused)) == len(NAMES) and not fused_leaves(reference)
     late = fused.outputs[mark[0]:]
     assert late and all(tup.key != 1 for tup in late)  # the Select dropped key 1
     assert len(fused.plan.sink.retractions) > mark[1]
-    assert_agree(fused, traced)
+    assert_agree(fused, reference)
 
 
 def test_parallel_track_with_two_live_tracks_writes_each_tracks_own_sink():
     schema = Schema.uniform(NAMES, 6)
     tuples = arrivals(120)
 
-    def run(traced):
+    def run(reference):
         strategy = ParallelTrackStrategy(schema, NAMES, purge_check_interval=4)
-        if traced:
-            RecordingTracer().attach(strategy)
         run_events(strategy, tuples[:60])
         strategy.transition(("D", "C", "B", "A"))
         both_live = kernels = 0
@@ -895,13 +920,13 @@ def test_parallel_track_with_two_live_tracks_writes_each_tracks_own_sink():
                 assert track.cursor == len(track.plan.sink.outputs)
         assert both_live > len(NAMES) and strategy.live_track_count() == 1
         # kernels of both tracks were live at once, each over its own sink
-        assert kernels == (0 if traced else 2 * len(NAMES))
+        assert kernels == (0 if reference else 2 * len(NAMES))
         return strategy
 
-    fused, traced = run(False), run(True)
+    fused, reference = on_both_paths(run)
     lineages = fused.output_lineages()
     assert len(lineages) == len(set(lineages))
-    assert_agree(fused, traced)
+    assert_agree(fused, reference)
     assert MultiSet(lineages) == MultiSet(join_oracle_lineages(schema, NAMES, tuples))
 
 
@@ -911,16 +936,13 @@ def test_replay_truncates_the_sink_lists_under_a_compiled_kernel():
     schema = Schema.uniform(NAMES, 1 << 40)
     tuples = arrivals(200, n_keys=6)
 
-    def run(traced):
+    def run(reference):
         worker = ShardWorker(0, JISCStrategy(schema, NAMES))
-        if traced:
-            RecordingTracer().attach(worker.metrics)
         sink = worker.strategy.plan.sink
         lists = sink.outputs, sink.output_times, sink.retractions
         for tup in tuples[:80]:
             worker.feed(tup)
-        if not traced:
-            assert len(fused_leaves(worker.strategy)) == len(NAMES)
+        assert len(fused_leaves(worker.strategy)) == (0 if reference else len(NAMES))
         before = len(worker.outputs)
         muted = worker.replay(tuples[80:120])
         assert muted > 0 and len(worker.outputs) == len(worker.output_times) == before
@@ -932,7 +954,36 @@ def test_replay_truncates_the_sink_lists_under_a_compiled_kernel():
         assert len(sink.retractions) > 0 and len(worker.outputs) > before
         return worker.strategy
 
-    assert_agree(run(False), run(True))
+    assert_agree(*on_both_paths(run))
+
+
+# -- a ``Metrics`` subclass is not fused ---------------------------------------------------
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("cls", [STAIRSExecutor, JISCStairsExecutor], ids=["stairs", "jisc_stairs"])
+def test_the_eddy_charges_every_hop_whoever_watches(cls, traced):
+    """``EddyMetrics.count`` adds an eddy visit per emit, moving the clock in
+    between: no tally reproduces that, so under a ``Metrics`` subclass the
+    kernels fuse no join level and every emit is counted by the subclass.
+    (PRs 18-19 fused them; an untraced STAIRs run lost all but a handful of
+    its eddy visits and a third of its virtual time.)"""
+    scenario = chain_scenario(3, 2000, 40, key_domain=40, seed=1)
+    events = interleave_transitions(
+        scenario.tuples, [(1000, swap_for_case(scenario.order, "worst"))]
+    )
+
+    def run(reference):
+        strategy = cls(scenario.schema, scenario.order)
+        if traced:
+            RecordingTracer().attach(strategy)
+        return run_events(strategy, events)
+
+    ours, reference = on_both_paths(run)
+    assert len(fused_leaves(ours)) == len(scenario.order) and not fused_leaves(reference)
+    counts = ours.metrics.counts
+    assert counts[Counter.EDDY_VISIT] == counts[Counter.TUPLE_EMIT] > 2000
+    assert_agree(ours, reference)
 
 
 @pytest.mark.parametrize("strategy", ["jisc", "moving_state", "static"])

@@ -540,7 +540,7 @@ class TestTelemetryRegistration:
                     self.registry.counter("stream_arrivals_total", stream=stream)
 
                 def wire_series(self):
-                    self.registry.windowed("lat", capacity=64, strategy="jisc")
+                    self.registry.histogram("lat", n_buckets=64, strategy="jisc")
             """
         )
         assert not ids(findings, "JISC007")

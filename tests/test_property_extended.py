@@ -134,24 +134,25 @@ def test_lottery_routing_never_changes_results(wl, seed):
 @settings(max_examples=30, deadline=None)
 @given(workload())
 def test_monitor_total_entries_consistent(wl):
-    from repro.engine.monitor import QueryMonitor
+    """The hub's ``engine_state_entries`` gauges (the query monitor's
+    ``state_sizes`` / ``window_fill``, folded into telemetry) against a
+    direct walk of the plan."""
+    from repro.telemetry import TelemetryTracer
+    from repro.telemetry.expo import state_entries
 
     tuples, window = wl
     schema = Schema.uniform(NAMES, window)
     st = JISCStrategy(schema, NAMES)
-    mon = QueryMonitor(st)
+    hub = TelemetryTracer(strategy="jisc")
+    hub.attach(st)
     for tup in tuples:
         st.process(tup)
-        mon.note_tuple()
-    snap = mon.sample()
+    entries = state_entries(hub.take_snapshot())
     # window fill never exceeds the configured bound
-    assert all(v <= window for v in snap.window_fill.values())
+    assert all(entries[name] <= window for name in NAMES)
     # state sizes agree with a direct walk of the plan
-    direct = {
-        "".join(sorted(op.membership)): len(op.state)
-        for op in st.plan.internal
-    }
-    assert snap.state_sizes == direct
+    direct = {op.label: len(op.state) for op in st.plan.internal}
+    assert {label: n for label, n in entries.items() if label not in NAMES} == direct
 
 
 @settings(max_examples=40, deadline=None)

@@ -444,20 +444,24 @@ def test_crash_and_recover_inside_a_fluid_batch_reads_the_columnar_log(mode):
     assert crashed._logs[0].kinds.count("batch") > 2
 
 
-# -- worker shape is resolved once ---------------------------------------------------------
+# -- where the windows live is the strategy's answer, not the worker's guess -----------------
 
 
 @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
 def test_worker_resolves_its_strategy_shape_at_construction(strategy):
+    """One plan, one plan per track or per-stream SteMs: every shardable
+    strategy implements ``evict`` / ``live_tuples`` itself, so the worker
+    keeps no shape tag and probes no attribute (it used to, at construction)."""
     schema = Schema.uniform(NAMES, 8)
-    worker = ShardWorker(0, make_strategy(strategy, schema, NAMES))
-    expected = {"cacq": "stems", "parallel_track": "tracks"}.get(strategy, "plan")
-    assert worker._shape == expected
+    engine = make_strategy(strategy, schema, NAMES)
+    worker = ShardWorker(0, engine)
+    assert ShardWorker.__slots__ == ("shard_id", "strategy", "metrics")
     tup = StreamTuple("A", 0, 1)
     worker.feed(tup)
+    assert worker.live_tuples() == engine.live_tuples()
     assert worker.live_tuples()["A"] == [tup]
     assert worker.evict(tup)
-    assert worker.live_tuple_count() == 0
+    assert not any(worker.live_tuples().values())
     assert not worker.evict(tup)
 
 

@@ -13,7 +13,6 @@ import random
 import pytest
 
 from repro.telemetry import (
-    ArrivalRateEstimator,
     Ewma,
     PageHinkley,
     SampledRate,
@@ -82,12 +81,6 @@ class TestWindowedRatio:
 
 
 class TestRates:
-    def test_arrival_rate_uniform_spacing(self):
-        est = ArrivalRateEstimator(window=64)
-        for i in range(200):
-            est.observe(i * 2.0)
-        assert est.rate() == pytest.approx(0.5)
-
     def test_sampled_rate_matches_cumulative_slope(self):
         est = SampledRate(window=16)
         for i in range(50):

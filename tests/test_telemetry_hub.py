@@ -156,12 +156,120 @@ class TestPhasesAndSnapshots:
         assert snap_b.pop(key) == snap_a.pop(key) + 1
         assert snap_a == snap_b
 
-    def test_wants_counts_only_with_interested_inner(self):
-        assert TelemetryTracer(strategy="jisc").wants_counts is False
-        assert (
-            TelemetryTracer(strategy="jisc", inner=RecordingTracer()).wants_counts
-            is True
+    def test_hub_and_inner_recorder_agree_per_phase_on_a_fused_engine(self):
+        """Both attribute by boundary deltas over the one ``Metrics``: same
+        per-phase counts, summing to it — and no observer picks the path."""
+        scenario = small_scenario(n_tuples=2400)
+        inner = RecordingTracer()
+        hub = TelemetryTracer(strategy="jisc", inner=inner)
+        engine = run_engine(
+            scenario,
+            tracer=hub,
+            transition_at=1200,
+            new_order=swap_for_case(scenario.order, "worst"),
         )
+        assert all(scan.fused is not None for scan in engine.plan.scans.values())
+        assert engine.metrics.tracer is hub
+        assert hub.phase_counts == inner.phase_counts
+        assert set(hub.phase_counts) == {"steady", "completing"}
+        assert inner.counts_total() == engine.metrics.counts
+
+
+class TestOneEventPath:
+    """Sixteen typed hooks, one ``event``: the hub acts on twelve kinds through
+    its handler table and forwards every kind to ``inner``."""
+
+    CALLS = [
+        ("transition_start", ("jisc", 7), {}),
+        ("transition_end", ("jisc", 7), {"cost": 1.5}),
+        ("migration_end", ("parallel_track",), {}),
+        ("completion", ("RS", 17), {"cost": 3.4}),
+        ("promote", (5,), {}),
+        ("demote", (6,), {}),
+        ("checkpoint", ("jisc",), {"outputs": 3}),
+        ("note", ("eager_rebuild",), {"states": 2}),
+        ("fault", ("crash",), {"arrival": 4}),
+        ("recovery", ("restored",), {"log_pos": 10}),
+        ("rebalance_start", ("lazy",), {"keys": 8}),
+        ("rebalance_batch_start", (0, 3), {"keys": 4}),
+        ("shard_move", (11, 0, 2), {"tuples": 3}),
+        ("shard_move", (12, 0, 2), {"tuples": 0, "retired": True}),
+        ("rebalance_batch_end", (0, 3), {"duration": 2.5}),
+        ("rebalance_end", ("lazy",), {}),
+        ("trigger", ("suppressed",), {"current_cost": 3.0, "best_cost": 2.0}),
+    ]
+
+    def test_every_kind_is_forwarded_and_twelve_are_acted_on(self):
+        inner = RecordingTracer()
+        hub = TelemetryTracer(strategy="jisc", inner=inner)
+        for name, args, data in self.CALLS:
+            getattr(hub, name)(*args, **data)
+        assert [ev.kind for ev in inner.events] == [name for name, _, _ in self.CALLS]
+        assert inner.events[3].data == {"op": "RS", "key": 17, "cost": 3.4}
+        assert set(TelemetryTracer._HANDLERS) == {name for name, _, _ in self.CALLS} - {
+            "migration_end", "promote", "demote", "note"
+        }
+        value = lambda name: hub.registry.get(name, strategy="jisc").value_json()
+        assert value("engine_transitions_total") == 1
+        assert value("engine_completions_total") == 1
+        assert value("engine_checkpoints_total") == 1
+        assert value("engine_faults_total") == 1
+        assert value("engine_recoveries_total") == 1
+        assert value("shard_rebalances_total") == 1
+        assert value("shard_keys_settled_total") == 1
+        assert value("shard_keys_retired_total") == 1
+        assert value("shard_moved_tuples_total") == 3
+        assert value("shard_rebalance_batches_remaining") == 0
+        assert value("shard_rebalance_pending") == 0
+        assert value("shard_batch_move_latency")["count"] == 1
+        assert value("optimizer_trigger_suppressions_total") == 1
+        assert value("optimizer_cost_best") == 2.0
+
+
+class TestStateGauges:
+    """What the query monitor sampled by hand, published at ``sync()`` from
+    the engine's own ``state_sizes()`` / ``live_plans()``."""
+
+    def test_sizes_follow_the_live_plans(self):
+        scenario = small_scenario(n_joins=3, n_tuples=900)
+        hub = TelemetryTracer(strategy="jisc")
+        engine = STRATEGIES["jisc"](scenario.schema, scenario.order, join="hash")
+        hub.attach(engine)
+        assert "engine_state_entries" not in hub.registry  # registered at the first sync
+        for tup in scenario.tuples[:600]:
+            engine.process(tup)
+        hub.sync()
+
+        def published():
+            return {
+                dict(i.labels)["operator"]: i.value
+                for i in hub.registry.with_name("engine_state_entries")
+            }
+
+        assert published() == engine.state_sizes()
+        assert set(scenario.order) < set(published())  # scans by stream name, joins by membership
+        assert hub.registry.get("engine_live_plans", strategy="jisc").value == 1
+        assert hub.registry.get("engine_incomplete_states", strategy="jisc").value == 0
+        before = set(published())
+        engine.transition(swap_for_case(scenario.order, "worst"))
+        hub.sync()
+        assert hub.registry.get("engine_incomplete_states", strategy="jisc").value == len(
+            engine.controller.incomplete_ops
+        ) > 0
+        gone = before - set(engine.state_sizes())
+        assert gone and all(published()[label] == 0 for label in gone)
+        assert {k: v for k, v in published().items() if k not in gone} == engine.state_sizes()
+
+    def test_a_hub_over_bare_metrics_publishes_no_state_series(self):
+        ex = ShardedExecutor(Schema.uniform(("A", "B"), 4), ("A", "B"), num_shards=2)
+        telemetry = ShardTelemetry(ex)
+        ex.process_batch([StreamTuple("A", 0, 1), StreamTuple("B", 0, 1)])
+        telemetry.sync()
+        shards = {
+            dict(i.labels).get("shard")
+            for i in telemetry.registry.with_name("engine_live_plans")
+        }
+        assert shards == {"0", "1"}  # the workers' hubs; the coordinator follows a Metrics
 
 
 def shard_workload(n=1200, n_keys=32, seed=17):

@@ -11,7 +11,6 @@ from repro.telemetry import (
     Histogram,
     MetricsRegistry,
     SnapshotLog,
-    Windowed,
     canonical_labels,
     diff_snapshots,
     load_snapshots,
@@ -107,18 +106,6 @@ class TestInstruments:
         assert summary["count"] == 4
         assert summary["max"] >= 8.0
 
-    def test_windowed_eviction_counts_drops(self):
-        w = Windowed("w", (), capacity=3)
-        for i in range(5):
-            w.push(float(i), i)
-        assert len(w) == 3
-        assert w.dropped == 2
-        assert w.values() == [2, 3, 4]
-        assert w.last() == 4
-        assert w.span() == 2.0
-        assert w.rate() == pytest.approx(1.0)
-        assert w.value_json()["dropped"] == 2
-
 
 class TestExposition:
     def _registry(self):
@@ -126,7 +113,6 @@ class TestExposition:
         reg.counter("engine_arrivals_total", strategy="jisc").inc(10)
         reg.gauge("engine_phase", strategy="jisc").set("steady")
         reg.histogram("latency", strategy="jisc").observe(2.0)
-        reg.windowed("rate", capacity=8, strategy="jisc").push(0.0, 1.0)
         return reg
 
     def test_prometheus_text_format(self):
