@@ -12,7 +12,12 @@ value, bottom-up from the highest complete states in the subtree:
   complete), so the recursion degenerates into a walk down the left spine
   to the highest complete state, then an upward pass — no recursion needed.
 
-Both procedures insert entries into states **without emitting** them:
+The fused kernels call Procedure 3 as :mod:`repro.core.bound` binds it, once
+per transition, to a left-deep plan of symmetric hash joins; the two
+functions here stay the definition, the tests' oracle, and the path of
+every other plan.
+
+All of them insert entries into states **without emitting** them:
 completion rebuilds state, it does not produce results (the probing tuple
 joins against the completed state immediately afterwards — Procedure 1).
 

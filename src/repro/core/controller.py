@@ -19,13 +19,16 @@ plan:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.core.bound import bind_left_deep
 from repro.core.completion import complete_value_left_deep, complete_value_recursive
 from repro.core.freshness import FreshnessRegistry
 from repro.engine.metrics import Metrics
 from repro.obs.tracer import PHASE_COMPLETING
 from repro.operators.base import BinaryOperator, Operator
+from repro.operators.joins import JoinOperator, SymmetricHashJoin
+from repro.operators.state import HashState, StateStatus
 from repro.plans.build import PhysicalPlan
 from repro.streams.tuples import AnyTuple, StreamTuple
 
@@ -91,16 +94,24 @@ class JISCController:
 
         Idempotent; call again after changing statuses from outside (a
         checkpoint restore) so that :attr:`incomplete_ops` is re-derived.
+        Binds, once, what completion and expiry would otherwise look up per
+        value until the next transition (docs/PERFORMANCE.md).
         """
         self.plan = plan
         self._use_left_deep = plan.is_left_deep() and not self.force_recursive
         for op in plan.internal:
-            if hasattr(op, "completion_hook"):
+            if isinstance(op, JoinOperator):
                 op.completion_hook = self._completion_hook
         self.incomplete_ops = sorted(
             (op for op in plan.internal if not op.state.status.complete),
             key=lambda op: sorted(op.membership),
         )
+        # Procedure 3 as the kernels compiled from here on call it — chosen by what
+        # the plan is: left-deep, symmetric hash joins only, counting on a plain
+        # ``Metrics``.  Anything else completes through the hook.
+        hash_joins = all(type(op) is SymmetricHashJoin for op in plan.internal)
+        bindable = self._use_left_deep and hash_joins and type(self.metrics) is Metrics
+        plan.completers = bind_left_deep(self, plan) if bindable else {}
         self._wire_expiry(plan)
 
     def _wire_expiry(self, plan: PhysicalPlan) -> None:
@@ -115,9 +126,10 @@ class JISCController:
         """
         busy = bool(self.incomplete_ops)
         fresh_fn = self.freshness.check if busy and self.expiry_optimization else None
+        expire_hook = self._bind_expiry() if busy else None
         for scan in plan.scans.values():
             scan.fresh_fn = fresh_fn
-            scan.expire_hook = self._on_expiry if busy else None
+            scan.expire_hook = expire_hook
 
     # -- arrival path ----------------------------------------------------------
 
@@ -155,16 +167,10 @@ class JISCController:
             return
         if not self.needs_completion(opposite, tup.key):
             return
+        # Observed, completion work runs in the "completing" phase and leaves one
+        # span per (state, value) — the unit the paper's lazy migration cost is paid
+        # in; unobserved, the shared no-op tracer makes the same calls do nothing.
         tracer = self.metrics.tracer
-        if not tracer.enabled:
-            if self._use_left_deep:
-                complete_value_left_deep(self, opposite, tup.key)
-            else:
-                complete_value_recursive(self, opposite, tup.key)
-            return
-        # Traced path: completion work runs in the "completing" phase and
-        # leaves one span per (state, value) — the unit the paper's lazy
-        # migration cost is paid in.
         clock = self.metrics.clock
         start = clock.now if clock is not None else 0.0
         prev = tracer.set_phase(PHASE_COMPLETING)
@@ -174,9 +180,9 @@ class JISCController:
             else:
                 complete_value_recursive(self, opposite, tup.key)
         finally:
-            tracer.completion(
-                opposite.label, tup.key, cost=(clock.now if clock is not None else 0.0) - start
-            )
+            if tracer.enabled:
+                cost = (clock.now if clock is not None else 0.0) - start
+                tracer.completion(opposite.label, tup.key, cost=cost)
             tracer.set_phase(prev)
 
     # -- completion bookkeeping --------------------------------------------------
@@ -204,11 +210,8 @@ class JISCController:
         if info is None:
             info = self.info[op] = JISCStateInfo()
         info.settled.add(key)
-        status = op.state.status
-        if status.pending is not None:
-            status.pending.discard(key)
-            if not status.pending:
-                self._mark_complete(op)
+        if op.state.status.settle_value(key):
+            self._mark_complete(op)
 
     def _mark_complete(self, op: BinaryOperator) -> None:
         op.state.status.mark_complete()
@@ -306,38 +309,42 @@ class JISCController:
 
     # -- window expiry ------------------------------------------------------------
 
-    def _on_expiry(self, tup: StreamTuple) -> None:
-        """Retire pending values whose pre-transition support expired.
+    def _bind_expiry(self) -> Callable[[StreamTuple], None]:
+        """This transition's expiry hook: retire pending values whose
+        pre-transition support expired.
 
         Called after the removal cascade, so reference-child states already
         reflect the eviction.  When the reference child no longer holds any
         entry for ``tup.key`` that predates the state's transition, no
         missing pre-transition combination can remain, and the value's
         counter contribution is released (otherwise a never-probed value
-        would keep the state incomplete forever).
+        would keep the state incomplete forever).  The expired tuple lives
+        under exactly one child, and the check is only valid against a
+        *complete* child state (an incomplete one under-counts old entries,
+        which would retire prematurely).  Which states an eviction on a
+        stream concerns is looked up here, once, in :attr:`incomplete_ops`'
+        run-independent order.
         """
-        key = tup.key
+        watchers: Dict[str, List[Tuple[BinaryOperator, StateStatus, HashState, int]]] = {}
         for op in self.incomplete_ops:
-            status = op.state.status
-            if status.pending is None or key not in status.pending:
-                continue
             info = self.info.get(op)
-            if info is None:
-                continue
-            # The expired tuple lives under exactly one child; the check is
-            # only valid against a *complete* child state (an incomplete one
-            # under-counts old entries, which would retire prematurely).
-            side = op.left if tup.stream in op.left.membership else (
-                op.right if tup.stream in op.right.membership else None
-            )
-            if side is None or not side.state.status.complete:
-                continue
-            threshold = info.transition_seq
-            has_old = any(
-                entry.max_seq() < threshold
-                for entry in side.state.get_view(key)
-            )
-            if not has_old:
-                status.pending.discard(key)
-                if not status.pending:
-                    self._mark_complete(op)
+            if info is not None:
+                for side in (op.left, op.right):
+                    for stream in side.membership:
+                        watchers.setdefault(stream, []).append(
+                            (op, op.state.status, side.state, info.transition_seq)
+                        )
+
+        def on_expiry(tup: StreamTuple) -> None:
+            key = tup.key
+            for op, status, side, threshold in watchers.get(tup.stream, ()):
+                if status.pending is None or key not in status.pending or not side.status.complete:
+                    continue
+                for entry in side.get_view(key):
+                    if entry.max_seq() < threshold:
+                        break  # pre-transition support is still in the window
+                else:
+                    if status.settle_value(key):
+                        self._mark_complete(op)
+
+        return on_expiry

@@ -54,7 +54,7 @@ class Counter:
 
 
 _INSERT, _EMIT, _PROBE = Counter.HASH_INSERT, Counter.TUPLE_EMIT, Counter.HASH_PROBE
-_REMOVE, _OUTPUT = Counter.STATE_REMOVE, Counter.OUTPUT
+_REMOVE, _OUTPUT, _COMPLETION = Counter.STATE_REMOVE, Counter.OUTPUT, Counter.COMPLETION_PROBE
 #: The ops of the scan / hash-join / sink pipeline, in ``count_pipeline``'s argument order.
 PIPELINE_OPS = (_INSERT, _EMIT, _PROBE, _REMOVE, _OUTPUT)
 
@@ -122,9 +122,11 @@ class Metrics:
                 clock.now += clock.default * n
 
     def count_pipeline(
-        self, now: float, inserts: int, emits: int, probes: int, removes: int, outputs: int
-    ) -> int:
-        """Record the pipeline ops a fused kernel tallied (``operators.fused``).
+        self, now: float, inserts: int, emits: int, probes: int, removes: int, outputs: int,
+        completions: int = 0,
+    ) -> int:  # fmt: skip
+        """Record the pipeline ops a fused kernel tallied (``operators.fused``) and
+        the completion probes of a bound completion (``core.bound``).
 
         ``now`` is the kernel's copy of the clock, advanced by each op's cost
         *in execution order*: the sink stamps outputs mid-cascade and float
@@ -159,6 +161,11 @@ class Metrics:
                 counts[_OUTPUT] += outputs
             except KeyError:
                 counts[_OUTPUT] = outputs
+        if completions:
+            try:
+                counts[_COMPLETION] += completions
+            except KeyError:
+                counts[_COMPLETION] = completions
         if self.clock is not None:
             self.clock.now = now
         return 0

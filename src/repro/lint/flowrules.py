@@ -87,7 +87,6 @@ SINK_METHODS = {
     "feed",
     "process",
     "settle_value",
-    "retire_value",
     "mark_complete",
     "mark_incomplete",
     "_mark_complete",

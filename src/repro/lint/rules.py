@@ -327,7 +327,6 @@ class StateDisciplineRule(Rule):
         "mark_complete",
         "mark_incomplete",
         "settle_value",
-        "retire_value",
     }
     #: Out-of-band eviction entry points (docs/SHARDING.md): ``evict`` on
     #: scans/SteMs/workers and ``discard`` on windows remove specific

@@ -196,6 +196,13 @@ class MigrationStrategy:
         """Strategy-specific migration policy (override in subclasses)."""
         raise NotImplementedError
 
+    @staticmethod
+    def _release(plan: PhysicalPlan) -> None:
+        """Unlink a replaced plan's operators: ``parent`` <-> ``left`` is a cycle;
+        cut, the plan and every state nobody adopted die by reference count."""
+        for op in plan.internal:
+            op.parent = None
+
     def live_plans(self) -> List[PhysicalPlan]:
         """Every physical plan arrivals are currently fed through, oldest
         first — the one answer telemetry and the optimizer share (``[]`` on

@@ -105,8 +105,9 @@ class JISCStrategy(MigrationStrategy):
                 after_arrival(tup)
 
     def _do_transition(self, new_spec: SpecLike) -> None:
+        old_plan = self.plan
         self.plan = perform_jisc_transition(
-            self.plan,
+            old_plan,
             as_spec(new_spec),
             self.schema,
             self.metrics,
@@ -114,6 +115,7 @@ class JISCStrategy(MigrationStrategy):
             transition_seq=self.next_seq,
             op_factory=self.op_factory,
         )
+        self._release(old_plan)
         self._install_tops()
 
     # -- introspection (used by tests and benchmarks) ---------------------------------

@@ -62,4 +62,5 @@ class MovingStateStrategy(MigrationStrategy):
         if tracer.enabled:
             tracer.note("eager_rebuild", states=rebuilt, adopted=len(adopted))
         self.plan = new_plan
+        self._release(old_plan)
         self._install_tops()

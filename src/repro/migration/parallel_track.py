@@ -204,6 +204,10 @@ class ParallelTrackStrategy(MigrationStrategy):
             if not self._only_new_entries(old.plan, threshold):
                 return
             self.tracks.pop(0)
+            self._release(old.plan)
+            for scan in old.plan.scans.values():  # a track's leaves are its own
+                scan.parent = scan.fused = None
+            self.plan = self.tracks[0].plan
             if len(self.tracks) == 1:
                 # Migration over: the dedup memo is no longer needed.
                 self._seen.clear()

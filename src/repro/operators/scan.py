@@ -98,9 +98,9 @@ class StreamScan(Operator):
 
     def _expire(self, evicted: StreamTuple) -> None:
         """Evict ``evicted`` from this state and trace it up the pipeline."""
+        fresh = True if self.fresh_fn is None else self.fresh_fn(evicted)
         self.state.remove_entry(evicted)
         self.metrics.count(Counter.STATE_REMOVE)
-        fresh = True if self.fresh_fn is None else self.fresh_fn(evicted)
         self.emit_removal((evicted.stream, evicted.seq), fresh)
         if self.expire_hook is not None:
             self.expire_hook(evicted)

@@ -87,7 +87,8 @@ class StateStatus:
         self.pending = None if pending is None else set(pending)
 
     def settle_value(self, value: Any) -> bool:
-        """Record that entries for ``value`` are now complete.
+        """Record that entries for ``value`` are now complete, or that the
+        value vanished from the reference child (window slide).
 
         Returns ``True`` if this settles the last pending value (the counter
         reached zero), i.e. the caller should mark the state complete and
@@ -97,13 +98,6 @@ class StateStatus:
             return False
         self.pending.discard(value)
         return not self.pending
-
-    def retire_value(self, value: Any) -> bool:
-        """A pending value vanished from the reference child (window slide).
-
-        Same return convention as :meth:`settle_value`.
-        """
-        return self.settle_value(value)
 
 
 class HashState:

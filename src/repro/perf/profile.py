@@ -12,7 +12,10 @@ the numbers the regression gate tracks:
 * ``fig10`` — transition-to-first-output latency, hash and NL joins;
 * ``steady`` — ``benchmarks/wallclock``'s ``steady_join`` shape under JISC
   alone, generated before profiling starts: the ``calls / arrival`` printed
-  under the table is the number ROADMAP tracks.
+  under the table is the number ROADMAP tracks;
+* ``migrate`` — ``migrate_churn``'s shape (7 streams, window 200, a worst-case
+  transition every 100 arrivals), same protocol; also prints the collections
+  per generation and the objects they found (a transition should leave none).
 
 ``--scale`` shrinks the tuple volume for quick iteration; the default
 (1.0) matches the committed benchmark shapes.
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import pstats
 from typing import Any, Callable, Dict
 
@@ -32,7 +36,7 @@ from repro.experiments.common import (
     measure_normal_operation,
 )
 from repro.migration.jisc import JISCStrategy
-from repro.workloads.scenarios import chain_scenario
+from repro.workloads.scenarios import chain_scenario, frequency_events
 
 
 def run_fig9(scale: float) -> Callable[[], Any]:
@@ -62,15 +66,25 @@ def run_fig10(scale: float) -> Callable[[], Any]:
     ]
 
 
-def run_steady(scale: float) -> Callable[[], int]:
-    scenario = chain_scenario(4, max(500, int(25_500 * scale)), 80, key_domain=80, seed=1)
-    engine = JISCStrategy(scenario.schema, scenario.order)
+def jisc_run(
+    n_joins: int, n: int, window: int, key_domain: int, period: int = 0
+) -> Callable[[float], Callable[[], int]]:
+    """A ``benchmarks/wallclock`` shape under JISC alone, generated before
+    profiling starts; ``period``: a worst-case transition every that many."""
 
-    def run() -> int:
-        run_events(engine, scenario.tuples)
-        return len(scenario.tuples)
+    def scenario(scale: float) -> Callable[[], int]:
+        n_tuples = max(500, int(n * scale))
+        chain = chain_scenario(n_joins, n_tuples, window, key_domain=key_domain, seed=1)
+        events = frequency_events(chain, period, case="worst") if period else chain.tuples
+        engine = JISCStrategy(chain.schema, chain.order)
 
-    return run
+        def run() -> int:
+            run_events(engine, events)
+            return len(chain.tuples)
+
+        return run
+
+    return scenario
 
 
 #: ``scenario(scale)`` sets up and returns what is profiled; a run that returns
@@ -79,7 +93,8 @@ SCENARIOS: Dict[str, Callable[[float], Callable[[], Any]]] = {
     "fig9": run_fig9,
     "fig7": run_fig7,
     "fig10": run_fig10,
-    "steady": run_steady,
+    "steady": jisc_run(4, 25_500, 80, 80),
+    "migrate": jisc_run(6, 27_000, 200, 250, period=100),
 }
 
 
@@ -116,8 +131,14 @@ def main(argv: Any = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    run = SCENARIOS[args.scenario](args.scale)
+    before = gc.get_stats()
     profiler = cProfile.Profile()
-    fed = profiler.runcall(SCENARIOS[args.scenario](args.scale))
+    fed = profiler.runcall(run)
+    collections = [
+        (now["collections"] - was["collections"], now["collected"] - was["collected"])
+        for was, now in zip(before, gc.get_stats())
+    ]
 
     stats = pstats.Stats(profiler)
     stats.sort_stats(args.sort)
@@ -125,6 +146,10 @@ def main(argv: Any = None) -> int:
     stats.print_stats(args.top)
     if isinstance(fed, int):
         print(f"calls / arrival: {stats.total_calls / fed:.1f} ({stats.total_calls} / {fed})")
+        print(
+            "collections (objects found): "
+            + ", ".join(f"gen{g} {n} ({found})" for g, (n, found) in enumerate(collections))
+        )
     return 0
 
 

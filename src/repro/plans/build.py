@@ -17,7 +17,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.metrics import Metrics
 from repro.operators.base import BinaryOperator, Operator
-from repro.operators.fused import compile_leaf
+from repro.operators.fused import Completer, compile_plan
 from repro.operators.joins import SymmetricHashJoin
 from repro.operators.scan import StreamScan
 from repro.operators.sink import OutputSink
@@ -51,19 +51,22 @@ class PhysicalPlan:
         self.by_identity: Dict[Identity, BinaryOperator] = {
             op.identity: op for op in internal
         }
+        # What the JISC controller bound at ``attach``, keyed as the completion hook
+        # is called; kernels call it where ``JoinOperator.process`` calls the hook.
+        self.completers: Dict[Tuple[Operator, Operator], Completer] = {}
 
     def feed(self, tup: StreamTuple) -> None:
         """Route an arriving base tuple to its stream's scan.
 
-        A leaf's first arrival under a wiring runs the operators themselves
-        and compiles the leaf's fused kernel for the arrivals after it.
+        A plan's first arrival runs the operators themselves and compiles
+        every leaf's fused kernel for the arrivals after it.
         """
         scan = self.scans[tup.stream]
         if scan.scheduler is not None:
             scan.insert(tup)
         elif scan.fused is None:
             scan.insert(tup)
-            compile_leaf(scan)
+            compile_plan(self)
         else:
             scan.fused.arrive(tup)
 
@@ -109,7 +112,10 @@ def build_plan(
         scans = {}
     internal: List[BinaryOperator] = []
 
-    def instantiate(node: PlanSpec) -> Operator:
+    def instantiate(node: PlanSpec, again: Callable[..., Operator]) -> Operator:
+        # ``again`` is this function: had it called itself by name, the closure
+        # would hold itself — a reference cycle pinning ``state_provider``, hence
+        # the plan being replaced, until a collection found it.
         if is_leaf(node):
             scan = scans.get(node)
             if scan is None:
@@ -120,8 +126,8 @@ def build_plan(
                 scan.parent = None
                 scan.fused = None
             return scan
-        left = instantiate(node[0])
-        right = instantiate(node[1])
+        left = again(node[0], again)
+        right = again(node[1], again)
         op = factory(left, right, metrics)
         if state_provider is not None:
             adopted = state_provider(op.identity)
@@ -130,7 +136,7 @@ def build_plan(
         internal.append(op)
         return op
 
-    root = instantiate(plan_spec)
+    root = instantiate(plan_spec, instantiate)
     out_sink = sink or OutputSink(metrics)
     out_sink.attach(root)
     return PhysicalPlan(plan_spec, root, out_sink, scans, internal)

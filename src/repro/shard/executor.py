@@ -23,7 +23,7 @@ coordinator owns three things the workers must not (docs/SHARDING.md):
   pending and completes each key just in time on its first
   post-rebalance arrival (*lazy*, the JISC discipline); a pending key
   whose live tuples all expire is retired, mirroring
-  :meth:`repro.core.controller.JISCController._on_expiry`.
+  :meth:`repro.core.controller.JISCController._bind_expiry`.
 
 Cross-shard state movement is strategy-agnostic: the key's live tuples
 are *replayed* (in arrival order) through the destination's normal

@@ -13,11 +13,11 @@ modes (docs/SHARDING.md):
   key's first post-rebalance arrival.  Until then the key is *pending*
   and its state (and evictions) stay at the source shard.  A pending key
   whose last live tuple expires is *retired* — nothing is left to move,
-  mirroring :meth:`repro.core.controller.JISCController._on_expiry`.
+  mirroring :meth:`repro.core.controller.JISCController._bind_expiry`.
 
 The per-key ledger reuses :class:`~repro.operators.state.StateStatus`
 verbatim: ``pending`` is the set of keys not yet moved, ``settle_value``
-records a completed move, ``retire_value`` an expired one, and the
+records a completed move or an expired key, and the
 session is *complete* when the set drains — the same counter semantics
 the paper defines for operator states (Section 4.3), applied to the
 coordinator's view of shard state.  This module is the sanctioned caller
@@ -128,7 +128,7 @@ class RebalanceSession:
         convention as :meth:`settle`."""
         if self.is_pending(key):
             self.retired += 1
-        done = self.status.retire_value(key)
+        done = self.status.settle_value(key)
         if done:
             self.status.mark_complete()
         return done

@@ -23,7 +23,7 @@ def reference_path() -> Iterator[None]:
     The one way to the generic side — a test fixture, not a product switch
     (no observer, option or flag selects it)."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("repro.plans.build.compile_leaf", lambda scan: None)
+        patch.setattr("repro.plans.build.compile_plan", lambda plan: None)
         yield
 
 

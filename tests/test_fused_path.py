@@ -34,14 +34,14 @@ from repro.migration.jisc import JISCStrategy
 from repro.migration.moving_state import MovingStateStrategy
 from repro.migration.parallel_track import ParallelTrackStrategy
 from repro.obs.tracer import NULL_TRACER, RecordingTracer, Tracer
-from repro.operators.fused import compile_leaf
+from repro.operators.fused import compile_plan
 from repro.operators.joins import JoinOperator, SymmetricHashJoin
 from repro.operators.scan import StreamScan
 from repro.operators.setdiff import SetDifference
 from repro.operators.sink import OutputSink
 from repro.operators.unary import GroupByCount, Select
 from repro.optimizer import AdaptiveEngine, HysteresisTrigger
-from repro.plans.build import build_plan
+from repro.plans.build import PhysicalPlan, build_plan
 from repro.plans.spec import left_deep
 from repro.shard import RebalanceEvent, ShardedExecutor, skewed_assignment
 from repro.shard.worker import ShardWorker
@@ -49,7 +49,7 @@ from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
 from repro.testing.naive import join_oracle_lineages
 from repro.workloads.drift import SelectivityDriftWorkload
-from repro.workloads.scenarios import chain_scenario, swap_for_case
+from repro.workloads.scenarios import chain_scenario, frequency_events, swap_for_case
 from tests.helpers import reference_path
 
 NAMES = ("A", "B", "C", "D")
@@ -475,9 +475,10 @@ def test_install_tops_after_first_feed_reaches_the_new_tops():
     assert_agree(fused, reference)
 
 
-def test_a_leafs_first_arrival_runs_the_operators_and_the_rest_the_kernel(monkeypatch):
-    """``PhysicalPlan.feed``: the kernel is compiled after the leaf's first
-    arrival under a wiring, which ``StreamScan.insert`` handles itself."""
+def test_a_plans_first_arrival_runs_the_operators_and_the_rest_the_kernel(monkeypatch):
+    """``PhysicalPlan.feed``: every leaf's kernel is compiled after the plan's
+    first arrival, which ``StreamScan.insert`` handles itself (until PR 21 each
+    leaf's first arrival did: four generic arrivals here, and four compiles)."""
     seen = []
     generic = JoinOperator.process
 
@@ -488,12 +489,10 @@ def test_a_leafs_first_arrival_runs_the_operators_and_the_rest_the_kernel(monkey
     monkeypatch.setattr(JoinOperator, "process", spy)
     strategy = StaticPlanExecutor(Schema.uniform(NAMES, 6), NAMES)
     tuples = arrivals(80)
-    run_events(strategy, tuples)
-    firsts = {name: next(t for t in tuples if t.stream == name) for name in NAMES}
-    assert [t for t in seen if isinstance(t, StreamTuple)] == sorted(
-        firsts.values(), key=lambda t: t.seq
-    )
-    assert len(fused_leaves(strategy)) == len(NAMES) and len(strategy.outputs) > 0
+    strategy.process(tuples[0])
+    assert seen == [tuples[0]] and len(fused_leaves(strategy)) == len(NAMES)
+    run_events(strategy, tuples[1:])
+    assert seen == [tuples[0]] and len(strategy.outputs) > 0
 
 
 def test_transition_compiles_new_kernels_around_adopted_states():
@@ -504,8 +503,9 @@ def test_transition_compiles_new_kernels_around_adopted_states():
     strategy.transition(("D", "C", "B", "A"))
     assert not fused_leaves(strategy)
     strategy.process(StreamTuple("A", 1000, 1))
-    (scan,) = fused_leaves(strategy)
-    assert scan.stream == "A" and scan.fused is not before["A"]
+    # one compile for the plan (until PR 21: leaf A's alone, the others' later)
+    assert {scan.stream for scan in fused_leaves(strategy)} == set(NAMES)
+    assert all(scan.fused is not before[scan.stream] for scan in fused_leaves(strategy))
 
 
 # -- fail-loud edges ---------------------------------------------------------------------
@@ -548,6 +548,9 @@ def run_until_hook_raises(reference):
 
     for op in strategy.plan.internal:
         op.completion_hook = hook
+    # a hook installed by hand is the generic seam: nothing is bound for it
+    # (the kernels call what the controller bound at ``attach`` otherwise)
+    strategy.plan.completers.clear()
     tuples = arrivals(40, n_keys=12, seed=9)
     warm = next(n for n in range(40) if {t.stream for t in tuples[:n]} == set(NAMES))
     run_events(strategy, tuples[:warm])
@@ -658,9 +661,11 @@ def test_hand_built_operators_on_other_metrics_are_not_fused():
     ours, theirs = Metrics(clock=VirtualClock()), Metrics(clock=VirtualClock())
     a, b = StreamScan("A", 4, ours), StreamScan("B", 4, ours)
     join = SymmetricHashJoin(a, b, theirs)
-    OutputSink(theirs).attach(join)
+    sink = OutputSink(theirs)
+    sink.attach(join)
+    compile_plan(PhysicalPlan(("A", "B"), join, sink, {"A": a, "B": b}, [join]))
     for scan, tup in ((a, StreamTuple("A", 0, 1)), (b, StreamTuple("B", 1, 1))):
-        compile_leaf(scan).arrive(tup)
+        scan.fused.arrive(tup)
     assert ours.counts == {Counter.HASH_INSERT: 2, Counter.TUPLE_EMIT: 2}
     assert theirs.counts == {
         Counter.HASH_PROBE: 2,
@@ -727,8 +732,8 @@ def test_sink_inside_the_kernel_agrees_with_emit_and_sink_process(kind, monkeypa
     assert len(fused["outputs"]) > 20 and len(fused["retractions"]) > 20
     assert fused["counts"][Counter.OUTPUT] == len(fused["outputs"])
     # the generic path calls the sink once per output, the kernels only on
-    # each leaf's first arrival
-    assert reference_calls == len(reference["outputs"]) and fused_calls <= len(NAMES)
+    # the plan's first arrival (which, alone in its window, outputs nothing)
+    assert reference_calls == len(reference["outputs"]) and fused_calls == 0
     if kind == "no_clock":
         assert fused["output_times"] == [float(i + 1) for i in range(len(fused["outputs"]))]
     if kind == "output_not_in_cost_table":
@@ -1058,6 +1063,16 @@ def test_between_transitions_jisc_makes_the_static_pipelines_calls(per_tuple):
         engine = cls(schema, FIVE)
         totals[cls.name] = python_calls(lambda: drive(engine, tuples, per_tuple))
         assert len(fused_leaves(engine)) == len(FIVE) and len(engine.outputs) > 100
+        # One generic arrival per plan — the first, after which every leaf has its
+        # kernel (five until PR 21: a leaf compiled its root path after its own
+        # first arrival): the rest never enters the operator classes' joins.
+        engine = cls(schema, FIVE)
+        engine.process(tuples[0])
+        assert len(fused_leaves(engine)) == len(FIVE)
+        rest = python_calls(
+            lambda: drive(engine, tuples[1:], per_tuple), under=os.path.join("operators", "joins.py")
+        )
+        assert rest == 0
     assert totals["jisc"] == totals["static"] > 2000
 
 
@@ -1116,3 +1131,213 @@ def test_a_batch_stops_calling_the_controller_when_the_last_state_completes():
         return calls
 
     assert core_calls_after_the_transition(False) == core_calls_after_the_transition(True) > 0
+
+
+# -- the completion path -----------------------------------------------------------------
+#
+# From a plan's second arrival on, a state the controller bound a procedure for
+# at ``attach`` (``repro.core.bound``: left-deep, symmetric hash joins only, a
+# plain ``Metrics``) is completed by that procedure; on the reference path, and
+# for every other plan on either path, by ``complete_value_*`` through the hook.
+# Both sides are compared after *every* event, not at the end of the run.
+
+
+class OddCosts(CostModel):
+    def table(self):
+        return {Counter.HASH_PROBE: 0.1, Counter.COMPLETION_PROBE: 1.3, Counter.HASH_INSERT: 0.3}
+
+
+def churn(case, period, n=900, window=30):
+    scenario = chain_scenario(3, n, window, key_domain=40, seed=2)
+    return scenario.schema, scenario.order, frequency_events(scenario, period, case=case)
+
+
+def reshapes(first, second, n=600, period=40):
+    """Arrivals over ``NAMES``, alternating between two plans every ``period``."""
+    return interleave_transitions(
+        arrivals(n, n_keys=9, seed=6),
+        [(at, second if (at // period) % 2 else first) for at in range(period, n, period)],
+    )
+
+
+#: name -> (schema, initial spec, events, strategy options, bound procedure expected)
+COMPLETION_CASES = {
+    "best_case": (*churn("best", 150), {}, True),
+    "worst_case": (*churn("worst", 150), {}, True),
+    "overlapped": (*churn("worst", 20), {}, True),  # period 20 < window 30
+    "naive_recheck": (*churn("worst", 150), {"naive_recheck": True}, True),
+    "no_expiry_optimization": (*churn("worst", 150), {"expiry_optimization": False}, True),
+    # probe, completion probe and insert costs whose sums depend on the order added in
+    "odd_costs": (*churn("worst", 150), {"cost_model": OddCosts(default=0.7)}, True),
+    "force_recursive": (*churn("worst", 150), {"force_recursive": True}, False),
+    "bushy": (
+        Schema.uniform(NAMES, 8),
+        BUSHY,
+        reshapes((("A", "C"), ("B", "D")), BUSHY),
+        {},
+        False,
+    ),
+    "nested_loops": (*churn("worst", 50, n=400, window=12), {"join": "nl"}, False),
+    # a set-difference passes on base tuples only: the chain is set-differences throughout
+    "setdiff": (
+        Schema.uniform(NAMES, 8),
+        NAMES,
+        reshapes(("A", "D", "B", "C"), ("A", "C", "D", "B")),
+        {"op_factory": monotone_setdiff},
+        False,
+    ),
+}
+
+
+def completion_trail(schema, initial, events, options, traced):
+    """What a JISC run looks like after each event, and the strategy."""
+    strategy = JISCStrategy(schema, initial, **options)
+    if traced:
+        RecordingTracer().attach(strategy)
+    trail = []
+    migrating = bound = 0
+    for event in events:
+        if isinstance(event, TransitionEvent):
+            strategy.transition(event.new_spec)
+        else:
+            migrating += strategy.incomplete_state_count() > 0
+            bound += bool(strategy.plan.completers)
+            strategy.process(event)
+        status = [op.state.status for op in strategy.plan.internal]
+        trail.append(
+            (
+                len(strategy.outputs),
+                strategy.output_times[-1] if strategy.outputs else None,
+                dict(strategy.metrics.counts),
+                strategy.metrics.clock.now,
+                [None if s.pending is None else sorted(s.pending) for s in status],
+                strategy.incomplete_state_count(),
+            )
+        )
+    return strategy, trail, migrating, bound
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("case", sorted(COMPLETION_CASES))
+def test_bound_completion_agrees_with_the_generic_procedures_after_every_event(case, traced):
+    schema, initial, events, options, expect_bound = COMPLETION_CASES[case]
+
+    def run(reference):
+        return completion_trail(schema, initial, events, options, traced)
+
+    (fused, trail, migrating, bound), (reference, want, *_) = on_both_paths(run)
+    assert fused_leaves(fused) and not fused_leaves(reference)
+    # the run is about completion: many arrivals find a state incomplete ...
+    assert migrating > len(events) // 5
+    if case != "setdiff":  # whose completion counts probes like any other
+        assert fused.metrics.get(Counter.COMPLETION_PROBE) > 20
+    # ... and the plan says which procedure completes it
+    assert (bound > 0) is expect_bound
+    for i, (got, expected) in enumerate(zip(trail, want)):
+        assert got == expected, (i, events[i])
+    assert_agree(fused, reference)
+    if case != "setdiff":
+        tuples = [e for e in events if isinstance(e, StreamTuple)]
+        assert MultiSet(fused.output_lineages()) == MultiSet(
+            join_oracle_lineages(schema, sorted(fused.plan.scans), tuples)
+        )
+
+
+def test_the_bound_procedure_is_chosen_by_what_the_plan_is():
+    """Left-deep, exactly symmetric hash joins, a plain ``Metrics``, and not
+    forced onto Procedure 2 — nothing an observer or an option can add."""
+    schema = Schema.uniform(NAMES, 6)
+    target = ("D", "C", "B", "A")
+
+    def completers(strategy):
+        run_events(strategy, arrivals(60))
+        strategy.transition(target)
+        assert strategy.incomplete_state_count() > 0
+        return strategy.plan.completers
+
+    plain = completers(JISCStrategy(schema, NAMES))
+    assert plain
+    traced = JISCStrategy(schema, NAMES)
+    RecordingTracer().attach(traced)
+    assert sorted(map(repr, completers(traced))) == sorted(map(repr, plain))
+    assert not completers(JISCStrategy(schema, NAMES, force_recursive=True))
+    assert not completers(JISCStrategy(schema, NAMES, join="nl"))
+    assert not completers(JISCStrategy(schema, NAMES, op_factory=hybrid_join_factory({"C"})))
+    assert not completers(JISCStairsExecutor(schema, NAMES))  # counts on ``EddyMetrics``
+    bushy = JISCStrategy(schema, BUSHY)
+    run_events(bushy, arrivals(60))
+    bushy.transition((("A", "C"), ("B", "D")))
+    assert bushy.incomplete_state_count() > 0 and not bushy.plan.completers
+    # own-path completion is the window-slide optimization's: bound only with it
+    without = completers(JISCStrategy(schema, NAMES, expiry_optimization=False))
+    assert without and all(join is not state for join, state in without)
+    assert any(join is state for join, state in plain)
+
+
+# -- the migration stage as a count ----------------------------------------------------------
+#
+# ``migrate_churn``'s shape (``python -m repro.perf.profile migrate``): 7 streams,
+# window 200, a worst-case transition every 100 arrivals — some state is incomplete
+# at every arrival.  At PR 20 an arrival there made 61 Python calls into
+# ``repro/`` and entered ``engine/metrics.py`` 9 times (a hand-over around every
+# hook call, a ``count`` per completion step); what a transition costs is now
+# bound once (``repro.core.bound``, ``JISCController._bind_expiry``), a plan
+# compiles once, and the budget below is what is left: the exit hand-over, one
+# around the expiry hook, one per completion.
+
+
+def migrate_shape(n):
+    scenario = chain_scenario(6, n, 200, key_domain=250, seed=1)
+    return scenario, frequency_events(scenario, 100, case="worst")
+
+
+def test_calls_per_arrival_while_migrating():
+    scenario, events = migrate_shape(6000)
+
+    def count(under):
+        engine = JISCStrategy(scenario.schema, scenario.order)
+        calls = python_calls(lambda: run_events(engine, events), under=under)
+        assert engine.incomplete_state_count() > 0 and len(engine.outputs) > 500
+        return calls / len(scenario.tuples)
+
+    into_repro = count(REPRO)
+    assert into_repro == count(REPRO)  # a count: it repeats exactly
+    assert 30 < into_repro <= 42  # 40.06 on 3.11; 61.21 at PR 20
+    assert 2 < count(os.path.join("engine", "metrics.py")) <= 2.5  # 2.28; 8.80 at PR 20
+
+
+def test_a_transition_compiles_one_level_per_join_side_and_runs_one_generic_arrival(monkeypatch):
+    """27 ``fuse`` closures and seven generic arrivals per transition on seven
+    streams until PR 21 (each leaf compiled its own root path after its own
+    first arrival); 12 and one since: a level per (join, side), shared by the
+    leaves below it, compiled after the plan's first arrival."""
+    scenario, events = migrate_shape(1500)
+    generic = []
+    process = JoinOperator.process
+
+    def spy(self, tup, child):
+        if isinstance(tup, StreamTuple):
+            generic.append(tup)
+        process(self, tup, child)
+
+    monkeypatch.setattr(JoinOperator, "process", spy)
+    engine = JISCStrategy(scenario.schema, scenario.order)
+    run_events(engine, events)
+    transitions = sum(isinstance(e, TransitionEvent) for e in events)
+    assert transitions == 14 and len(generic) == transitions + 1
+    levels = {
+        id(cell.cell_contents)
+        for scan in engine.plan.scans.values()
+        for cell in scan.fused.arrive.__closure__
+        if callable(cell.cell_contents) and cell.cell_contents.__name__ == "level"
+    }
+    assert len(levels) == len(engine.plan.scans) == 7  # each leaf enters at its own ...
+    seen, todo = set(), [scan.fused.arrive for scan in engine.plan.scans.values()]
+    while todo:  # ... and they share the ones above: 2 per join, not 27
+        fn = todo.pop()
+        for cell in fn.__closure__ or ():
+            inner = cell.cell_contents
+            if callable(inner) and getattr(inner, "__name__", "") == "level" and inner not in seen:
+                seen.add(inner)
+                todo.append(inner)
+    assert len(seen) == 2 * len(engine.plan.internal) == 12

@@ -240,3 +240,23 @@ def test_profile_prints_calls_per_arrival_for_the_steady_scenario(capsys):
     assert int(found.group(2)) < 100 * 1020
     assert profile.main(["fig10", "--scale", "0.25", "-n", "1"]) == 0
     assert "calls / arrival" not in capsys.readouterr().out  # two engines, unequal runs
+
+
+def test_profile_migrate_prints_calls_per_arrival_and_what_the_collector_found(capsys):
+    """``migrate_churn``'s shape: the migration stage gets its ``steady``, plus
+    the number that says whether transitions leave garbage (they leave none)."""
+    import re
+
+    from repro.perf import profile
+
+    assert profile.main(["migrate", "--scale", "0.1", "-n", "1"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^calls / arrival: \d+\.\d \(\d+ / 2700\)$", out, re.M)
+    found = re.search(
+        r"^collections \(objects found\): gen0 (\d+) \((\d+)\), gen1 \d+ \(\d+\), gen2 \d+ \(\d+\)$",
+        out,
+        re.M,
+    )
+    # 27 transitions: ~790 objects each until PR 21 (tests/test_transition_garbage.py
+    # pins the engine's share at exactly 0; this process has other tenants)
+    assert found and int(found.group(1)) > 0 and int(found.group(2)) < 2000
