@@ -24,6 +24,7 @@ from repro.migration.base import SpecLike, as_spec, unknown_stream
 from repro.plans.spec import leaves
 from repro.streams.schema import Schema
 from repro.streams.tuples import CompositeTuple, StreamTuple
+from repro.streams.window import window_contents
 
 
 class CACQExecutor:
@@ -156,7 +157,7 @@ class CACQExecutor:
         return self.stems[tup.stream].evict(tup)
 
     def live_tuples(self) -> Dict[str, List[StreamTuple]]:
-        return {name: stem.window.snapshot() for name, stem in self.stems.items()}
+        return {name: window_contents(stem) for name, stem in self.stems.items()}
 
     def output_lineages(self) -> List[Tuple]:
         return [tup.lineage for tup in self.outputs]

@@ -1,8 +1,10 @@
 """SteMs — State Modules (Section 3.1, after [18]).
 
 A SteM holds exactly one stream's sliding window, hashed on the join
-attribute.  CACQ splits every binary join into SteM probes, storing **no**
-intermediate results; a join tree over n+1 streams becomes n+1 SteMs.
+attribute (on a ``"driven"`` stream the window is the caller's and the SteM
+builds none: its state is the contents).  CACQ splits every binary join
+into SteM probes, storing **no** intermediate results; a join tree over n+1
+streams becomes n+1 SteMs.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ class SteM:
             self.window = SlidingWindow(window)
         elif window_kind == "time":
             self.window = TimeSlidingWindow(window)
+        elif window_kind == "driven":
+            self.window = None  # the caller evicts (see ``StreamScan.window``)
         else:
             raise ValueError(f"unknown window kind {window_kind!r}")
         self.state = HashState(complete=True)
@@ -46,7 +50,7 @@ class SteM:
         """
         if tup.stream != self.stream:
             raise ValueError(f"tuple from {tup.stream!r} fed to SteM of {self.stream!r}")
-        evicted = self.window.push_all(tup)
+        evicted = self.window.push_all(tup) if self.window is not None else []
         for old in evicted:
             self.state.remove_entry(old)
             self.metrics.count(Counter.STATE_REMOVE)
@@ -55,16 +59,17 @@ class SteM:
         return evicted
 
     def evict(self, tup: StreamTuple) -> bool:
-        """Coordinator-driven eviction (sharded execution, docs/SHARDING.md).
+        """Expire ``tup`` on the caller's word (sharded execution, docs/SHARDING.md).
 
         Mirrors the local-eviction path of :meth:`insert` for a specific
-        tuple: sharded workers run capacity-unbounded windows and receive
-        global-window evictions from the coordinator instead.  Returns
-        ``False`` when the tuple is not in the window.
+        tuple: a shard worker's SteMs are driven and receive global-window
+        evictions from the coordinator.  Returns ``False`` when the SteM
+        does not hold the tuple (the state's answer when driven, O(1)).
         """
-        if not self.window.discard(tup):
+        if self.window is not None and not self.window.discard(tup):
             return False
-        self.state.remove_entry(tup)
+        if not self.state.remove_entry(tup):
+            return False
         self.metrics.count(Counter.STATE_REMOVE)
         return True
 
@@ -86,4 +91,4 @@ class SteM:
         return self.state.get_view(key)
 
     def __len__(self) -> int:
-        return len(self.window)
+        return len(self.state)  # the window's contents, whoever owns the window

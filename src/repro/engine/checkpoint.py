@@ -37,6 +37,7 @@ from repro.plans.build import PhysicalPlan
 from repro.plans.spec import PlanSpec
 from repro.streams.schema import Schema, StreamDescriptor
 from repro.streams.tuples import AnyTuple, CompositeTuple, StreamTuple
+from repro.streams.window import window_contents
 
 FORMAT_VERSION = 2
 
@@ -196,7 +197,7 @@ def checkpoint_strategy(strategy: MigrationStrategy) -> Dict[str, Any]:
         "windows": {
             name: [
                 {"seq": t.seq, "key": t.key, "payload": t.payload}
-                for t in scan.window
+                for t in window_contents(scan)
             ]
             for name, scan in plan.scans.items()
         },
@@ -271,7 +272,8 @@ def restore_strategy(data: Dict[str, Any]) -> MigrationStrategy:
         for row in rows:
             tup = StreamTuple(name, row["seq"], row["key"], row.get("payload"))
             base_tuples[(name, row["seq"])] = tup
-            scan.window.push_all(tup)
+            if scan.window is not None:  # a driven scan's state is its window
+                scan.window.push_all(tup)
             # Checkpoint restore rebuilds states verbatim from the snapshot;
             # the completion hooks already ran before the checkpoint was cut.
             scan.state.add(tup)  # jisclint: disable=JISC004

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 from repro.migration.base import MigrationStrategy
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
+from repro.streams.window import window_contents
 from repro.testing.naive import NaiveJoinOracle
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -138,7 +139,7 @@ class InvariantChecker:
         report = InvariantReport()
         plan = strategy.plan
         windows: Dict[str, List[StreamTuple]] = {
-            name: list(scan.window) for name, scan in plan.scans.items()
+            name: window_contents(scan) for name, scan in plan.scans.items()
         }
         for op in plan.internal:
             members = sorted(op.membership)

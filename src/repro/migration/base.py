@@ -24,6 +24,7 @@ TopFactory = Callable[[Operator, Metrics], UnaryOperator]
 Predicate = Callable[[Any, Any], bool]
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
+from repro.streams.window import window_contents
 
 
 def join_factory(join: str = "hash", predicate: Optional[Predicate] = None) -> OpFactory:
@@ -228,7 +229,7 @@ class MigrationStrategy:
 
     def live_tuples(self) -> Dict[str, List[StreamTuple]]:
         """Per-stream window contents, in arrival order."""
-        return {name: scan.window.snapshot() for name, scan in self.plan.scans.items()}
+        return {name: window_contents(scan) for name, scan in self.plan.scans.items()}
 
     @property
     def outputs(self) -> List[Any]:

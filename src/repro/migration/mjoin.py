@@ -51,8 +51,10 @@ class MJoinExecutor:
             desc = schema.descriptor(name)
             if desc.window_kind == "time":
                 self.windows[name] = TimeSlidingWindow(desc.window)
-            else:
+            elif desc.window_kind == "count":
                 self.windows[name] = SlidingWindow(desc.window)
+            else:  # "driven": nobody could evict, an MJoin has no such door
+                raise ValueError(f"an MJoin owns its windows, got {desc.window_kind!r}")
             self.tables[name] = HashState()
         self.outputs: List[Any] = []
         self.output_times: List[float] = []

@@ -27,6 +27,7 @@ from repro.obs.tracer import PHASE_MIGRATING
 from repro.plans.build import PhysicalPlan, build_plan
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
+from repro.streams.window import window_contents
 
 
 class _Track:
@@ -97,7 +98,7 @@ class ParallelTrackStrategy(MigrationStrategy):
         for track in self.tracks:
             for name, scan in track.plan.scans.items():
                 seen = merged.setdefault(name, [])
-                for tup in scan.window:
+                for tup in window_contents(scan):
                     if tup not in seen:
                         seen.append(tup)
         return merged

@@ -194,9 +194,9 @@ def compile_plan(plan: "PhysicalPlan") -> None:
         last: Operator = joins[-1] if joins else scan
         removal_path = tuple((j.state.remove_with_part, j.state.status) for j in joins)
         stream = scan.stream
-        window = scan.window
+        window = scan.window  # None: driven, the caller evicts through the door
         push = window.push if isinstance(window, SlidingWindow) else None
-        push_all = window.push_all
+        push_all = None if window is None else window.push_all
         add = scan.state.add
         remove_entry = scan.state.remove_entry
         hand_off = scan.emit
@@ -256,12 +256,12 @@ def compile_plan(plan: "PhysicalPlan") -> None:
                 return scan.insert(tup)  # raises, before touching the window
             now = clock.now
             try:
-                if push is None:
-                    for evicted in push_all(tup):
-                        expire(evicted, False)
-                else:
+                if push is not None:
                     evicted = push(tup)
                     if evicted is not None:
+                        expire(evicted, False)
+                elif push_all is not None:
+                    for evicted in push_all(tup):
                         expire(evicted, False)
                 add(tup)
                 adds += 1

@@ -1,7 +1,8 @@
 """Stream-scan leaf operator.
 
-A scan owns the stream's count-based sliding window.  Its state *is* the
-window contents, hashed on the join attribute — the "hash table of that
+A scan owns the stream's sliding window — unless the stream is ``"driven"``,
+when its caller does and the scan builds none.  Either way its state *is*
+the window contents, hashed on the join attribute — the "hash table of that
 stream" of Section 2.1.  Leaf states are always complete (Section 4).
 
 Inserting a tuple may evict the oldest window tuple; the eviction is traced
@@ -38,11 +39,15 @@ class StreamScan(Operator):
     ):
         super().__init__(metrics)
         self.stream = stream
-        self.window: Union[SlidingWindow, TimeSlidingWindow]
+        #: ``None`` on a driven stream: the caller owns the window and calls
+        #: :meth:`evict`; readers go through ``streams.window.window_contents``.
+        self.window: Union[SlidingWindow, TimeSlidingWindow, None]
         if window_kind == "count":
             self.window = SlidingWindow(window)
         elif window_kind == "time":
             self.window = TimeSlidingWindow(window)
+        elif window_kind == "driven":
+            self.window = None
         else:
             raise ValueError(f"unknown window kind {window_kind!r}")
         self.fresh_fn: Optional[FreshFn] = None
@@ -70,7 +75,7 @@ class StreamScan(Operator):
             evicted = window.push(tup)
             if evicted is not None:
                 self._expire(evicted)
-        else:
+        elif window is not None:
             for evicted in window.push_all(tup):
                 self._expire(evicted)
         self.state.add(tup)
@@ -78,16 +83,20 @@ class StreamScan(Operator):
         self.emit(tup)
 
     def evict(self, tup: StreamTuple) -> bool:
-        """Coordinator-driven eviction (sharded execution, docs/SHARDING.md).
+        """Expire ``tup`` now, on the caller's word (docs/SHARDING.md).
 
-        Under sharded execution a worker's window never self-evicts (it is
-        capacity-unbounded); the shard coordinator owns the *global*
-        count-window and calls this when ``tup`` slides out of it.  Runs
-        the exact same expiry cascade as a local eviction.  Returns
-        ``False`` when the tuple is not in the window — a legitimate no-op
-        (e.g. a Parallel Track plan born after the tuple arrived).
+        A shard worker's scans are driven: the coordinator owns the *global*
+        windows and calls this when ``tup`` slides out of one.  Runs the
+        exact same expiry cascade as a local eviction.  Returns ``False``
+        when this scan does not hold the tuple — a legitimate no-op (e.g. a
+        Parallel Track plan born after the tuple arrived).  A driven scan
+        asks its state, which is O(1); one with a window discards from it.
         """
-        if not self.window.discard(tup):
+        window = self.window
+        if window is None:
+            if tup not in self.state:
+                return False
+        elif not window.discard(tup):
             return False
         kernel = self.fused
         if kernel is None or self.scheduler is not None:

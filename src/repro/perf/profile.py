@@ -15,7 +15,15 @@ the numbers the regression gate tracks:
   under the table is the number ROADMAP tracks;
 * ``migrate`` — ``migrate_churn``'s shape (7 streams, window 200, a worst-case
   transition every 100 arrivals), same protocol; also prints the collections
-  per generation and the objects they found (a transition should leave none).
+  per generation and the objects they found (a transition should leave none);
+* ``sharded`` / ``rebalance`` — ``sharded_steady``'s and ``rebalance_churn``'s
+  shapes through a 4-shard coordinator, driven as the harness's closed pass
+  drives them (``drain_rebalance()`` before each ``fluid_rebalance``).
+
+Under the table of every single-engine-shaped run: ``calls / arrival``, and the
+Python-level calls into ``repro/`` per arrival by file (:func:`repro_calls`),
+with the ``StreamTuple.__eq__`` and ``deque.remove`` counts — counts repeat
+exactly where timings do not.
 
 ``--scale`` shrinks the tuple volume for quick iteration; the default
 (1.0) matches the committed benchmark shapes.
@@ -26,8 +34,10 @@ from __future__ import annotations
 import argparse
 import cProfile
 import gc
+import os
 import pstats
-from typing import Any, Callable, Dict
+from collections import Counter
+from typing import Any, Callable, Dict, Tuple
 
 from repro.engine.executor import run_events
 from repro.experiments.common import (
@@ -36,7 +46,13 @@ from repro.experiments.common import (
     measure_normal_operation,
 )
 from repro.migration.jisc import JISCStrategy
+from repro.shard import ShardedExecutor, balanced_assignment, skewed_assignment
+from repro.streams.generators import ZipfWorkload
+from repro.streams.schema import Schema
 from repro.workloads.scenarios import chain_scenario, frequency_events
+
+_PACKAGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + os.sep
+DEQUE_REMOVE = ("", "deque.remove")
 
 
 def run_fig9(scale: float) -> Callable[[], Any]:
@@ -87,6 +103,54 @@ def jisc_run(
     return scenario
 
 
+def shard_run(n: int, rebalance_every: int = 0) -> Callable[[float], Callable[[], int]]:
+    """``sharded_steady``'s shape or, with a fluid rebalance every that many
+    arrivals (target and lazy / eager alternating), ``rebalance_churn``'s."""
+
+    def scenario(scale: float) -> Callable[[], int]:
+        n_tuples = max(500, int(n * scale))
+        if rebalance_every:
+            names = ("A", "B", "C")
+            tuples = ZipfWorkload(names, n_tuples, 2000, skew=0.7, seed=1).materialize()
+            targets = (balanced_assignment(64, 4), skewed_assignment(64, 0))
+            engine = ShardedExecutor(
+                Schema.uniform(names, 200), names, num_shards=4, assignment=targets[1]
+            )
+        else:
+            chain = chain_scenario(4, n_tuples, 80, key_domain=80, seed=1)
+            tuples = chain.tuples
+            engine = ShardedExecutor(chain.schema, chain.order, num_shards=4)
+        step = rebalance_every or n_tuples
+
+        def run() -> int:
+            for k, lo in enumerate(range(0, n_tuples, step), -1):
+                if lo:
+                    engine.drain_rebalance()
+                    mode = ("lazy", "eager")[(k // 2) % 2]
+                    engine.fluid_rebalance(targets[k % 2], mode, batch_keys=4)
+                engine.run(tuples[lo : lo + step])
+            engine.drain_rebalance()
+            _ = engine.outputs  # the merged read a closed pass ends with
+            return n_tuples
+
+        return run
+
+    return scenario
+
+
+def repro_calls(profiler: cProfile.Profile) -> "Counter[Tuple[str, str]]":
+    """``(file under repro/, function) -> calls`` of a finished profile, every
+    ``deque.remove`` under :data:`DEQUE_REMOVE`: the counts the shard tests pin."""
+    calls: "Counter[Tuple[str, str]]" = Counter()
+    stats = pstats.Stats(profiler).stats  # type: ignore[attr-defined]
+    for (path, _line, name), (_cc, n, *_rest) in stats.items():
+        if path.startswith(_PACKAGE):
+            calls[path[len(_PACKAGE) :], name] += n
+        elif "'remove' of 'collections.deque'" in name:
+            calls[DEQUE_REMOVE] += n
+    return calls
+
+
 #: ``scenario(scale)`` sets up and returns what is profiled; a run that returns
 #: an int fed that many arrivals to one engine.
 SCENARIOS: Dict[str, Callable[[float], Callable[[], Any]]] = {
@@ -95,6 +159,8 @@ SCENARIOS: Dict[str, Callable[[float], Callable[[], Any]]] = {
     "fig10": run_fig10,
     "steady": jisc_run(4, 25_500, 80, 80),
     "migrate": jisc_run(6, 27_000, 200, 250, period=100),
+    "sharded": shard_run(25_500),
+    "rebalance": shard_run(12_000, rebalance_every=500),
 }
 
 
@@ -150,6 +216,16 @@ def main(argv: Any = None) -> int:
             "collections (objects found): "
             + ", ".join(f"gen{g} {n} ({found})" for g, (n, found) in enumerate(collections))
         )
+        calls = repro_calls(profiler)
+        by_file: "Counter[str]" = Counter()
+        for (path, _name), n in calls.items():
+            if path:
+                by_file[path] += n
+        print(f"Python calls into repro/ per arrival: {sum(by_file.values()) / fed:.2f}")
+        for path, n in by_file.most_common():
+            print(f"  {n / fed:7.2f}  {path}")
+        eq = calls[os.path.join("streams", "tuples.py"), "__eq__"]
+        print(f"StreamTuple.__eq__ calls: {eq}; deque.remove calls: {calls[DEQUE_REMOVE]}")
     return 0
 
 

@@ -31,8 +31,8 @@ from repro.shard.rebalance import (
 from repro.shard.worker import (
     STRATEGY_NAMES,
     ShardWorker,
+    driven_schema,
     make_strategy,
-    unbounded_schema,
 )
 
 __all__ = [
@@ -49,10 +49,10 @@ __all__ = [
     "ShardWorker",
     "ShardedExecutor",
     "balanced_assignment",
+    "driven_schema",
     "make_strategy",
     "plan_key_routes",
     "skewed_assignment",
     "stable_hash",
-    "unbounded_schema",
     "weighted_assignment",
 ]

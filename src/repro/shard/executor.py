@@ -6,9 +6,9 @@ output logs into one deterministic virtual-time-ordered sink.  The
 coordinator owns three things the workers must not (docs/SHARDING.md):
 
 * **Global windows.**  Count/time windows are per *stream*, not per
-  shard; the coordinator maintains the real windows and delivers each
-  eviction to the owning worker explicitly (worker windows are
-  effectively unbounded and never self-evict).
+  shard; the coordinator maintains the only windows there are and
+  delivers each eviction to the owning worker explicitly (workers run a
+  driven schema: their scans and SteMs build no window).
 
 * **External time.**  Arrival ``i`` exists at ``T(i) = i *
   inter_arrival``; a worker's virtual clock is caught up to ``T`` before
@@ -40,12 +40,12 @@ state, so it is written to leave nothing behind but the work itself: the
 journal and the merged sink are columnar (no per-entry object), a live
 key's bucket is hashed once per liveness span, and the whole arrival —
 window push, eviction delivery, just-in-time completion, feed, journal —
-is one loop body (docs/SHARDING.md, "The arrival path").
+is one loop body that calls each worker's two doors directly
+(docs/SHARDING.md, "The arrival path").
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.engine.cost import CostModel, VirtualClock
@@ -62,7 +62,7 @@ from repro.shard.rebalance import (
     check_mode,
     plan_key_routes,
 )
-from repro.shard.worker import CommandLog, ShardWorker, make_strategy, unbounded_schema
+from repro.shard.worker import CommandLog, ShardWorker, driven_schema, make_strategy
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
 from repro.streams.window import SlidingWindow, TimeSlidingWindow
@@ -183,11 +183,7 @@ class RebalanceScheduler:
         index = self.next_index
         batch = self.plan.batch(index)
         dst_of = {bucket: dst for bucket, _, dst in batch}
-        live_by_bucket: Dict[int, List[Any]] = {}
-        for key, bucket in ex._live_bucket.items():
-            if bucket in dst_of:
-                live_by_bucket.setdefault(bucket, []).append(key)
-        routes = plan_key_routes(list(batch), live_by_bucket)
+        routes = plan_key_routes(list(batch), ex._bucket_keys)
         ex.partitioner.apply({**ex.partitioner.assignment, **dst_of})
         self.routed += len(routes)
         self._opened_at = t
@@ -296,7 +292,7 @@ class ShardedExecutor:
         # counts no operations itself), so its tracer timestamps events in
         # external time — the axis the rebalance timeline renders.
         self.metrics = metrics if metrics is not None else Metrics(clock=VirtualClock(cost_model))
-        self._worker_schema = unbounded_schema(schema)
+        self._worker_schema = driven_schema(schema)
         self.workers: List[Optional[ShardWorker]] = [
             ShardWorker(i, self._fresh_strategy()) for i in range(num_shards)
         ]
@@ -313,6 +309,10 @@ class ShardedExecutor:
         #: an arrival or eviction of a live key hashes nothing.  Buckets,
         #: not shards: every ``partitioner.apply`` is seen immediately.
         self._live_bucket: Dict[Any, int] = {}
+        #: The memo read the other way, bucket -> its live keys in the order
+        #: they became live (written at the same two moments), so a plan's
+        #: batch reads its own buckets instead of walking every live key.
+        self._bucket_keys: Dict[int, Dict[Any, None]] = {b: {} for b in range(num_buckets)}
         self._scheduler: Optional[RebalanceScheduler] = None
         self._current_spec: Optional["SpecLike"] = None
         self.moves: List[ShardMove] = []
@@ -449,6 +449,7 @@ class ShardedExecutor:
         arrival_t = self._arrival_T
         live_by_key = self._live_by_key
         live_bucket = self._live_bucket
+        bucket_keys = self._bucket_keys
         workers = self.workers
         logs = self._logs
         crashed = self._crashed
@@ -478,7 +479,12 @@ class ShardedExecutor:
             if traced:
                 tracer.arrival(tup)
 
-            for old in window.push_all(tup):
+            if isinstance(window, SlidingWindow):
+                old = window.push(tup)  # at most one, and no list to carry it
+                evicted: Iterable[StreamTuple] = () if old is None else (old,)
+            else:
+                evicted = window.push_all(tup)
+            for old in evicted:
                 key = old.key
                 # A pending key's state is still at its pre-rebalance owner;
                 # ``mover`` is the scheduler holding it pending, else None.
@@ -489,10 +495,16 @@ class ShardedExecutor:
                 else:
                     mover = None
                     owner = partitioner.assignment[live_bucket[key]]
+                # ``catch_up``, ``evict`` and ``CommandLog.append``, spelled out.
                 worker = workers[owner] or self._worker(owner)
-                worker.catch_up(t)
-                worker.evict(old)
-                logs[owner].append("evict", old, t)
+                worker_clock = worker.clock
+                if worker_clock is not None and worker_clock.now < t:
+                    worker_clock.now = t
+                worker.expire(old)
+                log = logs[owner]
+                log.kinds.append("evict")
+                log.payloads.append(old)
+                log.times.append(t)
                 live = live_by_key[key]
                 if live[0] is old:  # almost always: expiry is oldest-first
                     del live[0]
@@ -500,7 +512,7 @@ class ShardedExecutor:
                     live.remove(old)
                 if not live:
                     del live_by_key[key]
-                    del live_bucket[key]
+                    del bucket_keys[live_bucket.pop(key)][key]
                     if mover is not None:
                         self._retire_key(mover, key, t)
 
@@ -515,14 +527,21 @@ class ShardedExecutor:
             if live is None:
                 live_by_key[key] = [tup]
                 bucket = live_bucket[key] = partitioner.bucket_of(key)
+                bucket_keys[bucket][key] = None
             else:
                 live.append(tup)
                 bucket = live_bucket[key]
+            # ``catch_up``, ``feed`` and ``CommandLog.append``, spelled out.
             owner = partitioner.assignment[bucket]
             worker = workers[owner] or self._worker(owner)
-            worker.catch_up(t)
-            worker.feed(tup)
-            logs[owner].append("feed", tup, t)
+            worker_clock = worker.clock
+            if worker_clock is not None and worker_clock.now < t:
+                worker_clock.now = t
+            worker.process(tup)
+            log = logs[owner]
+            log.kinds.append("feed")
+            log.payloads.append(tup)
+            log.times.append(t)
 
     def _retire_key(self, scheduler: RebalanceScheduler, key: Any, t: float) -> None:
         """A pending key's last live tuple expired: nothing is left to move."""
@@ -643,9 +662,8 @@ class ShardedExecutor:
             else:
                 resize_to = n_shards
         moved = self.partitioner.moves_to(assignment)
-        plan = FluidRebalancePlan.build(
-            moved, Counter(self._live_bucket.values()), assignment, mode, batch_keys, t
-        )
+        live_keys = {bucket: len(keys) for bucket, keys in self._bucket_keys.items()}
+        plan = FluidRebalancePlan.build(moved, live_keys, assignment, mode, batch_keys, t)
         tracer = self.metrics.tracer
         if tracer.enabled:
             data: Dict[str, Any] = {

@@ -26,7 +26,7 @@ coordinator's view of shard state.  This module is the sanctioned caller
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Set, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Set, Tuple
 
 from repro.operators.state import StateStatus
 
@@ -234,7 +234,7 @@ class FluidRebalancePlan:
 
 def plan_key_routes(
     moved_buckets: List[Tuple[int, int, int]],
-    live_keys_by_bucket: Dict[int, List[Any]],
+    live_keys_by_bucket: Mapping[int, Iterable[Any]],
 ) -> Dict[Any, KeyRoute]:
     """Key -> (src, dst) routes for every *live* key in a moved bucket.
 

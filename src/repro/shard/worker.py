@@ -7,11 +7,11 @@ it owns, with its own metrics and virtual clock.  The strategy never
 learns it is sharded — two deviations from a standalone run are imposed
 from outside (docs/SHARDING.md):
 
-* **Windows never self-evict.**  Workers are built against an
-  effectively unbounded schema (:func:`unbounded_schema`); count/time
-  windows are global per stream, so the coordinator owns them and
-  delivers each eviction explicitly through :meth:`ShardWorker.evict`
-  (the ``evict``/``discard`` entry points on scans, SteMs and windows).
+* **Workers own no window.**  Count/time windows are global per stream,
+  so the coordinator owns them; workers are built against the *driven*
+  schema (:func:`driven_schema`), whose scans and SteMs build no window
+  object — their state is the window's contents — and every eviction is
+  delivered explicitly through the strategy's ``evict`` door.
 
 * **Replayed tuples are muted.**  Cross-shard key moves re-feed a key's
   live tuples through the destination worker's normal ``process`` path;
@@ -37,10 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.engine.executor import ShardableExecutor
     from repro.migration.base import SpecLike
 
-#: Window extent that no realistic workload ever fills or ages out:
-#: worker windows must only evict when the coordinator says so.
-UNBOUNDED_WINDOW = 1 << 40
-
 #: Strategy names accepted by :func:`make_strategy`.
 STRATEGY_NAMES = (
     "static",
@@ -52,13 +48,10 @@ STRATEGY_NAMES = (
 )
 
 
-def unbounded_schema(schema: Schema) -> Schema:
-    """The worker-side schema: same streams and kinds, unbounded extents."""
+def driven_schema(schema: Schema) -> Schema:
+    """The worker-side schema: same streams and extents, every window the caller's."""
     return Schema(
-        tuple(
-            StreamDescriptor(d.name, UNBOUNDED_WINDOW, d.window_kind)
-            for d in schema.streams
-        ),
+        tuple(StreamDescriptor(d.name, d.window, "driven") for d in schema.streams),
         schema.key,
     )
 
@@ -143,15 +136,24 @@ class ShardWorker:
     Where the per-stream windows live — one plan, one plan per live track,
     per-stream SteMs — is the strategy's own business: :meth:`evict` and
     :meth:`live_tuples` ask it (:class:`~repro.engine.executor.ShardableExecutor`).
+
+    ``clock``, ``process`` and ``expire`` are the strategy's clock and its
+    two doors, bound once: a worker never changes strategy (a recovered or
+    respawned worker is a new object), and the coordinator's arrival loop
+    calls them directly.  :meth:`catch_up`, :meth:`feed` and :meth:`evict`
+    are their definition, for every caller off that loop.
     """
 
-    __slots__ = ("shard_id", "strategy", "metrics")
+    __slots__ = ("shard_id", "strategy", "metrics", "clock", "process", "expire")
 
     def __init__(self, shard_id: int, strategy: "ShardableExecutor"):
         self.shard_id = shard_id
         self.strategy = strategy
-        #: The strategy's own metrics (it never rebinds them).
+        #: The strategy's own metrics (it never rebinds them, nor their clock).
         self.metrics = strategy.metrics
+        self.clock = strategy.metrics.clock
+        self.process = strategy.process
+        self.expire = strategy.evict
 
     # -- uniform strategy access -------------------------------------------------------
 
@@ -175,7 +177,7 @@ class ShardWorker:
         behind keeps its later clock — exactly the queueing behaviour the
         rebalance latency benchmark measures.
         """
-        clock = self.metrics.clock
+        clock = self.clock
         if clock is not None and clock.now < t:
             clock.now = t
 
@@ -183,7 +185,7 @@ class ShardWorker:
 
     def feed(self, tup: StreamTuple) -> None:
         """Process one owned arrival through the strategy's normal path."""
-        self.strategy.process(tup)
+        self.process(tup)
 
     def evict(self, tup: StreamTuple) -> bool:
         """Deliver a global-window eviction for an owned tuple.
@@ -191,7 +193,7 @@ class ShardWorker:
         Returns ``True`` if any structure held the tuple (a Parallel
         Track plan born after the tuple arrived legitimately does not).
         """
-        return self.strategy.evict(tup)
+        return self.expire(tup)
 
     def transition(self, new_spec: "SpecLike") -> None:
         """Apply a plan transition (broadcast by the coordinator)."""
@@ -206,26 +208,26 @@ class ShardWorker:
 
         The tuples are a key's live set in arrival order; processing them
         through the normal path rebuilds exactly the state the strategy
-        would hold had it owned the key all along (windows are unbounded,
-        so no eviction interleaves).  Every output produced here is a
-        duplicate of a source-shard emission, so the log is truncated
-        back; returns how many outputs were muted.  Runs in the
-        ``rebalancing`` phase when this worker is traced.
+        would hold had it owned the key all along (the worker owns no
+        window, so no eviction interleaves).  Every output produced here
+        is a duplicate of a source-shard emission, so the log is truncated
+        back — also when the strategy raises part-way, or the merger would
+        deliver the duplicates; returns how many outputs were muted.  Runs
+        in the ``rebalancing`` phase when this worker is traced.
         """
-        strategy = self.strategy
-        outs = strategy.outputs
+        process = self.process
+        outs = self.strategy.outputs
         times = self.output_times
         mark = len(outs)
         tracer = self.metrics.tracer
         prev = tracer.set_phase(PHASE_REBALANCING) if tracer.enabled else None
         try:
             for tup in tuples:
-                strategy.process(tup)
+                process(tup)
         finally:
             if prev is not None:
                 tracer.set_phase(prev)
-        muted = len(outs) - mark
-        if muted:
+            muted = len(outs) - mark
             del outs[mark:]
             del times[mark:]
         return muted

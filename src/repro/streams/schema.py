@@ -25,9 +25,13 @@ class StreamDescriptor:
         (the paper's model) the stream's state retains its most recent
         ``window`` tuples; with ``"time"`` it retains the tuples whose
         timestamp (the arrival sequence by default) is within ``window``
-        time units of the newest.
+        time units of the newest.  With ``"driven"`` the extent is the
+        caller's to enforce: the stream's state builds no window, never
+        evicts on its own and holds what it was fed until the caller's
+        ``evict`` (a shard worker under the coordinator's global windows,
+        docs/SHARDING.md).
     window_kind:
-        ``"count"`` (default) or ``"time"``.
+        ``"count"`` (default), ``"time"`` or ``"driven"``.
     """
 
     name: str
@@ -39,9 +43,9 @@ class StreamDescriptor:
             raise ValueError("stream name must be non-empty")
         if self.window <= 0:
             raise ValueError(f"window must be positive, got {self.window}")
-        if self.window_kind not in ("count", "time"):
+        if self.window_kind not in ("count", "time", "driven"):
             raise ValueError(
-                f"window_kind must be 'count' or 'time', got {self.window_kind!r}"
+                f"window_kind must be 'count', 'time' or 'driven', got {self.window_kind!r}"
             )
 
 

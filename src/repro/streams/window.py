@@ -10,12 +10,16 @@ the pipeline, as required for correctness (Sections 2.1 and 4.2).
 tuples whose timestamp lies within ``duration`` of the newest one.  A
 single push can evict several tuples, so the uniform multi-eviction entry
 point is :meth:`push_all` (available on both kinds).
+
+A leaf built for a ``"driven"`` stream has no window object at all — its
+caller owns the window — and :func:`window_contents` is how anything reads
+"what is in this leaf's window" without caring which.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Iterator, List, Optional
+from typing import Any, Callable, Deque, Iterator, List, Optional
 
 from repro.streams.tuples import StreamTuple
 
@@ -75,13 +79,13 @@ class SlidingWindow:
     def discard(self, tup: StreamTuple) -> bool:
         """Remove ``tup`` from anywhere in the window; ``False`` if absent.
 
-        Sharded execution (docs/SHARDING.md) drives evictions from the
-        coordinator's *global* window rather than the per-worker count:
-        the evicted tuple is not necessarily this window's oldest (worker
-        windows are capacity-unbounded), so removal is by value.  It
-        almost always *is* the oldest, and the very object that was
-        pushed, so the head is checked by identity before the equality
-        scan (which runs ``StreamTuple.__eq__`` per element).
+        The explicit-eviction entry of a leaf that owns a window
+        (``StreamScan.evict`` / ``SteM.evict``): the tuple need not be the
+        oldest, so removal is by value.  When it *is* the oldest, and the
+        very object that was pushed, the head is taken by identity; anything
+        else is ``deque.remove``'s scan, one ``StreamTuple.__eq__`` per
+        element — which is why a shard worker, whose evictions arrive in
+        the *global* order, owns no window at all (docs/SHARDING.md).
         """
         tuples = self._tuples
         if tuples and tuples[0] is tup:
@@ -147,8 +151,8 @@ class TimeSlidingWindow:
     def discard(self, tup: StreamTuple) -> bool:
         """Remove ``tup`` from anywhere in the window; ``False`` if absent.
 
-        Same coordinator-driven-eviction contract, and the same
-        head-by-identity shortcut, as :meth:`SlidingWindow.discard`.
+        Same contract, and the same head-by-identity shortcut, as
+        :meth:`SlidingWindow.discard`.
         """
         tuples = self._tuples
         if tuples and tuples[0] is tup:
@@ -159,3 +163,14 @@ class TimeSlidingWindow:
         except ValueError:
             return False
         return True
+
+
+def window_contents(leaf: Any) -> List[StreamTuple]:
+    """What a scan's or a SteM's window holds, in the order it arrived there.
+
+    A leaf's state holds exactly its window's tuples, keyed ``seq -> tuple``
+    in insertion order, so a driven leaf (``leaf.window is None``) answers
+    from its state.
+    """
+    window = leaf.window
+    return list(leaf.state.entries()) if window is None else window.snapshot()

@@ -47,6 +47,7 @@ from repro.shard import RebalanceEvent, ShardedExecutor, skewed_assignment
 from repro.shard.worker import ShardWorker
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
+from repro.streams.window import window_contents
 from repro.testing.naive import join_oracle_lineages
 from repro.workloads.drift import SelectivityDriftWorkload
 from repro.workloads.scenarios import chain_scenario, frequency_events, swap_for_case
@@ -103,7 +104,9 @@ def observe(strategy):
                 status.complete,
                 None if status.pending is None else sorted(status.pending),
             )
-        windows = {name: [t.seq for t in scan.window] for name, scan in plan.scans.items()}
+        windows = {
+            name: [t.seq for t in window_contents(scan)] for name, scan in plan.scans.items()
+        }
         plans.append((ops, windows, list(plan.sink.retractions)))
     return {
         "outputs": strategy.output_lineages(),

@@ -246,6 +246,13 @@ def test_sharded_pass_leaves_no_more_tracked_objects_than_one_engine():
 
 def assert_memo_is_exact(ex):
     assert list(ex._live_bucket) == list(ex._live_by_key)
+    # the memo read the other way is what filtering it per bucket gave — in that
+    # order, which is the order a batch's routes, moves and trace events come out in
+    by_bucket = {}
+    for key, bucket in ex._live_bucket.items():
+        by_bucket.setdefault(bucket, []).append(key)
+    assert {b: list(keys) for b, keys in ex._bucket_keys.items() if keys} == by_bucket
+    assert sorted(ex._bucket_keys) == list(range(ex.partitioner.num_buckets))
     for key, bucket in ex._live_bucket.items():
         assert bucket == ex.partitioner.bucket_of(key)
         if ex.session is None or not ex.session.is_pending(key):
@@ -455,7 +462,12 @@ def test_worker_resolves_its_strategy_shape_at_construction(strategy):
     schema = Schema.uniform(NAMES, 8)
     engine = make_strategy(strategy, schema, NAMES)
     worker = ShardWorker(0, engine)
-    assert ShardWorker.__slots__ == ("shard_id", "strategy", "metrics")
+    # ... beyond the strategy's clock and its two doors, bound once
+    assert ShardWorker.__slots__ == (
+        "shard_id", "strategy", "metrics", "clock", "process", "expire"
+    )
+    assert worker.clock is engine.metrics.clock
+    assert (worker.process, worker.expire) == (engine.process, engine.evict)
     tup = StreamTuple("A", 0, 1)
     worker.feed(tup)
     assert worker.live_tuples() == engine.live_tuples()

@@ -21,11 +21,11 @@ from repro.shard import (
     ShardMerger,
     ShardedExecutor,
     balanced_assignment,
+    driven_schema,
     make_strategy,
     skewed_assignment,
-    unbounded_schema,
 )
-from repro.shard.worker import UNBOUNDED_WINDOW
+from repro.shard.worker import STRATEGY_NAMES
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
 
@@ -47,14 +47,21 @@ def workload(n=200, n_keys=10, window=16, seed=9):
 # -- worker-side schema and factory --------------------------------------------
 
 
-def test_unbounded_schema_preserves_names_and_kinds():
-    schema = Schema.uniform(NAMES, 7, window_kind="time")
-    unbounded = unbounded_schema(schema)
-    assert unbounded.names == schema.names
-    for d in unbounded.streams:
-        assert d.window == UNBOUNDED_WINDOW
-        assert d.window_kind == "time"
-    assert unbounded.key == schema.key
+@pytest.mark.parametrize("kind", ["count", "time"])
+def test_driven_schema_preserves_names_and_extents(kind):
+    """The worker-side schema keeps what the query says and changes who
+    enforces it: no extent "no run can reach", no window object built."""
+    schema = Schema.uniform(NAMES, 7, window_kind=kind)
+    driven = driven_schema(schema)
+    assert driven.names == schema.names
+    for d in driven.streams:
+        assert d.window == 7
+        assert d.window_kind == "driven"
+    assert driven.key == schema.key
+    for name in STRATEGY_NAMES:
+        engine = make_strategy(name, driven, NAMES)
+        leaves = engine.stems if name == "cacq" else engine.plan.scans
+        assert [leaf.window for leaf in leaves.values()] == [None] * len(NAMES)
 
 
 def test_make_strategy_rejects_unknown_name():

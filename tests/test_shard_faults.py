@@ -134,7 +134,8 @@ def test_check_sharded_detects_lost_and_misplaced_state():
     ex = ShardedExecutor(schema, NAMES, num_shards=2)
     ex.process_batch(tuples)
     assert checker.check_sharded(ex).ok
-    # sabotage: silently drop a live tuple from its worker's window
+    # sabotage: silently drop a live tuple from its worker (whose scan state
+    # is its window: the worker owns no other)
     victim = None
     for worker in ex.workers:
         for name, held in worker.live_tuples().items():
@@ -144,7 +145,7 @@ def test_check_sharded_detects_lost_and_misplaced_state():
         if victim:
             break
     worker, tup = victim
-    worker.strategy.plan.scans[tup.stream].window.discard(tup)
+    assert worker.strategy.plan.scans[tup.stream].state.remove_entry(tup)
     report = checker.check_sharded(ex)
     assert not report.ok
     assert any("held by no worker" in v for v in report.violations)
