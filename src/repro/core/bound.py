@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.engine.cost import VirtualClock
 from repro.engine.metrics import Counter
-from repro.obs.tracer import PHASE_COMPLETING
 from repro.operators.base import Operator
 from repro.operators.fused import Completer
 from repro.plans.build import PhysicalPlan
@@ -93,17 +92,12 @@ def bind_left_deep(
     def complete(nodes: List[Node], key: Any, now: float, *tallies: int) -> int:
         """``build`` as ``JISCController._completion_hook`` runs the generic
         procedure: when observed, in the completing phase and as one span."""
-        tracer = metrics.tracer
-        if not tracer.enabled:
+        if not metrics.tracer.enabled:
             return build(nodes, key, now, *tallies)
         flush(now, *tallies)  # the level's share belongs to the phase before
-        start = clock.now
-        prev = tracer.set_phase(PHASE_COMPLETING)
-        try:
-            return build(nodes, key, now, 0, 0, 0, 0, 0)
-        finally:
-            tracer.completion(nodes[-1][0].label, key, cost=clock.now - start)
-            tracer.set_phase(prev)
+        return controller.observed_completion(
+            nodes[-1][0].label, key, build, nodes, key, now, 0, 0, 0, 0, 0
+        )
 
     def pending(spine: Tuple[Node, ...], key: Any) -> Optional[List[Node]]:
         """The stretch of ``spine`` to rebuild for ``key``, bottom-up.  A left-deep

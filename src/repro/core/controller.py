@@ -19,7 +19,7 @@ plan:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, TypeVar
 
 from repro.core.bound import bind_left_deep
 from repro.core.completion import complete_value_left_deep, complete_value_recursive
@@ -31,6 +31,9 @@ from repro.operators.joins import JoinOperator, SymmetricHashJoin
 from repro.operators.state import HashState, StateStatus
 from repro.plans.build import PhysicalPlan
 from repro.streams.tuples import AnyTuple, StreamTuple
+
+
+T = TypeVar("T")
 
 
 class JISCStateInfo:
@@ -167,22 +170,34 @@ class JISCController:
             return
         if not self.needs_completion(opposite, tup.key):
             return
-        # Observed, completion work runs in the "completing" phase and leaves one
-        # span per (state, value) — the unit the paper's lazy migration cost is paid
-        # in; unobserved, the shared no-op tracer makes the same calls do nothing.
+        if self.metrics.tracer.enabled:
+            self.observed_completion(
+                opposite.label, tup.key, self._complete_value, opposite, tup.key
+            )
+        else:
+            self._complete_value(opposite, tup.key)
+
+    def _complete_value(self, op: Operator, key: Any) -> None:
+        """Procedure 3 on a left-deep plan, Procedure 2 otherwise."""
+        if self._use_left_deep:
+            complete_value_left_deep(self, op, key)
+        else:
+            complete_value_recursive(self, op, key)
+
+    def observed_completion(self, label: str, key: Any, run: Callable[..., T], *args: Any) -> T:
+        """``run(*args)`` in the "completing" phase, as one span per (state, value) —
+        the unit the paper's lazy migration cost is paid in.  The hook above and
+        :func:`repro.core.bound.bind_left_deep`'s ``complete`` come here on their
+        observed branch only."""
         tracer = self.metrics.tracer
         clock = self.metrics.clock
         start = clock.now if clock is not None else 0.0
         prev = tracer.set_phase(PHASE_COMPLETING)
         try:
-            if self._use_left_deep:
-                complete_value_left_deep(self, opposite, tup.key)
-            else:
-                complete_value_recursive(self, opposite, tup.key)
+            return run(*args)
         finally:
-            if tracer.enabled:
-                cost = (clock.now if clock is not None else 0.0) - start
-                tracer.completion(opposite.label, tup.key, cost=cost)
+            cost = (clock.now if clock is not None else 0.0) - start
+            tracer.completion(label, key, cost=cost)
             tracer.set_phase(prev)
 
     # -- completion bookkeeping --------------------------------------------------

@@ -144,6 +144,9 @@ class CACQExecutor:
         if tracer.enabled:
             tracer.transition_end(self.name, -1, cost=0.0)
 
+    def current_order(self) -> Tuple[str, ...]:
+        return self.routing
+
     def live_plans(self) -> List[Any]:
         return []  # no physical plans: the SteMs carry the state
 

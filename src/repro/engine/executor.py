@@ -81,6 +81,12 @@ class StrategyExecutor(Protocol):
         """Append-only log of emitted results."""
         ...
 
+    def current_order(self) -> Tuple[str, ...]:
+        """The bottom-up probe order arrivals run in now: the newest plan's
+        (``ValueError`` if it is bushy), an eddy's routing; ``TypeError``
+        where there is none to name (MJoin)."""
+        ...
+
     def live_plans(self) -> List["PhysicalPlan"]:
         """Every physical plan arrivals are currently fed through, oldest
         first (``[]`` on the plan-less eddy / MJoin executors)."""

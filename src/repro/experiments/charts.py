@@ -1,8 +1,7 @@
 """Dependency-free terminal charts for experiment series.
 
-The report (``python -m repro.experiments.report``) renders the figure
-series as horizontal bar charts and multi-series line charts built from
-plain characters, so the paper's shapes are visible without matplotlib.
+Horizontal bar charts and multi-series line charts built from plain
+characters, so a figure's shape is visible without matplotlib.
 """
 
 from __future__ import annotations

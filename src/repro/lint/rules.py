@@ -533,13 +533,13 @@ class HygieneRule(Rule):
 class TelemetryRegistrationRule(Rule):
     """Telemetry instruments are registered at init time, not per tuple.
 
-    The telemetry overhead budget (docs/TELEMETRY.md, < 5% wall-clock)
-    holds because the hot path touches pre-resolved instrument objects —
+    Telemetry stays cheap (docs/TELEMETRY.md, "The cheapness contract")
+    because the hot path touches pre-resolved instrument objects —
     plain attribute increments.  A ``registry.counter(...)`` call *is*
     get-or-create: it formats and hashes the label set on every call, so
     one factory call inside ``arrival()`` or a per-tuple loop silently
-    turns O(1) increments into O(label-set) dictionary work and blows the
-    budget the perf gate certifies.  Factories therefore may only be
+    turns O(1) increments into O(label-set) dictionary work that no call
+    count shows.  Factories therefore may only be
     called from init-like code: module scope, ``__init__``/``attach``,
     or functions whose name says they register/wire/init something.
     """

@@ -144,9 +144,14 @@ POLICIES: Tuple[PhasePolicy, ...] = (
 )
 
 #: Functions that conceptually execute inside a phase without opening the
-#: tracer span themselves (none today); entries are
+#: tracer span themselves; entries are
 #: (module_path, class-or-None, function) -> phases.
-PHASE_GRANTS: Dict[Tuple[str, Optional[str], str], FrozenSet[str]] = {}
+PHASE_GRANTS: Dict[Tuple[str, Optional[str], str], FrozenSet[str]] = {
+    # The generic completion procedures' one caller: observed, it is entered
+    # through ``JISCController.observed_completion``'s span (passed as a value,
+    # so no call edge shows it); unobserved there is no phase to be in.
+    ("repro/core/controller.py", "JISCController", "_complete_value"): frozenset({"completing"}),
+}
 
 
 @dataclass

@@ -11,7 +11,7 @@ from repro.operators.base import Operator
 from repro.operators.joins import NestedLoopsJoin, SymmetricHashJoin
 from repro.operators.unary import UnaryOperator
 from repro.plans.build import OpFactory, PhysicalPlan, build_plan
-from repro.plans.spec import PlanSpec, SpecOrOrder, left_deep
+from repro.plans.spec import PlanSpec, SpecOrOrder, left_deep, left_deep_order
 
 #: What ``as_spec`` accepts: a nested spec, a flat left-deep stream order,
 #: or infix plan text.
@@ -203,6 +203,9 @@ class MigrationStrategy:
         cut, the plan and every state nobody adopted die by reference count."""
         for op in plan.internal:
             op.parent = None
+
+    def current_order(self) -> Tuple[str, ...]:
+        return left_deep_order(self.live_plans()[-1].spec)
 
     def live_plans(self) -> List[PhysicalPlan]:
         """Every physical plan arrivals are currently fed through, oldest

@@ -119,6 +119,10 @@ class MJoinExecutor:
         if tracer.enabled:
             tracer.transition_end(self.name, -1, cost=0.0)
 
+    def current_order(self) -> Tuple[str, ...]:
+        # every stream probes the others in its own order: callers pass ``order=``
+        raise TypeError(f"cannot derive a probe order from {type(self).__name__}")
+
     def live_plans(self) -> List[Any]:
         return []  # one n-ary operator, no physical plan
 

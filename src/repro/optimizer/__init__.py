@@ -36,7 +36,7 @@ from repro.optimizer.triggers import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.optimizer.adaptive import AdaptiveEngine, current_order
+    from repro.optimizer.adaptive import AdaptiveEngine
     from repro.optimizer.soak import AdaptiveRecoveryDriver
 
 __all__ = [
@@ -55,13 +55,11 @@ __all__ = [
     "TriggerPolicy",
     "make_policy",
     "AdaptiveEngine",
-    "current_order",
     "AdaptiveRecoveryDriver",
 ]
 
 _LAZY = {
     "AdaptiveEngine": ("repro.optimizer.adaptive", "AdaptiveEngine"),
-    "current_order": ("repro.optimizer.adaptive", "current_order"),
     "AdaptiveRecoveryDriver": ("repro.optimizer.soak", "AdaptiveRecoveryDriver"),
 }
 

@@ -53,20 +53,6 @@ from repro.telemetry.hub import ShardTelemetry, TelemetryTracer
 EVALUATE_EVERY = 64
 
 
-def current_order(target: Any) -> Tuple[str, ...]:
-    """The probe order a strategy or sharded executor is running now."""
-    routing = getattr(target, "routing", None)
-    if routing is not None:
-        return tuple(routing)
-    initial = getattr(target, "initial_spec", None)
-    if initial is not None:
-        return left_deep_order(as_spec(initial))
-    plans = target.live_plans()
-    if plans:
-        return left_deep_order(plans[-1].spec)
-    raise TypeError(f"cannot derive a probe order from {type(target).__name__}")
-
-
 class AdaptiveEngine:
     """Self-driving wrapper around one strategy or sharded executor.
 
@@ -129,7 +115,7 @@ class AdaptiveEngine:
             hub.attach(target)
             self.telemetry = hub
         self.order: Tuple[str, ...] = (
-            tuple(order) if order is not None else current_order(target)
+            tuple(order) if order is not None else target.current_order()
         )
         self.maintainer = PlanCostMaintainer(
             self.order, self._hubs(), min_samples=min_samples
@@ -154,6 +140,9 @@ class AdaptiveEngine:
 
     def _decision_hub(self) -> TelemetryTracer:
         return self.telemetry.coordinator if self.sharded else self.telemetry
+
+    def current_order(self) -> Tuple[str, ...]:
+        return self.order
 
     @property
     def last_decision(self) -> Optional[TriggerDecision]:

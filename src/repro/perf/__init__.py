@@ -7,13 +7,13 @@ not operator semantics:
   Cold: operator state identifies entries by flat seq tuples
   (:mod:`repro.operators.state`) and nothing on the arrival path interns;
   it stays importable because ``benchmarks/wallclock`` reads it;
-* :mod:`repro.perf.wallclock` — wall-clock timing helpers (the sanctioned
-  JISC001 exception: the perf harness exists to measure physical time);
 * :mod:`repro.perf.profile` — ``python -m repro.perf.profile``, cProfile
-  over the benchmark scenarios;
+  over the benchmark scenarios, and the shapes and the call counter
+  ``BENCH_calls.json`` is built from (``benchmarks/bench_calls.py``);
 * :mod:`repro.perf.regress` — ``python -m repro.perf.regress``, the CI
-  gate comparing fresh op-counts against the committed ``BENCH_*.json``
-  baselines and the telemetry hub's overhead against its budget.
+  gate comparing fresh op counts, virtual times and call counts against
+  the committed ``BENCH_*.json`` baselines.  Nothing here reads a clock:
+  real seconds are ``benchmarks/wallclock``'s.
 
 Only the intern table is imported eagerly (the data model's
 ``lineage_id`` uses it); the harness modules are CLI/dev tools.

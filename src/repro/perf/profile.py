@@ -10,15 +10,21 @@ the numbers the regression gate tracks:
 * ``fig9``  — normal operation, 20 joins, no transitions (throughput);
 * ``fig7``  — best-case migration stages across plan sizes (migration);
 * ``fig10`` — transition-to-first-output latency, hash and NL joins;
-* ``steady`` — ``benchmarks/wallclock``'s ``steady_join`` shape under JISC
-  alone, generated before profiling starts: the ``calls / arrival`` printed
-  under the table is the number ROADMAP tracks;
+* ``steady`` — ``benchmarks/wallclock``'s ``steady_join`` shape under one
+  strategy (JISC from the command line), generated before profiling starts:
+  the ``calls / arrival`` printed under the table is the number ROADMAP tracks;
 * ``migrate`` — ``migrate_churn``'s shape (7 streams, window 200, a worst-case
   transition every 100 arrivals), same protocol; also prints the collections
   per generation and the objects they found (a transition should leave none);
 * ``sharded`` / ``rebalance`` — ``sharded_steady``'s and ``rebalance_churn``'s
   shapes through a 4-shard coordinator, driven as the harness's closed pass
-  drives them (``drain_rebalance()`` before each ``fluid_rebalance``).
+  drives them (``drain_rebalance()`` before each ``fluid_rebalance``);
+* ``adaptive`` — ``adaptive_drift``'s shape under an ``AdaptiveEngine``;
+  ``fig9_shape`` / ``fig7_shape`` — the two shapes the telemetry hub's
+  identity is certified on (20 joins, no transition; 12 joins, one best-case).
+
+The last seven take a strategy (:class:`EngineRun`); ``benchmarks/bench_calls.py``
+builds ``BENCH_calls.json`` from them with :func:`count_calls`.
 
 Under the table of every single-engine-shaped run: ``calls / arrival``, and the
 Python-level calls into ``repro/`` per arrival by file (:func:`repro_calls`),
@@ -37,7 +43,8 @@ import gc
 import os
 import pstats
 from collections import Counter
-from typing import Any, Callable, Dict, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, TypeVar
 
 from repro.engine.executor import run_events
 from repro.experiments.common import (
@@ -45,11 +52,22 @@ from repro.experiments.common import (
     measure_migration_stage,
     measure_normal_operation,
 )
-from repro.migration.jisc import JISCStrategy
-from repro.shard import ShardedExecutor, balanced_assignment, skewed_assignment
+from repro.optimizer.adaptive import AdaptiveEngine
+from repro.optimizer.triggers import HysteresisTrigger
+from repro.shard import (
+    ShardedExecutor,
+    balanced_assignment,
+    make_strategy,
+    skewed_assignment,
+)
 from repro.streams.generators import ZipfWorkload
 from repro.streams.schema import Schema
+from repro.telemetry.hub import ShardTelemetry, TelemetryTracer
+from repro.telemetry.registry import MetricsRegistry
+from repro.workloads.drift import SelectivityDriftWorkload
 from repro.workloads.scenarios import chain_scenario, frequency_events
+
+T = TypeVar("T")
 
 _PACKAGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + os.sep
 DEQUE_REMOVE = ("", "deque.remove")
@@ -82,47 +100,81 @@ def run_fig10(scale: float) -> Callable[[], Any]:
     ]
 
 
-def jisc_run(
-    n_joins: int, n: int, window: int, key_domain: int, period: int = 0
-) -> Callable[[float], Callable[[], int]]:
-    """A ``benchmarks/wallclock`` shape under JISC alone, generated before
-    profiling starts; ``period``: a worst-case transition every that many."""
+@dataclass
+class EngineRun:
+    """One engine and the events it is about to be fed, generated before anything
+    is counted; calling it feeds them and returns how many arrivals that was."""
 
-    def scenario(scale: float) -> Callable[[], int]:
+    engine: Any
+    arrivals: int
+    drive: Callable[[], Any]
+    #: The op counters of the engine(s) underneath.
+    ops: Callable[[], Mapping[Any, int]]
+    #: Attach a live hub from outside, return its registry (``None``: the hub is
+    #: part of the engine).
+    attach_hub: Optional[Callable[[], MetricsRegistry]] = None
+
+    def __call__(self) -> int:
+        self.drive()
+        return self.arrivals
+
+
+Scenario = Callable[..., Callable[[], Any]]
+
+
+def engine_run(
+    n_joins: int, n: int, window: int, key_domain: int, period: int = 0,
+    case: str = "worst", seed: int = 1,
+) -> Scenario:  # fmt: skip
+    """A single-engine shape under one strategy; ``period``: a ``case``
+    transition every that many arrivals."""
+
+    def scenario(scale: float, strategy: str = "jisc") -> EngineRun:
         n_tuples = max(500, int(n * scale))
-        chain = chain_scenario(n_joins, n_tuples, window, key_domain=key_domain, seed=1)
-        events = frequency_events(chain, period, case="worst") if period else chain.tuples
-        engine = JISCStrategy(chain.schema, chain.order)
+        chain = chain_scenario(n_joins, n_tuples, window, key_domain=key_domain, seed=seed)
+        events = frequency_events(chain, period, case=case) if period else chain.tuples
+        engine = make_strategy(strategy, chain.schema, chain.order)
 
-        def run() -> int:
-            run_events(engine, events)
-            return len(chain.tuples)
+        def attach_hub() -> MetricsRegistry:
+            hub = TelemetryTracer(strategy=strategy)
+            hub.attach(engine)
+            return hub.registry
 
-        return run
+        return EngineRun(
+            engine,
+            n_tuples,
+            lambda: run_events(engine, events),
+            engine.metrics.snapshot,
+            attach_hub,
+        )
 
     return scenario
 
 
-def shard_run(n: int, rebalance_every: int = 0) -> Callable[[float], Callable[[], int]]:
+def shard_run(n: int, rebalance_every: int = 0) -> Scenario:
     """``sharded_steady``'s shape or, with a fluid rebalance every that many
     arrivals (target and lazy / eager alternating), ``rebalance_churn``'s."""
 
-    def scenario(scale: float) -> Callable[[], int]:
+    def scenario(scale: float, strategy: str = "jisc") -> EngineRun:
         n_tuples = max(500, int(n * scale))
         if rebalance_every:
             names = ("A", "B", "C")
             tuples = ZipfWorkload(names, n_tuples, 2000, skew=0.7, seed=1).materialize()
             targets = (balanced_assignment(64, 4), skewed_assignment(64, 0))
             engine = ShardedExecutor(
-                Schema.uniform(names, 200), names, num_shards=4, assignment=targets[1]
+                Schema.uniform(names, 200),
+                names,
+                num_shards=4,
+                strategy=strategy,
+                assignment=targets[1],
             )
         else:
             chain = chain_scenario(4, n_tuples, 80, key_domain=80, seed=1)
             tuples = chain.tuples
-            engine = ShardedExecutor(chain.schema, chain.order, num_shards=4)
+            engine = ShardedExecutor(chain.schema, chain.order, num_shards=4, strategy=strategy)
         step = rebalance_every or n_tuples
 
-        def run() -> int:
+        def drive() -> None:
             for k, lo in enumerate(range(0, n_tuples, step), -1):
                 if lo:
                     engine.drain_rebalance()
@@ -131,36 +183,79 @@ def shard_run(n: int, rebalance_every: int = 0) -> Callable[[float], Callable[[]
                 engine.run(tuples[lo : lo + step])
             engine.drain_rebalance()
             _ = engine.outputs  # the merged read a closed pass ends with
-            return n_tuples
 
-        return run
+        return EngineRun(
+            engine,
+            n_tuples,
+            drive,
+            engine.merged_counts,
+            lambda: ShardTelemetry(engine).registry,
+        )
 
     return scenario
 
 
+def adaptive_run(scale: float, strategy: str = "jisc") -> EngineRun:
+    """``adaptive_drift``'s shape: the selective stream rotates over 12 phases
+    under an :class:`AdaptiveEngine`, which fires its own transitions."""
+    names = ("S0", "S1", "S2", "S3")
+    n_tuples = max(600, int(48_000 * scale))
+    phases = [(n_tuples // 12, names[1 + i % 3]) for i in range(12)]
+    events = SelectivityDriftWorkload(
+        names, phases, base_domain=24, scatter=32, seed=1
+    ).materialize()
+    target = make_strategy(strategy, Schema.uniform(names, 64), names)
+    engine = AdaptiveEngine(
+        target,
+        policy=HysteresisTrigger(min_improvement=0.08, confirm=2, cooldown=256),
+        evaluate_every=32,
+        min_samples=96,
+        hub_options={"selectivity_window": 256, "drift_block": 32, "drift_min_samples": 96},
+    )
+    return EngineRun(engine, len(events), lambda: engine.run(events), target.metrics.snapshot)
+
+
 def repro_calls(profiler: cProfile.Profile) -> "Counter[Tuple[str, str]]":
     """``(file under repro/, function) -> calls`` of a finished profile, every
-    ``deque.remove`` under :data:`DEQUE_REMOVE`: the counts the shard tests pin."""
+    ``deque.remove`` under :data:`DEQUE_REMOVE`.  Named functions only: what a
+    comprehension, lambda or generator expression is compiled to differs between
+    Python minors (3.12 inlines comprehensions), what the code calls by name
+    does not."""
     calls: "Counter[Tuple[str, str]]" = Counter()
     stats = pstats.Stats(profiler).stats  # type: ignore[attr-defined]
     for (path, _line, name), (_cc, n, *_rest) in stats.items():
         if path.startswith(_PACKAGE):
-            calls[path[len(_PACKAGE) :], name] += n
+            if not name.startswith("<"):
+                calls[path[len(_PACKAGE) :], name] += n
         elif "'remove' of 'collections.deque'" in name:
             calls[DEQUE_REMOVE] += n
     return calls
 
 
-#: ``scenario(scale)`` sets up and returns what is profiled; a run that returns
-#: an int fed that many arrivals to one engine.
-SCENARIOS: Dict[str, Callable[[float], Callable[[], Any]]] = {
+def count_calls(run: Callable[[], T]) -> "Tuple[T, Counter[Tuple[str, str]]]":
+    """``run()`` under :mod:`cProfile`: its result and its :func:`repro_calls`.
+    Frames outside ``repro/`` are not counted at all — test tooling registers a
+    ``gc.callbacks`` entry that runs whenever a collection happens to start."""
+    profiler = cProfile.Profile()
+    result = profiler.runcall(run)
+    return result, repro_calls(profiler)
+
+
+#: ``scenario(scale)`` sets up and returns what is profiled; an :class:`EngineRun`
+#: (every scenario that takes a strategy) fed that many arrivals to one engine.
+SCENARIOS: Dict[str, Scenario] = {
     "fig9": run_fig9,
     "fig7": run_fig7,
     "fig10": run_fig10,
-    "steady": jisc_run(4, 25_500, 80, 80),
-    "migrate": jisc_run(6, 27_000, 200, 250, period=100),
+    "steady": engine_run(4, 25_500, 80, 80),
+    "migrate": engine_run(6, 27_000, 200, 250, period=100),
     "sharded": shard_run(25_500),
     "rebalance": shard_run(12_000, rebalance_every=500),
+    "adaptive": adaptive_run,
+    # the hub's identity shapes: fig9's plan size, and fig7's with its one
+    # best-case transition (``measure_migration_stage(12, window=80)``'s geometry)
+    "fig9_shape": engine_run(20, 12_000, 80, 80, seed=9),
+    "fig7_shape": engine_run(12, 6_250, 80, 80, period=3_250, case="best", seed=7),
 }
 
 

@@ -1,24 +1,26 @@
 """Perf-regression gate: ``python -m repro.perf.regress``.
 
-Two checks, both against in-repo ground truth:
+One check, against in-repo ground truth: re-run the committed figures and
+compare every number with the checked-in ``BENCH_<name>.json`` baselines.
 
-1. **Op-count fidelity** — re-runs the committed benchmark figures
-   (fig7 migration, fig9 normal operation, fig10 latency, …) and compares
-   every op counter and virtual-time number against the checked-in
-   ``BENCH_<name>.json`` baselines.  Counters must match exactly;
-   virtual-time floats get a small tolerance for summation-order noise
-   (and the 6-decimal rounding of the committed files).
+* The paper's figures (fig7 migration, fig9 normal operation, fig10
+  latency, …) are op counters and virtual times: counters must match
+  exactly; virtual-time floats get a small tolerance for summation-order
+  noise (and the 6-decimal rounding of the committed files).
+* ``calls`` is what the Python process does per arrival, as counts that
+  repeat exactly (``benchmarks/bench_calls.py``): named-function
+  calls into each package of ``repro/`` per wall-clock workload shape and
+  strategy, GC-tracked objects left alive, and the same events with a live
+  telemetry hub attached — what the observers ran, and that they changed
+  no op count and no output.  All integers, compared for equality; a PR
+  that moves one refreshes the file and says why.  The file records the
+  Python minor it was produced on: another interpreter compiles the same
+  source to different frames, so a different minor is a mismatch on that
+  field, not a silent pass.
 
-2. **Telemetry overhead** — runs plain and telemetry-attached engine
-   twins chunk-interleaved over the same gate shapes
-   (:mod:`repro.perf.telemetry_gate`) and certifies that attaching the
-   live hub leaves op counts and outputs byte-identical while costing at
-   most ``--max-telemetry-overhead`` (default 5%) wall-clock — judged on
-   the interquartile interval of nine paired trials, failing only when
-   the whole interval lies above the limit.
-
-Absolute speed is not gated here: it is measured end to end and per layer
-by ``python -m benchmarks.wallclock`` (docs/PERFORMANCE.md).
+No clock is read here.  Absolute speed is measured end to end and per
+layer by ``python -m benchmarks.wallclock`` (docs/PERFORMANCE.md) — what a
+*claim* is made in; counts are what CI holds a line with.
 
 ``--check`` makes failures exit non-zero (the CI gate);  ``--report``
 writes a machine-readable JSON summary for artifact upload.  Baselines
@@ -72,7 +74,6 @@ def compare(fresh: Any, baseline: Any, path: str = "") -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Check 1: committed-figure op counts.
 
 
 def _payload_fig9() -> Any:
@@ -103,12 +104,6 @@ def _run_of(bench: str) -> Callable[[], Any]:
     return lambda: importlib.import_module(f"benchmarks.{bench}").run()
 
 
-def _payload_telemetry() -> Any:
-    from repro.perf.telemetry_gate import identity_payload
-
-    return identity_payload()
-
-
 def _payload_adaptive_drift() -> Any:
     from benchmarks.bench_adaptive_drift import payload, run
 
@@ -123,9 +118,9 @@ FIGURES: Dict[str, Callable[[], Any]] = {
     "fig10_latency": _payload_fig10,
     "shard_scaleout": _run_of("bench_shard_scaleout"),
     "fluid_rebalance": _run_of("bench_fluid_rebalance"),
-    "telemetry_overhead": _payload_telemetry,
     "adaptive_drift": _payload_adaptive_drift,
     "ablation_stairs": _run_of("bench_ablation_stairs"),
+    "calls": _run_of("bench_calls"),
 }
 
 
@@ -180,79 +175,23 @@ def check_counts(repo_root: str) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Check 2: telemetry must observe, not perturb — and stay under budget.
-
-
-def telemetry_verdict(res: Dict[str, Any], max_overhead: float) -> bool:
-    """Identical in every trial, and not *resolvedly* over budget.
-
-    The overhead fails only when the whole interquartile interval of the
-    trials' total ratios lies above ``max_overhead``; an interval that
-    straddles the limit is noise the gate cannot tell from a pass.
-    """
-    return bool(
-        res["ops_identical"]
-        and res["outputs_identical"]
-        and res["overhead_q1"] <= max_overhead
-    )
-
-
-def check_telemetry(max_overhead: float) -> Dict[str, Any]:
-    """Identity + overhead verdicts per telemetry gate workload.
-
-    See :mod:`repro.perf.telemetry_gate` for the trial protocol and why
-    only ratios of chunk-interleaved *totals* are trustworthy here.
-    """
-    from repro.perf.telemetry_gate import WORKLOADS, measure_overhead
-
-    results: Dict[str, Any] = {}
-    for name in WORKLOADS:
-        res = measure_overhead(name)
-        res["ok"] = telemetry_verdict(res, max_overhead)
-        results[name] = res
-    return results
-
-
-# ---------------------------------------------------------------------------
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf.regress",
-        description="op-count fidelity vs committed BENCH files + "
-        "telemetry identity and wall-clock overhead",
+        description="fresh figures vs the committed BENCH files: op counts, "
+        "virtual time, calls and kept objects per arrival",
     )
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit non-zero if any check fails (the CI gate)",
+        help="exit non-zero if any figure mismatches (the CI gate)",
     )
     parser.add_argument(
         "--report",
         metavar="FILE",
-        help="write a JSON summary of all checks to FILE",
-    )
-    parser.add_argument(
-        "--max-telemetry-overhead",
-        type=float,
-        default=0.05,
-        help="allowed wall-clock overhead of an attached TelemetryTracer "
-        "(default: 0.05 = 5%%)",
-    )
-    parser.add_argument(
-        "--skip-timing",
-        action="store_true",
-        help="skip the wall-clock check (telemetry overhead)",
-    )
-    parser.add_argument(
-        "--skip-counts",
-        action="store_true",
-        help="skip the op-count fidelity checks",
-    )
-    parser.add_argument(
-        "--skip-telemetry",
-        action="store_true",
-        help="skip the telemetry identity/overhead check",
+        help="write a JSON summary of the check to FILE",
     )
     args = parser.parse_args(argv)
 
@@ -262,56 +201,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         bench_common = importlib.import_module("benchmarks.common")
     except ImportError as exc:  # pragma: no cover - CLI misuse
         parser.error(f"cannot import the benchmarks package ({exc}); run from the repo root")
-    repo_root = bench_common.REPO_ROOT
 
-    report: Dict[str, Any] = {
-        "counts": {},
-        "telemetry": {},
-        "max_telemetry_overhead": args.max_telemetry_overhead,
-    }
+    print("== fresh figures vs committed BENCH files ==")
+    counts = check_counts(bench_common.REPO_ROOT)
     ok = True
+    for name, res in counts.items():
+        if res.get("skipped"):
+            print(f"  {name:<28} SKIPPED (no registered payload builder)")
+            continue
+        print(f"  {name:<28} {'OK' if res['ok'] else 'MISMATCH'}")
+        for m in res["mismatches"]:
+            print(f"    {m}")
+        ok = ok and res["ok"]
 
-    if not args.skip_counts:
-        print("== op-count fidelity vs committed BENCH files ==")
-        report["counts"] = check_counts(repo_root)
-        for name, res in report["counts"].items():
-            if res.get("skipped"):
-                print(f"  {name:<28} SKIPPED (no registered payload builder)")
-                continue
-            status = "OK" if res["ok"] else "MISMATCH"
-            print(f"  {name:<28} {status}")
-            for m in res["mismatches"]:
-                print(f"    {m}")
-            ok = ok and res["ok"]
-
-    if not (args.skip_telemetry or args.skip_timing):
-        budget = args.max_telemetry_overhead
-        print(
-            f"== telemetry identity + overhead (fails when the whole "
-            f"interquartile interval is > {budget:.1%}) =="
-        )
-        report["telemetry"] = check_telemetry(budget)
-        for name, res in report["telemetry"].items():
-            status = "OK" if res["ok"] else (
-                "PERTURBED"
-                if not (res["ops_identical"] and res["outputs_identical"])
-                else "TOO EXPENSIVE"
-            )
-            print(
-                f"  {name:<28} overhead median {res['overhead']:+.2%} "
-                f"IQR [{res['overhead_q1']:+.2%}, {res['overhead_q3']:+.2%}] "
-                f"hub {res['hub_us_per_arrival']:.2f} us/arrival "
-                f"({len(res['overheads'])} trials: "
-                f"{', '.join(f'{o:+.2%}' for o in res['overheads'])}) "
-                f"identical={res['ops_identical'] and res['outputs_identical']} "
-                f"{status}"
-            )
-            ok = ok and res["ok"]
-
-    report["ok"] = ok
     if args.report:
         with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+            json.dump({"counts": counts, "ok": ok}, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"report written to {args.report}")
 

@@ -46,12 +46,14 @@ is one loop body that calls each worker's two doors directly
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.engine.cost import CostModel, VirtualClock
 from repro.engine.executor import TransitionEvent
 from repro.engine.metrics import Metrics, work_units
+from repro.migration.base import SpecLike, as_spec
 from repro.obs.tracer import PHASE_REBALANCING, PHASE_RECOVERING
+from repro.plans.spec import left_deep_order
 from repro.shard.merge import MergedOutput, ShardMerger
 from repro.shard.partition import HashPartitioner, balanced_assignment, stable_hash
 from repro.shard.rebalance import (
@@ -66,9 +68,6 @@ from repro.shard.worker import CommandLog, ShardWorker, driven_schema, make_stra
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
 from repro.streams.window import SlidingWindow, TimeSlidingWindow
-
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.migration.base import SpecLike
 
 GlobalWindow = Union[SlidingWindow, TimeSlidingWindow]
 
@@ -264,7 +263,7 @@ class ShardedExecutor:
     def __init__(
         self,
         schema: Schema,
-        initial_spec: "SpecLike",
+        initial_spec: SpecLike,
         num_shards: int = 2,
         strategy: str = "jisc",
         rebalance_mode: str = "lazy",
@@ -314,7 +313,7 @@ class ShardedExecutor:
         #: batch reads its own buckets instead of walking every live key.
         self._bucket_keys: Dict[int, Dict[Any, None]] = {b: {} for b in range(num_buckets)}
         self._scheduler: Optional[RebalanceScheduler] = None
-        self._current_spec: Optional["SpecLike"] = None
+        self._current_spec: Optional[SpecLike] = None
         self.moves: List[ShardMove] = []
         self.rebalances = 0
         self._arrivals = 0
@@ -556,7 +555,12 @@ class ShardedExecutor:
         if session.retire(key):
             scheduler.on_batch_complete(session, t)
 
-    def transition(self, new_spec: "SpecLike") -> None:
+    def current_order(self) -> Tuple[str, ...]:
+        """What every worker runs: the last broadcast spec's order."""
+        spec = self._current_spec if self._current_spec is not None else self.initial_spec
+        return left_deep_order(as_spec(spec))
+
+    def transition(self, new_spec: SpecLike) -> None:
         """Broadcast a plan transition to every worker."""
         self._check_live()
         t = self._now()

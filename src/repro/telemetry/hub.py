@@ -9,7 +9,7 @@ phase scoping, transitions, rebalances, faults — and per-phase op counts
 are the base class's boundary deltas over ``Metrics.counts``, the whole
 engine becomes continuously self-measuring by attaching one object, with
 **zero op-count perturbation** and on the same code path as an unobserved
-run (certified by the telemetry gate in :mod:`repro.perf.regress`).  What
+run (certified row by row in ``BENCH_calls.json``, :mod:`repro.perf.regress`).  What
 the hub adds to the seam: ``event`` (a kind -> handler table, then one
 forward to ``inner``), ``arrival`` / ``output`` / ``poll``, and ``sync``.
 
@@ -86,8 +86,8 @@ DRIFT_BLOCK = 64
 #: Operators tally probes/hits natively (two int adds, always on — see
 #: :class:`~repro.operators.base.Operator`); the hub reads deltas at this
 #: cadence instead of intercepting every probe, so attaching telemetry
-#: adds zero per-probe work (the overhead gate in :mod:`repro.perf.regress`
-#: counts on it).  Each poll has a per-source/per-stream fixed cost
+#: adds zero per-probe work (its calls per arrival are a committed count,
+#: ``BENCH_calls.json``).  Each poll has a per-source/per-stream fixed cost
 #: (~30us with 41 operators), so the interval directly sets the
 #: telemetry tax: 64 amortizes it to well under 1us per arrival while
 #: still sampling rates and selectivities every 64 tuples — far finer
@@ -316,8 +316,8 @@ class TelemetryTracer(Tracer):
         # tick the poll countdown.  Everything heavier — the sketch, rate
         # sampling, probe-tally deltas — runs at the poll cadence
         # (:data:`PROBE_POLL_EVERY`) in :meth:`_poll`, so an arrival
-        # touches almost no telemetry memory (the overhead gate in
-        # :mod:`repro.perf.regress` counts on it).
+        # touches almost no telemetry memory (``BENCH_calls.json`` holds its
+        # calls per arrival).
         arrivals = self._arrivals = self._arrivals + 1
         counts = self._stream_counts
         stream = tup.stream

@@ -57,7 +57,9 @@ ENGINES["adaptive-sharded"] = lambda: AdaptiveEngine(ENGINES["sharded"]())
 #: ``StrategyExecutor``); the six strategies implement all of it.  The coordinator is
 #: not itself shardable and answers ``state_sizes`` in place of plans and probe
 #: sources (its hubs are per worker); ``AdaptiveEngine`` is a driver around an engine
-#: (``.strategy``), not yet an engine (ROADMAP item 5).
+#: (``.strategy``), not yet an engine (ROADMAP item 5).  ``current_order`` is in
+#: nobody's gap: the coordinator answers with its last broadcast spec, the driver
+#: with the order it costs.
 NOT_SHARDABLE = {"output_times", "evict"}
 GAPS = {
     "sharded": {"live_plans", "probe_sources"} | NOT_SHARDABLE,

@@ -16,7 +16,6 @@ with either path.
 
 import os
 import random
-import sys
 from collections import Counter as MultiSet
 
 import hypothesis.strategies as hst
@@ -40,6 +39,7 @@ from repro.operators.scan import StreamScan
 from repro.operators.setdiff import SetDifference
 from repro.operators.sink import OutputSink
 from repro.operators.unary import GroupByCount, Select
+from repro.perf.profile import count_calls
 from repro.optimizer import AdaptiveEngine, HysteresisTrigger
 from repro.plans.build import PhysicalPlan, build_plan
 from repro.plans.spec import left_deep
@@ -1028,30 +1028,18 @@ def test_sink_lists_keep_their_identity(strategy):
 # -- Figure 9 a as a count ---------------------------------------------------------------
 #
 # Between transitions JISC is the static pipeline: the same Python-level calls
-# per arrival, none of them into ``repro/core``.  ``sys.setprofile`` ``call``
-# events are counts, not timings — they repeat exactly.
+# per arrival, none of them into ``repro/core``.  Calls are counts, not timings —
+# they repeat exactly, and they are counted the way ``python -m repro.perf.regress``
+# counts ``BENCH_calls.json``'s.
 
-REPRO = os.sep + "repro" + os.sep
-CORE = REPRO + "core" + os.sep
+CORE = "core" + os.sep
 
 
-def python_calls(run, under=REPRO):
-    """How many Python-level calls ``run()`` makes into code whose file path
-    contains ``under`` (the engine's: a ``gc.callbacks`` entry of the test
-    tooling runs whenever a collection happens to start)."""
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        if event == "call" and under in frame.f_code.co_filename:
-            calls += 1
-
-    sys.setprofile(profile)
-    try:
-        run()
-    finally:
-        sys.setprofile(None)
-    return calls
+def python_calls(run, under=""):
+    """How many calls ``run()`` makes into named functions of ``repro/`` files
+    whose path below the package starts with ``under``."""
+    _, calls = count_calls(run)
+    return sum(n for (path, _), n in calls.items() if path and path.startswith(under))
 
 
 FIVE = ("A", "B", "C", "D", "E")
@@ -1303,8 +1291,8 @@ def test_calls_per_arrival_while_migrating():
         assert engine.incomplete_state_count() > 0 and len(engine.outputs) > 500
         return calls / len(scenario.tuples)
 
-    into_repro = count(REPRO)
-    assert into_repro == count(REPRO)  # a count: it repeats exactly
+    into_repro = count("")
+    assert into_repro == count("")  # a count: it repeats exactly
     assert 30 < into_repro <= 42  # 40.06 on 3.11; 61.21 at PR 20
     assert 2 < count(os.path.join("engine", "metrics.py")) <= 2.5  # 2.28; 8.80 at PR 20
 

@@ -1,5 +1,5 @@
 """Unit tests for repro.optimizer: the cost maintainer and the adaptive
-engine's plumbing (current_order derivation, trigger-state round-trip,
+engine's plumbing (every engine's ``current_order()``, trigger-state round-trip,
 forced transitions, shard aggregation).
 
 The differential and property halves live in
@@ -16,17 +16,17 @@ from repro.optimizer import (
     AdaptiveEngine,
     CostSnapshot,
     PlanCostMaintainer,
-    current_order,
     live_state_size,
 )
 from repro.optimizer.triggers import NeverTrigger, ThresholdTrigger
 from repro.shard import ShardedExecutor
-from repro.shard.worker import make_strategy
+from repro.shard.worker import STRATEGY_NAMES, make_strategy
 from repro.streams.schema import Schema
 from repro.workloads.drift import SelectivityDriftWorkload
 
 NAMES = ("A", "B", "C")
 SCHEMA = Schema.uniform(NAMES, 16)
+SWAPPED = ("C", "A", "B")
 
 HUB_OPTIONS = {"selectivity_window": 96, "drift_block": 16, "drift_min_samples": 32}
 
@@ -138,14 +138,49 @@ class TestLiveStateSize:
 
 class TestCurrentOrder:
     def test_all_target_shapes(self):
-        assert current_order(JISCStrategy(SCHEMA, NAMES)) == NAMES
-        assert current_order(make_strategy("cacq", SCHEMA, NAMES)) == NAMES
-        assert current_order(make_strategy("stairs", SCHEMA, NAMES)) == NAMES
+        assert JISCStrategy(SCHEMA, NAMES).current_order() == NAMES
+        assert make_strategy("cacq", SCHEMA, NAMES).current_order() == NAMES
+        assert make_strategy("stairs", SCHEMA, NAMES).current_order() == NAMES
         ex = ShardedExecutor(SCHEMA, NAMES, num_shards=2, strategy="jisc")
-        assert current_order(ex) == NAMES
-        # MJoin has no plan, routing or initial spec: callers pass order=.
+        assert ex.current_order() == NAMES
+        assert AdaptiveEngine(ex, hub_options=HUB_OPTIONS).current_order() == NAMES
+        # An MJoin probes in no single order: callers pass order=.
         with pytest.raises(TypeError):
-            current_order(MJoinExecutor(SCHEMA, NAMES))
+            MJoinExecutor(SCHEMA, NAMES).current_order()
+        assert AdaptiveEngine(MJoinExecutor(SCHEMA, NAMES), order=NAMES).order == NAMES
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_every_strategy_follows_its_transitions(self, name):
+        engine = make_strategy(name, SCHEMA, NAMES)
+        engine.process_batch(list(drift_events(12)))
+        engine.transition(SWAPPED)
+        assert engine.current_order() == (NAMES if name == "static" else SWAPPED)
+
+    def test_parallel_track_answers_with_its_newest_plan(self):
+        engine = make_strategy("parallel_track", SCHEMA, NAMES)
+        engine.process_batch(list(drift_events(12)))
+        engine.transition(SWAPPED)
+        assert len(engine.live_plans()) == 2 and engine.current_order() == SWAPPED
+
+    def test_a_bushy_plan_has_no_probe_order(self):
+        four = ("A", "B", "C", "D")
+        bushy = JISCStrategy(Schema.uniform(four, 4), (("A", "B"), ("C", "D")))
+        with pytest.raises(ValueError, match="not left-deep"):
+            bushy.current_order()
+
+    def test_an_engine_built_on_a_transitioned_coordinator_costs_the_running_plan(self):
+        """``initial_spec`` is what the coordinator was built with, not what its
+        workers run: the loop read A-B-C while every worker ran C-A-B."""
+        ex = ShardedExecutor(SCHEMA, NAMES, num_shards=2, strategy="jisc")
+        ex.process_batch(list(drift_events(40)))
+        ex.transition(SWAPPED)
+        assert ex.current_order() == SWAPPED
+        engine = AdaptiveEngine(ex, policy=NeverTrigger(), hub_options=HUB_OPTIONS)
+        running = {worker.strategy.current_order() for worker in ex.workers}
+        assert running == {SWAPPED} and engine.order == SWAPPED
+        assert engine.maintainer.order == SWAPPED
+        ex.crash_and_recover(1)  # a rebuilt worker is transitioned to the same spec
+        assert ex.workers[1].strategy.current_order() == ex.current_order() == SWAPPED
 
 
 class TestAdaptiveEngineMechanics:

@@ -206,27 +206,6 @@ def test_run_events_batches_across_transitions():
     assert per_tuple.metrics.counts == batched.metrics.counts
 
 
-# ---------------------------------------------------------------------------
-# The telemetry gate's verdict: only a resolved overrun fails.
-
-
-def test_telemetry_verdict_fails_only_when_the_whole_interval_clears_the_limit():
-    from repro.perf.regress import telemetry_verdict
-
-    def trial(q1, q3, identical=True):
-        return {
-            "ops_identical": identical,
-            "outputs_identical": True,
-            "overhead_q1": q1,
-            "overhead_q3": q3,
-        }
-
-    assert telemetry_verdict(trial(-0.02, 0.03), 0.05)
-    assert telemetry_verdict(trial(0.01, 0.15), 0.05)  # straddles the limit: unresolved
-    assert not telemetry_verdict(trial(0.06, 0.09), 0.05)
-    assert not telemetry_verdict(trial(-0.02, 0.03, identical=False), 0.05)
-
-
 def test_profile_prints_calls_per_arrival_for_the_steady_scenario(capsys):
     """The number ROADMAP tracks, printed instead of worked out by hand: the
     workload is generated before profiling starts, so it counts the engine."""

@@ -8,7 +8,6 @@ what the second window used to cost on ``rebalance_churn``'s shape, and how many
 Python-level calls an arrival makes on ``sharded_steady``'s.
 """
 
-import cProfile
 import json
 import os
 import random
@@ -22,7 +21,7 @@ from repro.engine.metrics import Metrics
 from repro.migration.mjoin import MJoinExecutor
 from repro.obs.tracer import PHASE_REBALANCING, PHASE_STEADY, RecordingTracer
 from repro.operators.scan import StreamScan
-from repro.perf.profile import DEQUE_REMOVE, SCENARIOS, repro_calls
+from repro.perf.profile import DEQUE_REMOVE, SCENARIOS, count_calls
 from repro.shard import ShardWorker, driven_schema, make_strategy
 from repro.shard.worker import STRATEGY_NAMES
 from repro.streams.schema import Schema
@@ -248,9 +247,7 @@ def test_a_replay_that_raises_still_mutes_its_outputs_and_restores_the_phase():
 
 
 def profiled(scenario, scale):
-    run = SCENARIOS[scenario](scale)
-    profiler = cProfile.Profile()
-    return profiler.runcall(run), repro_calls(profiler)
+    return count_calls(SCENARIOS[scenario](scale))
 
 
 def test_rebalance_churn_compares_no_tuples_and_scans_no_deque():
