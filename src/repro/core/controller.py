@@ -177,6 +177,13 @@ class JISCController:
         else:
             self._complete_value(opposite, tup.key)
 
+    def complete_key(self, key: Any, plan: PhysicalPlan) -> None:
+        """Complete ``key`` everywhere in ``plan`` now, as a fresh probe would (a shard move)."""
+        self.current_part = None  # no arrival's cascade is in flight
+        for op in plan.internal:  # children first
+            if self.needs_completion(op, key):
+                self._complete_value(op, key)
+
     def _complete_value(self, op: Operator, key: Any) -> None:
         """Procedure 3 on a left-deep plan, Procedure 2 otherwise."""
         if self._use_left_deep:

@@ -21,6 +21,7 @@ from repro.engine.metrics import Counter, Metrics
 from repro.eddy.routing import FixedOrderRouting, RoutingPolicy
 from repro.eddy.stem import SteM
 from repro.migration.base import SpecLike, as_spec, unknown_stream
+from repro.operators.state import Parcel, extract_key, install_key
 from repro.plans.spec import leaves
 from repro.streams.schema import Schema
 from repro.streams.tuples import CompositeTuple, StreamTuple
@@ -161,6 +162,13 @@ class CACQExecutor:
 
     def live_tuples(self) -> Dict[str, List[StreamTuple]]:
         return {name: window_contents(stem) for name, stem in self.stems.items()}
+
+    def extract(self, key: Any) -> Parcel:
+        """The SteMs hand over ``key``'s tuples (there is no other state)."""
+        return extract_key({n: s.state for n, s in self.stems.items()}, key, self.metrics)
+
+    def install(self, key: Any, parcel: Parcel) -> int:
+        return install_key({n: s.state for n, s in self.stems.items()}, key, parcel, self.metrics)
 
     def output_lineages(self) -> List[Tuple]:
         return [tup.lineage for tup in self.outputs]

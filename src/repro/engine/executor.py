@@ -121,6 +121,14 @@ class ShardableExecutor(StrategyExecutor, Protocol):
         """Per-stream window contents, in arrival order."""
         ...
 
+    def extract(self, key: Any) -> Any:
+        """Take every entry of ``key`` out, complete: a parcel for ``install``."""
+        ...
+
+    def install(self, key: Any, parcel: Any) -> int:
+        """Adopt another engine's ``extract``; returns the entries adopted."""
+        ...
+
 
 def run_events(
     strategy: StrategyExecutor,

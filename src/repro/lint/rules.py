@@ -322,7 +322,9 @@ class StateDisciplineRule(Rule):
         "an explicit suppression"
     )
 
-    STATE_MUTATORS = {"add", "remove_entry", "remove_with_part", "clear", "copy_from"}
+    STATE_MUTATORS = {
+        "add", "remove_entry", "remove_with_part", "clear", "copy_from", "take_key", "put_key"
+    }
     STATUS_TRANSITIONS = {
         "mark_complete",
         "mark_incomplete",

@@ -9,6 +9,7 @@ from repro.engine.metrics import Metrics
 from repro.obs.tracer import PHASE_MIGRATING
 from repro.operators.base import Operator
 from repro.operators.joins import NestedLoopsJoin, SymmetricHashJoin
+from repro.operators.state import Parcel, extract_key, install_key, newest_seq
 from repro.operators.unary import UnaryOperator
 from repro.plans.build import OpFactory, PhysicalPlan, build_plan
 from repro.plans.spec import PlanSpec, SpecOrOrder, left_deep, left_deep_order
@@ -233,6 +234,15 @@ class MigrationStrategy:
     def live_tuples(self) -> Dict[str, List[StreamTuple]]:
         """Per-stream window contents, in arrival order."""
         return {name: window_contents(scan) for name, scan in self.plan.scans.items()}
+
+    def extract(self, key: Any) -> Parcel:
+        """Hand over every entry of ``key``: it moves to another shard."""
+        return extract_key(self.plan.states(), key, self.metrics)
+
+    def install(self, key: Any, parcel: Parcel) -> int:
+        """Adopt a moved key's :meth:`extract`; its tuples count as seen here."""
+        self._last_seq = max(self._last_seq, newest_seq(parcel))
+        return install_key(self.plan.states(), key, parcel, self.metrics)
 
     @property
     def outputs(self) -> List[Any]:

@@ -27,6 +27,7 @@ from repro.migration.base import (
     as_spec,
     unknown_stream,
 )
+from repro.operators.state import Parcel
 from repro.plans.build import OpFactory
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
@@ -103,6 +104,12 @@ class JISCStrategy(MigrationStrategy):
             feed(tup)
             if migrating:
                 after_arrival(tup)
+
+    def extract(self, key: Any) -> Parcel:
+        """Complete ``key`` where a state misses it, then hand it over (whole)."""
+        if self.controller.incomplete_ops:
+            self.controller.complete_key(key, self.plan)
+        return super().extract(key)
 
     def _do_transition(self, new_spec: SpecLike) -> None:
         old_plan = self.plan

@@ -24,6 +24,7 @@ from repro.engine.cost import CostModel
 from repro.engine.metrics import Counter, Metrics
 from repro.migration.base import MigrationStrategy, SpecLike, as_spec, unknown_stream
 from repro.obs.tracer import PHASE_MIGRATING
+from repro.operators.state import Parcel, extract_key, fill_key, install_key, newest_seq
 from repro.plans.build import PhysicalPlan, build_plan
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
@@ -102,6 +103,20 @@ class ParallelTrackStrategy(MigrationStrategy):
                     if tup not in seen:
                         seen.append(tup)
         return merged
+
+    def extract(self, key: Any) -> List[Parcel]:
+        """Every track hands over its own share of ``key``, oldest first."""
+        return [extract_key(track.plan.states(), key, self.metrics) for track in self.tracks]
+
+    def install(self, key: Any, parcel: List[Parcel]) -> int:
+        """Whole when both sides run one track; else every track is built from the
+        oldest source track's live tuples (engines purge old tracks on their own)."""
+        oldest = parcel[0]
+        self._last_seq = max(self._last_seq, newest_seq(oldest))
+        if len(self.tracks) == len(parcel) == 1:
+            return install_key(self.plan.states(), key, oldest, self.metrics)
+        live = [tup for bucket, parts in oldest.values() if not parts for tup in bucket.values()]
+        return sum(fill_key(track.plan, key, live, self.metrics) for track in self.tracks)
 
     @property
     def outputs(self) -> List[Any]:

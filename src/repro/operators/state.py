@@ -39,6 +39,7 @@ from typing import (
     Union,
 )
 
+from repro.engine.metrics import Counter, Metrics
 from repro.streams.tuples import AnyTuple, CompositeTuple
 
 Entry = AnyTuple
@@ -52,6 +53,11 @@ PartIndex = Dict[int, Dict[Tuple[int, ...], Entry]]
 
 #: Shared empty probe result (a miss allocates nothing).
 _NO_ENTRIES: Tuple[Entry, ...] = ()
+
+#: A moved key's bucket and per-position part-index dicts (:meth:`HashState.take_key`).
+Taken = Tuple[Dict[Ident, Entry], Tuple[PartIndex, ...]]
+#: A key's state in one engine, by holder label.
+Parcel = Dict[str, Taken]
 
 
 class StateStatus:
@@ -281,6 +287,36 @@ class HashState:
                         del index[other]
         return list(expired.values())
 
+    # -- moving a key between engines (docs/SHARDING.md) -------------------------------
+
+    def take_key(self, key: Any, held: Dict[str, Dict[Ident, Entry]]) -> Optional[Taken]:
+        """Remove ``key``'s entries and hand over their dicts whole (every sharded
+        join is on the key, so they hold nothing else).  ``held``: stream -> the
+        key's bucket of live seqs, which a base-tuple state fills in (go first)."""
+        bucket = self.by_key.pop(key, None)
+        if bucket is None:
+            return None
+        for ident in bucket:
+            del self.by_ident[ident]
+        if not self.part_index:
+            held[self.layout[0]] = bucket
+            return bucket, ()
+        return bucket, tuple(
+            {seq: index.pop(seq) for seq in held[stream] if seq in index}
+            for stream, index in zip(self.layout, self.part_index)
+        )
+
+    def put_key(self, key: Any, taken: Taken) -> int:
+        """Adopt a :meth:`take_key` of ``key``, held nothing of here; returns the entries."""
+        bucket, parts = taken
+        if not self.layout:
+            self._fix_layout(next(iter(bucket.values())))
+        self.by_key[key] = bucket
+        self.by_ident.update(bucket)
+        for index, owners in zip(self.part_index, parts):
+            index.update(owners)
+        return len(bucket)
+
     # -- introspection -------------------------------------------------------------
 
     def distinct_values(self) -> Set[Any]:
@@ -320,3 +356,42 @@ class HashState:
             if add(entry):
                 n += 1
         return n
+
+
+def extract_key(states: Dict[str, HashState], key: Any, metrics: Metrics) -> Parcel:
+    """``key``'s entries out of one engine's states (by label, base-tuple states
+    first), charged one ``STATE_REMOVE`` per part of every entry handed over."""
+    held: Dict[str, Dict[Ident, Entry]] = {}
+    parcel: Parcel = {}
+    parts = 0
+    for label, state in states.items():
+        taken = state.take_key(key, held)
+        if taken is not None:
+            parcel[label] = taken
+            parts += len(taken[0]) * len(state.layout)
+    metrics.count_n(Counter.STATE_REMOVE, parts)
+    return parcel
+
+
+def install_key(states: Dict[str, HashState], key: Any, parcel: Parcel, metrics: Metrics) -> int:
+    """An :func:`extract_key` parcel into the same-labelled states, charged one
+    ``STATE_COPY`` per entry (Moving State's copy cost); returns the entries."""
+    adopted = sum([states[label].put_key(key, taken) for label, taken in parcel.items()])
+    metrics.count_n(Counter.STATE_COPY, adopted)
+    return adopted
+
+
+def newest_seq(parcel: Parcel) -> int:
+    """The largest seq among a parcel's base tuples (``-1`` for none)."""
+    return max([max(bucket) for bucket, parts in parcel.values() if not parts], default=-1)
+
+
+def fill_key(plan: Any, key: Any, tuples: Iterable[Any], metrics: Metrics) -> int:
+    """Build ``key``'s complete state over its live ``tuples`` in a plan no parcel
+    fits (a Parallel Track track the source lacked), charged as an install."""
+    held = sum(plan.scans[tup.stream].state.add(tup) for tup in tuples)
+    for op in plan.internal:
+        lefts, rights = op.left.state.get_view(key), op.right.state.get_view(key)
+        held += sum(op.state.add(CompositeTuple.of(x, y)) for x in lefts for y in rights)
+    metrics.count_n(Counter.STATE_COPY, held)
+    return held

@@ -54,6 +54,7 @@ class PhysicalPlan:
         # What the JISC controller bound at ``attach``, keyed as the completion hook
         # is called; kernels call it where ``JoinOperator.process`` calls the hook.
         self.completers: Dict[Tuple[Operator, Operator], Completer] = {}
+        self._states: Optional[Dict[str, HashState]] = None
 
     def feed(self, tup: StreamTuple) -> None:
         """Route an arriving base tuple to its stream's scan.
@@ -73,6 +74,12 @@ class PhysicalPlan:
     def operators(self) -> List[Operator]:
         """All operators: scans then internal nodes (children first)."""
         return list(self.scans.values()) + list(self.internal)
+
+    def states(self) -> Dict[str, HashState]:
+        """Every operator's state by label, scans first (a moved key's holders)."""
+        if self._states is None:
+            self._states = {op.label: op.state for op in self.operators()}
+        return self._states
 
     def state_of(self, names: Iterable[str]) -> HashState:
         """State of the internal node covering exactly ``names`` (join kind).

@@ -25,11 +25,8 @@ coordinator owns three things the workers must not (docs/SHARDING.md):
   whose live tuples all expire is retired, mirroring
   :meth:`repro.core.controller.JISCController._bind_expiry`.
 
-Cross-shard state movement is strategy-agnostic: the key's live tuples
-are *replayed* (in arrival order) through the destination's normal
-``process`` path with outputs muted — every replay output is provably a
-duplicate of a source-shard emission — then evicted from the source
-through the normal removal cascade.
+A key moves as state: the source's ``extract`` hands its buckets and part-index
+dicts to the destination's ``install`` whole (a JISC source completes it first).
 
 Every worker-bound command is journaled per shard, so a crashed worker
 (:meth:`ShardedExecutor.crash_shard`) is rebuilt deterministically from
@@ -52,7 +49,7 @@ from repro.engine.cost import CostModel, VirtualClock
 from repro.engine.executor import TransitionEvent
 from repro.engine.metrics import Metrics, work_units
 from repro.migration.base import SpecLike, as_spec
-from repro.obs.tracer import PHASE_REBALANCING, PHASE_RECOVERING
+from repro.obs.tracer import PHASE_RECOVERING
 from repro.plans.spec import left_deep_order
 from repro.shard.merge import MergedOutput, ShardMerger
 from repro.shard.partition import HashPartitioner, balanced_assignment, stable_hash
@@ -126,7 +123,7 @@ class RebalanceScheduler:
 
     The scheduler owns the plan's progress and the open batch's
     :class:`RebalanceSession` (the executor holds no session of its own):
-    it opens at most one batch per arrival (so an eager batch's replay
+    it opens at most one batch per arrival (so an eager batch's move
     burst is paced by the batch size — Megaphone's latency bound), and a
     batch must fully settle or retire before the next one opens, so at
     most one batch is ever in ``PHASE_REBALANCING``.  Lazy batches drain
@@ -193,7 +190,7 @@ class RebalanceScheduler:
             "keys": len(routes),
         }
         for shard in sorted({s for _, s, _ in batch} | set(dst_of.values())):
-            ex._logs[shard].append("batch", dict(marker), t)
+            ex._logs[shard].append("batch", marker, t)
         tracer = ex.metrics.tracer
         if tracer.enabled:
             tracer.rebalance_batch_start(
@@ -274,10 +271,7 @@ class ShardedExecutor:
         metrics: Optional[Metrics] = None,
         assignment: Optional[Mapping[int, int]] = None,
     ):
-        if rebalance_mode not in ("lazy", "eager"):
-            raise ValueError(
-                f"rebalance_mode must be 'lazy' or 'eager', got {rebalance_mode!r}"
-            )
+        check_mode(rebalance_mode)
         self.schema = schema
         self.initial_spec = initial_spec
         self.strategy_name = strategy
@@ -710,7 +704,7 @@ class ShardedExecutor:
         The diff is decomposed into batches of at most ``batch_keys``
         live keys (``0`` = all-at-once; buckets stay atomic) and drained
         one batch at a time, interleaved with arrivals — so an eager
-        plan's worst per-arrival stall is one batch's replay, not the
+        plan's worst per-arrival stall is one batch's moves, not the
         whole reconfiguration (Megaphone's fluid migration), and a lazy
         plan bounds how many keys are simultaneously pending.  The first
         batch opens immediately; each later batch opens on the first
@@ -801,30 +795,23 @@ class ShardedExecutor:
         self.partitioner.shrink(n_shards)
 
     def _complete_key(self, scheduler: RebalanceScheduler, key: Any, t: float) -> None:
-        """Move one pending key's state src -> dst by muted replay."""
+        """Move one pending key's state src -> dst, as state (docs/SHARDING.md)."""
         session = scheduler.session
         if session is None or not session.is_pending(key):
             return
         src, dst = session.route_of(key)
-        live = list(self._live_by_key.get(key, ()))
-        src_worker = self._worker(src)
-        dst_worker = self._worker(dst)
-        tracer = self.metrics.tracer
-        prev = tracer.set_phase(PHASE_REBALANCING) if tracer.enabled else None
-        try:
-            dst_worker.catch_up(t)
-            muted = dst_worker.replay(live)
-            self._logs[dst].append("replay", tuple(live), t)
-            src_worker.catch_up(t)
-            for tup in live:
-                src_worker.evict(tup)
-                self._logs[src].append("evict", tup, t)
-        finally:
-            if prev is not None:
-                tracer.set_phase(prev)
+        live = tuple(self._live_by_key.get(key, ()))
+        src_worker, dst_worker = self._worker(src), self._worker(dst)
+        src_worker.catch_up(t)
+        parcel = src_worker.extract(key)
+        self._logs[src].append("extract", key, t)
+        dst_worker.catch_up(t)
+        entries = dst_worker.install(key, parcel)
+        self._logs[dst].append("install", live, t)
         self.moves.append(ShardMove(key, src, dst, len(live), t))
+        tracer = self.metrics.tracer
         if tracer.enabled:
-            tracer.shard_move(key, src, dst, tuples=len(live), muted=muted)
+            tracer.shard_move(key, src, dst, tuples=len(live), entries=entries)
         if session.settle(key):
             scheduler.on_batch_complete(session, t)
 
@@ -906,13 +893,14 @@ class ShardedExecutor:
 
         Feed entries regenerate the worker's full output log; the merge
         cursor is preserved, so already-delivered outputs are not
-        re-delivered (exactly-once).  Replay entries are re-muted, evict
-        and transition entries re-applied, each at its journaled external
-        time.
+        re-delivered (exactly-once).  The others are re-applied at their journaled
+        times; an install's parcel is rebuilt by a muted replay of its live tuples
+        on a scratch worker that follows the same transitions.
         """
         if shard not in self._crashed:
             raise RuntimeError(f"shard {shard} is not crashed")
         worker = ShardWorker(shard, self._fresh_strategy())
+        scratch = ShardWorker(shard, self._fresh_strategy())
         tracer = self.metrics.tracer
         prev = tracer.set_phase(PHASE_RECOVERING) if tracer.enabled else None
         try:
@@ -922,14 +910,15 @@ class ShardedExecutor:
                     worker.feed(payload)
                 elif kind == "evict":
                     worker.evict(payload)
-                elif kind == "replay":
-                    worker.replay(payload)
+                elif kind == "extract":
+                    worker.extract(payload)
+                elif kind == "install":  # rebuild the parcel, then adopt it
+                    scratch.replay(payload)
+                    worker.install(payload[0].key, scratch.extract(payload[0].key))
                 elif kind == "transition":
                     worker.transition(payload)
-                elif kind == "batch":
-                    # Fluid-plan batch marker: delimits which journaled
-                    # commands belong to which batch.  No worker state to
-                    # rebuild — the feeds/evicts/replays around it carry it.
+                    scratch.transition(payload)
+                elif kind == "batch":  # a fluid plan's batch marker rebuilds nothing
                     continue
                 else:  # pragma: no cover - log entries are internal
                     raise RuntimeError(f"unknown log entry kind {kind!r}")

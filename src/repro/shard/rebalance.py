@@ -50,7 +50,8 @@ def check_batch_keys(batch_keys: int) -> None:
 
 
 class ShardMove:
-    """Record of one completed (or retired) key move."""
+    """Record of one completed (or retired) key move.  ``tuples_replayed``
+    counts the key's live tuples moved (the harness reads it by that name)."""
 
     __slots__ = ("key", "src", "dst", "tuples_replayed", "at", "retired")
 

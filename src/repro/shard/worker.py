@@ -1,5 +1,5 @@
 """Per-shard worker: one unmodified single-engine strategy behind a
-uniform feed / evict / replay / transition surface.
+uniform feed / evict / extract / install / transition surface.
 
 A worker *is* a single engine: it runs any existing strategy (JISC,
 Moving State, Parallel Track, STAIRs, CACQ) over the sub-stream of keys
@@ -13,11 +13,9 @@ from outside (docs/SHARDING.md):
   object — their state is the window's contents — and every eviction is
   delivered explicitly through the strategy's ``evict`` door.
 
-* **Replayed tuples are muted.**  Cross-shard key moves re-feed a key's
-  live tuples through the destination worker's normal ``process`` path;
-  every output that replay produces is a duplicate of something the
-  source worker already emitted (the coordinated windows guarantee it),
-  so :meth:`ShardWorker.replay` truncates them from the output log.
+* **Keys move as state.**  A key leaving one shard for another is taken
+  out of the source's states whole (:meth:`ShardWorker.extract`) and put
+  into the destination's (:meth:`ShardWorker.install`), with no re-join.
 
 :class:`CommandLog` is the journal of everything the coordinator told one
 worker to do; replaying it into a fresh worker rebuilds the crashed one.
@@ -101,8 +99,8 @@ class CommandLog:
     """One shard's journal of worker-bound commands, as aligned columns.
 
     Entry ``i`` is ``(kinds[i], payloads[i], times[i])``: the command
-    (``feed`` / ``evict`` / ``replay`` / ``transition``, or a fluid plan's
-    ``batch`` marker), its argument, and the external time it was
+    (``feed`` / ``evict`` / ``extract`` / ``install`` / ``transition``, or a
+    fluid plan's ``batch`` marker), its argument, and the external time it was
     delivered at.  The journal grows by two entries per arrival in steady
     state and lives as long as the shard, so an entry is three column
     slots — a shared kind string, a reference to a tuple that exists
@@ -203,30 +201,35 @@ class ShardWorker:
         """Per-stream window contents this worker currently holds."""
         return self.strategy.live_tuples()
 
-    def replay(self, tuples: Sequence[StreamTuple]) -> int:
-        """Re-feed moved-in tuples with their outputs muted.
+    def extract(self, key: Any) -> Any:
+        """Hand over every entry of a key moving to another shard."""
+        return self._rebalancing(self.strategy.extract, key)
 
-        The tuples are a key's live set in arrival order; processing them
-        through the normal path rebuilds exactly the state the strategy
-        would hold had it owned the key all along (the worker owns no
-        window, so no eviction interleaves).  Every output produced here
-        is a duplicate of a source-shard emission, so the log is truncated
-        back — also when the strategy raises part-way, or the merger would
-        deliver the duplicates; returns how many outputs were muted.  Runs
-        in the ``rebalancing`` phase when this worker is traced.
-        """
-        process = self.process
-        outs = self.strategy.outputs
-        times = self.output_times
-        mark = len(outs)
+    def install(self, key: Any, parcel: Any) -> int:
+        """Adopt a moving key's :meth:`extract`; returns the entries adopted."""
+        return self._rebalancing(self.strategy.install, key, parcel)
+
+    def _rebalancing(self, run: Any, *args: Any) -> Any:
+        """``run(*args)`` in the ``rebalancing`` phase when this worker is traced."""
         tracer = self.metrics.tracer
         prev = tracer.set_phase(PHASE_REBALANCING) if tracer.enabled else None
         try:
-            for tup in tuples:
-                process(tup)
+            return run(*args)
         finally:
             if prev is not None:
                 tracer.set_phase(prev)
+
+    def replay(self, tuples: Sequence[StreamTuple]) -> int:
+        """Re-feed a key's live tuples with their outputs muted: how recovery
+        rebuilds a moved-in key's state on a scratch worker.  The log is
+        truncated back even when the strategy raises part-way; returns how
+        many outputs were muted.  Runs in the ``rebalancing`` phase when traced.
+        """
+        outs, times = self.strategy.outputs, self.output_times
+        mark = len(outs)
+        try:
+            self._rebalancing(list, map(self.process, tuples))  # fed inside the phase
+        finally:
             muted = len(outs) - mark
             del outs[mark:]
             del times[mark:]

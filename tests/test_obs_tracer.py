@@ -296,8 +296,8 @@ def test_phase_sums_equal_metrics_counts_at_every_event_boundary(name):
 
 
 def test_sharded_recorders_read_the_same_on_both_paths():
-    """Coordinator and worker recorders over a lazy rebalance (replays run in
-    the ``rebalancing`` phase) and a ``crash_and_recover``."""
+    """Coordinator and worker recorders over a lazy rebalance (a move's extract
+    and install run in the ``rebalancing`` phase) and a ``crash_and_recover``."""
     names = ("A", "B", "C")
     schema = Schema.uniform(names, 8)
     rng = random.Random(11)
@@ -333,7 +333,10 @@ def test_sharded_recorders_read_the_same_on_both_paths():
     with reference_path():
         theirs, reference_fused = run()
     assert any(fused) and not any(reference_fused)
-    assert PHASE_REBALANCING in ours[2].phase_counts  # shard 1 took the replays
+    # shard 1 took the keys in: the install, charged per entry, and nothing else
+    assert set(ours[2].phase_counts[PHASE_REBALANCING]) == {Counter.STATE_COPY}
+    moved_out = {op for tracer in ours[1:] for op in tracer.phase_counts.get(PHASE_REBALANCING, {})}
+    assert Counter.STATE_REMOVE in moved_out  # and some source paid per part it shipped
     assert {ev.kind for ev in ours[0].events} >= {"rebalance_start", "shard_move", "fault", "recovery"}
     for tracer, reference in zip(ours, theirs):
         assert tracer.header() == reference.header()

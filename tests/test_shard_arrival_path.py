@@ -446,7 +446,7 @@ def test_crash_and_recover_inside_a_fluid_batch_reads_the_columnar_log(mode):
         assert len(kinds) == len(payloads) == len(times)
         assert times == sorted(times)
     kinds = {kind for log in crashed._logs for kind in log.kinds}
-    assert kinds == {"feed", "evict", "replay", "batch"}
+    assert kinds == {"feed", "evict", "extract", "install", "batch"}
     # the shard the plan drains saw every batch marker; markers rebuild nothing
     assert crashed._logs[0].kinds.count("batch") > 2
 

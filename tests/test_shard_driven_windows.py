@@ -256,7 +256,9 @@ def test_rebalance_churn_compares_no_tuples_and_scans_no_deque():
     ``deque.remove``; a worker that owns no window has nothing to scan."""
     fed, calls = profiled("rebalance", 1.0)
     assert fed == 12_000
-    assert calls[os.path.join("shard", "worker.py"), "replay"] > 1000  # keys did move
+    assert calls[os.path.join("shard", "worker.py"), "install"] > 1000  # keys did move,
+    assert calls[os.path.join("operators", "state.py"), "put_key"] > 1000  # as state,
+    assert calls[os.path.join("shard", "worker.py"), "replay"] == 0  # not by replay
     assert calls[os.path.join("streams", "tuples.py"), "__eq__"] == 0
     assert calls[DEQUE_REMOVE] == 0
     assert calls[os.path.join("streams", "window.py"), "discard"] == 0

@@ -90,8 +90,8 @@ def test_recovery_preserves_exactly_once_across_collections():
 
 
 def test_crash_during_pending_lazy_rebalance():
-    """Recovery must reproduce moved-in state: the log replays muted
-    cross-shard moves exactly as they originally happened."""
+    """Recovery must reproduce moved-in state: the log re-applies each
+    cross-shard move's extract and install as they originally happened."""
     schema, tuples = workload(n=240)
     ex = ShardedExecutor(schema, NAMES, num_shards=2, inter_arrival=1.0)
     ex.process_batch(tuples[:120])
