@@ -43,7 +43,7 @@ from repro.lint.baseline import (
     load_baseline,
     render_baseline,
 )
-from repro.lint.reporters import render_json, render_sarif, render_text
+from repro.lint.reporters import render_json, render_text
 
 # Importing the rule modules populates the registry as a side effect.
 from repro.lint import flowrules as _flowrules  # noqa: F401
@@ -63,6 +63,5 @@ __all__ = [
     "lint_source",
     "render_baseline",
     "render_json",
-    "render_sarif",
     "render_text",
 ]

@@ -1,12 +1,10 @@
 """Project-wide symbol table and call graph for whole-program analysis.
 
-The build is two-phase so that CI can cache it between steps:
+The build is two-phase:
 
 1. **Extraction** (:func:`extract_module_facts`) walks one module's AST and
-   produces :class:`ModuleFacts` — a JSON-serializable summary of classes,
-   functions, imports, calls, assignments, and ``set_phase`` span opens.
-   Facts are keyed by a content hash, so an unchanged file never needs
-   re-extraction (see ``--callgraph-cache``).
+   produces :class:`ModuleFacts` — a summary of classes, functions,
+   imports, calls, assignments, and ``set_phase`` span opens.
 2. **Linking** (:class:`Project`) resolves names across modules: imports to
    their targets, ``self.m()`` through the class hierarchy, and ``recv.m()``
    through the receiver's annotated type (the tree is mypy-strict, so
@@ -24,12 +22,8 @@ rules still cover those sites by chain pattern.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-FACTS_FORMAT_VERSION = 1
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 #: tracer phase constants -> short phase names used throughout the verifier.
 PHASE_CONSTANTS = {
@@ -39,10 +33,6 @@ PHASE_CONSTANTS = {
     "PHASE_RECOVERING": "recovering",
     "PHASE_REBALANCING": "rebalancing",
 }
-
-
-def content_hash(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 def _dotted(node: ast.AST) -> Optional[Tuple[str, ...]]:
@@ -136,7 +126,7 @@ def annotation_element(ann: Optional[str]) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# Facts (extraction output; JSON-serializable)
+# Facts (extraction output)
 # ---------------------------------------------------------------------------
 
 
@@ -176,79 +166,10 @@ class ClassFacts:
 class ModuleFacts:
     path: str
     module_path: str
-    sha: str
     #: local name -> dotted import target ("repro.core.completion.complete_value_left_deep")
     imports: Dict[str, str] = field(default_factory=dict)
     classes: List[ClassFacts] = field(default_factory=list)
     functions: List[FunctionFacts] = field(default_factory=list)
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "path": self.path,
-            "module_path": self.module_path,
-            "sha": self.sha,
-            "imports": self.imports,
-            "classes": [
-                {
-                    "name": c.name,
-                    "lineno": c.lineno,
-                    "bases": c.bases,
-                    "attrs": c.attrs,
-                    "attr_ctors": {k: list(v) for k, v in c.attr_ctors.items()},
-                    "methods": [_fn_to_json(m) for m in c.methods],
-                }
-                for c in self.classes
-            ],
-            "functions": [_fn_to_json(f) for f in self.functions],
-        }
-
-    @staticmethod
-    def from_json(data: Dict[str, object]) -> "ModuleFacts":
-        classes = [
-            ClassFacts(
-                name=c["name"],
-                lineno=c["lineno"],
-                bases=list(c["bases"]),
-                attrs=dict(c["attrs"]),
-                attr_ctors={k: tuple(v) for k, v in c["attr_ctors"].items()},
-                methods=[_fn_from_json(m) for m in c["methods"]],
-            )
-            for c in data["classes"]  # type: ignore[union-attr]
-        ]
-        return ModuleFacts(
-            path=data["path"],  # type: ignore[arg-type]
-            module_path=data["module_path"],  # type: ignore[arg-type]
-            sha=data["sha"],  # type: ignore[arg-type]
-            imports=dict(data["imports"]),  # type: ignore[call-overload]
-            classes=classes,
-            functions=[_fn_from_json(f) for f in data["functions"]],  # type: ignore[union-attr]
-        )
-
-
-def _fn_to_json(fn: FunctionFacts) -> Dict[str, object]:
-    return {
-        "name": fn.name,
-        "cls": fn.cls,
-        "lineno": fn.lineno,
-        "params": fn.params,
-        "returns": fn.returns,
-        "calls": [[line, list(chain)] for line, chain in fn.calls],
-        "assigns": [[t, k, list(c)] for t, k, c in fn.assigns],
-        "opens": fn.opens,
-    }
-
-
-def _fn_from_json(data: Dict[str, object]) -> FunctionFacts:
-    return FunctionFacts(
-        name=data["name"],  # type: ignore[arg-type]
-        cls=data["cls"],  # type: ignore[arg-type]
-        lineno=data["lineno"],  # type: ignore[arg-type]
-        params=dict(data["params"]),  # type: ignore[call-overload]
-        returns=data["returns"],  # type: ignore[arg-type]
-        calls=[(line, tuple(chain)) for line, chain in data["calls"]],  # type: ignore[union-attr]
-        assigns=[(t, k, tuple(c)) for t, k, c in data["assigns"]],  # type: ignore[union-attr]
-        opens=list(data["opens"]),  # type: ignore[call-overload]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +277,9 @@ def _extract_function(
     return fn
 
 
-def extract_module_facts(path: str, module_path: str, tree: ast.Module, source: str) -> ModuleFacts:
+def extract_module_facts(path: str, module_path: str, tree: ast.Module) -> ModuleFacts:
     """Summarize one parsed module into linkable :class:`ModuleFacts`."""
-    facts = ModuleFacts(path=path, module_path=module_path, sha=content_hash(source))
+    facts = ModuleFacts(path=path, module_path=module_path)
     for stmt in tree.body:
         if isinstance(stmt, ast.Import):
             for alias in stmt.names:
@@ -736,57 +657,3 @@ class Project:
             for callee in self._resolve_chain(mod, cls, env, chain, line):
                 if callee != caller:
                     self.edges.append(CallEdge(caller, callee, line))
-
-
-# ---------------------------------------------------------------------------
-# Cache
-# ---------------------------------------------------------------------------
-
-
-def load_facts_cache(path: str) -> Dict[str, Dict[str, object]]:
-    """sha -> ModuleFacts JSON from a cache file; {} when absent/invalid."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return {}
-    if not isinstance(data, dict) or data.get("version") != FACTS_FORMAT_VERSION:
-        return {}
-    entries = data.get("modules")
-    return entries if isinstance(entries, dict) else {}
-
-
-def save_facts_cache(path: str, modules: Iterable[ModuleFacts]) -> None:
-    payload = {
-        "version": FACTS_FORMAT_VERSION,
-        "modules": {m.sha: m.to_json() for m in modules},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-
-
-def build_project(
-    sources: Sequence[Tuple[str, str, ast.Module, str]],
-    cache_path: Optional[str] = None,
-) -> Project:
-    """Link ``(path, module_path, tree, source)`` records into a :class:`Project`.
-
-    With ``cache_path``, extraction is skipped for files whose content hash
-    appears in the cache, and the cache file is rewritten with the current
-    facts afterwards.
-    """
-    cached = load_facts_cache(cache_path) if cache_path else {}
-    modules: List[ModuleFacts] = []
-    for path, module_path, tree, source in sources:
-        sha = content_hash(source)
-        entry = cached.get(sha)
-        if entry is not None and entry.get("module_path") == module_path:
-            modules.append(ModuleFacts.from_json(entry))
-        else:
-            modules.append(extract_module_facts(path, module_path, tree, source))
-    if cache_path:
-        try:
-            save_facts_cache(cache_path, modules)
-        except OSError:
-            pass
-    return Project(modules)

@@ -7,12 +7,10 @@ Exit codes are CI-friendly and documented:
 * ``2`` — configuration or usage error (unknown rule id, unreadable
   paths, malformed or policy-violating baseline, failed ``--self-check``)
 
-``--sarif out.sarif`` writes a SARIF 2.1.0 log alongside the normal
-output; ``--baseline .jisclint-baseline.json`` subtracts accepted legacy
+``--baseline .jisclint-baseline.json`` subtracts accepted legacy
 findings; ``--write-baseline`` regenerates that file from the current
-findings; ``--callgraph-cache`` persists whole-program call-graph facts
-between runs (CI caches it between steps); ``--self-check`` verifies the
-analyzer itself against embedded fixtures.
+findings; ``--self-check`` lints committed product mutations of real
+modules and fails unless every rule with a witness still catches its own.
 """
 
 from __future__ import annotations
@@ -28,12 +26,7 @@ from repro.lint.baseline import (
     render_baseline,
 )
 from repro.lint.core import all_rules, lint_paths
-from repro.lint.reporters import (
-    render_json,
-    render_rule_list,
-    render_sarif,
-    render_text,
-)
+from repro.lint.reporters import render_json, render_rule_list, render_text
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -68,12 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
-        "--sarif",
-        metavar="PATH",
-        default=None,
-        help="additionally write a SARIF 2.1.0 log to PATH",
-    )
-    parser.add_argument(
         "--baseline",
         metavar="PATH",
         default=None,
@@ -87,12 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--write-baseline",
         action="store_true",
         help="write the current findings to --baseline PATH and exit",
-    )
-    parser.add_argument(
-        "--callgraph-cache",
-        metavar="PATH",
-        default=None,
-        help="JSON file caching whole-program call-graph facts across runs",
     )
     parser.add_argument(
         "--no-program",
@@ -148,12 +129,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
 
     try:
-        findings = lint_paths(
-            opts.paths,
-            select=select,
-            program=not opts.no_program,
-            callgraph_cache=opts.callgraph_cache,
-        )
+        findings = lint_paths(opts.paths, select=select, program=not opts.no_program)
     except OSError as exc:
         print(f"jisclint: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -186,10 +162,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"matches any finding; prune it",
                 file=sys.stderr,
             )
-
-    if opts.sarif is not None:
-        with open(opts.sarif, "w", encoding="utf-8") as fh:
-            fh.write(render_sarif(findings))
 
     if opts.format == "json":
         print(render_json(findings))

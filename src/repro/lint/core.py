@@ -332,15 +332,13 @@ def lint_paths(
     paths: Sequence[str],
     select: Optional[Iterable[str]] = None,
     program: bool = True,
-    callgraph_cache: Optional[str] = None,
 ) -> List[Finding]:
     """Lint every ``.py`` file under ``paths``; findings sorted by location.
 
-    With ``program`` (the default), the whole-program phase-typestate and
-    exactly-once verifiers run over the engine files among ``paths`` after
-    the per-file rules; their findings go through the same per-file
-    suppression tables (they report as JISC004/JISC009).  ``callgraph_cache``
-    names an optional JSON file reusing call-graph facts across runs.
+    With ``program`` (the default), the whole-program phase-typestate
+    verifier runs over the engine files among ``paths`` after the per-file
+    rules; its findings go through the same per-file suppression tables
+    (they report as JISC004).
     """
     findings: List[Finding] = []
     contexts: List[LintContext] = []
@@ -356,7 +354,7 @@ def lint_paths(
     if program and (selected is None or "JISC004" in selected):
         from repro.lint.program import run_program_analysis
 
-        run_program_analysis(contexts, cache_path=callgraph_cache)
+        run_program_analysis(contexts)
     for ctx in contexts:
         findings.extend(ctx.finish())
     findings.sort(key=Finding.sort_key)

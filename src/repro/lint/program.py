@@ -15,7 +15,7 @@ from __future__ import annotations
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence
 
-from repro.lint.callgraph import Project, build_project
+from repro.lint.callgraph import Project, extract_module_facts
 from repro.lint.core import LintContext
 from repro.lint.typestate import PhaseProof, verify_phases
 
@@ -24,9 +24,7 @@ from repro.lint.typestate import PhaseProof, verify_phases
 PHASE_RULE_ID = "JISC004"
 
 
-def build_project_from_contexts(
-    contexts: Sequence[LintContext], cache_path: Optional[str] = None
-) -> Optional[Project]:
+def build_project_from_contexts(contexts: Sequence[LintContext]) -> Optional[Project]:
     """Link the engine files among ``contexts``; None when there are none.
 
     Duplicate module paths (e.g. a fixture copy of an engine file in a
@@ -41,22 +39,21 @@ def build_project_from_contexts(
         by_module.setdefault(ctx.module_path, ctx)
     if not by_module:
         return None
-    sources = [
-        (ctx.path, module_path, ctx.tree, ctx.source)
-        for module_path, ctx in sorted(by_module.items())
-    ]
-    return build_project(sources, cache_path=cache_path)
+    return Project(
+        [
+            extract_module_facts(ctx.path, module_path, ctx.tree)
+            for module_path, ctx in sorted(by_module.items())
+        ]
+    )
 
 
-def run_program_analysis(
-    contexts: Sequence[LintContext], cache_path: Optional[str] = None
-) -> Optional[PhaseProof]:
+def run_program_analysis(contexts: Sequence[LintContext]) -> Optional[PhaseProof]:
     """Verify phase typestate across ``contexts``; report into them."""
     by_module: Dict[str, List[LintContext]] = {}
     for ctx in contexts:
         if ctx.module_path is not None and ctx.in_engine:
             by_module.setdefault(ctx.module_path, []).append(ctx)
-    project = build_project_from_contexts(contexts, cache_path=cache_path)
+    project = build_project_from_contexts(contexts)
     if project is None:
         return None
     proof = verify_phases(project)

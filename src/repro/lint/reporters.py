@@ -47,77 +47,6 @@ def render_json(findings: Sequence[Finding]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-
-def render_sarif(findings: Sequence[Finding]) -> str:
-    """SARIF 2.1.0 log for CI code-scanning upload (``--sarif``).
-
-    One run, one driver (``jisclint``), every registered rule declared in
-    the driver's rule table so scanners can show rule metadata even for
-    rules with zero results this run.
-    """
-    registry = all_rules()
-    rule_ids = sorted(registry)
-    rule_index = {rid: i for i, rid in enumerate(rule_ids)}
-    results = []
-    for f in findings:
-        results.append(
-            {
-                "ruleId": f.rule_id,
-                "ruleIndex": rule_index.get(f.rule_id, -1),
-                "level": "error",
-                "message": {"text": f.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {
-                                "uri": f.path.replace("\\", "/"),
-                                "uriBaseId": "SRCROOT",
-                            },
-                            "region": {
-                                "startLine": f.line,
-                                "startColumn": f.col,
-                            },
-                        }
-                    }
-                ],
-            }
-        )
-    log = {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "jisclint",
-                        "informationUri": "docs/STATIC_ANALYSIS.md",
-                        "rules": [
-                            {
-                                "id": rid,
-                                "name": registry[rid].name,
-                                "shortDescription": {
-                                    "text": registry[rid].description
-                                },
-                            }
-                            for rid in rule_ids
-                        ],
-                    }
-                },
-                "columnKind": "utf16CodeUnits",
-                "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(log, indent=2, sort_keys=True)
-
-
 def render_rule_list() -> str:
     """The ``--list-rules`` table."""
     lines: List[str] = []

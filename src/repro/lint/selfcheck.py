@@ -1,191 +1,72 @@
-"""``python -m repro.lint --self-check``: prove the analyzer itself works.
+"""``python -m repro.lint --self-check``: every kept rule still catches its witness.
 
-CI runs this before trusting a clean lint pass: a lint that silently
-stopped finding anything (broken registration, a solver that never visits
-blocks, suppressions that eat everything) looks exactly like a clean tree.
-The self-check lints embedded fixtures with *known* findings and verifies
-each rule fires where it must and stays quiet where it must not, and that
-the CFG/dataflow machinery still reaches fixpoints on representative
-shapes.  Any mismatch is an internal error (exit 2), never a finding.
+A rule stays in jisclint while it has a *witness*: a plausible one-line edit
+to a real module under ``src/repro`` that the rule flags while tier-1 and
+``python -m repro.perf.regress --check`` both pass — a defect only the rule
+sees (docs/STATIC_ANALYSIS.md, "Verdicts").  The witnesses are committed
+here.  The self-check reads each module from this tree, applies the edit,
+and requires the rule to fire on the mutant and to stay quiet on the module
+as committed.  A witness whose line is gone fails as well: restate the edit
+against the code as it is now, or the rule has lost its evidence.  Any
+failure is an internal error (exit 2), never a finding.
 """
 
 from __future__ import annotations
 
-import ast
-import textwrap
-from typing import List, Optional, Sequence, Tuple
+import os
+import tokenize
+from typing import List, Optional, Set, Tuple
 
-from repro.lint.cfg import build_cfg
-from repro.lint.core import all_rules, lint_source
-from repro.lint.dataflow import reaching_definitions
+from repro.lint.core import lint_source
 
-#: (name, source, rule ids that MUST fire, rule ids that MUST NOT fire)
-_FIXTURES: Tuple[Tuple[str, str, Sequence[str], Sequence[str]], ...] = (
-    (
-        "JISC008 fires on set iteration feeding emit",
-        """
-        class Op:
-            def flush(self):
-                pending = {1, 2, 3}
-                for item in pending:
-                    self.emit(item)
-        """,
-        ["JISC008"],
-        [],
-    ),
-    (
-        "JISC008 respects the sorted() barrier",
-        """
-        class Op:
-            def flush(self):
-                pending = {1, 2, 3}
-                for item in sorted(pending):
-                    self.emit(item)
-        """,
-        [],
-        ["JISC008"],
-    ),
-    (
-        "JISC008 allows order-insensitive set accumulation",
-        """
-        class Op:
-            def note(self, ops):
-                seen = set()
-                for op in {o for o in ops}:
-                    seen.add(id(op))
-        """,
-        [],
-        ["JISC008"],
-    ),
-    (
-        "JISC009 fires on a WAL with no replay path",
-        """
-        class Engine:
-            def process(self, item):
-                self.wal_log.append(item)
-                self.consume(item)
-        """,
-        ["JISC009"],
-        [],
-    ),
-    (
-        "JISC009 accepts a deduplicating replay path",
-        """
-        class Engine:
-            def process(self, item):
-                self.wal_log.append(item)
+#: ``src/repro``: witness modules are named relative to it.
+_PACKAGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-            def recover(self):
-                for item in self.wal_log:
-                    if item not in self._delivered_seen:
-                        self.emit(item)
-        """,
-        [],
-        ["JISC009"],
-    ),
-    (
-        "JISC010 fires on an unrestored phase span",
-        """
-        PHASE_MIGRATING = "migrating"
 
-        class Strategy:
-            def transition(self, tracer):
-                prev = tracer.set_phase(PHASE_MIGRATING)
-                self.work()
-        """,
-        ["JISC010"],
-        [],
-    ),
+#: The committed witnesses: (rule, module under ``src/repro``, the line as
+#: committed, the mutant).  What each mutant breaks, and why no other gate
+#: sees it, is the verdict table of docs/STATIC_ANALYSIS.md.
+WITNESSES: Tuple[Tuple[str, str, str, str], ...] = (
     (
-        "JISC010 accepts the try/finally restore idiom",
-        """
-        PHASE_MIGRATING = "migrating"
-
-        class Strategy:
-            def transition(self, tracer):
-                prev = tracer.set_phase(PHASE_MIGRATING) if tracer.enabled else None
-                try:
-                    self.work()
-                finally:
-                    if prev is not None:
-                        tracer.set_phase(prev)
-        """,
-        [],
-        ["JISC010"],
+        "JISC000",
+        "engine/checkpoint.py",
+        "scan.window.push_all(tup)",
+        "scan.window.push_all(tup)  # jisclint: disable=JISC004",
     ),
+    ("JISC001", "eddy/routing.py", "pick = self._rng.random() * total", "pick = random.random() * total"),
     (
-        "suppression comments silence a finding",
-        """
-        class Op:
-            def flush(self):
-                pending = {1}
-                for item in pending:
-                    self.emit(item)  # jisclint: disable=JISC008
-        """,
-        [],
-        ["JISC008", "JISC000"],
+        "JISC003",
+        "operators/setdiff.py",
+        "self.metrics.count_n(Counter.STATE_REMOVE, len(removed))",
+        "self.metrics.counts[Counter.STATE_REMOVE] = self.metrics.get(Counter.STATE_REMOVE) + len(removed)",
     ),
+    ("JISC005", "operators/setdiff.py", "self.emit(outer)", "self.parent.process(outer, self)"),
     (
-        "unused suppressions surface as JISC000",
-        """
-        class Op:
-            def flush(self):  # jisclint: disable=JISC008
-                return None
-        """,
-        ["JISC000"],
-        [],
+        "JISC006",
+        "operators/setdiff.py",
+        'raise ValueError("set-difference chains carry base tuples only")',
+        'assert False, "set-difference chains carry base tuples only"',
     ),
+    ("JISC008", "operators/setdiff.py", "for part in sorted(released):", "for part in released:"),
+    ("JISC010", "shard/executor.py", "tracer.set_phase(prev)", 'tracer.set_phase("steady")'),
 )
 
-#: fixture path inside the engine tree so engine-only rules apply
-_FIXTURE_PATH = "src/repro/_selfcheck_fixture.py"
+
+def _fired(source: str, path: str) -> Set[str]:
+    return {f.rule_id for f in lint_source(source, path=path)}
 
 
-def _check_fixture(
-    name: str,
-    source: str,
-    must_fire: Sequence[str],
-    must_not: Sequence[str],
-) -> Optional[str]:
-    findings = lint_source(textwrap.dedent(source), path=_FIXTURE_PATH)
-    fired = {f.rule_id for f in findings}
-    for rid in must_fire:
-        if rid not in fired:
-            return f"{name}: expected {rid} to fire; got {sorted(fired) or 'none'}"
-    for rid in must_not:
-        if rid in fired:
-            hits = [f.message for f in findings if f.rule_id == rid]
-            return f"{name}: {rid} fired unexpectedly: {hits[0]}"
-    return None
-
-
-def _check_machinery() -> Optional[str]:
-    """CFG + solver sanity on a loop/try/finally shape."""
-    src = textwrap.dedent(
-        """
-        def fn(xs):
-            total = 0
-            for x in xs:
-                try:
-                    total = total + x
-                except ValueError:
-                    continue
-                finally:
-                    x = None
-            return total
-        """
-    )
-    func = ast.parse(src).body[0]
-    cfg = build_cfg(func)
-    if not cfg.blocks or cfg.entry not in cfg.blocks:
-        return "machinery: build_cfg produced no entry block"
-    block_in, _ = reaching_definitions(cfg)
-    reached = [bid for bid, state in block_in.items() if state]
-    if not reached:
-        return "machinery: reaching-definitions fixpoint never left bottom"
-    exits = cfg.exit_blocks()
-    if not exits:
-        return "machinery: CFG has no normal exit"
+def _check(rule: str, module: str, line: str, mutant: str) -> Optional[str]:
+    path = os.path.join(_PACKAGE, *module.split("/"))
+    with tokenize.open(path) as fh:
+        source = fh.read()
+    where = f"{rule} witness in {module}"
+    if source.count(line) != 1:
+        return f"{where}: `{line}` no longer occurs exactly once; restate it"
+    if rule in _fired(source, path):
+        return f"{where}: fires on the module as committed"
+    if rule not in _fired(source.replace(line, mutant), path):
+        return f"{where}: missed `{mutant}`"
     return None
 
 
@@ -193,25 +74,11 @@ def run_self_check() -> Tuple[bool, List[str]]:
     """Returns (ok, report lines)."""
     lines: List[str] = []
     ok = True
-    registry = all_rules()
-    expected = {"JISC008", "JISC009", "JISC010"}
-    missing = expected - set(registry)
-    if missing:
-        ok = False
-        lines.append(f"FAIL registry: missing rules {sorted(missing)}")
-    else:
-        lines.append(f"ok registry ({len(registry)} rules)")
-    error = _check_machinery()
-    if error:
-        ok = False
-        lines.append(f"FAIL {error}")
-    else:
-        lines.append("ok cfg/dataflow machinery")
-    for name, source, must_fire, must_not in _FIXTURES:
-        error = _check_fixture(name, source, must_fire, must_not)
+    for rule, module, line, mutant in WITNESSES:
+        error = _check(rule, module, line, mutant)
         if error:
             ok = False
             lines.append(f"FAIL {error}")
         else:
-            lines.append(f"ok {name}")
+            lines.append(f"ok {rule} catches {module}: {mutant}")
     return ok, lines

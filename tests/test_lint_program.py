@@ -7,7 +7,6 @@ sites is *proved*, so the proof itself is the test surface.
 """
 
 import ast
-import json
 import textwrap
 
 import pytest
@@ -16,7 +15,6 @@ from repro.lint.callgraph import (
     Project,
     annotation_element,
     annotation_head,
-    build_project,
     extract_module_facts,
 )
 from repro.lint.cfg import build_cfg
@@ -179,9 +177,7 @@ class TestCallGraph:
                     prev = tracer.set_phase(PHASE_MIGRATING)
             """
         )
-        facts = extract_module_facts(
-            "src/repro/x.py", "repro/x.py", ast.parse(src), src
-        )
+        facts = extract_module_facts("src/repro/x.py", "repro/x.py", ast.parse(src))
         (cls,) = facts.classes
         (fn,) = [f for f in cls.methods if f.name == "go"]
         assert fn.opens == ["migrating"]
@@ -205,17 +201,6 @@ class TestCallGraph:
             "STAIRSExecutor._do_transition",
         ):
             assert any(c.endswith(impl) for c in callees), impl
-
-    def test_facts_cache_roundtrip(self, tmp_path):
-        cache = tmp_path / "cg.json"
-        sources = make_contexts(["src/repro/migration"])
-        p1 = build_project_from_contexts(sources, cache_path=str(cache))
-        assert cache.exists()
-        payload = json.loads(cache.read_text())
-        assert payload["version"] >= 1
-        p2 = build_project_from_contexts(sources, cache_path=str(cache))
-        assert sorted(p1.functions) == sorted(p2.functions)
-        assert len(p1.edges) == len(p2.edges)
 
 
 # ---------------------------------------------------------------------------

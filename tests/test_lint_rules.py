@@ -1337,40 +1337,21 @@ class TestReporterStability:
         assert outputs[0] == outputs[1]
 
 
-class TestSarif:
-    def test_sarif_log_structure(self, tmp_path):
-        from repro.lint.reporters import render_sarif
-
-        findings = [
-            Finding("JISC008", "src/repro/engine/x.py", 3, 1, "boom"),
-        ]
-        log = json.loads(render_sarif(findings))
-        assert log["version"] == "2.1.0"
-        (sarif_run,) = log["runs"]
-        assert sarif_run["tool"]["driver"]["name"] == "jisclint"
-        rule_ids = [r["id"] for r in sarif_run["tool"]["driver"]["rules"]]
-        assert "JISC008" in rule_ids and "JISC010" in rule_ids
-        (result,) = sarif_run["results"]
-        assert result["ruleId"] == "JISC008"
-        loc = result["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uri"] == "src/repro/engine/x.py"
-        assert loc["region"]["startLine"] == 3
-
-    def test_cli_writes_sarif_file(self, tmp_path):
-        clean = tmp_path / "pkg"
-        clean.mkdir()
-        (clean / "ok.py").write_text("x = 1\n")
-        out = tmp_path / "out.sarif"
-        code = main([str(clean), "--sarif", str(out)])
-        assert code == EXIT_CLEAN
-        log = json.loads(out.read_text())
-        assert log["runs"][0]["results"] == []
-
-
 class TestCliV2:
     def test_self_check_passes(self, capsys):
         assert main(["--self-check"]) == EXIT_CLEAN
         assert "self-check: passed" in capsys.readouterr().out
+
+    def test_self_check_fails_on_a_drifted_or_missed_witness(self, monkeypatch, capsys):
+        from repro.lint import selfcheck
+
+        rule, module, line, _ = selfcheck.WITNESSES[0]
+        drifted = (rule, module, line + "  # no longer in the module", line)
+        missed = (rule, module, line, line)  # a "mutant" the rule cannot flag
+        monkeypatch.setattr(selfcheck, "WITNESSES", (drifted, missed))
+        assert main(["--self-check"]) == EXIT_USAGE
+        out = capsys.readouterr().out
+        assert "no longer occurs exactly once" in out and "missed" in out
 
     def test_write_baseline_requires_path(self, capsys):
         assert main(["--write-baseline"]) == EXIT_USAGE
@@ -1439,11 +1420,3 @@ class TestCliV2:
         pkg.mkdir()
         (pkg / "ok.py").write_text("x = 1\n")
         assert main([str(pkg), "--no-program"]) == EXIT_CLEAN
-
-    def test_callgraph_cache_created_and_reused(self, tmp_path):
-        cache = tmp_path / "cg.json"
-        assert main(["src/repro/migration", "--callgraph-cache", str(cache)]) == EXIT_CLEAN
-        assert cache.exists()
-        first = cache.read_text()
-        assert main(["src/repro/migration", "--callgraph-cache", str(cache)]) == EXIT_CLEAN
-        assert cache.read_text() == first
