@@ -24,9 +24,8 @@ project:
 3. :data:`POLICIES` pins protocol functions to their legal phases — a
    reaching context outside the allowed set is a violation, reported with
    a witness call chain;
-4. opening a span is itself checked against
-   :data:`repro.obs.tracer.LEGAL_TRANSITIONS` (e.g. ``recovering`` may only
-   be entered from ``steady``).
+4. opening a span is itself checked against :data:`LEGAL_TRANSITIONS`
+   (e.g. ``recovering`` may only be entered from ``steady``).
 
 The result is a :class:`PhaseProof`: the full context map, every policy
 with its observed contexts, and the violation list.  Tests assert over the
@@ -39,7 +38,21 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.lint.callgraph import Project
-from repro.obs.tracer import LEGAL_TRANSITIONS  # enforced at run time by an enabled tracer
+
+ALL_PHASES = frozenset(
+    {"steady", "migrating", "completing", "recovering", "rebalancing"}
+)
+
+#: phase -> phases it may legally be entered from (self-entry is always
+#: allowed: re-opening the active phase is an idempotent no-op, which the
+#: nested rebalancing spans of ShardWorker.replay rely on).
+LEGAL_TRANSITIONS: Dict[str, FrozenSet[str]] = {
+    "steady": ALL_PHASES,  # restoring the previous phase is always legal
+    "migrating": frozenset({"steady", "recovering"}),
+    "completing": frozenset({"steady", "migrating", "rebalancing", "recovering"}),
+    "rebalancing": frozenset({"steady", "recovering"}),
+    "recovering": frozenset({"steady"}),
+}
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,6 @@ from repro.obs.tracer import (
     EVENT_TRANSITION_END,
     EVENT_TRANSITION_START,
     EVENT_TRIGGER,
-    LEGAL_TRANSITIONS,
     TRIGGER_FIRED,
     TRIGGER_SUPPRESSED,
     Tracer,
@@ -303,15 +302,7 @@ class TelemetryTracer(Tracer):
 
     def set_phase(self, phase: str) -> str:
         prev = self.phase
-        if phase != prev:  # Tracer.set_phase's check, inlined: a call would move BENCH_calls.json
-            outer = self._outer
-            legal = LEGAL_TRANSITIONS.get(phase)
-            if phase in outer:
-                self._outer = outer[: outer.index(phase)]
-            elif legal is None or prev in legal:
-                self._outer = outer + (prev,)
-            else:
-                raise RuntimeError(f"illegal phase entry: {phase!r} from {prev!r}")
+        if phase != prev:
             self._settle()
             self.phase = phase
         if self._inner is not None:

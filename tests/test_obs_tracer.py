@@ -20,16 +20,12 @@ from repro.migration.moving_state import MovingStateStrategy
 from repro.migration.parallel_track import ParallelTrackStrategy
 from repro.obs import report
 from repro.obs.histogram import LatencyHistogram
-from repro.faults.plan import CrashFault, FaultInjector, FaultPlan
-from repro.faults.recovery import RecoveryManager
 from repro.obs.tracer import (
     NULL_TRACER,
     PHASE_COMPLETING,
     PHASE_MIGRATING,
     PHASE_REBALANCING,
-    PHASE_RECOVERING,
     PHASE_STEADY,
-    PHASES,
     RecordingTracer,
     Tracer,
     load_trace,
@@ -38,8 +34,7 @@ from repro.obs.tracer import (
 from repro.shard import ShardedExecutor, skewed_assignment
 from repro.streams.schema import Schema
 from repro.streams.tuples import CompositeTuple, StreamTuple
-from repro.telemetry import TelemetryTracer
-from repro.workloads.scenarios import chain_scenario, migration_stage_events, swap_for_case
+from repro.workloads.scenarios import chain_scenario, swap_for_case
 
 ORDER = ("R", "S", "T")
 OBSERVABILITY = Path(__file__).resolve().parents[1] / "docs" / "OBSERVABILITY.md"
@@ -346,85 +341,6 @@ def test_sharded_recorders_read_the_same_on_both_paths():
     for tracer, reference in zip(ours, theirs):
         assert tracer.header() == reference.header()
         assert tracer.to_jsonl() == reference.to_jsonl()
-
-
-# -- the phase machine: LEGAL_TRANSITIONS, checked by every enabled tracer ------------
-
-
-class PhaseLog(RecordingTracer):
-    """A recorder that remembers every phase it was switched into."""
-
-    def __init__(self):
-        super().__init__()
-        self.entered = set()
-
-    def set_phase(self, phase):
-        prev = super().set_phase(phase)
-        self.entered.add(self.phase)
-        return prev
-
-
-@pytest.mark.parametrize("make", [RecordingTracer, TelemetryTracer], ids=["recorder", "hub"])
-def test_an_illegal_span_entry_raises(make):
-    tracer = make()
-    tracer.set_phase(PHASE_MIGRATING)
-    with pytest.raises(RuntimeError, match="illegal phase entry: 'recovering' from 'migrating'"):
-        tracer.set_phase(PHASE_RECOVERING)
-    assert tracer.phase == PHASE_MIGRATING
-
-
-def test_a_span_restore_is_legal_where_the_entry_would_not_be():
-    tracer = RecordingTracer()
-    outer = tracer.set_phase(PHASE_RECOVERING)
-    replayed = tracer.set_phase(PHASE_MIGRATING)  # recovery replays a transition
-    completing = tracer.set_phase(PHASE_COMPLETING)
-    assert tracer.set_phase(completing) == PHASE_COMPLETING  # back to migrating
-    assert tracer.set_phase(replayed) == PHASE_MIGRATING  # back to recovering
-    tracer.set_phase(outer)
-    assert tracer.phase == PHASE_STEADY and tracer._outer == ()
-    tracer.set_phase(PHASE_REBALANCING)
-    with pytest.raises(RuntimeError):  # migrating is no enclosing phase here
-        tracer.set_phase(PHASE_MIGRATING)
-
-
-def test_a_disabled_tracer_checks_nothing():
-    tracer = Tracer()
-    assert tracer.set_phase(PHASE_MIGRATING) == PHASE_STEADY
-    assert tracer.set_phase(PHASE_RECOVERING) == PHASE_STEADY
-    assert tracer.phase == PHASE_STEADY and tracer._outer == ()
-    assert NULL_TRACER.phase == PHASE_STEADY and NULL_TRACER._outer == ()
-
-
-def test_traced_runs_enter_every_phase_legally():
-    """A crash replayed over a JISC transition (recovering, then migrating and
-    completing inside it) and a sharded rebalance (rebalancing on the workers)
-    enter all five phases; any illegal entry on the way would have raised."""
-    scenario = chain_scenario(3, 36, 4, seed=1)
-    recovery = PhaseLog()
-    manager = RecoveryManager(
-        lambda: JISCStrategy(scenario.schema, scenario.order),
-        checkpoint_every=0,  # a cold start replays the transition too
-        injector=FaultInjector(FaultPlan(crashes=(CrashFault(30),))),
-        tracer=recovery,
-    )
-    manager.run(migration_stage_events(scenario, 12, "worst"))
-    assert manager.recoveries == 1
-    assert {PHASE_RECOVERING, PHASE_MIGRATING, PHASE_COMPLETING} <= recovery.entered
-
-    names = ("A", "B", "C")
-    rng = random.Random(11)
-    tuples = [StreamTuple(rng.choice(names), seq, rng.randrange(9)) for seq in range(200)]
-    executor = ShardedExecutor(Schema.uniform(names, 8), names, num_shards=3, inter_arrival=1.0)
-    workers = [PhaseLog() for _ in executor.workers]
-    for tracer, worker in zip(workers, executor.workers):
-        tracer.attach(worker.strategy)
-    executor.process_batch(tuples[:120])
-    executor.rebalance(skewed_assignment(64, 1), "lazy")
-    executor.process_batch(tuples[120:])
-    executor.drain_rebalance()
-    entered = recovery.entered.union(*(tracer.entered for tracer in workers))
-    assert entered == set(PHASES)
-    assert all(t.phase == PHASE_STEADY and t._outer == () for t in [recovery, *workers])
 
 
 # -- spans and events ----------------------------------------------------------------
