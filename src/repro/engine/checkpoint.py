@@ -21,7 +21,6 @@ Format history:
 * v2 — adds the pending :class:`~repro.engine.queued.QueueScheduler`
   backlog of buffered strategies (``queue``/``auto_drain``).  Before v2 a
   crash between enqueue and drain silently lost every queued tuple.
-  v1 checkpoints still restore (empty backlog).
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from repro.streams.window import window_contents
 FORMAT_VERSION = 2
 
 #: Checkpoint versions ``restore_strategy`` understands.
-SUPPORTED_VERSIONS = (1, 2)
+SUPPORTED_VERSIONS = (2,)
 
 
 def _strategy_kinds() -> Dict[str, type]:
@@ -276,7 +275,7 @@ def restore_strategy(data: Dict[str, Any]) -> MigrationStrategy:
                 scan.window.push_all(tup)
             # Checkpoint restore rebuilds states verbatim from the snapshot;
             # the completion hooks already ran before the checkpoint was cut.
-            scan.state.add(tup)  # jisclint: disable=JISC004
+            scan.state.add(tup)
 
     # Rebuild the intermediate states and their completeness status.
     by_membership = {frozenset(s["membership"]): s for s in data["states"]}
@@ -285,12 +284,12 @@ def restore_strategy(data: Dict[str, Any]) -> MigrationStrategy:
         for lineage in saved["entries"]:
             parts = tuple(base_tuples[(stream, seq)] for stream, seq in lineage)
             entry = CompositeTuple(parts[0].key, tuple(sorted(parts, key=lambda p: p.stream)))
-            op.state.add(entry)  # jisclint: disable=JISC004
+            op.state.add(entry)
         status = op.state.status
         if saved["complete"]:
-            status.mark_complete()  # jisclint: disable=JISC004
+            status.mark_complete()
         else:
-            status.mark_incomplete(saved["pending"])  # jisclint: disable=JISC004
+            status.mark_incomplete(saved["pending"])
 
     # JISC bookkeeping.
     if isinstance(strategy, JISCStrategy) and "controller" in data:
@@ -319,13 +318,12 @@ def restore_strategy(data: Dict[str, Any]) -> MigrationStrategy:
             controller.info[op] = info
         controller.attach(plan)
 
-    # Pending queue backlog (format v2; buffered strategies only).
+    # Pending queue backlog (buffered strategies only).
     scheduler = getattr(strategy, "scheduler", None)
     if scheduler is not None:
-        if "auto_drain" in data:
-            strategy.auto_drain = data["auto_drain"]  # type: ignore[attr-defined]
+        strategy.auto_drain = data["auto_drain"]  # type: ignore[attr-defined]
         items: List[Tuple[Any, ...]] = []
-        for row in data.get("queue", []):
+        for row in data["queue"]:
             target = _resolve_op(row["target"], plan)
             child = _resolve_op(row["child"], plan)
             if row["op"] == "process":

@@ -2,15 +2,13 @@
 
 Exit codes are CI-friendly and documented:
 
-* ``0`` — clean (no new findings; baseline-accepted findings are fine)
-* ``1`` — at least one finding survived suppressions and the baseline
-* ``2`` — configuration or usage error (unknown rule id, unreadable
-  paths, malformed or policy-violating baseline, failed ``--self-check``)
+* ``0`` — clean
+* ``1`` — at least one finding survived its file's suppressions
+* ``2`` — usage error (unknown rule id, missing paths, failed
+  ``--self-check``)
 
-``--baseline .jisclint-baseline.json`` subtracts accepted legacy
-findings; ``--write-baseline`` regenerates that file from the current
-findings; ``--self-check`` lints committed product mutations of real
-modules and fails unless every rule with a witness still catches its own.
+``--self-check`` lints committed product mutations of real modules and
+fails unless every rule with a witness still catches its own.
 """
 
 from __future__ import annotations
@@ -19,14 +17,8 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from repro.lint.baseline import (
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    render_baseline,
-)
 from repro.lint.core import all_rules, lint_paths
-from repro.lint.reporters import render_json, render_rule_list, render_text
+from repro.lint.reporters import render_rule_list, render_text
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -38,8 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description="jisclint: invariant linter for the JISC reproduction",
         epilog=(
-            "exit codes: 0 clean, 1 new finding(s), 2 usage/config error "
-            "(unknown rule, bad baseline, failed self-check)"
+            "exit codes: 0 clean, 1 finding(s), 2 usage error "
+            "(unknown rule, missing path, failed self-check)"
         ),
     )
     parser.add_argument(
@@ -49,41 +41,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
-    parser.add_argument(
         "--select",
         metavar="IDS",
         default=None,
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help=(
-            "JSON baseline of accepted findings; only findings NOT in the "
-            "baseline fail the run (entries under repro/migration or "
-            "repro/shard are refused)"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to --baseline PATH and exit",
-    )
-    parser.add_argument(
-        "--no-program",
-        action="store_true",
-        help="skip the whole-program (call graph / phase typestate) pass",
-    )
-    parser.add_argument(
         "--self-check",
         action="store_true",
-        help="verify the analyzer against embedded fixtures and exit",
+        help="verify every rule still catches its committed witness and exit",
     )
     parser.add_argument(
         "--list-rules",
@@ -124,50 +90,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             return EXIT_USAGE
 
-    if opts.write_baseline and opts.baseline is None:
-        print("jisclint: --write-baseline requires --baseline PATH", file=sys.stderr)
-        return EXIT_USAGE
-
     try:
-        findings = lint_paths(opts.paths, select=select, program=not opts.no_program)
+        findings = lint_paths(opts.paths, select=select)
     except OSError as exc:
         print(f"jisclint: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if opts.write_baseline:
-        try:
-            payload = render_baseline(findings)
-        except BaselineError as exc:
-            print(f"jisclint: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        with open(opts.baseline, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        print(f"jisclint: wrote baseline with {len(findings)} finding(s) to {opts.baseline}")
-        return EXIT_CLEAN
-
-    accepted_note = ""
-    if opts.baseline is not None:
-        try:
-            baseline = load_baseline(opts.baseline)
-        except BaselineError as exc:
-            print(f"jisclint: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        result = apply_baseline(findings, baseline)
-        findings = result.new
-        if result.accepted:
-            accepted_note = f" ({len(result.accepted)} baseline-accepted)"
-        for rule, path, _message in result.stale:
-            print(
-                f"jisclint: stale baseline entry {rule} in {path} no longer "
-                f"matches any finding; prune it",
-                file=sys.stderr,
-            )
-
-    if opts.format == "json":
-        print(render_json(findings))
-    else:
-        text = render_text(findings)
-        print(text + accepted_note if accepted_note else text)
+    print(render_text(findings))
     return EXIT_FINDINGS if findings else EXIT_CLEAN
 
 

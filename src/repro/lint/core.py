@@ -9,8 +9,8 @@ line- and file-level suppressions before a finding becomes visible.
 Suppression comments (scanned textually, so they work on any line,
 including ones inside multi-line statements)::
 
-    something_suspicious()  # jisclint: disable=JISC004
-    # jisclint: disable-file=JISC001
+    pick = random.random()  # jisclint: disable=JISC001
+    # jisclint: disable-file=JISC006
 
 Every suppression must actually suppress something; unused ones are
 reported as JISC000 so opt-outs cannot outlive the code they excused.
@@ -48,15 +48,6 @@ class Finding:
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule_id)
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule_id,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Finding({self.rule_id} {self.path}:{self.line}:{self.col})"
@@ -127,7 +118,6 @@ class LintContext:
 
     def __init__(self, path: str, source: str, tree: ast.Module):
         self.path = path
-        self.source = source
         self.tree = tree
         #: Path with forward slashes, for stable matching in rules/output.
         self.norm_path = path.replace(os.sep, "/")
@@ -204,9 +194,6 @@ class Rule:
     def begin_file(self, ctx: LintContext) -> None:
         """Hook called before the AST walk of each applicable file."""
 
-    def end_file(self, ctx: LintContext) -> None:
-        """Hook called after the AST walk of each applicable file."""
-
     def handlers(self) -> Dict[str, str]:
         """Map of AST node class name -> bound method name."""
         out = {}
@@ -251,17 +238,16 @@ def _instantiate(select: Optional[Iterable[str]]) -> List[Rule]:
     return [registry[rid]() for rid in ids]
 
 
-def _analyze_source(
+def lint_source(
     source: str,
-    path: str,
-    select: Optional[Iterable[str]],
-) -> Tuple[Optional[LintContext], List[Finding]]:
-    """Parse and run per-file rules; the context is returned *unfinished*
-    so the whole-program pass can add findings before :meth:`finish`."""
+    path: str = "<string>",
+    select: Optional[Iterable[str]] = None,
+) -> List[Finding]:
+    """Lint one source string; findings sorted by location."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        return None, [
+        return [
             Finding(
                 "JISC999",
                 path,
@@ -280,20 +266,6 @@ def _analyze_source(
     for node in ast.walk(tree):
         for rule, method in dispatch.get(type(node).__name__, ()):
             getattr(rule, method)(node, ctx)
-    for rule in active:
-        rule.end_file(ctx)
-    return ctx, []
-
-
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    select: Optional[Iterable[str]] = None,
-) -> List[Finding]:
-    """Lint one source string (the unit-test entry point)."""
-    ctx, errors = _analyze_source(source, path, select)
-    if ctx is None:
-        return errors
     return ctx.finish()
 
 
@@ -331,31 +303,10 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
 def lint_paths(
     paths: Sequence[str],
     select: Optional[Iterable[str]] = None,
-    program: bool = True,
 ) -> List[Finding]:
-    """Lint every ``.py`` file under ``paths``; findings sorted by location.
-
-    With ``program`` (the default), the whole-program phase-typestate
-    verifier runs over the engine files among ``paths`` after the per-file
-    rules; its findings go through the same per-file suppression tables
-    (they report as JISC004).
-    """
+    """Lint every ``.py`` file under ``paths``; findings sorted by location."""
     findings: List[Finding] = []
-    contexts: List[LintContext] = []
     for path in iter_python_files(paths):
-        with tokenize.open(path) as fh:
-            source = fh.read()
-        ctx, errors = _analyze_source(source, path, select)
-        if ctx is None:
-            findings.extend(errors)
-        else:
-            contexts.append(ctx)
-    selected = None if select is None else set(select)
-    if program and (selected is None or "JISC004" in selected):
-        from repro.lint.program import run_program_analysis
-
-        run_program_analysis(contexts)
-    for ctx in contexts:
-        findings.extend(ctx.finish())
+        findings.extend(lint_file(path, select=select))
     findings.sort(key=Finding.sort_key)
     return findings

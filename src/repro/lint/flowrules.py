@@ -1,5 +1,5 @@
-"""Dataflow-backed rules: JISC008 (determinism taint), JISC009 (exactly-once
-WAL discipline), JISC010 (span/session handle typestate).
+"""Dataflow-backed rules: JISC008 (determinism taint) and JISC010 (span and
+session handle lifecycle).
 
 These rules run per file like every other rule, but internally build
 control-flow graphs (:mod:`repro.lint.cfg`) and run the forward solver
@@ -15,12 +15,6 @@ control-flow graphs (:mod:`repro.lint.cfg`) and run the forward solver
   order depends on PYTHONHASHSEED and object ids) and through ``id()``.
   Order-insensitive uses of unordered values stay legal: membership tests,
   ``set.add``, dict/set stores, counters.
-* JISC009 builds the intraclass call graph of every class that appends to a
-  write-ahead log on an arrival path (``run``/``offer``/``process``/``feed``)
-  and demands (a) a replay path — a ``*recover*``/``*replay*`` method reading
-  the log — and (b) a dedupe check guarding every delivery call reachable
-  from that replay path (membership on a ``seen``/``delivered``/``cursor``
-  structure, or delegation to a muted ``replay`` primitive).
 * JISC010 runs a may-be-open analysis over the CFG: every
   ``prev = tracer.set_phase(PHASE_X)`` span must be restored on all paths to
   the normal exit (``finally`` satisfies this; the guarded
@@ -35,8 +29,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
-from repro.lint.callgraph import PHASE_CONSTANTS, annotation_head
-from repro.lint.cfg import CFG, build_cfg
+from repro.lint.cfg import build_cfg
 from repro.lint.core import LintContext, Rule, register
 from repro.lint.dataflow import ForwardAnalysis, assigned_names, solve
 from repro.lint.rules import call_chain, dotted_chain
@@ -98,6 +91,29 @@ SINK_METHODS = {
 _SET_HEADS = {"Set", "set", "FrozenSet", "frozenset", "MutableSet", "AbstractSet"}
 
 _SERIALIZER_MARKERS = ("checkpoint", "to_json", "serialize")
+
+
+def annotation_head(ann: Optional[str]) -> Optional[str]:
+    """Head class name of an annotation string, through Optional/quotes.
+
+    ``Optional[Set[str]]`` -> ``Set``; ``"A | None"`` -> ``A``.
+    """
+    if not ann:
+        return None
+    ann = ann.strip().strip("\"'")
+    changed = True
+    while changed:
+        changed = False
+        for wrapper in ("Optional", "Final", "ClassVar"):
+            prefix = wrapper + "["
+            if ann.startswith(prefix) and ann.endswith("]"):
+                ann = ann[len(prefix) : -1].strip().strip("\"'")
+                changed = True
+    head = ann.split("[", 1)[0].strip()
+    # "A | None" unions: take the first non-None alternative.
+    if "|" in head:
+        head = next((p.strip() for p in head.split("|") if p.strip() != "None"), "")
+    return head or None
 
 
 def _ann_is_set(ann: Optional[str]) -> bool:
@@ -495,190 +511,16 @@ class DeterminismTaintRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# JISC009 — exactly-once WAL discipline
-# ---------------------------------------------------------------------------
-
-_ARRIVAL_METHODS = {"run", "offer", "process", "process_batch", "feed", "push", "transition"}
-_DEDUPE_MARKERS = ("seen", "delivered", "dedup", "cursor", "applied")
-_DELIVERY_METHODS = {"append_delivered", "emit", "deliver"}
-
-
-#: attr-name fragments marking audit/telemetry trails rather than WALs —
-#: these record *what happened* for inspection, are never replayed, and so
-#: carry no exactly-once obligation.
-_AUDIT_MARKERS = ("transition", "history", "audit", "trace", "event", "debug", "metric")
-
-
-def _is_wal_name(name: str) -> bool:
-    lowered = name.lower()
-    if "log" not in lowered:
-        return False
-    return not any(marker in lowered for marker in _AUDIT_MARKERS)
-
-
-def _name_mentions_log(expr: ast.expr) -> bool:
-    for node in ast.walk(expr):
-        if isinstance(node, ast.Attribute) and _is_wal_name(node.attr):
-            return True
-        if isinstance(node, ast.Name) and _is_wal_name(node.id):
-            return True
-    return False
-
-
-@register
-class ExactlyOnceRule(Rule):
-    """Every arrival-path WAL append needs a deduplicating replay path.
-
-    The recovery contract (docs/FAULT_INJECTION.md, docs/SHARDING.md): an
-    input is logged *before* it is processed, and replay after a crash must
-    deliver each result exactly once — which requires (a) a replay path that
-    reads the log at all, and (b) a dedupe check (delivered-set membership,
-    merge cursor, or a muted replay primitive) between the log and any
-    delivery on that path.  A WAL with no replay reader silently loses data;
-    a replay path that re-emits without checking duplicates double-delivers.
-    """
-
-    rule_id = "JISC009"
-    name = "exactly-once"
-    description = (
-        "classes appending to a WAL on an arrival path must have a replay "
-        "path reading it, and replay-reachable deliveries must be guarded "
-        "by a dedupe check"
-    )
-
-    def applies_to(self, ctx: LintContext) -> bool:
-        return ctx.in_engine
-
-    def visit_ClassDef(self, node: ast.ClassDef, ctx: LintContext) -> None:
-        methods: Dict[str, ast.AST] = {
-            sub.name: sub
-            for sub in node.body
-            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        if not methods:
-            return
-        calls: Dict[str, Set[str]] = {}  # method -> self.* methods it calls
-        wal_sites: Dict[str, List[ast.Call]] = {}
-        for name, fn in methods.items():
-            own: Set[str] = set()
-            for sub in ast.walk(fn):
-                if not isinstance(sub, ast.Call):
-                    continue
-                chain = call_chain(sub)
-                if chain and chain[0] == "self" and len(chain) == 2 and chain[1] in methods:
-                    own.add(chain[1])
-                if self._is_wal_append(sub):
-                    wal_sites.setdefault(name, []).append(sub)
-            calls[name] = own
-        if not wal_sites:
-            return
-
-        def reachable(roots: Set[str]) -> Set[str]:
-            seen: Set[str] = set()
-            stack = [r for r in roots if r in methods]
-            while stack:
-                cur = stack.pop()
-                if cur in seen:
-                    continue
-                seen.add(cur)
-                stack.extend(calls.get(cur, ()))
-            return seen
-
-        arrival = reachable({m for m in methods if m in _ARRIVAL_METHODS})
-        arrival_appends = [
-            (m, site) for m, sites in wal_sites.items() if m in arrival for site in sites
-        ]
-        if not arrival_appends:
-            return
-        replay_roots = {
-            m for m in methods if "recover" in m.lower() or "replay" in m.lower()
-        }
-        replay_reads = any(
-            self._reads_log(methods[m]) for m in reachable(replay_roots)
-        )
-        if not replay_roots or not replay_reads:
-            method, site = arrival_appends[0]
-            ctx.report(
-                self.rule_id,
-                site,
-                f"{node.name}.{method} appends to a write-ahead log on the "
-                f"arrival path but the class has no replay path (a "
-                f"*recover*/*replay* method reading the log); logged inputs "
-                f"would be lost after a crash",
-            )
-            return
-        # (b) deliveries on the replay path must be dedupe-guarded.
-        replay_path = reachable(replay_roots)
-        guarded = any(self._has_dedupe(methods[m]) for m in replay_path)
-        for m in sorted(replay_path):
-            for sub in ast.walk(methods[m]):
-                if not isinstance(sub, ast.Call):
-                    continue
-                chain = call_chain(sub)
-                if chain and chain[-1] in _DELIVERY_METHODS and not guarded:
-                    ctx.report(
-                        self.rule_id,
-                        sub,
-                        f"{node.name}.{m} delivers results on the replay "
-                        f"path without a dedupe check (membership on a "
-                        f"seen/delivered/cursor structure): crash-replay "
-                        f"would double-deliver",
-                    )
-                    return
-
-    @staticmethod
-    def _is_wal_append(call: ast.Call) -> bool:
-        func = call.func
-        if not isinstance(func, ast.Attribute):
-            return False
-        if func.attr == "append_log":
-            return True
-        if func.attr == "append" and _name_mentions_log(func.value):
-            return True
-        return False
-
-    @staticmethod
-    def _reads_log(fn: ast.AST) -> bool:
-        for sub in ast.walk(fn):
-            if isinstance(sub, ast.Attribute) and "log" in sub.attr.lower():
-                # any non-append access of a log attribute counts as a read
-                return True
-            if isinstance(sub, ast.Call):
-                chain = call_chain(sub)
-                if chain and any("log" in part.lower() for part in chain):
-                    return True
-        return False
-
-    @staticmethod
-    def _has_dedupe(fn: ast.AST) -> bool:
-        for sub in ast.walk(fn):
-            if isinstance(sub, ast.Compare) and any(
-                isinstance(op, (ast.In, ast.NotIn)) for op in sub.ops
-            ):
-                for side in [sub.left] + list(sub.comparators):
-                    for n in ast.walk(side):
-                        attr = (
-                            n.attr
-                            if isinstance(n, ast.Attribute)
-                            else n.id if isinstance(n, ast.Name) else ""
-                        )
-                        if any(mark in attr.lower() for mark in _DEDUPE_MARKERS):
-                            return True
-            elif isinstance(sub, ast.Call):
-                chain = call_chain(sub)
-                if chain and any(
-                    "replay" in part.lower() or "cursor" in part.lower()
-                    for part in chain
-                ):
-                    return True
-        return False
-
-
-# ---------------------------------------------------------------------------
-# JISC010 — span / session handle typestate
+# JISC010 — span / session handle lifecycle
 # ---------------------------------------------------------------------------
 
 HandleState = FrozenSet[str]  # names of may-open span handles
+
+#: The tracer's phase constants (``repro.obs.tracer``): a ``set_phase`` on
+#: one of these opens a span; on anything else it restores one.
+PHASE_CONSTANTS = frozenset(
+    {"PHASE_STEADY", "PHASE_MIGRATING", "PHASE_COMPLETING", "PHASE_RECOVERING", "PHASE_REBALANCING"}
+)
 
 
 def _span_open_target(stmt: ast.stmt) -> Optional[Tuple[str, int]]:
@@ -781,7 +623,7 @@ class HandleTypestateRule(Rule):
     """
 
     rule_id = "JISC010"
-    name = "handle-typestate"
+    name = "handle-lifecycle"
     description = (
         "phase spans must capture and restore the previous phase on all "
         "paths; RebalanceSessions must escape to an owner that drains them"

@@ -1,19 +1,14 @@
-"""Finding renderers: human text and machine JSON.
+"""Finding renderers: the text report and the ``--list-rules`` table.
 
 Text findings are ``path:line:col: RULEID message`` — the format every
-editor and CI annotator already knows how to hyperlink.  JSON output is
-one object with a schema version, rule metadata, and the finding list,
-so downstream tooling does not have to parse human strings.
+editor and CI annotator already knows how to hyperlink.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Sequence
 
 from repro.lint.core import Finding, all_rules
-
-JSON_FORMAT_VERSION = 1
 
 
 def render_text(findings: Sequence[Finding]) -> str:
@@ -30,21 +25,6 @@ def render_text(findings: Sequence[Finding]) -> str:
     else:
         lines.append("jisclint: clean")
     return "\n".join(lines)
-
-
-def render_json(findings: Sequence[Finding]) -> str:
-    registry = all_rules()
-    payload = {
-        "version": JSON_FORMAT_VERSION,
-        "tool": "jisclint",
-        "rules": {
-            rid: {"name": cls.name, "description": cls.description}
-            for rid, cls in sorted(registry.items())
-        },
-        "findings": [f.to_json() for f in findings],
-        "count": len(findings),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def render_rule_list() -> str:

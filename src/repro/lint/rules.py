@@ -1,4 +1,5 @@
-"""The jisclint rule set: six invariants the reproduction lives or dies by.
+"""The per-node jisclint rules: JISC001 (determinism), JISC003 (phase
+attribution), JISC005 (queue discipline) and JISC006 (hygiene).
 
 Each rule names the invariant it guards and the paper/design section the
 invariant comes from; docs/STATIC_ANALYSIS.md carries the long-form
@@ -10,7 +11,7 @@ benchmarks may legitimately poke internals they exercise).
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.lint.core import LintContext, Rule, register
 
@@ -37,11 +38,6 @@ def dotted_chain(node: ast.AST) -> Optional[Tuple[str, ...]]:
 def call_chain(call: ast.Call) -> Optional[Tuple[str, ...]]:
     """Dotted chain of a call's function, e.g. ``self.state.add`` ."""
     return dotted_chain(call.func)
-
-
-def is_statement_call(call: ast.Call, ctx: LintContext) -> bool:
-    """True when the call's return value is discarded (``Expr`` statement)."""
-    return isinstance(ctx.parent(call), ast.Expr)
 
 
 # ---------------------------------------------------------------------------
@@ -158,82 +154,6 @@ class DeterminismRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# JISC002 — tracer purity
-
-
-@register
-class TracerPurityRule(Rule):
-    """Tracer hook results must never feed engine logic.
-
-    PR 1's zero-perturbation guarantee — identical op counts with and
-    without a RecordingTracer attached — holds only while the engine
-    treats every tracer hook as write-only.  A hook return value used in
-    an assignment, condition, or argument is a covert channel from
-    observation back into execution.  ``set_phase`` (returns the previous
-    phase for restore) and ``attach`` (returns the target for chaining)
-    are the sanctioned exceptions.
-    """
-
-    rule_id = "JISC002"
-    name = "tracer-purity"
-    description = (
-        "tracer hook return values may not feed assignments, conditions, or "
-        "arguments (set_phase/attach excepted)"
-    )
-
-    HOOKS = {
-        "on_count",
-        "event",
-        "arrival",
-        "output",
-        "transition_start",
-        "transition_end",
-        "migration_end",
-        "completion",
-        "promote",
-        "demote",
-        "checkpoint",
-        "note",
-        "fault",
-        "recovery",
-        "rebalance_start",
-        "rebalance_end",
-        "rebalance_batch_start",
-        "rebalance_batch_end",
-        "shard_move",
-        "trigger",
-    }
-    EXEMPT = {"set_phase", "attach"}
-    #: Receiver names that identify a tracer object.
-    RECEIVERS = {"tracer", "NULL_TRACER", "_tracer"}
-
-    def applies_to(self, ctx: LintContext) -> bool:
-        # The tracer implementation itself (and its reporting CLI) may of
-        # course consume its own data structures.
-        return ctx.in_engine and not (
-            ctx.module_path or ""
-        ).startswith("repro/obs/")
-
-    def visit_Call(self, call: ast.Call, ctx: LintContext) -> None:
-        chain = call_chain(call)
-        if chain is None or len(chain) < 2:
-            return
-        method, receiver = chain[-1], chain[-2]
-        if receiver not in self.RECEIVERS:
-            return
-        if method in self.EXEMPT:
-            return
-        if method in self.HOOKS and not is_statement_call(call, ctx):
-            ctx.report(
-                self.rule_id,
-                call,
-                f"return value of tracer hook {method}() feeds engine logic; "
-                f"tracing must be write-only or the zero-perturbation "
-                f"guarantee (docs/OBSERVABILITY.md) is void",
-            )
-
-
-# ---------------------------------------------------------------------------
 # JISC003 — phase attribution
 
 
@@ -291,124 +211,6 @@ class PhaseAttributionRule(Rule):
             and (chain[-3] == "metrics" or chain[0] == "metrics")
         ):
             self._flag(call, ctx)
-
-
-# ---------------------------------------------------------------------------
-# JISC004 — state-access discipline
-
-
-@register
-class StateDisciplineRule(Rule):
-    """HashState mutation and StateStatus transitions only from sanctioned
-    modules.
-
-    The lazy-completion invariant of PAPER.md §4.3 — every probe of an
-    incomplete state passes the controller's completion hook first —
-    survives only while states are mutated from the operator pipeline and
-    the JISC controller.  Megaphone-style erosion (PAPERS.md) starts the
-    day a utility module inserts into a state behind the controller's
-    back.  Out-of-band sites (checkpoint restore, Moving State's eager
-    rebuild) must carry an explicit per-line suppression, which keeps
-    them enumerable.
-    """
-
-    rule_id = "JISC004"
-    name = "state-discipline"
-    description = (
-        "HashState mutators and StateStatus transitions only from "
-        "operators/, core/, eddy/stem.py, and shard/rebalance.py; "
-        "coordinator-driven evictions (evict/window.discard) only from "
-        "operators/, eddy/, streams/, and shard/; everything else needs "
-        "an explicit suppression"
-    )
-
-    STATE_MUTATORS = {
-        "add", "remove_entry", "remove_with_part", "clear", "copy_from", "take_key", "put_key"
-    }
-    STATUS_TRANSITIONS = {
-        "mark_complete",
-        "mark_incomplete",
-        "settle_value",
-    }
-    #: Out-of-band eviction entry points (docs/SHARDING.md): ``evict`` on
-    #: scans/SteMs/workers and ``discard`` on windows remove specific
-    #: tuples outside the normal push-eviction path.  They exist solely so
-    #: the shard coordinator can drive *global*-window evictions into
-    #: per-worker state; anywhere else they silently desynchronize a
-    #: window from the states derived from it.
-    EVICTION_MUTATORS = {"evict", "discard"}
-    #: Module prefixes (repro-relative) allowed to touch state directly:
-    #: the operator pipeline, the JISC controller/transition machinery,
-    #: the eddy's STEMs (per-stream operators that own their state), and
-    #: the shard rebalance bookkeeping (reuses StateStatus for per-key
-    #: move tracking, PAPER.md §4.3 applied to cross-shard moves).
-    ALLOWED = (
-        "repro/operators/",
-        "repro/core/",
-        "repro/eddy/stem.py",
-        "repro/shard/rebalance.py",
-    )
-    #: Module prefixes allowed to call the eviction entry points: the
-    #: structures that define them, plus the shard layer (the coordinator
-    #: and its worker adapters are the intended caller).
-    EVICTION_ALLOWED = (
-        "repro/operators/",
-        "repro/eddy/",
-        "repro/streams/",
-        "repro/shard/",
-    )
-
-    def applies_to(self, ctx: LintContext) -> bool:
-        return ctx.in_engine
-
-    @staticmethod
-    def _outside(ctx: LintContext, prefixes: Tuple[str, ...]) -> bool:
-        mp = ctx.module_path or ""
-        return not any(mp.startswith(p) for p in prefixes)
-
-    def visit_Call(self, call: ast.Call, ctx: LintContext) -> None:
-        chain = call_chain(call)
-        if chain is None or len(chain) < 2:
-            return
-        method, receiver = chain[-1], chain[-2]
-        if (
-            method in self.STATE_MUTATORS
-            and (receiver == "state" or receiver.endswith("_state"))
-            and self._outside(ctx, self.ALLOWED)
-        ):
-            ctx.report(
-                self.rule_id,
-                call,
-                f"HashState.{method}() outside the operator/controller "
-                f"pipeline bypasses the completion hooks that keep states "
-                f"complete/closed/duplicate-free (PAPER.md §4.3)",
-            )
-        elif (
-            method in self.STATUS_TRANSITIONS
-            and receiver == "status"
-            and self._outside(ctx, self.ALLOWED)
-        ):
-            ctx.report(
-                self.rule_id,
-                call,
-                f"StateStatus.{method}() outside the operator/controller "
-                f"pipeline can desynchronize the pending-value counter from "
-                f"the state contents (PAPER.md §4.3)",
-            )
-        elif method in self.EVICTION_MUTATORS and self._outside(
-            ctx, self.EVICTION_ALLOWED
-        ):
-            if method == "discard" and not (
-                receiver == "window" or receiver.endswith("_window")
-            ):
-                return
-            ctx.report(
-                self.rule_id,
-                call,
-                f"{method}() is a coordinator-driven eviction entry point "
-                f"(docs/SHARDING.md); calling it outside the shard layer "
-                f"desynchronizes windows from derived state",
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -525,77 +327,3 @@ class HygieneRule(Rule):
         self, node: ast.AsyncFunctionDef, ctx: LintContext
     ) -> None:
         self._check_defaults(node, ctx)
-
-
-# ---------------------------------------------------------------------------
-# JISC007 — telemetry registration discipline
-
-
-@register
-class TelemetryRegistrationRule(Rule):
-    """Telemetry instruments are registered at init time, not per tuple.
-
-    Telemetry stays cheap (docs/TELEMETRY.md, "The cheapness contract")
-    because the hot path touches pre-resolved instrument objects —
-    plain attribute increments.  A ``registry.counter(...)`` call *is*
-    get-or-create: it formats and hashes the label set on every call, so
-    one factory call inside ``arrival()`` or a per-tuple loop silently
-    turns O(1) increments into O(label-set) dictionary work that no call
-    count shows.  Factories therefore may only be
-    called from init-like code: module scope, ``__init__``/``attach``,
-    or functions whose name says they register/wire/init something.
-    """
-
-    rule_id = "JISC007"
-    name = "telemetry-registration"
-    description = (
-        "registry instrument factories (counter/gauge/histogram) "
-        "may only be called from init-like functions (__init__, attach, "
-        "*register*/*wire*/*init*) or module scope, never on hot paths"
-    )
-
-    #: The MetricsRegistry get-or-create factory methods.
-    FACTORIES = {"counter", "gauge", "histogram"}
-    #: Receiver names that identify a registry object.
-    RECEIVERS = {"registry", "_registry", "reg"}
-    #: Exact function names that count as init-time.
-    INIT_EXACT = {"__init__", "__post_init__", "attach"}
-    #: Substrings that mark a function as registration/wiring code.
-    INIT_MARKERS = ("register", "wire", "init", "setup", "instrument")
-
-    def applies_to(self, ctx: LintContext) -> bool:
-        # The registry implements the factories; it may call its own.
-        return ctx.in_engine and ctx.module_path != "repro/telemetry/registry.py"
-
-    @classmethod
-    def _init_like(cls, name: str) -> bool:
-        return name in cls.INIT_EXACT or any(m in name for m in cls.INIT_MARKERS)
-
-    @staticmethod
-    def _enclosing_function(
-        node: ast.AST, ctx: LintContext
-    ) -> Optional[Union[ast.FunctionDef, ast.AsyncFunctionDef]]:
-        cur = ctx.parent(node)
-        while cur is not None and not isinstance(
-            cur, (ast.FunctionDef, ast.AsyncFunctionDef)
-        ):
-            cur = ctx.parent(cur)
-        return cur
-
-    def visit_Call(self, call: ast.Call, ctx: LintContext) -> None:
-        chain = call_chain(call)
-        if chain is None or len(chain) < 2:
-            return
-        if chain[-1] not in self.FACTORIES or chain[-2] not in self.RECEIVERS:
-            return
-        fn = self._enclosing_function(call, ctx)
-        if fn is None or self._init_like(fn.name):
-            return
-        ctx.report(
-            self.rule_id,
-            call,
-            f"registry.{chain[-1]}() inside {fn.name}() is get-or-create "
-            f"label hashing on a non-init path; resolve the instrument once "
-            f"at init/attach and increment the resolved object here "
-            f"(docs/TELEMETRY.md, overhead budget)",
-        )

@@ -31,7 +31,7 @@ WITNESSES: Tuple[Tuple[str, str, str, str], ...] = (
         "JISC000",
         "engine/checkpoint.py",
         "scan.window.push_all(tup)",
-        "scan.window.push_all(tup)  # jisclint: disable=JISC004",
+        "scan.window.push_all(tup)  # jisclint: disable=JISC001",
     ),
     ("JISC001", "eddy/routing.py", "pick = self._rng.random() * total", "pick = random.random() * total"),
     (

@@ -57,7 +57,7 @@ class MovingStateStrategy(MigrationStrategy):
                 rebuilt += 1
             # Moving State is *defined* by mutating states outside the lazy
             # pipeline: the halting rebuild leaves every state complete.
-            op.state.status.mark_complete()  # jisclint: disable=JISC004
+            op.state.status.mark_complete()
         tracer = self.metrics.tracer
         if tracer.enabled:
             tracer.note("eager_rebuild", states=rebuilt, adopted=len(adopted))

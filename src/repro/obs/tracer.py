@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.obs.histogram import LatencyHistogram
 
@@ -51,6 +51,19 @@ PHASES = (
     PHASE_RECOVERING,
     PHASE_REBALANCING,
 )
+
+#: phase -> the phases a span may open it from.  A span's restore returns to
+#: an enclosing phase and is always legal; so is re-entering the active phase
+#: (a no-op).  An enabled tracer raises on any other entry (``set_phase``).
+LEGAL_TRANSITIONS: Dict[str, FrozenSet[str]] = {
+    PHASE_STEADY: frozenset(PHASES),
+    PHASE_MIGRATING: frozenset({PHASE_STEADY, PHASE_RECOVERING}),
+    PHASE_COMPLETING: frozenset(
+        {PHASE_STEADY, PHASE_MIGRATING, PHASE_REBALANCING, PHASE_RECOVERING}
+    ),
+    PHASE_REBALANCING: frozenset({PHASE_STEADY, PHASE_RECOVERING}),
+    PHASE_RECOVERING: frozenset({PHASE_STEADY}),
+}
 
 EVENT_TRANSITION_START = "transition_start"
 EVENT_TRANSITION_END = "transition_end"
@@ -150,6 +163,8 @@ class Tracer:
     #: ``Metrics.counts`` as of the last settle (set by ``attach``).
     _base: Dict[str, int]
     _phase_counts: Optional[Dict[str, Dict[str, int]]] = None
+    #: The phases of the spans open around the current one, outermost first.
+    _outer: Tuple[str, ...] = ()
 
     # -- wiring -----------------------------------------------------------------------
 
@@ -174,9 +189,22 @@ class Tracer:
     # -- phase scoping and attribution ------------------------------------------------
 
     def set_phase(self, phase: str) -> str:
-        """Switch the attribution phase; returns the previous phase."""
+        """Switch the attribution phase; returns the previous phase.
+
+        Enabled, a change is a span's restore (back to an enclosing phase) or
+        an entry, which :data:`LEGAL_TRANSITIONS` must allow from the current
+        phase — else ``RuntimeError``.  Phases outside the table are not checked.
+        """
         prev = self.phase
         if phase != prev and self.enabled:
+            outer = self._outer
+            legal = LEGAL_TRANSITIONS.get(phase)
+            if phase in outer:
+                self._outer = outer[: outer.index(phase)]
+            elif legal is None or prev in legal:
+                self._outer = outer + (prev,)
+            else:
+                raise RuntimeError(f"illegal phase entry: {phase!r} from {prev!r}")
             self._settle()
             self.phase = phase
         return prev

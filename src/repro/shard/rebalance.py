@@ -20,8 +20,7 @@ verbatim: ``pending`` is the set of keys not yet moved, ``settle_value``
 records a completed move or an expired key, and the
 session is *complete* when the set drains — the same counter semantics
 the paper defines for operator states (Section 4.3), applied to the
-coordinator's view of shard state.  This module is the sanctioned caller
-(see JISC004 in :mod:`repro.lint.rules`).
+coordinator's view of shard state.
 """
 
 from __future__ import annotations

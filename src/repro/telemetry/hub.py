@@ -303,8 +303,7 @@ class TelemetryTracer(Tracer):
     def set_phase(self, phase: str) -> str:
         prev = self.phase
         if phase != prev:
-            self._settle()
-            self.phase = phase
+            super().set_phase(phase)  # the base class checks the entry
         if self._inner is not None:
             self._inner.set_phase(phase)
         return prev

@@ -1,12 +1,12 @@
 """Labeled metrics registry: the live-series store of the telemetry layer.
 
 The registry is the single place every runtime series lives.  Instruments
-are *registered once* at engine/module init (enforced by lint rule
-JISC007) and *updated* from hot paths; readers — the Prometheus-style
-text exposition, the JSONL snapshot writer, and the terminal dashboard
-(:mod:`repro.telemetry.dash`) — only ever walk :meth:`MetricsRegistry.collect`,
-so anything the engine publishes is exported with no second bookkeeping
-path that could disagree (docs/TELEMETRY.md).
+are *registered once* at engine/module init and *updated* from hot
+paths; readers — the Prometheus-style text exposition, the JSONL snapshot
+writer, and the terminal dashboard (:mod:`repro.telemetry.dash`) — only
+ever walk :meth:`MetricsRegistry.collect`, so anything the engine publishes
+is exported with no second bookkeeping path that could disagree
+(docs/TELEMETRY.md).
 
 Three instrument kinds, all deterministic and wall-clock-free:
 

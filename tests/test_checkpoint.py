@@ -245,18 +245,3 @@ def test_mid_backlog_continuation_matches_uninterrupted(schema):
         feed(strategy, tuples[20:])
         strategy.drain()
     assert sorted(st.output_lineages()) == sorted(restored.output_lineages())
-
-
-def test_v1_checkpoint_still_restores(schema):
-    """A pre-backlog (v1) checkpoint restores with an empty queue."""
-    from repro.engine.queued import BufferedJISCStrategy
-
-    st = BufferedJISCStrategy(schema, ORDER)
-    feed(st, make_tuples([(s, k % 3) for k in range(6) for s in ORDER]))
-    data = checkpoint_strategy(st)
-    data.pop("queue")
-    data.pop("auto_drain")
-    data["version"] = 1
-    restored = restore_strategy(json.loads(json.dumps(data)))
-    assert restored.scheduler.pending() == 0
-    assert restored.auto_drain is True

@@ -52,7 +52,7 @@ def test_corrupted_blob_fails_restore_with_value_error(good_blob):
         restore_strategy(data)
 
 
-@pytest.mark.parametrize("version", [0, 3, 999, None, "2"])
+@pytest.mark.parametrize("version", [0, 1, 3, 999, None, "2"])
 def test_unknown_versions_rejected(good_blob, version):
     assert version not in SUPPORTED_VERSIONS
     data = json.loads(good_blob)

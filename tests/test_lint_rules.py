@@ -4,7 +4,7 @@ Each rule gets true-positive and true-negative fixtures, linted as if the
 snippet lived at an engine path (``src/repro/...``) — the rules key off
 repo-relative module paths, so the ``path=`` argument is part of every
 fixture.  The framework itself is covered via suppressions (honored and
-unused), the reporters, and the CLI exit-code contract.
+unused), the text report, and the CLI exit-code contract.
 
 The fixture snippets below *contain* violations on purpose; they live in
 string literals, which the AST-based rules never see when this file itself
@@ -13,7 +13,6 @@ inside these strings does not register either).  That is what keeps
 ``python -m repro.lint src tests benchmarks`` clean on the real tree.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -24,7 +23,6 @@ from repro.lint import (
     all_rules,
     lint_paths,
     lint_source,
-    render_json,
     render_text,
 )
 from repro.lint.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
@@ -117,73 +115,6 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# JISC002 — tracer purity
-# ---------------------------------------------------------------------------
-
-
-class TestTracerPurity:
-    def test_hook_as_statement_ok(self):
-        findings = run(
-            """
-            def f(tracer, op):
-                tracer.on_count(op, 1)
-            """
-        )
-        assert not ids(findings, "JISC002")
-
-    def test_hook_result_assigned_flagged(self):
-        findings = run(
-            """
-            def f(tracer, op):
-                x = tracer.on_count(op, 1)
-                return x
-            """
-        )
-        assert ids(findings, "JISC002")
-
-    def test_hook_result_in_condition_flagged(self):
-        findings = run(
-            """
-            def f(tracer, tup):
-                if tracer.output(tup, 0.0):
-                    return 1
-                return 0
-            """
-        )
-        assert ids(findings, "JISC002")
-
-    def test_hook_result_as_argument_flagged(self):
-        findings = run(
-            """
-            def f(tracer, tup):
-                print(tracer.arrival(tup, 0.0))
-            """
-        )
-        assert ids(findings, "JISC002")
-
-    def test_set_phase_exempt(self):
-        findings = run(
-            """
-            def f(tracer):
-                prev = tracer.set_phase("migrating")
-                tracer.set_phase(prev)
-            """
-        )
-        assert not ids(findings, "JISC002")
-
-    def test_obs_package_exempt(self):
-        findings = run(
-            """
-            def f(tracer, op):
-                x = tracer.on_count(op, 1)
-                return x
-            """,
-            path="src/repro/obs/report.py",
-        )
-        assert not ids(findings, "JISC002")
-
-
-# ---------------------------------------------------------------------------
 # JISC003 — phase attribution
 # ---------------------------------------------------------------------------
 
@@ -246,130 +177,6 @@ class TestPhaseAttribution:
             path="src/repro/engine/metrics.py",
         )
         assert not ids(findings, "JISC003")
-
-
-# ---------------------------------------------------------------------------
-# JISC004 — state discipline
-# ---------------------------------------------------------------------------
-
-
-class TestStateDiscipline:
-    def test_state_add_outside_allowlist_flagged(self):
-        findings = run(
-            """
-            def f(state, entry):
-                state.add(entry)
-            """,
-            path="src/repro/migration/example.py",
-        )
-        assert ids(findings, "JISC004")
-
-    def test_status_transition_outside_allowlist_flagged(self):
-        findings = run(
-            """
-            def f(status):
-                status.mark_complete()
-            """,
-            path="src/repro/migration/example.py",
-        )
-        assert ids(findings, "JISC004")
-
-    def test_operators_package_allowed(self):
-        findings = run(
-            """
-            def f(state, entry):
-                state.add(entry)
-            """,
-            path="src/repro/operators/joins.py",
-        )
-        assert not ids(findings, "JISC004")
-
-    def test_core_package_allowed(self):
-        findings = run(
-            """
-            def f(status):
-                status.mark_complete()
-            """,
-            path="src/repro/core/completion.py",
-        )
-        assert not ids(findings, "JISC004")
-
-    def test_state_read_ok_anywhere(self):
-        findings = run(
-            """
-            def f(state, key):
-                return state.get(key)
-            """,
-            path="src/repro/migration/example.py",
-        )
-        assert not ids(findings, "JISC004")
-
-    def test_shard_rebalance_module_allowed(self):
-        findings = run(
-            """
-            def f(status, routes):
-                status.mark_incomplete(routes)
-                status.settle_value(next(iter(routes)))
-            """,
-            path="src/repro/shard/rebalance.py",
-        )
-        assert not ids(findings, "JISC004")
-
-    def test_eviction_outside_allowlist_flagged(self):
-        findings = run(
-            """
-            def f(scan, tup):
-                scan.evict(tup)
-            """,
-            path="src/repro/migration/example.py",
-        )
-        assert ids(findings, "JISC004")
-
-    def test_window_discard_outside_allowlist_flagged(self):
-        findings = run(
-            """
-            def f(window, tup):
-                window.discard(tup)
-            """,
-            path="src/repro/engine/example.py",
-        )
-        assert ids(findings, "JISC004")
-
-    def test_shard_package_may_evict(self):
-        findings = run(
-            """
-            def f(scan, window, tup):
-                scan.evict(tup)
-                window.discard(tup)
-            """,
-            path="src/repro/shard/executor.py",
-        )
-        assert not ids(findings, "JISC004")
-
-    def test_operators_and_streams_may_evict(self):
-        for path in (
-            "src/repro/operators/scan.py",
-            "src/repro/streams/window.py",
-            "src/repro/eddy/stem.py",
-        ):
-            findings = run(
-                """
-                def f(window, tup):
-                    window.discard(tup)
-                """,
-                path=path,
-            )
-            assert not ids(findings, "JISC004"), path
-
-    def test_set_discard_is_not_an_eviction(self):
-        findings = run(
-            """
-            def f(pending, key):
-                pending.discard(key)
-            """,
-            path="src/repro/migration/example.py",
-        )
-        assert not ids(findings, "JISC004")
 
 
 # ---------------------------------------------------------------------------
@@ -481,114 +288,6 @@ class TestHygiene:
 
 
 # ---------------------------------------------------------------------------
-# JISC007 — telemetry registration discipline
-# ---------------------------------------------------------------------------
-
-
-class TestTelemetryRegistration:
-    def test_factory_in_hot_hook_flagged(self):
-        findings = run(
-            """
-            class Hub:
-                def arrival(self, tup):
-                    self.registry.counter("arrivals_total", strategy="jisc").inc()
-            """
-        )
-        assert ids(findings, "JISC007")
-
-    def test_factory_in_per_tuple_loop_flagged(self):
-        findings = run(
-            """
-            def drain(registry, tuples):
-                for tup in tuples:
-                    registry.histogram("latency", stream=tup.stream).observe(1.0)
-            """
-        )
-        assert ids(findings, "JISC007")
-
-    def test_aliased_receiver_flagged(self):
-        findings = run(
-            """
-            class Hub:
-                def output(self, tup):
-                    reg = self.registry
-                    reg.gauge("outputs", strategy="jisc").set(1)
-            """
-        )
-        assert ids(findings, "JISC007")
-
-    def test_factory_in_init_ok(self):
-        findings = run(
-            """
-            class Hub:
-                def __init__(self, registry):
-                    self.registry = registry
-                    self._arrivals = registry.counter("arrivals_total", strategy="jisc")
-            """
-        )
-        assert not ids(findings, "JISC007")
-
-    def test_factory_in_attach_and_register_helpers_ok(self):
-        findings = run(
-            """
-            class Hub:
-                def attach(self, target):
-                    self._gauge = self.registry.gauge("phase", strategy="jisc")
-                    return target
-
-                def _register_stream(self, stream):
-                    self.registry.counter("stream_arrivals_total", stream=stream)
-
-                def wire_series(self):
-                    self.registry.histogram("lat", n_buckets=64, strategy="jisc")
-            """
-        )
-        assert not ids(findings, "JISC007")
-
-    def test_resolved_instrument_increment_ok(self):
-        findings = run(
-            """
-            class Hub:
-                def arrival(self, tup):
-                    self._arrivals_total.inc()
-            """
-        )
-        assert not ids(findings, "JISC007")
-
-    def test_module_scope_registration_ok(self):
-        findings = run(
-            """
-            from repro.telemetry.registry import MetricsRegistry
-
-            registry = MetricsRegistry()
-            ARRIVALS = registry.counter("arrivals_total", strategy="jisc")
-            """
-        )
-        assert not ids(findings, "JISC007")
-
-    def test_registry_implementation_exempt(self):
-        findings = run(
-            """
-            class MetricsRegistry:
-                def histogram_for(self, registry, name):
-                    return registry.histogram(name)
-            """,
-            path="src/repro/telemetry/registry.py",
-        )
-        assert not ids(findings, "JISC007")
-
-    def test_outside_engine_ok(self):
-        findings = run(
-            """
-            def poke(registry):
-                return registry.counter("ad_hoc")
-            """,
-            path="tests/test_example.py",
-        )
-        assert not ids(findings, "JISC007")
-
-
-# ---------------------------------------------------------------------------
 # Suppressions
 # ---------------------------------------------------------------------------
 
@@ -597,25 +296,27 @@ class TestSuppressions:
     def test_line_suppression_honored(self):
         findings = run(
             """
-            def f(state, entry):
-                state.add(entry)  # jisclint: disable=JISC004
-            """,
-            path="src/repro/migration/example.py",
+            import time
+
+            def f():
+                return time.time()  # jisclint: disable=JISC001
+            """
         )
-        assert not ids(findings, "JISC004")
+        assert not ids(findings, "JISC001")
         assert not ids(findings, "JISC000")
 
     def test_file_suppression_honored(self):
         findings = run(
             """
-            # jisclint: disable-file=JISC004
-            def f(state, entry):
-                state.add(entry)
+            # jisclint: disable-file=JISC001
+            import time
 
-            def g(status):
-                status.mark_complete()
-            """,
-            path="src/repro/migration/example.py",
+            def f():
+                return time.time()
+
+            def g():
+                return time.monotonic()
+            """
         )
         assert not findings
 
@@ -623,9 +324,8 @@ class TestSuppressions:
         findings = run(
             """
             def f():
-                return 1  # jisclint: disable=JISC004
-            """,
-            path="src/repro/migration/example.py",
+                return 1  # jisclint: disable=JISC001
+            """
         )
         assert ids(findings, "JISC000")
 
@@ -633,10 +333,10 @@ class TestSuppressions:
         findings = run(
             """
             def f(parent, tup, child):
-                parent.process(tup, child)  # jisclint: disable=JISC004
+                parent.process(tup, child)  # jisclint: disable=JISC001
             """
         )
-        # JISC005 still fires; the JISC004 suppression is unused.
+        # JISC005 still fires; the JISC001 suppression is unused.
         assert ids(findings, "JISC005")
         assert ids(findings, "JISC000")
 
@@ -668,8 +368,10 @@ class TestSuppressions:
 class TestFramework:
     def test_registry_has_all_rules(self):
         registry = all_rules()
-        for rid in ("JISC001", "JISC002", "JISC003", "JISC004", "JISC005", "JISC006"):
-            assert rid in registry
+        # JISC000 (unused suppression) is reported by the framework itself.
+        assert sorted(registry) == [
+            "JISC001", "JISC003", "JISC005", "JISC006", "JISC008", "JISC010"
+        ]
 
     def test_select_restricts_rules(self):
         snippet = """
@@ -708,15 +410,6 @@ class TestFramework:
         assert "src/repro/x.py:3:7" in text
         assert "JISC001" in text
 
-    def test_render_json_schema(self):
-        f = Finding("JISC001", "src/repro/x.py", 3, 7, "wall clock")
-        payload = json.loads(render_json([f]))
-        assert payload["tool"] == "jisclint"
-        assert payload["count"] == 1
-        row = payload["findings"][0]
-        assert row["rule"] == "JISC001"
-        assert row["line"] == 3
-
     def test_lint_paths_walks_tree(self, tmp_path):
         pkg = tmp_path / "src" / "repro" / "engine"
         pkg.mkdir(parents=True)
@@ -752,12 +445,6 @@ class TestCli:
     def test_missing_path_exit_two(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope")]) == EXIT_USAGE
 
-    def test_json_format(self, tmp_path, capsys):
-        (tmp_path / "ok.py").write_text("x = 1\n")
-        assert main(["--format", "json", str(tmp_path)]) == EXIT_CLEAN
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["count"] == 0
-
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == EXIT_CLEAN
         out = capsys.readouterr().out
@@ -777,35 +464,6 @@ class TestCli:
         )
         assert proc.returncode == EXIT_CLEAN
         assert "JISC001" in proc.stdout
-
-
-# ---------------------------------------------------------------------------
-# Benchmark JSON anchoring (satellite: CWD-independent BENCH_*.json)
-# ---------------------------------------------------------------------------
-
-
-class TestBenchAnchoring:
-    def test_repo_root_is_anchored_to_file_not_cwd(self):
-        from benchmarks import common
-
-        assert os.path.isabs(common.REPO_ROOT)
-        assert os.path.isfile(os.path.join(common.REPO_ROOT, "pyproject.toml"))
-
-    def test_emit_json_lands_at_repo_root_from_any_cwd(self, tmp_path, monkeypatch):
-        from benchmarks import common
-
-        monkeypatch.chdir(tmp_path)
-        name = "_cwd_independence_check"
-        expected = os.path.join(common.REPO_ROOT, f"BENCH_{name}.json")
-        try:
-            common.emit_json(name, {"ok": True})
-            assert os.path.isfile(expected)
-            assert not os.path.exists(tmp_path / f"BENCH_{name}.json")
-            with open(expected) as fh:
-                assert json.load(fh)["bench"] == name
-        finally:
-            if os.path.exists(expected):
-                os.remove(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -956,6 +614,14 @@ class TestDeterminismTaint:
         )
         assert not ids(findings, "JISC008")
 
+    def test_annotation_head_reads_through_wrappers(self):
+        from repro.lint.flowrules import annotation_head
+
+        assert annotation_head("Optional[HashState]") == "HashState"
+        assert annotation_head("'Set[int]'") == "Set"
+        assert annotation_head("FrozenSet[str] | None") == "FrozenSet"
+        assert annotation_head(None) is None
+
 
 class TestSeededMutation:
     """A planted unordered-iteration bug in a copy of joins.py is caught."""
@@ -990,89 +656,7 @@ class TestSeededMutation:
 
 
 # ---------------------------------------------------------------------------
-# JISC009 — exactly-once WAL discipline
-# ---------------------------------------------------------------------------
-
-
-class TestExactlyOnce:
-    def test_wal_without_replay_path_flagged(self):
-        findings = run(
-            """
-            class Engine:
-                def process(self, item):
-                    self.wal_log.append(item)
-                    self.consume(item)
-            """
-        )
-        assert ids(findings, "JISC009")
-
-    def test_replay_delivery_without_dedupe_flagged(self):
-        findings = run(
-            """
-            class Engine:
-                def process(self, item):
-                    self.wal_log.append(item)
-
-                def recover(self):
-                    for item in list(self.wal_log):
-                        self.emit(item)
-            """
-        )
-        assert ids(findings, "JISC009")
-
-    def test_dedupe_guarded_replay_ok(self):
-        findings = run(
-            """
-            class Engine:
-                def process(self, item):
-                    self.wal_log.append(item)
-
-                def recover(self):
-                    for item in list(self.wal_log):
-                        if item in self._delivered_seen:
-                            continue
-                        self.emit(item)
-            """
-        )
-        assert not ids(findings, "JISC009")
-
-    def test_muted_replay_primitive_counts_as_dedupe(self):
-        findings = run(
-            """
-            class Engine:
-                def process(self, item):
-                    self.wal_log.append(item)
-
-                def recover_from_log(self):
-                    for item in list(self.wal_log):
-                        self.worker.replay(item)
-            """
-        )
-        assert not ids(findings, "JISC009")
-
-    def test_audit_trail_logs_carry_no_obligation(self):
-        findings = run(
-            """
-            class Query:
-                def process(self, proposal):
-                    self.transition_log.append(proposal)
-            """
-        )
-        assert not ids(findings, "JISC009")
-
-    def test_wal_append_off_arrival_path_ok(self):
-        findings = run(
-            """
-            class Engine:
-                def debug_dump(self, item):
-                    self.wal_log.append(item)
-            """
-        )
-        assert not ids(findings, "JISC009")
-
-
-# ---------------------------------------------------------------------------
-# JISC010 — handle typestate
+# JISC010 — handle lifecycle
 # ---------------------------------------------------------------------------
 
 
@@ -1223,86 +807,9 @@ class TestSuppressionEdgeCases:
         assert not ids(findings, "JISC000")
 
 
-class TestBaseline:
-    def make_findings(self):
-        return run(
-            """
-            class Op:
-                def flush(self):
-                    pending = {1, 2}
-                    for item in pending:
-                        self.emit(item)
-            """
-        )
-
-    def test_baseline_roundtrip_accepts_known_findings(self):
-        from repro.lint.baseline import apply_baseline, render_baseline, load_baseline
-        import tempfile
-
-        findings = self.make_findings()
-        assert findings
-        payload = render_baseline(findings)
-        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-            fh.write(payload)
-            path = fh.name
-        try:
-            baseline = load_baseline(path)
-            result = apply_baseline(findings, baseline)
-            assert not result.new
-            assert len(result.accepted) == len(findings)
-            assert not result.stale
-        finally:
-            os.remove(path)
-
-    def test_baseline_is_line_independent(self):
-        from repro.lint.baseline import apply_baseline, finding_key
-
-        findings = self.make_findings()
-        baseline = {finding_key(f): 1 for f in findings}
-        shifted = [
-            Finding(f.rule_id, f.path, f.line + 40, f.col, f.message)
-            for f in findings
-        ]
-        result = apply_baseline(shifted, baseline)
-        assert not result.new
-
-    def test_baseline_refuses_protected_trees(self):
-        from repro.lint.baseline import BaselineError, render_baseline
-        import pytest
-
-        bad = [Finding("JISC008", "src/repro/migration/base.py", 1, 1, "m")]
-        with pytest.raises(BaselineError):
-            render_baseline(bad)
-
-    def test_unused_suppression_not_maskable_by_baseline(self):
-        # JISC000 findings go through the baseline like any other finding —
-        # but baselining them is self-defeating: the entry matches on the
-        # message (which names line/rule), so once the stale comment is
-        # removed the baseline entry itself turns stale and is reported.
-        from repro.lint.baseline import apply_baseline, finding_key
-
-        findings = run(
-            """
-            def f():  # jisclint: disable=JISC008
-                return 1
-            """
-        )
-        assert ids(findings, "JISC000")
-        baseline = {finding_key(f): 1 for f in findings}
-        clean = run(
-            """
-            def f():
-                return 1
-            """
-        )
-        result = apply_baseline(clean, baseline)
-        assert not result.new
-        assert result.stale  # the baselined JISC000 entry is now dead weight
-
-
 class TestReporterStability:
     def test_output_identical_across_hash_seeds(self, tmp_path):
-        # rule iteration, finding sort, and JSON rendering must not leak
+        # rule iteration, finding sort, and text rendering must not leak
         # set/dict iteration order: two runs under different PYTHONHASHSEED
         # values must emit byte-identical reports.
         bad = tmp_path / "engine"
@@ -1327,7 +834,7 @@ class TestReporterStability:
             env = dict(os.environ, PYTHONHASHSEED=seed)
             env["PYTHONPATH"] = os.path.abspath("src")
             proc = subprocess.run(
-                [sys.executable, "-m", "repro.lint", "--format", "json", str(bad)],
+                [sys.executable, "-m", "repro.lint", str(bad)],
                 capture_output=True,
                 text=True,
                 env=env,
@@ -1352,71 +859,3 @@ class TestCliV2:
         assert main(["--self-check"]) == EXIT_USAGE
         out = capsys.readouterr().out
         assert "no longer occurs exactly once" in out and "missed" in out
-
-    def test_write_baseline_requires_path(self, capsys):
-        assert main(["--write-baseline"]) == EXIT_USAGE
-
-    def test_baseline_flow_end_to_end(self, tmp_path, capsys):
-        pkg = tmp_path / "src" / "repro" / "engine"
-        pkg.mkdir(parents=True)
-        (pkg / "ex.py").write_text(
-            textwrap.dedent(
-                """
-                class Op:
-                    def flush(self):
-                        pending = {1, 2}
-                        for item in pending:
-                            self.emit(item)
-                """
-            )
-        )
-        baseline = tmp_path / "base.json"
-        # 1. dirty tree fails
-        assert main([str(tmp_path)]) == EXIT_FINDINGS
-        # 2. adopt the baseline
-        assert main([str(tmp_path), "--baseline", str(baseline), "--write-baseline"]) == EXIT_CLEAN
-        # 3. same tree is now accepted
-        assert main([str(tmp_path), "--baseline", str(baseline)]) == EXIT_CLEAN
-        # 4. a NEW finding still fails
-        (pkg / "new.py").write_text("import time\n\ndef f():\n    return time.time()\n")
-        assert main([str(tmp_path), "--baseline", str(baseline)]) == EXIT_FINDINGS
-
-    def test_malformed_baseline_exits_two(self, tmp_path, capsys):
-        baseline = tmp_path / "base.json"
-        baseline.write_text("{not json")
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "ok.py").write_text("x = 1\n")
-        assert main([str(pkg), "--baseline", str(baseline)]) == EXIT_USAGE
-
-    def test_protected_tree_baseline_exits_two(self, tmp_path, capsys):
-        baseline = tmp_path / "base.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "entries": [
-                        {
-                            "rule": "JISC004",
-                            "path": "src/repro/shard/worker.py",
-                            "message": "grandfathered",
-                        }
-                    ],
-                }
-            )
-        )
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "ok.py").write_text("x = 1\n")
-        assert main([str(pkg), "--baseline", str(baseline)]) == EXIT_USAGE
-
-    def test_repo_baseline_file_is_valid_and_empty(self):
-        from repro.lint.baseline import load_baseline
-
-        assert load_baseline(".jisclint-baseline.json") == {}
-
-    def test_no_program_flag_skips_program_pass(self, tmp_path):
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "ok.py").write_text("x = 1\n")
-        assert main([str(pkg), "--no-program"]) == EXIT_CLEAN

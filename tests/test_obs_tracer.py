@@ -13,6 +13,8 @@ from repro.engine.cost import VirtualClock
 from repro.engine.executor import run_events
 from repro.engine.metrics import Counter, Metrics
 from repro.eddy.cacq import CACQExecutor
+from repro.faults.plan import CrashFault, FaultInjector, FaultPlan
+from repro.faults.recovery import RecoveryManager
 from repro.eddy.stairs import JISCStairsExecutor, STAIRSExecutor
 from repro.migration.jisc import JISCStrategy
 from repro.migration.mjoin import MJoinExecutor
@@ -25,7 +27,9 @@ from repro.obs.tracer import (
     PHASE_COMPLETING,
     PHASE_MIGRATING,
     PHASE_REBALANCING,
+    PHASE_RECOVERING,
     PHASE_STEADY,
+    PHASES,
     RecordingTracer,
     Tracer,
     load_trace,
@@ -34,7 +38,8 @@ from repro.obs.tracer import (
 from repro.shard import ShardedExecutor, skewed_assignment
 from repro.streams.schema import Schema
 from repro.streams.tuples import CompositeTuple, StreamTuple
-from repro.workloads.scenarios import chain_scenario, swap_for_case
+from repro.telemetry import TelemetryTracer
+from repro.workloads.scenarios import chain_scenario, migration_stage_events, swap_for_case
 
 ORDER = ("R", "S", "T")
 OBSERVABILITY = Path(__file__).resolve().parents[1] / "docs" / "OBSERVABILITY.md"
@@ -341,6 +346,101 @@ def test_sharded_recorders_read_the_same_on_both_paths():
     for tracer, reference in zip(ours, theirs):
         assert tracer.header() == reference.header()
         assert tracer.to_jsonl() == reference.to_jsonl()
+
+
+# -- the phase machine: LEGAL_TRANSITIONS, checked by every enabled tracer ------------
+
+ENABLED = pytest.mark.parametrize(
+    "make", [RecordingTracer, TelemetryTracer], ids=["recorder", "hub"]
+)
+
+
+@ENABLED
+def test_an_illegal_phase_entry_raises(make):
+    tracer = make()
+    tracer.set_phase(PHASE_MIGRATING)
+    with pytest.raises(RuntimeError, match="illegal phase entry: 'recovering' from 'migrating'"):
+        tracer.set_phase(PHASE_RECOVERING)
+    assert tracer.phase == PHASE_MIGRATING
+
+
+@ENABLED
+def test_a_nested_spans_restore_to_an_enclosing_phase_is_legal(make):
+    tracer = make()
+    outer = tracer.set_phase(PHASE_RECOVERING)
+    replayed = tracer.set_phase(PHASE_MIGRATING)  # recovery replays a transition
+    completing = tracer.set_phase(PHASE_COMPLETING)
+    assert tracer.set_phase(completing) == PHASE_COMPLETING  # back to migrating
+    assert tracer.set_phase(replayed) == PHASE_MIGRATING  # back to recovering
+    assert tracer.set_phase(outer) == PHASE_RECOVERING
+    assert tracer.phase == PHASE_STEADY and tracer._outer == ()
+    tracer.set_phase(PHASE_REBALANCING)
+    with pytest.raises(RuntimeError):  # migrating encloses nothing here
+        tracer.set_phase(PHASE_MIGRATING)
+
+
+@ENABLED
+def test_reentering_the_active_phase_is_a_no_op(make):
+    tracer = make()
+    tracer.set_phase(PHASE_REBALANCING)
+    assert tracer.set_phase(PHASE_REBALANCING) == PHASE_REBALANCING
+    assert tracer.phase == PHASE_REBALANCING and tracer._outer == (PHASE_STEADY,)
+
+
+@pytest.mark.parametrize("make", [Tracer, TelemetryTracer], ids=["base", "hub"])
+def test_a_disabled_tracer_neither_checks_nor_changes_anything(make):
+    tracer = make()
+    tracer.enabled = False
+    before = dict(vars(tracer))
+    assert tracer.set_phase(PHASE_MIGRATING) == PHASE_STEADY
+    assert tracer.set_phase(PHASE_RECOVERING) == PHASE_STEADY
+    assert vars(tracer) == before
+    assert tracer.phase == PHASE_STEADY and tracer._outer == ()
+
+
+class PhaseLog(RecordingTracer):
+    """A recorder that remembers every phase it was switched into."""
+
+    def __init__(self):
+        super().__init__()
+        self.entered = set()
+
+    def set_phase(self, phase):
+        prev = super().set_phase(phase)
+        self.entered.add(self.phase)
+        return prev
+
+
+def test_traced_runs_enter_every_phase_legally():
+    """A crash replayed over a JISC transition (recovering, then migrating and
+    completing inside it) and a sharded rebalance (rebalancing on the workers)
+    enter all five phases; any illegal entry on the way would have raised."""
+    scenario = chain_scenario(3, 36, 4, seed=1)
+    recovery = PhaseLog()
+    manager = RecoveryManager(
+        lambda: JISCStrategy(scenario.schema, scenario.order),
+        checkpoint_every=0,  # a cold start replays the transition too
+        injector=FaultInjector(FaultPlan(crashes=(CrashFault(30),))),
+        tracer=recovery,
+    )
+    manager.run(migration_stage_events(scenario, 12, "worst"))
+    assert manager.recoveries == 1
+    assert {PHASE_RECOVERING, PHASE_MIGRATING, PHASE_COMPLETING} <= recovery.entered
+
+    names = ("A", "B", "C")
+    rng = random.Random(11)
+    tuples = [StreamTuple(rng.choice(names), seq, rng.randrange(9)) for seq in range(200)]
+    executor = ShardedExecutor(Schema.uniform(names, 8), names, num_shards=3, inter_arrival=1.0)
+    workers = [PhaseLog() for _ in executor.workers]
+    for tracer, worker in zip(workers, executor.workers):
+        tracer.attach(worker.strategy)
+    executor.process_batch(tuples[:120])
+    executor.rebalance(skewed_assignment(64, 1), "lazy")
+    executor.process_batch(tuples[120:])
+    executor.drain_rebalance()
+    entered = recovery.entered.union(*(tracer.entered for tracer in workers))
+    assert entered == set(PHASES)
+    assert all(t.phase == PHASE_STEADY and t._outer == () for t in [recovery, *workers])
 
 
 # -- spans and events ----------------------------------------------------------------

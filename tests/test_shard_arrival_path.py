@@ -7,7 +7,6 @@ same merge order, same recovery — however it is driven.
 import gc
 import random
 from collections import Counter as MultiSet
-from pathlib import Path
 
 import pytest
 
@@ -15,7 +14,6 @@ import repro.shard.partition as partition
 from repro.engine.cost import VirtualClock
 from repro.engine.executor import TransitionEvent, run_events
 from repro.engine.metrics import Metrics
-from repro.lint import lint_source
 from repro.migration.jisc import JISCStrategy
 from repro.obs.tracer import EVENT_REBALANCE_END, RecordingTracer
 from repro.shard import (
@@ -475,17 +473,3 @@ def test_worker_resolves_its_strategy_shape_at_construction(strategy):
     assert worker.evict(tup)
     assert not any(worker.live_tuples().values())
     assert not worker.evict(tup)
-
-
-# -- the linter still sees the journal -----------------------------------------------------
-
-
-def test_jisc009_recognises_the_columnar_journal_append():
-    """JISC009 only speaks when a WAL append has no replay reader: hide the
-    coordinator's recovery methods and it must point at the arrival loop."""
-    path = "src/repro/shard/executor.py"
-    source = (Path(__file__).resolve().parents[1] / path).read_text()
-    assert not lint_source(source, path=path, select=["JISC009"])
-    findings = lint_source(source.replace("recover", "rebuild"), path=path, select=["JISC009"])
-    assert [f.rule_id for f in findings] == ["JISC009"]
-    assert "ShardedExecutor.process_batch appends to a write-ahead log" in findings[0].message
