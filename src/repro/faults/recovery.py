@@ -30,7 +30,7 @@ and recovered run equals that of an uninterrupted run.
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from repro.engine.checkpoint import (
     spec_from_json,
@@ -48,7 +48,7 @@ from repro.faults.plan import (
     SimulatedCrash,
 )
 from repro.faults.store import DurableStore, Lineage, LogRecord, MemoryStore
-from repro.migration.base import MigrationStrategy, as_spec
+from repro.migration.base import MigrationStrategy, SpecLike, as_spec
 from repro.obs.tracer import NULL_TRACER, PHASE_RECOVERING, Tracer
 from repro.streams.tuples import StreamTuple
 
@@ -58,6 +58,10 @@ StrategyHook = Callable[[MigrationStrategy], None]
 
 class RecoveryManager:
     """Durable supervision of one migration strategy.
+
+    It takes arrivals and transitions through the strategy's own
+    ``process`` / ``transition`` / ``state_sizes``, so an
+    :class:`~repro.optimizer.adaptive.AdaptiveEngine` can drive it.
 
     Parameters
     ----------
@@ -114,34 +118,29 @@ class RecoveryManager:
         order).  Scheduled crashes are recovered from transparently.
         """
         for event in events:
-            self.offer(event)
+            if isinstance(event, TransitionEvent):
+                self.transition(event.new_spec)
+            else:
+                self.process(event)
         return self.store.delivered()
 
-    def offer(self, event: Event) -> None:
-        """Consume one event, surviving any crash scheduled inside it.
+    def process(self, tup: StreamTuple) -> None:
+        """Consume one arrival, surviving any crash scheduled inside it.
 
         An arrival that crashed before reaching the log is redelivered by
         the source (at-least-once input), so no arrival is ever lost.
         """
         strategy = self._ensure_strategy()
-        if isinstance(event, TransitionEvent):
-            self._append_log(
-                {"type": "transition", "spec": spec_to_json(as_spec(event.new_spec))}
-            )
-            strategy.transition(event.new_spec)
-            self._deliver_new()
-            self._maybe_checkpoint()
-            return
         index = self._arrivals_consumed
         self._arrivals_consumed += 1
-        record = _arrival_record(event)
+        record = _arrival_record(tup)
         logged = False
         try:
             self.injector.crash_point(index, CRASH_BEFORE_LOG)
             self._append_log(record)
             logged = True
             self.injector.crash_point(index, CRASH_AFTER_LOG)
-            strategy.process(event)
+            strategy.process(tup)
             self.injector.crash_point(index, CRASH_AFTER_PROCESS)
         except SimulatedCrash:
             self._recover()
@@ -150,9 +149,23 @@ class RecoveryManager:
                 # is not in the log, so replay cannot cover it — the
                 # redelivered copy goes through the normal path now.
                 self._append_log(record)
-                self._live_strategy().process(event)
+                self._live_strategy().process(tup)
         self._deliver_new()
         self._maybe_checkpoint()
+
+    def transition(self, new_spec: SpecLike) -> None:
+        """Journal a plan transition, then apply it: replay after any later
+        crash re-applies it like any other logged event."""
+        strategy = self._ensure_strategy()
+        self._append_log({"type": "transition", "spec": spec_to_json(as_spec(new_spec))})
+        strategy.transition(new_spec)
+        self._deliver_new()
+        self._maybe_checkpoint()
+
+    def state_sizes(self) -> Dict[str, int]:
+        """The live incarnation's entries per operator; ``{}`` before the
+        first event."""
+        return self.strategy.state_sizes() if self.strategy is not None else {}
 
     @property
     def delivered(self) -> List[Lineage]:

@@ -345,18 +345,6 @@ class HashState:
         self.layout = ()
         self.part_index = ()
 
-    def copy_from(self, other: "HashState") -> int:
-        """Bulk-copy all entries of ``other`` into this state.
-
-        Returns the number of entries copied (for STATE_COPY accounting).
-        """
-        n = 0
-        add = self.add
-        for entry in other.by_ident.values():
-            if add(entry):
-                n += 1
-        return n
-
 
 def extract_key(states: Dict[str, HashState], key: Any, metrics: Metrics) -> Parcel:
     """``key``'s entries out of one engine's states (by label, base-tuple states

@@ -10,8 +10,9 @@ Layered so the cost model is import-cycle-free:
   end-to-end adaptive mode over engines and sharded executors (loaded
   lazily: it imports the engine and shard layers, and ``repro.engine``
   imports it back for the ``ContinuousQuery`` facade);
-* :mod:`repro.optimizer.soak` — crash-recovery soak driver for the
-  adaptive loop (lazy for the same reason).
+* :mod:`repro.optimizer.soak` — the fault × adaptivity soak: the same
+  :class:`AdaptiveEngine` over a crash-recovering target (a CLI, not
+  re-exported here).
 """
 
 from typing import TYPE_CHECKING
@@ -25,19 +26,16 @@ from repro.optimizer.cost import (
     order_cost,
 )
 from repro.optimizer.triggers import (
-    POLICIES,
     CostAwareTrigger,
     HysteresisTrigger,
     NeverTrigger,
     ThresholdTrigger,
     TriggerDecision,
     TriggerPolicy,
-    make_policy,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.optimizer.adaptive import AdaptiveEngine
-    from repro.optimizer.soak import AdaptiveRecoveryDriver
 
 __all__ = [
     "MIN_SAMPLES",
@@ -46,21 +44,17 @@ __all__ = [
     "anchored_best_order",
     "live_state_size",
     "order_cost",
-    "POLICIES",
     "CostAwareTrigger",
     "HysteresisTrigger",
     "NeverTrigger",
     "ThresholdTrigger",
     "TriggerDecision",
     "TriggerPolicy",
-    "make_policy",
     "AdaptiveEngine",
-    "AdaptiveRecoveryDriver",
 ]
 
 _LAZY = {
     "AdaptiveEngine": ("repro.optimizer.adaptive", "AdaptiveEngine"),
-    "AdaptiveRecoveryDriver": ("repro.optimizer.soak", "AdaptiveRecoveryDriver"),
 }
 
 

@@ -6,185 +6,74 @@ replay, does the *trigger* come back in the right state — same plan,
 same cooldown clock — so it neither loses a migration nor fires the same
 one twice?
 
-:class:`AdaptiveRecoveryDriver` answers it by construction:
+The soak runs :class:`AdaptiveEngine` over a :class:`RecoveryManager`
+whose tracer is the engine's telemetry hub; the answer is by construction:
 
-* every fired migration is offered to the :class:`RecoveryManager` as a
-  :class:`TransitionEvent`, so it is journaled in the write-ahead log
-  *before* it is applied — replay re-applies it like any other event;
-* trigger evaluations run only between ``offer`` calls, never inside
-  replay (replay happens inside ``offer``), so recovery cannot re-decide;
+* a fired migration is the engine's ``target.transition(spec)``, which
+  the manager journals in the write-ahead log *before* applying it —
+  replay re-applies it like any other event;
+* trigger evaluations run only between the manager's ``process`` calls,
+  never inside replay (replay happens inside ``process``), so recovery
+  cannot re-decide;
 * on a restart over an existing store, the trigger state is
-  reconstructed from the log alone (:func:`trigger_state_from_log`):
-  arrivals consumed, the current order, and the cooldown clock of the
-  last fire — the no-double-fire invariant needs nothing else persisted.
+  reconstructed from the log alone (:func:`trigger_state_from_log`) and
+  handed to :meth:`AdaptiveEngine.restore_trigger_state`: arrivals
+  consumed, the current order, and the cooldown clock of the last fire.
+  Estimator evidence is not journaled; a restarted engine gathers it
+  afresh.
 
 ``python -m repro.optimizer.soak`` runs the certification the CI faults
-job executes: for each seed, a drift workload is run fault-free to get
-the oracle delivery and fire schedule, then re-run crashing at three
-injected points around the first adaptive migration (before-log,
-after-log, after-process); each crashed run must deliver exactly the
-oracle's outputs and fire exactly the oracle's migrations.
+job executes: per seed, a fault-free oracle run, three crashes around the
+first adaptive fire (before-log, after-log, after-process) and a process
+restart just before and just after it.  Every run delivers exactly the
+oracle's outputs; a crash or restart after the fire keeps the oracle's
+fire schedule, a restart before it may fire later but never more often.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.checkpoint import spec_from_json
-from repro.engine.executor import Event, TransitionEvent
+from repro.engine.executor import Event
 from repro.faults.plan import CRASH_POINTS, CrashFault, FaultInjector, FaultPlan
-from repro.faults.recovery import RecoveryManager, StrategyFactory
+from repro.faults.recovery import RecoveryManager
 from repro.faults.store import DurableStore, Lineage
 from repro.migration.jisc import JISCStrategy
-from repro.optimizer.cost import PlanCostMaintainer, live_state_size
-from repro.optimizer.triggers import (
-    HysteresisTrigger,
-    TriggerDecision,
-    TriggerPolicy,
-)
+from repro.optimizer.adaptive import AdaptiveEngine
+from repro.optimizer.triggers import HysteresisTrigger
 from repro.plans.spec import left_deep_order
 from repro.streams.schema import Schema
 from repro.telemetry.hub import TelemetryTracer
 from repro.workloads.drift import SelectivityDriftWorkload
 
+#: Restart-and-continue cells: arrivals consumed before the restart,
+#: relative to the oracle's first fire.
+RESTART_OFFSETS = (-5, 1)
 
-def trigger_state_from_log(log: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    """Reconstruct the adaptive loop's durable state from a WAL.
 
-    Returns ``{"arrivals": n, "order": [...] or None, "last_fired_at": m
-    or None}`` — each transition record marks a fire at the arrival count
-    preceding it.  (Forced transitions would be indistinguishable; the
-    driver only journals adaptive fires, so the reading is exact here.)
+def trigger_state_from_log(log: Sequence[Dict[str, Any]], order: Sequence[str]) -> Dict[str, Any]:
+    """Reconstruct :meth:`AdaptiveEngine.trigger_state` from a WAL.
+
+    ``order`` is the initial probe order, current until the first
+    journaled transition.  Each transition record marks a fire at the
+    arrival count preceding it.  (Forced transitions would be
+    indistinguishable; the soak journals only adaptive fires, so the
+    reading is exact here.)
     """
     arrivals = 0
-    order: Optional[List[str]] = None
+    current = list(order)
     last_fired_at: Optional[int] = None
     for record in log:
         if record["type"] == "arrival":
             arrivals += 1
         elif record["type"] == "transition":
-            order = list(left_deep_order(spec_from_json(record["spec"])))
+            current = list(left_deep_order(spec_from_json(record["spec"])))
             last_fired_at = arrivals
-    return {"arrivals": arrivals, "order": order, "last_fired_at": last_fired_at}
-
-
-class AdaptiveRecoveryDriver:
-    """The adaptive loop running under crash-recovery supervision.
-
-    The same wiring as :class:`~repro.optimizer.adaptive.AdaptiveEngine`,
-    but the target is a :class:`RecoveryManager`-supervised strategy and
-    fired migrations go through ``manager.offer(TransitionEvent(...))``
-    so the WAL journals them.  Restarting a driver over a non-empty store
-    resumes with the trigger state implied by the log.
-    """
-
-    def __init__(
-        self,
-        factory: StrategyFactory,
-        store: Optional[DurableStore] = None,
-        checkpoint_every: int = 10,
-        injector: Optional[FaultInjector] = None,
-        policy: Optional[TriggerPolicy] = None,
-        evaluate_every: int = 8,
-        min_samples: int = 64,
-        hub_options: Optional[Dict[str, Any]] = None,
-    ):
-        self.hub = TelemetryTracer(strategy="adaptive", **(hub_options or {}))
-        self.manager = RecoveryManager(
-            factory,
-            store=store,
-            checkpoint_every=checkpoint_every,
-            injector=injector,
-            tracer=self.hub,
-        )
-        self.policy: TriggerPolicy = (
-            policy
-            if policy is not None
-            else HysteresisTrigger(min_improvement=0.1, confirm=2, cooldown=64)
-        )
-        self.evaluate_every = evaluate_every
-        self.min_samples = min_samples
-        self.decisions: List[TriggerDecision] = []
-        self.fires: List[TriggerDecision] = []
-        self.maintainer: Optional[PlanCostMaintainer] = None
-        self.order: Optional[Tuple[str, ...]] = None
-        restored = trigger_state_from_log(self.manager.store.log())
-        self.arrivals: int = restored["arrivals"]
-        if restored["order"] is not None:
-            self.order = tuple(restored["order"])
-        if restored["last_fired_at"] is not None:
-            self.policy.restore_state(
-                {"streak": 0, "last_fired_at": restored["last_fired_at"]}
-            )
-
-    # -- driving ---------------------------------------------------------------------
-
-    def offer(self, event: Event) -> None:
-        """One event through the supervised strategy, then maybe evaluate."""
-        self.manager.offer(event)
-        if isinstance(event, TransitionEvent):
-            return
-        self.arrivals += 1
-        if self.arrivals % self.evaluate_every == 0:
-            self.evaluate()
-
-    def run(self, events: Iterable[Event]) -> List[Lineage]:
-        for event in events:
-            self.offer(event)
-        return self.manager.delivered
-
-    # -- the loop --------------------------------------------------------------------
-
-    def _ensure_maintainer(self) -> PlanCostMaintainer:
-        if self.maintainer is None:
-            if self.order is None:
-                strategy = self.manager.strategy
-                if strategy is None:
-                    raise RuntimeError("evaluate() before any offer(): no plan yet")
-                self.order = left_deep_order(strategy.plan.spec)
-            self.maintainer = PlanCostMaintainer(
-                self.order, [self.hub], min_samples=self.min_samples
-            )
-        return self.maintainer
-
-    def evaluate(self) -> TriggerDecision:
-        maintainer = self._ensure_maintainer()
-        strategy = self.manager.strategy
-        snapshot = maintainer.refresh(
-            self.arrivals,
-            state_size=live_state_size(strategy) if strategy is not None else 0,
-        )
-        decision = self.policy.decide(snapshot, at=self.arrivals)
-        self.decisions.append(decision)
-        self.hub.trigger(
-            decision.action,
-            policy=self.policy.name,
-            reason=decision.reason,
-            at=decision.at,
-            order=list(decision.order),
-            best_order=list(decision.best_order),
-            current_cost=decision.current_cost,
-            best_cost=decision.best_cost,
-            improvement=decision.improvement,
-        )
-        if decision.fired:
-            self.fires.append(decision)
-            # Journal-then-apply: the WAL carries the migration before the
-            # strategy does, so replay after any later crash re-applies it
-            # and a restarted driver sees it as already fired.
-            self.manager.offer(TransitionEvent(decision.best_order))
-            self.order = decision.best_order
-            maintainer.set_order(decision.best_order)
-        return decision
-
-    def trigger_state(self) -> Dict[str, Any]:
-        return {
-            "arrivals": self.arrivals,
-            "order": list(self.order) if self.order is not None else None,
-            "policy": self.policy.state_to_json(),
-        }
+    policy = {"streak": 0, "last_fired_at": last_fired_at}
+    return {"arrivals": arrivals, "order": current, "policy": policy}
 
 
 # -- the CLI certification (CI faults job) ----------------------------------------------
@@ -210,82 +99,102 @@ def soak_workload(
     return schema, names, list(workload.materialize())
 
 
-def _fresh_driver(
+def _fresh_engine(
     schema: Schema,
     order: Tuple[str, ...],
     injector: Optional[FaultInjector] = None,
     store: Optional[DurableStore] = None,
-) -> AdaptiveRecoveryDriver:
-    return AdaptiveRecoveryDriver(
+) -> AdaptiveEngine:
+    """One process's adaptive loop over a crash-recovering JISC strategy;
+    over a non-empty ``store`` it resumes the logged trigger state."""
+    # The workload is a few hundred tuples: estimator windows must be
+    # much smaller than a phase, or the two phases' evidence blends and
+    # no drift is ever visible.
+    hub = TelemetryTracer(
+        strategy="adaptive", selectivity_window=96, drift_block=16, drift_min_samples=32
+    )
+    manager = RecoveryManager(
         lambda: JISCStrategy(schema, order),
         store=store,
         checkpoint_every=10,
         injector=injector,
-        policy=HysteresisTrigger(min_improvement=0.08, confirm=2, cooldown=64),
-        evaluate_every=8,
-        min_samples=32,
-        # The workload is a few hundred tuples: estimator windows must be
-        # much smaller than a phase, or the two phases' evidence blends
-        # and no drift is ever visible.
-        hub_options={
-            "selectivity_window": 96,
-            "drift_block": 16,
-            "drift_min_samples": 32,
-        },
+        tracer=hub,
     )
+    engine = AdaptiveEngine(
+        manager,
+        policy=HysteresisTrigger(min_improvement=0.08, confirm=2, cooldown=64),
+        order=order,
+        evaluate_every=8,
+        telemetry=hub,
+        min_samples=32,
+    )
+    log = manager.store.log()
+    if log:
+        engine.restore_trigger_state(trigger_state_from_log(log, order))
+    return engine
+
+
+def _delivery_failures(cell: str, delivered: List[Lineage], oracle: List[Lineage]) -> List[str]:
+    failures = []
+    if sorted(delivered) != sorted(oracle):
+        failures.append(f"{cell}: delivery diverged ({len(delivered)} vs {len(oracle)} outputs)")
+    if len(delivered) != len(set(delivered)):
+        failures.append(f"{cell}: duplicate delivery")
+    return failures
 
 
 def soak_one_seed(seed: int, n_tuples: int = 360, window: int = 16) -> List[str]:
     """Certify one seed; returns failure descriptions (empty = pass)."""
     schema, order, events = soak_workload(n_tuples, window, seed)
-    oracle = _fresh_driver(schema, order)
-    oracle_delivered = oracle.run(events)
+    oracle = _fresh_engine(schema, order)
+    oracle_delivered = oracle.run(events).target.delivered
     failures: List[str] = []
-    if not oracle.fires:
+    if not oracle.migrations:
         return [f"seed {seed}: the drift workload provoked no adaptive fire"]
-    oracle_fires = [d.at for d in oracle.fires]
+    oracle_fires = [d.at for d in oracle.migrations]
     first_fire = oracle_fires[0]
     # Crash around the first migration: the arrival consumed right after
     # the fire lands mid-JISC-completion (lazy state completion is still
     # outstanding for migrated keys).
     for where in CRASH_POINTS:
+        cell = f"seed {seed}/{where}"
         plan = FaultPlan(crashes=(CrashFault(at_arrival=first_fire + 1, where=where),))
-        driver = _fresh_driver(schema, order, injector=FaultInjector(plan))
-        delivered = driver.run(events)
-        fires = [d.at for d in driver.fires]
-        if driver.manager.recoveries != 1:
-            failures.append(
-                f"seed {seed}/{where}: expected exactly 1 recovery, "
-                f"saw {driver.manager.recoveries}"
-            )
-        if sorted(delivered) != sorted(oracle_delivered):
-            failures.append(
-                f"seed {seed}/{where}: delivered outputs diverged from oracle "
-                f"({len(delivered)} vs {len(oracle_delivered)})"
-            )
-        if len(delivered) != len(set(delivered)):
-            failures.append(f"seed {seed}/{where}: duplicate delivery")
+        engine = _fresh_engine(schema, order, injector=FaultInjector(plan))
+        manager = engine.run(events).target
+        fires = [d.at for d in engine.migrations]
+        if manager.recoveries != 1:
+            failures.append(f"{cell}: expected exactly 1 recovery, saw {manager.recoveries}")
+        failures.extend(_delivery_failures(cell, manager.delivered, oracle_delivered))
         if fires != oracle_fires:
             failures.append(
-                f"seed {seed}/{where}: fire schedule diverged "
-                f"(crashed={fires}, oracle={oracle_fires})"
+                f"{cell}: fire schedule diverged (crashed={fires}, oracle={oracle_fires})"
             )
-        # Restart certification: a fresh driver over the crashed store
+        # Restart certification: a fresh engine over the crashed store
         # must resume with the fired migration visible and the cooldown
         # clock running — no second fire of an already-journaled one.
-        resumed = _fresh_driver(schema, order, store=driver.manager.store)
-        state = resumed.trigger_state()
-        if state["order"] != list(driver.order or ()):
+        state = _fresh_engine(schema, order, store=manager.store).trigger_state()
+        if state["order"] != list(engine.order):
             failures.append(
-                f"seed {seed}/{where}: restart restored order {state['order']} "
-                f"!= live order {list(driver.order or ())}"
+                f"{cell}: restart restored order {state['order']} "
+                f"!= live order {list(engine.order)}"
             )
-        expected_clock = fires[-1] if fires else None
-        if state["policy"].get("last_fired_at") != expected_clock:
-            failures.append(
-                f"seed {seed}/{where}: restart lost the cooldown clock "
-                f"({state['policy']})"
-            )
+        if state["policy"]["last_fired_at"] != (fires[-1] if fires else None):
+            failures.append(f"{cell}: restart lost the cooldown clock ({state['policy']})")
+    # Restart and continue: one process runs to arrival k, a fresh one
+    # over the same store runs the rest of the stream.
+    for offset in RESTART_OFFSETS:
+        k = first_fire + offset
+        cell = f"seed {seed}/restart@{k}"
+        first = _fresh_engine(schema, order).run(events[:k])
+        resumed = _fresh_engine(schema, order, store=first.target.store).run(events[k:])
+        fires = [d.at for d in first.migrations + resumed.migrations]
+        failures.extend(_delivery_failures(cell, resumed.target.delivered, oracle_delivered))
+        if resumed.arrivals != len(events):
+            failures.append(f"{cell}: resumed at {resumed.arrivals} arrivals, not {len(events)}")
+        if offset > 0 and fires != oracle_fires:
+            failures.append(f"{cell}: fire schedule diverged ({fires} vs {oracle_fires})")
+        if len(fires) > len(oracle_fires):
+            failures.append(f"{cell}: more fires than the oracle ({fires} vs {oracle_fires})")
     return failures
 
 
@@ -300,15 +209,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     failures: List[str] = []
     for seed in args.seeds:
         failures.extend(soak_one_seed(seed, args.tuples, args.window))
-    cells = len(args.seeds) * len(CRASH_POINTS)
+    cells = len(args.seeds) * (len(CRASH_POINTS) + len(RESTART_OFFSETS))
     if failures:
         print(f"ADAPTIVE SOAK: FAIL ({len(failures)} failures over {cells} cells)")
         for failure in failures:
             print(f"  - {failure}")
         return 1
     print(
-        f"ADAPTIVE SOAK: OK — {cells} crash cells "
-        f"(seeds {args.seeds} x {list(CRASH_POINTS)}), "
+        f"ADAPTIVE SOAK: OK — {cells} cells "
+        f"(seeds {args.seeds} x {list(CRASH_POINTS)} + restart at first fire "
+        f"{', '.join(f'{o:+d}' for o in RESTART_OFFSETS)}), "
         "exactly-once delivery and trigger state preserved"
     )
     return 0

@@ -414,37 +414,3 @@ class ShardImbalanceTrigger:
         last = state.get("last_fired_at")
         self.last_fired_at = int(last) if last is not None else None
 
-
-#: Registry of trigger policy constructors by name (CLI / bench wiring).
-POLICIES = {
-    "never": NeverTrigger,
-    "threshold": ThresholdTrigger,
-    "hysteresis": HysteresisTrigger,
-    "cost_aware": CostAwareTrigger,
-}
-
-#: Shard-rebalance trigger policies (a separate protocol: they consume
-#: per-shard loads, not plan-cost snapshots).
-REBALANCE_POLICIES = {
-    "shard_imbalance": ShardImbalanceTrigger,
-}
-
-
-def make_rebalance_policy(name: str, **options: Any) -> ShardImbalanceTrigger:
-    try:
-        ctor = REBALANCE_POLICIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown rebalance policy {name!r}; known: {sorted(REBALANCE_POLICIES)}"
-        ) from None
-    return ctor(**options)
-
-
-def make_policy(name: str, **options: Any) -> TriggerPolicy:
-    try:
-        ctor = POLICIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown trigger policy {name!r}; known: {sorted(POLICIES)}"
-        ) from None
-    return ctor(**options)

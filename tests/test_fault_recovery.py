@@ -208,15 +208,13 @@ def test_directory_store_survives_process_restart(tmp_path, workload, baseline):
     first = RecoveryManager(
         factory_for(scenario), store=DirectoryStore(store_path), checkpoint_every=6
     )
-    for event in events[:30]:
-        first.offer(event)
+    first.run(events[:30])
     # a brand-new manager over the same directory models a new process:
     # it must recover (checkpoint + log replay) before consuming more
     second = RecoveryManager(
         factory_for(scenario), store=DirectoryStore(store_path), checkpoint_every=6
     )
-    for event in events[30:]:
-        second.offer(event)
+    second.run(events[30:])
     assert second.recoveries == 1
     assert sorted(second.delivered) == baseline
 

@@ -506,7 +506,7 @@ def test_scale_in_detaches_retired_workers_from_telemetry():
 
 
 def test_shard_imbalance_trigger_mechanics():
-    from repro.optimizer.triggers import ShardImbalanceTrigger, make_rebalance_policy
+    from repro.optimizer.triggers import ShardImbalanceTrigger
 
     policy = ShardImbalanceTrigger(
         max_imbalance=1.5, confirm=2, cooldown=100, min_load=10.0
@@ -522,7 +522,7 @@ def test_shard_imbalance_trigger_mechanics():
     assert policy.decide([90.0, 10.0], at=80).action == "suppressed"
     # state round-trips (the fault-soak contract shared with plan triggers)
     state = policy.state_to_json()
-    fresh = make_rebalance_policy("shard_imbalance", cooldown=100)
+    fresh = ShardImbalanceTrigger(cooldown=100)
     fresh.restore_state(state)
     assert fresh.last_fired_at == policy.last_fired_at
     assert fired.to_jsonl() == fired.to_jsonl()  # canonical line is stable

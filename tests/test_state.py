@@ -101,17 +101,6 @@ def test_clear():
     assert s.remove_with_part(("R", 0)) == []
 
 
-def test_copy_from_counts_new_entries_only():
-    a, b = HashState(), HashState()
-    x, y = t("R", 0, 1), t("R", 1, 2)
-    a.add(x)
-    a.add(y)
-    b.add(x)
-    copied = b.copy_from(a)
-    assert copied == 1
-    assert len(b) == 2
-
-
 def test_status_default_complete():
     assert HashState().status.complete is True
     assert HashState(complete=False).status.complete is False

@@ -30,7 +30,6 @@ from repro.optimizer.triggers import (
     HysteresisTrigger,
     NeverTrigger,
     ThresholdTrigger,
-    make_policy,
 )
 
 NAMES = ("A", "B", "C")
@@ -159,13 +158,6 @@ def test_never_trigger_never_fires():
     policy = NeverTrigger()
     for at in range(1, 20):
         assert not policy.decide(snapshot(at, {"B": 0.99, "C": 0.0}), at=at).fired
-
-
-def test_make_policy_registry():
-    assert isinstance(make_policy("hysteresis", cooldown=7), HysteresisTrigger)
-    assert isinstance(make_policy("cost_aware"), CostAwareTrigger)
-    with pytest.raises(ValueError):
-        make_policy("nope")
 
 
 # -- the cost model itself -----------------------------------------------------
