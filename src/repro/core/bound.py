@@ -8,7 +8,6 @@ both at every arrival that finds a state incomplete).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -17,14 +16,13 @@ from repro.engine.metrics import Counter
 from repro.operators.base import Operator
 from repro.operators.fused import Completer
 from repro.plans.build import PhysicalPlan
-from repro.streams.tuples import CompositeTuple
+from repro.streams.tuples import joiner
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.controller import JISCController
 
 #: One incomplete left-deep join, looked up once: ``(op, status, left get_view,
-#: right get_view, add, sorted left streams, right stream, where a right entry
-#: goes into a left entry's sorted parts)``.
+#: right get_view, add, sorted left streams, right stream, its joiner)``.
 Node = Tuple[Any, ...]
 
 
@@ -55,32 +53,25 @@ def bind_left_deep(
         stream, seq = controller.current_part or (None, -1)
         completions = 0
         try:
-            for _, _, left_view, right_view, add, left_streams, right_stream, at in nodes:
+            for _, _, left_view, right_view, add, left_streams, right_stream, assemble in nodes:
                 lefts, rights = left_view(key), right_view(key)
                 probes += 2
                 now += c_probe
                 now += c_probe
                 completions += 1
                 now += c_completion
-                pair = len(left_streams) == 1
                 # The arrival's own results are its cascade's to derive and emit
                 # (``JoinOperator.build_state_for_key``); it is on one side only.
                 if stream == right_stream:
                     rights = [r for r in rights if r.seq != seq]
-                elif pair and stream == left_streams[0]:
+                elif left_streams == (stream,):
                     lefts = [l for l in lefts if l.seq != seq]
                 elif stream in left_streams:
                     own = left_streams.index(stream)
                     lefts = [l for l in lefts if l.ident[own] != seq]
                 for l in lefts:
                     for r in rights:
-                        if pair:
-                            a, b = (l, r) if at else (r, l)
-                            result = CompositeTuple(key, (a, b), (a.seq, b.seq))
-                        else:
-                            parts, ident = l.parts[:at] + (r,) + l.parts[at:], l.ident
-                            result = CompositeTuple(key, parts, ident[:at] + (r.seq,) + ident[at:])
-                        if add(result):
+                        if add(assemble(l, r)):
                             adds += 1
                             now += c_insert
         finally:
@@ -122,8 +113,8 @@ def bind_left_deep(
             left_streams = tuple(sorted(op.left.membership))
             (right_stream,) = op.right.membership
             left, right = op.left.state.get_view, op.right.state.get_view
-            at = bisect_left(left_streams, right_stream)
-            node = (op, op.state.status, left, right, op.state.add, left_streams, right_stream, at)
+            state, assemble = op.state, joiner(left_streams, (right_stream,))
+            node = (op, state.status, left, right, state.add, left_streams, right_stream, assemble)
             spines[op] = (node,) + spines.get(op.left, ())
             bound[op.parent, op] = completer = (partial(pending, spines[op]), complete)
             if controller.expiry_optimization:

@@ -27,7 +27,8 @@ from repro.core.freshness import FreshnessRegistry
 from repro.engine.metrics import Metrics
 from repro.obs.tracer import PHASE_COMPLETING
 from repro.operators.base import BinaryOperator, Operator
-from repro.operators.joins import JoinOperator, SymmetricHashJoin
+from repro.operators.fused import runs_kernels
+from repro.operators.joins import JoinOperator
 from repro.operators.state import HashState, StateStatus
 from repro.plans.build import PhysicalPlan
 from repro.streams.tuples import AnyTuple, StreamTuple
@@ -110,10 +111,10 @@ class JISCController:
             key=lambda op: sorted(op.membership),
         )
         # Procedure 3 as the kernels compiled from here on call it — chosen by what
-        # the plan is: left-deep, symmetric hash joins only, counting on a plain
-        # ``Metrics``.  Anything else completes through the hook.
-        hash_joins = all(type(op) is SymmetricHashJoin for op in plan.internal)
-        bindable = self._use_left_deep and hash_joins and type(self.metrics) is Metrics
+        # the plan is: left-deep, every join one the kernels run.  Anything else
+        # completes through the hook.
+        kernels = all(runs_kernels(op, self.metrics) for op in plan.internal)
+        bindable = self._use_left_deep and kernels
         plan.completers = bind_left_deep(self, plan) if bindable else {}
         self._wire_expiry(plan)
 

@@ -79,6 +79,7 @@ class CACQExecutor:
     def process(self, tup: StreamTuple) -> None:
         if tup.stream not in self.stems:
             raise unknown_stream(tup.stream, self.stems)
+        hash(tup.key)
         metrics = self.metrics
         tracer = metrics.tracer
         if tracer.enabled:

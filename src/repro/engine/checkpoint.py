@@ -100,7 +100,7 @@ def _tuple_from_json(
         parts.append(tup)
     if not data["composite"]:
         return parts[0]
-    return CompositeTuple(data["key"], tuple(sorted(parts, key=lambda p: p.stream)))
+    return CompositeTuple.of(*parts)
 
 
 def _op_ref(op: Optional[Operator]) -> Optional[List[Any]]:
@@ -283,8 +283,7 @@ def restore_strategy(data: Dict[str, Any]) -> MigrationStrategy:
         saved = by_membership[op.membership]
         for lineage in saved["entries"]:
             parts = tuple(base_tuples[(stream, seq)] for stream, seq in lineage)
-            entry = CompositeTuple(parts[0].key, tuple(sorted(parts, key=lambda p: p.stream)))
-            op.state.add(entry)
+            op.state.add(CompositeTuple.of(*parts))
         status = op.state.status
         if saved["complete"]:
             status.mark_complete()

@@ -64,10 +64,6 @@ class CostModel:
         """Copy of the full cost table (hot callers cache this dict)."""
         return dict(self._costs)
 
-    def time_for(self, counts: Dict[str, int]) -> float:
-        """Total virtual time for a counter snapshot."""
-        return sum(self.cost_of(op) * n for op, n in counts.items())
-
 
 class VirtualClock:
     """Accumulates virtual time as operations are counted.

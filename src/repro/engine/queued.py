@@ -29,7 +29,7 @@ expired state; fuzzing found exactly that).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
+from typing import Any, Deque, List, Optional, Sequence, Tuple
 
 from repro.engine.metrics import Counter, Metrics
 from repro.migration.base import SpecLike, StaticPlanExecutor
@@ -41,11 +41,6 @@ from repro.streams.tuples import AnyTuple, StreamTuple
 #: One queued unit of work: ``("process", target, tup, child)`` or
 #: ``("remove", target, part, child, fresh)``.
 QueueItem = Tuple[Any, ...]
-
-#: Constructor hook for the scheduler a buffered strategy should use;
-#: fault injection (``repro.faults``) swaps in anomaly-injecting variants.
-SchedulerFactory = Callable[[Metrics], "QueueScheduler"]
-
 
 class QueueScheduler:
     """Global FIFO of pending pipeline work.
@@ -185,11 +180,9 @@ class BufferedStaticExecutor(_BufferedMixin, StaticPlanExecutor):
         metrics: Optional[Metrics] = None,
         join: str = "hash",
         auto_drain: bool = True,
-        scheduler_factory: Optional[SchedulerFactory] = None,
     ):
         super().__init__(schema, initial_spec, metrics, join)
-        factory = scheduler_factory or QueueScheduler
-        self.scheduler = factory(self.metrics)
+        self.scheduler = QueueScheduler(self.metrics)
         self.auto_drain = auto_drain
         self._wire_queues()
 
@@ -206,11 +199,9 @@ class BufferedJISCStrategy(_BufferedMixin, JISCStrategy):
         metrics: Optional[Metrics] = None,
         join: str = "hash",
         auto_drain: bool = True,
-        scheduler_factory: Optional[SchedulerFactory] = None,
     ):
         super().__init__(schema, initial_spec, metrics, join)
-        factory = scheduler_factory or QueueScheduler
-        self.scheduler = factory(self.metrics)
+        self.scheduler = QueueScheduler(self.metrics)
         self.auto_drain = auto_drain
         self._wire_queues()
 

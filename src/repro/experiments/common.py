@@ -98,7 +98,6 @@ def default_key_domain(window: int, n_joins: int) -> int:
 def measure_migration_stage(
     n_joins: int,
     window: int = 100,
-    warmup_per_stream: int = 3,
     case: str = "best",
     seed: int = 0,
     factories: Optional[Dict[str, StrategyFactory]] = None,
@@ -106,12 +105,11 @@ def measure_migration_stage(
 ) -> List[StageResult]:
     """Figures 7 and 8: execution time during the plan-migration stage.
 
-    ``warmup_per_stream`` scales the warm-up to ``warmup_per_stream *
-    window * n_streams`` tuples so every window is full before the
-    transition, independent of the join count.
+    The warm-up is ``3 * window * n_streams`` tuples, so every window is full
+    before the transition, independent of the join count.
     """
     n_streams = n_joins + 1
-    warmup = warmup_per_stream * window * n_streams
+    warmup = 3 * window * n_streams
     # The migration stage of Parallel Track ends when every old-plan window
     # has fully turned over: at most ~window tuples per stream afterwards.
     # Generate enough slack to cover detection granularity.

@@ -114,18 +114,17 @@ class FaultPlan:
         queue_reorders: int = 0,
         queue_drops: int = 0,
         checkpoint_corruptions: int = 0,
-        enqueue_horizon: Optional[int] = None,
-        checkpoint_horizon: int = 4,
-        reorder_span: int = 3,
     ) -> "FaultPlan":
         """Draw a randomized schedule from one seeded RNG.
 
         The same ``(seed, parameters)`` always yields the same plan; the
         sweep CLI prints the seed with every failure so the exact run can
-        be replayed.
+        be replayed.  Queue faults land within the first ``4 * n_arrivals``
+        enqueues with a reorder span of 1-3; checkpoint faults hit one of the
+        first four checkpoints.
         """
         rng = Random(seed)
-        horizon = enqueue_horizon if enqueue_horizon is not None else n_arrivals * 4
+        horizon = n_arrivals * 4
         crash_list = tuple(
             CrashFault(at, rng.choice(CRASH_POINTS))
             for at in sorted(rng.sample(range(1, max(2, n_arrivals)), k=min(crashes, n_arrivals - 1)))
@@ -141,11 +140,11 @@ class FaultPlan:
                     QueueFault(
                         kind,
                         rng.randrange(max(1, horizon)),
-                        span=rng.randint(1, reorder_span),
+                        span=rng.randint(1, 3),
                     )
                 )
         ckpt_list = tuple(
-            CheckpointFault(rng.randrange(max(1, checkpoint_horizon)), rng.choice(CKPT_MODES))
+            CheckpointFault(rng.randrange(4), rng.choice(CKPT_MODES))
             for _ in range(checkpoint_corruptions)
         )
         return cls(

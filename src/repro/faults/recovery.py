@@ -48,7 +48,7 @@ from repro.faults.plan import (
     SimulatedCrash,
 )
 from repro.faults.store import DurableStore, Lineage, LogRecord, MemoryStore
-from repro.migration.base import MigrationStrategy, SpecLike, as_spec
+from repro.migration.base import MigrationStrategy, SpecLike, as_spec, unknown_stream
 from repro.obs.tracer import NULL_TRACER, PHASE_RECOVERING, Tracer
 from repro.streams.tuples import StreamTuple
 
@@ -131,6 +131,12 @@ class RecoveryManager:
         the source (at-least-once input), so no arrival is ever lost.
         """
         strategy = self._ensure_strategy()
+        # Rejected as the strategy's own door would, before the log takes it:
+        # a logged arrival that cannot be processed fails every later replay.
+        scans = strategy.plan.scans
+        if tup.stream not in scans:
+            raise unknown_stream(tup.stream, scans)
+        hash(tup.key)
         index = self._arrivals_consumed
         self._arrivals_consumed += 1
         record = _arrival_record(tup)

@@ -65,7 +65,8 @@ def hybrid_join_factory(
 
 def unknown_stream(stream: str, known: Iterable[str]) -> ValueError:
     """The error every arrival path raises, before touching any state, for
-    a tuple of a stream its plan does not cover."""
+    a tuple of a stream its plan does not cover.  Next to that test each door
+    hashes the key, so an unhashable one raises ``TypeError`` there too."""
     return ValueError(
         f"tuple from unknown stream {stream!r} (plan has {', '.join(known)})"
     )
@@ -152,6 +153,7 @@ class MigrationStrategy:
     def process(self, tup: StreamTuple) -> None:
         if tup.stream not in self.plan.scans:
             raise unknown_stream(tup.stream, self.plan.scans)
+        hash(tup.key)
         self._last_seq = max(self._last_seq, tup.seq)
         tracer = self.metrics.tracer
         if tracer.enabled:
@@ -299,6 +301,7 @@ class StaticPlanExecutor(MigrationStrategy):
         for tup in tuples:
             if tup.stream not in scans:
                 raise unknown_stream(tup.stream, scans)
+            hash(tup.key)
             if tup.seq > self._last_seq:
                 self._last_seq = tup.seq
             if traced:

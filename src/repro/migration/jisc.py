@@ -65,6 +65,7 @@ class JISCStrategy(MigrationStrategy):
     def process(self, tup: StreamTuple) -> None:
         if tup.stream not in self.plan.scans:
             raise unknown_stream(tup.stream, self.plan.scans)
+        hash(tup.key)
         # Classified and recorded only while a state is incomplete: nothing reads
         # the verdict otherwise, and no record outlives a transition (PERFORMANCE.md).
         migrating = self.controller.incomplete_ops
@@ -94,6 +95,7 @@ class JISCStrategy(MigrationStrategy):
         for tup in tuples:
             if tup.stream not in scans:
                 raise unknown_stream(tup.stream, scans)
+            hash(tup.key)
             migrating = controller.incomplete_ops  # replaced, never mutated
             if migrating:
                 on_arrival(tup)

@@ -64,6 +64,7 @@ class MJoinExecutor:
     def process(self, tup: StreamTuple) -> None:
         if tup.stream not in self.windows:
             raise unknown_stream(tup.stream, self.windows)
+        hash(tup.key)
         tracer = self.metrics.tracer
         if tracer.enabled:
             tracer.arrival(tup)

@@ -134,6 +134,7 @@ class ParallelTrackStrategy(MigrationStrategy):
         scans = self.tracks[0].plan.scans
         if tup.stream not in scans:
             raise unknown_stream(tup.stream, scans)
+        hash(tup.key)
         self._last_seq = max(self._last_seq, tup.seq)
         tracer = self.metrics.tracer
         # The migration phase of Parallel Track is not the transition call

@@ -16,7 +16,6 @@ docs/PERFORMANCE.md, "Fused arrival path".
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.engine.cost import VirtualClock
@@ -24,7 +23,7 @@ from repro.engine.metrics import PIPELINE_OPS, Metrics
 from repro.operators.base import Operator
 from repro.operators.joins import JoinOperator, SymmetricHashJoin
 from repro.operators.sink import OutputSink
-from repro.streams.tuples import CompositeTuple, StreamTuple
+from repro.streams.tuples import Joiner, StreamTuple, joiner
 from repro.streams.window import SlidingWindow
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -32,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.plans.build import PhysicalPlan
 
 #: One fused join level; which of its tuples is a base tuple and which a
-#: composite is pinned by :func:`_assembly`, not by types.
+#: composite is pinned by its joiner, not by types.
 Level = Callable[[Any], None]
 Streams = Optional[Tuple[str, ...]]
 
@@ -49,21 +48,10 @@ class Kernel(NamedTuple):
     expire: Callable[[StreamTuple], None]
 
 
-# How a level assembles ``CompositeTuple.of(tup, match)``.
-_OF, _PAIR, _TUP_INTO_MATCH, _MATCH_INTO_TUP = range(4)
-
-
-def _assembly(tup_streams: Streams, match_streams: Streams) -> Tuple[int, int]:
-    """``(how, position)``: where the one-part side goes into the other's
-    sorted parts, found once instead of by ``of``'s scan on every call."""
-    if not tup_streams or not match_streams:
-        return _OF, 0
-    if len(tup_streams) == 1:
-        how = _PAIR if len(match_streams) == 1 else _TUP_INTO_MATCH
-        return how, bisect_left(match_streams, tup_streams[0])
-    if len(match_streams) == 1:
-        return _MATCH_INTO_TUP, bisect_left(tup_streams, match_streams[0])
-    return _OF, 0
+def runs_kernels(op: Operator, metrics: Metrics) -> bool:
+    """What the kernels run and ``core.bound`` binds: exactly a symmetric hash join
+    counting on the plan's plain ``Metrics``, whose ``count`` the levels stand in for."""
+    return type(metrics) is Metrics and type(op) is SymmetricHashJoin and op.metrics is metrics
 
 
 def compile_plan(plan: "PhysicalPlan") -> None:
@@ -86,7 +74,6 @@ def compile_plan(plan: "PhysicalPlan") -> None:
         nonlocal adds, emits, probes, drops, outs
         adds = emits = probes = drops = outs = flush(now, adds, emits, probes, drops, outs)
 
-    of = CompositeTuple.of
     timed = metrics.clock is not None
     # A plain sink right above a prefix is written by the last level itself;
     # its lists are only ever mutated in place (see ``OutputSink``).
@@ -94,9 +81,7 @@ def compile_plan(plan: "PhysicalPlan") -> None:
     if sink is not None:
         outputs, output_times, retractions = sink.outputs, sink.output_times, sink.retractions
 
-    def fuse(
-        join: SymmetricHashJoin, opposite: Operator, how: int, i: int, up: Optional[Level]
-    ) -> Level:
+    def fuse(join: JoinOperator, opposite: Operator, assemble: Joiner, up: Level | None) -> Level:
         """``join.process`` of the other child's tuples, and each result's ``emit``."""
         get_view = opposite.state.get_view
         opposite_status = opposite.state.status
@@ -130,25 +115,7 @@ def compile_plan(plan: "PhysicalPlan") -> None:
             if matches:
                 opposite.hits += 1
                 for match in matches:
-                    if how == _MATCH_INTO_TUP:
-                        parts, ident = tup.parts, tup.ident
-                        result = CompositeTuple(
-                            key,
-                            parts[:i] + (match,) + parts[i:],
-                            ident[:i] + (match.seq,) + ident[i:],
-                        )
-                    elif how == _PAIR:
-                        a, b = (match, tup) if i else (tup, match)
-                        result = CompositeTuple(key, (a, b), (a.seq, b.seq))
-                    elif how == _TUP_INTO_MATCH:
-                        parts, ident = match.parts, match.ident
-                        result = CompositeTuple(
-                            key,
-                            parts[:i] + (tup,) + parts[i:],
-                            ident[:i] + (tup.seq,) + ident[i:],
-                        )
-                    else:
-                        result = of(tup, match)
+                    result = assemble(tup, match)
                     if not add(result):
                         continue
                     adds += 1
@@ -289,20 +256,16 @@ def compile_plan(plan: "PhysicalPlan") -> None:
         lower, upper = entries.get(op.left), entries.get(op.right)
         joined = isinstance(op, JoinOperator) and lower and upper
         entries[op] = tuple(sorted(lower + upper)) if joined else None
-    # One level per (join, side), parents first: every join that is exactly a
-    # symmetric hash join counting on the plan's metrics and fed synchronously by
-    # that child.  None under a ``Metrics`` subclass: the levels tally on behalf
-    # of ``Metrics.count``, and an overridden ``count`` (``EddyMetrics`` charges an
-    # eddy visit per emit, moving the clock in between) is not theirs to
-    # reproduce — the leaf hands over through ``scan.emit``, which counts there.
+    # One level per (join, side), parents first: every join the kernels run, fed
+    # synchronously by that child; elsewhere ``scan.emit`` hands over and counts.
     levels: Dict[Operator, Level] = {}  # child -> where what it emits goes
     for join in reversed(plan.internal):
-        if type(metrics) is Metrics and type(join) is SymmetricHashJoin and join.metrics is metrics:
+        if runs_kernels(join, metrics):
             for child in join.children():
                 if child.scheduler is None:
                     opposite = join.opposite(child)
-                    how, i = _assembly(entries.get(child), entries.get(opposite))
-                    levels[child] = fuse(join, opposite, how, i, levels.get(join))
+                    assemble = joiner(entries.get(child), entries.get(opposite))
+                    levels[child] = fuse(join, opposite, assemble, levels.get(join))
     for scan in plan.scans.values():
         joins: List[JoinOperator] = []
         last: Any = scan

@@ -92,7 +92,6 @@ class AdaptiveEngine:
         evaluate_every: int = EVALUATE_EVERY,
         telemetry: Optional[Any] = None,
         min_samples: int = MIN_SAMPLES,
-        registry: Optional[Any] = None,
         rebalance_policy: Optional[ShardImbalanceTrigger] = None,
         hub_options: Optional[Dict[str, Any]] = None,
         inner: Optional[Any] = None,
@@ -107,11 +106,9 @@ class AdaptiveEngine:
         if telemetry is not None:
             self.telemetry = telemetry
         elif self.sharded:
-            self.telemetry = target.telemetry or ShardTelemetry(
-                target, registry=registry, inner=inner, **options
-            )
+            self.telemetry = target.telemetry or ShardTelemetry(target, inner=inner, **options)
         else:
-            hub = TelemetryTracer(registry=registry, strategy=target.name, inner=inner, **options)
+            hub = TelemetryTracer(strategy=target.name, inner=inner, **options)
             hub.attach(target)
             self.telemetry = hub
         self.order: Tuple[str, ...] = (

@@ -34,22 +34,14 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 MIN_SAMPLES = 256
 
 
-def order_cost(
-    order: Sequence[str],
-    selectivities: Mapping[str, float],
-    probe_cost: float = 1.0,
-) -> float:
-    """Expected per-arrival probe work of a left-deep order.
-
-    ``probe_cost`` scales the unit (useful when charging real per-probe
-    cost-model units); the *ranking* of orders is scale-invariant.
-    """
+def order_cost(order: Sequence[str], selectivities: Mapping[str, float]) -> float:
+    """Expected per-arrival probe work of a left-deep order, in probes."""
     total = 0.0
     carry = 1.0
     for name in order[1:]:
         total += carry
         carry *= selectivities[name]
-    return total * probe_cost
+    return total
 
 
 def anchored_best_order(

@@ -462,6 +462,7 @@ class ShardedExecutor:
                     f"tuple from unknown stream {stream!r} "
                     f"(schema has {', '.join(windows)})"
                 )
+            hash(tup.key)  # unhashable: ``TypeError`` before anything is touched
             # External time T(i) = i * inter_arrival; the coordinator's
             # clock is caught up to it (see _now).
             t = arrivals * inter_arrival

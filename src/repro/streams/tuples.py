@@ -31,8 +31,9 @@ checks need no ``isinstance`` dispatch.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from operator import attrgetter
-from typing import Any, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.perf.intern import INTERNER
 
@@ -119,16 +120,16 @@ class CompositeTuple:
 
     **Invariant**: ``parts`` must be sorted by stream name (streams within
     one composite are distinct, so stream order is total).  :meth:`of`
-    guarantees it by merging the already-sorted part runs of its inputs;
-    direct constructor callers (checkpoint restore) sort before
-    constructing.  ``ident`` and ``lineage`` rely on the invariant instead
-    of sorting defensively.
+    guarantees it by merging the already-sorted part runs of its inputs,
+    and :func:`joiner` by inserting at a position it found once.
+    ``ident`` and ``lineage`` rely on the invariant instead of sorting
+    defensively.
 
     ``ident`` is the flat tuple of the parts' seqs, in ``parts`` order: the
     composite's identity within one operator state (whose membership fixes
-    which stream each position stands for).  :meth:`of` assembles it from
-    its inputs' idents with the same slices it cuts ``parts`` with; the
-    bare constructor derives it from ``parts``.
+    which stream each position stands for).  :meth:`of` and :func:`joiner`
+    assemble it from their inputs' idents with the same slices they cut
+    ``parts`` with; the bare constructor derives it from ``parts``.
     """
 
     __slots__ = ("key", "parts", "ident", "_lineage")
@@ -259,6 +260,64 @@ AnyTuple = Union[StreamTuple, CompositeTuple]
 
 #: Canonical tuple identity: sorted ``(stream, seq)`` pairs of constituents.
 Lineage = Tuple[Tuple[str, int], ...]
+
+#: ``CompositeTuple.of`` for two inputs of known shapes (see :func:`joiner`).
+Joiner = Callable[[Any, Any], CompositeTuple]
+
+
+def joiner(a: Optional[Sequence[str]], b: Optional[Sequence[str]]) -> Joiner:
+    """``CompositeTuple.of`` for inputs whose sorted streams are ``a`` and ``b``,
+    with the shape decided here, once.
+
+    Two base tuples make a pair in stream order.  A base tuple and a composite,
+    on either side, make the composite's ``parts`` and ``ident`` with the base
+    tuple cut in where ``bisect_left`` puts it now, instead of ``of``'s scan on
+    every call.  A side of unknown streams (``None``: below a set-difference) or
+    two composites get ``of`` itself.  A builder makes one composite in one
+    Python frame: ``object.__new__`` and the four slots ``__init__`` would set.
+    """
+    if not a or not b or (len(a) > 1 and len(b) > 1):
+        return CompositeTuple.of
+    new = object.__new__
+    if len(a) == len(b):
+        if a[0] < b[0]:
+
+            def pair(x: StreamTuple, y: StreamTuple) -> CompositeTuple:
+                c = new(CompositeTuple)
+                c.key, c.parts, c.ident, c._lineage = x.key, (x, y), (x.seq, y.seq), None
+                return c
+
+            return pair
+
+        def pair_swapped(x: StreamTuple, y: StreamTuple) -> CompositeTuple:
+            c = new(CompositeTuple)
+            c.key, c.parts, c.ident, c._lineage = x.key, (y, x), (y.seq, x.seq), None
+            return c
+
+        return pair_swapped
+    if len(a) == 1:
+        i = bisect_left(b, a[0])
+
+        def base_into(x: StreamTuple, y: CompositeTuple) -> CompositeTuple:
+            parts, ident = y.parts, y.ident
+            c = new(CompositeTuple)
+            c.key, c._lineage = x.key, None
+            c.parts = parts[:i] + (x,) + parts[i:]
+            c.ident = ident[:i] + (x.seq,) + ident[i:]
+            return c
+
+        return base_into
+    i = bisect_left(a, b[0])
+
+    def into_base(x: CompositeTuple, y: StreamTuple) -> CompositeTuple:
+        parts, ident = x.parts, x.ident
+        c = new(CompositeTuple)
+        c.key, c._lineage = x.key, None
+        c.parts = parts[:i] + (y,) + parts[i:]
+        c.ident = ident[:i] + (y.seq,) + ident[i:]
+        return c
+
+    return into_base
 
 
 def lineage_key(tup: AnyTuple) -> Lineage:

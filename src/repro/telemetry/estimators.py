@@ -255,7 +255,6 @@ class SelectivityDriftDetector:
         self,
         window: int = 5000,
         block: int = 1,
-        alpha: float = 0.05,
         delta: float = 0.005,
         threshold: float = 20.0,
         min_samples: int = 30,
@@ -266,7 +265,7 @@ class SelectivityDriftDetector:
             raise ValueError("block must be in [1, window]")
         self.window = window
         self.block = block
-        self.ewma = Ewma(alpha)
+        self.ewma = Ewma()
         self.ph = PageHinkley(delta=delta, threshold=threshold, min_samples=min_samples)
         self.drifted = False
         #: Lifetime observation / hit counts (never windowed).

@@ -67,10 +67,10 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 #: ("what is the selectivity over the last 5k probes, right now?").
 SELECTIVITY_WINDOW = 5000
 
-#: Default sliding window (in arrivals) of the rate estimators.
+#: Sliding window (in arrivals) of the rate estimators.
 RATE_WINDOW = 1024
 
-#: Default cell count of the per-hub hot-key sketch.  128 cells is a few
+#: Cell count of the per-hub hot-key sketch.  128 cells is a few
 #: KB per hub, monitors typical key domains exactly (no eviction churn on
 #: the hot path), and keeps top-k recall high on heavy-tailed workloads.
 TOPK_CAPACITY = 128
@@ -108,10 +108,10 @@ class TelemetryTracer(Tracer):
         Optional downstream tracer (normally a
         :class:`~repro.obs.tracer.RecordingTracer`); every hook is
         forwarded so traces and telemetry come from one attachment.
-    selectivity_window / rate_window / topk:
-        Estimator extents (see module constants).
-    drift_delta / drift_threshold / drift_min_samples:
-        Page–Hinkley parameters of the per-operator drift detectors.
+    selectivity_window:
+        Extent of the per-operator selectivity estimate (see module constants).
+    drift_min_samples:
+        Page–Hinkley warm-up of the per-operator drift detectors.
     drift_block:
         Probe-block size of the drift detectors (see :data:`DRIFT_BLOCK`);
         clamped to ``selectivity_window``.  ``1`` makes the windowed
@@ -131,10 +131,6 @@ class TelemetryTracer(Tracer):
         shard: Optional[int] = None,
         inner: Optional[Tracer] = None,
         selectivity_window: int = SELECTIVITY_WINDOW,
-        rate_window: int = RATE_WINDOW,
-        topk: int = TOPK_CAPACITY,
-        drift_delta: float = 0.005,
-        drift_threshold: float = 20.0,
         drift_min_samples: int = 200,
         drift_block: int = DRIFT_BLOCK,
         snapshot_every: int = 0,
@@ -145,9 +141,6 @@ class TelemetryTracer(Tracer):
             self._labels["shard"] = str(shard)
         self._inner = inner
         self.selectivity_window = selectivity_window
-        self.rate_window = rate_window
-        self.drift_delta = drift_delta
-        self.drift_threshold = drift_threshold
         self.drift_min_samples = drift_min_samples
         self.drift_block = min(drift_block, selectivity_window)
         self.snapshot_every = snapshot_every
@@ -161,13 +154,13 @@ class TelemetryTracer(Tracer):
         # cadence so an arrival touches almost no telemetry memory.
         self._stream_counts: Dict[str, int] = {}
         self._key_buf: List[Any] = []
-        rate_samples = max(2, rate_window // max(1, PROBE_POLL_EVERY))
+        rate_samples = RATE_WINDOW // PROBE_POLL_EVERY
         self._stream_rates: Dict[str, SampledRate] = {}
         self._rate_gauges: Dict[str, Tuple[Counter, Gauge]] = {}
         self._outputs = 0
         self._output_rate = SampledRate(rate_samples)
         self._rate_samples = rate_samples
-        self.topk = SpaceSavingSketch(topk)
+        self.topk = SpaceSavingSketch(TOPK_CAPACITY)
         # probed-operator label -> (detector, estimate gauge, smoothed
         # gauge, flag gauge, drift-event counter)
         self._sel: Dict[str, Tuple[SelectivityDriftDetector, Gauge, Gauge, Gauge, Counter]] = {}
@@ -272,8 +265,6 @@ class TelemetryTracer(Tracer):
         detector = SelectivityDriftDetector(
             window=self.selectivity_window,
             block=self.drift_block,
-            delta=self.drift_delta,
-            threshold=self.drift_threshold,
             min_samples=self.drift_min_samples,
         )
         reg = self.registry

@@ -101,11 +101,6 @@ class SpaceSavingSketch:
         i = self._slot.get(key)
         return self._counts[i] if i is not None else 0
 
-    def guaranteed_count(self, key: Any) -> int:
-        """Lower bound on the true count of ``key`` (count minus error)."""
-        i = self._slot.get(key)
-        return self._counts[i] - self._errors[i] if i is not None else 0
-
     def top(self, k: int) -> List[Tuple[Any, int, int]]:
         """The ``k`` heaviest monitored keys as ``(key, count, error)``.
 

@@ -101,3 +101,13 @@ def test_the_patterns_find_what_they_are_for():
     assert resolves("repro.lint") and not resolves("repro.perf.telemetry_gate")
     named = {m for doc in DOCS for m in MODULE.findall(doc.read_text())}
     assert {"repro.perf.regress", "repro.perf.profile", "repro.obs.report"} <= named
+
+
+def test_design_layout_lists_every_package():
+    """DESIGN.md §6's layout block names every package under ``src/repro``."""
+    text = (ROOT / "DESIGN.md").read_text()
+    section = text.split("## 6. Repository layout", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```", 2)[1]
+    listed = set(re.findall(r"^  (\w+)/", block, re.MULTILINE))
+    packages = {p.parent.name for p in (ROOT / "src" / "repro").glob("*/__init__.py")}
+    assert not packages - listed, f"DESIGN.md §6 misses {sorted(packages - listed)}"

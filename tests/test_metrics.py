@@ -105,11 +105,11 @@ def test_cost_model_overrides():
     assert cm.cost_of(Counter.HASH_PROBE) == DEFAULT_COSTS[Counter.HASH_PROBE]
 
 
-def test_cost_model_time_for():
+def test_cost_model_work_units():
     cm = CostModel()
     counts = {Counter.HASH_PROBE: 2, Counter.TUPLE_EMIT: 10}
     expected = 2 * cm.cost_of(Counter.HASH_PROBE) + 10 * cm.cost_of(Counter.TUPLE_EMIT)
-    assert cm.time_for(counts) == pytest.approx(expected)
+    assert work_units(counts, cm) == pytest.approx(expected)
 
 
 def test_work_units_without_model_counts_everything_once():
@@ -125,7 +125,7 @@ def test_work_units_with_real_cost_model_matches_clock():
     m.count_n(Counter.TUPLE_EMIT, 4)
     m.count(Counter.OUTPUT)
     assert work_units(m.snapshot(), cm) == pytest.approx(clock.now)
-    assert work_units(m.snapshot(), cm) == pytest.approx(cm.time_for(m.counts))
+    assert work_units(m.counts, cm) == pytest.approx(clock.now)
 
 
 def test_work_units_weights_ops_differently():

@@ -29,7 +29,7 @@ class TestBasics:
             sk.offer(key)
         assert sk.count_of(1) == 3
         assert sk.count_of(2) == 2
-        assert sk.guaranteed_count(1) == 3  # no evictions -> zero error
+        assert sk.top(1) == [(1, 3, 0)]  # no evictions -> zero error
         assert sk.count_of(99) == 0
         assert 1 in sk and 99 not in sk
 

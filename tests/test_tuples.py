@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.streams.tuples import CompositeTuple, StreamTuple, lineage_key, parts_of
+from repro.streams.tuples import CompositeTuple, StreamTuple, joiner, lineage_key, parts_of
 
 
 def test_stream_tuple_fields():
@@ -90,3 +90,59 @@ def test_parts_of():
     assert list(parts_of(t)) == [t]
     c = CompositeTuple.of(t, StreamTuple("S", 1, 1))
     assert set(p.stream for p in parts_of(c)) == {"R", "S"}
+
+
+# -- joiner: ``CompositeTuple.of`` with the shape decided once ----------------------
+
+
+def streams_of(tup):
+    return tuple(p.stream for p in parts_of(tup))
+
+
+def assert_same_composite(built, expected):
+    assert type(built) is CompositeTuple
+    assert built.key == expected.key
+    assert built.parts == expected.parts
+    assert built.ident == expected.ident
+    assert built == expected and expected == built
+    assert hash(built) == hash(expected)
+    assert built.lineage == expected.lineage
+
+
+@pytest.mark.parametrize("first, second", [("A", "B"), ("B", "A")])
+def test_joiner_pairs_two_base_tuples_in_stream_order(first, second):
+    x, y = StreamTuple(first, 4, 7), StreamTuple(second, 2, 7)
+    assert_same_composite(joiner((first,), (second,))(x, y), CompositeTuple.of(x, y))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+@pytest.mark.parametrize("base_first", [True, False])
+def test_joiner_inserts_a_base_tuple_at_every_position(size, base_first):
+    # The other side's streams are B, D, F, H (a base tuple when size is 1); the
+    # base tuple's stream A, C, E, G or I lands before, between or after them.
+    other = [StreamTuple(s, 10 + i, 3) for i, s in enumerate("BDFH"[:size])]
+    run = other[0] if size == 1 else CompositeTuple.of(*other)
+    for position, stream in enumerate("ACEGI"[: size + 1]):
+        base = StreamTuple(stream, 50 + position, 3)
+        x, y = (base, run) if base_first else (run, base)
+        assemble = joiner(streams_of(x), streams_of(y))
+        built = assemble(x, y)
+        assert_same_composite(built, CompositeTuple.of(x, y))
+        assert built.parts[position] is base
+
+
+def test_joiner_falls_back_to_of():
+    ab = CompositeTuple.of(StreamTuple("A", 1, 5), StreamTuple("B", 2, 5))
+    cd = CompositeTuple.of(StreamTuple("C", 3, 5), StreamTuple("D", 4, 5))
+    e = StreamTuple("E", 5, 5)
+    for a, b, x, y in [
+        (("A", "B"), ("C", "D"), ab, cd),  # two composites
+        (("C", "D"), ("A", "B"), cd, ab),
+        (None, ("E",), ab, e),  # a side whose streams are unknown
+        (("A", "B"), None, ab, e),
+        (None, None, ab, e),
+        ((), ("E",), ab, e),
+    ]:
+        assemble = joiner(a, b)
+        assert assemble == CompositeTuple.of
+        assert_same_composite(assemble(x, y), CompositeTuple.of(x, y))
