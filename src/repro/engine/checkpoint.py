@@ -13,7 +13,8 @@ Supported strategies: :class:`~repro.migration.jisc.JISCStrategy`,
 :class:`~repro.migration.base.StaticPlanExecutor` and their buffered
 variants (:mod:`repro.engine.queued`), over join plans (hash or
 nested-loops with the default equality predicate).  Join-attribute values
-and payloads must be JSON-serializable.
+go through :func:`key_to_json` / :func:`key_from_json` (JSON scalars and
+tuples of them, nested too); payloads must be JSON-serializable.
 
 Format history:
 
@@ -72,6 +73,25 @@ def spec_from_json(data: Any) -> PlanSpec:
     return (spec_from_json(data[0]), spec_from_json(data[1]))
 
 
+def key_to_json(key: Any) -> Any:
+    """A join-attribute value as JSON: a scalar as itself (blobs and logs written
+    before tuples were encoded read unchanged), a tuple as the list of its items'
+    encodings — no key is a list, so :func:`key_from_json` can tell them apart.
+    Raises ``TypeError`` for a value that would not come back equal and hashable."""
+    if isinstance(key, tuple):
+        return [key_to_json(item) for item in key]
+    if key is None or isinstance(key, (str, int, float)):
+        return key
+    raise TypeError(f"join-attribute value {key!r} does not survive a JSON round trip")
+
+
+def key_from_json(data: Any) -> Any:
+    """Inverse of :func:`key_to_json`."""
+    if isinstance(data, list):
+        return tuple(key_from_json(item) for item in data)
+    return data
+
+
 def _tuple_to_json(tup: AnyTuple) -> Dict[str, Any]:
     """Serialize a (possibly composite) queued tuple by its constituents."""
     if isinstance(tup, CompositeTuple):
@@ -82,8 +102,8 @@ def _tuple_to_json(tup: AnyTuple) -> Dict[str, Any]:
         composite = False
     return {
         "composite": composite,
-        "key": tup.key,
-        "parts": [[p.stream, p.seq, p.key, p.payload] for p in parts],
+        "key": key_to_json(tup.key),
+        "parts": [[p.stream, p.seq, key_to_json(p.key), p.payload] for p in parts],
     }
 
 
@@ -96,7 +116,7 @@ def _tuple_from_json(
         if tup is None:
             # The part expired from its window after the item was queued;
             # rebuild it standalone.
-            tup = StreamTuple(stream, seq, key, payload)
+            tup = StreamTuple(stream, seq, key_from_json(key), payload)
         parts.append(tup)
     if not data["composite"]:
         return parts[0]
@@ -195,7 +215,7 @@ def checkpoint_strategy(strategy: MigrationStrategy) -> Dict[str, Any]:
         },
         "windows": {
             name: [
-                {"seq": t.seq, "key": t.key, "payload": t.payload}
+                {"seq": t.seq, "key": key_to_json(t.key), "payload": t.payload}
                 for t in window_contents(scan)
             ]
             for name, scan in plan.scans.items()
@@ -207,7 +227,7 @@ def checkpoint_strategy(strategy: MigrationStrategy) -> Dict[str, Any]:
                 "pending": (
                     None
                     if op.state.status.pending is None
-                    else sorted(op.state.status.pending)
+                    else [key_to_json(key) for key in sorted(op.state.status.pending)]
                 ),
                 "entries": [list(map(list, e.lineage)) for e in op.state.entries()],
             }
@@ -224,13 +244,13 @@ def checkpoint_strategy(strategy: MigrationStrategy) -> Dict[str, Any]:
         data["controller"] = {
             "last_transition_seq": controller.freshness.last_transition_seq,
             "last_seen": {
-                stream: list(map(list, mapping.items()))
+                stream: [[key_to_json(key), at] for key, at in mapping.items()]
                 for stream, mapping in controller.freshness._last_seen.items()
             },
             "info": [
                 {
                     "membership": sorted(op.membership),
-                    "settled": sorted(info.settled),
+                    "settled": [key_to_json(key) for key in sorted(info.settled)],
                     "transition_seq": info.transition_seq,
                     "reference_child": (
                         sorted(info.reference_child.membership)
@@ -269,7 +289,7 @@ def restore_strategy(data: Dict[str, Any]) -> MigrationStrategy:
     for name, rows in data["windows"].items():
         scan = plan.scans[name]
         for row in rows:
-            tup = StreamTuple(name, row["seq"], row["key"], row.get("payload"))
+            tup = StreamTuple(name, row["seq"], key_from_json(row["key"]), row.get("payload"))
             base_tuples[(name, row["seq"])] = tup
             if scan.window is not None:  # a driven scan's state is its window
                 scan.window.push_all(tup)
@@ -288,7 +308,8 @@ def restore_strategy(data: Dict[str, Any]) -> MigrationStrategy:
         if saved["complete"]:
             status.mark_complete()
         else:
-            status.mark_incomplete(saved["pending"])
+            pending = saved["pending"]
+            status.mark_incomplete(None if pending is None else map(key_from_json, pending))
 
     # JISC bookkeeping.
     if isinstance(strategy, JISCStrategy) and "controller" in data:
@@ -298,7 +319,7 @@ def restore_strategy(data: Dict[str, Any]) -> MigrationStrategy:
             "last_transition_seq"
         ]
         controller.freshness._last_seen = {
-            stream: dict((k, v) for k, v in pairs)
+            stream: {key_from_json(key): at for key, at in pairs}
             for stream, pairs in saved_controller["last_seen"].items()
         }
         ops_by_membership = {op.membership: op for op in plan.internal}
@@ -309,7 +330,7 @@ def restore_strategy(data: Dict[str, Any]) -> MigrationStrategy:
         for row in saved_controller["info"]:
             op = ops_by_membership[frozenset(row["membership"])]
             info = JISCStateInfo(row["transition_seq"])
-            info.settled = set(row["settled"])
+            info.settled = set(map(key_from_json, row["settled"]))
             if row["reference_child"] is not None:
                 info.reference_child = children_by_membership.get(
                     frozenset(row["reference_child"])

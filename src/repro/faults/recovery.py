@@ -33,6 +33,8 @@ import json
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from repro.engine.checkpoint import (
+    key_from_json,
+    key_to_json,
     spec_from_json,
     spec_to_json,
     checkpoint_strategy,
@@ -136,10 +138,9 @@ class RecoveryManager:
         scans = strategy.plan.scans
         if tup.stream not in scans:
             raise unknown_stream(tup.stream, scans)
-        hash(tup.key)
+        record = _arrival_record(tup)  # ``TypeError`` for a key the log cannot hold
         index = self._arrivals_consumed
         self._arrivals_consumed += 1
-        record = _arrival_record(tup)
         logged = False
         try:
             self.injector.crash_point(index, CRASH_BEFORE_LOG)
@@ -278,7 +279,7 @@ class RecoveryManager:
                         StreamTuple(
                             record_row["stream"],
                             record_row["seq"],
-                            record_row["key"],
+                            key_from_json(record_row["key"]),
                             record_row.get("payload"),
                         )
                     )
@@ -294,6 +295,6 @@ def _arrival_record(tup: StreamTuple) -> LogRecord:
         "type": "arrival",
         "stream": tup.stream,
         "seq": tup.seq,
-        "key": tup.key,
+        "key": key_to_json(tup.key),
         "payload": tup.payload,
     }

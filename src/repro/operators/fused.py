@@ -4,14 +4,18 @@
 leaf below it — and two closures per leaf: ``arrive`` (window push, expiry
 cascade, scan insert, the levels of its root path) and ``expire`` (the
 removal cascade alone), all tallying into one set of cells.  What is fused
-is the dispatch, nothing else — the operator classes stay the definition: a
-level calls the same ``HashState`` methods, bumps the same probe tallies and
-calls the same hooks at the same points as ``JoinOperator.process`` /
-``Operator.remove``.  A leaf's fused prefix ends at the first ancestor that
-is not exactly a :class:`SymmetricHashJoin` fed synchronously; results and
-removals reach it through the last fused operator's ``emit`` /
-``emit_removal``.  Accounting, and what a kernel may close over:
-docs/PERFORMANCE.md, "Fused arrival path".
+is the dispatch and the arrival path's state writes; the operator classes
+and ``HashState``'s methods stay the definition.  A level bumps the same
+probe tallies and calls the same hooks at the same points as
+``JoinOperator.process`` / ``Operator.remove``, and probes, inserts and
+unlinks as ``get_view`` / ``add`` / ``remove_entry`` / ``remove_with_part``
+do, specialised once per level; where that does not hold (a layout not
+fixed yet, a stored tuple equal to the evicted one but not it, entries of
+unknown streams) it calls the method.  A leaf's fused prefix ends at the
+first ancestor that is not exactly a :class:`SymmetricHashJoin` fed
+synchronously; results and removals reach it through the last fused
+operator's ``emit`` / ``emit_removal``.  Accounting, and what a kernel may
+close over: docs/PERFORMANCE.md, "Fused arrival path".
 """
 
 from __future__ import annotations
@@ -83,10 +87,10 @@ def compile_plan(plan: "PhysicalPlan") -> None:
 
     def fuse(join: JoinOperator, opposite: Operator, assemble: Joiner, up: Level | None) -> Level:
         """``join.process`` of the other child's tuples, and each result's ``emit``."""
-        get_view = opposite.state.get_view
+        probed = opposite.state.by_key
         opposite_status = opposite.state.status
-        own_status = join.state.status
-        add = join.state.add
+        own = join.state
+        own_status, by_key, by_ident, add = own.status, own.by_key, own.by_ident, own.add
         hand_off = join.emit
         # Bound by the JISC controller when it attached the plan; a state it
         # bound nothing for is completed through the join's hook.
@@ -110,14 +114,32 @@ def compile_plan(plan: "PhysicalPlan") -> None:
                     now = clock.now
             probes += 1
             now += c_probe
-            matches = get_view(key)
+            matches = probed.get(key)
             opposite.probes += 1
             if matches:
                 opposite.hits += 1
-                for match in matches:
+                bucket = None  # every result carries ``key``: one bucket per call
+                for match in matches.values():
                     result = assemble(tup, match)
-                    if not add(result):
+                    ident = result.ident
+                    if ident in by_ident:
                         continue
+                    part_index = own.part_index  # rebound by ``_fix_layout`` / ``clear``
+                    if len(part_index) != len(ident):
+                        add(result)  # fixes the layout, or raises as ever
+                    else:
+                        for index, seq in zip(part_index, ident):
+                            owners = index.get(seq)
+                            if owners is None:
+                                index[seq] = {ident: result}
+                            else:
+                                owners[ident] = result
+                        if bucket is None:
+                            bucket = by_key.get(key)
+                            if bucket is None:
+                                bucket = by_key[key] = {}
+                        bucket[ident] = result
+                        by_ident[ident] = result
                     adds += 1
                     now += c_insert
                     if up is not None:
@@ -159,13 +181,19 @@ def compile_plan(plan: "PhysicalPlan") -> None:
     def leaf(scan: "StreamScan", first: Optional[Level], joins: List[JoinOperator]) -> Kernel:
         """``scan``'s two doors; ``joins`` is its fused prefix, bottom-up."""
         last: Operator = joins[-1] if joins else scan
-        removal_path = tuple((j.state.remove_with_part, j.state.status) for j in joins)
         stream = scan.stream
+        # Per join: its state, the evicting stream's position in its entries'
+        # idents (``None``: streams unknown below), and the two indexes.
+        removal_path = []
+        for join in joins:
+            streams, joined = entries[join], join.state
+            position = None if streams is None else streams.index(stream)
+            removal_path.append((joined, joined.status, position, joined.by_key, joined.by_ident))
         window = scan.window  # None: driven, the caller evicts through the door
         push = window.push if isinstance(window, SlidingWindow) else None
         push_all = None if window is None else window.push_all
-        add = scan.state.add
-        remove_entry = scan.state.remove_entry
+        state = scan.state
+        add, remove_entry, keys, idents = state.add, state.remove_entry, state.by_key, state.by_ident
         hand_off = scan.emit
         hand_off_removal = last.emit_removal
 
@@ -184,14 +212,42 @@ def compile_plan(plan: "PhysicalPlan") -> None:
                         hand_over()
                     fresh = scan.fresh_fn(evicted)
                     now = clock.now
-                remove_entry(evicted)
+                seq = evicted.seq
+                stored = idents.get(seq)
+                if stored is evicted:
+                    del idents[seq]
+                    bucket = keys[evicted.key]
+                    del bucket[seq]
+                    if not bucket:
+                        del keys[evicted.key]
+                elif stored is not None:
+                    remove_entry(evicted)  # compares an equal tuple by value
                 drops += 1
                 now += c_remove
-                part = (evicted.stream, evicted.seq)
-                for remove_with_part, status in removal_path:
+                part = (evicted.stream, seq)
+                for joined, status, position, by_key, by_ident in removal_path:
                     probes += 1
                     now += c_probe
-                    n = len(remove_with_part(part))
+                    part_index = joined.part_index  # rebound by ``_fix_layout`` / ``clear``
+                    if position is None or not part_index:
+                        n = len(joined.remove_with_part(part))
+                    else:
+                        expired = part_index[position].pop(seq, None)
+                        n = 0
+                        if expired is not None:
+                            n = len(expired)
+                            for ident, entry in expired.items():
+                                del by_ident[ident]
+                                bucket = by_key[entry.key]
+                                del bucket[ident]
+                                if not bucket:
+                                    del by_key[entry.key]
+                                for index, other in zip(part_index, ident):
+                                    owners = index.get(other)
+                                    if owners is not None:  # None at ``position``: popped
+                                        del owners[ident]
+                                        if not owners:
+                                            del index[other]
                     if n:
                         drops += n
                         now += c_remove * n
@@ -230,7 +286,13 @@ def compile_plan(plan: "PhysicalPlan") -> None:
                 elif push_all is not None:
                     for evicted in push_all(tup):
                         expire(evicted, False)
-                add(tup)
+                if not state.layout:
+                    add(tup)  # the first entry fixes the layout
+                elif tup.seq not in idents:
+                    bucket = keys.get(tup.key)
+                    if bucket is None:
+                        bucket = keys[tup.key] = {}
+                    bucket[tup.seq] = idents[tup.seq] = tup
                 adds += 1
                 now += c_insert
                 if first is None:

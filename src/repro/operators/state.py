@@ -129,6 +129,16 @@ class HashState:
     A state is a standalone relation — entries carry no links to the
     entries derived from them in other states — because JISC adopts states
     across plan shapes by pointer move (docs/PERFORMANCE.md).
+
+    These methods are the definition, and there is a second writer: the
+    fused kernels (:mod:`repro.operators.fused`) probe ``by_key`` and do the
+    arrival path's inserts and expiry unlinks themselves, in the same order,
+    falling back to :meth:`add` / :meth:`remove_entry` /
+    :meth:`remove_with_part` where this layout is not fixed yet or the
+    entry's streams are not known; ``tests/test_fused_state.py`` holds every
+    index of theirs to these methods'.  Hence ``by_key`` and ``by_ident``
+    are only ever mutated in place (kernels close over them), while
+    ``part_index`` and ``layout`` may be rebound and are read per call.
     """
 
     __slots__ = ("by_key", "by_ident", "layout", "part_index", "status")

@@ -19,6 +19,7 @@ import pytest
 
 from repro.eddy.cacq import CACQExecutor
 from repro.engine.checkpoint import checkpoint_strategy, restore_strategy
+from repro.engine.metrics import Metrics
 from repro.engine.executor import interleave_transitions, run_events
 from repro.engine.queued import BufferedJISCStrategy
 from repro.migration.base import StaticPlanExecutor
@@ -26,7 +27,7 @@ from repro.migration.jisc import JISCStrategy
 from repro.migration.mjoin import MJoinExecutor
 from repro.migration.moving_state import MovingStateStrategy
 from repro.migration.parallel_track import ParallelTrackStrategy
-from repro.operators.state import HashState
+from repro.operators.state import HashState, extract_key, install_key
 from repro.perf.intern import INTERNER
 from repro.streams.schema import Schema
 from repro.streams.tuples import CompositeTuple, StreamTuple
@@ -138,6 +139,34 @@ def test_clear_resets_the_layout():
     state.add(base("T", 9))
     assert state.layout == ("T",)
     assert state.remove_with_part(("T", 9)) == [base("T", 9)]
+
+
+def test_key_and_ident_indexes_keep_their_identity():
+    """The kernels close over ``by_key`` and ``by_ident`` (docs/PERFORMANCE.md,
+    "Closed over vs read at call time"): a key move out and back in and a
+    ``clear`` mutate them in place, where ``part_index`` and ``layout`` may
+    be rebound."""
+    r, s = base("R", 1), base("S", 2)
+    rs = CompositeTuple.of(r, s)
+    states = {"R": HashState(), "S": HashState(), "RS": HashState()}
+    for label, entry in zip(states, (r, s, rs)):
+        states[label].add(entry)
+    held = {label: (state.by_key, state.by_ident) for label, state in states.items()}
+
+    def kept():
+        return all(
+            state.by_key is held[label][0] and state.by_ident is held[label][1]
+            for label, state in states.items()
+        )
+
+    parcel = extract_key(states, "k", Metrics())  # ``take_key``, base-tuple states first
+    assert kept() and sum(map(len, states.values())) == 0 and len(parcel) == 3
+    assert install_key(states, "k", parcel, Metrics()) == 3  # ``put_key``
+    assert kept() and states["RS"].get("k") == [rs]
+    assert states["RS"].remove_with_part(("S", 2)) == [rs]
+    for state in states.values():
+        state.clear()
+    assert kept() and all(state.part_index == () for state in states.values())
 
 
 # -- an unknown stream is rejected before anything is touched ----------------------
