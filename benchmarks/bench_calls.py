@@ -93,14 +93,14 @@ def call_counts(shape, strategy="jisc", scale=1.0):
     }
     if plain.attach_hub is not None:
         observed = SCENARIOS[shape](scale, strategy)
-        registry = observed.attach_hub()
+        hub = observed.attach_hub()
         _, calls = count_calls(observed.drive)
         row["observed"] = {
             "calls": by_package(calls),
             "ops_identical": dict(observed.ops()) == ops,
             "outputs_identical": observed.engine.output_lineages()
             == plain.engine.output_lineages(),
-            "series": len(registry),
+            "series": len(hub.series()),
         }
     return row
 
@@ -150,7 +150,7 @@ def test_calls_per_arrival(benchmark):
         if observed:
             assert observed["ops_identical"], f"{shape}/{strategy}: the hub changed op counts"
             assert observed["outputs_identical"], f"{shape}/{strategy}: the hub changed outputs"
-            assert observed["series"] > 0, f"{shape}/{strategy}: the hub registered no series"
+            assert observed["series"] > 0, f"{shape}/{strategy}: the hub's view has no series"
     emit("calls", lines, data=payload)
     steady = payload["shapes"]["steady"]
     assert steady["jisc"]["calls"] == steady["static"]["calls"]  # Figure 9 a, call for call

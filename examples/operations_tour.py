@@ -5,10 +5,10 @@ The production-flavoured workflow around a long-running JISC query:
 
 1. simulate bursty sources with Poisson arrival processes (one stream's
    rate jumps 10x mid-run — the paper's "changes in arrival rates");
-2. watch the query with a telemetry hub — periodic registry snapshots
-   carry state sizes, incomplete states and output counts, and the
-   snapshot folds answer "did output stall?", "which state is biggest?" —
-   and render the plan with live annotations;
+2. watch the query with a telemetry hub — periodic snapshots, recorded
+   as trace events, carry state sizes, incomplete states and output
+   counts, and the snapshot folds answer "did output stall?", "which
+   state is biggest?" — and render the plan with live annotations;
 3. checkpoint the strategy mid-migration, "crash", restore from the JSON
    blob, and verify the continuation agrees with the uninterrupted run.
 
@@ -19,9 +19,10 @@ import json
 
 from repro import JISCStrategy, Schema
 from repro.engine.checkpoint import checkpoint_strategy, restore_strategy
+from repro.obs import RecordingTracer
 from repro.plans.printer import render_tree
 from repro.streams.arrivals import PoissonArrivals
-from repro.telemetry import TelemetryTracer
+from repro.telemetry import TelemetryTracer, summary
 
 STREAMS = ("orders", "payments", "shipments", "alerts")
 
@@ -45,7 +46,8 @@ def main() -> None:
 
     schema = Schema.uniform(STREAMS, window=250)
     query = JISCStrategy(schema, STREAMS)
-    hub = TelemetryTracer(strategy=query.name, snapshot_every=500)
+    recorder = RecordingTracer()
+    hub = TelemetryTracer(strategy=query.name, inner=recorder, snapshot_every=500)
     hub.attach(query)
 
     # phase 1: run (a snapshot every 500 arrivals), migrate
@@ -77,7 +79,7 @@ def main() -> None:
     print(f"continuation outputs: original={len(original_tail)} "
           f"restored={len(restored_tail)} identical={original_tail == restored_tail}")
 
-    print("\nsnapshot summary:", hub.snapshots.summary())
+    print("\nsnapshot summary:", summary(recorder.as_trace()))
     if original_tail != restored_tail:
         raise SystemExit("restored continuation diverged — this is a bug")
 

@@ -82,6 +82,9 @@ EVENT_REBALANCE_BATCH_START = "rebalance_batch_start"
 EVENT_REBALANCE_BATCH_END = "rebalance_batch_end"
 EVENT_SHARD_MOVE = "shard_move"
 EVENT_TRIGGER = "trigger"
+#: A telemetry hub's series view at one virtual time (``series``: flat
+#: ``name{k="v",...}`` -> value; see ``repro.telemetry.hub``).
+EVENT_SNAPSHOT = "snapshot"
 
 #: Trigger-decision actions (see ``repro.optimizer.triggers``): every
 #: evaluation of a transition trigger lands in a trace as one of these.
@@ -413,11 +416,12 @@ def parse_jsonl(lines: Iterable[str]) -> Trace:
 
     A header says how many events follow it: fewer parsed — the last lines
     missing, or one cut short — raises ``ValueError`` instead of returning
-    a silently short trace.  Header-less input is taken as it comes.
+    a silently short trace; so does an event without ``ts`` or ``kind``,
+    naming its line.  Header-less input is taken as it comes.
     """
     header: Dict[str, Any] = {}
     events: List[TraceEvent] = []
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
@@ -427,10 +431,14 @@ def parse_jsonl(lines: Iterable[str]) -> Trace:
             if not header:
                 raise
             break  # a cut line ends the trace; the count below reports it
-        if obj.get("kind") == "header":
+        if not isinstance(obj, dict) or "kind" not in obj:
+            raise ValueError(f"line {number}: not a trace event (no 'kind')")
+        if obj["kind"] == "header":
             header = obj
-        else:
+        elif "ts" in obj:
             events.append(TraceEvent.from_json(obj))
+        else:
+            raise ValueError(f"line {number}: {obj['kind']!r} event without 'ts'")
     expected = header.get("events")
     if expected is not None and expected != len(events):
         raise ValueError(

@@ -63,7 +63,6 @@ from repro.shard import (
 from repro.streams.generators import ZipfWorkload
 from repro.streams.schema import Schema
 from repro.telemetry.hub import ShardTelemetry, TelemetryTracer
-from repro.telemetry.registry import MetricsRegistry
 from repro.workloads.drift import SelectivityDriftWorkload
 from repro.workloads.scenarios import chain_scenario, frequency_events
 
@@ -110,9 +109,9 @@ class EngineRun:
     drive: Callable[[], Any]
     #: The op counters of the engine(s) underneath.
     ops: Callable[[], Mapping[Any, int]]
-    #: Attach a live hub from outside, return its registry (``None``: the hub is
-    #: part of the engine).
-    attach_hub: Optional[Callable[[], MetricsRegistry]] = None
+    #: Attach a live hub from outside and return it (``None``: the hub is part
+    #: of the engine); its ``series()`` is the view at the end of the run.
+    attach_hub: Optional[Callable[[], Any]] = None
 
     def __call__(self) -> int:
         self.drive()
@@ -135,10 +134,10 @@ def engine_run(
         events = frequency_events(chain, period, case=case) if period else chain.tuples
         engine = make_strategy(strategy, chain.schema, chain.order)
 
-        def attach_hub() -> MetricsRegistry:
+        def attach_hub() -> TelemetryTracer:
             hub = TelemetryTracer(strategy=strategy)
             hub.attach(engine)
-            return hub.registry
+            return hub
 
         return EngineRun(
             engine,
@@ -189,7 +188,7 @@ def shard_run(n: int, rebalance_every: int = 0) -> Scenario:
             n_tuples,
             drive,
             engine.merged_counts,
-            lambda: ShardTelemetry(engine).registry,
+            lambda: ShardTelemetry(engine),
         )
 
     return scenario

@@ -1,15 +1,14 @@
-"""Live telemetry: labeled metrics registry, streaming estimators, exposition.
+"""Live telemetry: a metrics hub, streaming estimators, snapshot folds.
 
 Traces (:mod:`repro.obs`) are post-hoc; telemetry is *live*.  Attach a
 :class:`TelemetryTracer` to any strategy (or a :class:`ShardTelemetry`
 over a sharded executor) and every instrumentation site the engine
 already has — counters, arrivals, outputs, phases, transitions,
-rebalances, faults — publishes into one labeled
-:class:`MetricsRegistry`, alongside windowed selectivity estimators,
-Page–Hinkley drift detectors, arrival-rate estimators and per-shard
-hot-key sketches.  Read it back via Prometheus text exposition, JSONL
-snapshots, or the terminal dashboard (``python -m repro.telemetry.dash``).
-See docs/TELEMETRY.md.
+rebalances, faults — feeds the hub's counters, windowed selectivity
+estimators, Page–Hinkley drift detectors, arrival-rate estimators and
+per-shard hot-key sketches.  Read them back through the hub's series
+view, as ``snapshot`` trace events, or on the terminal dashboard
+(``python -m repro.telemetry.dash``).  See docs/TELEMETRY.md.
 """
 
 from typing import TYPE_CHECKING
@@ -21,25 +20,10 @@ from repro.telemetry.estimators import (
     SelectivityDriftDetector,
     WindowedRatio,
 )
-from repro.telemetry.expo import (
-    SnapshotLog,
-    diff_snapshots,
-    load_snapshots,
-    registry_snapshot,
-    render_prometheus,
-)
-from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    Instrument,
-    MetricsRegistry,
-    canonical_labels,
-    series_name,
-)
+from repro.telemetry.expo import diff_snapshots, summary
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.telemetry.hub import ShardTelemetry, TelemetryTracer
+    from repro.telemetry.hub import ShardTelemetry, TelemetryTracer, series_name
     from repro.telemetry.sketch import SpaceSavingSketch
 
 # The hub (and the sketch it uses) reach into the shard and engine
@@ -48,6 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 _LAZY = {
     "ShardTelemetry": ("repro.telemetry.hub", "ShardTelemetry"),
     "TelemetryTracer": ("repro.telemetry.hub", "TelemetryTracer"),
+    "series_name": ("repro.telemetry.hub", "series_name"),
     "SpaceSavingSketch": ("repro.telemetry.sketch", "SpaceSavingSketch"),
 }
 
@@ -65,24 +50,15 @@ def __getattr__(name: str):  # PEP 562
 
 
 __all__ = [
-    "Counter",
     "Ewma",
-    "Gauge",
-    "Histogram",
-    "Instrument",
-    "MetricsRegistry",
     "PageHinkley",
     "SampledRate",
     "SelectivityDriftDetector",
     "ShardTelemetry",
-    "SnapshotLog",
     "SpaceSavingSketch",
     "TelemetryTracer",
     "WindowedRatio",
-    "canonical_labels",
     "diff_snapshots",
-    "load_snapshots",
-    "registry_snapshot",
-    "render_prometheus",
     "series_name",
+    "summary",
 ]

@@ -1,47 +1,32 @@
-"""Terminal dashboard over the live telemetry registry.
+"""Terminal dashboard over the live telemetry hubs.
 
 ``python -m repro.telemetry.dash`` drives a deterministic 4-shard demo
 scenario — a selectivity-drift workload with a mid-run rebalance — and
-renders the registry as a terminal dashboard while it streams: per-shard
-phase, arrivals, outputs, arrival rate, drift flags, hottest keys, and
-rebalance progress.  Everything rendered comes from
-:class:`~repro.telemetry.hub.ShardTelemetry`; the dashboard holds no
-state of its own, so what it shows is exactly what exposition exports.
+prints its final frame: per-shard phase, arrivals, outputs, arrival rate,
+drift flags, hottest keys, and rebalance progress.  Everything rendered
+comes from :class:`~repro.telemetry.hub.ShardTelemetry`; the dashboard
+holds no state of its own, so what it shows is what a snapshot carries.
 
-Modes
------
-
-* default — re-render a frame every ``--frame-every`` arrivals (ANSI
-  redraw; ``--no-clear`` appends frames instead).
-* ``--once`` — run the scenario to completion and print a single frame
-  (the CI smoke mode).
-* ``--diff A [B]`` — snapshot-diff report: with two files, diff the last
-  snapshot of each; with one file holding several snapshots, print the
-  consecutive diffs.
-
-``--export`` writes the collected JSONL snapshots, ``--prom`` writes the
-final Prometheus exposition (both useful as CI artifacts).
+``--export PATH`` writes the run's trace — every coordinator event, the
+periodic ``snapshot`` events among them — as JSONL
+(``python -m repro.obs.report PATH`` reads it).  ``--diff A [B]`` is the
+snapshot-diff report over such traces: with two files, diff the last
+snapshot of each; with one file holding several snapshots, print the
+consecutive diffs.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from repro.obs.tracer import EVENT_SNAPSHOT, RecordingTracer, TraceEvent, load_trace
 from repro.shard.executor import RebalanceEvent, ShardedExecutor, ShardEvent
 from repro.shard.partition import balanced_assignment
 from repro.streams.schema import Schema
-from repro.telemetry.expo import (
-    diff_snapshots,
-    load_snapshots,
-    render_prometheus,
-)
+from repro.telemetry.expo import diff_snapshots
 from repro.telemetry.hub import ShardTelemetry, TelemetryTracer
 from repro.workloads.drift import SelectivityDriftWorkload
-
-#: ANSI: cursor home + clear-to-end (avoids full-screen flicker).
-_CLEAR = "\x1b[H\x1b[J"
 
 
 def demo_events(
@@ -85,7 +70,7 @@ def _fmt_rate(value: float) -> str:
 
 def _drift_cell(tracer: TelemetryTracer) -> str:
     flagged = sorted(
-        label for label, entry in tracer._sel.items() if entry[0].drifted
+        label for label, detector in tracer._sel.items() if detector.drifted
     )
     if not flagged:
         return "-"
@@ -101,14 +86,13 @@ def _hot_cell(tracer: TelemetryTracer, k: int = 3) -> str:
 
 def render_frame(telemetry: ShardTelemetry, processed: int, total: int) -> str:
     """One dashboard frame (plain text, trailing newline)."""
-    telemetry.sync()
+    series = telemetry.series()
     executor = telemetry.executor
-    registry = telemetry.registry
     coord = telemetry.coordinator
     lines: List[str] = []
     lines.append(
         f"repro telemetry — {executor.name} — "
-        f"{processed}/{total} arrivals — {len(registry)} series"
+        f"{processed}/{total} arrivals — {len(series)} series"
     )
     pending = executor.pending_keys()
     session = executor.session
@@ -127,21 +111,18 @@ def render_frame(telemetry: ShardTelemetry, processed: int, total: int) -> str:
         f"outputs: {len(executor.outputs)} merged; "
         f"drift events: {drifts}; virtual makespan: {executor.makespan():.1f}"
     )
-    evaluations = sum(
-        i.value for i in registry.with_name("optimizer_trigger_evaluations_total")
-    )
+
+    def values(name: str) -> List[float]:
+        return [v for k, v in series.items() if k.partition("{")[0] == name]
+
+    evaluations = sum(values("optimizer_trigger_evaluations_total"))
     if evaluations:
         # An adaptive loop is attached: show its decision tallies and the
         # live cost gap it is watching (docs/ADAPTIVITY.md).
-        fires = sum(i.value for i in registry.with_name("optimizer_trigger_fires_total"))
-        suppressed = sum(
-            i.value for i in registry.with_name("optimizer_trigger_suppressions_total")
-        )
-        costs = [
-            (i.value for i in registry.with_name(name))
-            for name in ("optimizer_cost_current", "optimizer_cost_best")
-        ]
-        current, best = (max(values, default=0.0) for values in costs)
+        fires = sum(values("optimizer_trigger_fires_total"))
+        suppressed = sum(values("optimizer_trigger_suppressions_total"))
+        current = max(values("optimizer_cost_current"), default=0.0)
+        best = max(values("optimizer_cost_best"), default=0.0)
         lines.append(
             f"adaptive: {evaluations} evaluations, {fires} fired, "
             f"{suppressed} suppressed; cost current={current:.3f} best={best:.3f}"
@@ -170,14 +151,13 @@ def run_dashboard(
     window: int = 48,
     seed: int = 0,
     strategy: str = "jisc",
-    frame_every: int = 200,
     snapshot_every: int = 0,
-    once: bool = False,
-) -> Iterator[Tuple[str, ShardTelemetry]]:
-    """Yield dashboard frames while driving the demo scenario.
+    inner: Optional[RecordingTracer] = None,
+) -> Tuple[str, ShardTelemetry]:
+    """Drive the demo scenario; return its final frame and the telemetry.
 
-    ``once`` yields a single final frame; otherwise one frame per
-    ``frame_every`` arrivals plus the final one.
+    ``inner`` records the coordinator's events, a ``snapshot`` every
+    ``snapshot_every`` arrivals among them.
     """
     schema, events = demo_events(shards, tuples, window, seed)
     executor = ShardedExecutor(
@@ -187,32 +167,33 @@ def run_dashboard(
         strategy=strategy,
         inter_arrival=1.0,
     )
-    telemetry = ShardTelemetry(executor, snapshot_every=snapshot_every)
-    total = sum(1 for e in events if not isinstance(e, RebalanceEvent))
-    processed = 0
+    telemetry = ShardTelemetry(executor, inner=inner, snapshot_every=snapshot_every)
+    total = 0
     for event in events:
         if isinstance(event, RebalanceEvent):
             executor.rebalance(event.assignment, event.mode)
-            continue
-        executor.process(event)
-        processed += 1
-        if not once and frame_every > 0 and processed % frame_every == 0:
-            yield render_frame(telemetry, processed, total), telemetry
-    yield render_frame(telemetry, processed, total), telemetry
+        else:
+            executor.process(event)
+            total += 1
+    return render_frame(telemetry, total, total), telemetry
+
+
+def _snapshots(path: str) -> List[TraceEvent]:
+    return load_trace(path).of_kind(EVENT_SNAPSHOT)
 
 
 def _run_diff(paths: Sequence[str]) -> int:
     if len(paths) == 2:
-        a = load_snapshots(paths[0])
-        b = load_snapshots(paths[1])
+        a = _snapshots(paths[0])
+        b = _snapshots(paths[1])
         if not a or not b:
             print("diff: both files must contain telemetry snapshots")
             return 2
-        pairs: List[Tuple[str, Dict[str, Any], Dict[str, Any]]] = [
+        pairs: List[Tuple[str, TraceEvent, TraceEvent]] = [
             (f"{paths[0]} -> {paths[1]}", a[-1], b[-1])
         ]
     else:
-        snaps = load_snapshots(paths[0])
+        snaps = _snapshots(paths[0])
         if len(snaps) < 2:
             print("diff: need two files, or one file with >= 2 snapshots")
             return 2
@@ -221,7 +202,7 @@ def _run_diff(paths: Sequence[str]) -> int:
             for i in range(1, len(snaps))
         ]
     for title, sa, sb in pairs:
-        print(f"== {title} (at {sa.get('at')} -> {sb.get('at')})")
+        print(f"== {title} (at {sa.ts} -> {sb.ts})")
         lines = diff_snapshots(sa, sb)
         if not lines:
             print("(no changes)")
@@ -233,7 +214,7 @@ def _run_diff(paths: Sequence[str]) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.telemetry.dash",
-        description="Live terminal dashboard over the telemetry registry.",
+        description="Terminal dashboard over the telemetry hubs of a sharded demo run.",
     )
     parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--tuples", type=int, default=2000)
@@ -245,42 +226,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="worker strategy of the demo executor (default: jisc)",
     )
     parser.add_argument(
-        "--frame-every",
-        type=int,
-        default=200,
-        help="arrivals between frames (live mode)",
-    )
-    parser.add_argument(
         "--snapshot-every",
         type=int,
         default=500,
-        help="arrivals between registry snapshots (0 disables)",
-    )
-    parser.add_argument(
-        "--once",
-        action="store_true",
-        help="run to completion and print a single frame (CI smoke mode)",
-    )
-    parser.add_argument(
-        "--no-clear",
-        action="store_true",
-        help="append frames instead of redrawing in place",
+        help="arrivals between snapshots (0 disables)",
     )
     parser.add_argument(
         "--export",
         metavar="PATH",
-        help="write collected JSONL snapshots to PATH",
-    )
-    parser.add_argument(
-        "--prom",
-        metavar="PATH",
-        help="write the final Prometheus exposition to PATH",
+        help="write the run's JSONL trace, snapshots included, to PATH",
     )
     parser.add_argument(
         "--diff",
         nargs="+",
-        metavar="SNAPSHOTS",
-        help="snapshot-diff report: two files, or one file with >= 2 snapshots",
+        metavar="TRACE",
+        help="snapshot-diff report: two traces, or one with >= 2 snapshots",
     )
     args = parser.parse_args(argv)
 
@@ -289,32 +249,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error("--diff takes one or two snapshot files")
         return _run_diff(args.diff)
 
-    telemetry: Optional[ShardTelemetry] = None
-    clear = not (args.once or args.no_clear)
-    for frame, telemetry in run_dashboard(
+    recorder = RecordingTracer() if args.export else None
+    frame, telemetry = run_dashboard(
         shards=args.shards,
         tuples=args.tuples,
         window=args.window,
         seed=args.seed,
         strategy=args.strategy,
-        frame_every=args.frame_every,
         snapshot_every=args.snapshot_every,
-        once=args.once,
-    ):
-        if clear:
-            sys.stdout.write(_CLEAR)
-        sys.stdout.write(frame)
-        sys.stdout.flush()
-    if telemetry is not None:
-        if args.export:
-            telemetry.coordinator.take_snapshot()
-            telemetry.coordinator.snapshots.export_jsonl(args.export)
-            print(f"snapshots -> {args.export}")
-        if args.prom:
-            telemetry.sync()
-            with open(args.prom, "w") as fh:
-                fh.write(render_prometheus(telemetry.registry))
-            print(f"exposition -> {args.prom}")
+        inner=recorder,
+    )
+    print(frame, end="")
+    if recorder is not None:
+        telemetry.take_snapshot()
+        recorder.export_jsonl(args.export)
+        print(f"trace -> {args.export}")
     return 0
 
 

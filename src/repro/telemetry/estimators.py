@@ -1,7 +1,7 @@
 """Streaming estimators: windowed selectivity, arrival rate, EWMA, drift.
 
-These are the signals the future ``repro.optimizer`` transition trigger
-consumes (ROADMAP, "close the optimizer loop"): Liu/Ives/Loo maintain
+These are the signals :mod:`repro.optimizer`'s cost maintainer and
+transition triggers consume: Liu/Ives/Loo maintain
 plan costs incrementally from *continuously observed* selectivities
 (PAPERS.md, arxiv 1409.6288), and Megaphone paces migrations from live
 latency/rate measurements (arxiv 1812.01371).  Everything here is O(1)
@@ -14,8 +14,8 @@ per observation, bounded-memory, and wall-clock-free.
 * :class:`Ewma` — exponentially weighted moving average.
 * :class:`PageHinkley` — two-sided Page–Hinkley mean-shift test; combined
   with an EWMA baseline in :class:`SelectivityDriftDetector`, which is
-  the drift flag the dashboard renders and the trigger input the
-  optimizer loop will consume.
+  the drift flag the dashboard renders and a trigger input of the
+  optimizer loop.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class SampledRate:
     def sample(self, t: float, count: int) -> None:
         samples = self._samples
         if samples and samples[-1][0] >= t:
-            # Re-sampling the same instant (e.g. repeated sync() calls
+            # Re-sampling the same instant (e.g. repeated series() reads
             # between events) replaces the last point instead of flooding
             # the window with duplicates.
             samples[-1] = (t, count)

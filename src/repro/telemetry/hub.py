@@ -1,9 +1,8 @@
 """The telemetry hub: always-on engine instrumentation behind the tracer seam.
 
 :class:`TelemetryTracer` is a :class:`~repro.obs.tracer.Tracer` whose
-hooks feed *live* streaming estimators and a labeled
-:class:`~repro.telemetry.registry.MetricsRegistry` instead of (or in
-addition to) a post-hoc event ring.  Because every instrumentation site
+hooks feed *live* streaming estimators and plain counters instead of (or
+in addition to) a post-hoc event ring.  Because every instrumentation site
 in the engine already publishes through the tracer — arrivals, outputs,
 phase scoping, transitions, rebalances, faults — and per-phase op counts
 are the base class's boundary deltas over ``Metrics.counts``, the whole
@@ -11,7 +10,8 @@ engine becomes continuously self-measuring by attaching one object, with
 **zero op-count perturbation** and on the same code path as an unobserved
 run (certified row by row in ``BENCH_calls.json``, :mod:`repro.perf.regress`).  What
 the hub adds to the seam: ``event`` (a kind -> handler table, then one
-forward to ``inner``), ``arrival`` / ``output`` / ``poll``, and ``sync``.
+forward to ``inner``), ``arrival`` / ``output`` / ``poll``, and
+:meth:`~TelemetryTracer.series`, the one renderer of its numbers.
 
 Division of labour with :mod:`repro.obs`:
 
@@ -20,21 +20,22 @@ Division of labour with :mod:`repro.obs`:
   selectivities, arrival/output rates, drift flags, hot keys — in O(1)
   memory, while the stream is still flowing.
 
-Wrap an obs tracer via ``inner=`` to get both at once; periodic registry
-snapshots are then interleaved into the trace as ``telemetry`` note
-events, so one JSONL file carries the full story.
+Wrap an obs tracer via ``inner=`` to get both at once: a snapshot is one
+more event (kind ``snapshot``, the series view as its payload), so one
+JSONL file carries the full story and the recorder's ring is the history.
 
 :class:`ShardTelemetry` attaches one hub per shard worker (labels
-``shard=i``) plus one to the coordinator, all publishing into a single
-shared registry — the per-shard view the dashboard renders.  It also
-registers itself on the executor so crash recovery re-attaches and
-re-registers every series the rebuilt worker owns.
+``shard=i``) plus one to the coordinator, whose series view merges them
+all — the per-shard view the dashboard renders.  It also registers itself
+on the executor so crash recovery and scale-out attach a fresh hub to the
+rebuilt worker.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
+from repro.obs.histogram import LatencyHistogram
 from repro.obs.tracer import (
     EVENT_CHECKPOINT,
     EVENT_COMPLETION,
@@ -45,16 +46,16 @@ from repro.obs.tracer import (
     EVENT_REBALANCE_START,
     EVENT_RECOVERY,
     EVENT_SHARD_MOVE,
+    EVENT_SNAPSHOT,
     EVENT_TRANSITION_END,
     EVENT_TRANSITION_START,
     EVENT_TRIGGER,
     TRIGGER_FIRED,
     TRIGGER_SUPPRESSED,
+    TraceEvent,
     Tracer,
 )
 from repro.telemetry.estimators import SampledRate, SelectivityDriftDetector
-from repro.telemetry.expo import SnapshotLog, registry_snapshot
-from repro.telemetry.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.sketch import SpaceSavingSketch
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -95,15 +96,21 @@ DRIFT_BLOCK = 64
 PROBE_POLL_EVERY = 64
 
 
+def series_name(name: str, **labels: Any) -> str:
+    """Flat ``name{k="v",...}`` key of one series, labels sorted by key."""
+    if not labels:
+        return name
+    body = ",".join(f'{k}="{labels[k]}"' for k in sorted(labels))
+    return f"{name}{{{body}}}"
+
+
 class TelemetryTracer(Tracer):
     """Live metrics hub for one engine (or one shard's worker).
 
     Parameters
     ----------
-    registry:
-        Shared :class:`MetricsRegistry` to publish into (fresh if omitted).
     strategy / shard:
-        Label values stamped on every series this hub registers.
+        Label values stamped on every series of this hub.
     inner:
         Optional downstream tracer (normally a
         :class:`~repro.obs.tracer.RecordingTracer`); every hook is
@@ -117,16 +124,13 @@ class TelemetryTracer(Tracer):
         clamped to ``selectivity_window``.  ``1`` makes the windowed
         estimate exact at higher per-probe cost.
     snapshot_every:
-        Take a registry snapshot every N arrivals (0 disables); snapshots
-        accumulate in ``snapshots`` (a :class:`SnapshotLog`) and are
-        interleaved into the inner trace as ``telemetry`` notes.
+        Take a snapshot (:meth:`take_snapshot`) every N arrivals (0 disables).
     """
 
     enabled = True
 
     def __init__(
         self,
-        registry: Optional[MetricsRegistry] = None,
         strategy: str = "engine",
         shard: Optional[int] = None,
         inner: Optional[Tracer] = None,
@@ -135,7 +139,6 @@ class TelemetryTracer(Tracer):
         drift_block: int = DRIFT_BLOCK,
         snapshot_every: int = 0,
     ):
-        self.registry = registry if registry is not None else MetricsRegistry()
         self._labels: Dict[str, str] = {"strategy": strategy}
         if shard is not None:
             self._labels["shard"] = str(shard)
@@ -144,10 +147,11 @@ class TelemetryTracer(Tracer):
         self.drift_min_samples = drift_min_samples
         self.drift_block = min(drift_block, selectivity_window)
         self.snapshot_every = snapshot_every
-        self.snapshots = SnapshotLog()
+        #: Hubs whose series this hub's view carries too: on a sharded
+        #: coordinator, every shard's latest hub (filled by ShardTelemetry).
+        self.shard_hubs: Dict[int, TelemetryTracer] = {}
 
         self._strategy: Optional["StrategyExecutor"] = None
-        self._op_counters: Dict[Tuple[str, str], Counter] = {}
         self._arrivals = 0
         # Hot-path accumulators: plain per-stream int counts and a key
         # buffer; rate sampling and the sketch drain happen at the poll
@@ -156,55 +160,30 @@ class TelemetryTracer(Tracer):
         self._key_buf: List[Any] = []
         rate_samples = RATE_WINDOW // PROBE_POLL_EVERY
         self._stream_rates: Dict[str, SampledRate] = {}
-        self._rate_gauges: Dict[str, Tuple[Counter, Gauge]] = {}
         self._outputs = 0
         self._output_rate = SampledRate(rate_samples)
         self._rate_samples = rate_samples
         self.topk = SpaceSavingSketch(TOPK_CAPACITY)
-        # probed-operator label -> (detector, estimate gauge, smoothed
-        # gauge, flag gauge, drift-event counter)
-        self._sel: Dict[str, Tuple[SelectivityDriftDetector, Gauge, Gauge, Gauge, Counter]] = {}
-        # Polled probe sources: [operator, label, entry-or-None, base
+        # probed-operator label -> its selectivity / drift detector
+        self._sel: Dict[str, SelectivityDriftDetector] = {}
+        # Polled probe sources: [operator, label, detector-or-None, base
         # probes, base hits] per live-plan operator (see PROBE_POLL_EVERY).
         self._probe_sources: List[List[Any]] = []
         self._poll_left = PROBE_POLL_EVERY
-
-        labels = self._labels
-        reg = self.registry
-        self._phase_gauge = reg.gauge("engine_phase", **labels)
-        self._phase_gauge.set(self.phase)
-        self._arrivals_total = reg.counter("engine_arrivals_total", **labels)
-        self._outputs_total = reg.counter("engine_outputs_total", **labels)
-        self._output_rate_gauge = reg.gauge("engine_output_rate", **labels)
-        self._transitions_total = reg.counter("engine_transitions_total", **labels)
-        self._completions_total = reg.counter("engine_completions_total", **labels)
-        self._checkpoints_total = reg.counter("engine_checkpoints_total", **labels)
-        self._faults_total = reg.counter("engine_faults_total", **labels)
-        self._recoveries_total = reg.counter("engine_recoveries_total", **labels)
-        self._hot_keys = reg.gauge("engine_hot_keys", **labels)
-        self._snapshots_total = reg.counter("telemetry_snapshots_total", **labels)
-        # Shard-rebalance series are registered on the first rebalance
-        # event (most hubs never see one) — see _register_shard_series.
-        self._shard_series_ready = False
-        self._rebalances_total: Counter
-        self._rebalance_pending: Gauge
-        self._keys_retired_total: Counter
-        self._keys_settled_total: Counter
-        self._moved_tuples_total: Counter
-        self._batches_remaining: Gauge
-        self._batch_latency: Histogram
-        # So are the state-size series, at the first sync over a strategy.
-        self._state_entries: Dict[str, Gauge] = {}
-        self._live_plans: Gauge
-        self._incomplete_states: Gauge
-        # Optimizer-trigger series follow the same lazy pattern: only hubs
-        # driven by an adaptive engine ever see a trigger decision.
-        self._trigger_series_ready = False
-        self._trigger_evaluations: Counter
-        self._trigger_fires: Counter
-        self._trigger_suppressions: Counter
-        self._trigger_cost_current: Gauge
-        self._trigger_cost_best: Gauge
+        # Event tallies (the handler table below writes them).
+        self._transitions = 0
+        self._completions = 0
+        self._checkpoints = 0
+        self._faults = 0
+        self._recoveries = 0
+        self._snapshots = 0
+        # Every operator label whose state size has been read: one that left
+        # the live plans keeps its series and reads 0.
+        self._state_labels: Dict[str, None] = {}
+        # Series name -> value of the optimizer-trigger and shard-rebalance
+        # series; each group appears at its first event (most hubs see none).
+        self._trigger: Dict[str, Any] = {}
+        self._rebalance: Dict[str, Any] = {}
 
     # -- wiring -----------------------------------------------------------------------
 
@@ -224,10 +203,9 @@ class TelemetryTracer(Tracer):
         """(Re)build the list of probe sources whose tallies we poll.
 
         Settles outstanding deltas of the outgoing set first, so no probe
-        is lost across a plan transition.  Selectivity series are
-        registered lazily at the first polled probe, keyed by label — an
-        operator rebuilt by a transition or a recovery continues the
-        *same* series.
+        is lost across a plan transition.  A detector is created at the
+        first polled probe of its label — an operator rebuilt by a
+        transition or a recovery continues the *same* series.
         """
         strategy = self._strategy
         if strategy is None:
@@ -248,42 +226,19 @@ class TelemetryTracer(Tracer):
             if not n:
                 continue
             hits = op.hits
-            entry = src[2]
-            if entry is None:
-                entry = sel.get(src[1])
-                if entry is None:
-                    entry = self._register_selectivity(src[1])
-                src[2] = entry
-            if entry[0].push_block(n, hits - src[4]):
-                entry[4].inc()
+            detector = src[2]
+            if detector is None:
+                detector = sel.get(src[1])
+                if detector is None:
+                    detector = sel[src[1]] = SelectivityDriftDetector(
+                        window=self.selectivity_window,
+                        block=self.drift_block,
+                        min_samples=self.drift_min_samples,
+                    )
+                src[2] = detector
+            detector.push_block(n, hits - src[4])
             src[3] = probes
             src[4] = hits
-
-    def _register_selectivity(
-        self, label: str
-    ) -> Tuple[SelectivityDriftDetector, Gauge, Gauge, Gauge, Counter]:
-        detector = SelectivityDriftDetector(
-            window=self.selectivity_window,
-            block=self.drift_block,
-            min_samples=self.drift_min_samples,
-        )
-        reg = self.registry
-        entry = (
-            detector,
-            reg.gauge("engine_selectivity", operator=label, **self._labels),
-            reg.gauge("engine_selectivity_smoothed", operator=label, **self._labels),
-            reg.gauge("engine_drift_flag", operator=label, **self._labels),
-            reg.counter("engine_drift_events_total", operator=label, **self._labels),
-        )
-        self._sel[label] = entry
-        return entry
-
-    def _register_stream(self, stream: str) -> None:
-        self._stream_rates[stream] = SampledRate(self._rate_samples)
-        self._rate_gauges[stream] = (
-            self.registry.counter("engine_stream_arrivals_total", stream=stream, **self._labels),
-            self.registry.gauge("engine_arrival_rate", stream=stream, **self._labels),
-        )
 
     def _now(self) -> float:
         clock = self._clock
@@ -315,7 +270,7 @@ class TelemetryTracer(Tracer):
             counts[stream] += 1
         except KeyError:
             counts[stream] = 1
-            self._register_stream(stream)
+            self._stream_rates[stream] = SampledRate(self._rate_samples)
         self._key_buf.append(tup.key)
         left = self._poll_left = self._poll_left - 1
         if not left:
@@ -370,96 +325,103 @@ class TelemetryTracer(Tracer):
         self._collect_probe_sources()
 
     def _on_transition_end(self, data: Dict[str, Any]) -> None:
-        self._transitions_total.inc()
+        self._transitions += 1
         # Old plans retire here: settle their deltas and poll only the
         # surviving operators from now on.
         self._collect_probe_sources()
 
-    def _register_trigger_series(self) -> None:
-        """Resolve the optimizer-trigger instruments (first decision)."""
-        if self._trigger_series_ready:
-            return
-        reg = self.registry
-        labels = self._labels
-        self._trigger_evaluations = reg.counter("optimizer_trigger_evaluations_total", **labels)
-        self._trigger_fires = reg.counter("optimizer_trigger_fires_total", **labels)
-        self._trigger_suppressions = reg.counter("optimizer_trigger_suppressions_total", **labels)
-        self._trigger_cost_current = reg.gauge("optimizer_cost_current", **labels)
-        self._trigger_cost_best = reg.gauge("optimizer_cost_best", **labels)
-        self._trigger_series_ready = True
+    def _on_completion(self, data: Dict[str, Any]) -> None:
+        self._completions += 1
+
+    def _on_checkpoint(self, data: Dict[str, Any]) -> None:
+        self._checkpoints += 1
+
+    def _on_fault(self, data: Dict[str, Any]) -> None:
+        self._faults += 1
+
+    def _on_recovery(self, data: Dict[str, Any]) -> None:
+        self._recoveries += 1
 
     def _on_trigger(self, data: Dict[str, Any]) -> None:
-        self._register_trigger_series()
-        self._trigger_evaluations.inc()
+        series = self._trigger
+        if not series:
+            series.update(
+                optimizer_trigger_evaluations_total=0,
+                optimizer_trigger_fires_total=0,
+                optimizer_trigger_suppressions_total=0,
+                optimizer_cost_current=0.0,
+                optimizer_cost_best=0.0,
+            )
+        series["optimizer_trigger_evaluations_total"] += 1
         action = data["action"]
         if action == TRIGGER_FIRED:
-            self._trigger_fires.inc()
+            series["optimizer_trigger_fires_total"] += 1
         elif action == TRIGGER_SUPPRESSED:
-            self._trigger_suppressions.inc()
-        cost = data.get("current_cost")
-        if cost is not None:
-            self._trigger_cost_current.set(cost)
-        cost = data.get("best_cost")
-        if cost is not None:
-            self._trigger_cost_best.set(cost)
+            series["optimizer_trigger_suppressions_total"] += 1
+        for key, name in (
+            ("current_cost", "optimizer_cost_current"),
+            ("best_cost", "optimizer_cost_best"),
+        ):
+            cost = data.get(key)
+            if cost is not None:
+                series[name] = cost
 
-    def _register_shard_series(self) -> None:
-        """Resolve the shard-rebalance instruments (first shard event)."""
-        if self._shard_series_ready:
-            return
-        reg = self.registry
-        labels = self._labels
-        self._rebalances_total = reg.counter("shard_rebalances_total", **labels)
-        self._rebalance_pending = reg.gauge("shard_rebalance_pending", **labels)
-        self._keys_retired_total = reg.counter("shard_keys_retired_total", **labels)
-        self._keys_settled_total = reg.counter("shard_keys_settled_total", **labels)
-        self._moved_tuples_total = reg.counter("shard_moved_tuples_total", **labels)
-        self._batches_remaining = reg.gauge("shard_rebalance_batches_remaining", **labels)
-        self._batch_latency = reg.histogram("shard_batch_move_latency", **labels)
-        self._shard_series_ready = True
+    def _rebalance_series(self) -> Dict[str, Any]:
+        """The shard-rebalance series, created at the first rebalance event."""
+        series = self._rebalance
+        if not series:
+            series.update(
+                shard_rebalances_total=0,
+                shard_rebalance_pending=0.0,
+                shard_keys_retired_total=0,
+                shard_keys_settled_total=0,
+                shard_moved_tuples_total=0,
+                shard_rebalance_batches_remaining=0.0,
+                shard_batch_move_latency=LatencyHistogram(),
+            )
+        return series
 
     def _on_rebalance_start(self, data: Dict[str, Any]) -> None:
-        self._register_shard_series()
-        self._rebalances_total.inc()
+        self._rebalance_series()["shard_rebalances_total"] += 1
 
     def _on_rebalance_end(self, data: Dict[str, Any]) -> None:
-        self._register_shard_series()
-        self._rebalance_pending.set(0)
-        self._batches_remaining.set(0)
+        series = self._rebalance_series()
+        series["shard_rebalance_pending"] = 0
+        series["shard_rebalance_batches_remaining"] = 0
 
     def _on_rebalance_batch_start(self, data: Dict[str, Any]) -> None:
-        self._register_shard_series()
-        self._batches_remaining.set(data["total"] - data["index"])
+        series = self._rebalance_series()
+        series["shard_rebalance_batches_remaining"] = data["total"] - data["index"]
         keys = int(data.get("keys", 0))
         if keys:
-            self._rebalance_pending.set(keys)
+            series["shard_rebalance_pending"] = keys
 
     def _on_rebalance_batch_end(self, data: Dict[str, Any]) -> None:
-        self._register_shard_series()
-        self._batches_remaining.set(data["total"] - data["index"] - 1)
+        series = self._rebalance_series()
+        series["shard_rebalance_batches_remaining"] = data["total"] - data["index"] - 1
         duration = data.get("duration")
         if duration is not None:
-            self._batch_latency.observe(float(duration))
+            series["shard_batch_move_latency"].add(float(duration))
 
     def _on_shard_move(self, data: Dict[str, Any]) -> None:
-        self._register_shard_series()
+        series = self._rebalance_series()
         if data.get("retired"):
-            self._keys_retired_total.inc()
+            series["shard_keys_retired_total"] += 1
         else:
-            self._keys_settled_total.inc()
-        self._moved_tuples_total.inc(int(data.get("tuples", 0)))
-        pending = self._rebalance_pending
-        if isinstance(pending.value, (int, float)) and pending.value > 0:
-            pending.add(-1)
+            series["shard_keys_settled_total"] += 1
+        series["shard_moved_tuples_total"] += int(data.get("tuples", 0))
+        pending = series["shard_rebalance_pending"]
+        if pending > 0:
+            series["shard_rebalance_pending"] = float(pending) - 1
 
     #: The event kinds the hub acts on itself; every kind is forwarded.
     _HANDLERS: Dict[str, Callable[["TelemetryTracer", Dict[str, Any]], None]] = {
         EVENT_TRANSITION_START: _on_transition_start,
         EVENT_TRANSITION_END: _on_transition_end,
-        EVENT_COMPLETION: lambda self, data: self._completions_total.inc(),
-        EVENT_CHECKPOINT: lambda self, data: self._checkpoints_total.inc(),
-        EVENT_FAULT: lambda self, data: self._faults_total.inc(),
-        EVENT_RECOVERY: lambda self, data: self._recoveries_total.inc(),
+        EVENT_COMPLETION: _on_completion,
+        EVENT_CHECKPOINT: _on_checkpoint,
+        EVENT_FAULT: _on_fault,
+        EVENT_RECOVERY: _on_recovery,
         EVENT_TRIGGER: _on_trigger,
         EVENT_REBALANCE_START: _on_rebalance_start,
         EVENT_REBALANCE_END: _on_rebalance_end,
@@ -468,108 +430,86 @@ class TelemetryTracer(Tracer):
         EVENT_SHARD_MOVE: _on_shard_move,
     }
 
-    # -- materialization ---------------------------------------------------------------
+    # -- the series view ---------------------------------------------------------------
 
-    def sync(self) -> MetricsRegistry:
-        """Materialize the hot-path accumulators into registry instruments.
+    def series(self) -> Dict[str, Any]:
+        """Every series, polled first: ``name{k="v",...}`` -> current value.
 
-        Idempotent — counters are *set* to the accumulated totals, so
-        exposition readers may sync as often as they like.
+        The one reader of the hub's numbers — snapshots, the dashboard and
+        the tests all render through it, so nothing can be stale.  A
+        sharded coordinator's view carries every shard hub's series too.
         """
+        out = self._own_series()
+        for hub in self.shard_hubs.values():
+            out.update(hub._own_series())
+        return out
+
+    def _own_series(self) -> Dict[str, Any]:
         self._poll()
-        op_counters = self._op_counters
-        op_counter = self._register_op_counter
+        out: Dict[str, Any] = {}
+        labels = self._labels
+
+        def put(name: str, value: Any, **extra: Any) -> None:
+            out[series_name(name, **extra, **labels)] = value
+
+        put("engine_phase", self.phase)
+        put("engine_arrivals_total", self._arrivals)
+        put("engine_outputs_total", self._outputs)
+        put("engine_output_rate", self._output_rate.rate())
+        put("engine_transitions_total", self._transitions)
+        put("engine_completions_total", self._completions)
+        put("engine_checkpoints_total", self._checkpoints)
+        put("engine_faults_total", self._faults)
+        put("engine_recoveries_total", self._recoveries)
+        put("engine_hot_keys", self.topk.to_json())
+        put("telemetry_snapshots_total", self._snapshots)
+        for stream, n in self._stream_counts.items():
+            put("engine_stream_arrivals_total", n, stream=stream)
+            put("engine_arrival_rate", self._stream_rates[stream].rate(), stream=stream)
         for phase, by in self.phase_counts.items():
             for op, n in by.items():
-                counter = op_counters.get((op, phase))
-                if counter is None:
-                    counter = op_counter(op, phase)
-                counter.value = n
-        self._phase_gauge.set(self.phase)
-        self._arrivals_total.value = self._arrivals
-        for stream, n in self._stream_counts.items():
-            total, rate = self._rate_gauges[stream]
-            total.value = n
-            rate.set(self._stream_rates[stream].rate())
-        self._outputs_total.value = self._outputs
-        self._output_rate_gauge.set(self._output_rate.rate())
-        for entry in self._sel.values():
-            detector, estimate, smoothed, flag, _ = entry
-            value = detector.estimate()
-            if value is not None:
-                estimate.set(value)
-            ewma = detector.smoothed()
-            if ewma is not None:
-                smoothed.set(ewma)
-            flag.set(1 if detector.drifted else 0)
-        self._hot_keys.set(self.topk.to_json())
-        if self._strategy is not None:
-            self._sync_state(self._strategy)
-        return self.registry
-
-    def _register_op_counter(self, op: str, phase: str) -> Counter:
-        counter = self.registry.counter(
-            "engine_ops_total", op=op, phase=phase, **self._labels
-        )
-        self._op_counters[(op, phase)] = counter
-        return counter
-
-    def _sync_state(self, strategy: "StrategyExecutor") -> None:
-        """State-size gauges, read off the engine here — at sync cadence,
-        never on the arrival path.  A label that left the live plans reads 0."""
-        sizes = strategy.state_sizes()
-        self._register_state_series(sizes)
-        for label, gauge in self._state_entries.items():
-            gauge.set(sizes.get(label, 0))
-        plans = strategy.live_plans()
-        self._live_plans.set(len(plans))
-        self._incomplete_states.set(
-            sum(not op.state.status.complete for plan in plans for op in plan.internal)
-        )
-
-    def _register_state_series(self, labels: Iterable[str]) -> None:
-        """Resolve the state-size instruments: the plan-level gauges at the
-        first sync over a strategy, one gauge per operator label as it appears."""
-        reg = self.registry
-        gauges = self._state_entries
-        if not gauges:
-            self._live_plans = reg.gauge("engine_live_plans", **self._labels)
-            self._incomplete_states = reg.gauge("engine_incomplete_states", **self._labels)
-        for label in labels:
-            if label not in gauges:
-                gauges[label] = reg.gauge(
-                    "engine_state_entries", operator=label, **self._labels
-                )
-
-    # -- snapshots ---------------------------------------------------------------------
-
-    def take_snapshot(self) -> Dict[str, Any]:
-        """Sync and record one JSONL-able registry snapshot.
-
-        When an inner obs tracer is recording, a compact ``telemetry``
-        note is interleaved into its event stream at the same virtual
-        time, so the trace timeline shows when each snapshot was cut.
-        """
-        self.sync()
-        snap = registry_snapshot(self.registry, at=self._now())
-        self.snapshots.append(snap)
-        self._snapshots_total.inc()
-        inner = self._inner
-        if inner is not None and inner.enabled:
-            inner.note(
-                "telemetry",
-                arrivals=self._arrivals,
-                outputs=self._outputs,
-                series=len(self.registry),
-                drifts=sum(e[0].drift_count for e in self._sel.values()),
+                put("engine_ops_total", n, op=op, phase=phase)
+        for label, detector in self._sel.items():
+            estimate, smoothed, drifts, drifted = detector.summary()
+            put("engine_selectivity", 0.0 if estimate is None else estimate, operator=label)
+            put(
+                "engine_selectivity_smoothed", 0.0 if smoothed is None else smoothed, operator=label
             )
-        return snap
+            put("engine_drift_flag", 1 if drifted else 0, operator=label)
+            put("engine_drift_events_total", drifts, operator=label)
+        strategy = self._strategy
+        if strategy is not None:
+            # State sizes are read off the engine here, never on the arrival path.
+            sizes = strategy.state_sizes()
+            self._state_labels.update(dict.fromkeys(sizes))
+            for label in self._state_labels:
+                put("engine_state_entries", sizes.get(label, 0), operator=label)
+            plans = strategy.live_plans()
+            put("engine_live_plans", len(plans))
+            put(
+                "engine_incomplete_states",
+                sum(not op.state.status.complete for plan in plans for op in plan.internal),
+            )
+        for name, value in self._trigger.items():
+            put(name, value)
+        for name, value in self._rebalance.items():
+            put(name, value.summary() if isinstance(value, LatencyHistogram) else value)
+        return out
+
+    def take_snapshot(self) -> TraceEvent:
+        """Publish the series view as one ``snapshot`` event at the current
+        virtual time (an ``inner`` recorder keeps it like any event); the
+        snapshot counter in it counts the snapshots taken before this one."""
+        snapshot = TraceEvent(self._now(), EVENT_SNAPSHOT, self.phase, {"series": self.series()})
+        self.event(EVENT_SNAPSHOT, snapshot.data)
+        self._snapshots += 1
+        return snapshot
 
     # -- introspection -----------------------------------------------------------------
 
     def selectivity_of(self, operator_label: str) -> Optional[float]:
-        entry = self._sel.get(operator_label)
-        return entry[0].estimate() if entry is not None else None
+        detector = self._sel.get(operator_label)
+        return detector.estimate() if detector is not None else None
 
     def selectivity_sample(self, operator_label: str) -> Optional[Tuple[int, float]]:
         """``(windowed probe count, estimate)`` of one series, or None.
@@ -577,26 +517,26 @@ class TelemetryTracer(Tracer):
         The probe count is the weight the cost maintainer uses to
         aggregate the same operator's series across shard hubs.
         """
-        entry = self._sel.get(operator_label)
-        if entry is None:
+        detector = self._sel.get(operator_label)
+        if detector is None:
             return None
-        estimate = entry[0].estimate()
+        estimate = detector.estimate()
         if estimate is None:
             return None
-        return entry[0].count, estimate
+        return detector.count, estimate
 
     def drifted(self, operator_label: Optional[str] = None) -> bool:
         """Latched drift flag of one operator (or any, when omitted)."""
         if operator_label is not None:
-            entry = self._sel.get(operator_label)
-            return entry[0].drifted if entry is not None else False
-        return any(e[0].drifted for e in self._sel.values())
+            detector = self._sel.get(operator_label)
+            return detector.drifted if detector is not None else False
+        return any(d.drifted for d in self._sel.values())
 
     def drift_events(self) -> int:
-        return sum(e[0].drift_count for e in self._sel.values())
+        return sum(d.drift_count for d in self._sel.values())
 
     def selectivities(self) -> Dict[str, Optional[float]]:
-        return {label: e[0].estimate() for label, e in sorted(self._sel.items())}
+        return {label: d.estimate() for label, d in sorted(self._sel.items())}
 
     def arrival_rates(self) -> Dict[str, float]:
         """Per-stream arrival rates (tuples per virtual-time unit)."""
@@ -613,35 +553,35 @@ class TelemetryTracer(Tracer):
 
 
 class ShardTelemetry:
-    """One shared registry over a :class:`ShardedExecutor`'s workers.
+    """One series view over a :class:`ShardedExecutor`'s workers.
 
     Attaches a labeled :class:`TelemetryTracer` to every live worker and
     one to the coordinator (which sees rebalance/fault events and the
-    external-time axis), then registers itself on the executor so
-    :meth:`~repro.shard.executor.ShardedExecutor.recover_shard`
-    re-attaches the rebuilt worker — recovery *re-registers* its series
-    idempotently instead of orphaning them.
+    external-time axis, and whose :meth:`~TelemetryTracer.series` merges
+    every shard hub's), then registers itself on the executor so
+    :meth:`~repro.shard.executor.ShardedExecutor.recover_shard` and
+    scale-out attach a fresh hub to the new worker: from then on that
+    shard's series are the new hub's counts.
     """
 
     def __init__(
         self,
         executor: "ShardedExecutor",
-        registry: Optional[MetricsRegistry] = None,
         inner: Optional[Tracer] = None,
         snapshot_every: int = 0,
         **tracer_options: Any,
     ):
         self.executor = executor
-        self.registry = registry if registry is not None else MetricsRegistry()
         self._options = tracer_options
         self.coordinator = TelemetryTracer(
-            self.registry,
             strategy=executor.name,
             inner=inner,
             snapshot_every=snapshot_every,
             **tracer_options,
         )
         self.coordinator.attach(executor.metrics)
+        #: Live workers' hubs; a retired shard's hub leaves this but stays
+        #: in the view (``coordinator.shard_hubs``), its series frozen.
         self.workers: Dict[int, TelemetryTracer] = {}
         for shard, worker in enumerate(executor.workers):
             if worker is not None:
@@ -650,46 +590,34 @@ class ShardTelemetry:
 
     def _attach_worker(self, shard: int, worker: "ShardWorker") -> TelemetryTracer:
         tracer = TelemetryTracer(
-            self.registry,
             strategy=self.executor.strategy_name,
             shard=shard,
             **self._options,
         )
         tracer.attach(worker.strategy)
-        self.workers[shard] = tracer
+        self.workers[shard] = self.coordinator.shard_hubs[shard] = tracer
         return tracer
 
     def on_worker_recovered(self, shard: int, worker: "ShardWorker") -> None:
-        """Crash-recovery hook: re-attach and re-register the shard's series."""
+        """Crash-recovery hook: the rebuilt worker gets a fresh hub."""
         self._attach_worker(shard, worker)
 
     def on_worker_added(self, shard: int, worker: "ShardWorker") -> None:
-        """Scale-out hook: give the freshly spun-up worker its own hub.
-
-        A re-occupied shard id (scale-out after scale-in) gets a fresh
-        attachment over the existing series — the registry is labeled by
-        shard, so the new incarnation continues the old id's series, same
-        as crash recovery does.
-        """
+        """Scale-out hook: the freshly spun-up worker gets its own hub (a
+        re-occupied shard id's series are the new hub's, as after recovery)."""
         self._attach_worker(shard, worker)
 
     def on_worker_retired(self, shard: int) -> None:
-        """Scale-in hook: stop syncing the retired worker's hub.
-
-        Its series stay in the registry (history is part of the story the
-        dashboard tells); they just stop advancing.
-        """
+        """Scale-in hook: the retired worker's hub stops being a live worker;
+        its series stay in the view (history is part of the story the
+        dashboard tells) and stop advancing."""
         self.workers.pop(shard, None)
 
-    def sync(self) -> MetricsRegistry:
-        """Materialize every hub into the shared registry."""
-        self.coordinator.sync()
-        for tracer in self.workers.values():
-            tracer.sync()
-        return self.registry
+    def series(self) -> Dict[str, Any]:
+        """The coordinator's and every shard hub's series, current."""
+        return self.coordinator.series()
 
-    def take_snapshot(self) -> Dict[str, Any]:
-        self.sync()
+    def take_snapshot(self) -> TraceEvent:
         return self.coordinator.take_snapshot()
 
     def hot_keys(self, shard: int, k: int = 10) -> List[Tuple[Any, int, int]]:

@@ -880,8 +880,11 @@ def test_hub_series_are_the_same_on_the_fused_and_the_generic_path():
     assert fused_leaves(fused.target) and fused_leaves(recorded.target)
     assert not fused_leaves(generic.target)
     assert fused.fire_count == generic.fire_count == recorded.fire_count >= 1
-    snapshot = fused.telemetry.take_snapshot()
-    assert snapshot == generic.telemetry.take_snapshot() == recorded.telemetry.take_snapshot()
+    fused_snap, generic_snap, recorded_snap = (
+        (snap.ts, snap.data)
+        for snap in (e.telemetry.take_snapshot() for e in (fused, generic, recorded))
+    )
+    assert fused_snap == generic_snap == recorded_snap
     assert_agree(fused.target, generic.target)
     assert_agree(recorded.target, fused.target)
 

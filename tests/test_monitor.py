@@ -4,8 +4,9 @@
 own — is folded into telemetry.  The hub publishes
 ``engine_state_entries{operator=…}``, ``engine_incomplete_states`` and
 ``engine_live_plans`` from the engine's ``state_sizes()`` / ``live_plans()``
-at every ``sync()``; ``snapshot_every`` -> ``SnapshotLog`` is the history; the
-monitor's analysis methods are folds over consecutive snapshots in
+in its series view; ``snapshot_every`` cuts ``snapshot`` events, and the
+``RecordingTracer`` the hub forwards them to is the history; the monitor's
+analysis methods are folds over consecutive snapshots in
 ``repro.telemetry.expo``.  The scenarios and assertions below are the
 monitor's own, re-expressed.
 
@@ -20,6 +21,7 @@ did.
 import pytest
 
 from tests.helpers import make_tuples
+from repro.obs.tracer import RecordingTracer
 from repro.migration.jisc import JISCStrategy
 from repro.migration.moving_state import MovingStateStrategy
 from repro.migration.parallel_track import ParallelTrackStrategy
@@ -30,6 +32,7 @@ from repro.telemetry.expo import (
     output_stall,
     peak_entries,
     state_entries,
+    summary,
     throughput,
 )
 
@@ -42,41 +45,45 @@ def schema():
 ORDER = ("R", "S", "T")
 
 
-def watch(strategy, snapshot_every=0):
-    hub = TelemetryTracer(strategy=strategy.name, snapshot_every=snapshot_every)
+def watch(strategy, snapshot_every=0, capacity=100_000):
+    """A hub over ``strategy`` and the recorder that keeps its snapshots."""
+    recorder = RecordingTracer(capacity=capacity)
+    hub = TelemetryTracer(strategy=strategy.name, inner=recorder, snapshot_every=snapshot_every)
     hub.attach(strategy)
-    return hub
+    return hub, recorder
 
 
 def series(snapshot, name, strategy="jisc"):
-    return snapshot["series"][f'{name}{{strategy="{strategy}"}}']
+    return snapshot.data["series"][f'{name}{{strategy="{strategy}"}}']
+
+
+def snapshots(recorder):
+    return recorder.as_trace().of_kind("snapshot")
 
 
 def run_with_hub(strategy, tuples, every=4):
-    hub = watch(strategy, snapshot_every=every)
+    hub, recorder = watch(strategy, snapshot_every=every)
     for tup in tuples:
         strategy.process(tup)
     hub.take_snapshot()
-    return hub
+    return recorder
 
 
 @pytest.fixture
-def history_of(monkeypatch):
-    """A hub whose ``SnapshotLog`` keeps at most ``capacity`` snapshots (the
-    bound is a constant of ``repro.telemetry.expo``, 10 000 — the monitor's
-    old default; only a test sets another)."""
+def history_of():
+    """A hub whose recorder keeps at most ``capacity`` events (its ring's
+    bound; these runs record nothing but snapshots)."""
 
     def make(strategy, capacity):
-        monkeypatch.setattr("repro.telemetry.expo.SNAPSHOT_CAPACITY", capacity)
-        return watch(strategy)
+        return watch(strategy, capacity=capacity)
 
     return make
 
 
 def test_snapshot_captures_state_sizes(schema):
     st = JISCStrategy(schema, ORDER)
-    hub = run_with_hub(st, make_tuples([("R", 1), ("S", 1), ("T", 1)]))
-    snap = hub.snapshots.last()
+    recorder = run_with_hub(st, make_tuples([("R", 1), ("S", 1), ("T", 1)]))
+    snap = snapshots(recorder)[-1]
     entries = state_entries(snap)
     assert {name: entries[name] for name in ORDER} == {"R": 1, "S": 1, "T": 1}
     assert entries["RS"] == 1
@@ -90,14 +97,14 @@ def test_incomplete_states_visible_after_transition(schema):
     for tup in make_tuples([("S", 1), ("T", 1)]):
         st.process(tup)
     st.transition(("S", "T", "R"))
-    snap = watch(st).take_snapshot()
+    snap = watch(st)[0].take_snapshot()
     assert series(snap, "engine_incomplete_states") == 1
 
 
 def test_parallel_track_live_plans(schema):
     st = ParallelTrackStrategy(schema, ORDER, purge_check_interval=1000)
     st.transition(("S", "T", "R"))
-    snap = watch(st).take_snapshot()
+    snap = watch(st)[0].take_snapshot()
     assert series(snap, "engine_live_plans", "parallel_track") == 2
 
 
@@ -106,21 +113,20 @@ def test_peak_entries_and_largest_state(schema):
     the fold ranks every holder, so the old claim is made over the join
     labels and the overall answer — the full R window — is pinned too."""
     st = JISCStrategy(schema, ORDER)
-    hub = run_with_hub(
-        st, make_tuples([("R", k % 2) for k in range(8)] + [("S", 0), ("T", 0)])
+    history = snapshots(
+        run_with_hub(st, make_tuples([("R", k % 2) for k in range(8)] + [("S", 0), ("T", 0)]))
     )
-    assert peak_entries(hub.snapshots.snapshots) > 0
-    entries = state_entries(hub.snapshots.last())
+    assert peak_entries(history) > 0
+    entries = state_entries(history[-1])
     joins = {label: n for label, n in entries.items() if label not in ORDER}
     assert max(joins, key=joins.get) in {"RS", "RST"}
-    assert largest_state(hub.snapshots.last()) == "R" and entries["R"] == 8
+    assert largest_state(history[-1]) == "R" and entries["R"] == 8
 
 
 def test_throughput_positive_when_producing(schema):
     st = JISCStrategy(schema, ORDER)
     tuples = make_tuples([(s, 1) for s in ORDER] * 4)
-    hub = run_with_hub(st, tuples, every=2)
-    assert throughput(hub.snapshots.snapshots) > 0
+    assert throughput(snapshots(run_with_hub(st, tuples, every=2))) > 0
 
 
 def test_output_stall_detects_moving_state_halt(schema):
@@ -133,54 +139,53 @@ def test_output_stall_detects_moving_state_halt(schema):
 
     def run(cls):
         st = cls(wide, ORDER)
-        hub = watch(st, snapshot_every=10)
+        hub, recorder = watch(st, snapshot_every=10)
         for i, tup in enumerate(tuples):
             if i == 300:
                 hub.take_snapshot()
                 st.transition(("S", "T", "R"))
                 hub.take_snapshot()
             st.process(tup)
-        return hub
+        return snapshots(recorder)
 
-    jisc_stall = output_stall(run(JISCStrategy).snapshots.snapshots)
-    ms_stall = output_stall(run(MovingStateStrategy).snapshots.snapshots)
+    jisc_stall = output_stall(run(JISCStrategy))
+    ms_stall = output_stall(run(MovingStateStrategy))
     assert ms_stall > jisc_stall
 
 
 def test_history_is_bounded(schema, history_of):
-    hub = history_of(JISCStrategy(schema, ORDER), 5)
+    hub, recorder = history_of(JISCStrategy(schema, ORDER), 5)
     for _ in range(12):
         hub.take_snapshot()
-    assert len(hub.snapshots) == 5
+    assert len(snapshots(recorder)) == 5
 
 
 def test_truncation_is_reported_not_silent(schema, history_of):
-    hub = history_of(JISCStrategy(schema, ORDER), 5)
+    hub, recorder = history_of(JISCStrategy(schema, ORDER), 5)
     for _ in range(4):
         hub.take_snapshot()
-    assert hub.snapshots.dropped == 0 and not hub.snapshots.summary()["window_truncated"]
+    assert recorder.dropped == 0 and not summary(recorder.as_trace())["window_truncated"]
     for _ in range(8):
         hub.take_snapshot()
-    assert hub.snapshots.dropped == 7
-    summary = hub.snapshots.summary()
-    assert summary["dropped"] == 7 and summary["window_truncated"] is True
+    assert recorder.dropped == 7
+    folded = summary(recorder.as_trace())
+    assert folded["dropped"] == 7 and folded["window_truncated"] is True
 
 
 def test_bounded_history_keeps_newest_snapshots(schema, history_of):
     st = JISCStrategy(schema, ORDER)
-    hub = history_of(st, 3)
+    hub, recorder = history_of(st, 3)
     for tup in make_tuples([("R", k) for k in range(6)]):
         st.process(tup)
         hub.take_snapshot()
-    kept = [series(snap, "engine_arrivals_total") for snap in hub.snapshots.snapshots]
+    kept = [series(snap, "engine_arrivals_total") for snap in snapshots(recorder)]
     assert kept == [4, 5, 6]
 
 
 def test_summary_keys(schema):
     st = JISCStrategy(schema, ORDER)
-    hub = run_with_hub(st, make_tuples([(s, 1) for s in ORDER]))
-    summary = hub.snapshots.summary()
-    assert set(summary) == {
+    folded = summary(run_with_hub(st, make_tuples([(s, 1) for s in ORDER])).as_trace())
+    assert set(folded) == {
         "samples",
         "dropped",
         "window_truncated",
@@ -190,4 +195,4 @@ def test_summary_keys(schema):
         "output_stall",
         "incomplete_states",
     }
-    assert summary["samples"] == 1 and summary["peak_entries"] == 5
+    assert folded["samples"] == 1 and folded["peak_entries"] == 5

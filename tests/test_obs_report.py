@@ -114,6 +114,22 @@ def test_cli_reports_bad_inputs_cleanly(tmp_path, capsys):
     assert "not a JSONL trace" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, says",
+    [('{"kind": "output"}', "line 2: 'output' event without 'ts'"),
+     ('{"ts": 1.0}', "line 2: not a trace event"),
+     ("[1, 2]", "line 2: not a trace event")],
+)
+def test_cli_names_the_line_of_an_event_it_cannot_read(tmp_path, capsys, line, says):
+    """A line without ``ts`` or ``kind`` is one ``error:`` line naming it, not a
+    traceback (``parse_jsonl`` raises ``ValueError``)."""
+    path = tmp_path / "cut.jsonl"
+    path.write_text('{"ts": 0.0, "kind": "note", "what": "x"}\n' + line + "\n")
+    assert main([str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and says in err[0]
+
+
 def test_render_report_trigger_timeline():
     # Adaptive trigger events flow through the same tracer seam; the
     # report must show fired/suppressed decisions with their cost gap.

@@ -300,9 +300,10 @@ class TestAdaptiveEngineMechanics:
             hub_options=HUB_OPTIONS,
         )
         engine.run(drift_events(64))
-        reg = engine.telemetry.registry
-        evals = reg.with_name("optimizer_trigger_evaluations_total")
-        assert sum(i.value for i in evals) == len(engine.decisions) == 4
+        series = engine.telemetry.series()
+        name = "optimizer_trigger_evaluations_total"
+        evals = [v for k, v in series.items() if k.partition("{")[0] == name]
+        assert sum(evals) == len(engine.decisions) == 4
 
 
 def test_snapshot_improvement_guards():

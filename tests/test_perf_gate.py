@@ -101,9 +101,12 @@ def test_the_hub_changes_nothing_in_any_committed_row(committed):
 
 
 def test_the_identity_shapes_carry_the_numbers_of_the_file_they_replace(committed):
-    """``BENCH_telemetry_overhead.json``'s deterministic half, unchanged."""
+    """``BENCH_telemetry_overhead.json``'s deterministic half, unchanged —
+    but ``series``, which that file counted as the instruments registered by
+    the end of the run (137 and 197, unsynced), is now the key count of the
+    hub's series view at the end of the run."""
     fig7 = committed["shapes"]["fig7_shape"]["jisc"]
-    assert (fig7["arrivals"], fig7["outputs"], fig7["observed"]["series"]) == (6_250, 8_808, 137)
+    assert (fig7["arrivals"], fig7["outputs"], fig7["observed"]["series"]) == (6_250, 8_808, 172)
     assert fig7["ops"] == {
         "completion_probe": 2,
         "hash_insert": 51_413,
@@ -113,7 +116,7 @@ def test_the_identity_shapes_carry_the_numbers_of_the_file_they_replace(committe
         "tuple_emit": 51_125,
     }
     fig9 = committed["shapes"]["fig9_shape"]["jisc"]
-    assert (fig9["arrivals"], fig9["outputs"], fig9["observed"]["series"]) == (12_000, 0, 197)
+    assert (fig9["arrivals"], fig9["outputs"], fig9["observed"]["series"]) == (12_000, 0, 244)
     assert fig9["ops"] == {
         "hash_insert": 38_706,
         "hash_probe": 51_662,

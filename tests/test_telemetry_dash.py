@@ -1,8 +1,10 @@
-"""Dashboard smoke tests: the CI ``--once`` mode, frame rendering, the
-demo scenario's drift + rebalance, and the snapshot-diff report."""
+"""Dashboard smoke tests: the CLI's final frame, frame rendering, the
+demo scenario's drift + rebalance, the exported trace, and the
+snapshot-diff report."""
 
 import json
 
+from repro.obs.tracer import load_trace
 from repro.shard.executor import RebalanceEvent
 from repro.telemetry.dash import _run_diff, demo_events, main, run_dashboard
 
@@ -21,11 +23,7 @@ class TestDemoScenario:
 
 class TestFrames:
     def test_once_renders_per_shard_state(self):
-        frames = list(
-            run_dashboard(shards=4, tuples=1200, window=48, seed=0, once=True)
-        )
-        assert len(frames) == 1
-        frame, telemetry = frames[0]
+        frame, telemetry = run_dashboard(shards=4, tuples=1200, window=48, seed=0)
         lines = frame.splitlines()
         assert "repro telemetry — sharded-jisc — 1200/1200 arrivals" in lines[0]
         # one table row per shard, each carrying phase + counts
@@ -36,63 +34,29 @@ class TestFrames:
         assert "DRIFT" in frame
         assert telemetry.executor.rebalances == 1
 
-    def test_live_mode_yields_periodic_frames(self):
-        frames = list(
-            run_dashboard(
-                shards=2, tuples=600, window=48, seed=0, frame_every=200
-            )
-        )
-        assert len(frames) == 4  # 200/400/600 + final
-        assert "600/600 arrivals" in frames[-1][0]
-
 
 class TestCli:
     def test_once_smoke(self, capsys):
-        assert main(["--once", "--tuples", "600", "--snapshot-every", "0"]) == 0
+        assert main(["--tuples", "600", "--snapshot-every", "0"]) == 0
         out = capsys.readouterr().out
         assert "arrivals" in out and "hot keys" in out
         for shard in range(4):
             assert f"\n{shard:>5}  " in out
 
-    def test_export_and_prom_artifacts(self, tmp_path, capsys):
-        snaps = tmp_path / "snaps.jsonl"
-        prom = tmp_path / "expo.prom"
-        code = main(
-            [
-                "--once",
-                "--tuples",
-                "600",
-                "--snapshot-every",
-                "200",
-                "--export",
-                str(snaps),
-                "--prom",
-                str(prom),
-            ]
-        )
-        assert code == 0
-        with open(snaps) as fh:
+    def test_export_artifact_is_a_trace(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        assert main(["--tuples", "600", "--snapshot-every", "200", "--export", str(path)]) == 0
+        with open(path) as fh:
             rows = [json.loads(line) for line in fh]
-        assert rows and all("series" in r for r in rows)
-        text = prom.read_text()
-        assert "# TYPE repro_engine_arrivals_total counter" in text
+        assert rows[0]["kind"] == "header" and all("ts" in r for r in rows[1:])
+        trace = load_trace(str(path))  # the announced count is checked on load
+        snapshots = trace.of_kind("snapshot")
+        assert len(snapshots) == 600 // 200 + 1  # periodic, and one at the end
+        assert all("engine_arrivals_total" in "".join(s.data["series"]) for s in snapshots)
 
     def test_diff_report_single_file(self, tmp_path, capsys):
         snaps = tmp_path / "snaps.jsonl"
-        assert (
-            main(
-                [
-                    "--once",
-                    "--tuples",
-                    "600",
-                    "--snapshot-every",
-                    "200",
-                    "--export",
-                    str(snaps),
-                ]
-            )
-            == 0
-        )
+        assert main(["--tuples", "600", "--snapshot-every", "200", "--export", str(snaps)]) == 0
         capsys.readouterr()
         assert _run_diff([str(snaps)]) == 0
         out = capsys.readouterr().out
@@ -125,6 +89,5 @@ class TestAdaptiveLine:
         assert f"{len(engine.decisions)} evaluations, 0 fired" in frame
 
     def test_frame_has_no_adaptive_line_without_a_loop(self):
-        frames = list(run_dashboard(shards=2, tuples=200, window=48, seed=0, once=True))
-        frame, _ = frames[0]
+        frame, _ = run_dashboard(shards=2, tuples=200, window=48, seed=0)
         assert "adaptive:" not in frame

@@ -1,8 +1,9 @@
 """The telemetry hub: identity (zero perturbation), live estimator
-publishing, phase attribution, transitions, snapshots, and the per-shard
-``ShardTelemetry`` wiring including crash recovery."""
+publishing, phase attribution, transitions, snapshots, series naming, and
+the per-shard ``ShardTelemetry`` wiring including crash recovery."""
 
 import random
+import re
 
 import pytest
 
@@ -11,8 +12,19 @@ from repro.obs.tracer import RecordingTracer
 from repro.shard import ShardedExecutor, skewed_assignment, balanced_assignment
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
-from repro.telemetry import MetricsRegistry, ShardTelemetry, TelemetryTracer
+from repro.telemetry import ShardTelemetry, TelemetryTracer, series_name
 from repro.workloads.scenarios import chain_scenario, swap_for_case
+
+_LABEL = re.compile(r'(\w+)="([^"]*)"')
+
+
+def named(series, name):
+    """``(labels, value)`` of every series called ``name`` in a series view."""
+    return [
+        (dict(_LABEL.findall(key.partition("{")[2])), value)
+        for key, value in series.items()
+        if key.partition("{")[0] == name
+    ]
 
 
 def small_scenario(n_joins=4, n_tuples=1500, window=40, seed=3):
@@ -57,29 +69,25 @@ class TestRegistryPublishing:
         scenario = small_scenario()
         hub = TelemetryTracer(strategy="jisc")
         engine = run_engine(scenario, tracer=hub)
-        hub.sync()
-        reg = hub.registry
-        arrivals = reg.get("engine_arrivals_total", strategy="jisc")
-        assert arrivals is not None and arrivals.value == len(scenario.tuples)
-        per_stream = reg.with_name("engine_stream_arrivals_total")
-        assert sum(i.value for i in per_stream) == len(scenario.tuples)
+        series = hub.series()
+        assert series['engine_arrivals_total{strategy="jisc"}'] == len(scenario.tuples)
+        per_stream = named(series, "engine_stream_arrivals_total")
+        assert sum(v for _, v in per_stream) == len(scenario.tuples)
         # per-phase op counters must sum exactly to the engine's totals
-        ops = reg.with_name("engine_ops_total")
-        assert sum(i.value for i in ops) == sum(engine.metrics.snapshot().values())
-        outputs = reg.get("engine_outputs_total", strategy="jisc")
-        assert outputs is not None and outputs.value == len(engine.outputs)
+        ops = named(series, "engine_ops_total")
+        assert sum(v for _, v in ops) == sum(engine.metrics.snapshot().values())
+        assert series['engine_outputs_total{strategy="jisc"}'] == len(engine.outputs)
 
     def test_selectivity_series_labeled_by_operator(self):
         scenario = small_scenario()
         hub = TelemetryTracer(strategy="jisc")
         run_engine(scenario, tracer=hub)
-        hub.sync()
+        series = hub.series()
         sels = hub.selectivities()
         # one estimator per probed operator state, labeled by membership
         assert "S0" in sels
         assert all(v is None or 0.0 <= v <= 1.0 for v in sels.values())
-        series = hub.registry.with_name("engine_selectivity")
-        labels = {dict(i.labels).get("operator") for i in series}
+        labels = {labels.get("operator") for labels, _ in named(series, "engine_selectivity")}
         assert "S0" in labels
 
     def test_arrival_rates_on_virtual_clock(self):
@@ -98,18 +106,15 @@ class TestRegistryPublishing:
         hub.attach(engine)
         for tup in scenario.tuples[:1200]:
             engine.process(tup)
-        hub.sync()
-        before = sum(
-            e[0].total for e in hub._sel.values()  # lifetime probe count
-        )
+        hub.poll()
+        before = sum(d.total for d in hub._sel.values())  # lifetime probe count
         engine.transition(new_order)
         for tup in scenario.tuples[1200:]:
             engine.process(tup)
-        hub.sync()
-        after = sum(e[0].total for e in hub._sel.values())
+        series = hub.series()
+        after = sum(d.total for d in hub._sel.values())
         assert after > before
-        transitions = hub.registry.get("engine_transitions_total", strategy="jisc")
-        assert transitions is not None and transitions.value == 1
+        assert series['engine_transitions_total{strategy="jisc"}'] == 1
 
 
 class TestPhasesAndSnapshots:
@@ -125,31 +130,35 @@ class TestPhasesAndSnapshots:
         for tup in scenario.tuples[half:]:
             engine.process(tup)
         hub.set_phase(previous)
-        hub.sync()
-        phases = {
-            dict(i.labels)["phase"] for i in hub.registry.with_name("engine_ops_total")
-        }
-        assert {"steady", "migration"} <= phases
-        total = sum(i.value for i in hub.registry.with_name("engine_ops_total"))
-        assert total == sum(engine.metrics.snapshot().values())
+        ops = named(hub.series(), "engine_ops_total")
+        assert {"steady", "migration"} <= {labels["phase"] for labels, _ in ops}
+        assert sum(v for _, v in ops) == sum(engine.metrics.snapshot().values())
 
     def test_periodic_snapshots_interleave_with_inner_trace(self):
         scenario = small_scenario()
         inner = RecordingTracer()
         hub = TelemetryTracer(strategy="jisc", inner=inner, snapshot_every=500)
-        run_engine(scenario, tracer=hub)
-        assert len(hub.snapshots) == len(scenario.tuples) // 500
-        counter = hub.registry.get("telemetry_snapshots_total", strategy="jisc")
-        assert counter is not None and counter.value == len(hub.snapshots)
-        notes = [e for e in inner.events if e.kind == "note"]
-        assert any(e.data.get("what") == "telemetry" for e in notes)
+        engine = run_engine(scenario, tracer=hub)
+        kinds = [e.kind for e in inner.events]
+        snapshots = inner.as_trace().of_kind("snapshot")
+        assert len(snapshots) == len(scenario.tuples) // 500
+        assert hub.series()['telemetry_snapshots_total{strategy="jisc"}'] == len(snapshots)
+        # one event stream: outputs before the first snapshot and between two
+        first = kinds.index("snapshot")
+        assert "output" in kinds[:first]
+        assert "output" in kinds[first + 1 : first + 1 + kinds[first + 1 :].index("snapshot")]
+        # snapshot k is cut at arrival 500 k, at the virtual time it happened
+        assert [s.data["series"]['engine_arrivals_total{strategy="jisc"}'] for s in snapshots] == [
+            500 * k for k in range(1, len(snapshots) + 1)
+        ]
+        assert 0 < snapshots[0].ts < snapshots[-1].ts <= engine.metrics.clock.now
 
-    def test_take_snapshot_and_sync_idempotent(self):
+    def test_take_snapshot_idempotent(self):
         scenario = small_scenario()
         hub = TelemetryTracer(strategy="jisc")
         run_engine(scenario, tracer=hub)
-        snap_a = dict(hub.take_snapshot()["series"])
-        snap_b = dict(hub.take_snapshot()["series"])
+        snap_a = dict(hub.take_snapshot().data["series"])
+        snap_b = dict(hub.take_snapshot().data["series"])
         # only the snapshot counter itself may move between back-to-back
         # snapshots; every engine-derived series must be stable
         key = 'telemetry_snapshots_total{strategy="jisc"}'
@@ -209,7 +218,8 @@ class TestOneEventPath:
         assert set(TelemetryTracer._HANDLERS) == {name for name, _, _ in self.CALLS} - {
             "migration_end", "promote", "demote", "note"
         }
-        value = lambda name: hub.registry.get(name, strategy="jisc").value_json()
+        series = hub.series()
+        value = lambda name: series[series_name(name, strategy="jisc")]
         assert value("engine_transitions_total") == 1
         assert value("engine_completions_total") == 1
         assert value("engine_checkpoints_total") == 1
@@ -227,7 +237,7 @@ class TestOneEventPath:
 
 
 class TestStateGauges:
-    """What the query monitor sampled by hand, published at ``sync()`` from
+    """What the query monitor sampled by hand, read by the series view from
     the engine's own ``state_sizes()`` / ``live_plans()``."""
 
     def test_sizes_follow_the_live_plans(self):
@@ -235,25 +245,24 @@ class TestStateGauges:
         hub = TelemetryTracer(strategy="jisc")
         engine = STRATEGIES["jisc"](scenario.schema, scenario.order, join="hash")
         hub.attach(engine)
-        assert "engine_state_entries" not in hub.registry  # registered at the first sync
-        for tup in scenario.tuples[:600]:
-            engine.process(tup)
-        hub.sync()
 
         def published():
             return {
-                dict(i.labels)["operator"]: i.value
-                for i in hub.registry.with_name("engine_state_entries")
+                labels["operator"]: v
+                for labels, v in named(hub.series(), "engine_state_entries")
             }
 
+        assert published() == engine.state_sizes()  # current from the attach on
+        for tup in scenario.tuples[:600]:
+            engine.process(tup)
         assert published() == engine.state_sizes()
         assert set(scenario.order) < set(published())  # scans by stream name, joins by membership
-        assert hub.registry.get("engine_live_plans", strategy="jisc").value == 1
-        assert hub.registry.get("engine_incomplete_states", strategy="jisc").value == 0
+        series = hub.series()
+        assert series['engine_live_plans{strategy="jisc"}'] == 1
+        assert series['engine_incomplete_states{strategy="jisc"}'] == 0
         before = set(published())
         engine.transition(swap_for_case(scenario.order, "worst"))
-        hub.sync()
-        assert hub.registry.get("engine_incomplete_states", strategy="jisc").value == len(
+        assert hub.series()['engine_incomplete_states{strategy="jisc"}'] == len(
             engine.controller.incomplete_ops
         ) > 0
         gone = before - set(engine.state_sizes())
@@ -264,10 +273,8 @@ class TestStateGauges:
         ex = ShardedExecutor(Schema.uniform(("A", "B"), 4), ("A", "B"), num_shards=2)
         telemetry = ShardTelemetry(ex)
         ex.process_batch([StreamTuple("A", 0, 1), StreamTuple("B", 0, 1)])
-        telemetry.sync()
         shards = {
-            dict(i.labels).get("shard")
-            for i in telemetry.registry.with_name("engine_live_plans")
+            labels.get("shard") for labels, _ in named(telemetry.series(), "engine_live_plans")
         }
         assert shards == {"0", "1"}  # the workers' hubs; the coordinator follows a Metrics
 
@@ -302,19 +309,14 @@ class TestShardTelemetry:
         ex, tuples = self._executor()
         telemetry = ShardTelemetry(ex)
         ex.process_batch(tuples)
-        telemetry.sync()
-        shards = {
-            dict(i.labels).get("shard")
-            for i in telemetry.registry.with_name("engine_arrivals_total")
-        }
+        series = telemetry.series()
+        shards = {labels.get("shard") for labels, _ in named(series, "engine_arrivals_total")}
         assert {"0", "1", "2", "3"} <= shards
         per_shard = [
-            telemetry.registry.get(
-                "engine_arrivals_total", strategy=ex.strategy_name, shard=s
-            )
+            series.get(series_name("engine_arrivals_total", strategy=ex.strategy_name, shard=s))
             for s in range(4)
         ]
-        assert sum(i.value for i in per_shard if i is not None) == len(tuples)
+        assert sum(v for v in per_shard if v is not None) == len(tuples)
         assert len(telemetry.workers) == 4
 
     def test_rebalance_series_and_hot_keys(self):
@@ -324,12 +326,9 @@ class TestShardTelemetry:
         ex.process_batch(tuples[:cut])
         ex.rebalance(balanced_assignment(64, 4), "lazy")
         ex.process_batch(tuples[cut:])
-        telemetry.sync()
-        reg = telemetry.registry
-        rebalances = reg.get("shard_rebalances_total", strategy=ex.name)
-        assert rebalances is not None and rebalances.value == 1
-        moved = reg.with_name("shard_keys_settled_total")
-        assert sum(i.value for i in moved) > 0
+        series = telemetry.series()
+        assert series[series_name("shard_rebalances_total", strategy=ex.name)] == 1
+        assert sum(v for _, v in named(series, "shard_keys_settled_total")) > 0
         hot = telemetry.hot_keys(0, k=5)
         assert hot and all(count >= 1 for _, count, _ in hot)
 
@@ -343,22 +342,11 @@ class TestShardTelemetry:
         ex.recover_shard(0)
         assert telemetry.workers[0] is not old_tracer
         ex.process_batch(tuples[cut:])
-        telemetry.sync()
-        arrivals = telemetry.registry.get(
-            "engine_arrivals_total", strategy=ex.strategy_name, shard=0
-        )
-        assert arrivals is not None and arrivals.value > 0
-        recoveries = telemetry.registry.get("engine_recoveries_total", strategy=ex.name)
-        assert recoveries is not None and recoveries.value == 1
-
-    def test_shared_registry_injection(self):
-        reg = MetricsRegistry()
-        ex, tuples = self._executor(num_shards=2)
-        telemetry = ShardTelemetry(ex, registry=reg)
-        ex.process_batch(tuples[:100])
-        telemetry.sync()
-        assert telemetry.registry is reg
-        assert len(reg) > 0
+        series = telemetry.series()
+        key = series_name("engine_arrivals_total", strategy=ex.strategy_name, shard=0)
+        arrivals = series.get(key)
+        assert arrivals is not None and arrivals > 0
+        assert series[series_name("engine_recoveries_total", strategy=ex.name)] == 1
 
 
 class TestOptimizerFacingSurface:
@@ -373,13 +361,13 @@ class TestOptimizerFacingSurface:
         # Fewer arrivals than the 64-arrival poll cadence: nothing polled.
         for tup in scenario.tuples[:50]:
             engine.process(tup)
-        before = sum(e[0].total for e in hub._sel.values())
+        before = sum(d.total for d in hub._sel.values())
         hub.poll()
-        after = sum(e[0].total for e in hub._sel.values())
+        after = sum(d.total for d in hub._sel.values())
         assert after > before
         # Idempotent: a second poll with no new probes changes nothing.
         hub.poll()
-        assert sum(e[0].total for e in hub._sel.values()) == after
+        assert sum(d.total for d in hub._sel.values()) == after
 
     def test_selectivity_sample_weight_and_estimate(self):
         scenario = small_scenario()
@@ -399,12 +387,12 @@ class TestOptimizerFacingSurface:
         hub.trigger("evaluated", reason="warming_up")
         hub.trigger("fired", reason="hysteresis", current_cost=3.0, best_cost=2.0)
         hub.trigger("suppressed", reason="cooldown", current_cost=3.5, best_cost=2.5)
-        reg = hub.registry
-        assert reg.get("optimizer_trigger_evaluations_total", strategy="jisc").value == 3
-        assert reg.get("optimizer_trigger_fires_total", strategy="jisc").value == 1
-        assert reg.get("optimizer_trigger_suppressions_total", strategy="jisc").value == 1
-        assert reg.get("optimizer_cost_current", strategy="jisc").value == 3.5
-        assert reg.get("optimizer_cost_best", strategy="jisc").value == 2.5
+        series = hub.series()
+        assert series['optimizer_trigger_evaluations_total{strategy="jisc"}'] == 3
+        assert series['optimizer_trigger_fires_total{strategy="jisc"}'] == 1
+        assert series['optimizer_trigger_suppressions_total{strategy="jisc"}'] == 1
+        assert series['optimizer_cost_current{strategy="jisc"}'] == 3.5
+        assert series['optimizer_cost_best{strategy="jisc"}'] == 2.5
         # ... and the decision stream reaches the inner trace.
         triggers = [e for e in inner.events if e.kind == "trigger"]
         assert [e.data["action"] for e in triggers] == [
@@ -428,3 +416,29 @@ class TestOptimizerFacingSurface:
         sels = hub.selectivities()
         assert set(scenario.order) <= set(sels)
         assert any(v is not None for v in sels.values())
+
+
+class TestSeriesIdentity:
+    """One key per series: ``name{k="v",...}``, labels sorted by key and
+    stringified, whatever order they were given in."""
+
+    def test_labels_sorted_and_stringified(self):
+        assert series_name("ops", strategy="jisc", shard=2) == 'ops{shard="2",strategy="jisc"}'
+
+    def test_series_name_flat_form(self):
+        flat = series_name("arrivals", strategy="jisc", shard=0)
+        assert flat == 'arrivals{shard="0",strategy="jisc"}'
+        assert series_name("arrivals") == "arrivals"
+
+    def test_label_order_does_not_split_series(self):
+        assert series_name("ops", strategy="jisc", shard=1) == series_name(
+            "ops", shard=1, strategy="jisc"
+        )
+        hub = TelemetryTracer(strategy="jisc", shard=1)
+        run_engine(small_scenario(n_tuples=300), tracer=hub)
+        series = hub.series()
+        assert 'engine_arrivals_total{shard="1",strategy="jisc"}' in series
+        for key in series:  # every key's labels come sorted
+            names = [k for k, _ in _LABEL.findall(key.partition("{")[2])]
+            assert names == sorted(names), key
+        assert len(named(series, "engine_arrivals_total")) == 1
