@@ -21,8 +21,9 @@ from repro.streams.tuples import joiner
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.controller import JISCController
 
-#: One incomplete left-deep join, looked up once: ``(op, status, left get_view,
-#: right get_view, add, sorted left streams, right stream, its joiner)``.
+#: One incomplete left-deep join, looked up once: ``(op, status, its settled
+#: values or None, left by_key, right by_key, its state, its by_key, its by_ident,
+#: the position in a left entry's ident of each left stream, right stream, joiner)``.
 Node = Tuple[Any, ...]
 
 
@@ -36,6 +37,10 @@ def bind_left_deep(
     A completion advances a copy of the clock in the generic procedure's order
     (per node, bottom-up: two probes, a completion probe, the inserts), hands
     over once — together with what the calling level had tallied — and settles.
+    It probes, inserts and settles on the dicts themselves, as a fused level
+    does (:mod:`repro.operators.fused`): ``HashState.add`` only while a state's
+    layout is not fixed yet, ``JISCController.settle`` only for a state the
+    controller keeps no info for.
     """
     metrics = controller.metrics
     clock = metrics.clock if metrics.clock is not None else VirtualClock()
@@ -53,31 +58,65 @@ def bind_left_deep(
         stream, seq = controller.current_part or (None, -1)
         completions = 0
         try:
-            for _, _, left_view, right_view, add, left_streams, right_stream, assemble in nodes:
-                lefts, rights = left_view(key), right_view(key)
+            for (
+                _, _, _, left_keys, right_keys, state, by_key, by_ident, left_at, right_stream, assemble
+            ) in nodes:
+                lefts, rights = left_keys.get(key), right_keys.get(key)
                 probes += 2
                 now += c_probe
                 now += c_probe
                 completions += 1
                 now += c_completion
+                if not lefts or not rights:
+                    continue
                 # The arrival's own results are its cascade's to derive and emit
-                # (``JoinOperator.build_state_for_key``); it is on one side only.
-                if stream == right_stream:
-                    rights = [r for r in rights if r.seq != seq]
-                elif left_streams == (stream,):
-                    lefts = [l for l in lefts if l.seq != seq]
-                elif stream in left_streams:
-                    own = left_streams.index(stream)
-                    lefts = [l for l in lefts if l.ident[own] != seq]
-                for l in lefts:
-                    for r in rights:
-                        if add(assemble(l, r)):
-                            adds += 1
-                            now += c_insert
+                # (``JoinOperator.build_state_for_key``); it is on one side only:
+                # a right entry's ident is its seq, a left one's holds it at ``own``
+                # (``-1``: the left child is a scan, its idents are seqs).
+                skip = seq if stream == right_stream else None
+                own = left_at.get(stream)
+                bucket = None  # every result carries ``key``: one bucket per node
+                for left_ident, left in lefts.items():
+                    if own is not None and (left_ident if own < 0 else left_ident[own]) == seq:
+                        continue
+                    for right_ident, right in rights.items():
+                        if right_ident == skip:
+                            continue
+                        result = assemble(left, right)
+                        ident = result.ident
+                        if ident in by_ident:
+                            continue
+                        part_index = state.part_index  # rebound by ``_fix_layout`` / ``clear``
+                        if len(part_index) != len(ident):
+                            state.add(result)  # fixes the layout, or raises as ever
+                        else:
+                            for index, part in zip(part_index, ident):
+                                owners = index.get(part)
+                                if owners is None:
+                                    index[part] = {ident: result}
+                                else:
+                                    owners[ident] = result
+                            if bucket is None:
+                                bucket = by_key.get(key)
+                                if bucket is None:
+                                    bucket = by_key[key] = {}
+                            bucket[ident] = result
+                            by_ident[ident] = result
+                        adds += 1
+                        now += c_insert
         finally:
             flush(now, adds, emits, probes, drops, outs, completions)
         for node in nodes:
-            controller.settle(node[0], key)
+            op, status, settled = node[0], node[1], node[2]
+            if settled is None:
+                controller.settle(op, key)
+                continue
+            settled.add(key)
+            waiting = status.pending  # ``StateStatus.settle_value``, inline
+            if waiting is not None and not status.complete:
+                waiting.discard(key)
+                if not waiting:
+                    controller._mark_complete(op)
         return 0
 
     def complete(nodes: List[Node], key: Any, now: float, *tallies: int) -> int:
@@ -109,12 +148,20 @@ def bind_left_deep(
     spines: Dict[Operator, Tuple[Node, ...]] = {}
     bound: Dict[Tuple[Operator, Operator], Completer] = {}
     for op in plan.internal:  # children first
-        if not op.state.status.complete:
+        state = op.state
+        if not state.status.complete:
             left_streams = tuple(sorted(op.left.membership))
             (right_stream,) = op.right.membership
-            left, right = op.left.state.get_view, op.right.state.get_view
-            state, assemble = op.state, joiner(left_streams, (right_stream,))
-            node = (op, state.status, left, right, state.add, left_streams, right_stream, assemble)
+            if len(left_streams) == 1:
+                left_at = {left_streams[0]: -1}
+            else:
+                left_at = {name: at for at, name in enumerate(left_streams)}
+            info = controller.info.get(op)  # kept from the transition until ``op`` completes
+            node = (
+                op, state.status, None if info is None else info.settled,
+                op.left.state.by_key, op.right.state.by_key, state, state.by_key, state.by_ident,
+                left_at, right_stream, joiner(left_streams, (right_stream,)),
+            )  # fmt: skip
             spines[op] = (node,) + spines.get(op.left, ())
             bound[op.parent, op] = completer = (partial(pending, spines[op]), complete)
             if controller.expiry_optimization:

@@ -29,12 +29,16 @@ from repro.obs.tracer import PHASE_COMPLETING
 from repro.operators.base import BinaryOperator, Operator
 from repro.operators.fused import runs_kernels
 from repro.operators.joins import JoinOperator
-from repro.operators.state import HashState, StateStatus
+from repro.operators.state import Entry, Ident, StateStatus
 from repro.plans.build import PhysicalPlan
 from repro.streams.tuples import AnyTuple, StreamTuple
 
 
 T = TypeVar("T")
+
+#: What an eviction on a stream checks: ``(op, its status, a side's status, that
+#: side's by_key, op's transition seq)``.
+Watcher = Tuple[BinaryOperator, StateStatus, StateStatus, Dict[Any, Dict[Ident, Entry]], int]
 
 
 class JISCStateInfo:
@@ -52,7 +56,7 @@ class JISCController:
     """Coordinates state completion across one query's physical plan.
 
     ``current_fresh`` / ``current_part`` are defined only during an arrival that
-    found a state incomplete (the engine calls the arrival hooks only then).
+    found a state incomplete (the engine sets them only then).
     """
 
     def __init__(
@@ -146,6 +150,11 @@ class JISCController:
         :meth:`after_arrival` once the cascade has finished — the arrival
         is only *recorded* then, so the window eviction it may trigger is
         judged against the registry without the arrival itself.
+
+        ``JISCStrategy.process`` does what this and :meth:`after_arrival` do
+        on the registry's dicts itself; the two stay one call each for a
+        caller driving a controller by hand, and are the span points
+        ``benchmarks/wallclock/trace.py`` names.
         """
         self.current_fresh = self.freshness.check(tup)
         # The part of the tuple whose cascade is in flight; completion must
@@ -348,26 +357,32 @@ class JISCController:
         stream concerns is looked up here, once, in :attr:`incomplete_ops`'
         run-independent order.
         """
-        watchers: Dict[str, List[Tuple[BinaryOperator, StateStatus, HashState, int]]] = {}
+        watchers: Dict[str, List[Watcher]] = {}
         for op in self.incomplete_ops:
             info = self.info.get(op)
             if info is not None:
                 for side in (op.left, op.right):
                     for stream in side.membership:
                         watchers.setdefault(stream, []).append(
-                            (op, op.state.status, side.state, info.transition_seq)
-                        )
+                            (op, op.state.status, side.state.status, side.state.by_key,
+                             info.transition_seq)
+                        )  # fmt: skip
 
         def on_expiry(tup: StreamTuple) -> None:
             key = tup.key
-            for op, status, side, threshold in watchers.get(tup.stream, ()):
-                if status.pending is None or key not in status.pending or not side.status.complete:
+            for op, status, side_status, side_keys, threshold in watchers.get(tup.stream, ()):
+                pending = status.pending  # rebound by ``mark_incomplete`` / ``mark_complete``
+                if pending is None or key not in pending or not side_status.complete:
                     continue
-                for entry in side.get_view(key):
-                    if entry.max_seq() < threshold:
+                # an ident is a base tuple's seq or a composite's flat seq tuple
+                for ident in side_keys.get(key, ()):
+                    if (max(ident) if isinstance(ident, tuple) else ident) < threshold:
                         break  # pre-transition support is still in the window
                 else:
-                    if status.settle_value(key):
-                        self._mark_complete(op)
+                    # ``StateStatus.settle_value``, inline
+                    if not status.complete:
+                        pending.discard(key)
+                        if not pending:
+                            self._mark_complete(op)
 
         return on_expiry

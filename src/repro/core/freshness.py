@@ -11,6 +11,8 @@ The registry stores, per stream, the arrival sequence of the last tuple
 recorded for each join-attribute value since the most recent plan
 transition — exactly the "hash table of that stream" lookup the paper
 describes (O(1) CPU time) — plus that transition's sequence number.
+:meth:`FreshnessRegistry.check` and :meth:`FreshnessRegistry.record` are the
+definition; ``JISCStrategy.process`` does both on ``last_seen`` itself.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ class FreshnessRegistry:
     """Per-stream last-arrival tracking against the latest transition."""
 
     def __init__(self):
-        # stream -> {join value -> seq of last arrival with that value}
-        self._last_seen: Dict[str, Dict[Any, int]] = {}
+        # stream -> {join value -> seq of last arrival with that value}; the
+        # per-stream dicts are replaced at every transition, never kept across one
+        self.last_seen: Dict[str, Dict[Any, int]] = {}
         self.last_transition_seq: int = -1
 
     def note_transition(self, seq: int) -> None:
@@ -40,8 +43,8 @@ class FreshnessRegistry:
         and are dropped instead of kept, one per value ever seen.
         """
         self.last_transition_seq = seq
-        for stream, seen in self._last_seen.items():
-            self._last_seen[stream] = {key: at for key, at in seen.items() if at >= seq}
+        for stream, seen in self.last_seen.items():
+            self.last_seen[stream] = {key: at for key, at in seen.items() if at >= seq}
 
     def check(self, tup: StreamTuple) -> bool:
         """Is ``tup`` fresh? (No registry update.)
@@ -54,18 +57,12 @@ class FreshnessRegistry:
         tests/test_expiry_optimization_soundness.py for why this ordering
         is load-bearing).
         """
-        prev = self._last_seen.get(tup.stream, _NEVER_SEEN).get(tup.key)
+        prev = self.last_seen.get(tup.stream, _NEVER_SEEN).get(tup.key)
         return prev is None or prev < self.last_transition_seq
 
     def record(self, tup: StreamTuple) -> None:
         """Register ``tup``'s arrival (after its processing cascade ended)."""
-        seen = self._last_seen.get(tup.stream)
+        seen = self.last_seen.get(tup.stream)
         if seen is None:
-            seen = self._last_seen[tup.stream] = {}
+            seen = self.last_seen[tup.stream] = {}
         seen[tup.key] = tup.seq
-
-    def observe(self, tup: StreamTuple) -> bool:
-        """Check-and-record in one step (for callers without a cascade)."""
-        fresh = self.check(tup)
-        self.record(tup)
-        return fresh

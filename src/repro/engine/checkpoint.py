@@ -245,7 +245,7 @@ def checkpoint_strategy(strategy: MigrationStrategy) -> Dict[str, Any]:
             "last_transition_seq": controller.freshness.last_transition_seq,
             "last_seen": {
                 stream: [[key_to_json(key), at] for key, at in mapping.items()]
-                for stream, mapping in controller.freshness._last_seen.items()
+                for stream, mapping in controller.freshness.last_seen.items()
             },
             "info": [
                 {
@@ -318,7 +318,7 @@ def restore_strategy(data: Dict[str, Any]) -> MigrationStrategy:
         controller.freshness.last_transition_seq = saved_controller[
             "last_transition_seq"
         ]
-        controller.freshness._last_seen = {
+        controller.freshness.last_seen = {
             stream: {key_from_json(key): at for key, at in pairs}
             for stream, pairs in saved_controller["last_seen"].items()
         }

@@ -68,9 +68,18 @@ class JISCStrategy(MigrationStrategy):
         hash(tup.key)
         # Classified and recorded only while a state is incomplete: nothing reads
         # the verdict otherwise, and no record outlives a transition (PERFORMANCE.md).
-        migrating = self.controller.incomplete_ops
+        # ``FreshnessRegistry.check`` before the cascade and ``record`` after it,
+        # on the registry's per-stream dict.
+        controller = self.controller
+        migrating = controller.incomplete_ops
         if migrating:
-            self.controller.on_arrival(tup)
+            registry = controller.freshness
+            seen = registry.last_seen.get(tup.stream)
+            prev = None if seen is None else seen.get(tup.key)
+            controller.current_fresh = prev is None or prev < registry.last_transition_seq
+            # The part of the tuple whose cascade is in flight; completion must
+            # not pre-add results containing it (the cascade emits them itself).
+            controller.current_part = (tup.stream, tup.seq)
         if tup.seq > self._last_seq:
             self._last_seq = tup.seq
         tracer = self.metrics.tracer
@@ -78,16 +87,20 @@ class JISCStrategy(MigrationStrategy):
             tracer.arrival(tup)
         self.plan.feed(tup)
         if migrating:
-            self.controller.after_arrival(tup)
+            if seen is None:
+                seen = registry.last_seen[tup.stream] = {}
+            seen[tup.key] = tup.seq
 
     def process_batch(self, tuples: Sequence[StreamTuple]) -> None:
         """Hoisted per-arrival scaffolding; same op order as :meth:`process`.
 
         A batch never spans a transition, so the plan (and its ``feed``)
-        is stable for the whole run.
+        is stable for the whole run, and so are the freshness registry's
+        per-stream dicts.
         """
         controller = self.controller
-        on_arrival, after_arrival = controller.on_arrival, controller.after_arrival
+        registry = controller.freshness
+        last_seen = registry.last_seen
         tracer = self.metrics.tracer
         traced = tracer.enabled
         scans = self.plan.scans
@@ -98,14 +111,19 @@ class JISCStrategy(MigrationStrategy):
             hash(tup.key)
             migrating = controller.incomplete_ops  # replaced, never mutated
             if migrating:
-                on_arrival(tup)
+                seen = last_seen.get(tup.stream)
+                prev = None if seen is None else seen.get(tup.key)
+                controller.current_fresh = prev is None or prev < registry.last_transition_seq
+                controller.current_part = (tup.stream, tup.seq)
             if tup.seq > self._last_seq:
                 self._last_seq = tup.seq
             if traced:
                 tracer.arrival(tup)
             feed(tup)
             if migrating:
-                after_arrival(tup)
+                if seen is None:
+                    seen = last_seen[tup.stream] = {}
+                seen[tup.key] = tup.seq
 
     def extract(self, key: Any) -> Parcel:
         """Complete ``key`` where a state misses it, then hand it over (whole)."""

@@ -230,7 +230,8 @@ def compile_plan(plan: "PhysicalPlan") -> None:
                     now += c_probe
                     part_index = joined.part_index  # rebound by ``_fix_layout`` / ``clear``
                     if position is None or not part_index:
-                        n = len(joined.remove_with_part(part))
+                        # no layout: never filled, or cleared — it holds nothing
+                        n = len(joined.remove_with_part(part)) if joined.layout else 0
                     else:
                         expired = part_index[position].pop(seq, None)
                         n = 0

@@ -130,12 +130,14 @@ class HashState:
     entries derived from them in other states — because JISC adopts states
     across plan shapes by pointer move (docs/PERFORMANCE.md).
 
-    These methods are the definition, and there is a second writer: the
+    These methods are the definition, and there are two more writers: the
     fused kernels (:mod:`repro.operators.fused`) probe ``by_key`` and do the
-    arrival path's inserts and expiry unlinks themselves, in the same order,
-    falling back to :meth:`add` / :meth:`remove_entry` /
+    arrival path's inserts and expiry unlinks themselves, and the bound
+    completion (:mod:`repro.core.bound`) probes and inserts itself, in the
+    same order, falling back to :meth:`add` / :meth:`remove_entry` /
     :meth:`remove_with_part` where this layout is not fixed yet or the
-    entry's streams are not known; ``tests/test_fused_state.py`` holds every
+    entry's streams are not known (a kernel skips a state with no layout on
+    eviction: it holds nothing); ``tests/test_fused_state.py`` holds every
     index of theirs to these methods'.  Hence ``by_key`` and ``by_ident``
     are only ever mutated in place (kernels close over them), while
     ``part_index`` and ``layout`` may be rebound and are read per call.
@@ -266,10 +268,10 @@ class HashState:
         ``PYTHONHASHSEED`` is (fault-injection replays stay byte-identical).
         """
         stream, seq = part
-        try:
-            position = self.layout.index(stream)
-        except ValueError:
+        layout = self.layout
+        if stream not in layout:
             return []
+        position = layout.index(stream)
         part_index = self.part_index
         if not part_index:
             entry = self.by_ident.get(seq)

@@ -19,52 +19,59 @@ def t(stream, seq, key):
     return StreamTuple(stream, seq, key)
 
 
+def observe(reg, tup):
+    """Check, then record: the verdict an arrival gets, and its record."""
+    fresh = reg.check(tup)
+    reg.record(tup)
+    return fresh
+
+
 def test_first_tuple_after_transition_is_fresh():
     reg = FreshnessRegistry()
     reg.note_transition(10)
-    assert reg.observe(t("R", 10, 5)) is True
+    assert observe(reg, t("R", 10, 5)) is True
 
 
 def test_second_tuple_same_stream_same_value_is_attempted():
     reg = FreshnessRegistry()
     reg.note_transition(10)
-    reg.observe(t("R", 10, 5))
-    assert reg.observe(t("R", 11, 5)) is False
+    observe(reg, t("R", 10, 5))
+    assert observe(reg, t("R", 11, 5)) is False
 
 
 def test_same_value_other_stream_is_independently_fresh():
     # Section 4.4 keys freshness on the *stream's* hash table.
     reg = FreshnessRegistry()
     reg.note_transition(10)
-    reg.observe(t("R", 10, 5))
-    assert reg.observe(t("S", 11, 5)) is True
+    observe(reg, t("R", 10, 5))
+    assert observe(reg, t("S", 11, 5)) is True
 
 
 def test_different_value_is_fresh():
     reg = FreshnessRegistry()
     reg.note_transition(10)
-    reg.observe(t("R", 10, 5))
-    assert reg.observe(t("R", 11, 6)) is True
+    observe(reg, t("R", 10, 5))
+    assert observe(reg, t("R", 11, 6)) is True
 
 
 def test_pre_transition_arrival_does_not_mark_attempted():
     reg = FreshnessRegistry()
-    reg.observe(t("R", 3, 5))  # before any transition is noted
+    observe(reg, t("R", 3, 5))  # before any transition is noted
     reg.note_transition(10)
-    assert reg.observe(t("R", 12, 5)) is True
+    assert observe(reg, t("R", 12, 5)) is True
 
 
 def test_new_transition_resets_freshness():
     reg = FreshnessRegistry()
     reg.note_transition(0)
-    reg.observe(t("R", 1, 5))
-    assert reg.observe(t("R", 2, 5)) is False
+    observe(reg, t("R", 1, 5))
+    assert observe(reg, t("R", 2, 5)) is False
     reg.note_transition(10)
-    assert reg.observe(t("R", 10, 5)) is True
+    assert observe(reg, t("R", 10, 5)) is True
 
 
 def records(reg):
-    return sum(len(seen) for seen in reg._last_seen.values())
+    return sum(len(seen) for seen in reg.last_seen.values())
 
 
 def test_transition_drops_the_records_it_makes_stale():
@@ -132,10 +139,12 @@ class AlwaysRecording(JISCStrategy):
         self.controller.freshness = KeepEverything()
 
     def process(self, tup):
-        self.controller.on_arrival(tup)
+        controller = self.controller
+        controller.current_fresh = controller.freshness.check(tup)
+        controller.current_part = (tup.stream, tup.seq)
         self._last_seq = max(self._last_seq, tup.seq)
         self.plan.feed(tup)
-        self.controller.after_arrival(tup)
+        controller.freshness.record(tup)
 
     def process_batch(self, tuples):
         for tup in tuples:

@@ -1313,8 +1313,14 @@ def test_calls_per_arrival_while_migrating():
 
     into_repro = count("")
     assert into_repro == count("")  # a count: it repeats exactly
-    assert 30 < into_repro <= 33  # 31.35 on 3.11; 38.96 at PR 30, 61.21 at PR 20
+    # 20.98 on 3.11; 31.35 while the completion and expiry hooks called ``HashState``
+    assert 20 < into_repro <= 22
     assert 2 < count(os.path.join("engine", "metrics.py")) <= 2.5  # 2.28; 8.80 at PR 20
+    # The bound completion probes, inserts and settles on the dicts, and the expiry
+    # door skips a state that never held an entry: what is left in the state is a
+    # transition's (new states, counters, the first insert that fixes a layout)
+    # and each plan's one generic arrival.  0.44 on 3.11; 5.55 through the methods.
+    assert count(os.path.join("operators", "state.py")) <= 0.5
 
 
 def test_a_transition_compiles_one_level_per_join_side_and_runs_one_generic_arrival(monkeypatch):

@@ -1,7 +1,8 @@
 """The kernels write ``HashState``'s indexes as its methods do, index for index.
 
 ``repro.operators.fused`` probes ``by_key`` and inserts into and unlinks from
-``by_key`` / ``by_ident`` / ``part_index`` itself; the methods stay the
+``by_key`` / ``by_ident`` / ``part_index`` itself, and so does the bound
+completion of ``repro.core.bound`` (probes and inserts); the methods stay the
 definition, reached on ``tests.helpers.reference_path``.  After every event,
 each state of a fused run must equal the reference run's: the key buckets
 (keys in order, each bucket's idents in order), the order of ``by_ident``, the
@@ -10,6 +11,8 @@ checkpoint and a key move read, so agreeing on contents alone is not enough.
 The kernels' fallbacks to the methods are driven on purpose below.
 """
 
+import sys
+
 import pytest
 
 from repro.engine.executor import TransitionEvent, interleave_transitions
@@ -17,8 +20,9 @@ from repro.migration.base import StaticPlanExecutor
 from repro.migration.jisc import JISCStrategy
 from repro.migration.moving_state import MovingStateStrategy
 from repro.migration.parallel_track import ParallelTrackStrategy
-from repro.operators.joins import SymmetricHashJoin
+from repro.operators.joins import JoinOperator, SymmetricHashJoin
 from repro.operators.setdiff import SetDifference
+from repro.operators.state import HashState
 from repro.shard import RebalanceEvent, ShardedExecutor, skewed_assignment
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
@@ -181,7 +185,10 @@ def test_an_equal_tuple_that_is_not_the_stored_one_is_removed_by_value():
 def test_a_state_with_no_layout_removes_through_the_method():
     """Evictions that reach a join whose state never held an entry, and one
     whose state was cleared under a live kernel (``clear`` rebinds
-    ``part_index``: the kernel reads it per call)."""
+    ``part_index``: the kernel reads it per call).  The method tests the
+    evicted stream's membership and removes nothing; the kernel does not call
+    it for a state with no layout, which holds nothing.  Both leave every
+    index as the other does."""
     schema = Schema.uniform(NAMES, 3)
     # A and B never share a key until seq 40: the A+B state has no layout
     tuples = [StreamTuple(NAMES[seq % 2], seq, seq % 2) for seq in range(40)]
@@ -209,3 +216,148 @@ def test_a_redelivered_arrival_inserts_and_emits_nothing_new():
     fused, reference = assert_same_states(lambda: JISCStrategy(Schema.uniform(NAMES, 9), NAMES), events)
     assert fused.output_lineages() == reference.output_lineages()
     assert len(set(fused.output_lineages())) == len(fused.output_lineages()) > 50
+
+
+# -- the bound completion's writes -------------------------------------------------------
+#
+# ``repro.core.bound`` probes, inserts and settles on the states' dicts itself.
+# After every event its run must equal the generic procedures' (reached on the
+# reference path) in every index, and in the counts and the clock, which are
+# where a duplicate insert would show: it rewrites dict slots in place.
+
+
+def completion_view(engine):
+    statuses = [op.state.status for op in engine.plan.internal]
+    return (
+        states_of(engine),
+        [None if s.pending is None else sorted(s.pending) for s in statuses],
+        dict(engine.metrics.counts),
+        engine.metrics.clock.now,
+    )
+
+
+def own_parts_skipped():
+    """Where the reference run's completions left out the arriving tuple's own
+    results: ``"right"`` (the arrival is the right scan's entry), ``"left"`` (the
+    left child is its scan) and ``"composite left"`` (it is inside a left entry)."""
+    skipped = set()
+    build = JoinOperator.build_state_for_key
+
+    def spy(join, key, exclude_part=None):
+        if exclude_part is not None:
+            for side in (join.left, join.right):
+                if any(entry.has_part(exclude_part) for entry in side.state.get_view(key)):
+                    where = "right" if side is join.right else "left"
+                    skipped.add(where if len(side.membership) == 1 else "composite " + where)
+        build(join, key, exclude_part)
+
+    return skipped, spy
+
+
+def assert_completion_agrees(make, events, act=step):
+    """The fused run's bound completions equal the generic procedures' after every
+    event; returns what the generic side skipped as the arrival's own."""
+
+    def run():
+        engine = make()
+        seen = []
+        bound = 0
+        for event in events:
+            bound += bool(engine.plan.completers)
+            act(engine, event)
+            seen.append(completion_view(engine))
+        return engine, seen, bound
+
+    fused, got, bound = run()
+    skipped, spy = own_parts_skipped()
+    with reference_path(), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(JoinOperator, "build_state_for_key", spy)
+        reference, want, _ = run()
+    assert fused_leaves(fused) and not fused_leaves(reference) and bound > len(events) // 5
+    for i, (ours, theirs) in enumerate(zip(got, want)):
+        assert ours == theirs, (i, events[i])
+    assert fused.output_lineages() == reference.output_lineages() != []
+    return skipped
+
+
+OWN_PARTS = {"right", "left", "composite left"}
+
+
+#: name -> (transition period, strategy options)
+CHURNS = {
+    "worst_case": (70, {}),
+    # 8 arrivals apart in a 12-tuple window: states are still incomplete when
+    # the next transition adopts them
+    "overlapped": (8, {}),
+    # completions that meet entries already there: every probe of an incomplete
+    # state re-runs one, and without own-path completion arrivals fill states
+    # for values still pending
+    "naive_recheck": (70, {"naive_recheck": True}),
+    "no_expiry_optimization": (70, {"expiry_optimization": False}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHURNS))
+def test_bound_completion_writes_every_state_as_the_generic_procedures(case):
+    period, options = CHURNS[case]
+    # five streams: three joins under the root are new at a worst-case transition,
+    # so one completes the next while that join's loop is still inserting the
+    # arrival's results (the own part inside a composite left entry)
+    scenario = chain_scenario(4, 420, 12, key_domain=10, seed=2)
+    events = frequency_events(scenario, period, case="worst")
+    skipped = assert_completion_agrees(
+        lambda: JISCStrategy(scenario.schema, scenario.order, **options), events
+    )
+    # own-path completion, the only one with the arrival inside, is the
+    # window-slide optimization's
+    assert skipped == (set() if case == "no_expiry_optimization" else OWN_PARTS)
+
+
+def test_a_completion_fixes_a_new_states_layout_and_one_cleared_under_it():
+    """After a worst-case transition the new states D+C and D+C+B hold nothing.
+    The plan's first arrival (generic) has a new key and completes nothing, so
+    the bound completion makes D+C's first insert, through ``HashState.add``.
+    A second transition adopts D+C still incomplete, and with a layout, before
+    it is cleared (``clear`` rebinds ``part_index``: the completion reads it
+    per insert, not once per transition); the next completion fixes its layout
+    again."""
+    schema = Schema.uniform(NAMES, 64)
+    before = [
+        StreamTuple(name, 4 * key + i, key) for key in range(1, 5) for i, name in enumerate(NAMES)
+    ]
+    first = [("A", 5), ("B", 1)]
+    then = [("B", 6), ("A", 2), ("D", 4), ("C", 3), ("A", 3), ("B", 4)]
+    first = [StreamTuple(name, 20 + i, key) for i, (name, key) in enumerate(first)]
+    then = [StreamTuple(name, 30 + i, key) for i, (name, key) in enumerate(then)]
+    events = (
+        before
+        + [TransitionEvent(("D", "C", "B", "A"))]
+        + first
+        + [TransitionEvent(("D", "C", "A", "B"))]
+        + then
+    )
+    cleared = []
+
+    def clear_dc_before_seq_31(engine, event):
+        if isinstance(event, StreamTuple) and event.seq == 31:
+            dc = engine.plan.state_of(("C", "D"))
+            assert dc.layout == ("C", "D") and not dc.status.complete
+            dc.clear()
+            cleared.append(dc)
+        step(engine, event)
+
+    fixed_by_completion = []
+    add = HashState.add
+
+    def spy(state, entry):
+        if not state.layout and sys._getframe(1).f_code.co_name == "build":
+            fixed_by_completion.append(state)
+        return add(state, entry)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(HashState, "add", spy)
+        assert_completion_agrees(
+            lambda: JISCStrategy(schema, NAMES), events, act=clear_dc_before_seq_31
+        )
+    # the fused run fixes D+C's layout in ``core.bound``, before and after the clear
+    assert len(cleared) == 2 and fixed_by_completion == [cleared[0], cleared[0]]
