@@ -151,7 +151,7 @@ class JISCController:
         is only *recorded* then, so the window eviction it may trigger is
         judged against the registry without the arrival itself.
 
-        ``JISCStrategy.process`` does what this and :meth:`after_arrival` do
+        ``JISCStrategy.process_batch`` does what this and :meth:`after_arrival` do
         on the registry's dicts itself; the two stay one call each for a
         caller driving a controller by hand, and are the span points
         ``benchmarks/wallclock/trace.py`` names.

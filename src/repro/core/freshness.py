@@ -12,7 +12,7 @@ recorded for each join-attribute value since the most recent plan
 transition — exactly the "hash table of that stream" lookup the paper
 describes (O(1) CPU time) — plus that transition's sequence number.
 :meth:`FreshnessRegistry.check` and :meth:`FreshnessRegistry.record` are the
-definition; ``JISCStrategy.process`` does both on ``last_seen`` itself.
+definition; ``JISCStrategy.process_batch`` does both on ``last_seen`` itself.
 """
 
 from __future__ import annotations

@@ -126,10 +126,8 @@ class CACQExecutor:
                 tracer.output(result, when)
 
     def process_batch(self, tuples: Sequence[StreamTuple]) -> None:
-        """Process a run of arrivals back-to-back (executor batching)."""
-        process = self.process
         for tup in tuples:
-            process(tup)
+            self.process(tup)
 
     def transition(self, new_spec: "SpecLike") -> None:
         """Adopt a new routing order; CACQ migrates no state."""

@@ -86,8 +86,5 @@ class VirtualClock:
         self.default = self.cost_model.default
         self.now = 0.0
 
-    def tick(self, op: str, n: int = 1) -> None:
-        self.now += self.costs.get(op, self.default) * n
-
     def reset(self) -> None:
         self.now = 0.0

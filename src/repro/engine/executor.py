@@ -8,7 +8,9 @@ strategy through such a sequence.
 ``StrategyExecutor`` is the interface every strategy implements — what the
 drivers here, the telemetry hub, the optimizer and the shard worker use of
 an engine, so that none of them probes it for its shape; strategies live in
-:mod:`repro.migration` and :mod:`repro.eddy`.
+:mod:`repro.migration` and :mod:`repro.eddy`.  An engine writes its
+arrival path once: ``process_batch`` (a plain loop where arrivals share no
+prologue), and ``process`` is a run of one.
 """
 
 from __future__ import annotations
@@ -65,11 +67,12 @@ class StrategyExecutor(Protocol):
     metrics: "Metrics"
 
     def process(self, tup: StreamTuple) -> None:
-        """Process one arriving tuple through the current plan(s)."""
+        """One arriving tuple: ``process_batch`` of a run of one."""
         ...
 
     def process_batch(self, tuples: Sequence[StreamTuple]) -> None:
-        """``process`` for a run of arrivals, back to back."""
+        """A run of arrivals, back to back: any cut into runs is the same run;
+        a rejected arrival raises with the run's earlier ones taken."""
         ...
 
     def transition(self, new_spec: PlanSpec) -> None:
@@ -143,8 +146,8 @@ def run_events(
     captured (see :mod:`repro.obs`).
 
     Consecutive arrivals are handed to the strategy's ``process_batch`` as
-    one run, flushed before every transition — so a batch never spans a
-    transition and strategies may hoist per-plan lookups out of their batch
+    one run, flushed before every transition — so a run never spans a
+    transition and strategies hoist per-plan lookups out of their arrival
     loops.
     """
     if tracer is not None:

@@ -86,13 +86,9 @@ class Metrics:
         self.tracer.attach(self)  # a tracer given here follows this Metrics from its first count
 
     def count(self, op: str) -> None:
-        """Record one occurrence of ``op``.
-
-        The clock advance is inlined (``tick(op, 1)`` unrolled) — this is
-        the single most-called function in the engine and the extra method
-        dispatch plus ``* 1`` is measurable.  ``x * 1 == x`` exactly in
-        IEEE-754, so the fused form is bit-identical to ticking.
-        """
+        """Record one occurrence of ``op``: its count, and its cost on the
+        clock (``costs.get(op, default)``, inlined — the single most-called
+        function in the engine)."""
         counts = self.counts
         try:
             counts[op] += 1

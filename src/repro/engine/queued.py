@@ -19,11 +19,11 @@ expired state; fuzzing found exactly that).
   preserving arrival order (each hop counts a QUEUE_OP);
 * :class:`BufferedJISCStrategy` / :class:`BufferedStaticExecutor` — variants
   of the pipelined strategies whose operators enqueue instead of pushing;
-  ``process`` drains the queue after each arrival unless ``auto_drain`` is
-  off, and ``transition`` always drains first — exactly the paper's
-  buffer-clearing phase.  Turning ``auto_drain`` off and skipping the drain
-  before a transition reproduces the corruption scenario of Section 4.1
-  (see tests/test_queued.py).
+  ``process_batch`` drains the queue after each arrival unless
+  ``auto_drain`` is off, and ``transition`` always drains first — exactly
+  the paper's buffer-clearing phase.  Turning ``auto_drain`` off and
+  skipping the drain before a transition reproduces the corruption
+  scenario of Section 4.1 (see tests/test_queued.py).
 """
 
 from __future__ import annotations
@@ -140,18 +140,14 @@ class _BufferedMixin:
         self.scheduler = scheduler
         self._wire_queues()
 
-    def process(self, tup: StreamTuple) -> None:  # type: ignore[override]
-        super().process(tup)
-        if self.auto_drain:
-            self.scheduler.drain()
-
     def process_batch(self, tuples: Sequence[StreamTuple]) -> None:  # type: ignore[override]
-        # Per-tuple on purpose: each arrival must drain before the next one
-        # is admitted (the queues model per-arrival pipeline hops), so the
-        # hoisted batch loops of the unbuffered strategies do not apply.
-        process = self.process
+        # Arrival by arrival on purpose: each one must drain before the next
+        # is admitted (the queues model per-arrival pipeline hops).
+        admit = super().process_batch
         for tup in tuples:
-            process(tup)
+            admit((tup,))
+            if self.auto_drain:
+                self.scheduler.drain()
 
     def drain(self) -> int:
         """Explicit buffer-clearing phase (Section 4.1)."""

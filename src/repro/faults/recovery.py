@@ -30,7 +30,7 @@ and recovered run equals that of an uninterrupted run.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.engine.checkpoint import (
     key_from_json,
@@ -159,6 +159,11 @@ class RecoveryManager:
                 self._live_strategy().process(tup)
         self._deliver_new()
         self._maybe_checkpoint()
+
+    def process_batch(self, tuples: Sequence[StreamTuple]) -> None:
+        """Arrival by arrival: each is logged, maybe crashed, and delivered."""
+        for tup in tuples:
+            self.process(tup)
 
     def transition(self, new_spec: SpecLike) -> None:
         """Journal a plan transition, then apply it: replay after any later

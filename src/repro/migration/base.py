@@ -151,28 +151,26 @@ class MigrationStrategy:
     # -- interface -----------------------------------------------------------------
 
     def process(self, tup: StreamTuple) -> None:
-        if tup.stream not in self.plan.scans:
-            raise unknown_stream(tup.stream, self.plan.scans)
-        hash(tup.key)
-        self._last_seq = max(self._last_seq, tup.seq)
-        tracer = self.metrics.tracer
-        if tracer.enabled:
-            tracer.arrival(tup)
-        self.plan.feed(tup)
+        """One arrival: a run of one through :meth:`process_batch`."""
+        self.process_batch((tup,))
 
     def process_batch(self, tuples: Sequence[StreamTuple]) -> None:
-        """Process a run of arrivals back-to-back (executor batching).
-
-        Semantically identical to calling :meth:`process` per tuple — and
-        implemented exactly that way here, binding the (subclass's)
-        ``process`` once.  Subclasses whose per-arrival scaffolding can be
-        hoisted out of the loop override this; batches never span a
-        transition (the executor flushes first), so per-batch hoisting of
-        plan internals is safe there.
-        """
-        process = self.process
+        """The arrival body: per arrival, reject an unknown stream or an
+        unhashable key before anything is touched, note the seq, trace, feed.
+        A run never spans a transition, so the plan is read once per run."""
+        tracer = self.metrics.tracer
+        traced = tracer.enabled
+        scans = self.plan.scans
+        feed = self.plan.feed
         for tup in tuples:
-            process(tup)
+            if tup.stream not in scans:
+                raise unknown_stream(tup.stream, scans)
+            hash(tup.key)
+            if tup.seq > self._last_seq:
+                self._last_seq = tup.seq
+            if traced:
+                tracer.arrival(tup)
+            feed(tup)
 
     def transition(self, new_spec: SpecLike) -> None:
         """Switch to ``new_spec`` via the strategy's ``_do_transition``.
@@ -288,25 +286,6 @@ class StaticPlanExecutor(MigrationStrategy):
     """
 
     name = "static"
-
-    def process_batch(self, tuples: Sequence[StreamTuple]) -> None:
-        """Hoisted per-arrival scaffolding; same op order as :meth:`process`.
-
-        The static plan never changes, so ``feed`` is stable for any batch.
-        """
-        tracer = self.metrics.tracer
-        traced = tracer.enabled
-        scans = self.plan.scans
-        feed = self.plan.feed
-        for tup in tuples:
-            if tup.stream not in scans:
-                raise unknown_stream(tup.stream, scans)
-            hash(tup.key)
-            if tup.seq > self._last_seq:
-                self._last_seq = tup.seq
-            if traced:
-                tracer.arrival(tup)
-            feed(tup)
 
     def _do_transition(self, new_spec: SpecLike) -> None:
         return None

@@ -62,45 +62,16 @@ class JISCStrategy(MigrationStrategy):
         )
         self.controller.attach(self.plan)
 
-    def process(self, tup: StreamTuple) -> None:
-        if tup.stream not in self.plan.scans:
-            raise unknown_stream(tup.stream, self.plan.scans)
-        hash(tup.key)
-        # Classified and recorded only while a state is incomplete: nothing reads
-        # the verdict otherwise, and no record outlives a transition (PERFORMANCE.md).
-        # ``FreshnessRegistry.check`` before the cascade and ``record`` after it,
-        # on the registry's per-stream dict.
-        controller = self.controller
-        migrating = controller.incomplete_ops
-        if migrating:
-            registry = controller.freshness
-            seen = registry.last_seen.get(tup.stream)
-            prev = None if seen is None else seen.get(tup.key)
-            controller.current_fresh = prev is None or prev < registry.last_transition_seq
-            # The part of the tuple whose cascade is in flight; completion must
-            # not pre-add results containing it (the cascade emits them itself).
-            controller.current_part = (tup.stream, tup.seq)
-        if tup.seq > self._last_seq:
-            self._last_seq = tup.seq
-        tracer = self.metrics.tracer
-        if tracer.enabled:
-            tracer.arrival(tup)
-        self.plan.feed(tup)
-        if migrating:
-            if seen is None:
-                seen = registry.last_seen[tup.stream] = {}
-            seen[tup.key] = tup.seq
-
     def process_batch(self, tuples: Sequence[StreamTuple]) -> None:
-        """Hoisted per-arrival scaffolding; same op order as :meth:`process`.
+        """:meth:`MigrationStrategy.process_batch` plus Definition 2 around ``feed``.
 
-        A batch never spans a transition, so the plan (and its ``feed``)
-        is stable for the whole run, and so are the freshness registry's
-        per-stream dicts.
+        An arrival is classified (``FreshnessRegistry.check``) before its cascade
+        and recorded after it, on the registry's per-stream dict, only while a
+        state is incomplete: nothing reads the verdict otherwise, and no record
+        outlives a transition (PERFORMANCE.md).  ``incomplete_ops`` is read per
+        arrival: the last state can complete part-way through a run.
         """
         controller = self.controller
-        registry = controller.freshness
-        last_seen = registry.last_seen
         tracer = self.metrics.tracer
         traced = tracer.enabled
         scans = self.plan.scans
@@ -109,11 +80,14 @@ class JISCStrategy(MigrationStrategy):
             if tup.stream not in scans:
                 raise unknown_stream(tup.stream, scans)
             hash(tup.key)
-            migrating = controller.incomplete_ops  # replaced, never mutated
+            migrating = controller.incomplete_ops
             if migrating:
-                seen = last_seen.get(tup.stream)
+                registry = controller.freshness
+                seen = registry.last_seen.get(tup.stream)
                 prev = None if seen is None else seen.get(tup.key)
                 controller.current_fresh = prev is None or prev < registry.last_transition_seq
+                # The part of the tuple whose cascade is in flight; completion must
+                # not pre-add results containing it (the cascade emits them itself).
                 controller.current_part = (tup.stream, tup.seq)
             if tup.seq > self._last_seq:
                 self._last_seq = tup.seq
@@ -122,7 +96,7 @@ class JISCStrategy(MigrationStrategy):
             feed(tup)
             if migrating:
                 if seen is None:
-                    seen = last_seen[tup.stream] = {}
+                    seen = registry.last_seen[tup.stream] = {}
                 seen[tup.key] = tup.seq
 
     def extract(self, key: Any) -> Parcel:

@@ -100,9 +100,8 @@ class MJoinExecutor:
                 tracer.output(result, when)
 
     def process_batch(self, tuples: Sequence[StreamTuple]) -> None:
-        process = self.process
         for tup in tuples:
-            process(tup)
+            self.process(tup)
 
     def probe_order(self, stream: str) -> Tuple[str, ...]:
         """The other streams, in the current plan's bottom-up order."""

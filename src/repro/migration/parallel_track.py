@@ -18,7 +18,7 @@ with two tracks), plus the dedup checks, plus the purge polling.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.cost import CostModel
 from repro.engine.metrics import Counter, Metrics
@@ -130,33 +130,36 @@ class ParallelTrackStrategy(MigrationStrategy):
     def output_lineages(self) -> List[Tuple]:
         return [tup.lineage for tup in self._outputs]
 
-    def process(self, tup: StreamTuple) -> None:
-        scans = self.tracks[0].plan.scans
-        if tup.stream not in scans:
-            raise unknown_stream(tup.stream, scans)
-        hash(tup.key)
-        self._last_seq = max(self._last_seq, tup.seq)
+    def process_batch(self, tuples: Sequence[StreamTuple]) -> None:
+        """Every live track takes each arrival; the track list is read per
+        arrival, because a purge can drop the oldest one part-way through a run."""
         tracer = self.metrics.tracer
-        # The migration phase of Parallel Track is not the transition call
-        # (which only spawns the new track) but the whole multi-track
-        # period: every tuple processed while more than one plan is live
-        # is migration work.
-        migrating = tracer.enabled and len(self.tracks) > 1
-        if tracer.enabled:
-            tracer.arrival(tup)
-        prev = tracer.set_phase(PHASE_MIGRATING) if migrating else None
-        try:
-            for track in self.tracks:
-                track.plan.feed(tup)
-            self._collect()
-            if len(self.tracks) > 1:
-                self._since_check += 1
-                if self._since_check >= self.purge_check_interval:
-                    self._since_check = 0
-                    self._purge_old_tracks()
-        finally:
-            if prev is not None:
-                tracer.set_phase(prev)
+        for tup in tuples:
+            tracks = self.tracks
+            scans = tracks[0].plan.scans
+            if tup.stream not in scans:
+                raise unknown_stream(tup.stream, scans)
+            hash(tup.key)
+            if tup.seq > self._last_seq:
+                self._last_seq = tup.seq
+            # Parallel Track migrates not in the transition call (which only
+            # spawns the new track) but for the whole multi-track period.
+            migrating = tracer.enabled and len(tracks) > 1
+            if tracer.enabled:
+                tracer.arrival(tup)
+            prev = tracer.set_phase(PHASE_MIGRATING) if migrating else None
+            try:
+                for track in tracks:
+                    track.plan.feed(tup)
+                self._collect()
+                if len(tracks) > 1:
+                    self._since_check += 1
+                    if self._since_check >= self.purge_check_interval:
+                        self._since_check = 0
+                        self._purge_old_tracks()
+            finally:
+                if prev is not None:
+                    tracer.set_phase(prev)
 
     def _do_transition(self, new_spec: SpecLike) -> None:
         plan = build_plan(

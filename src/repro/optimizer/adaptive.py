@@ -1,8 +1,8 @@
 """Adaptive mode: the closed optimizer loop, end to end.
 
-:class:`AdaptiveEngine` wraps any strategy (``process``/``transition``)
-or a :class:`~repro.shard.executor.ShardedExecutor` and closes the loop
-the paper leaves open: telemetry estimators feed a
+:class:`AdaptiveEngine` wraps any strategy (``process_batch`` /
+``transition``) or a :class:`~repro.shard.executor.ShardedExecutor` and
+closes the loop the paper leaves open: telemetry estimators feed a
 :class:`~repro.optimizer.cost.PlanCostMaintainer`, a
 :class:`~repro.optimizer.triggers.TriggerPolicy` turns cost snapshots
 into decisions at a fixed arrival cadence, and a fired decision becomes
@@ -23,7 +23,7 @@ is a pure function of the arrival prefix, and tie-breaks are lexicographic
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.executor import TransitionEvent
 from repro.migration.base import SpecLike, as_spec
@@ -59,9 +59,9 @@ class AdaptiveEngine:
     Parameters
     ----------
     target:
-        Anything with ``process(tuple)`` and ``transition(spec)`` — a
-        migration strategy, a :class:`~repro.eddy.cacq.CACQExecutor`, or
-        a :class:`~repro.shard.executor.ShardedExecutor`.
+        Anything with ``process_batch(tuples)`` and ``transition(spec)``: a
+        strategy, a :class:`~repro.faults.recovery.RecoveryManager`, or a
+        :class:`~repro.shard.executor.ShardedExecutor`.
     policy:
         The :class:`TriggerPolicy`; hysteresis with defaults if omitted.
     evaluate_every:
@@ -70,6 +70,8 @@ class AdaptiveEngine:
         An existing hub (:class:`TelemetryTracer`) or shard telemetry to
         reuse; one is created and attached when omitted (reusing
         ``target.telemetry`` on sharded executors that already have one).
+        A reused hub takes no ``inner`` or ``hub_options``: passing either
+        raises ``ValueError`` rather than ignoring it.
     min_samples:
         Windowed probe evidence required per stream before the policy
         sees ``ready`` snapshots (see :class:`PlanCostMaintainer`).
@@ -82,6 +84,8 @@ class AdaptiveEngine:
     hub_options:
         Extra keyword options for hubs this engine creates (estimator
         windows, drift parameters — see :class:`TelemetryTracer`).
+    inner:
+        Tracer the hub this engine creates forwards every event to.
     """
 
     def __init__(
@@ -103,10 +107,15 @@ class AdaptiveEngine:
         self.evaluate_every = evaluate_every
         self.sharded = isinstance(target, ShardedExecutor)
         options = dict(hub_options or {})
+        if telemetry is None and self.sharded:
+            telemetry = target.telemetry
         if telemetry is not None:
+            for option, given in (("inner", inner), ("hub_options", hub_options)):
+                if given is not None:
+                    raise ValueError(f"{option} configures a new hub; this engine reuses one")
             self.telemetry = telemetry
         elif self.sharded:
-            self.telemetry = target.telemetry or ShardTelemetry(target, inner=inner, **options)
+            self.telemetry = ShardTelemetry(target, inner=inner, **options)
         else:
             hub = TelemetryTracer(strategy=target.name, inner=inner, **options)
             hub.attach(target)
@@ -151,27 +160,60 @@ class AdaptiveEngine:
 
     # -- driving ---------------------------------------------------------------------
 
-    def process(self, tup: Any) -> None:
-        """One arrival through the target, then maybe a trigger evaluation."""
-        self.target.process(tup)
-        self.arrivals += 1
-        left = self._until_eval = self._until_eval - 1
-        if not left:
-            self._until_eval = self.evaluate_every
-            self.evaluate()
+    def process(self, tup: StreamTuple) -> None:
+        """One arrival: a run of one through :meth:`process_batch`."""
+        self.process_batch((tup,))
+
+    def process_batch(self, tuples: Sequence[StreamTuple]) -> None:
+        """Feed the target runs cut at evaluation points, so ``evaluate()`` runs
+        after exactly the arrivals it would run after fed one at a time."""
+        feed = self.target.process_batch
+        start, end = 0, len(tuples)
+        while start < end:
+            left = self._until_eval
+            run = tuples[start : start + left]
+            try:
+                feed(run)
+            except Exception:
+                taken = self._accepted(run)
+                self.arrivals += taken
+                self._until_eval = left - taken
+                raise
+            taken = len(run)
+            self.arrivals += taken
+            self._until_eval = left - taken
+            if not self._until_eval:
+                self._until_eval = self.evaluate_every
+                self.evaluate()
+            start += taken
+
+    def _accepted(self, run: Sequence[StreamTuple]) -> int:
+        """How many arrivals of a ``run`` the target raised on took, found on the
+        error path only: those before the first of an unknown stream or with an
+        unhashable key (none without one: a crashed shard refuses a run whole)."""
+        for taken, tup in enumerate(run):
+            if tup.stream not in self.order:
+                return taken
+            try:
+                hash(tup.key)
+            except TypeError:
+                return taken
+        return 0
 
     def run(self, events: Iterable[Any]) -> "AdaptiveEngine":
-        """Drive arrivals (and any forced transitions / rebalances).
-
-        Arrivals and transitions pass through the loop's own bookkeeping;
-        any other event is the sharded target's business (its ``run``
-        dispatches rebalances and resizes, and rejects what it does not
-        know).
-        """
+        """Drive arrivals as :meth:`process_batch` runs, flushed before every
+        other event: a forced transition passes through the loop's bookkeeping,
+        anything else is the sharded target's ``run``'s (rebalances, resizes;
+        it rejects what it does not know)."""
+        batch: List[StreamTuple] = []
         for event in events:
             if isinstance(event, StreamTuple):
-                self.process(event)
-            elif isinstance(event, TransitionEvent):
+                batch.append(event)
+                continue
+            if batch:
+                self.process_batch(batch)
+                batch = []
+            if isinstance(event, TransitionEvent):
                 self.transition(event.new_spec)
             elif self.sharded:
                 self.target.run((event,))
@@ -180,6 +222,8 @@ class AdaptiveEngine:
                     f"{type(self.target).__name__} is not sharded and cannot "
                     f"take {event!r}"
                 )
+        if batch:
+            self.process_batch(batch)
         return self
 
     def transition(self, new_spec: "SpecLike") -> None:

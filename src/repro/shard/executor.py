@@ -531,7 +531,7 @@ class ShardedExecutor:
             worker_clock = worker.clock
             if worker_clock is not None and worker_clock.now < t:
                 worker_clock.now = t
-            worker.process(tup)
+            worker.process_batch((tup,))
             log = logs[owner]
             log.kinds.append("feed")
             log.payloads.append(tup)

@@ -135,14 +135,15 @@ class ShardWorker:
     per-stream SteMs — is the strategy's own business: :meth:`evict` and
     :meth:`live_tuples` ask it (:class:`~repro.engine.executor.ShardableExecutor`).
 
-    ``clock``, ``process`` and ``expire`` are the strategy's clock and its
-    two doors, bound once: a worker never changes strategy (a recovered or
-    respawned worker is a new object), and the coordinator's arrival loop
-    calls them directly.  :meth:`catch_up`, :meth:`feed` and :meth:`evict`
-    are their definition, for every caller off that loop.
+    ``clock``, ``process_batch`` and ``expire`` are the strategy's clock and
+    its two doors, bound once: a worker never changes strategy (a recovered
+    or respawned worker is a new object), and the coordinator's arrival loop
+    calls them directly, an arrival as a run of one.  :meth:`catch_up`,
+    :meth:`feed` and :meth:`evict` are their definition, for every caller
+    off that loop.
     """
 
-    __slots__ = ("shard_id", "strategy", "metrics", "clock", "process", "expire")
+    __slots__ = ("shard_id", "strategy", "metrics", "clock", "process_batch", "expire")
 
     def __init__(self, shard_id: int, strategy: "ShardableExecutor"):
         self.shard_id = shard_id
@@ -150,7 +151,7 @@ class ShardWorker:
         #: The strategy's own metrics (it never rebinds them, nor their clock).
         self.metrics = strategy.metrics
         self.clock = strategy.metrics.clock
-        self.process = strategy.process
+        self.process_batch = strategy.process_batch
         self.expire = strategy.evict
 
     # -- uniform strategy access -------------------------------------------------------
@@ -183,7 +184,7 @@ class ShardWorker:
 
     def feed(self, tup: StreamTuple) -> None:
         """Process one owned arrival through the strategy's normal path."""
-        self.process(tup)
+        self.process_batch((tup,))
 
     def evict(self, tup: StreamTuple) -> bool:
         """Deliver a global-window eviction for an owned tuple.
@@ -228,7 +229,7 @@ class ShardWorker:
         outs, times = self.strategy.outputs, self.output_times
         mark = len(outs)
         try:
-            self._rebalancing(list, map(self.process, tuples))  # fed inside the phase
+            self._rebalancing(self.process_batch, tuples)  # fed inside the phase
         finally:
             muted = len(outs) - mark
             del outs[mark:]

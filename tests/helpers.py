@@ -12,6 +12,9 @@ from repro.engine.cost import VirtualClock
 from repro.engine.executor import run_events
 from repro.engine.metrics import Metrics
 from repro.migration.base import StaticPlanExecutor
+from repro.obs.tracer import TRIGGER_EVALUATED, TRIGGER_FIRED
+from repro.optimizer.cost import CostSnapshot
+from repro.optimizer.triggers import TriggerDecision
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
 
@@ -58,3 +61,28 @@ def oracle_for(schema: Schema, order, events: Iterable) -> StaticPlanExecutor:
     ref = StaticPlanExecutor(schema, order)
     run_events(ref, events)
     return ref
+
+
+class RotatingTrigger:
+    """A trigger policy that fires on every ``period``-th evaluation, to the
+    order rotated by one: an adaptive loop that migrates at arrivals a test
+    knows, whatever the costs say."""
+
+    name = "rotating"
+
+    def __init__(self, period: int = 2):
+        self.period = period
+        self.evaluations = 0
+
+    def decide(self, snapshot: CostSnapshot, at: int) -> TriggerDecision:
+        self.evaluations += 1
+        order = snapshot.order
+        if self.evaluations % self.period:
+            return TriggerDecision(TRIGGER_EVALUATED, "waiting", at, order, order)
+        return TriggerDecision(TRIGGER_FIRED, "rotating", at, order, order[1:] + order[:1])
+
+    def state_to_json(self) -> dict:
+        return {"evaluations": self.evaluations}
+
+    def restore_state(self, state: dict) -> None:
+        self.evaluations = state.get("evaluations", 0)

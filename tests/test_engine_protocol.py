@@ -63,7 +63,7 @@ ENGINES["adaptive-sharded"] = lambda: AdaptiveEngine(ENGINES["sharded"]())
 NOT_SHARDABLE = {"output_times", "evict", "extract", "install"}
 GAPS = {
     "sharded": {"live_plans", "probe_sources"} | NOT_SHARDABLE,
-    "adaptive": {"name", "metrics", "process_batch", "state_sizes", "live_tuples"}
+    "adaptive": {"name", "metrics", "state_sizes", "live_tuples"}
     | {"live_plans", "probe_sources"}
     | NOT_SHARDABLE,
 }

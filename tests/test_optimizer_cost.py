@@ -252,6 +252,34 @@ class TestAdaptiveEngineMechanics:
         assert clone.order == engine.order
         assert clone.trigger_state() == state
 
+    def test_a_reused_hub_takes_no_inner_and_no_hub_options(self):
+        """Both configure a hub the engine would create; one it reuses (given,
+        or a sharded target's own) would silently drop them, so they raise."""
+        from repro.obs.tracer import RecordingTracer
+        from repro.telemetry.hub import ShardTelemetry, TelemetryTracer
+
+        jisc = JISCStrategy(SCHEMA, NAMES)
+        hub = TelemetryTracer(strategy=jisc.name)
+        hub.attach(jisc)
+        with pytest.raises(ValueError, match="^inner "):
+            AdaptiveEngine(jisc, telemetry=hub, inner=RecordingTracer())
+        with pytest.raises(ValueError, match="^hub_options "):
+            AdaptiveEngine(jisc, telemetry=hub, hub_options={"selectivity_window": 7})
+        ex = ShardedExecutor(SCHEMA, NAMES, num_shards=2, strategy="jisc")
+        ShardTelemetry(ex)
+        with pytest.raises(ValueError, match="^inner "):
+            AdaptiveEngine(ex, inner=RecordingTracer())
+        with pytest.raises(ValueError, match="^hub_options "):
+            AdaptiveEngine(ex, hub_options=HUB_OPTIONS)
+        assert AdaptiveEngine(ex).telemetry is ex.telemetry
+        # ... and a hub the engine creates takes both
+        recorder = RecordingTracer()
+        engine = AdaptiveEngine(
+            JISCStrategy(SCHEMA, NAMES), inner=recorder, hub_options={"selectivity_window": 7}
+        )
+        engine.run(drift_events(40))
+        assert engine.telemetry.selectivity_window == 7 and recorder.events
+
     def test_outputs_passthrough(self):
         engine = AdaptiveEngine(
             JISCStrategy(SCHEMA, NAMES), policy=NeverTrigger(), hub_options=HUB_OPTIONS

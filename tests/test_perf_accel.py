@@ -9,18 +9,28 @@ forms.  That every strategy still equals the first-principles oracle
 these tests pin the pieces.
 """
 
+import random
+
 import pytest
 
-from tests.helpers import assert_same_output, make_tuples
-from repro.engine.executor import interleave_transitions, run_events
+from tests.helpers import RotatingTrigger, assert_same_output, make_tuples
+from repro.engine.executor import TransitionEvent, interleave_transitions, run_events
 from repro.engine.metrics import Metrics
-from repro.engine.queued import BufferedJISCStrategy
+from repro.engine.queued import BufferedJISCStrategy, BufferedStaticExecutor
 from repro.eddy.cacq import CACQExecutor
+from repro.eddy.stairs import STAIRSExecutor
+from repro.faults.plan import CrashFault, FaultInjector, FaultPlan
+from repro.faults.recovery import RecoveryManager
 from repro.migration.base import StaticPlanExecutor
 from repro.migration.jisc import JISCStrategy
+from repro.migration.mjoin import MJoinExecutor
+from repro.migration.moving_state import MovingStateStrategy
+from repro.migration.parallel_track import ParallelTrackStrategy
+from repro.optimizer.adaptive import AdaptiveEngine
 from repro.operators.sink import OutputSink
 from repro.operators.state import HashState
 from repro.perf.intern import INTERNER, LineageInterner
+from repro.shard.executor import ShardedExecutor
 from repro.streams.schema import Schema
 from repro.streams.tuples import CompositeTuple, StreamTuple
 
@@ -168,26 +178,114 @@ def test_sink_first_output_binary_search_matches_linear():
 ORDER = ("R", "S", "T", "U")
 
 
-def _workload():
-    return make_tuples([(s, k % 3) for k in range(8) for s in ORDER])
+def _workload(rounds=8):
+    return make_tuples([(s, k % 3) for k in range(rounds) for s in ORDER])
 
 
-@pytest.mark.parametrize(
-    "factory",
-    [JISCStrategy, StaticPlanExecutor, CACQExecutor, BufferedJISCStrategy],
-    ids=lambda f: f.__name__,
-)
-def test_process_batch_matches_per_tuple(factory):
+def _recovering(schema):
+    """A recovery manager over JISC that crashes inside its 51st arrival."""
+    plan = FaultPlan(crashes=(CrashFault(50),))
+    return RecoveryManager(
+        lambda: JISCStrategy(schema, ORDER), checkpoint_every=7, injector=FaultInjector(plan)
+    )
+
+
+def _sharded(schema):
+    return ShardedExecutor(schema, ORDER, num_shards=2, strategy="jisc")
+
+
+#: Every engine over ``ORDER``, by the id of its case.  The loops evaluate every
+#: 5 arrivals and migrate on every second evaluation.
+ENGINES = {
+    **{
+        cls.__name__: (lambda schema, cls=cls: cls(schema, ORDER))
+        for cls in (
+            StaticPlanExecutor,
+            JISCStrategy,
+            MovingStateStrategy,
+            ParallelTrackStrategy,
+            STAIRSExecutor,
+            CACQExecutor,
+            BufferedStaticExecutor,
+            BufferedJISCStrategy,
+            MJoinExecutor,
+        )
+    },
+    "ShardedExecutor": _sharded,
+    "RecoveryManager": _recovering,
+    "AdaptiveEngine-JISCStrategy": lambda schema: AdaptiveEngine(
+        JISCStrategy(schema, ORDER), policy=RotatingTrigger(), evaluate_every=5
+    ),
+    "AdaptiveEngine-ShardedExecutor": lambda schema: AdaptiveEngine(
+        _sharded(schema), policy=RotatingTrigger(), evaluate_every=5
+    ),
+}
+
+
+def _observed(engine):
+    """What a run leaves: outputs, their times, the counts and the clocks —
+    and a loop's decisions and its hub's series, a manager's delivered log."""
+    if isinstance(engine, AdaptiveEngine):
+        return (
+            _observed(engine.target),
+            engine.arrivals,
+            engine.decisions,
+            engine.telemetry.series(),
+        )
+    if isinstance(engine, RecoveryManager):
+        return _observed(engine.strategy), engine.delivered, engine.recoveries
+    if isinstance(engine, ShardedExecutor):
+        workers = [(dict(w.metrics.counts), w.clock.now) for w in engine.workers]
+        return engine.output_lineages(), engine.output_latencies(), workers
+    return (
+        engine.output_lineages(),
+        list(engine.output_times),
+        dict(engine.metrics.counts),
+        engine.metrics.clock.now,
+    )
+
+
+def _one_by_one(engine, events):
+    for event in events:
+        if isinstance(event, TransitionEvent):
+            engine.transition(event.new_spec)
+        else:
+            engine.process(event)
+
+
+def _in_random_runs(engine, events, rng):
+    """Arrivals as ``process_batch`` runs of 1 to 9, cut at random and at
+    every transition."""
+    run, size = [], rng.randint(1, 9)
+    for event in events:
+        if isinstance(event, StreamTuple):
+            run.append(event)
+            if len(run) < size:
+                continue
+        if run:
+            engine.process_batch(run)
+            run, size = [], rng.randint(1, 9)
+        if isinstance(event, TransitionEvent):
+            engine.transition(event.new_spec)
+    if run:
+        engine.process_batch(run)
+
+
+@pytest.mark.parametrize("name", list(ENGINES))
+def test_process_batch_matches_per_tuple(name):
+    """Any cut of the arrivals into runs, transitions between them, is the run
+    the same arrivals make one at a time."""
     schema = Schema.uniform(ORDER, window=6)
-    tuples = _workload()
-    one = factory(schema, ORDER)
-    for tup in tuples:
-        one.process(tup)
-    batched = factory(schema, ORDER)
-    batched.process_batch(tuples)
-    assert one.output_lineages() == batched.output_lineages()
-    assert one.metrics.counts == batched.metrics.counts
-    assert one.metrics.clock.now == batched.metrics.clock.now
+    events = interleave_transitions(
+        _workload(30), [(30, ("S", "T", "U", "R")), (70, ORDER), (70, ("T", "R", "U", "S"))]
+    )
+    reference = ENGINES[name](schema)
+    _one_by_one(reference, events)
+    expected = _observed(reference)
+    for seed in range(3):
+        batched = ENGINES[name](schema)
+        _in_random_runs(batched, events, random.Random(seed))
+        assert _observed(batched) == expected, seed
 
 
 def test_run_events_batches_across_transitions():

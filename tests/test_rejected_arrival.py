@@ -1,10 +1,13 @@
 """A rejected arrival leaves the engine as if it never arrived.
 
-Every door — the six strategies, the sharded coordinator and the recovery
-manager — rejects a tuple of an unknown stream (``ValueError``) or with an
-unhashable key (``TypeError``) before it touches the window, the arrival
-sequence, the tracer, the write-ahead log or the crash index.  So a run that
-met a rejected tuple is, afterwards, the run that never saw it.
+Every door — the six strategies, the sharded coordinator, the recovery
+manager and the adaptive loop over JISC or over a coordinator — rejects a
+tuple of an unknown stream (``ValueError``) or with an unhashable key
+(``TypeError``) before it touches the window, the arrival sequence, the
+tracer, the write-ahead log, the crash index or the evaluation cadence.  So
+a run that met a rejected tuple is, afterwards, the run that never saw it —
+whether the tuple came alone or inside a ``process_batch`` run, whose
+arrivals before it are taken and whose rest the caller feeds again.
 """
 
 import pytest
@@ -12,15 +15,18 @@ import pytest
 from repro.faults.plan import CrashFault, FaultInjector, FaultPlan
 from repro.faults.recovery import RecoveryManager
 from repro.obs.tracer import RecordingTracer
+from repro.optimizer.adaptive import AdaptiveEngine
 from repro.shard.executor import ShardedExecutor
 from repro.shard.worker import STRATEGY_NAMES, make_strategy
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
+from tests.helpers import RotatingTrigger
 
 NAMES = ("R", "S", "T")
 SCHEMA = Schema.uniform(NAMES, 3)
 ROUNDS = 40
 BAD_AFTER = 10  # the rejected tuple comes after this round
+RUN = 5  # fed as runs, the rejected tuple is the fourth of its run
 
 BAD = {
     "unhashable_key": (lambda seq: StreamTuple("R", seq, [1]), TypeError),
@@ -93,14 +99,42 @@ def recovery_door():
     return build, observed
 
 
+def adaptive_door(sharded):
+    def build():
+        if sharded:
+            target = ShardedExecutor(SCHEMA, NAMES, num_shards=2)
+        else:
+            target = make_strategy("jisc", SCHEMA, NAMES)
+        # An evaluation every 8 arrivals, a migration every second one: the
+        # rejected tuple (after 33 arrivals) comes right after the fourth.
+        return AdaptiveEngine(target, policy=RotatingTrigger(), evaluate_every=8)
+
+    def observed(engine):
+        target = engine.target
+        assert len(engine.migrations) == 7
+        return (
+            engine.output_lineages(),
+            engine.arrivals,
+            engine.decisions,
+            engine.migrations,
+            engine.last_snapshot(),
+            dict(target.metrics.counts),
+            target.state_sizes(),
+        )
+
+    return build, observed
+
+
 DOORS = {name: strategy_door(name) for name in STRATEGY_NAMES}
 DOORS["sharded"] = sharded_door()
 DOORS["recovery"] = recovery_door()
+DOORS["adaptive"] = adaptive_door(sharded=False)
+DOORS["adaptive-sharded"] = adaptive_door(sharded=True)
 
 
-@pytest.mark.parametrize("bad_kind", sorted(BAD))
-@pytest.mark.parametrize("door", list(DOORS))
-def test_rejected_arrival_leaves_no_trace(door, bad_kind):
+def assert_as_if_never_arrived(door, bad_kind, feed):
+    """``feed(engine, events, bad, error)`` leaves the door's engine equal to
+    the reference that never saw the rejected tuple ``bad``."""
     build, observed = DOORS[door]
     make_bad, error = BAD[bad_kind]
     events = arrivals(make_bad)
@@ -110,10 +144,39 @@ def test_rejected_arrival_leaves_no_trace(door, bad_kind):
         if tup is not bad:
             reference.process(tup)
     engine = build()
-    for tup in events:
-        if tup is bad:
-            with pytest.raises(error):
-                engine.process(tup)
-        else:
-            engine.process(tup)
+    feed(engine, events, bad, error)
     assert observed(engine) == observed(reference)
+
+
+@pytest.mark.parametrize("bad_kind", sorted(BAD))
+@pytest.mark.parametrize("door", list(DOORS))
+def test_rejected_arrival_leaves_no_trace(door, bad_kind):
+    def one_by_one(engine, events, bad, error):
+        for tup in events:
+            if tup is bad:
+                with pytest.raises(error):
+                    engine.process(tup)
+            else:
+                engine.process(tup)
+
+    assert_as_if_never_arrived(door, bad_kind, one_by_one)
+
+
+@pytest.mark.parametrize("bad_kind", sorted(BAD))
+@pytest.mark.parametrize("door", list(DOORS))
+def test_a_run_takes_the_arrivals_before_its_rejected_tuple(door, bad_kind):
+    """Fed as ``process_batch`` runs of ``RUN``, the run holding the rejected
+    tuple raises having taken the arrivals before it; the caller feeds the
+    arrivals after it as the next run."""
+
+    def in_runs(engine, events, bad, error):
+        assert events.index(bad) % RUN == 3
+        for start in range(0, len(events), RUN):
+            run = events[start : start + RUN]
+            if bad in run:
+                with pytest.raises(error):
+                    engine.process_batch(run)
+                run = run[run.index(bad) + 1 :]
+            engine.process_batch(run)
+
+    assert_as_if_never_arrived(door, bad_kind, in_runs)

@@ -462,10 +462,10 @@ def test_worker_resolves_its_strategy_shape_at_construction(strategy):
     worker = ShardWorker(0, engine)
     # ... beyond the strategy's clock and its two doors, bound once
     assert ShardWorker.__slots__ == (
-        "shard_id", "strategy", "metrics", "clock", "process", "expire"
+        "shard_id", "strategy", "metrics", "clock", "process_batch", "expire"
     )
     assert worker.clock is engine.metrics.clock
-    assert (worker.process, worker.expire) == (engine.process, engine.evict)
+    assert (worker.process_batch, worker.expire) == (engine.process_batch, engine.evict)
     tup = StreamTuple("A", 0, 1)
     worker.feed(tup)
     assert worker.live_tuples() == engine.live_tuples()

@@ -45,7 +45,7 @@ def muted_replay(worker, tuples):
     outs, times = worker.outputs, worker.output_times
     mark = len(outs)
     for tup in tuples:
-        worker.process(tup)
+        worker.feed(tup)
     del outs[mark:]
     del times[mark:]
 
