@@ -16,6 +16,13 @@ migrate is the difference between its two rows.  The eddy family does not run
 the fused kernels (ROADMAP item 7(d)): ``stairs`` is a dispatch style as much
 as a strategy here, and the table says so as a number.
 
+Each row's ``bytecodes`` cell counts the bytecodes run in frames under ``repro/``
+over a window of :data:`WINDOW` arrivals from the middle of the same run, fed as
+the run feeds them (windows full, plans compiled): the work inside a frame that
+a call count misses.  A traced bytecode costs about a microsecond, so the window
+is what keeps the table to about a minute; :func:`run` — what the gate's tests
+build twice — traces nothing.
+
 ``BENCH_calls.json`` is compared for equality by ``python -m repro.perf.regress``.
 It records the Python minor it was produced on — another interpreter compiles
 the same source to different frames; refresh it on that minor, and say in the
@@ -28,7 +35,7 @@ import sys
 from collections import Counter
 
 from benchmarks.common import emit, once
-from repro.perf.profile import SCENARIOS, count_calls
+from repro.perf.profile import SCENARIOS, count_bytecodes, count_calls
 from repro.shard.worker import STRATEGY_NAMES
 
 #: shape (a ``repro.perf.profile`` scenario) -> the strategies it runs under.
@@ -42,6 +49,8 @@ SHAPES = {
     "fig7_shape": ("jisc",),
 }
 HUB_PACKAGES = ("telemetry", "obs")
+#: Arrivals in a row's bytecode window.
+WINDOW = 500
 
 
 def by_package(calls):
@@ -115,6 +124,27 @@ def run(scale=1.0):
     }
 
 
+def bytecode_counts(shape, strategy="jisc", scale=1.0):
+    """Bytecodes run under ``repro/`` over the :data:`WINDOW` arrivals from the
+    middle of ``shape``'s run: ``{"arrivals": …, "count": …}``."""
+    engine_run = SCENARIOS[shape](scale, strategy)
+    start = engine_run.arrivals // 2
+    stop = min(engine_run.arrivals, start + WINDOW)
+    # What the window does for the first time in this process is done once before.
+    SCENARIOS[shape](scale, strategy).feed(0, stop)
+    engine_run.feed(0, start)
+    _, counts = count_bytecodes(lambda: engine_run.feed(start, stop))
+    return {"arrivals": stop - start, "count": sum(counts.values())}
+
+
+def payload(scale=1.0):
+    """The committed file's data: :func:`run`, then each row's bytecode window."""
+    data = run(scale)
+    for shape, strategy, row in rows(data):
+        row["bytecodes"] = bytecode_counts(shape, strategy, scale)
+    return data
+
+
 def rows(payload):
     """``(shape, strategy, row)`` in the file's order."""
     for shape, by_strategy in payload["shapes"].items():
@@ -128,13 +158,13 @@ def hub_calls(observed):
 
 
 def test_calls_per_arrival(benchmark):
-    payload = once(benchmark, run)
+    data = once(benchmark, payload)
     lines = [
-        f"python {payload['python']}",
-        f"{'shape':<11} {'strategy':<15} {'arrivals':>8} {'calls/arr':>10} "
+        f"python {data['python']}",
+        f"{'shape':<11} {'strategy':<15} {'arrivals':>8} {'calls/arr':>10} {'bc/arr':>9} "
         f"{'kept/arr':>9} {'hub/arr':>8} {'series':>7} {'ops==':>6} {'out==':>6}",
     ]
-    for shape, strategy, row in rows(payload):
+    for shape, strategy, row in rows(data):
         n = row["arrivals"]
         observed = row.get("observed")  # absent: the hub is part of the engine
         hub = (
@@ -143,14 +173,15 @@ def test_calls_per_arrival(benchmark):
             if observed
             else f"{'-':>8} {'-':>7} {'-':>6} {'-':>6}"
         )
+        window = row["bytecodes"]
         lines.append(
             f"{shape:<11} {strategy:<15} {n:>8d} {sum(row['calls'].values()) / n:>10.2f} "
-            f"{row['kept_objects'] / n:>9.3f} {hub}"
+            f"{window['count'] / window['arrivals']:>9.1f} {row['kept_objects'] / n:>9.3f} {hub}"
         )
         if observed:
             assert observed["ops_identical"], f"{shape}/{strategy}: the hub changed op counts"
             assert observed["outputs_identical"], f"{shape}/{strategy}: the hub changed outputs"
             assert observed["series"] > 0, f"{shape}/{strategy}: the hub's view has no series"
-    emit("calls", lines, data=payload)
-    steady = payload["shapes"]["steady"]
+    emit("calls", lines, data=data)
+    steady = data["shapes"]["steady"]
     assert steady["jisc"]["calls"] == steady["static"]["calls"]  # Figure 9 a, call for call

@@ -45,7 +45,8 @@ FORMAT_VERSION = 2
 SUPPORTED_VERSIONS = (2,)
 
 
-def _strategy_kinds() -> Dict[str, type]:
+def strategy_kinds() -> Dict[str, type]:
+    """The checkpointable strategies by name — the ones crash recovery covers."""
     # Resolved lazily: engine.queued imports migration.jisc which must not
     # re-enter this module at import time.
     from repro.engine.queued import BufferedJISCStrategy, BufferedStaticExecutor
@@ -183,7 +184,7 @@ def _queue_to_json(strategy: MigrationStrategy) -> Optional[List[Dict[str, Any]]
 
 def checkpoint_strategy(strategy: MigrationStrategy) -> Dict[str, Any]:
     """Capture ``strategy``'s full execution state."""
-    if strategy.name not in _strategy_kinds():
+    if strategy.name not in strategy_kinds():
         raise ValueError(f"checkpointing is not supported for {strategy.name!r}")
     for op in strategy.plan.internal:
         if op.kind != "join":
@@ -268,7 +269,7 @@ def restore_strategy(data: Dict[str, Any]) -> MigrationStrategy:
     """Rebuild a strategy from a checkpoint produced by ``checkpoint_strategy``."""
     if data.get("version") not in SUPPORTED_VERSIONS:
         raise ValueError(f"unsupported checkpoint version {data.get('version')!r}")
-    kinds = _strategy_kinds()
+    kinds = strategy_kinds()
     if data.get("strategy") not in kinds:
         raise ValueError(f"unsupported checkpoint strategy {data.get('strategy')!r}")
     cls = kinds[data["strategy"]]

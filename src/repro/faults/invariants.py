@@ -1,20 +1,19 @@
 """Output and state invariants a recovered run must satisfy.
 
-The JISC correctness contract (Section 3 of the paper) is that migration —
-and, here, crash recovery — must be invisible in the output: the result
-stream stays **complete** (every join result the windows imply), **closed**
-(nothing the windows do not imply) and **duplicate-free**.  The
-:class:`InvariantChecker` certifies all three against the brute-force
-:class:`~repro.testing.naive.NaiveJoinOracle`, which shares no code with
-the engine, plus a structural sanity check over the live strategy: a state
-marked *complete* must hold exactly the entries the current windows imply,
-and an *incomplete* one may only lag behind — a checkpoint that restored an
-incomplete state as complete is caught here.
+Migration — and, here, crash recovery — must be invisible in the output
+(Section 3 of the paper): the result stream stays **complete** (every join
+result the windows imply), **closed** (nothing else) and
+**duplicate-free**.  :class:`InvariantChecker` certifies all three against
+the brute-force :class:`~repro.testing.naive.NaiveJoinOracle`, which shares
+no code with the engine, plus the sanity of the state: a state marked
+*complete* must hold exactly the entries the current windows imply, an
+*incomplete* one may only lag behind (a checkpoint that restored an
+incomplete state as complete is caught here), and a coordinator's workers
+hold exactly its windows, each key at its owner.
 
-Violations are reported as an :class:`InvariantReport` and raised as
-:class:`InvariantViolation` (a ``RuntimeError``, not an ``AssertionError``:
-the checker is a runtime certifier, usable outside pytest and under
-``python -O``).
+Violations are collected in an :class:`InvariantReport` and raised as
+:class:`InvariantViolation` — a ``RuntimeError``, so the checker works
+outside pytest and under ``python -O``.
 """
 
 from __future__ import annotations
@@ -22,16 +21,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.migration.base import MigrationStrategy
+from repro.shard.executor import ShardedExecutor
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
 from repro.streams.window import window_contents
 from repro.testing.naive import NaiveJoinOracle
-
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.shard.executor import ShardedExecutor
 
 Part = Tuple[str, int]
 Lineage = Tuple[Part, ...]
@@ -43,14 +40,8 @@ class InvariantViolation(RuntimeError):
 
 @dataclass
 class InvariantReport:
-    """Outcome of one certification pass.
+    """One line per broken invariant in ``violations`` (none: certified)."""
 
-    ``violations`` holds one human-readable line per broken invariant
-    (empty means the run is certified); the counts summarize the
-    comparison for sweep output.
-    """
-
-    arrivals: int = 0
     expected_outputs: int = 0
     delivered_outputs: int = 0
     violations: List[str] = field(default_factory=list)
@@ -58,12 +49,6 @@ class InvariantReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def raise_if_violated(self, context: str = "") -> None:
-        if self.ok:
-            return
-        prefix = f"{context}: " if context else ""
-        raise InvariantViolation(prefix + "; ".join(self.violations))
 
 
 def _preview(lineages: Sequence[Lineage], limit: int = 3) -> str:
@@ -79,28 +64,18 @@ class InvariantChecker:
         self.schema = schema
         self.streams = tuple(streams)
 
-    # -- output invariants -----------------------------------------------------------
-
     def check_output(
         self, arrivals: Sequence[StreamTuple], delivered: Sequence[Lineage]
     ) -> InvariantReport:
-        """Compare the delivered-output log against the naive oracle.
-
-        Certifies the three guarantees over output *lineages*:
-        completeness (no oracle result missing), closedness (no result the
-        oracle did not produce) and duplicate-freeness (no lineage
-        delivered more often than the oracle produced it).
-        """
+        """The delivered lineages against the oracle's: none missing
+        (complete), none it did not produce (closed), none delivered more
+        often than it produced them (duplicate-free)."""
         oracle = NaiveJoinOracle(self.schema, self.streams)
         for tup in arrivals:
             oracle.process(tup)
         expected = Counter(oracle.output_lineages())
         got = Counter(tuple(sorted(lineage)) for lineage in delivered)
-        report = InvariantReport(
-            arrivals=len(arrivals),
-            expected_outputs=sum(expected.values()),
-            delivered_outputs=sum(got.values()),
-        )
+        report = InvariantReport(sum(expected.values()), sum(got.values()))
         missing = expected - got
         if missing:
             report.violations.append(
@@ -121,110 +96,56 @@ class InvariantChecker:
             )
         return report
 
-    # -- state invariants ------------------------------------------------------------
-
     def check_states(self, strategy: MigrationStrategy) -> InvariantReport:
-        """Structural sanity of the live strategy's intermediate states.
-
-        For every internal join operator, the entries the current scan
-        windows imply (per-key cross product over the operator's member
-        streams) bound the actual state: a *complete* state must hold
-        exactly that set — so an incomplete state restored as complete is
-        detected — and an *incomplete* one at most a subset of it.
-
-        Only meaningful at quiescence (buffered backlog drained): a
-        legitimately lagging state is indistinguishable from a broken one
-        mid-drain.
-        """
+        """Every internal join state against the entries the scan windows
+        imply (the per-key cross product of its member streams): a complete
+        state holds exactly those, an incomplete one a subset.  Meaningful
+        at quiescence only — mid-drain, a buffered strategy's state lags."""
         report = InvariantReport()
         plan = strategy.plan
-        windows: Dict[str, List[StreamTuple]] = {
-            name: window_contents(scan) for name, scan in plan.scans.items()
-        }
+        windows = {name: window_contents(scan) for name, scan in plan.scans.items()}
         for op in plan.internal:
             members = sorted(op.membership)
-            expected = self._implied_lineages(windows, members)
+            expected = _implied_lineages(windows, members)
             actual = {tuple(sorted(e.lineage)) for e in op.state.entries()}
             label = "+".join(members)
-            if op.state.status.complete:
-                if actual != expected:
-                    missing = expected - actual
-                    extra = actual - expected
-                    detail = []
-                    if missing:
-                        detail.append(f"missing {_preview(list(missing))}")
-                    if extra:
-                        detail.append(f"extra {_preview(list(extra))}")
-                    report.violations.append(
-                        f"state {label} marked complete but does not match "
-                        f"the windows ({'; '.join(detail)})"
-                    )
-            else:
-                extra = actual - expected
-                if extra:
-                    report.violations.append(
-                        f"incomplete state {label} holds entries the windows "
-                        f"do not imply ({_preview(list(extra))})"
-                    )
+            extra = actual - expected
+            if op.state.status.complete and actual != expected:
+                missing = expected - actual
+                detail = [f"missing {_preview(list(missing))}"] if missing else []
+                detail += [f"extra {_preview(list(extra))}"] if extra else []
+                report.violations.append(
+                    f"state {label} marked complete but does not match "
+                    f"the windows ({'; '.join(detail)})"
+                )
+            elif not op.state.status.complete and extra:
+                report.violations.append(
+                    f"incomplete state {label} holds entries the windows "
+                    f"do not imply ({_preview(list(extra))})"
+                )
         return report
 
-    def _implied_lineages(
-        self, windows: Dict[str, List[StreamTuple]], members: Sequence[str]
-    ) -> set:
-        by_key: Dict[str, Dict[object, List[StreamTuple]]] = {}
-        for name in members:
-            grouped: Dict[object, List[StreamTuple]] = {}
-            for tup in windows[name]:
-                grouped.setdefault(tup.key, []).append(tup)
-            by_key[name] = grouped
-        shared = set(by_key[members[0]])
-        for name in members[1:]:
-            shared &= set(by_key[name])
-        implied: set = set()
-        for key in shared:
-            for combo in product(*(by_key[name][key] for name in members)):
-                implied.add(tuple(sorted((t.stream, t.seq) for t in combo)))
-        return implied
-
-    # -- sharded-run invariants ------------------------------------------------------
-
-    def check_sharded(self, executor: "ShardedExecutor") -> InvariantReport:
-        """Structural sanity of a sharded run's distributed state.
-
-        Two invariants over the coordinator/worker split
-        (docs/SHARDING.md):
-
-        * **Key locality** — every tuple a worker's windows hold belongs
-          to a key whose state that worker currently owns
-          (:meth:`~repro.shard.executor.ShardedExecutor.state_owner`,
-          which accounts for pending lazy moves).
-
-        * **Window agreement** — per stream, the union of worker-held
-          tuples equals the coordinator's global window exactly: nothing
-          leaked past an eviction, nothing vanished in a move or a
-          crash/recovery.
-        """
+    def check_sharded(self, executor: ShardedExecutor) -> InvariantReport:
+        """A coordinator's distributed state (docs/SHARDING.md): *key
+        locality* — every tuple a worker holds belongs to a key whose state
+        it owns (``state_owner`` accounts for pending lazy moves) — and
+        *window agreement* — per stream, the workers' tuples are exactly the
+        coordinator's global window: nothing leaked past an eviction,
+        nothing lost in a move or a crash and recovery."""
         report = InvariantReport()
         global_live = executor.live_tuples()
-        union: Dict[str, "Counter[StreamTuple]"] = {
-            name: Counter() for name in global_live
-        }
-        retired = executor.retired_shards
+        union: Dict[str, "Counter[StreamTuple]"] = {name: Counter() for name in global_live}
         for shard, worker in enumerate(executor.workers):
             if worker is None:
-                if shard in retired:
-                    # A scale-in drained and collected this shard; its slot
-                    # stays None by design and holds no state to certify.
-                    continue
-                report.violations.append(
-                    f"crashed shard {shard} still down: recover before certifying"
-                )
+                # A scale-in drained and collected a retired slot: no state.
+                if shard not in executor.retired_shards:
+                    report.violations.append(
+                        f"crashed shard {shard} still down: recover before certifying"
+                    )
                 continue
             for name, tuples in worker.live_tuples().items():
                 union[name].update(tuples)
-                misplaced = [
-                    t for t in tuples if executor.state_owner(t.key) != worker.shard_id
-                ]
+                misplaced = [t for t in tuples if executor.state_owner(t.key) != worker.shard_id]
                 if misplaced:
                     report.violations.append(
                         f"shard {worker.shard_id} holds {len(misplaced)} "
@@ -232,46 +153,62 @@ class InvariantChecker:
                         f"({_preview([(t.stream, t.seq) for t in misplaced])})"
                     )
         for name, tuples in global_live.items():
-            expected = Counter(tuples)
-            got = union.get(name, Counter())
-            leaked = got - expected
+            expected, got = Counter(tuples), union.get(name, Counter())
+            leaked, lost = got - expected, expected - got
             if leaked:
                 report.violations.append(
                     f"stream {name}: {sum(leaked.values())} worker-held "
                     f"tuple(s) already evicted from the global window"
                 )
-            lost = expected - got
             if lost:
                 report.violations.append(
-                    f"stream {name}: {sum(lost.values())} live tuple(s) "
-                    f"held by no worker"
+                    f"stream {name}: {sum(lost.values())} live tuple(s) held by no worker"
                 )
         return report
 
-    # -- one-shot certification ------------------------------------------------------
+    def check(
+        self,
+        engine: Union[MigrationStrategy, ShardedExecutor],
+        arrivals: Sequence[StreamTuple],
+        delivered: Optional[Sequence[Lineage]] = None,
+    ) -> InvariantReport:
+        """:meth:`check_output` on ``delivered`` (default: the engine's own
+        output) plus :meth:`check_sharded` for a coordinator, else
+        :meth:`check_states`."""
+        got = engine.output_lineages() if delivered is None else delivered
+        report = self.check_output(arrivals, got)
+        if isinstance(engine, ShardedExecutor):
+            report.violations += self.check_sharded(engine).violations
+        else:
+            report.violations += self.check_states(engine).violations
+        return report
 
     def certify(
         self,
-        strategy: MigrationStrategy,
+        engine: Union[MigrationStrategy, ShardedExecutor],
         arrivals: Sequence[StreamTuple],
-        delivered: Sequence[Lineage],
+        delivered: Optional[Sequence[Lineage]] = None,
         context: str = "",
     ) -> InvariantReport:
-        """Run all checks; raise :class:`InvariantViolation` on any failure."""
-        report = self.check_output(arrivals, delivered)
-        report.violations.extend(self.check_states(strategy).violations)
-        report.raise_if_violated(context)
+        """:meth:`check`, raising :class:`InvariantViolation` on any failure."""
+        report = self.check(engine, arrivals, delivered)
+        if report.violations:
+            prefix = f"{context}: " if context else ""
+            raise InvariantViolation(prefix + "; ".join(report.violations))
         return report
 
-    def certify_sharded(
-        self,
-        executor: "ShardedExecutor",
-        arrivals: Sequence[StreamTuple],
-        context: str = "",
-    ) -> InvariantReport:
-        """Certify a sharded run: merged output vs. the oracle, plus the
-        distributed-state invariants.  Raises on any failure."""
-        report = self.check_output(arrivals, executor.output_lineages())
-        report.violations.extend(self.check_sharded(executor).violations)
-        report.raise_if_violated(context)
-        return report
+
+def _implied_lineages(
+    windows: Dict[str, List[StreamTuple]], members: Sequence[str]
+) -> Set[Lineage]:
+    """The lineages a join over ``members`` holds given the windows' contents."""
+    by_key: Dict[str, Dict[object, List[StreamTuple]]] = {name: {} for name in members}
+    for name in members:
+        for tup in windows[name]:
+            by_key[name].setdefault(tup.key, []).append(tup)
+    shared = set.intersection(*(set(by_key[name]) for name in members))
+    return {
+        tuple(sorted((t.stream, t.seq) for t in combo))
+        for key in shared
+        for combo in product(*(by_key[name][key] for name in members))
+    }

@@ -1,140 +1,84 @@
 """Crash-point sweep and seeded fault soak (``python -m repro.faults.sweep``).
 
-Two modes over the same workload (a uniform chain query with one forced
-mid-run plan transition, as in Section 6.1 of the paper):
+Parameter sets of :func:`~repro.faults.certify.certify`, over a uniform
+chain query with one forced mid-run plan transition (Section 6.1 of the
+paper):
 
-* **sweep** (default) — for every strategy and every arrival index, run
-  the workload under a :class:`~repro.faults.recovery.RecoveryManager`
-  with a crash scheduled at that arrival, and require the delivered output
-  to be multiset-identical to an uninterrupted run *and* certified by the
-  :class:`~repro.faults.invariants.InvariantChecker`.  Because the crash
-  index ranges over the whole run, the sweep necessarily covers crashes
-  inside the migration window.
+* **sweep** (default) — per strategy, a crash at every arrival index (and
+  crash point) under a :class:`~repro.faults.recovery.RecoveryManager`;
+  the index ranges over the whole run, so the migration window is covered.
+* **soak** (``--soak N``) — N randomized schedules from
+  :meth:`~repro.faults.plan.FaultPlan.from_seed` (crashes, checkpoint
+  corruption and, for buffered strategies, queue duplicates/reorders).
+  Every failure line prints the seed, so the schedule replays exactly.
+* **during rebalance** (``--during-rebalance``) — each shard of a
+  coordinator crashed and recovered at each arrival inside an in-flight
+  fluid resize plan.
 
-* **soak** (``--soak N``) — N randomized fault schedules from
-  :meth:`~repro.faults.plan.FaultPlan.from_seed` (crashes plus, for
-  buffered strategies, queue duplicates/reorders, plus checkpoint
-  corruption), same acceptance.  Every failure line prints the seed, so
-  the exact schedule replays byte-identically.
-
-With ``--trace DIR`` the failing runs' JSONL traces are exported for
-post-mortem via ``python -m repro.obs.report``.
+With ``--trace DIR`` every failing cell's JSONL trace is exported for
+``python -m repro.obs.report``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import random
-from collections import Counter
-from typing import Callable, List, Optional, Sequence, Tuple, cast
+from typing import List, Optional, Sequence, Tuple, cast, get_args
 
-from repro.engine.executor import Event, run_events
-from repro.engine.queued import BufferedJISCStrategy, BufferedStaticExecutor
-from repro.faults.invariants import InvariantChecker, InvariantViolation, Lineage
-from repro.faults.plan import (
-    CRASH_POINTS,
-    CrashFault,
-    FaultInjector,
-    FaultPlan,
-)
+from repro.engine.checkpoint import strategy_kinds
+from repro.engine.executor import Event
+from repro.faults.certify import Cell, Verdict, certify, failure_lines
+from repro.faults.invariants import InvariantChecker
+from repro.faults.plan import CRASH_POINTS, CrashFault, FaultInjector, FaultPlan
 from repro.faults.queue_faults import BufferedStrategy, install_faulty_scheduler
 from repro.faults.recovery import RecoveryManager
-from repro.migration.base import MigrationStrategy, StaticPlanExecutor
-from repro.migration.jisc import JISCStrategy
-from repro.migration.moving_state import MovingStateStrategy
-from repro.obs.tracer import NULL_TRACER, RecordingTracer, Tracer
+from repro.faults.store import DurableStore
+from repro.migration.base import MigrationStrategy
+from repro.obs.tracer import EVENT_REBALANCE_END, RecordingTracer, Tracer
+from repro.shard.executor import ResizeEvent, ShardedExecutor
+from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
 from repro.workloads.scenarios import ChainScenario, chain_scenario, migration_stage_events
 
-STRATEGIES: dict = {
-    "jisc": JISCStrategy,
-    "moving_state": MovingStateStrategy,
-    "static": StaticPlanExecutor,
-    "jisc_buffered": BufferedJISCStrategy,
-    "static_buffered": BufferedStaticExecutor,
-}
-
 #: Strategies with a queue scheduler (queue anomalies only apply to these).
-BUFFERED = ("jisc_buffered", "static_buffered")
+BUFFERED = tuple(
+    name for name, cls in strategy_kinds().items() if issubclass(cls, get_args(BufferedStrategy))
+)
 
-StrategyFactory = Callable[[], MigrationStrategy]
-
-
-def make_factory(name: str, scenario: ChainScenario) -> StrategyFactory:
-    """A factory building a fresh strategy incarnation for ``name``."""
-    cls = STRATEGIES[name]
-    return lambda: cls(scenario.schema, scenario.order)
+#: (runs, failure lines) of one parameter set.
+Failures = Tuple[int, List[str]]
 
 
-def _faulty_installer(injector: FaultInjector) -> Callable[[MigrationStrategy], None]:
-    def install(strategy: MigrationStrategy) -> None:
-        install_faulty_scheduler(cast(BufferedStrategy, strategy), injector)
-
-    return install
-
-
-def baseline_delivery(factory: StrategyFactory, events: Sequence[Event]) -> List[Lineage]:
-    """Delivered output of an uninterrupted (fault-free) run."""
-    strategy = run_events(factory(), events)
-    return [tuple(sorted(l)) for l in strategy.output_lineages()]
-
-
-def _arrivals(events: Sequence[Event]) -> List[StreamTuple]:
-    return [e for e in events if isinstance(e, StreamTuple)]
-
-
-def _export_trace(tracer: Tracer, trace_dir: Optional[str], label: str) -> str:
-    if trace_dir is None or not isinstance(tracer, RecordingTracer):
-        return ""
-    os.makedirs(trace_dir, exist_ok=True)
-    filename = label.replace("/", "-").replace("=", "") + ".jsonl"
-    path = os.path.join(trace_dir, filename)
-    tracer.export_jsonl(path)
-    return f" [trace: {path}]"
-
-
-def _run_one(
-    factory: StrategyFactory,
-    events: Sequence[Event],
+def _certify_engine(
+    name: str,
     scenario: ChainScenario,
-    plan: FaultPlan,
-    baseline: List[Lineage],
+    events: Sequence[Event],
+    cells: List[Cell],
     checkpoint_every: int,
-    label: str,
-    queue_faulty: bool,
     trace_dir: Optional[str],
-) -> Optional[str]:
-    """One managed run under ``plan``; returns a failure line or ``None``."""
-    tracer: Tracer = RecordingTracer() if trace_dir is not None else NULL_TRACER
-    injector = FaultInjector(plan, tracer)
-    on_strategy: Optional[Callable[[MigrationStrategy], None]] = None
-    if queue_faulty:
-        on_strategy = _faulty_installer(injector)
-    manager = RecoveryManager(
-        factory,
-        checkpoint_every=checkpoint_every,
-        injector=injector,
-        tracer=tracer,
-        on_strategy=on_strategy,
-    )
-    delivered = manager.run(events)
-    got = sorted(tuple(sorted(l)) for l in delivered)
-    if got != sorted(baseline):
-        suffix = _export_trace(tracer, trace_dir, label)
-        return (
-            f"{label}: delivered output differs from uninterrupted run "
-            f"(|got|={len(got)}, |expected|={len(baseline)}){suffix}"
-        )
+) -> List[Verdict]:
+    """``cells`` on managed incarnations of strategy ``name``; a buffered
+    one's queue consults the injector, so it misbehaves where the plan says."""
+    cls = strategy_kinds()[name]
+
+    def factory(plan: FaultPlan, store: Optional[DurableStore], tracer: Tracer) -> RecoveryManager:
+        injector = FaultInjector(plan, tracer)
+
+        def on_strategy(strategy: MigrationStrategy) -> None:
+            if name in BUFFERED:
+                install_faulty_scheduler(cast(BufferedStrategy, strategy), injector)
+
+        return RecoveryManager(
+            lambda: cls(scenario.schema, scenario.order),
+            store, checkpoint_every, injector, tracer, on_strategy,
+        )  # fmt: skip
+
     checker = InvariantChecker(scenario.schema, scenario.order)
-    try:
-        checker.certify(
-            manager._live_strategy(), _arrivals(events), delivered, context=label
-        )
-    except InvariantViolation as exc:
-        suffix = _export_trace(tracer, trace_dir, label)
-        return f"{exc}{suffix}"
-    return None
+    return certify(factory, events, lambda _: cells, checker, trace_dir=trace_dir)
+
+
+def _arrivals(events: Sequence[Event]) -> int:
+    return sum(isinstance(e, StreamTuple) for e in events)
 
 
 def crash_sweep(
@@ -144,31 +88,15 @@ def crash_sweep(
     wheres: Sequence[str],
     checkpoint_every: int,
     trace_dir: Optional[str],
-) -> Tuple[int, List[str]]:
-    """Crash at every arrival index (and crash point); returns (runs, failures)."""
-    factory = make_factory(name, scenario)
-    baseline = baseline_delivery(factory, events)
-    n = len(_arrivals(events))
-    failures: List[str] = []
-    runs = 0
-    for index in range(n):
-        for where in wheres:
-            runs += 1
-            plan = FaultPlan(crashes=(CrashFault(index, where),))
-            failure = _run_one(
-                factory,
-                events,
-                scenario,
-                plan,
-                baseline,
-                checkpoint_every,
-                f"{name}/crash@{index}/{where}",
-                queue_faulty=False,
-                trace_dir=trace_dir,
-            )
-            if failure is not None:
-                failures.append(failure)
-    return runs, failures
+) -> Failures:
+    """A crash at every arrival index and crash point."""
+    cells = [
+        Cell(f"{name}/crash@{index}/{where}", FaultPlan(crashes=(CrashFault(index, where),)))
+        for index in range(_arrivals(events))
+        for where in wheres
+    ]
+    verdicts = _certify_engine(name, scenario, events, cells, checkpoint_every, trace_dir)
+    return len(verdicts), failure_lines(verdicts, trace_dir)
 
 
 def fault_soak(
@@ -177,63 +105,47 @@ def fault_soak(
     events: Sequence[Event],
     seeds: Sequence[int],
     args: argparse.Namespace,
-) -> Tuple[int, List[str]]:
-    """Randomized fault schedules, one per seed; returns (runs, failures)."""
-    factory = make_factory(name, scenario)
-    baseline = baseline_delivery(factory, events)
-    n = len(_arrivals(events))
-    buffered = name in BUFFERED
-    failures: List[str] = []
-    for seed in seeds:
-        plan = FaultPlan.from_seed(
-            seed,
-            n_arrivals=n,
-            crashes=args.soak_crashes,
-            queue_duplicates=args.soak_duplicates if buffered else 0,
-            queue_reorders=args.soak_reorders if buffered else 0,
-            checkpoint_corruptions=args.soak_corruptions,
-        )
-        failure = _run_one(
-            factory,
-            events,
-            scenario,
-            plan,
-            baseline,
-            args.checkpoint_every,
+) -> Failures:
+    """One randomized fault schedule per seed."""
+    queue = 1 if name in BUFFERED else 0
+    cells = [
+        Cell(
             f"{name}/soak-seed={seed}",
-            queue_faulty=buffered,
-            trace_dir=args.trace,
-        )
-        if failure is not None:
-            failures.append(f"{failure} (replay with --soak-seeds {seed})")
-    return len(seeds), failures
+            FaultPlan.from_seed(
+                seed, _arrivals(events), args.soak_crashes, queue * args.soak_duplicates,
+                queue * args.soak_reorders, checkpoint_corruptions=args.soak_corruptions,
+            ),
+        )  # fmt: skip
+        for seed in seeds
+    ]
+    verdicts = _certify_engine(name, scenario, events, cells, args.checkpoint_every, args.trace)
+    return len(verdicts), [
+        f"{line} (replay with --soak-seeds {seed})"
+        for seed, verdict in zip(seeds, verdicts)
+        for line in failure_lines([verdict], args.trace)
+    ]
 
 
 # -- crashes during a fluid rebalance ----------------------------------------------
 
 #: (label, shards before the resize, shards after) for ``--during-rebalance``.
-REBALANCE_SHAPES: Tuple[Tuple[str, int, int], ...] = (
-    ("2to4", 2, 4),
-    ("4to2", 4, 2),
-)
+REBALANCE_SHAPES: Tuple[Tuple[str, int, int], ...] = (("2to4", 2, 4), ("4to2", 4, 2))
 
 _SHARD_STREAMS = ("A", "B", "C")
+_INTER_ARRIVAL = 2.0
 
 
 def _sharded_workload(
     n: int, n_keys: int, window: int, seed: int
-) -> Tuple["Schema", List[StreamTuple]]:
-    from repro.streams.schema import Schema
-
+) -> Tuple[Schema, List[StreamTuple]]:
     rng = random.Random(seed)
-    schema = Schema.uniform(_SHARD_STREAMS, window)
     seqs = {name: 0 for name in _SHARD_STREAMS}
     tuples = []
     for _ in range(n):
         stream = rng.choice(_SHARD_STREAMS)
         tuples.append(StreamTuple(stream, seqs[stream], rng.randrange(n_keys)))
         seqs[stream] += 1
-    return schema, tuples
+    return Schema.uniform(_SHARD_STREAMS, window), tuples
 
 
 def rebalance_crash_sweep(
@@ -245,91 +157,58 @@ def rebalance_crash_sweep(
     n_tuples: int = 48,
     resize_at: int = 20,
     seed: int = 5,
-) -> Tuple[int, List[str]]:
+    trace_dir: Optional[str] = None,
+) -> Failures:
     """Crash each shard at each arrival inside an in-flight resize plan.
 
-    Every run resizes ``n_from``→``n_to`` mid-stream through a fluid plan
-    of ``batch_keys``-key batches, crashes and recovers one shard at one
-    arrival index inside the plan window, and must (a) certify the
-    distributed-state invariants right after recovery — key locality is
-    judged against the batch-by-batch routing table, so a key whose batch
-    has not settled still counts at its old owner — (b) finish with the
-    same routing table and (c) the same output multiset as the crash-free
-    baseline.
+    The plan resizes ``n_from``→``n_to`` in ``batch_keys``-key batches from
+    arrival ``resize_at``; one shard crashes and recovers at one arrival,
+    from the resize until just past where the baseline's plan drained.
+    Right after recovery the distributed-state invariants must hold (key
+    locality is judged against the batch-by-batch routing table), and the
+    run must end with the crash-free run's routing table and output.
     """
-    from repro.shard import ShardedExecutor
-
     schema, tuples = _sharded_workload(n_tuples, n_keys=8, window=10, seed=seed)
-    checker = InvariantChecker(schema, _SHARD_STREAMS)
-    label_base = f"{strategy}/{mode}/resize-{n_from}to{n_to}/bk={batch_keys}"
+    events: List[object] = list(tuples)
+    events.insert(resize_at, ResizeEvent(n_to, mode, batch_keys))
+    label = f"{strategy}/{mode}/resize-{n_from}to{n_to}/bk={batch_keys}"
 
-    def fresh() -> "ShardedExecutor":
-        return ShardedExecutor(
-            schema, _SHARD_STREAMS, num_shards=n_from, strategy=strategy,
-            inter_arrival=2.0,
+    def factory(plan: FaultPlan, store: Optional[DurableStore], tracer: Tracer) -> ShardedExecutor:
+        executor = ShardedExecutor(
+            schema, _SHARD_STREAMS, n_from, strategy, inter_arrival=_INTER_ARRIVAL
         )
+        tracer.attach(executor)
+        return executor
 
-    # Crash-free baseline: final outputs, routing table, and the arrival
-    # index where the plan drained (bounds the crash window).
-    ex = fresh()
-    plan_end = n_tuples - 1
-    for i, tup in enumerate(tuples):
-        if i == resize_at:
-            ex.resize(n_to, mode, batch_keys=batch_keys)
-        ex.process(tup)
-        if i >= resize_at and plan_end == n_tuples - 1 and not ex.rebalance_in_progress:
-            plan_end = i
-    ex.drain_rebalance()
-    baseline = Counter(ex.output_lineages())
-    final_table = ex.partitioner.assignment
+    def schedule(baseline: ShardedExecutor) -> List[Cell]:
+        trace = cast(RecordingTracer, baseline.metrics.tracer).events
+        ends = [int(e.ts / _INTER_ARRIVAL) for e in trace if e.kind == EVENT_REBALANCE_END]
+        plan_end = max(resize_at, min(ends, default=n_tuples - 1))
+        return [
+            Cell(f"{label}/crash@{index}/shard={shard}", at=index, shard=shard)
+            for index in range(resize_at, min(plan_end + 2, n_tuples))
+            for shard in range(max(n_from, n_to))
+        ]
 
-    failures: List[str] = []
-    runs = 0
-    shards = max(n_from, n_to)
-    for index in range(resize_at, min(plan_end + 2, n_tuples)):
-        for shard in range(shards):
-            label = f"{label_base}/crash@{index}/shard={shard}"
-            runs += 1
-            ex = fresh()
-            for i, tup in enumerate(tuples):
-                if i == resize_at:
-                    ex.resize(n_to, mode, batch_keys=batch_keys)
-                ex.process(tup)
-                if i == index:
-                    if shard >= len(ex.workers) or ex.workers[shard] is None:
-                        break  # retired (or never spawned) at this point
-                    ex.crash_and_recover(shard)
-                    try:
-                        checker.certify_sharded(ex, tuples[: i + 1], context=label)
-                    except InvariantViolation as exc:
-                        failures.append(f"{exc} (mid-plan)")
-                        break
-            else:
-                ex.drain_rebalance()
-                if ex.partitioner.assignment != final_table:
-                    failures.append(f"{label}: final routing table differs")
-                    continue
-                if Counter(ex.output_lineages()) != baseline:
-                    failures.append(
-                        f"{label}: delivered output differs from crash-free run"
-                    )
-                    continue
-                try:
-                    checker.certify_sharded(ex, tuples, context=label)
-                except InvariantViolation as exc:
-                    failures.append(str(exc))
-    return runs, failures
+    def same_table(
+        cell: Cell, engines: Sequence[ShardedExecutor], base: ShardedExecutor
+    ) -> List[str]:
+        same = engines[-1].partitioner.assignment == base.partitioner.assignment
+        return [] if same else ["final routing table differs"]
+
+    checker = InvariantChecker(schema, _SHARD_STREAMS)
+    verdicts = certify(factory, events, schedule, checker, same_table, trace_dir)
+    return len(verdicts), failure_lines(verdicts, trace_dir)
 
 
-def run_rebalance_family(args: argparse.Namespace) -> Tuple[int, List[str]]:
-    """The full ``--during-rebalance`` matrix; returns (runs, failures)."""
-    total = 0
-    failures: List[str] = []
+def run_rebalance_family(args: argparse.Namespace) -> Failures:
+    """The full ``--during-rebalance`` matrix."""
+    total, failures = 0, []
     for strategy in ("jisc", "moving_state"):
         for mode in ("lazy", "eager"):
             for _label, n_from, n_to in REBALANCE_SHAPES:
                 runs, fails = rebalance_crash_sweep(
-                    strategy, mode, n_from, n_to, batch_keys=2
+                    strategy, mode, n_from, n_to, batch_keys=2, trace_dir=args.trace
                 )
                 total += runs
                 failures.extend(fails)
@@ -337,15 +216,9 @@ def run_rebalance_family(args: argparse.Namespace) -> Tuple[int, List[str]]:
 
 
 def build_workload(args: argparse.Namespace) -> Tuple[ChainScenario, List[Event]]:
-    scenario = chain_scenario(
-        n_joins=args.streams - 1,
-        n_tuples=args.tuples,
-        window=args.window,
-        seed=args.seed,
-    )
+    scenario = chain_scenario(args.streams - 1, args.tuples, args.window, seed=args.seed)
     warmup = args.warmup if args.warmup is not None else max(1, args.tuples // 3)
-    events = migration_stage_events(scenario, warmup, args.case)
-    return scenario, events
+    return scenario, migration_stage_events(scenario, warmup, args.case)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -354,95 +227,65 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Crash-point sweep and seeded fault soak over the "
         "fault-injection subsystem (see docs/FAULT_INJECTION.md).",
     )
-    parser.add_argument(
-        "--strategies",
-        default="jisc,moving_state,jisc_buffered",
-        help="comma-separated strategy names (%s)" % ",".join(sorted(STRATEGIES)),
-    )
-    parser.add_argument("--streams", type=int, default=4, help="streams in the chain")
-    parser.add_argument("--tuples", type=int, default=36, help="arrivals in the run")
-    parser.add_argument("--window", type=int, default=4, help="window size (tuples)")
-    parser.add_argument("--seed", type=int, default=0, help="workload seed")
-    parser.add_argument(
-        "--warmup", type=int, default=None, help="transition point (default: tuples/3)"
-    )
-    parser.add_argument(
-        "--case", choices=("best", "worst"), default="best", help="transition case"
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=6, help="checkpoint cadence (log records)"
-    )
-    parser.add_argument(
-        "--where",
-        choices=("all",) + CRASH_POINTS,
-        default="after_log",
-        help="crash point(s) to sweep",
-    )
-    parser.add_argument(
-        "--no-sweep", action="store_true", help="skip the exhaustive crash sweep"
-    )
-    parser.add_argument(
-        "--soak", type=int, default=0, help="number of randomized soak seeds"
-    )
-    parser.add_argument(
-        "--soak-seeds",
-        type=int,
-        nargs="*",
-        default=None,
-        help="explicit soak seeds (overrides --soak)",
-    )
-    parser.add_argument("--soak-crashes", type=int, default=2)
-    parser.add_argument("--soak-duplicates", type=int, default=2)
-    parser.add_argument("--soak-reorders", type=int, default=2)
-    parser.add_argument("--soak-corruptions", type=int, default=1)
-    parser.add_argument(
-        "--during-rebalance",
-        action="store_true",
+    add = parser.add_argument
+    names = ",".join(sorted(strategy_kinds()))
+    add("--strategies", default="jisc,moving_state,jisc_buffered",
+        help=f"comma-separated strategy names ({names})")  # fmt: skip
+    add("--streams", type=int, default=4, help="streams in the chain")
+    add("--tuples", type=int, default=36, help="arrivals in the run")
+    add("--window", type=int, default=4, help="window size (tuples)")
+    add("--seed", type=int, default=0, help="workload seed")
+    add("--warmup", type=int, default=None, help="transition point (default: tuples/3)")
+    add("--case", choices=("best", "worst"), default="best", help="transition case")
+    add("--checkpoint-every", type=int, default=6, help="checkpoint cadence (log records)")
+    add("--where", choices=("all",) + CRASH_POINTS, default="after_log",
+        help="crash point(s) to sweep")  # fmt: skip
+    add("--no-sweep", action="store_true", help="skip the exhaustive crash sweep")
+    add("--soak", type=int, default=0, help="number of randomized soak seeds")
+    add("--soak-seeds", type=int, nargs="*", default=None,
+        help="explicit soak seeds (overrides --soak)")  # fmt: skip
+    add("--soak-crashes", type=int, default=2)
+    add("--soak-duplicates", type=int, default=2)
+    add("--soak-reorders", type=int, default=2)
+    add("--soak-corruptions", type=int, default=1)
+    add("--during-rebalance", action="store_true",
         help="also crash each shard at each arrival inside an in-flight "
-        "fluid resize plan (2→4 and 4→2, lazy and eager)",
-    )
-    parser.add_argument(
-        "--trace", default=None, metavar="DIR", help="export failing runs' JSONL traces"
-    )
+        "fluid resize plan (2→4 and 4→2, lazy and eager)")  # fmt: skip
+    add("--trace", default=None, metavar="DIR", help="export failing runs' JSONL traces")
     args = parser.parse_args(argv)
 
-    names = [n.strip() for n in args.strategies.split(",") if n.strip()]
-    for name in names:
-        if name not in STRATEGIES:
+    strategies = [n.strip() for n in args.strategies.split(",") if n.strip()]
+    for name in strategies:
+        if name not in strategy_kinds():
             parser.error(f"unknown strategy {name!r}")
-    wheres: Tuple[str, ...] = (
-        CRASH_POINTS if args.where == "all" else (args.where,)
-    )
+    wheres = CRASH_POINTS if args.where == "all" else (args.where,)
     scenario, events = build_workload(args)
-    n_arrivals = len(_arrivals(events))
     print(
-        f"workload: {args.streams} streams, {n_arrivals} arrivals, "
+        f"workload: {args.streams} streams, {_arrivals(events)} arrivals, "
         f"window {args.window}, transition at {args.warmup or max(1, args.tuples // 3)} "
         f"({args.case} case), checkpoint every {args.checkpoint_every}"
     )
-
     all_failures: List[str] = []
-    for name in names:
-        if not args.no_sweep:
-            runs, failures = crash_sweep(
-                name, scenario, events, wheres, args.checkpoint_every, args.trace
-            )
-            status = "OK" if not failures else f"{len(failures)} FAILED"
-            print(f"sweep {name}: {runs} crash run(s): {status}")
-            all_failures.extend(failures)
-        seeds = args.soak_seeds if args.soak_seeds is not None else list(range(args.soak))
-        if seeds:
-            runs, failures = fault_soak(name, scenario, events, seeds, args)
-            status = "OK" if not failures else f"{len(failures)} FAILED"
-            print(f"soak  {name}: {runs} seeded run(s): {status}")
-            all_failures.extend(failures)
 
-    if args.during_rebalance:
-        runs, failures = run_rebalance_family(args)
-        status = "OK" if not failures else f"{len(failures)} FAILED"
-        print(f"rebalance-crash family: {runs} crash run(s): {status}")
+    def report(line: str, result: Failures) -> None:
+        runs, failures = result
+        print(line.format(runs=runs, status="OK" if not failures else f"{len(failures)} FAILED"))
         all_failures.extend(failures)
 
+    seeds = args.soak_seeds if args.soak_seeds is not None else list(range(args.soak))
+    for name in strategies:
+        if not args.no_sweep:
+            report(
+                f"sweep {name}: {{runs}} crash run(s): {{status}}",
+                crash_sweep(name, scenario, events, wheres, args.checkpoint_every, args.trace),
+            )
+        if seeds:
+            report(
+                f"soak  {name}: {{runs}} seeded run(s): {{status}}",
+                fault_soak(name, scenario, events, seeds, args),
+            )
+    if args.during_rebalance:
+        report("rebalance-crash family: {runs} crash run(s): {status}", run_rebalance_family(args))
     for line in all_failures:
         print(f"FAIL {line}")
     return 1 if all_failures else 0

@@ -1,52 +1,47 @@
 """Fault × adaptivity soak: crash the closed loop mid-migration.
 
-The adaptive loop adds one durability question on top of the recovery
-contract :mod:`repro.faults` already certifies: after a crash and
-replay, does the *trigger* come back in the right state — same plan,
-same cooldown clock — so it neither loses a migration nor fires the same
-one twice?
+On top of the recovery contract, the adaptive loop must come back from a
+crash or a restart with its *trigger* state — same plan, same cooldown
+clock — so it neither loses a migration nor fires one twice.  The soak runs
+:class:`AdaptiveEngine` over a :class:`RecoveryManager` whose tracer is the
+engine's hub, and that holds by construction: a fired migration is
+``target.transition(spec)``, journaled before it is applied, so replay
+re-applies it; evaluations run between the manager's ``process`` calls,
+never inside replay, so recovery cannot re-decide; and a restart over an
+existing store rebuilds the trigger state from the log alone
+(:func:`trigger_state_from_log`: arrivals, order, last fire) — estimator
+evidence is not journaled, a restarted engine gathers it afresh.
 
-The soak runs :class:`AdaptiveEngine` over a :class:`RecoveryManager`
-whose tracer is the engine's telemetry hub; the answer is by construction:
-
-* a fired migration is the engine's ``target.transition(spec)``, which
-  the manager journals in the write-ahead log *before* applying it —
-  replay re-applies it like any other event;
-* trigger evaluations run only between the manager's ``process`` calls,
-  never inside replay (replay happens inside ``process``), so recovery
-  cannot re-decide;
-* on a restart over an existing store, the trigger state is
-  reconstructed from the log alone (:func:`trigger_state_from_log`) and
-  handed to :meth:`AdaptiveEngine.restore_trigger_state`: arrivals
-  consumed, the current order, and the cooldown clock of the last fire.
-  Estimator evidence is not journaled; a restarted engine gathers it
-  afresh.
-
-``python -m repro.optimizer.soak`` runs the certification the CI faults
-job executes: per seed, a fault-free oracle run, three crashes around the
-first adaptive fire (before-log, after-log, after-process) and a process
-restart just before and just after it.  Every run delivers exactly the
-oracle's outputs; a crash or restart after the fire keeps the oracle's
-fire schedule, a restart before it may fire later but never more often.
+``python -m repro.optimizer.soak`` is the CI faults job's parameter set of
+:func:`~repro.faults.certify.certify`: per seed, three crashes right after
+the first adaptive fire (one per crash point), one crash the oracle's log
+says must replay a delivered output, and a restart just before and just
+after the fire.  Every cell delivers exactly the oracle's outputs; after
+the fire the oracle's fire schedule holds, a restart before it may fire
+later but never more often.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.engine.checkpoint import spec_from_json
 from repro.engine.executor import Event
+from repro.faults.certify import Cell, certify, failure_lines
+from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import CRASH_POINTS, CrashFault, FaultInjector, FaultPlan
 from repro.faults.recovery import RecoveryManager
-from repro.faults.store import DurableStore, Lineage
+from repro.faults.store import DurableStore
 from repro.migration.jisc import JISCStrategy
+from repro.obs.tracer import Tracer
 from repro.optimizer.adaptive import AdaptiveEngine
 from repro.optimizer.triggers import HysteresisTrigger
 from repro.plans.spec import left_deep_order
 from repro.streams.schema import Schema
-from repro.telemetry.hub import TelemetryTracer
+from repro.streams.tuples import StreamTuple
+from repro.telemetry.hub import TelemetryTracer, series_name
 from repro.workloads.drift import SelectivityDriftWorkload
 
 #: Restart-and-continue cells: arrivals consumed before the restart,
@@ -113,13 +108,7 @@ def _fresh_engine(
     hub = TelemetryTracer(
         strategy="adaptive", selectivity_window=96, drift_block=16, drift_min_samples=32
     )
-    manager = RecoveryManager(
-        lambda: JISCStrategy(schema, order),
-        store=store,
-        checkpoint_every=10,
-        injector=injector,
-        tracer=hub,
-    )
+    manager = RecoveryManager(lambda: JISCStrategy(schema, order), store, 10, injector, hub)
     engine = AdaptiveEngine(
         manager,
         policy=HysteresisTrigger(min_improvement=0.08, confirm=2, cooldown=64),
@@ -134,68 +123,79 @@ def _fresh_engine(
     return engine
 
 
-def _delivery_failures(cell: str, delivered: List[Lineage], oracle: List[Lineage]) -> List[str]:
-    failures = []
-    if sorted(delivered) != sorted(oracle):
-        failures.append(f"{cell}: delivery diverged ({len(delivered)} vs {len(oracle)} outputs)")
-    if len(delivered) != len(set(delivered)):
-        failures.append(f"{cell}: duplicate delivery")
-    return failures
+def replaying_arrival(oracle: AdaptiveEngine, arrivals: Sequence[StreamTuple], after: int) -> int:
+    """The first arrival past ``after`` whose crash (after its log append)
+    replays an arrival that delivered output — read off the oracle's log,
+    checkpoints and deliveries: a recovery there must suppress a duplicate."""
+    store = oracle.target.store
+    index = {(t.stream, t.seq): i for i, t in enumerate(arrivals)}
+    producers = {max(index[part] for part in lineage) for lineage in store.delivered()}
+    position = [p for p, record in enumerate(store.log()) if record["type"] == "arrival"]
+    checkpoints = [c.log_pos for c in store.checkpoints()]
+    for i in range(after + 1, len(arrivals)):
+        restored = max((c for c in checkpoints if c <= position[i]), default=0)
+        if any(restored <= position[j] for j in producers if j < i):
+            return i
+    raise ValueError(f"no crash after arrival {after} replays a delivered output")
+
+
+def _emitted(engine: AdaptiveEngine) -> int:
+    """Outputs the engine's incarnations emitted, replays included."""
+    hub = cast(TelemetryTracer, engine.telemetry)
+    return int(hub.series()[series_name("engine_outputs_total", strategy="adaptive")])
 
 
 def soak_one_seed(seed: int, n_tuples: int = 360, window: int = 16) -> List[str]:
     """Certify one seed; returns failure descriptions (empty = pass)."""
     schema, order, events = soak_workload(n_tuples, window, seed)
-    oracle = _fresh_engine(schema, order)
-    oracle_delivered = oracle.run(events).target.delivered
-    failures: List[str] = []
-    if not oracle.migrations:
-        return [f"seed {seed}: the drift workload provoked no adaptive fire"]
-    oracle_fires = [d.at for d in oracle.migrations]
-    first_fire = oracle_fires[0]
-    # Crash around the first migration: the arrival consumed right after
-    # the fire lands mid-JISC-completion (lazy state completion is still
-    # outstanding for migrated keys).
-    for where in CRASH_POINTS:
-        cell = f"seed {seed}/{where}"
-        plan = FaultPlan(crashes=(CrashFault(at_arrival=first_fire + 1, where=where),))
-        engine = _fresh_engine(schema, order, injector=FaultInjector(plan))
-        manager = engine.run(events).target
-        fires = [d.at for d in engine.migrations]
-        if manager.recoveries != 1:
-            failures.append(f"{cell}: expected exactly 1 recovery, saw {manager.recoveries}")
-        failures.extend(_delivery_failures(cell, manager.delivered, oracle_delivered))
-        if fires != oracle_fires:
-            failures.append(
-                f"{cell}: fire schedule diverged (crashed={fires}, oracle={oracle_fires})"
-            )
-        # Restart certification: a fresh engine over the crashed store
-        # must resume with the fired migration visible and the cooldown
-        # clock running — no second fire of an already-journaled one.
-        state = _fresh_engine(schema, order, store=manager.store).trigger_state()
-        if state["order"] != list(engine.order):
-            failures.append(
-                f"{cell}: restart restored order {state['order']} "
-                f"!= live order {list(engine.order)}"
-            )
-        if state["policy"]["last_fired_at"] != (fires[-1] if fires else None):
-            failures.append(f"{cell}: restart lost the cooldown clock ({state['policy']})")
-    # Restart and continue: one process runs to arrival k, a fresh one
-    # over the same store runs the rest of the stream.
-    for offset in RESTART_OFFSETS:
-        k = first_fire + offset
-        cell = f"seed {seed}/restart@{k}"
-        first = _fresh_engine(schema, order).run(events[:k])
-        resumed = _fresh_engine(schema, order, store=first.target.store).run(events[k:])
-        fires = [d.at for d in first.migrations + resumed.migrations]
-        failures.extend(_delivery_failures(cell, resumed.target.delivered, oracle_delivered))
-        if resumed.arrivals != len(events):
-            failures.append(f"{cell}: resumed at {resumed.arrivals} arrivals, not {len(events)}")
-        if offset > 0 and fires != oracle_fires:
-            failures.append(f"{cell}: fire schedule diverged ({fires} vs {oracle_fires})")
-        if len(fires) > len(oracle_fires):
-            failures.append(f"{cell}: more fires than the oracle ({fires} vs {oracle_fires})")
-    return failures
+
+    def factory(plan: FaultPlan, store: Optional[DurableStore], tracer: Tracer) -> AdaptiveEngine:
+        return _fresh_engine(schema, order, FaultInjector(plan, tracer), store)
+
+    def schedule(oracle: AdaptiveEngine) -> List[Cell]:
+        if not oracle.migrations:
+            raise ValueError(f"seed {seed}: the drift workload provoked no adaptive fire")
+        # The arrival right after the fire lands mid-JISC-completion: lazy
+        # completion is still outstanding for migrated keys.
+        first = oracle.migrations[0].at
+        replay = replaying_arrival(oracle, cast(List[StreamTuple], events), first + 1)
+        crashes = [(where, CrashFault(first + 1, where)) for where in CRASH_POINTS]
+        crashes.append((f"dedup@{replay}", CrashFault(replay)))
+        return [Cell(f"seed {seed}/{name}", FaultPlan(crashes=(f,))) for name, f in crashes] + [
+            Cell(f"seed {seed}/restart@{first + offset}", at=first + offset - 1)
+            for offset in RESTART_OFFSETS
+        ]
+
+    def extra(cell: Cell, engines: Sequence[AdaptiveEngine], oracle: AdaptiveEngine) -> List[str]:
+        oracle_fires = [d.at for d in oracle.migrations]
+        fires = [d.at for engine in engines for d in engine.migrations]
+        last = engines[-1]
+        # A fresh engine over the final store must resume with the fired
+        # migration visible and the cooldown clock running.
+        state = _fresh_engine(schema, order, store=last.target.store).trigger_state()
+        checks = [
+            (last.target.recoveries == 1,
+             f"expected exactly 1 recovery, saw {last.target.recoveries}"),
+            ((cell.at is not None and cell.at < oracle_fires[0]) or fires == oracle_fires,
+             f"fire schedule diverged ({fires} vs oracle {oracle_fires})"),
+            (len(fires) <= len(oracle_fires),
+             f"more fires than the oracle ({fires} vs {oracle_fires})"),
+            (last.arrivals == len(events),
+             f"resumed at {last.arrivals} arrivals, not {len(events)}"),
+            (state["order"] == list(last.order),
+             f"restart restored order {state['order']} != live order {list(last.order)}"),
+            (state["policy"]["last_fired_at"] == (fires[-1] if fires else None),
+             f"restart lost the cooldown clock ({state['policy']})"),
+            ("/dedup@" not in cell.name or sum(map(_emitted, engines)) > _emitted(oracle),
+             "the replay re-emitted no delivered output: the dedup went unexercised"),
+        ]  # fmt: skip
+        return [reason for held, reason in checks if not held]
+
+    try:
+        verdicts = certify(factory, events, schedule, InvariantChecker(schema, order), extra)
+    except ValueError as exc:
+        return [str(exc)]
+    return failure_lines(verdicts)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -209,7 +209,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     failures: List[str] = []
     for seed in args.seeds:
         failures.extend(soak_one_seed(seed, args.tuples, args.window))
-    cells = len(args.seeds) * (len(CRASH_POINTS) + len(RESTART_OFFSETS))
+    cells = len(args.seeds) * (len(CRASH_POINTS) + 1 + len(RESTART_OFFSETS))
     if failures:
         print(f"ADAPTIVE SOAK: FAIL ({len(failures)} failures over {cells} cells)")
         for failure in failures:
@@ -217,8 +217,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     print(
         f"ADAPTIVE SOAK: OK — {cells} cells "
-        f"(seeds {args.seeds} x {list(CRASH_POINTS)} + restart at first fire "
-        f"{', '.join(f'{o:+d}' for o in RESTART_OFFSETS)}), "
+        f"(seeds {args.seeds} x {list(CRASH_POINTS)} + a replaying crash + restart at "
+        f"first fire {', '.join(f'{o:+d}' for o in RESTART_OFFSETS)}), "
         "exactly-once delivery and trigger state preserved"
     )
     return 0

@@ -29,7 +29,9 @@ builds ``BENCH_calls.json`` from them with :func:`count_calls`.
 Under the table of every single-engine-shaped run: ``calls / arrival``, and the
 Python-level calls into ``repro/`` per arrival by file (:func:`repro_calls`),
 with the ``StreamTuple.__eq__`` and ``deque.remove`` counts — counts repeat
-exactly where timings do not.
+exactly where timings do not.  ``--bytecodes`` counts instead the bytecodes run
+in frames under ``repro/`` (:func:`count_bytecodes`), in total and per function
+— the work inside a frame that a call count misses.
 
 ``--scale`` shrinks the tuple volume for quick iteration; the default
 (1.0) matches the committed benchmark shapes.
@@ -42,8 +44,10 @@ import cProfile
 import gc
 import os
 import pstats
+import sys
 from collections import Counter
 from dataclasses import dataclass
+from types import CodeType, FrameType
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple, TypeVar
 
 from repro.engine.executor import run_events
@@ -62,6 +66,7 @@ from repro.shard import (
 )
 from repro.streams.generators import ZipfWorkload
 from repro.streams.schema import Schema
+from repro.streams.tuples import StreamTuple
 from repro.telemetry.hub import ShardTelemetry, TelemetryTracer
 from repro.workloads.drift import SelectivityDriftWorkload
 from repro.workloads.scenarios import chain_scenario, frequency_events
@@ -109,6 +114,9 @@ class EngineRun:
     drive: Callable[[], Any]
     #: The op counters of the engine(s) underneath.
     ops: Callable[[], Mapping[Any, int]]
+    #: ``feed(lo, hi)`` feeds arrivals ``lo`` to ``hi`` of the same events the way
+    #: ``drive`` does: a window of a run (:func:`count_bytecodes` traces one).
+    feed: Callable[[int, int], Any]
     #: Attach a live hub from outside and return it (``None``: the hub is part
     #: of the engine); its ``series()`` is the view at the end of the run.
     attach_hub: Optional[Callable[[], Any]] = None
@@ -139,11 +147,13 @@ def engine_run(
             hub.attach(engine)
             return hub
 
+        cuts = [i for i, e in enumerate(events) if isinstance(e, StreamTuple)] + [len(events)]
         return EngineRun(
             engine,
             n_tuples,
             lambda: run_events(engine, events),
             engine.metrics.snapshot,
+            lambda lo, hi: run_events(engine, events[cuts[lo] : cuts[hi]]),
             attach_hub,
         )
 
@@ -173,21 +183,25 @@ def shard_run(n: int, rebalance_every: int = 0) -> Scenario:
             engine = ShardedExecutor(chain.schema, chain.order, num_shards=4, strategy=strategy)
         step = rebalance_every or n_tuples
 
-        def drive() -> None:
+        def feed(start: int = 0, stop: int = n_tuples) -> None:
             for k, lo in enumerate(range(0, n_tuples, step), -1):
-                if lo:
+                if stop <= lo or lo + step <= start:
+                    continue
+                if start <= lo and lo:
                     engine.drain_rebalance()
                     mode = ("lazy", "eager")[(k // 2) % 2]
                     engine.fluid_rebalance(targets[k % 2], mode, batch_keys=4)
-                engine.run(tuples[lo : lo + step])
-            engine.drain_rebalance()
-            _ = engine.outputs  # the merged read a closed pass ends with
+                engine.run(tuples[max(lo, start) : min(lo + step, stop)])
+            if stop == n_tuples:
+                engine.drain_rebalance()
+                _ = engine.outputs  # the merged read a closed pass ends with
 
         return EngineRun(
             engine,
             n_tuples,
-            drive,
+            feed,
             engine.merged_counts,
+            feed,
             lambda: ShardTelemetry(engine),
         )
 
@@ -211,7 +225,13 @@ def adaptive_run(scale: float, strategy: str = "jisc") -> EngineRun:
         min_samples=96,
         hub_options={"selectivity_window": 256, "drift_block": 32, "drift_min_samples": 96},
     )
-    return EngineRun(engine, len(events), lambda: engine.run(events), target.metrics.snapshot)
+    return EngineRun(
+        engine,
+        len(events),
+        lambda: engine.run(events),
+        target.metrics.snapshot,
+        lambda lo, hi: engine.run(events[lo:hi]),
+    )
 
 
 def repro_calls(profiler: cProfile.Profile) -> "Counter[Tuple[str, str]]":
@@ -238,6 +258,38 @@ def count_calls(run: Callable[[], T]) -> "Tuple[T, Counter[Tuple[str, str]]]":
     profiler = cProfile.Profile()
     result = profiler.runcall(run)
     return result, repro_calls(profiler)
+
+
+def count_bytecodes(run: Callable[[], T]) -> "Tuple[T, Counter[Tuple[str, str]]]":
+    """``run()`` under an opcode trace: its result and ``(file under repro/,
+    function) -> bytecodes run`` — comprehensions and lambdas by their code
+    names, which Python minors compile differently, so a count is for the minor
+    it was taken on.  Frames outside ``repro/`` are not traced; a traced
+    bytecode costs about a microsecond, so trace short runs."""
+    by_code: "Counter[CodeType]" = Counter()
+
+    def opcode(frame: FrameType, event: str, arg: Any) -> Any:
+        if event == "opcode":
+            by_code[frame.f_code] += 1
+        return opcode
+
+    def enter(frame: FrameType, event: str, arg: Any) -> Any:
+        if not frame.f_code.co_filename.startswith(_PACKAGE):
+            return None
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return opcode
+
+    previous = sys.gettrace()  # a coverage tracer, say: back after the run
+    sys.settrace(enter)
+    try:
+        result = run()
+    finally:
+        sys.settrace(previous)
+    counts: "Counter[Tuple[str, str]]" = Counter()
+    for code, n in by_code.items():
+        counts[code.co_filename[len(_PACKAGE) :], code.co_name] += n
+    return result, counts
 
 
 #: ``scenario(scale)`` sets up and returns what is profiled; an :class:`EngineRun`
@@ -289,9 +341,22 @@ def main(argv: Any = None) -> int:
         choices=("cumulative", "tottime", "calls"),
         help="pstats sort key (default: cumulative)",
     )
+    parser.add_argument(
+        "--bytecodes",
+        action="store_true",
+        help="count bytecodes run under repro/ instead of profiling calls",
+    )
     args = parser.parse_args(argv)
 
     run = SCENARIOS[args.scenario](args.scale)
+    if args.bytecodes:
+        fed, counts = count_bytecodes(run)
+        n = fed if isinstance(fed, int) else 1
+        print(f"== {args.scenario} (scale={args.scale}) — bytecodes under repro/ ==")
+        print(f"bytecodes / arrival: {sum(counts.values()) / n:.1f} ({sum(counts.values())} / {n})")
+        for (path, name), count in counts.most_common(args.top):
+            print(f"  {count / n:9.2f}  {path}::{name}")
+        return 0
     before = gc.get_stats()
     profiler = cProfile.Profile()
     fed = profiler.runcall(run)

@@ -12,7 +12,8 @@ compare every number with the checked-in ``BENCH_<name>.json`` baselines.
   calls into each package of ``repro/`` per wall-clock workload shape and
   strategy, GC-tracked objects left alive, and the same events with a live
   telemetry hub attached — what the observers ran, and that they changed
-  no op count and no output.  All integers, compared for equality; a PR
+  no op count and no output — and the bytecodes run under ``repro/`` over a
+  window of each run.  All integers, compared for equality; a PR
   that moves one refreshes the file and says why.  The file records the
   Python minor it was produced on: another interpreter compiles the same
   source to different frames, so a different minor is a mismatch on that
@@ -104,6 +105,12 @@ def _run_of(bench: str) -> Callable[[], Any]:
     return lambda: importlib.import_module(f"benchmarks.{bench}").run()
 
 
+def _payload_calls() -> Any:
+    from benchmarks.bench_calls import payload
+
+    return payload()
+
+
 def _payload_adaptive_drift() -> Any:
     from benchmarks.bench_adaptive_drift import payload, run
 
@@ -120,7 +127,7 @@ FIGURES: Dict[str, Callable[[], Any]] = {
     "fluid_rebalance": _run_of("bench_fluid_rebalance"),
     "adaptive_drift": _payload_adaptive_drift,
     "ablation_stairs": _run_of("bench_ablation_stairs"),
-    "calls": _run_of("bench_calls"),
+    "calls": _payload_calls,
 }
 
 

@@ -525,13 +525,6 @@ class TelemetryTracer(Tracer):
             return None
         return detector.count, estimate
 
-    def drifted(self, operator_label: Optional[str] = None) -> bool:
-        """Latched drift flag of one operator (or any, when omitted)."""
-        if operator_label is not None:
-            detector = self._sel.get(operator_label)
-            return detector.drifted if detector is not None else False
-        return any(d.drifted for d in self._sel.values())
-
     def drift_events(self) -> int:
         return sum(d.drift_count for d in self._sel.values())
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import __future__
+import inspect
+import sys
+import textwrap
 from collections import Counter as MultiSet
 from contextlib import contextmanager
-from typing import Iterable, Iterator, List, Sequence
+from typing import Any, Iterable, Iterator, List, Sequence
 
 import pytest
 
@@ -28,6 +32,23 @@ def reference_path() -> Iterator[None]:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("repro.plans.build.compile_plan", lambda plan: None)
         yield
+
+
+def plant(monkeypatch: pytest.MonkeyPatch, owner: Any, name: str, old: str, new: str) -> None:
+    """Plant a fault for one test: ``owner.name`` (a method, or a module's
+    function) becomes a copy of its source with the one line ``old``
+    rewritten to ``new`` — the edit a mutation check makes on a copy of the
+    tree, compiled in the defining module's namespace."""
+    function = getattr(owner, name)
+    source = inspect.getsource(function)
+    if source.count(old) != 1:
+        raise AssertionError(f"{name}: {old!r} is not one line of its source")
+    namespace = dict(vars(sys.modules[function.__module__]))
+    source = textwrap.dedent(source.replace(old, new))
+    flags = __future__.annotations.compiler_flag
+    code = compile(source, inspect.getfile(function), "exec", flags, True)
+    exec(code, namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
 
 
 def make_tuples(spec: Sequence[tuple]) -> List[StreamTuple]:

@@ -9,7 +9,9 @@ strategy under test.
 
 import pytest
 
+from tests.helpers import plant
 from repro.faults import sweep
+from repro.faults.recovery import RecoveryManager
 from repro.faults.plan import CRASH_POINTS
 from repro.workloads.scenarios import chain_scenario, migration_stage_events
 
@@ -96,9 +98,10 @@ def test_cli_rejects_unknown_strategy():
 
 
 def test_failure_exports_trace(tmp_path, capsys, monkeypatch):
-    # Force a failure by sabotaging the baseline: the sweep must report it,
-    # exit nonzero, and export a JSONL trace of the failing run.
-    monkeypatch.setattr(sweep, "baseline_delivery", lambda factory, events: [])
+    # Force a failure by dropping the recovery's dedup: the sweep must report
+    # it, exit nonzero, and export a JSONL trace of each failing run.
+    drop_dedup = ("if lineage in self._delivered_seen:", "if False:")
+    plant(monkeypatch, RecoveryManager, "_deliver_new", *drop_dedup)
     code = sweep.main(
         [
             "--strategies",

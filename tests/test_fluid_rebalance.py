@@ -212,7 +212,7 @@ def test_crash_during_in_flight_batch_all_strategies(strategy, shape):
         strategy, shape, "lazy", 2, trigger_at, seed, crash_at=(trigger_at + 2, 0)
     )
     checker = InvariantChecker(SCHEMA, NAMES)
-    report = checker.certify_sharded(ex, _tuples(seed), context=f"{strategy}/{shape}")
+    report = checker.certify(ex, _tuples(seed), context=f"{strategy}/{shape}")
     assert report.ok
     assert MultiSet(ex.output_lineages()) == oracle_multiset(seed)
 

@@ -3,7 +3,7 @@
 A shard crash loses one worker's entire in-memory state; recovery must
 rebuild it deterministically from the per-shard command log, and the
 merged output must stay exactly-once — complete, closed, duplicate-free
-— which :meth:`InvariantChecker.certify_sharded` checks against the
+— which :meth:`InvariantChecker.certify` checks against the
 brute-force oracle plus the distributed-state invariants.
 """
 
@@ -65,7 +65,7 @@ def test_crash_recover_is_invisible_in_the_output(strategy):
             ex.crash_and_recover(0)
         if i == 130:
             ex.crash_and_recover(1)
-    report = checker.certify_sharded(ex, tuples, context=strategy)
+    report = checker.certify(ex, tuples, context=strategy)
     assert report.ok
     assert report.delivered_outputs == report.expected_outputs
 
@@ -86,7 +86,7 @@ def test_recovery_preserves_exactly_once_across_collections():
     assert len(lineages) >= collected_before
     assert len(lineages) == len(set(lineages))  # duplicate-free
     checker = InvariantChecker(schema, NAMES)
-    checker.certify_sharded(ex, tuples, context="mid-collection crash")
+    checker.certify(ex, tuples, context="mid-collection crash")
 
 
 def test_crash_during_pending_lazy_rebalance():
@@ -102,7 +102,7 @@ def test_crash_during_pending_lazy_rebalance():
         ex.crash_and_recover(0)  # the src side of the pending moves too
     ex.process_batch(tuples[140:])
     checker = InvariantChecker(schema, NAMES)
-    checker.certify_sharded(ex, tuples, context="crash during lazy session")
+    checker.certify(ex, tuples, context="crash during lazy session")
 
 
 def test_crash_and_recovery_are_traced():
@@ -150,7 +150,7 @@ def test_check_sharded_detects_lost_and_misplaced_state():
     assert not report.ok
     assert any("held by no worker" in v for v in report.violations)
     with pytest.raises(InvariantViolation):
-        checker.certify_sharded(ex, tuples)
+        checker.certify(ex, tuples)
 
 
 def test_check_sharded_flags_unrecovered_shard():
