@@ -159,6 +159,13 @@ class CACQExecutor:
     def evict(self, tup: StreamTuple) -> bool:
         return self.stems[tup.stream].evict(tup)
 
+    def kernel(self, stream: str) -> None:
+        """``None``: the eddy routes every arrival; nothing is compiled."""
+        return None
+
+    def carried(self, last_seq: int) -> None:
+        """Nothing to note: no door of this engine is ever carried."""
+
     def live_tuples(self) -> Dict[str, List[StreamTuple]]:
         return {name: window_contents(stem) for name, stem in self.stems.items()}
 

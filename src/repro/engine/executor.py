@@ -35,6 +35,7 @@ from repro.streams.tuples import Lineage, StreamTuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.engine.metrics import Metrics
+    from repro.operators.fused import Kernel
     from repro.plans.build import PhysicalPlan
 
 
@@ -118,6 +119,16 @@ class ShardableExecutor(StrategyExecutor, Protocol):
 
     def evict(self, tup: StreamTuple) -> bool:
         """Expire ``tup`` from whatever holds it; ``False`` if nothing did."""
+        ...
+
+    def kernel(self, stream: str) -> Optional["Kernel"]:
+        """``stream``'s compiled doors, driven by the owner of the windows
+        (``operators.fused.Kernel``: ``enter(t)``, ``arrive`` / ``expire``,
+        ``leave()``), or ``None`` where ``process_batch`` / ``evict`` must run."""
+        ...
+
+    def carried(self, last_seq: int) -> None:
+        """``Kernel.leave``'s answer: the newest seq carried through the doors."""
         ...
 
     def live_tuples(self) -> Dict[str, List[StreamTuple]]:

@@ -128,8 +128,10 @@ class Metrics:
         *in execution order*: the sink stamps outputs mid-cascade and float
         addition does not reassociate, so the copy replaces ``clock.now``
         instead of being re-derived from the tallies.  Nothing may have read
-        or advanced the clock since the kernel loaded its copy.  Returns 0,
-        what every tally restarts from.
+        or advanced the clock since the kernel loaded its copy.  Called once
+        per door, or once per ``Kernel.leave`` for the doors a caller carried
+        (a shard worker: once per run, whatever the run evicted and fed it).
+        Returns 0, what every tally restarts from.
         """
         counts = self.counts
         if inserts:

@@ -27,7 +27,7 @@ import os
 from collections import Counter
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.faults.invariants import InvariantChecker, Lineage
+from repro.faults.invariants import InvariantChecker, Lineage, OracleRun
 from repro.faults.plan import FaultPlan
 from repro.faults.recovery import RecoveryManager
 from repro.faults.store import DurableStore
@@ -85,12 +85,13 @@ def certify(
     baseline = _finish(factory(FaultPlan(), None, RecordingTracer()), events)
     expected = Counter(delivered(baseline))
     arrivals = [e for e in events if isinstance(e, StreamTuple)]
+    oracle = checker.oracle(arrivals)  # once: each check reads its prefix
     verdicts = []
     for cell in schedule(baseline):
         tracer = RecordingTracer() if trace_dir is not None else NULL_TRACER
         engines = [factory(cell.plan, None, tracer)]
         try:
-            reasons = _run(cell, engines, events, arrivals, factory, tracer, checker)
+            reasons = _run(cell, engines, events, arrivals, factory, tracer, checker, oracle)
             if not reasons:
                 got = delivered(engines[-1])
                 if Counter(got) != expected:
@@ -100,7 +101,7 @@ def certify(
                     )
                 if len(got) != len(set(got)):
                     reasons.append(f"duplicate delivery ({len(got) - len(set(got))} extra)")
-                reasons += check(checker, engines[-1], arrivals, got)
+                reasons += check(checker, oracle, engines[-1], arrivals, got)
                 reasons += extra(cell, engines, baseline) if extra is not None else []
         except Exception as exc:  # the cell's outcome, not the sweep's
             reasons = [f"raised {type(exc).__name__}: {exc}"]
@@ -119,6 +120,7 @@ def _run(
     factory: Factory,
     tracer: Tracer,
     checker: InvariantChecker,
+    oracle: OracleRun,
 ) -> List[str]:
     """Drive one cell, applying its between-run entry; returns what a
     mid-run check found (the cell then ends there)."""
@@ -133,7 +135,7 @@ def _run(
         engines.append(engine)
     elif cell.shard < len(engine.workers) and engine.workers[cell.shard] is not None:
         engine.crash_and_recover(cell.shard)
-        mid = check(checker, engine, arrivals[: cell.at + 1], delivered(engine))
+        mid = check(checker, oracle, engine, arrivals[: cell.at + 1], delivered(engine))
         if mid:
             return [f"{reason} (mid-plan)" for reason in mid]
     _finish(engine, events[cut:])
@@ -162,13 +164,19 @@ def delivered(engine: Any) -> List[Lineage]:
 
 
 def check(
-    checker: InvariantChecker, engine: Any, arrivals: Sequence[StreamTuple], got: Sequence[Lineage]
+    checker: InvariantChecker,
+    oracle: OracleRun,
+    engine: Any,
+    arrivals: Sequence[StreamTuple],
+    got: Sequence[Lineage],
 ) -> List[str]:
-    """The checker's violations for ``got`` and the state of the engine that
+    """The checker's violations for ``got`` (against ``oracle``'s output for
+    ``arrivals``, a prefix of its run) and the state of the engine that
     recovers (a manager's live strategy, or a coordinator)."""
     inner = _manager(engine)
     state = inner.strategy if isinstance(inner, RecoveryManager) else inner
-    return checker.check(state, arrivals, got).violations
+    expected = oracle.expected(len(arrivals))
+    return checker.check(state, arrivals, got, expected).violations
 
 
 def trace_file(trace_dir: str, cell: str) -> str:

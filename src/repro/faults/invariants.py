@@ -57,6 +57,24 @@ def _preview(lineages: Sequence[Lineage], limit: int = 3) -> str:
     return shown + (f", ... +{more}" if more > 0 else "")
 
 
+class OracleRun:
+    """:class:`NaiveJoinOracle` fed ``arrivals`` once: the oracle emits on each
+    arrival, so what any prefix implies is a prefix of its output log."""
+
+    def __init__(self, schema: Schema, streams: Sequence[str], arrivals: Sequence[StreamTuple]):
+        oracle = NaiveJoinOracle(schema, streams)
+        #: Outputs after each prefix: ``marks[n]`` for the first ``n`` arrivals.
+        self.marks = [0]
+        for tup in arrivals:
+            oracle.process(tup)
+            self.marks.append(len(oracle.outputs))
+        self.outputs = oracle.output_lineages()
+
+    def expected(self, n: int) -> "Counter[Lineage]":
+        """The lineages the first ``n`` arrivals imply, with their multiplicities."""
+        return Counter(self.outputs[: self.marks[n]])
+
+
 class InvariantChecker:
     """Certify a (possibly crashed-and-recovered) run against the oracle."""
 
@@ -64,16 +82,22 @@ class InvariantChecker:
         self.schema = schema
         self.streams = tuple(streams)
 
+    def oracle(self, arrivals: Sequence[StreamTuple]) -> OracleRun:
+        """The oracle fed ``arrivals``, to read every prefix's ``expected`` from."""
+        return OracleRun(self.schema, self.streams, arrivals)
+
     def check_output(
-        self, arrivals: Sequence[StreamTuple], delivered: Sequence[Lineage]
+        self,
+        arrivals: Sequence[StreamTuple],
+        delivered: Sequence[Lineage],
+        expected: "Optional[Counter[Lineage]]" = None,
     ) -> InvariantReport:
-        """The delivered lineages against the oracle's: none missing
+        """The delivered lineages against the oracle's (``expected``, when the
+        caller read it from an :class:`OracleRun` of a longer run): none missing
         (complete), none it did not produce (closed), none delivered more
         often than it produced them (duplicate-free)."""
-        oracle = NaiveJoinOracle(self.schema, self.streams)
-        for tup in arrivals:
-            oracle.process(tup)
-        expected = Counter(oracle.output_lineages())
+        if expected is None:
+            expected = self.oracle(arrivals).expected(len(arrivals))
         got = Counter(tuple(sorted(lineage)) for lineage in delivered)
         report = InvariantReport(sum(expected.values()), sum(got.values()))
         missing = expected - got
@@ -171,12 +195,13 @@ class InvariantChecker:
         engine: Union[MigrationStrategy, ShardedExecutor],
         arrivals: Sequence[StreamTuple],
         delivered: Optional[Sequence[Lineage]] = None,
+        expected: "Optional[Counter[Lineage]]" = None,
     ) -> InvariantReport:
         """:meth:`check_output` on ``delivered`` (default: the engine's own
         output) plus :meth:`check_sharded` for a coordinator, else
         :meth:`check_states`."""
         got = engine.output_lineages() if delivered is None else delivered
-        report = self.check_output(arrivals, got)
+        report = self.check_output(arrivals, got, expected)
         if isinstance(engine, ShardedExecutor):
             report.violations += self.check_sharded(engine).violations
         else:

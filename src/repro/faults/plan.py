@@ -196,9 +196,7 @@ class FaultInjector:
             self._checkpoints.setdefault(ckpt_fault.at_checkpoint, ckpt_fault)
         self._enqueues = 0
         self._checkpoint_writes = 0
-        self.crashes_fired = 0
         self.queue_faults_fired = 0
-        self.checkpoint_faults_fired = 0
 
     # -- crash points ----------------------------------------------------------------
 
@@ -207,7 +205,6 @@ class FaultInjector:
         fault = self._crashes.pop((arrival_index, where), None)
         if fault is None:
             return
-        self.crashes_fired += 1
         if self.tracer.enabled:
             self.tracer.fault("crash", arrival=arrival_index, where=where)
         raise SimulatedCrash(f"scheduled crash at arrival {arrival_index} ({where})")
@@ -235,7 +232,6 @@ class FaultInjector:
         fault = self._checkpoints.pop(index, None)
         if fault is None:
             return blob
-        self.checkpoint_faults_fired += 1
         if self.tracer.enabled:
             self.tracer.fault(f"checkpoint_{fault.mode}", checkpoint=index)
         if fault.mode == CKPT_TRUNCATE:

@@ -8,6 +8,7 @@ from repro.engine.cost import CostModel, VirtualClock
 from repro.engine.metrics import Metrics
 from repro.obs.tracer import PHASE_MIGRATING
 from repro.operators.base import Operator
+from repro.operators.fused import Kernel
 from repro.operators.joins import NestedLoopsJoin, SymmetricHashJoin
 from repro.operators.state import Parcel, extract_key, install_key, newest_seq
 from repro.operators.unary import UnaryOperator
@@ -230,6 +231,25 @@ class MigrationStrategy:
         """Coordinator-driven eviction (sharded execution): expire ``tup``
         from its scan; ``False`` when the window does not hold it."""
         return self.plan.scans[tup.stream].evict(tup)
+
+    def kernel(self, stream: str) -> Optional[Kernel]:
+        """``stream``'s compiled doors, for a caller that owns the windows and has
+        made the door checks: ``None`` where :meth:`process_batch` / :meth:`evict`
+        must run — a plan not compiled yet, a queued pipeline, a scan that owns its
+        window.  Their ``arrive`` / ``expire`` are this engine's arrival body and
+        eviction door, carried between ``enter(t)`` and ``leave()``; ``leave``'s
+        answer goes to :meth:`carried`.  Valid until the plan changes."""
+        scan = self.plan.scans[stream]
+        compiled = scan.fused
+        if compiled is None or scan.scheduler is not None or scan.window is not None:
+            return None
+        return compiled
+
+    def carried(self, last_seq: int) -> None:
+        """The newest seq a caller carried through :meth:`kernel`'s doors
+        (``Kernel.leave``'s answer) counts as seen, as :meth:`process_batch` counts it."""
+        if last_seq > self._last_seq:
+            self._last_seq = last_seq
 
     def live_tuples(self) -> Dict[str, List[StreamTuple]]:
         """Per-stream window contents, in arrival order."""

@@ -27,6 +27,7 @@ from repro.migration.base import (
     as_spec,
     unknown_stream,
 )
+from repro.operators.fused import Kernel
 from repro.operators.state import Parcel
 from repro.plans.build import OpFactory
 from repro.streams.schema import Schema
@@ -98,6 +99,13 @@ class JISCStrategy(MigrationStrategy):
                 if seen is None:
                     seen = registry.last_seen[tup.stream] = {}
                 seen[tup.key] = tup.seq
+
+    def kernel(self, stream: str) -> Optional[Kernel]:
+        """``None`` while a state is incomplete: an arrival is classified and
+        recorded around its cascade then, which only :meth:`process_batch` does."""
+        if self.controller.incomplete_ops:
+            return None
+        return super().kernel(stream)
 
     def extract(self, key: Any) -> Parcel:
         """Complete ``key`` where a state misses it, then hand it over (whole)."""

@@ -83,6 +83,11 @@ class ParallelTrackStrategy(MigrationStrategy):
     def live_plans(self) -> List[PhysicalPlan]:
         return [track.plan for track in self.tracks]
 
+    def kernel(self, stream: str) -> None:
+        """``None``: an arrival feeds every track and the purge, which only
+        :meth:`process_batch` does."""
+        return None
+
     def evict(self, tup: StreamTuple) -> bool:
         """Every track holds its own window; a plan born after ``tup``
         arrived legitimately does not hold it."""

@@ -46,10 +46,24 @@ Completer = Tuple[Callable[[Any], Any], Callable[..., int]]
 
 
 class Kernel(NamedTuple):
-    """One leaf's compiled ``StreamScan.insert`` and ``StreamScan._expire``."""
+    """One leaf's compiled ``StreamScan.insert`` and ``StreamScan.evict``, and its
+    plan's ``enter`` / ``leave``, shared by every leaf of the plan.
+
+    Called alone, a door loads the clock and hands its tallies over on the way
+    out.  Between ``enter(t)`` and ``leave()`` the doors of the plan *carry* them
+    instead: ``enter`` loads the clock once and catches the copy up to external
+    time ``t`` (``ShardWorker.catch_up``), the doors neither reload nor flush, a
+    carried ``arrive`` is a door of its own (it calls the tracer's ``arrival``
+    hook, handed over around, and notes the seq), and ``leave`` hands the copy
+    and the tallies over in one ``Metrics.count_pipeline`` and returns the newest
+    seq that arrived.  Nothing outside the kernel may read or advance the clock
+    or the counts in between (docs/SHARDING.md, "The arrival path").
+    """
 
     arrive: Callable[[StreamTuple], None]
-    expire: Callable[[StreamTuple], None]
+    expire: Callable[[StreamTuple], bool]
+    enter: Callable[[float], None]
+    leave: Callable[[], int]
 
 
 def runs_kernels(op: Operator, metrics: Metrics) -> bool:
@@ -67,16 +81,41 @@ def compile_plan(plan: "PhysicalPlan") -> None:
     )
     # One set of tallies and one copy of the clock for the whole plan, advanced
     # as ``Metrics.count`` would and handed over before every hook call, every
-    # hand-off and on leaving a door.  ``flush`` returns 0: hand over and reset
-    # in one statement.
+    # hand-off and on leaving a door, or, carried, on ``leave``.  ``flush``
+    # returns 0: hand over and reset in one statement.
     flush = metrics.count_pipeline
     adds = emits = probes = drops = outs = 0
     now = 0.0
+    carrying = False  # between ``enter`` and ``leave``
+    seen = -1  # the newest seq a carried ``arrive`` took
 
     def hand_over() -> None:
         """Off the per-arrival path: before a hook, a hand-off, an observer."""
         nonlocal adds, emits, probes, drops, outs
         adds = emits = probes = drops = outs = flush(now, adds, emits, probes, drops, outs)
+
+    def enter(t: float) -> None:
+        """Carry the clock and the tallies until :func:`leave`; catch the copy up to ``t``."""
+        nonlocal now, carrying
+        if not carrying:
+            carrying = True
+            now = clock.now
+        if now < t:
+            now = t
+
+    def leave() -> int:
+        """Hand the carried copy and tallies over; the newest seq carried (-1: none)."""
+        nonlocal adds, emits, probes, drops, outs, now, carrying, seen
+        newest = seen
+        if carrying:
+            carrying = False
+            seen = -1
+            # Both only move forward: the copy is ahead, unless a hook advanced the
+            # clock and raised before the copy was reloaded.
+            if clock.now > now:
+                now = clock.now
+            adds = emits = probes = drops = outs = flush(now, adds, emits, probes, drops, outs)
+        return newest
 
     timed = metrics.clock is not None
     # A plain sink right above a prefix is written by the last level itself;
@@ -178,7 +217,9 @@ def compile_plan(plan: "PhysicalPlan") -> None:
 
         return level
 
-    def leaf(scan: "StreamScan", first: Optional[Level], joins: List[JoinOperator]) -> Kernel:
+    def leaf(
+        scan: "StreamScan", first: Optional[Level], joins: List[JoinOperator]
+    ) -> Tuple[Callable[[StreamTuple], None], Callable[[StreamTuple], bool]]:
         """``scan``'s two doors; ``joins`` is its fused prefix, bottom-up."""
         last: Operator = joins[-1] if joins else scan
         stream = scan.stream
@@ -197,12 +238,19 @@ def compile_plan(plan: "PhysicalPlan") -> None:
         hand_off = scan.emit
         hand_off_removal = last.emit_removal
 
-        def expire(evicted: StreamTuple, door: bool = True) -> None:
-            """``StreamScan._expire`` and ``Operator.remove`` up the prefix; called by
+        def expire(evicted: StreamTuple, door: bool = True) -> bool:
+            """``StreamScan.evict`` on a leaf whose caller owns the window: ``False``,
+            touching nothing, when the state does not hold ``evicted``; else
+            ``StreamScan._expire`` and ``Operator.remove`` up the prefix.  Called by
             ``arrive`` (``door=False``) it shares that call's clock copy and hand-over."""
             nonlocal adds, emits, probes, drops, outs, now
+            seq = evicted.seq
+            stored = idents.get(seq)
             if door:
-                now = clock.now
+                if stored is not evicted and (stored is None or stored != evicted):
+                    return False  # ``HashState.__contains__``
+                if not carrying:
+                    now = clock.now
             try:
                 fresh = True
                 if scan.fresh_fn is not None:
@@ -212,8 +260,6 @@ def compile_plan(plan: "PhysicalPlan") -> None:
                         hand_over()
                     fresh = scan.fresh_fn(evicted)
                     now = clock.now
-                seq = evicted.seq
-                stored = idents.get(seq)
                 if stored is evicted:
                     del idents[seq]
                     bucket = keys[evicted.key]
@@ -268,17 +314,28 @@ def compile_plan(plan: "PhysicalPlan") -> None:
             finally:
                 # With nothing tallied ``now`` may be stale (a hook or hand-off
                 # advanced the clock, then raised before the reload): not written.
-                if door and (adds or emits or probes or drops or outs):
+                if door and not carrying and (adds or emits or probes or drops or outs):
                     adds = emits = probes = drops = outs = flush(
                         now, adds, emits, probes, drops, outs
                     )
+            return True
 
         def arrive(tup: StreamTuple) -> None:
             """``StreamScan.insert``; the evictions it causes share its hand-over."""
-            nonlocal adds, emits, probes, drops, outs, now
+            nonlocal adds, emits, probes, drops, outs, now, seen
             if tup.stream != stream:
                 return scan.insert(tup)  # raises, before touching the window
-            now = clock.now
+            if carrying:
+                # The caller's arrival door: what ``process_batch`` does around ``feed``.
+                if tup.seq > seen:
+                    seen = tup.seq
+                tracer = metrics.tracer
+                if tracer.enabled:
+                    hand_over()
+                    tracer.arrival(tup)
+                    now = clock.now
+            else:
+                now = clock.now
             try:
                 if push is not None:
                     evicted = push(tup)
@@ -299,17 +356,18 @@ def compile_plan(plan: "PhysicalPlan") -> None:
                 if first is None:
                     hand_over()
                     hand_off(tup)
+                    now = clock.now
                 else:
                     emits += 1
                     now += c_emit
                     first(tup)
             finally:
-                if adds or emits or probes or drops or outs:  # as in ``expire``
+                if not carrying and (adds or emits or probes or drops or outs):  # as in ``expire``
                     adds = emits = probes = drops = outs = flush(
                         now, adds, emits, probes, drops, outs
                     )
 
-        return Kernel(arrive, expire)
+        return arrive, expire
 
     # Sorted streams of each operator's entries, children first; ``None`` unless
     # everything below is a join or a scan (a set-difference passes on outer
@@ -335,4 +393,4 @@ def compile_plan(plan: "PhysicalPlan") -> None:
         while last in levels:
             last = last.parent  # the join of ``levels[last]``
             joins.append(last)
-        scan.fused = leaf(scan, levels.get(scan), joins)
+        scan.fused = Kernel(*leaf(scan, levels.get(scan), joins), enter, leave)

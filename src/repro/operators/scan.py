@@ -90,19 +90,18 @@ class StreamScan(Operator):
         exact same expiry cascade as a local eviction.  Returns ``False``
         when this scan does not hold the tuple — a legitimate no-op (e.g. a
         Parallel Track plan born after the tuple arrived).  A driven scan
-        asks its state, which is O(1); one with a window discards from it.
+        asks its state, which is O(1) (the kernel's door asks it itself); one
+        with a window discards from it.
         """
         window = self.window
-        if window is None:
-            if tup not in self.state:
-                return False
-        elif not window.discard(tup):
+        if window is not None and not window.discard(tup):
             return False
         kernel = self.fused
-        if kernel is None or self.scheduler is not None:
-            self._expire(tup)
-        else:
-            kernel.expire(tup)
+        if kernel is not None and self.scheduler is None:
+            return kernel.expire(tup)
+        if window is None and tup not in self.state:
+            return False
+        self._expire(tup)
         return True
 
     def _expire(self, evicted: StreamTuple) -> None:

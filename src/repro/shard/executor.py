@@ -37,7 +37,8 @@ state, so it is written to leave nothing behind but the work itself: the
 journal and the merged sink are columnar (no per-entry object), a live
 key's bucket is hashed once per liveness span, and the whole arrival —
 window push, eviction delivery, just-in-time completion, feed, journal —
-is one loop body that calls each worker's two doors directly
+is one loop body whose two worker calls are the owners' compiled doors,
+carrying each worker's clock and tallies across the run
 (docs/SHARDING.md, "The arrival path").
 """
 
@@ -50,6 +51,7 @@ from repro.engine.executor import TransitionEvent
 from repro.engine.metrics import Metrics, work_units
 from repro.migration.base import SpecLike, as_spec
 from repro.obs.tracer import PHASE_RECOVERING
+from repro.operators.fused import Kernel
 from repro.plans.spec import left_deep_order
 from repro.shard.merge import MergedOutput, ShardMerger
 from repro.shard.partition import HashPartitioner, balanced_assignment, stable_hash
@@ -314,6 +316,14 @@ class ShardedExecutor:
         #: External time of every arrival, stream -> seq -> T.
         self._arrival_T: Dict[str, Dict[int, float]] = {d.name: {} for d in schema.streams}
         self._logs: List[CommandLog] = [CommandLog() for _ in range(num_shards)]
+        #: Stream -> per shard, the compiled doors the arrival loop drives
+        #: (:meth:`_door`); ``None``: not asked yet, or the worker's own door.
+        self._kernels: Dict[str, List[Optional[Kernel]]] = {
+            d.name: [None] * num_shards for d in schema.streams
+        }
+        #: Shards whose kernel carries the clock and tallies right now: only
+        #: inside :meth:`process_batch`.
+        self._entered: Dict[int, Kernel] = {}
         self._crashed: Set[int] = set()
         self._retired: Set[int] = set()
         self._merger = ShardMerger()
@@ -437,6 +447,13 @@ class ShardedExecutor:
         owning worker; journal.  What never changes during a run is read
         once; the scheduler (with its open session) and the assignment
         table can change under any arrival and are read on each.
+
+        A worker's doors are its compiled kernel's where it has one
+        (:meth:`_door`): entered once per run, so its clock and tallies are
+        carried from door to door, and left before any other contact with
+        the worker and at the run's end, also when the run raises.  Under an
+        attached tracer each door is left at once, so a hook sees every worker
+        handed over.  Elsewhere the worker's own ``expire`` / ``process_batch``.
         """
         windows = self._windows
         arrival_t = self._arrival_T
@@ -445,6 +462,8 @@ class ShardedExecutor:
         bucket_keys = self._bucket_keys
         workers = self.workers
         logs = self._logs
+        kernels = self._kernels
+        entered = self._entered
         crashed = self._crashed
         partitioner = self.partitioner
         inter_arrival = self.inter_arrival
@@ -452,90 +471,139 @@ class ShardedExecutor:
         tracer = self.metrics.tracer
         traced = tracer.enabled
         arrivals = self._arrivals
-        for tup in tuples:
-            if crashed:
-                self._check_live()
-            stream = tup.stream
-            window = windows.get(stream)
-            if window is None:
-                raise ValueError(
-                    f"tuple from unknown stream {stream!r} "
-                    f"(schema has {', '.join(windows)})"
-                )
-            hash(tup.key)  # unhashable: ``TypeError`` before anything is touched
-            # External time T(i) = i * inter_arrival; the coordinator's
-            # clock is caught up to it (see _now).
-            t = arrivals * inter_arrival
-            if clock is not None and clock.now < t:
-                clock.now = t
-            self._arrivals = arrivals = arrivals + 1
-            arrival_t[stream][tup.seq] = t
-            if traced:
-                tracer.arrival(tup)
+        try:
+            for tup in tuples:
+                if crashed:
+                    self._check_live()
+                stream = tup.stream
+                window = windows.get(stream)
+                if window is None:
+                    raise ValueError(
+                        f"tuple from unknown stream {stream!r} "
+                        f"(schema has {', '.join(windows)})"
+                    )
+                hash(tup.key)  # unhashable: ``TypeError`` before anything is touched
+                # External time T(i) = i * inter_arrival; the coordinator's
+                # clock is caught up to it (see _now).
+                t = arrivals * inter_arrival
+                if clock is not None and clock.now < t:
+                    clock.now = t
+                self._arrivals = arrivals = arrivals + 1
+                arrival_t[stream][tup.seq] = t
+                if traced:
+                    tracer.arrival(tup)
+                doors = kernels[stream]
 
-            if isinstance(window, SlidingWindow):
-                old = window.push(tup)  # at most one, and no list to carry it
-                evicted: Iterable[StreamTuple] = () if old is None else (old,)
-            else:
-                evicted = window.push_all(tup)
-            for old in evicted:
-                key = old.key
-                # A pending key's state is still at its pre-rebalance owner;
-                # ``mover`` is the scheduler holding it pending, else None.
-                mover = self._scheduler
-                pending = mover.session if mover is not None else None
-                if pending is not None and pending.is_pending(key):
-                    owner = pending.route_of(key)[0]
+                if isinstance(window, SlidingWindow):
+                    old = window.push(tup)  # at most one, and no list to carry it
+                    evicted: Iterable[StreamTuple] = () if old is None else (old,)
                 else:
-                    mover = None
-                    owner = partitioner.assignment[live_bucket[key]]
-                # ``catch_up``, ``evict`` and ``CommandLog.append``, spelled out.
-                worker = workers[owner] or self._worker(owner)
-                worker_clock = worker.clock
-                if worker_clock is not None and worker_clock.now < t:
-                    worker_clock.now = t
-                worker.expire(old)
+                    evicted = window.push_all(tup)
+                for old in evicted:
+                    key = old.key
+                    # A pending key's state is still at its pre-rebalance owner;
+                    # ``mover`` is the scheduler holding it pending, else None.
+                    mover = self._scheduler
+                    pending = mover.session if mover is not None else None
+                    if pending is not None and pending.is_pending(key):
+                        owner = pending.route_of(key)[0]
+                    else:
+                        mover = None
+                        owner = partitioner.assignment[live_bucket[key]]
+                    kernel = doors[owner] or self._door(owner, stream)
+                    if kernel is None:  # ``catch_up`` and ``evict``, spelled out
+                        worker = workers[owner] or self._worker(owner)
+                        worker_clock = worker.clock
+                        if worker_clock is not None and worker_clock.now < t:
+                            worker_clock.now = t
+                        worker.expire(old)
+                    else:
+                        if owner not in entered:
+                            entered[owner] = kernel
+                            kernel.enter(t)
+                        elif t:  # catching up to time 0 moves no clock
+                            kernel.enter(t)
+                        kernel.expire(old)
+                        if traced:
+                            self._leave(owner)
+                    log = logs[owner]  # ``CommandLog.append``, spelled out
+                    log.kinds.append("evict")
+                    log.payloads.append(old)
+                    log.times.append(t)
+                    live = live_by_key[key]
+                    if live[0] is old:  # almost always: expiry is oldest-first
+                        del live[0]
+                    else:
+                        live.remove(old)
+                    if not live:
+                        del live_by_key[key]
+                        del bucket_keys[live_bucket.pop(key)][key]
+                        if mover is not None:
+                            self._retire_key(mover, key, t)
+
+                key = tup.key
+                scheduler = self._scheduler
+                if scheduler is not None:
+                    scheduler.open_next(t)
+                    session = scheduler.session
+                    if session is not None and session.is_pending(key):
+                        self._complete_key(scheduler, key, t)
+                live = live_by_key.get(key)
+                if live is None:
+                    live_by_key[key] = [tup]
+                    bucket = live_bucket[key] = partitioner.bucket_of(key)
+                    bucket_keys[bucket][key] = None
+                else:
+                    live.append(tup)
+                    bucket = live_bucket[key]
+                owner = partitioner.assignment[bucket]
+                kernel = doors[owner] or self._door(owner, stream)
+                if kernel is None:  # ``catch_up`` and ``feed``, spelled out
+                    worker = workers[owner] or self._worker(owner)
+                    worker_clock = worker.clock
+                    if worker_clock is not None and worker_clock.now < t:
+                        worker_clock.now = t
+                    worker.process_batch((tup,))
+                else:
+                    if owner not in entered:
+                        entered[owner] = kernel
+                        kernel.enter(t)
+                    elif t:
+                        kernel.enter(t)
+                    kernel.arrive(tup)
+                    if traced:
+                        self._leave(owner)
                 log = logs[owner]
-                log.kinds.append("evict")
-                log.payloads.append(old)
+                log.kinds.append("feed")
+                log.payloads.append(tup)
                 log.times.append(t)
-                live = live_by_key[key]
-                if live[0] is old:  # almost always: expiry is oldest-first
-                    del live[0]
-                else:
-                    live.remove(old)
-                if not live:
-                    del live_by_key[key]
-                    del bucket_keys[live_bucket.pop(key)][key]
-                    if mover is not None:
-                        self._retire_key(mover, key, t)
+        finally:
+            while entered:
+                shard, kernel = entered.popitem()
+                (workers[shard] or self._worker(shard)).strategy.carried(kernel.leave())
 
-            key = tup.key
-            scheduler = self._scheduler
-            if scheduler is not None:
-                scheduler.open_next(t)
-                session = scheduler.session
-                if session is not None and session.is_pending(key):
-                    self._complete_key(scheduler, key, t)
-            live = live_by_key.get(key)
-            if live is None:
-                live_by_key[key] = [tup]
-                bucket = live_bucket[key] = partitioner.bucket_of(key)
-                bucket_keys[bucket][key] = None
-            else:
-                live.append(tup)
-                bucket = live_bucket[key]
-            # ``catch_up``, ``feed`` and ``CommandLog.append``, spelled out.
-            owner = partitioner.assignment[bucket]
-            worker = workers[owner] or self._worker(owner)
-            worker_clock = worker.clock
-            if worker_clock is not None and worker_clock.now < t:
-                worker_clock.now = t
-            worker.process_batch((tup,))
-            log = logs[owner]
-            log.kinds.append("feed")
-            log.payloads.append(tup)
-            log.times.append(t)
+    def _door(self, shard: int, stream: str) -> Optional[Kernel]:
+        """The kernel :meth:`process_batch` drives for ``stream`` on ``shard``,
+        kept until the worker's plan changes (:meth:`_forget`).  ``None``: the
+        worker's own door runs, and the worker is left first."""
+        kernel = self._worker(shard).strategy.kernel(stream)
+        if kernel is None:
+            self._leave(shard)
+        else:
+            self._kernels[stream][shard] = kernel
+        return kernel
+
+    def _leave(self, shard: int) -> None:
+        """Hand a carried worker's clock, tallies and seqs over (``Kernel.leave``)."""
+        kernel = self._entered.pop(shard, None)
+        if kernel is not None:
+            self._worker(shard).strategy.carried(kernel.leave())
+
+    def _forget(self, shards: Iterable[int]) -> None:
+        """Drop the kept kernels of workers whose plan changed or who are gone."""
+        for doors in self._kernels.values():
+            for shard in shards:
+                doors[shard] = None
 
     def _retire_key(self, scheduler: RebalanceScheduler, key: Any, t: float) -> None:
         """A pending key's last live tuple expired: nothing is left to move."""
@@ -562,6 +630,7 @@ class ShardedExecutor:
         tracer = self.metrics.tracer
         if tracer.enabled:
             tracer.transition_start(self.name, self._arrivals)
+        self._forget(range(len(self.workers)))
         for shard, worker in enumerate(self.workers):
             if worker is None:  # retired by scale-in; crashed is excluded above
                 continue
@@ -772,6 +841,8 @@ class ShardedExecutor:
         else:
             self.workers.append(worker)
             self._logs.append(CommandLog())
+            for doors in self._kernels.values():
+                doors.append(None)
         if self._current_spec is not None:
             worker.catch_up(t)
             worker.transition(self._current_spec)
@@ -781,12 +852,15 @@ class ShardedExecutor:
 
     def _retire_shards(self, n_shards: int, t: float) -> None:
         """Drop the drained workers above ``n_shards`` after a scale-in."""
+        for shard in range(n_shards, len(self.workers)):
+            self._leave(shard)
         self._collect()  # pull their remaining outputs before dropping them
         tracer = self.metrics.tracer
         for shard in range(n_shards, len(self.workers)):
             worker = self.workers[shard]
             if worker is None:
                 continue
+            self._forget((shard,))
             self.workers[shard] = None
             self._retired.add(shard)
             if tracer.enabled:
@@ -803,6 +877,8 @@ class ShardedExecutor:
         src, dst = session.route_of(key)
         live = tuple(self._live_by_key.get(key, ()))
         src_worker, dst_worker = self._worker(src), self._worker(dst)
+        self._leave(src)
+        self._leave(dst)
         src_worker.catch_up(t)
         parcel = src_worker.extract(key)
         self._logs[src].append("extract", key, t)
@@ -886,6 +962,7 @@ class ShardedExecutor:
         tracer = self.metrics.tracer
         if tracer.enabled:
             tracer.fault("shard_crash", shard=shard, log_entries=len(self._logs[shard]))
+        self._forget((shard,))
         self.workers[shard] = None
         self._crashed.add(shard)
 

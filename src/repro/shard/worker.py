@@ -137,10 +137,12 @@ class ShardWorker:
 
     ``clock``, ``process_batch`` and ``expire`` are the strategy's clock and
     its two doors, bound once: a worker never changes strategy (a recovered
-    or respawned worker is a new object), and the coordinator's arrival loop
-    calls them directly, an arrival as a run of one.  :meth:`catch_up`,
-    :meth:`feed` and :meth:`evict` are their definition, for every caller
-    off that loop.
+    or respawned worker is a new object).  The coordinator's arrival loop
+    drives the compiled doors the strategy offers per stream
+    (``strategy.kernel(stream)``), whose ``enter(t)`` is :meth:`catch_up` on
+    the kernel's copy of the clock; where it offers none, the loop calls these
+    two, an arrival as a run of one.  :meth:`catch_up`, :meth:`feed` and
+    :meth:`evict` are their definition, for every caller off that loop.
     """
 
     __slots__ = ("shard_id", "strategy", "metrics", "clock", "process_batch", "expire")

@@ -8,7 +8,7 @@ import sys
 import textwrap
 from collections import Counter as MultiSet
 from contextlib import contextmanager
-from typing import Any, Iterable, Iterator, List, Sequence
+from typing import Any, Iterable, Iterator, List, Optional, Sequence
 
 import pytest
 
@@ -61,9 +61,10 @@ def output_multiset(strategy) -> MultiSet:
     return MultiSet(strategy.output_lineages())
 
 
-def assert_same_output(reference, strategy) -> None:
-    """Assert two strategies produced the same output multiset."""
-    ref = output_multiset(reference)
+def assert_same_output(reference, strategy, expected: Optional[MultiSet] = None) -> None:
+    """Assert two strategies produced the same output multiset; ``expected`` is
+    the reference's, when one caller compares several strategies to it."""
+    ref = output_multiset(reference) if expected is None else expected
     got = output_multiset(strategy)
     if ref != got:
         missing = ref - got

@@ -21,6 +21,8 @@ from repro.optimizer import soak
 from repro.shard.executor import ShardedExecutor
 from repro.workloads.scenarios import chain_scenario, migration_stage_events
 
+pytestmark = pytest.mark.hashseed
+
 DROP_DEDUP = ("if lineage in self._delivered_seen:", "if False:")
 SKIP_FIRST_REPLAYED = ("tail = self.store.log()[log_pos:]", "tail = self.store.log()[log_pos + 1:]")
 SKIP_INSTALL = (

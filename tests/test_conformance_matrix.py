@@ -31,6 +31,8 @@ from repro.streams.tuples import StreamTuple
 from repro.testing.naive import NaiveJoinOracle
 from repro.workloads.drift import SelectivityDriftWorkload
 
+pytestmark = pytest.mark.hashseed
+
 NAMES = ("A", "B", "C")
 STRATEGIES = ("jisc", "moving_state", "parallel_track", "stairs", "cacq")
 WINDOW = 12

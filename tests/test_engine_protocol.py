@@ -60,7 +60,7 @@ ENGINES["adaptive-sharded"] = lambda: AdaptiveEngine(ENGINES["sharded"]())
 #: (``.strategy``), not yet an engine (ROADMAP item 5).  ``current_order`` is in
 #: nobody's gap: the coordinator answers with its last broadcast spec, the driver
 #: with the order it costs.
-NOT_SHARDABLE = {"output_times", "evict", "extract", "install"}
+NOT_SHARDABLE = {"output_times", "evict", "kernel", "carried", "extract", "install"}
 GAPS = {
     "sharded": {"live_plans", "probe_sources"} | NOT_SHARDABLE,
     "adaptive": {"name", "metrics", "state_sizes", "live_tuples"}

@@ -5,6 +5,7 @@ a state is incomplete, and a transition drops every record it makes stale."""
 import random
 
 import hypothesis.strategies as hst
+import pytest
 from hypothesis import given, settings
 
 from repro.core.freshness import FreshnessRegistry
@@ -13,6 +14,8 @@ from repro.migration.base import StaticPlanExecutor
 from repro.migration.jisc import JISCStrategy
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
+
+pytestmark = pytest.mark.hashseed
 
 
 def t(stream, seq, key):

@@ -53,6 +53,8 @@ from repro.workloads.drift import SelectivityDriftWorkload
 from repro.workloads.scenarios import chain_scenario, frequency_events, swap_for_case
 from tests.helpers import reference_path
 
+pytestmark = pytest.mark.hashseed
+
 NAMES = ("A", "B", "C", "D")
 BUSHY = (("A", "B"), ("C", "D"))
 

@@ -30,6 +30,8 @@ from repro.workloads.scenarios import chain_scenario, frequency_events
 from tests.helpers import reference_path
 from tests.test_fused_path import arrivals, fused_leaves
 
+pytestmark = pytest.mark.hashseed
+
 NAMES = ("A", "B", "C", "D")
 
 

@@ -41,6 +41,8 @@ from repro.streams.tuples import CompositeTuple, StreamTuple
 from repro.telemetry import TelemetryTracer
 from repro.workloads.scenarios import chain_scenario, migration_stage_events, swap_for_case
 
+pytestmark = pytest.mark.hashseed
+
 ORDER = ("R", "S", "T")
 OBSERVABILITY = Path(__file__).resolve().parents[1] / "docs" / "OBSERVABILITY.md"
 

@@ -34,6 +34,8 @@ from repro.shard.executor import ShardedExecutor
 from repro.streams.schema import Schema
 from repro.streams.tuples import CompositeTuple, StreamTuple
 
+pytestmark = pytest.mark.hashseed
+
 
 # ---------------------------------------------------------------------------
 # Interner

@@ -19,6 +19,8 @@ from benchmarks.common import REPO_ROOT
 from repro.engine.metrics import Metrics
 from repro.perf import regress
 
+pytestmark = pytest.mark.hashseed
+
 SCALE = 0.04  # 1 020 arrivals on the steady shape: every path, a few seconds
 
 

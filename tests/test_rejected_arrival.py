@@ -22,6 +22,8 @@ from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
 from tests.helpers import RotatingTrigger
 
+pytestmark = pytest.mark.hashseed
+
 NAMES = ("R", "S", "T")
 SCHEMA = Schema.uniform(NAMES, 3)
 ROUNDS = 40

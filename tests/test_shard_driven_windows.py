@@ -28,6 +28,8 @@ from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
 from repro.streams.window import SlidingWindow, TimeSlidingWindow, window_contents
 
+pytestmark = pytest.mark.hashseed
+
 NAMES = ("A", "B", "C")
 SPECS = (("C", "A", "B"), ("B", "C", "A"))
 

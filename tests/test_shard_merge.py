@@ -23,6 +23,8 @@ from repro.shard import ShardedExecutor, ShardMerger
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
 
+pytestmark = pytest.mark.hashseed
+
 NAMES = ("A", "B", "C")
 N = 300
 #: 4 -> 2 -> 4 -> 2 -> 4 shards: slots 2 and 3 live three incarnations.

@@ -36,6 +36,8 @@ from repro.shard.worker import STRATEGY_NAMES, ShardWorker
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
 
+pytestmark = pytest.mark.hashseed
+
 NAMES = ("A", "B", "C")
 SCHEMA = Schema.uniform(NAMES, 10)
 

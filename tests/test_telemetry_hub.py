@@ -15,6 +15,8 @@ from repro.streams.tuples import StreamTuple
 from repro.telemetry import ShardTelemetry, TelemetryTracer, series_name
 from repro.workloads.scenarios import chain_scenario, swap_for_case
 
+pytestmark = pytest.mark.hashseed
+
 _LABEL = re.compile(r'(\w+)="([^"]*)"')
 
 

@@ -7,6 +7,8 @@ snapshots from ``dash --export`` through ``load_trace``, the report CLI and
 import json
 import random
 
+import pytest
+
 from repro.engine.query import STRATEGIES
 from repro.obs.report import main as report_main
 from repro.obs.tracer import RecordingTracer, load_trace
@@ -16,6 +18,8 @@ from repro.streams.tuples import StreamTuple
 from repro.telemetry import ShardTelemetry, TelemetryTracer, diff_snapshots, series_name
 from repro.telemetry.dash import main as dash_main
 from repro.workloads.scenarios import chain_scenario
+
+pytestmark = pytest.mark.hashseed
 
 NAMES = ("A", "B", "C")
 

@@ -20,6 +20,8 @@ from repro.migration.moving_state import MovingStateStrategy
 from repro.migration.parallel_track import ParallelTrackStrategy
 from repro.workloads.scenarios import chain_scenario, frequency_events
 
+pytestmark = pytest.mark.hashseed
+
 STRATEGIES = [JISCStrategy, MovingStateStrategy, ParallelTrackStrategy]
 TRANSITIONS = 50
 PERIOD = 100

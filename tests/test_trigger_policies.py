@@ -32,6 +32,8 @@ from repro.optimizer.triggers import (
     ThresholdTrigger,
 )
 
+pytestmark = pytest.mark.hashseed
+
 NAMES = ("A", "B", "C")
 
 
