@@ -3,10 +3,10 @@
 A :class:`FaultPlan` is pure data: *which* faults fire and *when*, keyed to
 deterministic operation counts — the Nth consumed arrival, the Nth queue
 enqueue, the Nth checkpoint write.  Nothing in the subsystem consults a
-wall clock or shared entropy (JISC001): randomized plans come only from
-:meth:`FaultPlan.from_seed`, which draws every choice from one
-``random.Random(seed)``, so a failing run reproduces byte-identically from
-its seed.
+wall clock or shared entropy (``tests/test_no_clock_reads.py`` scans for
+both): randomized plans come only from :meth:`FaultPlan.from_seed`, which
+draws every choice from one ``random.Random(seed)``, so a failing run
+reproduces byte-identically from its seed.
 
 The :class:`FaultInjector` is the runtime half: the recovery manager and
 the anomaly-injecting queue scheduler consult it at each instrumented

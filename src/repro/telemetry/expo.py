@@ -17,7 +17,7 @@ format (:meth:`~repro.obs.tracer.RecordingTracer.export_jsonl`,
   :func:`summary` runs them all over a trace.
 
 Everything here is deterministic: sorted series order, virtual timestamps
-only (JISC001 bans wall clocks in ``src/repro``).
+only (``tests/test_no_clock_reads.py`` bans wall clocks in ``src/repro``).
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ SYMBOL = re.compile(r"(?<![\w/.-])((?:[\w-]+/)+[\w-]+\.py)::(\w+(?:\.\w+)?)")
 
 def resolves(module):
     base = ROOT / "src" / module.replace(".", "/")
-    return base.with_suffix(".py").is_file() or (base / "__main__.py").is_file()
+    return base.with_suffix(".py").is_file()
 
 
 def defined(body):
@@ -98,7 +98,7 @@ def test_the_patterns_find_what_they_are_for():
     )
     assert PATH.findall(sample) == ["src/repro/perf/regress.py", "repro/core/bound.py", "tests/test_docs.py"]
     assert MODULE.findall(sample) == ["repro.perf.regress"] and resolves("repro.perf.regress")
-    assert resolves("repro.lint") and not resolves("repro.perf.telemetry_gate")
+    assert resolves("repro.faults.sweep") and not resolves("repro.perf.telemetry_gate")
     named = {m for doc in DOCS for m in MODULE.findall(doc.read_text())}
     assert {"repro.perf.regress", "repro.perf.profile", "repro.obs.report"} <= named
 

@@ -138,7 +138,7 @@ def _managed_run(seed):
 
 @pytest.mark.parametrize("seed", [0, 11])
 def test_faulted_runs_rerun_byte_identically(seed):
-    """JISC001 end to end: same seed, same delivered log, same trace bytes."""
+    """Seeded faults end to end: same seed, same delivered log, same trace bytes."""
     first_delivered, first_trace = _managed_run(seed)
     second_delivered, second_trace = _managed_run(seed)
     assert first_delivered == second_delivered

@@ -1,5 +1,7 @@
 """Eddy routing policies: fixed order and adaptive lottery scheduling."""
 
+import random
+
 import pytest
 
 from tests.helpers import assert_same_output, make_tuples
@@ -39,6 +41,22 @@ def test_lottery_order_covers_all_candidates():
     policy = LotteryRouting(("A", "B", "C", "D"), seed=1)
     order = policy.order_for("A", ["B", "C", "D"])
     assert sorted(order) == ["B", "C", "D"]
+
+
+def test_lottery_orders_are_fixed_by_its_seed_alone():
+    """The lottery draws from its own ``random.Random(seed)``: the state of
+    the module-level ``random`` does not move its orders."""
+
+    def orders(global_seed):
+        random.seed(global_seed)
+        policy = LotteryRouting(("A", "B", "C", "D"), seed=5)
+        return [policy.order_for("A", ["B", "C", "D"]) for _ in range(200)]
+
+    saved = random.getstate()
+    try:
+        assert orders(1) == orders(2)
+    finally:
+        random.setstate(saved)
 
 
 def test_lottery_rewards_selective_streams():

@@ -1,8 +1,14 @@
 """Unit tests for the streaming set-difference operator (Section 4.7)."""
 
+import ast
+import os
+import subprocess
+import sys
+
 import pytest
 
-from repro.engine.metrics import Metrics
+from repro.engine.metrics import Counter, Metrics
+from repro.engine.queued import QueueScheduler
 from repro.operators.joins import SymmetricHashJoin
 from repro.operators.scan import StreamScan
 from repro.operators.setdiff import SetDifference
@@ -55,6 +61,23 @@ def test_inner_expiry_releases_suppressed_outer(metrics):
     assert sink.outputs[0].lineage == (("A", 1),)
 
 
+def test_released_outer_waits_in_the_queue_until_drained(metrics):
+    """Under the buffered model (Section 4.1) a released outer is one more
+    hop in the scheduler's FIFO, not a push past it."""
+    a, b, d, sink = build_diff(metrics, window=1)
+    scheduler = QueueScheduler(metrics)
+    for op in (a, b, d):
+        op.scheduler = scheduler
+    b.insert(StreamTuple("B", 0, 1))
+    a.insert(StreamTuple("A", 1, 1))
+    scheduler.drain()  # A#1 reaches the difference and is suppressed
+    b.insert(StreamTuple("B", 2, 9))  # evicts B#0: releases A#1
+    assert sink.outputs == []
+    scheduler.drain()
+    assert [o.lineage for o in sink.outputs] == [(("A", 1),)]
+    assert metrics.get(Counter.QUEUE_OP) == 8
+
+
 def test_multiple_suppressors_require_all_to_expire(metrics):
     a, b, d, sink = build_diff(metrics, window=2)
     b.insert(StreamTuple("B", 0, 1))
@@ -83,6 +106,16 @@ def test_outer_expiry_while_suppressed_forgets_it(metrics):
     b.insert(StreamTuple("B", 3, 9))  # releases key-1 suppressions
     # A#1 is out of its own window: it must NOT reappear
     assert all(o.lineage != (("A", 1),) for o in sink.outputs)
+
+
+def test_outer_expiry_advances_the_clock_by_what_it_counts(metrics):
+    a, b, d, sink = build_diff(metrics, window=1)
+    a.insert(StreamTuple("A", 0, 1))
+    a.insert(StreamTuple("A", 1, 2))  # evicts A#0 from the difference's state
+    assert len(d.state) == 1
+    cost_of = metrics.clock.cost_model.cost_of
+    spent = sum(cost_of(op) * n for op, n in metrics.counts.items())
+    assert metrics.clock.now == pytest.approx(spent)
 
 
 def test_outer_expiry_in_state_retracts_downstream(metrics):
@@ -147,3 +180,58 @@ def test_build_state_for_key_adds_unmatched(metrics):
     d.build_state_for_key(3)
     assert len(d.state) == 1
     assert sink.outputs == []  # state rebuilt silently
+
+
+def _run_python(args, hash_seed="0"):
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONHASHSEED": hash_seed, "PYTHONPATH": src},
+    ).stdout
+
+
+def test_part_of_rejects_a_composite_under_python_O():
+    """The base-tuples-only guard is a raise, so ``python -O`` keeps it."""
+    code = (
+        "from repro.operators.setdiff import SetDifference\n"
+        "from repro.streams.tuples import CompositeTuple, StreamTuple\n"
+        "c = CompositeTuple.of(StreamTuple('A', 0, 1), StreamTuple('B', 0, 1))\n"
+        "try:\n"
+        "    SetDifference._part_of(c)\n"
+        "except ValueError:\n"
+        "    print('raised')\n"
+    )
+    assert _run_python(["-O", "-c", code]).strip() == "raised"
+
+
+_CHAIN_SCRIPT = """
+import random
+from repro.migration.base import StaticPlanExecutor
+from repro.operators.setdiff import SetDifference
+from repro.streams.schema import Schema
+from repro.streams.tuples import StreamTuple
+
+names = ("A", "B", "C")
+engine = StaticPlanExecutor(Schema.uniform(names, 30), names, op_factory=SetDifference)
+rng = random.Random(7)
+seqs = dict.fromkeys(names, 0)
+for _ in range(3000):
+    stream = rng.choice(names)
+    engine.process(StreamTuple(stream, seqs[stream], rng.randrange(12)))
+    seqs[stream] += 1
+print(engine.output_lineages())
+"""
+
+
+def test_chain_emits_released_outers_in_an_order_free_of_the_hash_seed():
+    """``A - B - C`` with reappearance on: one inner expiry releases a set
+    of outers, and they re-enter state and output in the same order under
+    every ``PYTHONHASHSEED``."""
+    orders = {_run_python(["-c", _CHAIN_SCRIPT], seed) for seed in ("0", "1", "4242")}
+    assert len(orders) == 1
+    assert len(ast.literal_eval(orders.pop())) == 37

@@ -15,7 +15,13 @@ import pytest
 from repro.engine.cost import VirtualClock
 from repro.engine.metrics import Metrics
 from repro.faults.invariants import InvariantChecker, InvariantViolation
-from repro.obs.tracer import EVENT_FAULT, EVENT_RECOVERY, RecordingTracer
+from repro.obs.tracer import (
+    EVENT_FAULT,
+    EVENT_RECOVERY,
+    PHASE_REBALANCING,
+    PHASE_RECOVERING,
+    RecordingTracer,
+)
 from repro.shard import ShardedExecutor, skewed_assignment
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
@@ -126,6 +132,22 @@ def test_crash_and_recovery_are_traced():
     assert len(recoveries) == 1
     assert recoveries[0].data["what"] == "shard_rebuilt"
     assert recoveries[0].data["entries"] == ex.log_length(1)
+
+
+def test_recovery_hands_back_the_phase_it_interrupted():
+    """A shard rebuilt while the coordinator is ``rebalancing`` (entered from
+    ``recovering``) leaves the tracer in ``rebalancing``, not ``steady``."""
+    schema, tuples = workload()
+    clock = VirtualClock(None)
+    tracer = RecordingTracer(clock=clock)
+    ex = ShardedExecutor(
+        schema, NAMES, num_shards=2, metrics=Metrics(clock=clock, tracer=tracer)
+    )
+    ex.process_batch(tuples[:80])
+    tracer.set_phase(PHASE_RECOVERING)
+    tracer.set_phase(PHASE_REBALANCING)
+    ex.crash_and_recover(1)
+    assert tracer.phase == PHASE_REBALANCING
 
 
 def test_check_sharded_detects_lost_and_misplaced_state():
